@@ -8,6 +8,14 @@ paper-figure topologies and the large-N family) is registered here with a
 typed parameter schema, so a spec can be validated *before* any run
 starts and ``python -m repro.experiments list`` can document every knob.
 
+The registry is also the one place that composes the optional planes
+onto a scenario.  Factories build geometry only; when an entry's schema
+declares the shared fault (:mod:`repro.faults`) or lossy-PHY
+(:mod:`repro.radio.phy`) knobs, :func:`build_scenario` installs those
+planes after the factory returns.  ``hostile_corridor`` and
+``lossy_festival`` are entries of this kind over ``commuter_corridor``
+and ``crowded_festival`` that differ only in their knob defaults.
+
 Every schema parameter has a default, so each scenario is constructible
 with no arguments beyond a seed — the registry test relies on this.
 """
@@ -17,6 +25,8 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.faults import install_scenario_faults
+from repro.radio.phy import install_scenario_phy
 from repro.scenarios import (
     Scenario,
     city_day,
@@ -31,10 +41,8 @@ from repro.scenarios import (
     fig_5_8_handover,
     flash_crowd,
     flash_crowd_broadcast,
-    hostile_corridor,
     island_hopping_ferry,
     line_topology,
-    lossy_festival,
     random_disc,
     replay_arena,
     rural_bus_dtn,
@@ -150,6 +158,11 @@ def build_scenario(name: str, seed: int,
     defaults fill every unspecified parameter, so a run is fully
     described by (scenario name, params, seed) even if a factory's own
     defaults drift later.
+
+    The plane knobs (:data:`FAULT_KNOBS`, :data:`PHY_KNOBS`) never reach
+    the factory: after it returns, the fault plane is installed over the
+    footprint the factory recorded in ``scenario.area``, then the PHY
+    plane.  Both install nothing at all-zero knobs.
     """
     entry = get_scenario(name)
     kwargs: dict[str, object] = {p.name: p.default for p in entry.params}
@@ -159,11 +172,19 @@ def build_scenario(name: str, seed: int,
         if isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value
-    return entry.factory(seed=seed, **kwargs)
+    faults = {key: kwargs.pop(key) for key in FAULT_KNOBS if key in kwargs}
+    phy = {key: kwargs.pop(key) for key in PHY_KNOBS if key in kwargs}
+    scenario = entry.factory(seed=seed, **kwargs)
+    if faults:
+        install_scenario_faults(scenario, area=scenario.area, **faults)
+    if phy:
+        install_scenario_phy(scenario, **phy)
+    return scenario
 
 
 # ----------------------------------------------------------------------
-# registrations: every public factory in repro.scenarios
+# registrations: every public factory in repro.scenarios, plus two
+# plane presets over existing factories
 # ----------------------------------------------------------------------
 _TECHS = Param("technologies", tuple, ("bluetooth",),
                "radio mix carried by every node", element=str)
@@ -214,6 +235,11 @@ def _phy_params(shadowing_sigma_db: float = 0.0, phy_collisions: int = 0,
         Param("capture_margin_db", float, capture_margin_db,
               "dB advantage needed to capture over overlap rivals"),
     )
+
+
+#: The shared plane knobs :func:`build_scenario` keeps from factories.
+FAULT_KNOBS = tuple(param.name for param in _fault_params())
+PHY_KNOBS = tuple(param.name for param in _phy_params())
 
 register_scenario(
     "line_topology", line_topology,
@@ -318,7 +344,7 @@ register_scenario(
              "commuters"))
 
 register_scenario(
-    "hostile_corridor", hostile_corridor,
+    "hostile_corridor", commuter_corridor,
     params=(
         Param("count", int, 10, "commuters in the corridor"),
         Param("length_m", float, 120.0, "corridor length, metres"),
@@ -388,7 +414,7 @@ register_scenario(
              "are the constraint"))
 
 register_scenario(
-    "lossy_festival", lossy_festival,
+    "lossy_festival", crowded_festival,
     params=(
         Param("count", int, 18, "roaming attendees"),
         Param("area", float, 40.0, "side of the square, metres"),

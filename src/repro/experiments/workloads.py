@@ -15,8 +15,11 @@ result files byte-identical across worker counts.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import inspect
+import json
 import statistics
 import textwrap
 import time
@@ -40,6 +43,7 @@ from repro.dtn import (
 )
 from repro.experiments.registry import build_scenario, get_scenario
 from repro.experiments.spec import RunPoint
+from repro.metrics.counters import FaultCounters, PhyCounters
 from repro.radio.channel import OutOfRange
 from repro.radio.technologies import BLUETOOTH
 from repro.scenarios.traces import (
@@ -87,17 +91,36 @@ def workload_fingerprint(name: str) -> str:
     it produced — stale results can never satisfy new code.  Hashing
     source (dedented, so nesting depth is irrelevant) is stable across
     processes and interpreter runs, unlike ``hash()`` or code-object
-    ids.  Falls back to the compiled bytecode for source-less callables
+    ids.  A ``functools.partial`` (the paired-DTN aliases) hashes its
+    function's source plus the canonical JSON of its bound arguments,
+    so editing one alias's preset retires only that alias's cells.
+    Falls back to the compiled bytecode for source-less callables
     (frozen modules); still deterministic for a fixed build.
     """
     fn = get_workload(name)
+    bound = ""
+    while isinstance(fn, functools.partial):
+        bound += json.dumps([fn.args, fn.keywords], sort_keys=True,
+                            separators=(",", ":"), default=_bound_json)
+        fn = fn.func
     try:
         source = textwrap.dedent(inspect.getsource(fn))
     except (OSError, TypeError):
         code = getattr(fn, "__code__", None)
         source = repr((getattr(code, "co_code", b""),
                        getattr(code, "co_consts", ())))
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
+    return hashlib.sha256((source + bound).encode("utf-8")).hexdigest()
+
+
+def _bound_json(value: object) -> object:
+    """JSON form of a workload's bound argument: a dataclass as its
+    fields, a class or function by qualified name."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return dataclasses.asdict(value)
+    qualname = getattr(value, "__qualname__", None)
+    if qualname is None:
+        raise TypeError(f"cannot fingerprint workload argument {value!r}")
+    return f"{value.__module__}.{qualname}"
 
 
 def _sink_service(node, delivered: list) -> None:
@@ -388,7 +411,7 @@ def trace_replay(point: RunPoint) -> Metrics:
 
 
 # ----------------------------------------------------------------------
-# dtn: store-carry-forward delivery under each routing baseline
+# paired DTN: every router on identical mobility + traffic
 # ----------------------------------------------------------------------
 #: Terminal pairs the ``auto`` pattern recognises, in checking order.
 _ENDPOINT_PAIRS = (("home", "work"), ("kiosk", "depot"))
@@ -417,84 +440,134 @@ def _pattern_endpoints(nodes: typing.Sequence[str]
     return None
 
 
-def _paired_router_run(point: RunPoint, router_name: str, make_plane,
-                       *, spray_copies: int, duration_s: float,
-                       messages: int, ttl_s: float, size_bytes: int,
-                       pattern: str, inject_start: float,
-                       inject_end: float):
-    """One router's leg of a paired DTN comparison.
+@dataclasses.dataclass(frozen=True)
+class DtnPreset:
+    """What one registered alias of :func:`paired_dtn` runs and reports.
 
-    Shared by the ``dtn`` and ``dtn_bandwidth`` workloads: rebuild the
-    point's scenario with the *same* seed (identical node paths),
-    replay the *same* deterministic injection schedule through a fresh
-    plane built by ``make_plane(scenario, router)``, run to
-    ``duration_s`` and detach.  Returns
-    ``(scenario, plane, nodes, resolved_pattern)``.
+    ``defaults`` fill every setting a run point leaves out.
+    ``overlay`` is the data plane each router leg attaches; the
+    bandwidth-limited :class:`~repro.dtn.capacity.BandwidthDtnOverlay`
+    also reads ``rate_Bps`` and reports it plus ``*_control_bytes``.
+    ``counters`` names the per-router
+    :class:`~repro.metrics.counters.DtnCounters` fields to report.
+    ``plane`` (``"faults"`` or ``"phy"``) adds that optional plane's
+    per-router counter block, all zeros when the scenario installed no
+    plane.
     """
-    scenario = build_scenario(point.scenario, point.seed, point.params)
-    plane = make_plane(scenario,
-                       make_router(router_name,
-                                   spray_copies=spray_copies))
-    nodes = plane.live_nodes()
-    resolved = _resolve_pattern(pattern, nodes)
-    injections = generate_traffic(
-        scenario.sim.rng("dtn/traffic"), nodes, resolved, messages,
-        window=(inject_start, inject_end), size_bytes=size_bytes,
-        ttl_s=ttl_s, source="source" if "source" in nodes else None,
-        endpoints=_pattern_endpoints(nodes)
-        if resolved == "endpoints" else None)
-    schedule_traffic(plane, injections)
-    scenario.run(until=duration_s)
-    plane.detach()
-    return scenario, plane, nodes, resolved
+
+    defaults: typing.Mapping[str, object]
+    overlay: type
+    counters: tuple[str, ...]
+    plane: str | None = None
 
 
-@register_workload("dtn")
-def dtn_delivery(point: RunPoint) -> Metrics:
+_DTN_DEFAULTS = {
+    "duration_s": 480.0, "messages": 16, "ttl_s": 300.0,
+    "size_bytes": 512, "routers": ("direct", "epidemic", "spray"),
+    "spray_copies": 6, "capacity_bytes": 0, "policy": "oldest",
+    "pattern": "auto", "tech": "bluetooth", "inject_start_s": 10.0,
+}
+_BANDWIDTH_DEFAULTS = {
+    **_DTN_DEFAULTS, "duration_s": 600.0, "messages": 24,
+    "ttl_s": 480.0, "size_bytes": 200_000,
+    "routers": ("epidemic", "spray", "prophet"),
+    "inject_start_s": 120.0, "rate_Bps": 0.0,
+}
+_TRANSFER_COUNTERS = ("bytes_offered", "bytes_transferred",
+                      "transfers_truncated", "transfers_cancelled")
+
+#: The registered paired-DTN workloads: one function, four presets.
+DTN_PRESETS: dict[str, DtnPreset] = {
+    # The routing-baseline comparison (``dtn_sweep``).
+    "dtn": DtnPreset(_DTN_DEFAULTS, DtnOverlay,
+                     ("duplicates", "expired", "evicted")),
+    # Robustness under repro.faults (``fault_sweep``): the multi-copy
+    # and predictive routers are the ones faults should separate, and
+    # traffic is uniform because endpoint terminals are never faulted.
+    "dtn_faults": DtnPreset(
+        {**_DTN_DEFAULTS, "routers": ("direct", "spray", "prophet"),
+         "pattern": "uniform"},
+        DtnOverlay, ("duplicates", "expired", "dropped_dead"), "faults"),
+    # Finite contact byte budgets (``bandwidth_sweep``).
+    "dtn_bandwidth": DtnPreset(_BANDWIDTH_DEFAULTS, BandwidthDtnOverlay,
+                               _TRANSFER_COUNTERS),
+    # The lossy PHY (``phy_sweep``): the pair whose gap contention
+    # erodes.
+    "dtn_phy": DtnPreset(
+        {**_BANDWIDTH_DEFAULTS, "routers": ("epidemic", "spray")},
+        BandwidthDtnOverlay, _TRANSFER_COUNTERS, "phy"),
+}
+
+#: Optional plane -> (its counters when absent, metric -> counter field).
+_PLANE_BLOCKS = {
+    "faults": (FaultCounters, {"crashes": "crashes", "reboots": "reboots",
+                               "jammed": "jammed_deliveries",
+                               "byzantine": "byzantine_beacons"}),
+    "phy": (PhyCounters, {f"phy_{field}": field for field in (
+        "offered", "delivered", "lost_fading", "lost_collision",
+        "captured")}),
+}
+
+
+def paired_dtn(point: RunPoint, preset: DtnPreset) -> Metrics:
     """Paired DTN comparison: every router on identical mobility+traffic.
 
     For each name in ``settings["routers"]`` the workload rebuilds the
     point's scenario with the *same* seed — identical node paths — and
     replays the *same* deterministic injection schedule through a fresh
-    event-driven :class:`~repro.dtn.forwarder.DtnOverlay`, so router
-    metrics differ only by routing policy (a paired comparison, which
-    is what lets ``bench_dtn_delivery`` gate "epidemic beats direct on
-    delivery ratio" per run rather than statistically).
+    ``preset.overlay``, so router metrics differ only by routing policy
+    (a paired comparison, which is what lets the DTN benches gate e.g.
+    "epidemic beats direct on delivery ratio" per run rather than
+    statistically).  The point's scenario params switch the optional
+    fault and PHY planes on; at zero knobs no plane is installed and
+    the metrics two presets share are byte-identical.
 
-    ``settings``: ``duration_s`` (default 480), ``messages`` (16; for
-    the broadcast pattern this is *rounds*), ``ttl_s`` (300),
-    ``size_bytes`` (512), ``routers`` (all three), ``spray_copies``
-    (6), ``capacity_bytes`` (0 = unbounded), ``policy`` (``oldest``),
-    ``pattern`` (``auto``: endpoints if home/work exist, broadcast if
-    ``source`` exists, else uniform), ``tech`` (bluetooth),
-    ``inject_start_s`` / ``inject_end_s`` (10 / half the duration).
+    ``settings`` (defaults from the preset): ``duration_s``,
+    ``messages`` (for the broadcast pattern this is *rounds*),
+    ``ttl_s``, ``size_bytes``, ``routers``, ``spray_copies``,
+    ``capacity_bytes`` (0 = unbounded), ``policy``, ``pattern``
+    (``auto``: endpoints if a terminal pair exists, broadcast if
+    ``source`` exists, else uniform), ``tech``, ``inject_start_s`` /
+    ``inject_end_s`` (half the duration unless set) and, on the
+    bandwidth overlay, ``rate_Bps`` (0 = the technology's own rate).
     """
-    duration_s = float(point.settings.get("duration_s", 480.0))
-    messages = int(point.settings.get("messages", 16))
-    ttl_s = float(point.settings.get("ttl_s", 300.0))
-    size_bytes = int(point.settings.get("size_bytes", 512))
-    routers = list(point.settings.get(
-        "routers", ("direct", "epidemic", "spray")))
-    spray_copies = int(point.settings.get("spray_copies", 6))
-    capacity = int(point.settings.get("capacity_bytes", 0)) or None
-    policy = str(point.settings.get("policy", "oldest"))
-    pattern = str(point.settings.get("pattern", "auto"))
-    tech = str(point.settings.get("tech", "bluetooth"))
-    inject_start = float(point.settings.get("inject_start_s", 10.0))
-    inject_end = float(point.settings.get("inject_end_s",
-                                          duration_s / 2.0))
+    settings = {**preset.defaults, **point.settings}
+    duration_s = float(settings["duration_s"])
+    messages = int(settings["messages"])
+    ttl_s = float(settings["ttl_s"])
+    size_bytes = int(settings["size_bytes"])
+    spray_copies = int(settings["spray_copies"])
+    pattern = str(settings["pattern"])
+    inject_start = float(settings["inject_start_s"])
+    inject_end = float(settings.get("inject_end_s", duration_s / 2.0))
+    overlay_kwargs = {
+        "tech": str(settings["tech"]),
+        "capacity_bytes": int(settings["capacity_bytes"]) or None,
+        "policy": str(settings["policy"]),
+    }
+    bandwidth = issubclass(preset.overlay, BandwidthDtnOverlay)
+    if bandwidth:
+        overlay_kwargs["data_rate_Bps"] = (
+            float(settings["rate_Bps"]) or None)
     metrics: Metrics = {}
-    for router_name in routers:
-        scenario, plane, nodes, resolved = _paired_router_run(
-            point, router_name,
-            lambda scenario, router: DtnOverlay(
-                scenario.world, router, tech=tech,
-                capacity_bytes=capacity, policy=policy,
-                meter=scenario.meter),
-            spray_copies=spray_copies, duration_s=duration_s,
-            messages=messages, ttl_s=ttl_s, size_bytes=size_bytes,
-            pattern=pattern, inject_start=inject_start,
-            inject_end=inject_end)
+    for router_name in list(settings["routers"]):
+        scenario = build_scenario(point.scenario, point.seed, point.params)
+        plane = preset.overlay(
+            scenario.world,
+            make_router(router_name, spray_copies=spray_copies),
+            meter=scenario.meter, **overlay_kwargs)
+        nodes = plane.live_nodes()
+        resolved = _resolve_pattern(pattern, nodes)
+        injections = generate_traffic(
+            scenario.sim.rng("dtn/traffic"), nodes, resolved, messages,
+            window=(inject_start, inject_end), size_bytes=size_bytes,
+            ttl_s=ttl_s, source="source" if "source" in nodes else None,
+            endpoints=_pattern_endpoints(nodes)
+            if resolved == "endpoints" else None)
+        schedule_traffic(plane, injections)
+        scenario.run(until=duration_s)
+        plane.detach()
+
         latencies = plane.latencies()
         counters = plane.counters
         metrics.update({
@@ -508,270 +581,30 @@ def dtn_delivery(point: RunPoint) -> Metrics:
             f"{router_name}_transmissions": counters.transmissions,
             f"{router_name}_overhead": plane.overhead_ratio(),
             f"{router_name}_wakeups": plane.wakeups,
-            f"{router_name}_duplicates": counters.duplicates,
-            f"{router_name}_expired": counters.expired,
-            f"{router_name}_evicted": counters.evicted,
         })
+        for field in preset.counters:
+            metrics[f"{router_name}_{field}"] = getattr(counters, field)
+        if bandwidth:
+            metrics["rate_Bps"] = plane.data_rate_Bps
+            metrics[f"{router_name}_control_bytes"] = scenario.meter.bytes(
+                category="dtn-control")
+        if preset.plane is not None:
+            installed = getattr(scenario.world, preset.plane)
+            absent, block = _PLANE_BLOCKS[preset.plane]
+            plane_counters = (installed.counters if installed is not None
+                              else absent())
+            for key, field in block.items():
+                metrics[f"{router_name}_{key}"] = getattr(plane_counters,
+                                                          field)
+            if preset.plane == "faults":
+                metrics["fault_events"] = (
+                    len(installed.schedule) if installed is not None
+                    else 0)
     return metrics
 
 
-# ----------------------------------------------------------------------
-# dtn_faults: routers compared under an active fault-injection plane
-# ----------------------------------------------------------------------
-@register_workload("dtn_faults")
-def dtn_faults(point: RunPoint) -> Metrics:
-    """Paired router comparison with :mod:`repro.faults` active.
-
-    Identical in structure to the ``dtn`` workload — every router in
-    ``settings["routers"]`` re-runs the same mobility and the same
-    injection schedule — but the point's scenario params are expected
-    to switch on fault models (``crash_rate`` …), so the comparison
-    measures *robustness*: how much delivery each routing policy loses
-    to crash-reboots, deaf/mute radios, byzantine summary vectors and
-    jamming.  With all fault params at zero the scenario installs no
-    plane at all and the metrics this workload shares with ``dtn`` are
-    byte-identical to it — the differential gate in
-    ``benchmarks/bench_fault_tolerance.py``.
-
-    ``settings`` mirror the ``dtn`` workload's, with two different
-    defaults: ``routers`` is ``("direct", "spray", "prophet")``
-    (multi-copy and predictive policies are the ones whose redundancy
-    faults should separate) and ``pattern`` is ``uniform`` (endpoint
-    terminals are never faulted, so endpoint traffic would understate
-    the damage).  Beyond the ``dtn`` metrics, each router leg reports
-    its fault-plane counters (``*_crashes``, ``*_reboots``,
-    ``*_jammed``, ``*_byzantine``) plus the shared schedule length
-    (``fault_events``); all zero when no plane is installed.
-    """
-    duration_s = float(point.settings.get("duration_s", 480.0))
-    messages = int(point.settings.get("messages", 16))
-    ttl_s = float(point.settings.get("ttl_s", 300.0))
-    size_bytes = int(point.settings.get("size_bytes", 512))
-    routers = list(point.settings.get(
-        "routers", ("direct", "spray", "prophet")))
-    spray_copies = int(point.settings.get("spray_copies", 6))
-    capacity = int(point.settings.get("capacity_bytes", 0)) or None
-    policy = str(point.settings.get("policy", "oldest"))
-    pattern = str(point.settings.get("pattern", "uniform"))
-    tech = str(point.settings.get("tech", "bluetooth"))
-    inject_start = float(point.settings.get("inject_start_s", 10.0))
-    inject_end = float(point.settings.get("inject_end_s",
-                                          duration_s / 2.0))
-    metrics: Metrics = {}
-    for router_name in routers:
-        scenario, plane, nodes, resolved = _paired_router_run(
-            point, router_name,
-            lambda scenario, router: DtnOverlay(
-                scenario.world, router, tech=tech,
-                capacity_bytes=capacity, policy=policy,
-                meter=scenario.meter),
-            spray_copies=spray_copies, duration_s=duration_s,
-            messages=messages, ttl_s=ttl_s, size_bytes=size_bytes,
-            pattern=pattern, inject_start=inject_start,
-            inject_end=inject_end)
-        latencies = plane.latencies()
-        counters = plane.counters
-        faults = scenario.world.faults
-        fault_counts = (faults.counters.as_dict() if faults is not None
-                        else {"crashes": 0, "reboots": 0,
-                              "jammed_deliveries": 0,
-                              "byzantine_beacons": 0})
-        metrics.update({
-            "nodes": len(nodes),
-            "pattern_" + resolved: 1,
-            "created": counters.created,
-            "fault_events":
-                len(faults.schedule) if faults is not None else 0,
-            f"{router_name}_delivery_ratio": plane.delivery_ratio(),
-            f"{router_name}_delivered": counters.delivered,
-            f"{router_name}_latency_mean":
-                statistics.fmean(latencies) if latencies else None,
-            f"{router_name}_transmissions": counters.transmissions,
-            f"{router_name}_overhead": plane.overhead_ratio(),
-            f"{router_name}_wakeups": plane.wakeups,
-            f"{router_name}_duplicates": counters.duplicates,
-            f"{router_name}_expired": counters.expired,
-            f"{router_name}_dropped_dead": counters.dropped_dead,
-            f"{router_name}_crashes": fault_counts["crashes"],
-            f"{router_name}_reboots": fault_counts["reboots"],
-            f"{router_name}_jammed": fault_counts["jammed_deliveries"],
-            f"{router_name}_byzantine":
-                fault_counts["byzantine_beacons"],
-        })
-    return metrics
-
-
-# ----------------------------------------------------------------------
-# dtn_bandwidth: routers compared under bandwidth-limited contacts
-# ----------------------------------------------------------------------
-@register_workload("dtn_bandwidth")
-def dtn_bandwidth(point: RunPoint) -> Metrics:
-    """Paired router comparison under finite contact byte budgets.
-
-    The same paired design as the ``dtn`` workload — every router in
-    ``settings["routers"]`` re-runs identical mobility and identical
-    injections — but through the bandwidth-limited
-    :class:`~repro.dtn.capacity.BandwidthDtnOverlay`: contacts carry at
-    most ``window × data_rate`` bytes, transfers are ranked, serialised
-    and resumable, and router control traffic (PRoPHET's predictability
-    vectors) eats into every budget.  This is the workload behind the
-    ``bandwidth_sweep`` spec and the "PRoPHET ≥ epidemic under
-    constrained bandwidth" gate in
-    ``benchmarks/bench_contact_capacity.py``.
-
-    ``settings`` (beyond the ``dtn`` workload's): ``rate_Bps`` (0 =
-    the technology's own :attr:`~repro.radio.technologies.Technology.
-    data_rate_Bps`; any positive value prices contacts at an explicit
-    constrained rate), ``size_bytes`` defaults to 200 kB (camera
-    pictures, the §6 migration payload) and ``routers`` to
-    ``("epidemic", "spray", "prophet")``.
-    """
-    duration_s = float(point.settings.get("duration_s", 600.0))
-    messages = int(point.settings.get("messages", 24))
-    ttl_s = float(point.settings.get("ttl_s", 480.0))
-    size_bytes = int(point.settings.get("size_bytes", 200_000))
-    routers = list(point.settings.get(
-        "routers", ("epidemic", "spray", "prophet")))
-    spray_copies = int(point.settings.get("spray_copies", 6))
-    capacity = int(point.settings.get("capacity_bytes", 0)) or None
-    policy = str(point.settings.get("policy", "oldest"))
-    pattern = str(point.settings.get("pattern", "auto"))
-    tech = str(point.settings.get("tech", "bluetooth"))
-    rate_Bps = float(point.settings.get("rate_Bps", 0.0)) or None
-    inject_start = float(point.settings.get("inject_start_s", 120.0))
-    inject_end = float(point.settings.get("inject_end_s",
-                                          duration_s / 2.0))
-    metrics: Metrics = {}
-    for router_name in routers:
-        scenario, plane, nodes, resolved = _paired_router_run(
-            point, router_name,
-            lambda scenario, router: BandwidthDtnOverlay(
-                scenario.world, router, tech=tech,
-                capacity_bytes=capacity, policy=policy,
-                meter=scenario.meter, data_rate_Bps=rate_Bps),
-            spray_copies=spray_copies, duration_s=duration_s,
-            messages=messages, ttl_s=ttl_s, size_bytes=size_bytes,
-            pattern=pattern, inject_start=inject_start,
-            inject_end=inject_end)
-        latencies = plane.latencies()
-        counters = plane.counters
-        metrics.update({
-            "nodes": len(nodes),
-            "pattern_" + resolved: 1,
-            "created": counters.created,
-            "rate_Bps": plane.data_rate_Bps,
-            f"{router_name}_delivery_ratio": plane.delivery_ratio(),
-            f"{router_name}_delivered": counters.delivered,
-            f"{router_name}_latency_mean":
-                statistics.fmean(latencies) if latencies else None,
-            f"{router_name}_transmissions": counters.transmissions,
-            f"{router_name}_overhead": plane.overhead_ratio(),
-            f"{router_name}_wakeups": plane.wakeups,
-            f"{router_name}_bytes_offered": counters.bytes_offered,
-            f"{router_name}_bytes_transferred":
-                counters.bytes_transferred,
-            f"{router_name}_transfers_truncated":
-                counters.transfers_truncated,
-            f"{router_name}_transfers_cancelled":
-                counters.transfers_cancelled,
-            f"{router_name}_control_bytes":
-                scenario.meter.bytes(category="dtn-control"),
-        })
-    return metrics
-
-
-# ----------------------------------------------------------------------
-# dtn_phy: routers compared under the lossy physical layer
-# ----------------------------------------------------------------------
-@register_workload("dtn_phy")
-def dtn_phy(point: RunPoint) -> Metrics:
-    """Paired router comparison with :mod:`repro.radio.phy` active.
-
-    The same paired design and the same bandwidth-limited plane as the
-    ``dtn_bandwidth`` workload — every router re-runs identical
-    mobility and identical injections through a
-    :class:`~repro.dtn.capacity.BandwidthDtnOverlay` — but the point's
-    scenario params are expected to switch on the lossy PHY
-    (``shadowing_sigma_db`` / ``phy_collisions``), so the comparison
-    measures how each routing policy survives fading, collisions and
-    lost control traffic.  Epidemic's flooding now *contends with
-    itself*: parallel sessions overlap at shared receivers and lost
-    legs burn finite window budget on retries, which is the
-    ``bench_phy`` gate.  With all PHY params at zero the scenario
-    installs no plane at all and the metrics this workload shares with
-    ``dtn_bandwidth`` are byte-identical to it — the differential
-    zero-loss identity gate.
-
-    ``settings`` mirror the ``dtn_bandwidth`` workload's, with
-    ``routers`` defaulting to ``("epidemic", "spray")`` (the pair whose
-    gap the contention gate watches).  Beyond the ``dtn_bandwidth``
-    metrics, each router leg reports the PHY plane's counters
-    (``*_phy_offered`` / ``*_phy_delivered`` / ``*_phy_lost_fading`` /
-    ``*_phy_lost_collision`` / ``*_phy_captured``); all zero when no
-    plane is installed.
-    """
-    duration_s = float(point.settings.get("duration_s", 600.0))
-    messages = int(point.settings.get("messages", 24))
-    ttl_s = float(point.settings.get("ttl_s", 480.0))
-    size_bytes = int(point.settings.get("size_bytes", 200_000))
-    routers = list(point.settings.get("routers", ("epidemic", "spray")))
-    spray_copies = int(point.settings.get("spray_copies", 6))
-    capacity = int(point.settings.get("capacity_bytes", 0)) or None
-    policy = str(point.settings.get("policy", "oldest"))
-    pattern = str(point.settings.get("pattern", "auto"))
-    tech = str(point.settings.get("tech", "bluetooth"))
-    rate_Bps = float(point.settings.get("rate_Bps", 0.0)) or None
-    inject_start = float(point.settings.get("inject_start_s", 120.0))
-    inject_end = float(point.settings.get("inject_end_s",
-                                          duration_s / 2.0))
-    metrics: Metrics = {}
-    for router_name in routers:
-        scenario, plane, nodes, resolved = _paired_router_run(
-            point, router_name,
-            lambda scenario, router: BandwidthDtnOverlay(
-                scenario.world, router, tech=tech,
-                capacity_bytes=capacity, policy=policy,
-                meter=scenario.meter, data_rate_Bps=rate_Bps),
-            spray_copies=spray_copies, duration_s=duration_s,
-            messages=messages, ttl_s=ttl_s, size_bytes=size_bytes,
-            pattern=pattern, inject_start=inject_start,
-            inject_end=inject_end)
-        latencies = plane.latencies()
-        counters = plane.counters
-        phy = scenario.world.phy
-        phy_counts = (phy.counters.as_dict() if phy is not None
-                      else {"offered": 0, "delivered": 0,
-                            "lost_fading": 0, "lost_collision": 0,
-                            "captured": 0})
-        metrics.update({
-            "nodes": len(nodes),
-            "pattern_" + resolved: 1,
-            "created": counters.created,
-            "rate_Bps": plane.data_rate_Bps,
-            f"{router_name}_delivery_ratio": plane.delivery_ratio(),
-            f"{router_name}_delivered": counters.delivered,
-            f"{router_name}_latency_mean":
-                statistics.fmean(latencies) if latencies else None,
-            f"{router_name}_transmissions": counters.transmissions,
-            f"{router_name}_overhead": plane.overhead_ratio(),
-            f"{router_name}_wakeups": plane.wakeups,
-            f"{router_name}_bytes_offered": counters.bytes_offered,
-            f"{router_name}_bytes_transferred":
-                counters.bytes_transferred,
-            f"{router_name}_transfers_truncated":
-                counters.transfers_truncated,
-            f"{router_name}_transfers_cancelled":
-                counters.transfers_cancelled,
-            f"{router_name}_control_bytes":
-                scenario.meter.bytes(category="dtn-control"),
-            f"{router_name}_phy_offered": phy_counts["offered"],
-            f"{router_name}_phy_delivered": phy_counts["delivered"],
-            f"{router_name}_phy_lost_fading": phy_counts["lost_fading"],
-            f"{router_name}_phy_lost_collision":
-                phy_counts["lost_collision"],
-            f"{router_name}_phy_captured": phy_counts["captured"],
-        })
-    return metrics
+for _name, _preset in DTN_PRESETS.items():
+    register_workload(_name)(functools.partial(paired_dtn, preset=_preset))
 
 
 # ----------------------------------------------------------------------

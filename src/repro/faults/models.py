@@ -9,7 +9,7 @@ Each model draws its schedule from its own labelled RNG sub-streams
 * installing faults never perturbs mobility / traffic / latency draws
   (labelled streams are independent; see :mod:`repro.sim.rng`).
 
-:func:`install_scenario_faults` is the scenario-factory entry point: it
+:func:`install_scenario_faults` is the scenario-registry entry point: it
 composes the standard four models from plain keyword parameters and —
 crucially — installs **nothing at all** when every rate is zero, so a
 zero-rate configuration runs the literal fault-free code path
@@ -192,7 +192,7 @@ def install_scenario_faults(scenario: "Scenario", *,
                             spare=SPARE_TERMINALS):
     """Compose the standard fault models onto a freshly built scenario.
 
-    Called by the bundled scenario factories after their topology is in
+    Called by the scenario registry after a factory's topology is in
     place.  Returns the installed :class:`FaultPlane`, or ``None`` —
     installing nothing — when every rate is zero and there are no
     jammers: the zero-rate configuration *is* the fault-free plane

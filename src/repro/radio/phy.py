@@ -427,7 +427,7 @@ def install_scenario_phy(scenario: "Scenario", *,
                          DEFAULT_JAMMER_NOISE_DB) -> PhyPlane | None:
     """Install a PHY plane on a freshly built scenario, knob-driven.
 
-    The scenario-factory entry point, mirroring
+    The scenario-registry entry point, mirroring
     :func:`repro.faults.install_scenario_faults`: with
     ``shadowing_sigma_db == 0`` and ``phy_collisions == 0`` it installs
     **nothing at all** (``world.phy`` stays ``None``), so the all-zero

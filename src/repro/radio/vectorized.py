@@ -29,10 +29,6 @@ sets are **set-equal**; positions agree to float tolerance (the engine
 evaluates ``origin + v·(t − t0)`` where a model may use an
 algebraically equal but differently rounded form).
 
-numpy is a hard dependency of *this module's classes* only: importing
-the module without numpy succeeds (``np is None``), the scalar path
-never touches it, and :func:`batch_distance_crossings` degrades to the
-scalar solver — so tier-1 semantics are unchanged by the dependency.
 Units throughout: metres, sim-seconds.
 """
 
@@ -41,10 +37,7 @@ from __future__ import annotations
 import contextlib
 import typing
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    np = None
+import numpy as np
 
 from repro.mobility.base import MobilityModel
 from repro.radio.contacts import Crossing, next_distance_crossing
@@ -53,19 +46,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.profile import SubsystemProfiler
     from repro.radio.technologies import Technology
     from repro.radio.world import World
-
-
-def numpy_available() -> bool:
-    """True when the batch path can run (numpy importable)."""
-    return np is not None
-
-
-def require_numpy(feature: str) -> None:
-    """Raise a clear error when a batch-only feature runs without numpy."""
-    if np is None:
-        raise RuntimeError(
-            f"{feature} requires numpy (install the 'numpy' dependency "
-            f"from pyproject.toml); the scalar path works without it")
 
 
 def multi_arange(starts: "np.ndarray", counts: "np.ndarray") -> "np.ndarray":
@@ -114,7 +94,6 @@ class VectorEngine:
 
     def __init__(self, world: "World", tech: "Technology",
                  profiler: "SubsystemProfiler | None" = None):
-        require_numpy("VectorEngine")
         self.world = world
         self.tech = tech
         self.profiler = profiler
@@ -349,17 +328,13 @@ def batch_distance_crossings(
     conditions), so the returned list is **element-wise equal** to
     calling the scalar function per pair — including the boundary-flip
     and on-ring tie-break cases.  Pairs whose models expose no segments
-    fall back to the scalar solver (which bisects).  Without numpy the
-    whole batch degrades to the scalar loop.
+    fall back to the scalar solver (which bisects).
     """
     if threshold_m <= 0:
         raise ValueError(f"threshold must be positive: {threshold_m}")
     results: list[Crossing | None] = [None] * len(pairs)
     if t1 <= t0 or not pairs:
         return results
-    if np is None:
-        return [next_distance_crossing(a, b, threshold_m, t0, t1)
-                for a, b in pairs]
     with (profiler.measure("vector-solve") if profiler is not None
           else contextlib.nullcontext()):
         _solve_batch(pairs, threshold_m, t0, t1, results)

@@ -13,10 +13,10 @@ some endpoint pairs are never simultaneously connected and delivery
 must ride a moving custodian.  :mod:`~repro.scenarios.bandwidth` is
 the rate-constrained family (drive-by kiosk, crowded festival, rural
 bus) where contact *duration* prices the byte budget the
-bandwidth-limited data plane schedules against.
-:mod:`~repro.scenarios.hostile` is the adversarial variant: the
-commuter corridor with every :mod:`repro.faults` model on by default.
-:mod:`~repro.scenarios.traces` records
+bandwidth-limited data plane schedules against.  These factories build
+geometry only; the experiment registry composes the optional fault and
+PHY planes onto them (its ``hostile_corridor`` and ``lossy_festival``
+entries are such compositions).  :mod:`~repro.scenarios.traces` records
 the connectivity-event stream as a JSONL contact trace and replays it
 as a mobility-free workload (:func:`replay_arena` is its registered
 arena scenario).
@@ -25,7 +25,6 @@ arena scenario).
 from repro.scenarios.bandwidth import (
     crowded_festival,
     drive_by_kiosk,
-    lossy_festival,
     rural_bus_dtn,
 )
 from repro.scenarios.builder import Scenario
@@ -34,7 +33,6 @@ from repro.scenarios.dtn import (
     flash_crowd_broadcast,
     island_hopping_ferry,
 )
-from repro.scenarios.hostile import hostile_corridor
 from repro.scenarios.large_scale import (
     city_day,
     dense_plaza,
@@ -62,7 +60,8 @@ from repro.scenarios.topologies import (
 )
 
 # ``__all__`` lists exactly the scenario factories (plus Scenario): the
-# experiments registry test asserts every name here is registered.  The
+# experiments registry test asserts they are exactly the factories of the
+# registered entries.  The
 # trace record/replay helpers above are importable but are not factories.
 __all__ = [
     "Scenario",
@@ -78,10 +77,8 @@ __all__ = [
     "fig_5_8_handover",
     "flash_crowd",
     "flash_crowd_broadcast",
-    "hostile_corridor",
     "island_hopping_ferry",
     "line_topology",
-    "lossy_festival",
     "random_disc",
     "replay_arena",
     "rural_bus_dtn",

@@ -22,34 +22,26 @@ delivery ratio:
 
 All builders return an unstarted :class:`~repro.scenarios.builder.
 Scenario`; the DTN planes run on pure geometry, so no daemons need
-starting.  Distances in metres, times in sim-seconds.
+starting.  Like the DTN family they build geometry only and record
+their footprint in ``scenario.area``; the experiment registry adds the
+optional fault and PHY planes.  Distances in metres, times in
+sim-seconds.
 """
 
 from __future__ import annotations
 
-import math
 import typing
 
-from repro.faults import install_scenario_faults
 from repro.mobility.linear import PathMovement
 from repro.mobility.waypoint import RandomWaypoint
-from repro.radio.phy import install_scenario_phy
 from repro.radio.technologies import get_technology
 from repro.scenarios.builder import Scenario
+from repro.scenarios.dtn import _clustered_shuttle
 
 
 def drive_by_kiosk(count: int = 6, road_length_m: float = 300.0,
                    lane_offset_m: float = 6.0, speed_mps: float = 12.0,
                    headway_s: float = 20.0, laps: int = 4,
-                   crash_rate: float = 0.0,
-                   crash_downtime_s: float = 45.0,
-                   radio_fault_rate: float = 0.0,
-                   byzantine_rate: float = 0.0,
-                   jammer_count: int = 0,
-                   fault_window_s: float = 480.0,
-                   shadowing_sigma_db: float = 0.0,
-                   phy_collisions: int = 0,
-                   capture_margin_db: float = 6.0,
                    seed: int = 0,
                    technologies: typing.Sequence[str] = ("bluetooth",),
                    ) -> Scenario:
@@ -77,6 +69,7 @@ def drive_by_kiosk(count: int = 6, road_length_m: float = 300.0,
     if laps < 1:
         raise ValueError(f"need at least one lap, got {laps}")
     scenario = Scenario(seed=seed)
+    scenario.area = (road_length_m, 2 * lane_offset_m + 10.0)
     scenario.add_node("kiosk", position=(0.0, 0.0),
                       technologies=technologies, mobility_class="static")
     scenario.add_node("depot", position=(road_length_m, 0.0),
@@ -98,32 +91,12 @@ def drive_by_kiosk(count: int = 6, road_length_m: float = 300.0,
         scenario.add_node(f"c{index}", mobility=PathMovement(waypoints),
                           technologies=technologies,
                           mobility_class="dynamic")
-    install_scenario_faults(
-        scenario, crash_rate=crash_rate,
-        crash_downtime_s=crash_downtime_s,
-        radio_fault_rate=radio_fault_rate,
-        byzantine_rate=byzantine_rate, jammer_count=jammer_count,
-        fault_window_s=fault_window_s,
-        area=(road_length_m, 2 * lane_offset_m + 10.0))
-    install_scenario_phy(
-        scenario, shadowing_sigma_db=shadowing_sigma_db,
-        phy_collisions=phy_collisions,
-        capture_margin_db=capture_margin_db)
     return scenario
 
 
 def crowded_festival(count: int = 18, area: float = 40.0,
                      speed_range: tuple[float, float] = (0.4, 1.5),
                      pause_range: tuple[float, float] = (0.0, 15.0),
-                     crash_rate: float = 0.0,
-                     crash_downtime_s: float = 45.0,
-                     radio_fault_rate: float = 0.0,
-                     byzantine_rate: float = 0.0,
-                     jammer_count: int = 0,
-                     fault_window_s: float = 480.0,
-                     shadowing_sigma_db: float = 0.0,
-                     phy_collisions: int = 0,
-                     capture_margin_db: float = 6.0,
                      seed: int = 0,
                      technologies: typing.Sequence[str] = ("bluetooth",),
                      ) -> Scenario:
@@ -134,13 +107,16 @@ def crowded_festival(count: int = 18, area: float = 40.0,
     a 40 m square): most pairs are in range most of the time, so under
     the bandwidth-limited plane the constraint is *contention for
     window bytes* under a heavy broadcast load, not reachability.
-    ``source`` stands at the centre; attendees are ``a0`` ….
+    ``source`` stands at the centre; attendees are ``a0`` ….  The
+    registry's ``lossy_festival`` is this world under a default lossy
+    PHY profile.
     """
     if count < 1:
         raise ValueError(f"need at least one attendee, got {count}")
     if area <= 0:
         raise ValueError(f"area must be positive: {area}")
     scenario = Scenario(seed=seed)
+    scenario.area = (area, area)
     scenario.add_node("source", position=(area / 2.0, area / 2.0),
                       technologies=technologies, mobility_class="static")
     for index in range(count):
@@ -150,55 +126,7 @@ def crowded_festival(count: int = 18, area: float = 40.0,
         scenario.add_node(f"a{index}", mobility=mobility,
                           technologies=technologies,
                           mobility_class="dynamic")
-    install_scenario_faults(
-        scenario, crash_rate=crash_rate,
-        crash_downtime_s=crash_downtime_s,
-        radio_fault_rate=radio_fault_rate,
-        byzantine_rate=byzantine_rate, jammer_count=jammer_count,
-        fault_window_s=fault_window_s, area=(area, area))
-    install_scenario_phy(
-        scenario, shadowing_sigma_db=shadowing_sigma_db,
-        phy_collisions=phy_collisions,
-        capture_margin_db=capture_margin_db)
     return scenario
-
-
-def lossy_festival(count: int = 18, area: float = 40.0,
-                   speed_range: tuple[float, float] = (0.4, 1.5),
-                   pause_range: tuple[float, float] = (0.0, 15.0),
-                   crash_rate: float = 0.0,
-                   crash_downtime_s: float = 45.0,
-                   radio_fault_rate: float = 0.0,
-                   byzantine_rate: float = 0.0,
-                   jammer_count: int = 0,
-                   fault_window_s: float = 480.0,
-                   shadowing_sigma_db: float = 6.0,
-                   phy_collisions: int = 1,
-                   capture_margin_db: float = 6.0,
-                   seed: int = 0,
-                   technologies: typing.Sequence[str] = ("bluetooth",),
-                   ) -> Scenario:
-    """:func:`crowded_festival` under a default lossy PHY profile.
-
-    Pure delegation — the geometry, mobility streams and fault knobs
-    are exactly the festival's, so a ``lossy_festival`` with
-    ``shadowing_sigma_db=0, phy_collisions=0`` builds a byte-identical
-    world to ``crowded_festival``.  The defaults turn both loss sources
-    on (6 dB shadowing, collision/capture), which is the regime where
-    epidemic's flooding starts costing it deliveries
-    (``benchmarks/bench_phy.py`` gates on it).
-    """
-    return crowded_festival(
-        count=count, area=area, speed_range=speed_range,
-        pause_range=pause_range, crash_rate=crash_rate,
-        crash_downtime_s=crash_downtime_s,
-        radio_fault_rate=radio_fault_rate,
-        byzantine_rate=byzantine_rate, jammer_count=jammer_count,
-        fault_window_s=fault_window_s,
-        shadowing_sigma_db=shadowing_sigma_db,
-        phy_collisions=phy_collisions,
-        capture_margin_db=capture_margin_db,
-        seed=seed, technologies=technologies)
 
 
 def rural_bus_dtn(count: int = 9, villages: int = 3,
@@ -206,15 +134,6 @@ def rural_bus_dtn(count: int = 9, villages: int = 3,
                   village_spacing_m: float = 80.0,
                   bus_speed_mps: float = 8.0, dwell_s: float = 25.0,
                   cycles: int = 4,
-                  crash_rate: float = 0.0,
-                  crash_downtime_s: float = 45.0,
-                  radio_fault_rate: float = 0.0,
-                  byzantine_rate: float = 0.0,
-                  jammer_count: int = 0,
-                  fault_window_s: float = 480.0,
-                  shadowing_sigma_db: float = 0.0,
-                  phy_collisions: int = 0,
-                  capture_margin_db: float = 6.0,
                   seed: int = 0,
                   technologies: typing.Sequence[str] = ("bluetooth",),
                   ) -> Scenario:
@@ -239,45 +158,9 @@ def rural_bus_dtn(count: int = 9, villages: int = 3,
     if bus_speed_mps <= 0 or dwell_s < 0:
         raise ValueError("bus needs positive speed, non-negative dwell")
     scenario = Scenario(seed=seed)
-    centres = [(i * village_spacing_m, 0.0) for i in range(villages)]
-    for index in range(count):
-        village = index % villages
-        slot = index // villages
-        per_village = (count + villages - 1 - village) // villages
-        angle = 2.0 * math.pi * slot / max(1, per_village)
-        cx, cy = centres[village]
-        scenario.add_node(
-            f"v{village}n{slot}",
-            position=(cx + village_radius_m * math.cos(angle),
-                      cy + village_radius_m * math.sin(angle)),
-            technologies=technologies, mobility_class="static")
-    waypoints: list[tuple[float, tuple[float, float]]] = []
-    clock = 0.0
-    stop_sequence = list(range(villages)) + [0]
-    for _cycle in range(cycles):
-        for stop_index, village in enumerate(stop_sequence):
-            target = centres[village]
-            if waypoints:
-                previous = waypoints[-1][1]
-                travel = (abs(target[0] - previous[0])
-                          + abs(target[1] - previous[1]))
-                clock += travel / bus_speed_mps
-            waypoints.append((clock, target))
-            if stop_index < len(stop_sequence) - 1 or dwell_s > 0:
-                clock += dwell_s
-                waypoints.append((clock, target))
-    scenario.add_node("bus", mobility=PathMovement(waypoints),
-                      technologies=technologies, mobility_class="dynamic")
-    install_scenario_faults(
-        scenario, crash_rate=crash_rate,
-        crash_downtime_s=crash_downtime_s,
-        radio_fault_rate=radio_fault_rate,
-        byzantine_rate=byzantine_rate, jammer_count=jammer_count,
-        fault_window_s=fault_window_s,
-        area=((villages - 1) * village_spacing_m + 2 * village_radius_m,
-              4 * village_radius_m))
-    install_scenario_phy(
-        scenario, shadowing_sigma_db=shadowing_sigma_db,
-        phy_collisions=phy_collisions,
-        capture_margin_db=capture_margin_db)
+    _clustered_shuttle(
+        scenario, count=count, clusters=villages, prefix="v",
+        radius_m=village_radius_m, spacing_m=village_spacing_m,
+        shuttle="bus", speed_mps=bus_speed_mps, dwell_s=dwell_s,
+        cycles=cycles, technologies=technologies)
     return scenario

@@ -39,6 +39,9 @@ class Scenario:
         self.world = World(self.sim, quality_model=quality_model)
         self.fabric = Fabric(self.world)
         self.nodes: dict[str, PeerHoodNode] = {}
+        #: ``(width, height)`` footprint in metres that the factory's
+        #: nodes occupy; mobile jammers roam it.
+        self.area: tuple[float, float] | None = None
         # Telemetry adoption: when the experiments runner activated a
         # recording context in this process (--telemetry), every
         # scenario built under it gets a passive recorder.  Recorders

@@ -21,8 +21,11 @@ it.
 
 All builders return an unstarted :class:`~repro.scenarios.builder.
 Scenario` — the DTN plane runs on pure geometry, so scenario daemons
-need not be started (mirroring the contact-trace workloads).  Distances
-in metres, times in sim-seconds.
+need not be started (mirroring the contact-trace workloads).  They
+build geometry only and record their footprint in ``scenario.area``;
+the optional fault and PHY planes are added by the experiment registry
+(:func:`~repro.experiments.registry.build_scenario`).  Distances in
+metres, times in sim-seconds.
 """
 
 from __future__ import annotations
@@ -30,10 +33,8 @@ from __future__ import annotations
 import math
 import typing
 
-from repro.faults import install_scenario_faults
 from repro.mobility.linear import PathMovement
 from repro.mobility.waypoint import RandomWaypoint
-from repro.radio.phy import install_scenario_phy
 from repro.scenarios.builder import Scenario
 
 
@@ -41,15 +42,6 @@ def commuter_corridor(count: int = 10, length_m: float = 120.0,
                       width_m: float = 8.0,
                       speed_range: tuple[float, float] = (0.8, 2.0),
                       pause_range: tuple[float, float] = (0.0, 30.0),
-                      crash_rate: float = 0.0,
-                      crash_downtime_s: float = 45.0,
-                      radio_fault_rate: float = 0.0,
-                      byzantine_rate: float = 0.0,
-                      jammer_count: int = 0,
-                      fault_window_s: float = 480.0,
-                      shadowing_sigma_db: float = 0.0,
-                      phy_collisions: int = 0,
-                      capture_margin_db: float = 6.0,
                       seed: int = 0,
                       technologies: typing.Sequence[str] = ("bluetooth",),
                       ) -> Scenario:
@@ -59,18 +51,15 @@ def commuter_corridor(count: int = 10, length_m: float = 120.0,
     default 120 m corridor and Bluetooth's 10 m radius the two are
     never in range of each other or of a commuter at the far end, so
     ``home`` → ``work`` bundles are deliverable only store-carry-forward.
-    Commuters are named ``m0`` … ``m{count-1}``.
-
-    The ``*_rate`` / jammer parameters inject faults on the commuters
-    (never the terminals) via
-    :func:`repro.faults.install_scenario_faults`; all default to zero,
-    which installs nothing at all.
+    Commuters are named ``m0`` … ``m{count-1}``.  The registry's
+    ``hostile_corridor`` is this world under a hostile fault preset.
     """
     if count < 1:
         raise ValueError(f"need at least one commuter, got {count}")
     if length_m <= 0 or width_m <= 0:
         raise ValueError("corridor needs positive dimensions")
     scenario = Scenario(seed=seed)
+    scenario.area = (length_m, width_m)
     mid = width_m / 2.0
     scenario.add_node("home", position=(0.0, mid),
                       technologies=technologies, mobility_class="static")
@@ -84,16 +73,6 @@ def commuter_corridor(count: int = 10, length_m: float = 120.0,
         scenario.add_node(f"m{index}", mobility=mobility,
                           technologies=technologies,
                           mobility_class="dynamic")
-    install_scenario_faults(
-        scenario, crash_rate=crash_rate,
-        crash_downtime_s=crash_downtime_s,
-        radio_fault_rate=radio_fault_rate,
-        byzantine_rate=byzantine_rate, jammer_count=jammer_count,
-        fault_window_s=fault_window_s, area=(length_m, width_m))
-    install_scenario_phy(
-        scenario, shadowing_sigma_db=shadowing_sigma_db,
-        phy_collisions=phy_collisions,
-        capture_margin_db=capture_margin_db)
     return scenario
 
 
@@ -102,15 +81,6 @@ def island_hopping_ferry(count: int = 9, islands: int = 3,
                          island_spacing_m: float = 60.0,
                          ferry_speed_mps: float = 5.0,
                          dwell_s: float = 20.0, cycles: int = 4,
-                         crash_rate: float = 0.0,
-                         crash_downtime_s: float = 45.0,
-                         radio_fault_rate: float = 0.0,
-                         byzantine_rate: float = 0.0,
-                         jammer_count: int = 0,
-                         fault_window_s: float = 480.0,
-                         shadowing_sigma_db: float = 0.0,
-                         phy_collisions: int = 0,
-                         capture_margin_db: float = 6.0,
                          seed: int = 0,
                          technologies: typing.Sequence[str] = (
                              "bluetooth",),
@@ -136,62 +106,66 @@ def island_hopping_ferry(count: int = 9, islands: int = 3,
     if ferry_speed_mps <= 0 or dwell_s < 0:
         raise ValueError("ferry needs positive speed, non-negative dwell")
     scenario = Scenario(seed=seed)
-    centres = [(i * island_spacing_m, 0.0) for i in range(islands)]
+    _clustered_shuttle(
+        scenario, count=count, clusters=islands, prefix="i",
+        radius_m=island_radius_m, spacing_m=island_spacing_m,
+        shuttle="ferry", speed_mps=ferry_speed_mps, dwell_s=dwell_s,
+        cycles=cycles, technologies=technologies)
+    return scenario
+
+
+def _clustered_shuttle(scenario: Scenario, *, count: int, clusters: int,
+                       prefix: str, radius_m: float, spacing_m: float,
+                       shuttle: str, speed_mps: float, dwell_s: float,
+                       cycles: int,
+                       technologies: typing.Sequence[str]) -> None:
+    """Static clusters along the x axis served by one scripted shuttle.
+
+    Cluster ``c``'s centre is ``(c × spacing_m, 0)``; residents
+    (``{prefix}{c}n{slot}``, dealt round-robin) stand on a ring of
+    ``radius_m`` around it.  The ``shuttle`` node tours 0 → 1 → … →
+    last → 0 at ``speed_mps`` (Manhattan travel time), dwelling
+    ``dwell_s`` per stop, ``cycles`` times, then parks at cluster 0.
+    Sets ``scenario.area`` to the row's footprint.  Shared by
+    :func:`island_hopping_ferry` and
+    :func:`~repro.scenarios.bandwidth.rural_bus_dtn`.
+    """
+    centres = [(i * spacing_m, 0.0) for i in range(clusters)]
     for index in range(count):
-        island = index % islands
-        slot = index // islands
-        per_island = (count + islands - 1 - island) // islands
-        angle = 2.0 * math.pi * slot / max(1, per_island)
-        cx, cy = centres[island]
+        cluster = index % clusters
+        slot = index // clusters
+        per_cluster = (count + clusters - 1 - cluster) // clusters
+        angle = 2.0 * math.pi * slot / max(1, per_cluster)
+        cx, cy = centres[cluster]
         scenario.add_node(
-            f"i{island}n{slot}",
-            position=(cx + island_radius_m * math.cos(angle),
-                      cy + island_radius_m * math.sin(angle)),
+            f"{prefix}{cluster}n{slot}",
+            position=(cx + radius_m * math.cos(angle),
+                      cy + radius_m * math.sin(angle)),
             technologies=technologies, mobility_class="static")
     waypoints: list[tuple[float, tuple[float, float]]] = []
     clock = 0.0
-    stop_sequence = list(range(islands)) + [0]
+    stop_sequence = list(range(clusters)) + [0]
     for _cycle in range(cycles):
-        for stop_index, island in enumerate(stop_sequence):
-            target = centres[island]
+        for stop_index, cluster in enumerate(stop_sequence):
+            target = centres[cluster]
             if waypoints:
                 previous = waypoints[-1][1]
                 travel = (abs(target[0] - previous[0])
                           + abs(target[1] - previous[1]))
-                clock += travel / ferry_speed_mps
+                clock += travel / speed_mps
             waypoints.append((clock, target))
             if stop_index < len(stop_sequence) - 1 or dwell_s > 0:
                 clock += dwell_s
                 waypoints.append((clock, target))
-    scenario.add_node("ferry", mobility=PathMovement(waypoints),
+    scenario.add_node(shuttle, mobility=PathMovement(waypoints),
                       technologies=technologies, mobility_class="dynamic")
-    install_scenario_faults(
-        scenario, crash_rate=crash_rate,
-        crash_downtime_s=crash_downtime_s,
-        radio_fault_rate=radio_fault_rate,
-        byzantine_rate=byzantine_rate, jammer_count=jammer_count,
-        fault_window_s=fault_window_s,
-        area=((islands - 1) * island_spacing_m + 2 * island_radius_m,
-              4 * island_radius_m))
-    install_scenario_phy(
-        scenario, shadowing_sigma_db=shadowing_sigma_db,
-        phy_collisions=phy_collisions,
-        capture_margin_db=capture_margin_db)
-    return scenario
+    scenario.area = ((clusters - 1) * spacing_m + 2 * radius_m,
+                     4 * radius_m)
 
 
 def flash_crowd_broadcast(count: int = 24, area: float = 60.0,
                           speed_range: tuple[float, float] = (0.5, 1.8),
                           pause_range: tuple[float, float] = (0.0, 20.0),
-                          crash_rate: float = 0.0,
-                          crash_downtime_s: float = 45.0,
-                          radio_fault_rate: float = 0.0,
-                          byzantine_rate: float = 0.0,
-                          jammer_count: int = 0,
-                          fault_window_s: float = 480.0,
-                          shadowing_sigma_db: float = 0.0,
-                          phy_collisions: int = 0,
-                          capture_margin_db: float = 6.0,
                           seed: int = 0,
                           technologies: typing.Sequence[str] = (
                               "bluetooth",),
@@ -210,6 +184,7 @@ def flash_crowd_broadcast(count: int = 24, area: float = 60.0,
     if area <= 0:
         raise ValueError(f"area must be positive: {area}")
     scenario = Scenario(seed=seed)
+    scenario.area = (area, area)
     scenario.add_node("source", position=(area / 2.0, area / 2.0),
                       technologies=technologies, mobility_class="static")
     for index in range(count):
@@ -219,14 +194,4 @@ def flash_crowd_broadcast(count: int = 24, area: float = 60.0,
         scenario.add_node(f"a{index}", mobility=mobility,
                           technologies=technologies,
                           mobility_class="dynamic")
-    install_scenario_faults(
-        scenario, crash_rate=crash_rate,
-        crash_downtime_s=crash_downtime_s,
-        radio_fault_rate=radio_fault_rate,
-        byzantine_rate=byzantine_rate, jammer_count=jammer_count,
-        fault_window_s=fault_window_s, area=(area, area))
-    install_scenario_phy(
-        scenario, shadowing_sigma_db=shadowing_sigma_db,
-        phy_collisions=phy_collisions,
-        capture_margin_db=capture_margin_db)
     return scenario

@@ -8,6 +8,9 @@ other component), because a collision would silently serve one cell's
 result as another's.
 """
 
+import dataclasses
+import functools
+import hashlib
 import json
 import os
 import pathlib
@@ -17,10 +20,14 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments import ExperimentSpec
+from repro.experiments import ExperimentSpec, workloads
 from repro.experiments.cache import CampaignCache, cache_key, point_key
 from repro.experiments.spec import canonical
-from repro.experiments.workloads import workload_fingerprint
+from repro.experiments.workloads import (
+    DTN_PRESETS,
+    paired_dtn,
+    workload_fingerprint,
+)
 
 _SCALARS = st.one_of(
     st.integers(min_value=-10**6, max_value=10**6),
@@ -157,6 +164,35 @@ def test_workload_fingerprint_stable_and_distinct():
     assert workload_fingerprint("discovery") \
         != workload_fingerprint("line_delay")
     assert len(workload_fingerprint("discovery")) == 64
+
+
+def test_dtn_aliases_have_distinct_fingerprints():
+    prints = {workload_fingerprint(name) for name in DTN_PRESETS}
+    assert len(prints) == len(DTN_PRESETS) == 4
+
+
+def test_editing_a_preset_retires_only_its_alias(monkeypatch):
+    before = {name: workload_fingerprint(name) for name in DTN_PRESETS}
+    preset = DTN_PRESETS["dtn_phy"]
+    edited = dataclasses.replace(
+        preset, defaults={**preset.defaults, "messages": 25})
+    monkeypatch.setitem(workloads._WORKLOADS, "dtn_phy",
+                        functools.partial(paired_dtn, preset=edited))
+    after = {name: workload_fingerprint(name) for name in DTN_PRESETS}
+    assert after.pop("dtn_phy") != before.pop("dtn_phy")
+    assert after == before
+
+
+def test_partial_workload_fingerprint_is_not_a_constant(monkeypatch):
+    """Source-less callables used to share one bytecode fallback."""
+    constant = hashlib.sha256(repr((b"", ())).encode("utf-8")).hexdigest()
+    monkeypatch.setitem(workloads._WORKLOADS, "probe_a",
+                        functools.partial(workloads.discovery))
+    monkeypatch.setitem(workloads._WORKLOADS, "probe_b",
+                        functools.partial(workloads.line_delay))
+    prints = {workload_fingerprint("probe_a"),
+              workload_fingerprint("probe_b")}
+    assert len(prints) == 2 and constant not in prints
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ the same spec produces byte-identical JSONL and aggregate CSV with
 ``workers=1`` and ``workers=4`` — and the aggregation/report layer.
 """
 
+import inspect
 import json
 import pathlib
 
@@ -30,6 +31,7 @@ from repro.experiments import (
     write_jsonl,
 )
 from repro.experiments.cli import main as cli_main
+from repro.experiments.registry import FAULT_KNOBS, PHY_KNOBS
 from repro.scenarios import Scenario
 from repro.sim.rng import derive_seed
 
@@ -39,11 +41,18 @@ from repro.sim.rng import derive_seed
 # ----------------------------------------------------------------------
 def test_every_public_scenario_factory_is_registered():
     public = set(repro.scenarios.__all__) - {"Scenario"}
-    assert public == set(scenario_names())
+    assert public == {get_scenario(name).factory.__name__
+                      for name in scenario_names()}
 
 
-@pytest.mark.parametrize("name", [
-    name for name in repro.scenarios.__all__ if name != "Scenario"])
+def test_factories_take_no_plane_knobs():
+    """Only the registry installs fault/PHY planes, after the factory."""
+    for name in scenario_names():
+        accepted = inspect.signature(get_scenario(name).factory).parameters
+        assert not set(accepted) & set(FAULT_KNOBS + PHY_KNOBS), name
+
+
+@pytest.mark.parametrize("name", scenario_names())
 def test_registered_scenarios_constructible_with_defaults(name):
     scenario = build_scenario(name, seed=3)
     assert isinstance(scenario, Scenario)

@@ -23,10 +23,11 @@ from repro.faults import (
     FaultPlane,
     install_scenario_faults,
 )
+from repro.experiments.registry import build_scenario
 from repro.mobility import LinearMovement, StaticPosition
 from repro.radio import BLUETOOTH, World
 from repro.radio.bus import LINK_DOWN, LINK_UP
-from repro.scenarios import Scenario, commuter_corridor, hostile_corridor
+from repro.scenarios import Scenario, commuter_corridor
 from repro.sim import Simulator
 
 
@@ -191,8 +192,8 @@ def test_install_rejects_out_of_range_rates():
 
 
 def test_terminals_are_never_faulted():
-    scenario = hostile_corridor(crash_rate=1.0, radio_fault_rate=1.0,
-                                byzantine_rate=1.0, seed=5)
+    scenario = build_scenario("hostile_corridor", 5, {
+        "crash_rate": 1.0, "radio_fault_rate": 1.0, "byzantine_rate": 1.0})
     plane = scenario.world.faults
     faulted = {event.node for event in plane.schedule
                if event.kind != "jammer"}
@@ -201,10 +202,11 @@ def test_terminals_are_never_faulted():
 
 
 def test_hostile_corridor_is_the_commuter_corridor_plus_faults():
-    hostile = hostile_corridor(seed=4)
-    plain = commuter_corridor(
-        crash_rate=0.2, crash_downtime_s=120.0, radio_fault_rate=0.1,
-        byzantine_rate=0.1, jammer_count=1, fault_window_s=360.0, seed=4)
+    hostile = build_scenario("hostile_corridor", 4)
+    plain = build_scenario("commuter_corridor", 4, {
+        "crash_rate": 0.2, "crash_downtime_s": 120.0,
+        "radio_fault_rate": 0.1, "byzantine_rate": 0.1,
+        "jammer_count": 1, "fault_window_s": 360.0})
     assert hostile.world.faults.schedule == plain.world.faults.schedule
     assert sorted(hostile.nodes) == sorted(plain.nodes)
 

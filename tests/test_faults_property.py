@@ -22,11 +22,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.experiments.registry import build_scenario
 from repro.experiments.runner import run_spec, jsonl_line
 from repro.experiments.spec import RunPoint
 from repro.experiments.specs import get_spec
 from repro.experiments.workloads import get_workload
-from repro.scenarios import commuter_corridor, hostile_corridor
+from repro.scenarios import commuter_corridor
 
 pytestmark = pytest.mark.slow
 
@@ -36,8 +37,8 @@ seeds = st.integers(min_value=0, max_value=2**16)
 @settings(max_examples=20, deadline=None)
 @given(seed=seeds)
 def test_same_seed_builds_the_same_fault_schedule(seed):
-    first = hostile_corridor(seed=seed).world.faults
-    second = hostile_corridor(seed=seed).world.faults
+    first = build_scenario("hostile_corridor", seed).world.faults
+    second = build_scenario("hostile_corridor", seed).world.faults
     assert first.schedule == second.schedule
     assert [e.sort_key() for e in first.schedule] == sorted(
         e.sort_key() for e in first.schedule)
@@ -49,9 +50,9 @@ def test_fault_streams_never_perturb_mobility(seed):
     """Cranking every fault rate must not move a single commuter:
     fault models draw from ``faults/*`` sub-streams only."""
     clean = commuter_corridor(seed=seed)
-    faulted = commuter_corridor(
-        crash_rate=0.9, radio_fault_rate=0.7, byzantine_rate=0.5,
-        jammer_count=2, seed=seed)
+    faulted = build_scenario("commuter_corridor", seed, {
+        "crash_rate": 0.9, "radio_fault_rate": 0.7, "byzantine_rate": 0.5,
+        "jammer_count": 2})
     clean.run(until=200.0)
     faulted.run(until=200.0)
     for name in sorted(clean.nodes):

@@ -15,7 +15,7 @@ from repro.core.buffering import ReliableChannel
 from repro.core.errors import ConnectionClosedError
 from repro.dtn import BandwidthDtnOverlay, DtnOverlay, make_router
 from repro.experiments.cache import point_key
-from repro.experiments.registry import get_scenario
+from repro.experiments.registry import build_scenario, get_scenario
 from repro.experiments.spec import RunPoint
 from repro.experiments.workloads import get_workload, workload_fingerprint
 from repro.faults import FaultPlane
@@ -32,7 +32,7 @@ from repro.radio.phy import (
     install_scenario_phy,
 )
 from repro.radio.technologies import get_technology
-from repro.scenarios import Scenario, commuter_corridor, crowded_festival, lossy_festival
+from repro.scenarios import Scenario, commuter_corridor
 from repro.sim import Simulator
 
 
@@ -94,11 +94,15 @@ def test_zero_knobs_install_literally_nothing():
     scenario = Scenario(seed=3)
     assert install_scenario_phy(scenario) is None
     assert scenario.world.phy is None
-    assert commuter_corridor(count=2, seed=1).world.phy is None
-    lossy = commuter_corridor(count=2, seed=1, shadowing_sigma_db=4.0)
+
+    def corridor(**knobs):
+        return build_scenario("commuter_corridor", 1, {"count": 2, **knobs})
+
+    assert corridor().world.phy is None
+    lossy = corridor(shadowing_sigma_db=4.0)
     assert isinstance(lossy.world.phy, PhyPlane)
     assert not lossy.world.phy.collisions
-    coll = commuter_corridor(count=2, seed=1, phy_collisions=1)
+    coll = corridor(phy_collisions=1)
     assert coll.world.phy.collisions
     assert coll.world.phy.shadowing_sigma_db == 0.0
 
@@ -123,14 +127,14 @@ def test_stacking_and_negative_knobs_are_refused():
 
 
 def test_lossy_festival_is_the_festival_plus_a_default_phy():
-    lossy = lossy_festival(count=6, seed=5)
+    lossy = build_scenario("lossy_festival", 5, {"count": 6})
     assert lossy.world.phy.shadowing_sigma_db == 6.0
     assert lossy.world.phy.collisions
     # With all knobs forced to zero it degenerates to the exact
     # crowded_festival world: same nodes, same mobility draws.
-    plain = crowded_festival(count=6, seed=5)
-    bare = lossy_festival(count=6, seed=5, shadowing_sigma_db=0.0,
-                          phy_collisions=0)
+    plain = build_scenario("crowded_festival", 5, {"count": 6})
+    bare = build_scenario("lossy_festival", 5, {
+        "count": 6, "shadowing_sigma_db": 0.0, "phy_collisions": 0})
     assert bare.world.phy is None
     plain.run(until=120.0)
     bare.run(until=120.0)
@@ -336,10 +340,9 @@ def test_lost_control_blinds_the_listener_into_duplicates():
     against an empty vector for the whole contact — epidemic re-offers
     bundles the peer already has, which a clean world never does."""
     def run(lossy, seed=3):
-        scenario = commuter_corridor(
-            count=8, seed=seed,
-            shadowing_sigma_db=8.0 if lossy else 0.0,
-            phy_collisions=1 if lossy else 0)
+        scenario = build_scenario("commuter_corridor", seed, {
+            "count": 8, "shadowing_sigma_db": 8.0 if lossy else 0.0,
+            "phy_collisions": 1 if lossy else 0})
         plane = DtnOverlay(scenario.world, make_router("epidemic"))
         for _ in range(6):
             plane.send("home", "work", ttl_s=400.0)
@@ -378,8 +381,8 @@ def test_phy_randomness_never_moves_a_walker():
     """Cranking the PHY knobs must not move a single commuter —
     shadowing draws come only from ``phy/shadowing/*`` streams."""
     clean = commuter_corridor(count=8, seed=13)
-    lossy = commuter_corridor(count=8, seed=13, shadowing_sigma_db=10.0,
-                              phy_collisions=1)
+    lossy = build_scenario("commuter_corridor", 13, {
+        "count": 8, "shadowing_sigma_db": 10.0, "phy_collisions": 1})
     clean_plane = DtnOverlay(clean.world, make_router("epidemic"))
     lossy_plane = DtnOverlay(lossy.world, make_router("epidemic"))
     clean_plane.send("home", "work", ttl_s=300.0)
@@ -393,9 +396,8 @@ def test_phy_randomness_never_moves_a_walker():
 
 def test_same_seed_same_per_packet_fates():
     def run():
-        scenario = commuter_corridor(count=8, seed=17,
-                                     shadowing_sigma_db=7.0,
-                                     phy_collisions=1)
+        scenario = build_scenario("commuter_corridor", 17, {
+            "count": 8, "shadowing_sigma_db": 7.0, "phy_collisions": 1})
         plane = DtnOverlay(scenario.world, make_router("epidemic"))
         for _ in range(4):
             plane.send("home", "work", ttl_s=300.0)

@@ -262,11 +262,6 @@ def test_vector_neighbors_equal_scalar_under_motion(
     mid-run node removal (PR 8 acceptance criterion).  Same world
     recipe as the grid-vs-brute-force oracle above, so the three
     discovery paths are pinned pairwise equal."""
-    import pytest
-
-    from repro.radio.vectorized import numpy_available
-    if not numpy_available():
-        pytest.skip("numpy not installed")
     sim = Simulator(seed=seed)
     world = World(sim)
     for index in range(count):

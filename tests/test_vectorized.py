@@ -4,13 +4,12 @@ Every test here is an equivalence check: the numpy-vectorized hot path
 (:mod:`repro.radio.vectorized`) must agree with the scalar world —
 neighbor sets exactly, crossing times bitwise, positions to float
 tolerance — across mobility models, technologies, membership churn and
-the bus registration path.  Plus the degradation story: the module
-imports without numpy, and batch crossings fall back to the scalar
-solver.
+the bus registration path.
 """
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.experiments import (
@@ -27,21 +26,15 @@ from repro.mobility import (
     StaticPosition,
 )
 from repro.radio import BLUETOOTH, WLAN, World
-from repro.radio import vectorized
 from repro.radio.bus import ConnectivityBus
 from repro.radio.contacts import next_distance_crossing
 from repro.radio.vectorized import (
     VectorEngine,
     batch_distance_crossings,
     multi_arange,
-    numpy_available,
 )
 from repro.scenarios import city_day, dense_plaza, sparse_highway
 from repro.sim import Simulator
-
-np = pytest.importorskip("numpy") if numpy_available() else None
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="numpy not installed")
 
 
 def mixed_world(seed=3, count=40, area=70.0):
@@ -280,23 +273,8 @@ def test_watch_links_batch_equals_per_pair_watches():
 
 
 # ----------------------------------------------------------------------
-# numpy gating: import-safe, scalar fallback, clear errors
+# engine input checks
 # ----------------------------------------------------------------------
-def test_without_numpy_batch_falls_back_and_engine_refuses(monkeypatch):
-    monkeypatch.setattr(vectorized, "np", None)
-    assert not vectorized.numpy_available()
-    model_a = StaticPosition(0.0, 0.0)
-    model_b = LinearMovement((30.0, 0.0), (-1.0, 0.0))
-    batch = vectorized.batch_distance_crossings(
-        [(model_a, model_b)], 10.0, 0.0, 60.0)
-    assert batch == [next_distance_crossing(model_a, model_b,
-                                            10.0, 0.0, 60.0)]
-    sim = Simulator(seed=0)
-    world = World(sim)
-    with pytest.raises(RuntimeError, match="numpy"):
-        VectorEngine(world, BLUETOOTH)
-
-
 def test_engine_rejects_model_without_pieces():
     class Teleporter(StaticPosition):
         def active_piece(self, t, horizon_s=600.0):
