@@ -19,6 +19,7 @@
 #   make docs-check   verify intra-repo links in README + docs/*.md
 #   make report       render results/report/REPORT.md + REPORT.html
 #   make gate         regression-gate BENCH_*.json vs committed baselines
+#   make perf         the repo benchmark: four phase-timed workloads
 #   make quickstart   run the two-device example end to end
 
 PYTHON ?= python
@@ -29,7 +30,7 @@ BENCHES := $(wildcard benchmarks/bench_*.py)
 .PHONY: test test-all bench bench-scale bench-events bench-dtn \
         bench-capacity bench-fault bench-phy bench-vector sweep \
         dtn-sweep bandwidth-sweep resume-smoke lint docs-check report \
-        gate quickstart
+        gate perf quickstart
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -134,6 +135,12 @@ report:
 # docs/OBSERVABILITY.md.
 gate:
 	$(PYTHON) -m repro.analysis gate --baseline results/bench_baseline --fresh .
+
+# The repo benchmark declared in BENCHMARK.json: four workloads, each
+# timed per phase (setup/run/wall, peak RSS) and traced layer by layer
+# (see perf/README.md).
+perf:
+	python3 perf/run.py
 
 quickstart:
 	$(PYTHON) examples/quickstart.py

@@ -35,7 +35,7 @@ from repro.radio.technologies import Technology
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.node import PeerHoodNode
-    from repro.plugins.base import AbstractPlugin
+    from repro.plugins.base import Plugin
 
 #: Monotonic daemon "process id" source (the unused checksum, §2.3).
 _pid_counter = itertools.count(1000)
@@ -56,7 +56,7 @@ class Daemon:
         )
         self.registry = ServiceRegistry()
         self.bridge_service = BridgeService(node)
-        self.plugins: list["AbstractPlugin"] = []
+        self.plugins: list["Plugin"] = []
         self._running = False
 
     @property
@@ -96,7 +96,7 @@ class Daemon:
         self.node.fabric.trace.record(
             self.sim.now, self.node.node_id, "daemon-stopped", pid=self.pid)
 
-    def _build_plugins(self) -> list["AbstractPlugin"]:
+    def _build_plugins(self) -> list["Plugin"]:
         from repro.plugins import plugin_for  # late: avoid import cycle
 
         return [plugin_for(self.node, tech)

@@ -6,9 +6,10 @@ Real mobile links exist only for the seconds two coverage disks
 overlap, and carry ``window × data_rate`` bytes at most.  This module
 replaces the instantaneous cascade with a **transfer schedule**:
 
-* **byte budget** — at contact-up the plane asks the analytic
-  :class:`~repro.radio.contacts.ContactSolver` for the predicted
-  LinkDown instant and prices the whole contact in closed form:
+* **byte budget** — at contact-up the plane asks its contact stream
+  (:meth:`~repro.radio.bus.ContactStream.window`, one analytic solve)
+  for the predicted LinkDown instant and prices the whole contact in
+  closed form:
   ``budget = ⌊(t_down − t_up) × data_rate⌋`` (the technology's
   :attr:`~repro.radio.technologies.Technology.data_rate_Bps`, or the
   plane's explicit override).  Settled in-range pairs get an unbounded
@@ -61,7 +62,7 @@ import typing
 
 from repro.core.buffering import EVICT_OLDEST
 from repro.dtn.bundle import Bundle
-from repro.dtn.forwarder import DEFAULT_MAX_PAIRS, DtnOverlay
+from repro.dtn.forwarder import DtnOverlay
 from repro.dtn.routing import Router
 from repro.metrics.counters import TrafficMeter
 from repro.radio.technologies import Technology, get_technology
@@ -137,10 +138,10 @@ _CLOSE_DETACH = "detach"    # measurement over: silent teardown
 class BandwidthDtnOverlay(DtnOverlay):
     """The event-driven forwarder under finite contact bandwidth.
 
-    Same watch wiring as :class:`~repro.dtn.forwarder.DtnOverlay`
-    (one repeating link watch per pair; synthetic contact-up for pairs
-    already in range at attach), but contacts open a
-    :class:`ContactSession` instead of cascading instantaneously.
+    Same contact stream as :class:`~repro.dtn.forwarder.DtnOverlay`
+    (seeded contact-up for pairs already in range at attach), but
+    contacts open a :class:`ContactSession` instead of cascading
+    instantaneously.
     ``data_rate_Bps`` overrides the technology's derived rate (tests
     and constrained-regime sweeps); the default prices contacts at
     :attr:`Technology.data_rate_Bps`.
@@ -152,7 +153,6 @@ class BandwidthDtnOverlay(DtnOverlay):
                  capacity_bytes: int | None = None,
                  policy: str = EVICT_OLDEST,
                  meter: TrafficMeter | None = None,
-                 max_pairs: int = DEFAULT_MAX_PAIRS,
                  data_rate_Bps: float | None = None):
         tech_obj = get_technology(tech) if isinstance(tech, str) else tech
         if data_rate_Bps is None:
@@ -166,7 +166,7 @@ class BandwidthDtnOverlay(DtnOverlay):
         # so every attribute above must exist first.
         super().__init__(world, router, tech=tech_obj, nodes=nodes,
                          capacity_bytes=capacity_bytes, policy=policy,
-                         meter=meter, max_pairs=max_pairs)
+                         meter=meter)
 
     # ------------------------------------------------------------------
     # capacity model
@@ -175,29 +175,6 @@ class BandwidthDtnOverlay(DtnOverlay):
         """Link time one ``size_bytes`` leg occupies: framing latency
         plus payload at the plane's data rate.  O(1)."""
         return self.tech.base_latency_s + size_bytes / self.data_rate_Bps
-
-    def _window(self, a: str, b: str,
-                now: float) -> tuple[float, int | None]:
-        """Predicted ``(closes_at, budget_bytes)`` of a fresh contact.
-
-        One closed-form solve (O(segments)): the next LinkDown crossing
-        prices the window.  A settled in-range pair never closes —
-        ``(inf, None)``.  No crossing before the solver horizon caps
-        the budget at one horizon's worth of bytes (an *under*-estimate
-        — the byte-budget invariant is preserved); the real LinkDown
-        event still ends the session whenever it arrives.
-        """
-        solver = self.world.bus.solver
-        crossing = solver.next_link_crossing(a, b, self.tech, t0=now)
-        if crossing is not None and not crossing.inside:
-            closes_at = crossing.time
-        elif crossing is None and solver.pair_settled(a, b, now):
-            return (math.inf, None)
-        else:
-            closes_at = now + solver.horizon_s
-        return (closes_at,
-                self.tech.contact_capacity_bytes(closes_at - now,
-                                                 self.data_rate_Bps))
 
     # ------------------------------------------------------------------
     # contact lifecycle
@@ -212,30 +189,14 @@ class BandwidthDtnOverlay(DtnOverlay):
         if pair in self._sessions:
             return
         now = self.sim.now
-        self._adjacent[a].add(b)
-        self._adjacent[b].add(a)
         self.stores[a].expire(now)
         self.stores[b].expire(now)
-        self.router.on_contact(a, b, now)
-        control_ab = self.contact_control_bytes(a, b)
-        control_ba = self.contact_control_bytes(b, a)
-        if self.meter is not None:
-            self.meter.count(a, "dtn-control", control_ab)
-            self.meter.count(b, "dtn-control", control_ba)
-        if self.phy is not None:
-            # Control rides the lossy air too: a lost vector leaves the
-            # receiver blind about the speaker for this whole contact
-            # (it offers against the empty vector).  The budget and the
-            # meter charged the bytes regardless — airtime was spent.
-            for sender, receiver, size in ((a, b, control_ab),
-                                           (b, a, control_ba)):
-                if not self.phy.transmit(sender, receiver, size,
-                                         kind="control", tech=self.tech,
-                                         duration_s=self.airtime_s(size)):
-                    self._blind.add((receiver, sender))
-        closes_at, budget = self._window(pair[0], pair[1], now)
+        control = self._open_contact(a, b, airtime_s=self.airtime_s)
+        closes_at = self.stream.window(pair[0], pair[1], now)
+        budget = (None if closes_at == math.inf
+                  else self.tech.contact_capacity_bytes(
+                      closes_at - now, self.data_rate_Bps))
         session = ContactSession(pair[0], pair[1], now, closes_at, budget)
-        control = control_ab + control_ba
         session.used_bytes = control
         session.next_free = now + self.airtime_s(control)
         self._sessions[pair] = session

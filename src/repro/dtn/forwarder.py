@@ -12,10 +12,10 @@ mechanics.  Three classes:
 * :class:`DtnPlane` — stores, bundle injection, the contact-synchronous
   exchange cascade, delivery bookkeeping.  Knows nothing about *how*
   contacts are detected.
-* :class:`DtnOverlay` — the event-driven forwarder (the tentpole): one
-  repeating link watch per node pair on the connectivity bus
-  (:mod:`repro.radio.bus`), so the forwarder wakes **only** at
-  predicted LinkUp/LinkDown instants.  ``wakeups`` counts exactly those
+* :class:`DtnOverlay` — the event-driven forwarder: it subscribes to
+  the node set's :class:`~repro.radio.bus.ContactStream` on the
+  connectivity bus, so the forwarder wakes **only** at predicted
+  LinkUp/LinkDown instants.  ``wakeups`` counts exactly those
   callback firings — the invariant *no forwarder wakeup without a
   scheduled contact event* is checkable as
   ``overlay.wakeups <= world.stats.bus.fired``.
@@ -43,8 +43,8 @@ Exchange semantics (both implementations share them):
 Churn: a node that is ``power_off()``/``remove_node()``-ed mid-carry
 loses its buffered bundles (``DtnCounters.dropped_dead``) and leaves
 every adjacency — the bus cancels its watches (no contact event for a
-dead node ever fires), the overlay's ``on_cancel`` hook notices and
-retires the node, and the plane refuses new sends naming it.  A bundle
+dead node ever fires), the contact stream's ``on_leave`` hook retires
+the node, and the plane refuses new sends naming it.  A bundle
 *destined* to a dead node is never delivered; it ages out by TTL.
 
 Units: metres / sim-seconds / bytes throughout.
@@ -65,7 +65,7 @@ from repro.dtn.bundle import (
 from repro.dtn.routing import Router
 from repro.dtn.store import MessageStore
 from repro.metrics.counters import DtnCounters, TrafficMeter
-from repro.radio.bus import LINK_UP, ConnectivityEvent
+from repro.radio.bus import LINK_UP, ConnectivityEvent, ContactStream
 from repro.radio.technologies import Technology, get_technology
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -73,9 +73,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Bytes charged per bundle id in a summary-vector exchange.
 SUMMARY_VECTOR_ID_BYTES = 8
-
-#: Guard against accidentally installing O(N²) watches at absurd N.
-DEFAULT_MAX_PAIRS = 200_000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -204,21 +201,14 @@ class DtnPlane:
     def contact_up(self, a: str, b: str) -> None:
         """A contact opened: record adjacency and equilibrate.
 
-        The router observes the encounter first (``on_contact`` — the
-        PRoPHET predictability updates), then control traffic is
-        metered (summary vectors + router control vectors), then the
-        exchange cascade runs.  O(cluster) through the cascade.
+        :meth:`_open_contact` runs first, then the exchange cascade.
+        O(cluster) through the cascade.
         """
         if a in self._dead or b in self._dead:
             return
         if a not in self.stores or b not in self.stores:
             return
-        self._adjacent[a].add(b)
-        self._adjacent[b].add(a)
-        self.router.on_contact(a, b, self.sim.now)
-        self._charge_contact_control(a, b)
-        if self.phy is not None:
-            self._phy_control(a, b)
+        self._open_contact(a, b)
         self._exchange(a, b)
         self._exchange(b, a)
         self._cascade_from(a)
@@ -232,21 +222,39 @@ class DtnPlane:
             self._blind.discard((a, b))
             self._blind.discard((b, a))
 
-    def _phy_control(self, a: str, b: str) -> None:
-        """Put both directions' contact-open control on the lossy air.
+    def _open_contact(self, a: str, b: str,
+                      airtime_s: typing.Callable[[int], float]
+                      | None = None) -> int:
+        """Record adjacency and ship both sides' contact-open control.
 
-        A lost vector leaves the *receiver* blind about the speaker for
-        the rest of this contact — it offers against the empty vector,
-        re-offering bundles the peer already holds (duplicates cost
-        transmissions and bytes, exactly the control-loss failure mode
-        binary links could never show).  The bytes were metered either
-        way: the speaker spent the airtime.
+        The router observes the encounter first (``on_contact`` — the
+        PRoPHET predictability updates).  Then each direction, a→b
+        before b→a, meters its control bytes and puts them on the lossy
+        air when a PHY plane is installed.  A lost vector leaves the
+        *receiver* blind about the speaker for the rest of this contact
+        — it offers against the empty vector, re-offering bundles the
+        peer already holds (duplicates cost transmissions and bytes,
+        exactly the control-loss failure mode binary links could never
+        show).  The bytes were metered either way: the speaker spent
+        the airtime.  ``airtime_s(size)`` gives a vector's air window
+        (``None``: the technology's transmit time).  Returns the total
+        control bytes.  O(seen).
         """
+        self._adjacent[a].add(b)
+        self._adjacent[b].add(a)
+        self.router.on_contact(a, b, self.sim.now)
+        total = 0
         for sender, receiver in ((a, b), (b, a)):
             size = self.contact_control_bytes(sender, receiver)
-            if not self.phy.transmit(sender, receiver, size,
-                                     kind="control", tech=self.tech):
+            total += size
+            if self.meter is not None:
+                self.meter.count(sender, "dtn-control", size)
+            if self.phy is not None and not self.phy.transmit(
+                    sender, receiver, size, kind="control", tech=self.tech,
+                    duration_s=None if airtime_s is None
+                    else airtime_s(size)):
                 self._blind.add((receiver, sender))
+        return total
 
     def contacts(self, node_id: str) -> list[str]:
         """Current contacts of ``node_id``, sorted."""
@@ -263,14 +271,6 @@ class DtnPlane:
         return (SUMMARY_VECTOR_ID_BYTES
                 * len(self.stores[sender].summary_vector())
                 + self.router.control_bytes(sender, receiver))
-
-    def _charge_contact_control(self, a: str, b: str) -> None:
-        """Meter each side's contact-open control traffic.  O(seen)."""
-        if self.meter is None:
-            return
-        for sender, receiver in ((a, b), (b, a)):
-            self.meter.count(sender, "dtn-control",
-                             self.contact_control_bytes(sender, receiver))
 
     def _peer_vector(self, peer: str, carrier: str) -> frozenset:
         """The peer's summary vector *as the carrier heard it*.
@@ -463,13 +463,15 @@ class DtnPlane:
 
 
 class DtnOverlay(DtnPlane):
-    """Event-driven contact detection: one bus watch per node pair.
+    """Event-driven contact detection over a :class:`~repro.radio.bus.
+    ContactStream` (one bus watch per node pair).
 
-    Pairs already in range at attach time get a synthetic contact-up
-    (mirroring the contact-trace recorder's opening edge), because a
-    settled in-range pair never produces a LinkUp event.  ``detach()``
-    cancels the watches; the ``on_cancel`` hook distinguishes that
-    teardown from the bus cancelling a dead node's watches.
+    The stream's ``initial`` LinkUps — pairs already in range at attach,
+    which a settled pair would never report — are replayed through
+    :meth:`contact_up` once every watch exists, so cascades observe the
+    full current topology and ``wakeups`` does not count them.
+    ``detach()`` cancels the watches; an endpoint leaving the world
+    retires the node.
     """
 
     def __init__(self, world: "World", router: Router,
@@ -477,32 +479,15 @@ class DtnOverlay(DtnPlane):
                  nodes: typing.Sequence[str] | None = None,
                  capacity_bytes: int | None = None,
                  policy: str = EVICT_OLDEST,
-                 meter: TrafficMeter | None = None,
-                 max_pairs: int = DEFAULT_MAX_PAIRS):
+                 meter: TrafficMeter | None = None):
         super().__init__(world, router, tech=tech, nodes=nodes,
                          capacity_bytes=capacity_bytes, policy=policy,
                          meter=meter)
-        names = list(self.stores)
-        pair_count = len(names) * (len(names) - 1) // 2
-        if pair_count > max_pairs:
-            raise ValueError(
-                f"{pair_count} pairs exceed max_pairs={max_pairs}")
-        self._detached = False
-        self._watches = []
-        seed_pairs = []
-        for i, first in enumerate(names):
-            for second in names[i + 1:]:
-                if world.in_range(first, second, self.tech):
-                    seed_pairs.append((first, second))
-                self._watches.append(world.bus.watch_link(
-                    first, second, self.tech,
-                    callback=self._on_event,
-                    on_cancel=lambda a=first, b=second:
-                        self._on_cancel(a, b)))
-        # Seed adjacency *after* the watches exist so cascades observe
-        # the full current topology.
-        for first, second in seed_pairs:
-            self.contact_up(first, second)
+        self.stream = ContactStream(world, self.tech, self.stores,
+                                    callback=self._on_event,
+                                    on_leave=self.retire_node)
+        for event in self.stream.initial:
+            self.contact_up(event.node_a, event.node_b)
 
     def _on_event(self, event: ConnectivityEvent) -> None:
         self.wakeups += 1
@@ -511,22 +496,9 @@ class DtnOverlay(DtnPlane):
         else:
             self.contact_down(event.node_a, event.node_b)
 
-    def _on_cancel(self, a: str, b: str) -> None:
-        if self._detached:
-            return
-        # The bus cancels watches when World.remove_node drops an
-        # endpoint (power-off churn): retire whichever side is gone.
-        for name in (a, b):
-            if name in self.stores and not self.world.has_node(name):
-                self.retire_node(name)
-
     def detach(self) -> None:
         """Cancel every watch (measurement finished).  Idempotent."""
-        self._detached = True
-        for watch in self._watches:
-            if watch.active:
-                watch.cancel()
-        self._watches.clear()
+        self.stream.detach()
 
 
 class PollingDtnOverlay(DtnPlane):

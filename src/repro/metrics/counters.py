@@ -22,8 +22,23 @@ import collections
 import dataclasses
 
 
+class Counters:
+    """Base of the integer-counter dataclasses below: ``reset`` and
+    ``as_dict`` walk :func:`dataclasses.fields`, in field order."""
+
+    def reset(self) -> None:
+        """Zero all counters (between benchmark rounds)."""
+        for field in dataclasses.fields(self):
+            setattr(self, field.name, 0)
+
+    def as_dict(self) -> dict[str, int]:
+        """Plain-dict snapshot for JSON benchmark artifacts."""
+        return {field.name: getattr(self, field.name)
+                for field in dataclasses.fields(self)}
+
+
 @dataclasses.dataclass
-class BusCounters:
+class BusCounters(Counters):
     """Connectivity-event-bus activity (``world.stats.bus``).
 
     Attributes
@@ -46,25 +61,9 @@ class BusCounters:
     cancelled: int = 0
     rescheduled: int = 0
 
-    def reset(self) -> None:
-        """Zero all counters (between benchmark rounds)."""
-        self.scheduled = 0
-        self.fired = 0
-        self.cancelled = 0
-        self.rescheduled = 0
-
-    def as_dict(self) -> dict[str, int]:
-        """Plain-dict snapshot for JSON benchmark artifacts."""
-        return {
-            "scheduled": self.scheduled,
-            "fired": self.fired,
-            "cancelled": self.cancelled,
-            "rescheduled": self.rescheduled,
-        }
-
 
 @dataclasses.dataclass
-class DtnCounters:
+class DtnCounters(Counters):
     """Store-carry-forward data-plane activity (:mod:`repro.dtn`).
 
     One instance per :class:`~repro.dtn.forwarder.DtnPlane`; the DTN
@@ -125,39 +124,9 @@ class DtnCounters:
     transfers_truncated: int = 0
     transfers_cancelled: int = 0
 
-    def reset(self) -> None:
-        """Zero all counters (between benchmark rounds)."""
-        self.created = 0
-        self.transmissions = 0
-        self.delivered = 0
-        self.duplicates = 0
-        self.expired = 0
-        self.evicted = 0
-        self.dropped_dead = 0
-        self.bytes_offered = 0
-        self.bytes_transferred = 0
-        self.transfers_truncated = 0
-        self.transfers_cancelled = 0
-
-    def as_dict(self) -> dict[str, int]:
-        """Plain-dict snapshot for JSON benchmark artifacts."""
-        return {
-            "created": self.created,
-            "transmissions": self.transmissions,
-            "delivered": self.delivered,
-            "duplicates": self.duplicates,
-            "expired": self.expired,
-            "evicted": self.evicted,
-            "dropped_dead": self.dropped_dead,
-            "bytes_offered": self.bytes_offered,
-            "bytes_transferred": self.bytes_transferred,
-            "transfers_truncated": self.transfers_truncated,
-            "transfers_cancelled": self.transfers_cancelled,
-        }
-
 
 @dataclasses.dataclass
-class FaultCounters:
+class FaultCounters(Counters):
     """Fault-injection activity (:mod:`repro.faults`).
 
     One instance per :class:`~repro.faults.plane.FaultPlane`; the
@@ -186,25 +155,9 @@ class FaultCounters:
     jammed_deliveries: int = 0
     byzantine_beacons: int = 0
 
-    def reset(self) -> None:
-        """Zero all counters (between benchmark rounds)."""
-        self.crashes = 0
-        self.reboots = 0
-        self.jammed_deliveries = 0
-        self.byzantine_beacons = 0
-
-    def as_dict(self) -> dict[str, int]:
-        """Plain-dict snapshot for JSON benchmark artifacts."""
-        return {
-            "crashes": self.crashes,
-            "reboots": self.reboots,
-            "jammed_deliveries": self.jammed_deliveries,
-            "byzantine_beacons": self.byzantine_beacons,
-        }
-
 
 @dataclasses.dataclass
-class PhyCounters:
+class PhyCounters(Counters):
     """Lossy physical-layer activity (:mod:`repro.radio.phy`).
 
     One instance per :class:`~repro.radio.phy.PhyPlane`; the
@@ -240,24 +193,6 @@ class PhyCounters:
     lost_fading: int = 0
     lost_collision: int = 0
     captured: int = 0
-
-    def reset(self) -> None:
-        """Zero all counters (between benchmark rounds)."""
-        self.offered = 0
-        self.delivered = 0
-        self.lost_fading = 0
-        self.lost_collision = 0
-        self.captured = 0
-
-    def as_dict(self) -> dict[str, int]:
-        """Plain-dict snapshot for JSON benchmark artifacts."""
-        return {
-            "offered": self.offered,
-            "delivered": self.delivered,
-            "lost_fading": self.lost_fading,
-            "lost_collision": self.lost_collision,
-            "captured": self.captured,
-        }
 
 
 @dataclasses.dataclass

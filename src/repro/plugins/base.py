@@ -1,4 +1,4 @@
-"""AbstractPlugin: the inquiry thread shared by every technology.
+"""Plugin: the inquiry thread shared by every technology.
 
 The loop implements Fig. 3.12 with the §3.5 redesign: all information
 fetching happens first into a local list, and the shared DeviceStorage is
@@ -39,11 +39,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _FETCH_REQUEST_BYTES = 24
 
 
-class AbstractPlugin:
+class Plugin:
     """Discovery loop for one technology on one node."""
-
-    #: Overridden by subclasses.
-    tech: Technology
 
     def __init__(self, node: "PeerHoodNode", tech: Technology):
         self.node = node

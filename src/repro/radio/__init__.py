@@ -23,10 +23,16 @@ those radios with a 2-D world model:
   closed-form LinkUp/LinkDown and quality-threshold instants over
   piecewise-linear mobility, with a guarded-bisection fallback;
 * :mod:`~repro.radio.bus` — the connectivity-event bus that turns those
-  predictions into scheduled (and cancellable) kernel events.
+  predictions into scheduled (and cancellable) kernel events, and the
+  :class:`ContactStream` of every pair of a node set built on it.
 """
 
-from repro.radio.bus import ConnectivityBus, ConnectivityEvent, Watch
+from repro.radio.bus import (
+    ConnectivityBus,
+    ConnectivityEvent,
+    ContactStream,
+    Watch,
+)
 from repro.radio.channel import (
     ChannelClosed,
     ConnectFault,
@@ -66,6 +72,7 @@ __all__ = [
     "ConnectivityBus",
     "ConnectivityEvent",
     "ContactSolver",
+    "ContactStream",
     "Crossing",
     "GPRS",
     "Link",

@@ -33,11 +33,20 @@ Invalidation rules (the part polling got for free):
 Counters (``world.stats.bus``, a :class:`~repro.metrics.counters.
 BusCounters`) record scheduled / fired / cancelled / rescheduled — the
 scale benchmarks assert on them.
+
+Contact streams
+---------------
+:class:`ContactStream` is the one contact source of the consumers that
+watch *every* pair of a node set — both event-driven DTN overlays and
+the contact-trace recorder: it arms the per-pair watches, seeds the
+pairs already in range at attach, reports endpoints that left the world
+and predicts when an open contact closes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 
 from repro.radio.contacts import ContactSolver, Crossing
@@ -52,6 +61,9 @@ LINK_UP = "link-up"
 LINK_DOWN = "link-down"
 QUALITY_ABOVE = "quality-above"
 QUALITY_BELOW = "quality-below"
+
+#: Guard against accidentally installing O(N²) watches at absurd N.
+MAX_PAIRS = 200_000
 
 #: Sentinel for "no precomputed prediction" — ``None`` is a meaningful
 #: prediction result (no crossing before the horizon), so the batch
@@ -149,8 +161,8 @@ class ConnectivityBus:
         :class:`ConnectivityEvent` *at* the crossing instant (kernel
         time equals ``event.time``).  ``on_cancel`` fires exactly once
         if the watch is invalidated (node removed, explicit
-        :meth:`cancel`) — the contact-trace recorder and the DTN
-        overlay use it to observe churn.  Steady-state cost for a
+        :meth:`cancel`) — :class:`ContactStream` uses it to observe
+        churn.  Steady-state cost for a
         settled pair is zero: the watch parks.
         """
         return self._register(node_a, node_b, tech, None, callback,
@@ -251,7 +263,7 @@ class ConnectivityBus:
         scheduled callback is nulled instead — see
         :class:`~repro.sim.kernel.ScheduledCall`).  Fires the watch's
         ``on_cancel`` hook (the handover monitor uses it to wake from a
-        predictive sleep and re-examine its connection; the DTN overlay
+        predictive sleep and re-examine its connection; a contact stream
         uses it to notice churn).
         """
         if not watch.active:
@@ -563,3 +575,79 @@ class ConnectivityBus:
     def active_watches(self) -> int:
         """Number of live watches (armed or parked)."""
         return len(self._watches)
+
+
+class ContactStream:
+    """The LinkUp/LinkDown stream of every pair of a node set.
+
+    One repeating :meth:`ConnectivityBus.watch_link` per sorted pair of
+    ``nodes``, each handed ``callback`` unchanged — O(pairs) watches,
+    each dormant between crossings, so the stream costs kernel wakeups
+    only when contacts change.  Raises ``ValueError`` above
+    :data:`MAX_PAIRS` pairs.
+
+    ``initial`` holds one synthetic LinkUp per pair already in range at
+    attach, in pair order: a settled in-range pair never produces a
+    LinkUp event, so consumers replay these as the opening edges.
+    ``on_leave(node)`` fires when the bus cancels a pair because an
+    endpoint left the world (``World.remove_node`` churn) — once per
+    cancelled pair, so it must be idempotent.  :meth:`detach` cancels
+    the watches without calling it.
+    """
+
+    def __init__(self, world: "World", tech: "Technology",
+                 nodes: typing.Iterable[str],
+                 callback: typing.Callable[[ConnectivityEvent], None],
+                 on_leave: typing.Callable[[str], None] | None = None):
+        names = sorted(nodes)
+        pair_count = len(names) * (len(names) - 1) // 2
+        if pair_count > MAX_PAIRS:
+            raise ValueError(
+                f"{pair_count} pairs exceed MAX_PAIRS={MAX_PAIRS}")
+        self.world = world
+        self.tech = tech
+        self._on_leave = on_leave
+        self._watches: list[Watch] = []
+        self.initial: list[ConnectivityEvent] = []
+        now = world.sim.now
+        for i, first in enumerate(names):
+            for second in names[i + 1:]:
+                if world.in_range(first, second, tech):
+                    self.initial.append(ConnectivityEvent(
+                        now, LINK_UP, first, second, tech.name))
+                self._watches.append(world.bus.watch_link(
+                    first, second, tech, callback=callback,
+                    on_cancel=None if on_leave is None else
+                    (lambda a=first, b=second: self._on_cancel(a, b))))
+
+    def _on_cancel(self, a: str, b: str) -> None:
+        if self._on_leave is None:
+            return   # detached: our own teardown, not churn
+        for name in (a, b):
+            if not self.world.has_node(name):
+                self._on_leave(name)
+
+    def window(self, a: str, b: str, now: float) -> float:
+        """Predicted close instant of the pair's contact open at ``now``.
+
+        One closed-form solve (O(segments)): the next LinkDown crossing.
+        A settled in-range pair never closes — ``inf``.  No crossing
+        before the solver horizon yields ``now + horizon_s`` (an
+        *under*-estimate of the window); the real LinkDown event still
+        arrives whenever it happens.
+        """
+        solver = self.world.bus.solver
+        crossing = solver.next_link_crossing(a, b, self.tech, t0=now)
+        if crossing is not None and not crossing.inside:
+            return crossing.time
+        if crossing is None and solver.pair_settled(a, b, now):
+            return math.inf
+        return now + solver.horizon_s
+
+    def detach(self) -> None:
+        """Cancel every watch without calling ``on_leave``.  Idempotent."""
+        self._on_leave = None
+        for watch in self._watches:
+            if watch.active:
+                watch.cancel()
+        self._watches.clear()

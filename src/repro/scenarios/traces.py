@@ -6,10 +6,11 @@ This module taps that stream into the standard DTN/opportunistic-network
 artifact — a **contact trace** — and replays it as a mobility-free
 workload:
 
-* :func:`record_contact_trace` installs one repeating link watch per
-  node pair and runs the scenario; the result is a time-ordered list of
-  rows (one JSON object per line when written), with *zero polling*:
-  kernel wakeups occur only at actual contact changes.
+* :func:`record_contact_trace` subscribes to the node set's
+  :class:`~repro.radio.bus.ContactStream` and runs the scenario; the
+  result is a time-ordered list of rows (one JSON object per line when
+  written), with *zero polling*: kernel wakeups occur only at actual
+  contact changes.
 * :func:`replay_trace` schedules a recorded stream on a fresh simulator
   and re-emits it through a callback — no world, no mobility models, no
   solver.  Replaying a recorded trace and re-serialising it reproduces
@@ -39,7 +40,7 @@ import json
 import pathlib
 import typing
 
-from repro.radio.bus import ConnectivityEvent
+from repro.radio.bus import ConnectivityEvent, ContactStream
 from repro.radio.technologies import Technology, get_technology
 from repro.scenarios.builder import Scenario
 from repro.sim.kernel import Simulator
@@ -129,49 +130,31 @@ def load_trace(path: str | pathlib.Path) -> list[dict]:
 # recording
 # ----------------------------------------------------------------------
 class ContactTraceRecorder:
-    """Collects the connectivity events of the watches it installs.
+    """Collects the events of a :class:`~repro.radio.bus.ContactStream`.
 
-    One repeating link watch per unordered node pair carrying the
-    technology — O(pairs) watches, each dormant between crossings, so
-    the recording itself costs kernel wakeups only when contacts change.
+    The stream watches every unordered pair of the nodes carrying the
+    technology; its ``initial`` LinkUps (contacts already underway) open
+    the recording, so the stream reconstructs full contact intervals.
     """
 
     def __init__(self, scenario: Scenario, tech: Technology | str,
-                 nodes: typing.Sequence[str] | None = None,
-                 max_pairs: int = 2000):
+                 nodes: typing.Sequence[str] | None = None):
         self.scenario = scenario
         self.tech = get_technology(tech) if isinstance(tech, str) else tech
-        self.events: list[ConnectivityEvent] = []
         world = scenario.world
-        names = sorted(nodes if nodes is not None else scenario.nodes)
-        eligible = [name for name in names
+        eligible = [name
+                    for name in (nodes if nodes is not None
+                                 else scenario.nodes)
                     if world.has_node(name)
                     and self.tech.name in world.node(name).technologies]
-        pair_count = len(eligible) * (len(eligible) - 1) // 2
-        if pair_count > max_pairs:
-            raise ValueError(
-                f"{pair_count} pairs exceed max_pairs={max_pairs}; "
-                "contact traces are meant for small/medium N")
-        self.pairs: list[tuple[str, str]] = []
-        self._watches = []
-        now = scenario.sim.now
-        for i, first in enumerate(eligible):
-            for second in eligible[i + 1:]:
-                self.pairs.append((first, second))
-                if world.in_range(first, second, self.tech):
-                    # Opening edge for a contact already underway, so
-                    # the stream reconstructs full contact intervals.
-                    self.events.append(ConnectivityEvent(
-                        now, "link-up", first, second, self.tech.name))
-                self._watches.append(world.bus.watch_link(
-                    first, second, self.tech, callback=self.events.append))
+        self.events: list[ConnectivityEvent] = []
+        self.stream = ContactStream(world, self.tech, eligible,
+                                    callback=self.events.append)
+        self.events.extend(self.stream.initial)
 
     def detach(self) -> None:
         """Cancel all recorder watches (recording finished)."""
-        for watch in self._watches:
-            if watch.active:
-                watch.cancel()
-        self._watches.clear()
+        self.stream.detach()
 
     def rows(self) -> list[dict]:
         """The recorded stream as serialisable rows, in firing order."""
@@ -189,7 +172,7 @@ def record_contact_trace(scenario: Scenario, tech: Technology | str,
     (absolute sim-seconds), detaches, and returns the rows — written to
     ``path`` as JSONL when given.  The scenario's daemons need not be
     started: contacts are pure geometry.  Setup is O(pairs) watch
-    installations (guarded by the recorder's ``max_pairs``); the run
+    installations (guarded by :data:`~repro.radio.bus.MAX_PAIRS`); the run
     itself wakes the kernel only at actual contact changes, so a
     static world records in O(pairs) total.  Nodes removed mid-run
     simply stop producing events (their watches are cancelled by the

@@ -6,7 +6,7 @@ from repro.core.config import HandoverConfig
 from repro.core.handover import HandoverThread
 from repro.mobility import CorridorWalk, LinearMovement, StaticPosition
 from repro.radio import BLUETOOTH, WLAN, Link, World
-from repro.radio.bus import LINK_DOWN, LINK_UP, QUALITY_BELOW
+from repro.radio.bus import LINK_DOWN, LINK_UP, QUALITY_BELOW, ContactStream
 from repro.scenarios import Scenario
 from repro.sim import SimulationError, Simulator
 
@@ -118,6 +118,31 @@ def test_override_change_invalidates_and_reschedules():
     sim.run(until=60.0)
     assert len(events) == 1
     assert events[0].time == pytest.approx(10.5, abs=1e-6)
+
+
+# ----------------------------------------------------------------------
+# contact streams
+# ----------------------------------------------------------------------
+def test_contact_stream_seeds_reports_leavers_and_detaches_cleanly():
+    sim, world = make_world()
+    for name, x in (("d", 3.0), ("a", 0.0), ("c", 100.0), ("b", 5.0)):
+        world.add_node(name, StaticPosition(x, 0), [BLUETOOTH])
+    world.bus.watch_link("a", "b", BLUETOOTH, callback=lambda event: None)
+    before = world.bus.active_watches()
+    left = []
+    stream = ContactStream(world, BLUETOOTH, ["d", "c", "b", "a"],
+                           callback=lambda event: None,
+                           on_leave=left.append)
+    assert world.bus.active_watches() == before + 6   # one per pair
+    assert [(e.kind, e.pair(), e.time) for e in stream.initial] == [
+        (LINK_UP, ("a", "b"), 0.0), (LINK_UP, ("a", "d"), 0.0),
+        (LINK_UP, ("b", "d"), 0.0)]
+    world.remove_node("c")       # cancels (a,c), (b,c), (c,d)
+    assert left == ["c", "c", "c"]
+    stream.detach()
+    assert left == ["c", "c", "c"]
+    assert world.bus.active_watches() == before
+    stream.detach()              # idempotent
 
 
 # ----------------------------------------------------------------------

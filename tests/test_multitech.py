@@ -6,9 +6,12 @@ capacity to design a totally flexible network combining different
 technologies" (§6.1).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.errors import ConnectionClosedError
+from repro.plugins import plugin_for
 from repro.radio.technologies import BLUETOOTH, WLAN
 from repro.scenarios import Scenario
 
@@ -129,6 +132,14 @@ def test_dual_radio_node_runs_one_plugin_per_technology():
     node.start()
     tech_names = sorted(p.tech.name for p in node.daemon.plugins)
     assert tech_names == ["bluetooth", "wlan"]
+
+
+def test_plugin_for_knows_only_registered_technologies():
+    scenario = Scenario(seed=95)
+    node = scenario.add_node("a", position=(0, 0))
+    assert plugin_for(node, WLAN).tech is WLAN
+    with pytest.raises(KeyError, match="zigbee"):
+        plugin_for(node, dataclasses.replace(WLAN, name="zigbee"))
 
 
 def test_gprs_covers_the_whole_scene():

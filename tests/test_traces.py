@@ -2,7 +2,11 @@
 
 import dataclasses
 
+import pytest
+
+from repro.dtn import DtnOverlay, make_router
 from repro.experiments import ExperimentSpec, aggregate, get_spec, run_spec
+from repro.radio import bus
 from repro.radio.technologies import WLAN
 from repro.scenarios import (
     ContactTraceRecorder,
@@ -51,14 +55,22 @@ def test_recording_is_deterministic_across_runs():
     assert trace_digest(first) == trace_digest(second)
 
 
-def test_recorder_requires_pair_budget():
-    scenario = sparse_highway(count=10, seed=1)
-    try:
-        ContactTraceRecorder(scenario, WLAN, max_pairs=3)
-    except ValueError as error:
-        assert "max_pairs" in str(error)
-    else:  # pragma: no cover - guard
-        raise AssertionError("expected the pair budget to trip")
+@pytest.mark.parametrize("attach", [
+    pytest.param(lambda scenario: ContactTraceRecorder(scenario, WLAN),
+                 id="recorder"),
+    pytest.param(lambda scenario: DtnOverlay(
+        scenario.world, make_router("epidemic"), tech=WLAN), id="overlay"),
+])
+def test_recorder_requires_pair_budget(attach, monkeypatch):
+    """Every contact-stream consumer is held by the one pair budget."""
+    scenario = sparse_highway(count=10, seed=1)   # 45 pairs
+    monkeypatch.setattr(bus, "MAX_PAIRS", 44)
+    with pytest.raises(ValueError, match="MAX_PAIRS=44"):
+        attach(scenario)
+    assert scenario.world.bus.active_watches() == 0
+    monkeypatch.setattr(bus, "MAX_PAIRS", 45)
+    attach(scenario)
+    assert scenario.world.bus.active_watches() == 45
 
 
 def test_recording_costs_no_polling_wakeups():
