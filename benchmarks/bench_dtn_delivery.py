@@ -20,6 +20,10 @@ gates, both written into ``BENCH_dtn_delivery.json`` at the repo root:
    **≥ 5× fewer wakeups**, and it must deliver at least every bundle
    the polling oracle delivered (polling can only *miss* contacts
    shorter than its interval, never see extra ones).
+
+Both modes also record ``offer_passes``, the router offer passes the
+exchange actually ran.  Settled pairs skip theirs, so the regression
+gate holds this work counter against the committed baseline.
 """
 
 import os
@@ -88,6 +92,7 @@ def run_farm(event_driven: bool, n_nodes: int):
     return {
         "mode": "event" if event_driven else "polling",
         "wakeups": plane.wakeups,
+        "offer_passes": plane.offer_passes,
         "kernel_events": scenario.sim.events_processed,
         "delivered_ids": sorted(plane.delivered),
         "delivery_ratio": round(plane.delivery_ratio(), 4),

@@ -35,6 +35,7 @@ Both endpoints wrap their own side::
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 
 from repro.core.connection import PeerHoodConnection
@@ -80,13 +81,14 @@ class BoundedBuffer:
 
     Entries keep insertion order (the retransmission window iterates in
     sequence order; DTN stores offer oldest bundles first).  All
-    operations are O(1) amortised except eviction sweeps and the
-    ``EVICT_LARGEST`` / ``EVICT_SOONEST_EXPIRY`` victim scans, which are
-    O(n) in the number of buffered entries.  ``capacity_bytes=None``
-    means unbounded (the reliable-channel window).  The buffer never
-    advances a clock of its own: callers pass ``now`` explicitly, so
-    expiry needs no timer wakeups (the DTN plane sweeps lazily at
-    contact events — zero polling).
+    operations are O(1) amortised except ``drop_matching``, expiry
+    sweeps that find something due, and the ``EVICT_LARGEST`` /
+    ``EVICT_SOONEST_EXPIRY`` victim scans, which are O(n) in the number
+    of buffered entries.  ``capacity_bytes=None`` means unbounded (the
+    reliable-channel window).  The buffer never advances a clock of its
+    own: callers pass ``now`` explicitly, so expiry needs no timer
+    wakeups.  :attr:`next_expiry` is a lower bound on the soonest
+    expiry instant, so a sweep with nothing due is one comparison.
     """
 
     def __init__(self, capacity_bytes: int | None = None,
@@ -105,6 +107,12 @@ class BoundedBuffer:
         self.evicted = 0
         #: Entries dropped because their TTL ran out.
         self.expired = 0
+        #: No entry expires before this instant (``inf``: none can).
+        #: Read-only for callers.  A conservative bound: add() lowers
+        #: it, a sweep that runs makes it exact, remove() and
+        #: drop_matching() may leave it stale (too low, which only
+        #: costs a sweep that finds nothing).
+        self.next_expiry = math.inf
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -158,6 +166,8 @@ class BoundedBuffer:
             self.used_bytes -= old.size_bytes
         self._entries[key] = entry   # existing keys keep dict position
         self.used_bytes += size_bytes
+        if expires is not None and expires < self.next_expiry:
+            self.next_expiry = expires
         evicted: list[BufferEntry] = []
         while (self.capacity_bytes is not None
                and self.used_bytes > self.capacity_bytes):
@@ -223,16 +233,27 @@ class BoundedBuffer:
         return victims
 
     def drop_expired(self, now: float) -> list[BufferEntry]:
-        """Remove every entry whose TTL has passed at ``now``.  O(n).
+        """Remove every entry whose TTL has passed at ``now``.
 
         Returns the dropped entries in insertion order and counts them
         in ``expired``.  Callers sweep lazily (at contact events, sends
-        and queries), so expiry costs no timer wakeups.
+        and queries), so expiry costs no timer wakeups.  O(1) while
+        ``now`` is below :attr:`next_expiry`; otherwise one O(n) pass
+        that also makes the bound exact again.
         """
-        victims = [e for e in self._entries.values() if e.expired(now)]
+        if now < self.next_expiry:
+            return []
+        victims: list[BufferEntry] = []
+        soonest = math.inf
+        for entry in self._entries.values():
+            if entry.expired(now):
+                victims.append(entry)
+            elif entry.expires_at is not None and entry.expires_at < soonest:
+                soonest = entry.expires_at
         for victim in victims:
             self._drop(victim)
             self.expired += 1
+        self.next_expiry = soonest
         return victims
 
 

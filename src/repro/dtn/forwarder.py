@@ -29,9 +29,15 @@ mechanics.  Three classes:
 Exchange semantics (both implementations share them):
 
 1. On contact-up (and on every injection), the two stores drop expired
-   bundles (lazy TTL — no timers), trade summary vectors
-   (``dtn-control`` traffic on the shared meter) and the router picks
-   what to transmit (``dtn-data``).
+   bundles (lazy TTL — no timers; a store with nothing due skips the
+   sweep in O(1)), trade summary vectors (``dtn-control`` traffic on
+   the shared meter) and the router picks what to transmit
+   (``dtn-data``).  A directed pair whose last offer pass came back
+   empty is *settled*: while neither store nor the router's state has
+   changed since (their ``version`` counters), the next pass is
+   skipped without asking the router — it would offer nothing again.
+   The fault gate still runs first, and a byzantine peer is never
+   memoised (its lying vector is counted per advertisement).
 2. Transfers *cascade*: a node whose store grew immediately re-offers
    to its other current contacts, so a connected cluster equilibrates
    within the contact instant (the infinite-contact-bandwidth baseline
@@ -123,8 +129,18 @@ class DtnPlane:
         self.delivered: dict[str, DeliveryRecord] = {}
         #: Contact-event callback firings (see class docstrings).
         self.wakeups = 0
+        #: Offer passes the exchange actually ran (``Router.offers``
+        #: calls); settled pairs skip theirs.  A work counter, kept out
+        #: of :class:`DtnCounters` so records do not change with it.
+        self.offer_passes = 0
         self._adjacent: dict[str, set[str]] = {
             name: set() for name in self.stores}
+        # Sorted copy of each node's adjacency for the cascade, rebuilt
+        # only after the adjacency changed (never mutated in place).
+        self._adjacent_sorted: dict[str, list[str]] = {}
+        #: Directed pair → (carrier version, peer version, router
+        #: version, blind) at its last empty offer pass.
+        self._settled: dict[tuple[str, str], tuple] = {}
         self._dead: set[str] = set()
         self._sequences: dict[str, int] = {}
         #: Installed fault plane, if the world carries one (crash /
@@ -163,10 +179,10 @@ class DtnPlane:
         The source takes custody immediately and the exchange cascade
         runs at once, so a destination already in contact receives the
         bundle in the same instant.  Raises ``KeyError`` for nodes the
-        plane does not manage and ``ValueError`` for dead (powered-off)
-        endpoints — sending *to* the dead is refused at the edge; a
-        node that dies *later* simply never receives (TTL reaps the
-        copies).
+        plane does not manage and ``ValueError`` for a self-addressed
+        bundle or dead (powered-off) endpoints — sending *to* the dead
+        is refused at the edge; a node that dies *later* simply never
+        receives (TTL reaps the copies).
         """
         for name in (source, destination):
             if name not in self.stores:
@@ -175,6 +191,9 @@ class DtnPlane:
                 raise ValueError(
                     f"node {name!r} was removed from the world; "
                     f"bundles cannot originate at or target it")
+        if source == destination:
+            # Refused before the source's sequence number is consumed.
+            raise ValueError(f"node {source!r} cannot send to itself")
         if self.faults is not None and self.faults.is_crashed(source):
             raise ValueError(
                 f"node {source!r} is crashed; bundles cannot originate "
@@ -218,6 +237,10 @@ class DtnPlane:
         """A contact closed: forget the adjacency.  O(1)."""
         self._adjacent.get(a, set()).discard(b)
         self._adjacent.get(b, set()).discard(a)
+        self._adjacent_sorted.pop(a, None)
+        self._adjacent_sorted.pop(b, None)
+        self._settled.pop((a, b), None)
+        self._settled.pop((b, a), None)
         if self._blind:
             self._blind.discard((a, b))
             self._blind.discard((b, a))
@@ -242,6 +265,8 @@ class DtnPlane:
         """
         self._adjacent[a].add(b)
         self._adjacent[b].add(a)
+        self._adjacent_sorted.pop(a, None)
+        self._adjacent_sorted.pop(b, None)
         self.router.on_contact(a, b, self.sim.now)
         total = 0
         for sender, receiver in ((a, b), (b, a)):
@@ -258,7 +283,7 @@ class DtnPlane:
 
     def contacts(self, node_id: str) -> list[str]:
         """Current contacts of ``node_id``, sorted."""
-        return sorted(self._adjacent.get(node_id, ()))
+        return list(self._sorted_contacts(node_id))
 
     def contact_control_bytes(self, sender: str, receiver: str) -> int:
         """Control bytes ``sender`` ships when this contact opens.
@@ -289,18 +314,37 @@ class DtnPlane:
         return vector
 
     def _exchange(self, carrier: str, peer: str) -> bool:
-        """One-directional offer pass; True if the peer's store grew."""
+        """One-directional offer pass; True if the peer's store grew.
+
+        O(1) when nothing is due to expire and the pair is settled
+        (see "Exchange semantics" in the module docstring).
+        """
         if (self.faults is not None
                 and not self.faults.can_transmit(carrier, peer)):
             return False
         now = self.sim.now
         carrier_store = self.stores[carrier]
         peer_store = self.stores[peer]
-        carrier_store.expire(now)
-        peer_store.expire(now)
+        if now >= carrier_store.next_expiry:
+            carrier_store.expire(now)
+        if now >= peer_store.next_expiry:
+            peer_store.expire(now)
+        pair = (carrier, peer)
+        state = None
+        if self.faults is None or not self.faults.is_byzantine(peer):
+            state = (carrier_store.version, peer_store.version,
+                     self.router.version, pair in self._blind)
+            if self._settled.get(pair) == state:
+                return False
+        self.offer_passes += 1
+        offers = self.router.offers(
+            carrier_store, peer, self._peer_vector(peer, carrier))
+        if not offers:
+            if state is not None:
+                self._settled[pair] = state
+            return False
         grew = False
-        for bundle in self.router.offers(
-                carrier_store, peer, self._peer_vector(peer, carrier)):
+        for bundle in offers:
             if peer_store.has_seen(bundle.bundle_id):
                 self.counters.duplicates += 1
                 continue
@@ -357,11 +401,19 @@ class DtnPlane:
             node = queue.popleft()
             if node in self._dead:
                 continue
-            for peer in sorted(self._adjacent.get(node, ())):
+            for peer in self._sorted_contacts(node):
                 if peer in self._dead:
                     continue
                 if self._exchange(node, peer):
                     queue.append(peer)
+
+    def _sorted_contacts(self, node: str) -> list[str]:
+        """``node``'s contacts, sorted; cached until they change."""
+        view = self._adjacent_sorted.get(node)
+        if view is None:
+            view = sorted(self._adjacent.get(node, ()))
+            self._adjacent_sorted[node] = view
+        return view
 
     # ------------------------------------------------------------------
     # churn

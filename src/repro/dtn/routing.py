@@ -89,6 +89,11 @@ class Router:
     #: Registry key (``settings["routers"]`` values in specs).
     name = "base"
 
+    #: Changes whenever router state that ``offers`` reads may have
+    #: changed.  Stateless routers keep 0: their offers depend only on
+    #: the carrier's store and the peer's vector.
+    version = 0
+
     def offers(self, store: "MessageStore", peer_id: str,
                peer_seen: frozenset[str]) -> list[Bundle]:
         """The carrier's bundles to transmit to ``peer_id``, in order.
@@ -254,6 +259,7 @@ class Prophet(Router):
         self.gamma = gamma
         self._tables: dict[str, dict[str, float]] = {}
         self._aged_at: dict[str, float] = {}
+        self.version = 0
 
     # -- table bookkeeping --------------------------------------------
     def _table(self, node_id: str) -> dict[str, float]:
@@ -285,6 +291,7 @@ class Prophet(Router):
         O(|table_a| + |table_b|).  Deterministic: tables iterate in
         insertion order, and updates commute per destination (max).
         """
+        self.version += 1
         self._age(node_a, now)
         self._age(node_b, now)
         table_a, table_b = self._table(node_a), self._table(node_b)
@@ -314,6 +321,7 @@ class Prophet(Router):
         they have no way to know it rebooted amnesiac; those entries
         age out by γ as usual.  O(1).
         """
+        self.version += 1
         self._tables.pop(node_id, None)
         self._aged_at.pop(node_id, None)
 

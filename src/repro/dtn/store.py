@@ -8,13 +8,17 @@ adds what custody needs on top:
 
 * **TTL eviction** — every bundle enters with its own lifetime and is
   dropped by *lazy* sweeps (:meth:`expire`) at contact/send instants,
-  so expiry costs no timer wakeups;
+  so expiry costs no timer wakeups; before
+  :attr:`~MessageStore.next_expiry` a sweep is one comparison;
 * **capacity eviction** — a byte budget with the shared policies
   (drop-oldest, drop-largest, drop-soonest-expiry);
 * **summary vectors** — the epidemic-routing dedup set: ids this node
   currently carries *plus* ids it has already seen (received, relayed
   onward, or delivered as destination), so a contact never re-sends
   what the peer already processed;
+* **a version** — :attr:`~MessageStore.version` changes whenever the
+  carried bundles or the summary vector may have, so the forwarder can
+  recognise a pair it already settled without re-running the router;
 * **partial fragments** — receiver-side byte counts of transfers the
   bandwidth-limited plane (:mod:`repro.dtn.capacity`) had to truncate
   at a window edge.  The fragment belongs to the *receiver* (reactive
@@ -45,7 +49,8 @@ class MessageStore:
     ``capacity_bytes=None`` means unbounded.  Insertion order is
     preserved (offers iterate oldest-first).  All operations are O(1)
     amortised except the sweeps/scans inherited from the shared buffer
-    (O(n) in stored bundles).
+    (O(n) in stored bundles; an :meth:`expire` with nothing due is
+    O(1)).
     """
 
     def __init__(self, node_id: str, capacity_bytes: int | None = None,
@@ -61,6 +66,10 @@ class MessageStore:
         #: bundle id → bytes received so far of a truncated transfer
         #: (the partial-resume ledger; cleared on completed custody).
         self._partials: dict[str, int] = {}
+        #: Bumped by every mutation that may change :meth:`bundles` or
+        #: :meth:`summary_vector` (fragments do not count).  Equal
+        #: versions mean both are unchanged.
+        self.version = 0
 
     def __len__(self) -> int:
         return len(self._buffer)
@@ -81,6 +90,12 @@ class MessageStore:
     def policy(self) -> str:
         return self._buffer.policy
 
+    @property
+    def next_expiry(self) -> float:
+        """No bundle expires before this instant, so :meth:`expire`
+        is a no-op until then (``inf``: the store is empty).  O(1)."""
+        return self._buffer.next_expiry
+
     def bundles(self) -> list[Bundle]:
         """Buffered bundles in insertion (custody) order."""
         return [entry.item for entry in self._buffer.entries()]
@@ -100,7 +115,9 @@ class MessageStore:
         The destination marks delivered bundles this way, so later
         custodians of the same bundle never re-offer it.  O(1).
         """
-        self._seen.add(bundle_id)
+        if bundle_id not in self._seen:
+            self._seen.add(bundle_id)
+            self.version += 1
 
     def summary_vector(self) -> frozenset[str]:
         """The epidemic dedup set: carried ∪ previously-seen ids."""
@@ -144,6 +161,7 @@ class MessageStore:
         if bundle.expired(now):
             self.counters.expired += 1
             return False
+        self.version += 1
         self._seen.add(bundle.bundle_id)
         evicted = self._buffer.add(
             bundle.bundle_id, bundle, bundle.size_bytes, now=now,
@@ -156,6 +174,7 @@ class MessageStore:
         if bundle.bundle_id not in self._buffer:
             raise KeyError(f"{self.node_id} does not carry "
                            f"{bundle.bundle_id!r}")
+        self.version += 1
         self._buffer.add(bundle.bundle_id, bundle, bundle.size_bytes,
                          now=now, ttl_s=max(bundle.expires_at - now,
                                             1e-9))
@@ -163,13 +182,21 @@ class MessageStore:
     def remove(self, bundle_id: str) -> Bundle | None:
         """Release custody deliberately (delivered/acked).  O(1)."""
         entry = self._buffer.remove(bundle_id)
-        return None if entry is None else entry.item
+        if entry is None:
+            return None
+        self.version += 1
+        return entry.item
 
     def expire(self, now: float) -> list[Bundle]:
-        """Drop every bundle whose TTL has passed (lazy sweep).  O(n)."""
+        """Drop every bundle whose TTL has passed (lazy sweep).
+
+        O(1) before :attr:`next_expiry`, else O(n).
+        """
         dropped = [entry.item
                    for entry in self._buffer.drop_expired(now)]
-        self.counters.expired += len(dropped)
+        if dropped:
+            self.counters.expired += len(dropped)
+            self.version += 1
         return dropped
 
     def drop_all(self) -> list[Bundle]:
@@ -182,6 +209,7 @@ class MessageStore:
         victims = self._buffer.drop_matching(lambda entry: True)
         self.counters.dropped_dead += len(victims)
         self._partials.clear()   # fragments die with the node
+        self.version += 1
         return [entry.item for entry in victims]
 
     def wipe(self) -> list[Bundle]:
@@ -194,7 +222,7 @@ class MessageStore:
         ledger still counts each bundle once — first arrival wins).
         Counted ``dropped_dead`` like any custodian death.  O(n).
         """
-        victims = self.drop_all()
+        victims = self.drop_all()   # bumps the version
         self._seen.clear()
         return victims
 

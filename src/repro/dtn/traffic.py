@@ -13,8 +13,9 @@ Patterns:
 
 * ``uniform`` — random ordered (source, destination) pairs among all
   nodes, injection times uniform over the window;
-* ``endpoints`` — messages alternate between two named terminals (the
-  commuter-corridor shape: ``home`` ⇄ ``work``, carried by commuters);
+* ``endpoints`` — messages alternate between two distinct named
+  terminals (the commuter-corridor shape: ``home`` ⇄ ``work``, carried
+  by commuters);
 * ``broadcast`` — one named source addresses every other node once per
   round, times uniform over the window (the flash-crowd shape).
 """
@@ -83,6 +84,8 @@ def generate_traffic(rng: "RandomStream", nodes: typing.Sequence[str],
         for name in (a, b):
             if name not in names:
                 raise KeyError(f"endpoint {name!r} is not a plane node")
+        if a == b:
+            raise ValueError(f"endpoints must differ: {endpoints}")
         for index in range(message_count):
             when = rng.uniform(start, end)
             src, dst = (a, b) if index % 2 == 0 else (b, a)

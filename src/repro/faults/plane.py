@@ -215,6 +215,10 @@ class FaultPlane:
         """True while the node is mid-outage.  O(1)."""
         return node_id in self._crashed
 
+    def is_byzantine(self, node_id: str) -> bool:
+        """True if the node beacons a lying summary vector.  O(1)."""
+        return node_id in self._byzantine
+
     def jammed(self, node_id: str) -> bool:
         """True if the node sits inside any jammer's disk right now.
 

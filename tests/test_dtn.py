@@ -254,6 +254,9 @@ def test_generate_traffic_is_deterministic_and_validated():
         generate_traffic(rng_a, ["solo"], "uniform", 1, (0.0, 1.0))
     with pytest.raises(ValueError, match="endpoints"):
         generate_traffic(rng_a, nodes, "endpoints", 1, (0.0, 1.0))
+    with pytest.raises(ValueError, match="differ"):
+        generate_traffic(rng_a, nodes, "endpoints", 1, (0.0, 1.0),
+                         endpoints=("n1", "n1"))
     with pytest.raises(KeyError, match="not a plane node"):
         generate_traffic(rng_a, nodes, "broadcast", 1, (0.0, 1.0),
                          source="ghost")
