@@ -10,7 +10,6 @@
 #   make bench-capacity  just the bandwidth-limited contact benchmark
 #   make bench-fault  just the fault-injection differential benchmark
 #   make bench-phy    just the lossy-PHY differential benchmark
-#   make bench-vector just the numpy batch-geometry benchmark
 #   make sweep        run the demo_sweep experiment campaign (4 workers)
 #   make dtn-sweep    run the DTN routing-baseline campaign (4 workers)
 #   make bandwidth-sweep  run the bandwidth-limited DTN campaign
@@ -28,7 +27,7 @@ export PYTHONPATH := src
 BENCHES := $(wildcard benchmarks/bench_*.py)
 
 .PHONY: test test-all bench bench-scale bench-events bench-dtn \
-        bench-capacity bench-fault bench-phy bench-vector sweep \
+        bench-capacity bench-fault bench-phy sweep \
         dtn-sweep bandwidth-sweep resume-smoke lint docs-check report \
         gate perf quickstart
 
@@ -79,13 +78,6 @@ bench-fault:
 # BENCH_PHY_REPEATS shrinks the sweep's repeat count (CI uses 1).
 bench-phy:
 	$(PYTHON) -m pytest benchmarks/bench_phy.py -q -s
-
-# Numpy batch geometry vs the scalar grid + solver, gated >= 10x at the
-# full N=2000 sweep (writes BENCH_vectorized.json).  BENCH_VECTOR_N and
-# BENCH_VECTOR_CITY_N override the sweep / city-day sizes (the CI
-# bench-smoke job runs 320 / 1200, where the floor relaxes to 5x).
-bench-vector:
-	$(PYTHON) -m pytest benchmarks/bench_vectorized.py -q -s
 
 # The reference experiment campaign: 24 runs (2 scenarios x 2 node
 # counts x 2 radio mixes x 3 repeats) -> results/demo_sweep/.  Output

@@ -324,7 +324,7 @@ register_scenario(
         _TECHS,
     ),
     summary=("city-scale mixed population (pedestrians, vehicles, "
-             "kiosks) at constant density — the batch geometry regime"))
+             "kiosks) at constant density"))
 
 register_scenario(
     "replay_arena", replay_arena,

@@ -189,15 +189,3 @@ register_spec(ExperimentSpec(
     master_seed=11,
     settings={"rounds": 3, "step_s": 15.0},
     description="spatial-grid vs O(N²) discovery rounds, constant density"))
-
-#: The vectorized-kernel gate: batch engine vs scalar grid at large N.
-register_spec(ExperimentSpec(
-    name="vector_sweep",
-    workload="vectorized_neighbors",
-    scenarios=("dense_plaza",),
-    axes={"count": (500, 2000)},
-    repeats=1,
-    master_seed=23,
-    settings={"rounds": 3, "step_s": 15.0},
-    description=("numpy batch geometry vs per-node grid queries, "
-                 "constant density, with batched crossing solves")))

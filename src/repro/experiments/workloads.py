@@ -662,124 +662,3 @@ def scale_neighbors(point: RunPoint) -> Metrics:
             "brute_ms": 1000.0 * brute_seconds / rounds,
         },
     }
-
-
-# ----------------------------------------------------------------------
-# vectorized_neighbors: batch geometry engine vs scalar grid sweeps
-# ----------------------------------------------------------------------
-@register_workload("vectorized_neighbors")
-def vectorized_neighbors(point: RunPoint) -> Metrics:
-    """Whole-population discovery: numpy batch engine vs scalar grid.
-
-    Each round advances the clock, then runs the same sweep twice —
-    once as one vectorized ``neighbor_pairs_vectorized`` call, once as
-    N scalar ``neighbors`` queries — asserting the neighbor sets are
-    identical before timing counts.  An extra untimed warm-up round
-    (round 0) absorbs first-call piece compilation, and every round
-    pre-extends the random-waypoint leg caches outside the timers so
-    neither path pays lazy leg generation for the other.  After the
-    rounds, the final in-range pairs are solved for their next link
-    crossing by both the batched and the scalar contact solver
-    (element-wise equal by contract).
-
-    Deterministic metrics: candidate-check counts, link counts,
-    solved-pair and crossing counts, per-phase profiler event counts
-    (``events_vector_*``).  Wall-clock (vector vs grid milliseconds per
-    round, batched vs scalar solve) rides the ``"timings"`` side
-    channel.  ``settings``: ``rounds`` (3), ``step_s`` (15),
-    ``density_per_m2`` (dense-plaza default; applied only to scenarios
-    with an ``area`` param), ``crossing_horizon_s`` (120).
-    """
-    from repro.obs.profile import SubsystemProfiler
-
-    rounds = int(point.settings.get("rounds", 3))
-    step_s = float(point.settings.get("step_s", 15.0))
-    density = float(point.settings.get("density_per_m2",
-                                       500 / (120.0 * 120.0)))
-    crossing_horizon_s = float(
-        point.settings.get("crossing_horizon_s", 120.0))
-    count = int(point.params["count"])
-    params = dict(point.params)
-    if get_scenario(point.scenario).has_param("area"):
-        params["area"] = (count / density) ** 0.5
-    scenario = build_scenario(point.scenario, point.seed, params)
-    world = scenario.world
-    profiler = SubsystemProfiler()
-    world.vector_engine(BLUETOOTH, profiler=profiler)
-    vector_checks = grid_checks = links = 0
-    vector_seconds = grid_seconds = 0.0
-    pair_i = pair_j = None
-    row_ids: list[str] = []
-    for round_index in range(rounds + 1):
-        scenario.sim.timeout(step_s)
-        scenario.sim.run()
-        ids = world.node_ids()
-        # Pre-extend leg caches at this instant so neither timed path
-        # pays the other's lazy leg generation.
-        now = scenario.sim.now
-        for node_id in ids:
-            world.node(node_id).mobility.position(now)
-        timed = round_index > 0  # round 0 warms compiled piece rows
-
-        world.stats.reset()
-        started = time.perf_counter()
-        pair_i, pair_j, row_ids = world.neighbor_pairs_vectorized(BLUETOOTH)
-        elapsed_vector = time.perf_counter() - started
-        round_vector_checks = world.stats.distance_checks
-
-        world.stats.reset()
-        started = time.perf_counter()
-        grid_round = [world.neighbors(node_id, BLUETOOTH)
-                      for node_id in ids]
-        elapsed_grid = time.perf_counter() - started
-        round_grid_checks = world.stats.distance_checks
-
-        vector_round = world.all_neighbors_vectorized(BLUETOOTH)
-        scalar_round = dict(zip(ids, grid_round))
-        for node_id in row_ids:
-            if vector_round[node_id] != scalar_round[node_id]:
-                raise AssertionError(
-                    f"vector and scalar neighbor sets diverged at "
-                    f"N={count}, node {node_id!r}")
-        if timed:
-            vector_seconds += elapsed_vector
-            grid_seconds += elapsed_grid
-            vector_checks += round_vector_checks
-            grid_checks += round_grid_checks
-            links += len(pair_i)
-
-    id_pairs = [(row_ids[a], row_ids[b])
-                for a, b in zip(pair_i.tolist(), pair_j.tolist())]
-    started = time.perf_counter()
-    batch = world.contacts.next_link_crossings_batch(
-        id_pairs, BLUETOOTH, horizon_s=crossing_horizon_s,
-        profiler=profiler)
-    solve_vector_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    scalar = [world.contacts.next_link_crossing(
-        a, b, BLUETOOTH, horizon_s=crossing_horizon_s)
-        for a, b in id_pairs]
-    solve_scalar_seconds = time.perf_counter() - started
-    if batch != scalar:
-        raise AssertionError(
-            f"batched and scalar crossing solves diverged at N={count}")
-
-    metrics: Metrics = {
-        "nodes": count,
-        "rounds": rounds,
-        "vector_candidate_checks": vector_checks // rounds,
-        "grid_candidate_checks": grid_checks // rounds,
-        "neighbor_links": links // rounds,
-        "solved_pairs": len(id_pairs),
-        "crossings_found": sum(1 for c in batch if c is not None),
-    }
-    for label, events in profiler.count_rows().items():
-        metrics[f"events_{label.replace('-', '_')}"] = events
-    metrics["timings"] = {
-        "vector_ms": 1000.0 * vector_seconds / rounds,
-        "grid_ms": 1000.0 * grid_seconds / rounds,
-        "solve_vector_ms": 1000.0 * solve_vector_seconds,
-        "solve_scalar_ms": 1000.0 * solve_scalar_seconds,
-        **profiler.timing_entries(),
-    }
-    return metrics

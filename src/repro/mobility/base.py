@@ -56,23 +56,3 @@ class MobilityModel:
         crossings can ever occur) instead of re-checking every horizon.
         """
         return None
-
-    def active_piece(self, t: float,
-                     horizon_s: float = 600.0) -> Segment | None:
-        """The single linear piece governing the motion at time ``t``.
-
-        Returns a :data:`Segment` ``(start, end, pos_at_start, velocity)``
-        with ``start <= t <= end`` — the compilation unit of the batch
-        geometry engine (:mod:`repro.radio.vectorized`), which caches one
-        ``(origin, velocity, t0)`` row per node and only re-asks when the
-        clock passes ``end``.  ``end`` may be ``math.inf`` for motion
-        that never changes again; the default implementation clips it at
-        ``t + horizon_s`` (the first window segment).  ``None`` when the
-        model cannot describe itself (no ``linear_segments``); models
-        with cheap piece lookup override this to skip building a whole
-        window's segment list.
-        """
-        segments = self.linear_segments(t, t + horizon_s)
-        if not segments:
-            return None
-        return segments[0]

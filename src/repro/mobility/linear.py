@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import typing
 
 from repro.mobility.base import MobilityModel, Point, distance
@@ -40,14 +39,6 @@ class LinearMovement(MobilityModel):
 
     def settled_after(self) -> float | None:
         return 0.0 if self.velocity == (0.0, 0.0) else None
-
-    def active_piece(self, t: float, horizon_s: float = 600.0):
-        still = (0.0, 0.0)
-        if self.velocity == still:
-            return (t, math.inf, self.start, still)
-        if t < self.start_time:
-            return (t, self.start_time, self.start, still)
-        return (t, math.inf, self.position(t), self.velocity)
 
     def __repr__(self) -> str:
         return (f"LinearMovement(start={self.start}, "
@@ -115,12 +106,6 @@ class PathMovement(MobilityModel):
 
     def settled_after(self) -> float:
         return self.waypoints[-1][0]
-
-    def active_piece(self, t: float, horizon_s: float = 600.0):
-        last_time = self.waypoints[-1][0]
-        if t >= last_time:
-            return (t, math.inf, self.waypoints[-1][1], (0.0, 0.0))
-        return self.linear_segments(t, last_time)[0]
 
     def total_distance(self) -> float:
         """Length of the scripted path in metres."""

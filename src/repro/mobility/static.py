@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 from repro.mobility.base import MobilityModel, Point
 
 
@@ -24,9 +22,6 @@ class StaticPosition(MobilityModel):
 
     def settled_after(self) -> float:
         return 0.0
-
-    def active_piece(self, t: float, horizon_s: float = 600.0):
-        return (t, math.inf, self._point, (0.0, 0.0))
 
     def __repr__(self) -> str:
         return f"StaticPosition{self._point}"

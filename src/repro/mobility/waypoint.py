@@ -106,33 +106,6 @@ class RandomWaypoint(MobilityModel):
             segments.append((cursor, t1, self.position(cursor), still))
         return segments
 
-    def active_piece(self, t: float, horizon_s: float = 600.0):
-        """The leg or pause containing ``t``, without building a window's
-        segment list.  O(log legs); extends the leg cache through ``t``
-        (same stream-isolation argument as :meth:`linear_segments`).
-
-        Unlike the base implementation the piece carries the *leg's own*
-        boundaries — its position anchor is the leg origin at the leg
-        start, not the position at ``t`` — so the batch engine's compiled
-        row stays valid for the whole leg instead of one horizon slice.
-        """
-        if t < 0:
-            t = 0.0
-        self._extend_until(t)
-        index = max(0, bisect.bisect_right(self._leg_starts, t) - 1)
-        leg_start, leg_end, origin, target = self._legs[index]
-        if t <= leg_end and leg_end > leg_start:
-            travel = leg_end - leg_start
-            velocity = ((target[0] - origin[0]) / travel,
-                        (target[1] - origin[1]) / travel)
-            return (leg_start, leg_end, origin, velocity)
-        # Pausing at the leg's destination until the next departure (the
-        # cache extension above guarantees the next start lies past t).
-        next_start = (self._leg_starts[index + 1]
-                      if index + 1 < len(self._legs)
-                      else self._next_leg_start)
-        return (leg_end, next_start, target, (0.0, 0.0))
-
     def position(self, t: float) -> Point:
         """Position at time ``t`` (sim-seconds); O(log legs) per call."""
         if t < 0:

@@ -65,11 +65,6 @@ QUALITY_BELOW = "quality-below"
 #: Guard against accidentally installing O(N²) watches at absurd N.
 MAX_PAIRS = 200_000
 
-#: Sentinel for "no precomputed prediction" — ``None`` is a meaningful
-#: prediction result (no crossing before the horizon), so the batch
-#: registration path needs a distinct marker for "ask the solver".
-_NO_PREDICTION = object()
-
 
 @dataclasses.dataclass(frozen=True)
 class ConnectivityEvent:
@@ -163,7 +158,8 @@ class ConnectivityBus:
         if the watch is invalidated (node removed, explicit
         :meth:`cancel`) — :class:`ContactStream` uses it to observe
         churn.  Steady-state cost for a
-        settled pair is zero: the watch parks.
+        settled pair is zero: the watch parks.  Every ``watch_*`` method
+        raises ``KeyError`` if either node is unknown to the world.
         """
         return self._register(node_a, node_b, tech, None, callback,
                               on_cancel, once=False, only_kind=None)
@@ -213,36 +209,27 @@ class ConnectivityBus:
                           callback: typing.Callable[
                               [ConnectivityEvent], None],
                           on_cancel: typing.Callable[[], None] | None = None,
-                          profiler=None) -> list[Watch]:
-        """Register one repeating link watch per pair, batch-predicted.
+                          ) -> list[Watch]:
+        """Register one repeating link watch per pair, in pair order.
 
-        Behaviourally identical to calling :meth:`watch_link` in a loop
-        — same watches, same scheduled events, same counters — but the
-        arm-time predictions for all pairs are solved as one array
-        program (:meth:`~repro.radio.contacts.ContactSolver.
-        next_link_crossings_batch`) instead of one closed-form solve per
-        registration.  A fresh link watch consumes exactly its first
-        prediction (nothing to dedup or filter yet), so substituting the
-        batch-solved crossing into the arm loop is exact.  O(total
-        segments) for the whole batch; the dominant cost of spinning up
-        a large scenario's contact plane.  ``profiler``, when given,
-        buckets the solve under ``vector-solve``.
+        Exactly :meth:`watch_link` in a loop — same watches, same
+        scheduled events, same counters; O(segments) per pair.  Nothing
+        in ``src/`` calls it; ``perf/tracer.py`` still wraps it by name.
         """
-        crossings = self.solver.next_link_crossings_batch(
-            pairs, tech, profiler=profiler)
-        watches = []
-        for (node_a, node_b), crossing in zip(pairs, crossings):
-            watches.append(self._register(
-                node_a, node_b, tech, None, callback, on_cancel,
-                once=False, only_kind=None, precomputed=crossing))
-        return watches
+        return [self._register(node_a, node_b, tech, None, callback,
+                               on_cancel, once=False, only_kind=None)
+                for node_a, node_b in pairs]
 
     def _register(self, node_a: str, node_b: str, tech: "Technology",
                   threshold: int | None,
                   callback: typing.Callable[[ConnectivityEvent], None],
                   on_cancel: typing.Callable[[], None] | None,
-                  once: bool, only_kind: str | None,
-                  precomputed=_NO_PREDICTION) -> Watch:
+                  once: bool, only_kind: str | None) -> Watch:
+        # A watch on an unknown node could never fire: the solver has no
+        # mobility to predict from, and cancel_node never saw it.
+        for node_id in (node_a, node_b):
+            if not self.world.has_node(node_id):
+                raise KeyError(f"unknown node: {node_id!r}")
         first, second = sorted((node_a, node_b))
         watch = Watch(self, self._next_id, first, second, tech, threshold,
                       callback, on_cancel, once, only_kind)
@@ -250,7 +237,7 @@ class ConnectivityBus:
         self._watches[watch.watch_id] = watch
         self._by_node.setdefault(first, set()).add(watch.watch_id)
         self._by_node.setdefault(second, set()).add(watch.watch_id)
-        self._arm(watch, precomputed)
+        self._arm(watch)
         return watch
 
     # ------------------------------------------------------------------
@@ -477,7 +464,7 @@ class ConnectivityBus:
         return self.solver.pair_settled(watch.node_a, watch.node_b,
                                         self.sim.now)
 
-    def _arm(self, watch: Watch, precomputed=_NO_PREDICTION) -> None:
+    def _arm(self, watch: Watch) -> None:
         if (self.world.is_suspended(watch.node_a)
                 or self.world.is_suspended(watch.node_b)):
             # A suspended endpoint has no physics worth predicting (its
@@ -489,14 +476,7 @@ class ConnectivityBus:
             return
         t0: float | None = None  # None = predict from the current instant
         for _attempt in range(8):
-            if precomputed is not _NO_PREDICTION:
-                # Batch registration pre-solved this watch's first
-                # prediction (identical to _predict at t0=None); any
-                # further attempt in this loop re-asks the solver.
-                crossing = precomputed
-                precomputed = _NO_PREDICTION
-            else:
-                crossing = self._predict(watch, t0)
+            crossing = self._predict(watch, t0)
             if crossing is None:
                 if self._can_park(watch):
                     watch._handle = None  # parked: no crossing, ever

@@ -306,40 +306,6 @@ class ContactSolver:
         return next_distance_crossing(
             pair[0], pair[1], tech.range_m, start, end)
 
-    def next_link_crossings_batch(
-            self, pairs: typing.Sequence[tuple[str, str]],
-            tech: "Technology", t0: float | None = None,
-            horizon_s: float | None = None,
-            profiler=None) -> list[Crossing | None]:
-        """Batched :meth:`next_link_crossing` over many pairs at once.
-
-        Same window semantics and element-wise identical answers (the
-        batch solver replicates the scalar arithmetic exactly — see
-        :func:`repro.radio.vectorized.batch_distance_crossings`), but
-        all quadratics are solved as one array program: O(total
-        segments) with the per-piece constant amortised across the
-        batch instead of paid per pair.  Pairs with a removed endpoint
-        answer ``None`` without solving, as in the scalar path.
-        ``predictions`` counts every solved pair.
-        """
-        from repro.radio.vectorized import batch_distance_crossings
-        start = self.world.sim.now if t0 is None else t0
-        end = start + (self.horizon_s if horizon_s is None else horizon_s)
-        rows: list[int] = []
-        mobilities: list[tuple[MobilityModel, MobilityModel]] = []
-        results: list[Crossing | None] = [None] * len(pairs)
-        for index, (a, b) in enumerate(pairs):
-            pair = self._mobilities(a, b)
-            if pair is not None:
-                rows.append(index)
-                mobilities.append(pair)
-        self.predictions += len(rows)
-        solved = batch_distance_crossings(
-            mobilities, tech.range_m, start, end, profiler=profiler)
-        for index, crossing in zip(rows, solved):
-            results[index] = crossing
-        return results
-
     # ------------------------------------------------------------------
     # quality-threshold crossings
     # ------------------------------------------------------------------

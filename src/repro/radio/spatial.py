@@ -51,18 +51,11 @@ class WorldStats:
     ----------
     distance_checks:
         Exact point-to-point distance computations performed by neighbor
-        queries (grid-backed, brute-force and batched paths).  This is
-        the figure the scale benchmark compares: the grid's win is fewer
-        distance checks per discovery round.  The batch engine
-        (:mod:`repro.radio.vectorized`) counts each evaluated
-        *unordered* candidate pair once, where N per-node scalar queries
-        evaluate each pair once per direction — a whole-population batch
-        sweep therefore reports about half the scalar count for
-        identical work.
+        queries (grid-backed and brute-force).  This is the figure the
+        scale benchmark compares: the grid's win is fewer distance
+        checks per discovery round.
     neighbor_queries:
-        Number of :meth:`~repro.radio.world.World.neighbors` calls; a
-        whole-population batch sweep counts one per member node, so the
-        figure stays comparable across paths.
+        Number of :meth:`~repro.radio.world.World.neighbors` calls.
     grid_refreshes:
         Times a grid re-synced its mobile nodes because the virtual
         clock had advanced since the previous query.

@@ -79,14 +79,6 @@ class World:
         # neighbor query for that technology and synced to ``_grid_synced``.
         self._grids: dict[str, SpatialGrid] = {}
         self._grid_synced: dict[str, float] = {}
-        #: Monotone membership-change counter: bumped whenever the set of
-        #: physically present nodes changes (add/remove/suspend/resume).
-        #: The batch geometry engines (:mod:`repro.radio.vectorized`) key
-        #: their compiled row tables on it — piece *expiry* is cheap and
-        #: per-row, membership changes force a rebuild.
-        self.geometry_epoch = 0
-        # One batch engine per technology, built lazily by vector_engine.
-        self._vector_engines: dict[str, "typing.Any"] = {}
         self._last_history_prune = sim.now
         # Suspended (crashed-but-rebootable) nodes: registered, but out
         # of every grid and every query answer.  See suspend_node.
@@ -134,7 +126,6 @@ class World:
             get_technology(name)  # validate early
         node = WorldNode(node_id, mobility, names)
         self._nodes[node_id] = node
-        self.geometry_epoch += 1
         for tech_name, grid in self._grids.items():
             if tech_name in names:
                 grid.insert(node_id, mobility.position(self.sim.now),
@@ -154,7 +145,6 @@ class World:
         """
         self._node(node_id)  # raise if unknown
         del self._nodes[node_id]
-        self.geometry_epoch += 1
         for grid in self._grids.values():
             if node_id in grid:
                 grid.remove(node_id)
@@ -192,7 +182,6 @@ class World:
         if node_id in self._suspended:
             return
         self._suspended.add(node_id)
-        self.geometry_epoch += 1
         for grid in self._grids.values():
             if node_id in grid:
                 grid.remove(node_id)
@@ -211,7 +200,6 @@ class World:
         if node_id not in self._suspended:
             return
         self._suspended.discard(node_id)
-        self.geometry_epoch += 1
         now = self.sim.now
         for tech_name, grid in self._grids.items():
             if tech_name in node.technologies and node_id not in grid:
@@ -378,68 +366,6 @@ class World:
             if distance(center, other.mobility.position(now)) <= range_m:
                 found.append(other_id)
         return found
-
-    # ------------------------------------------------------------------
-    # batch geometry (numpy-vectorized hot path)
-    # ------------------------------------------------------------------
-    def vector_engine(self, tech: Technology, profiler=None):
-        """The batch geometry engine for ``tech``, built on first use.
-
-        One :class:`~repro.radio.vectorized.VectorEngine` per
-        technology, cached for the world's lifetime (membership changes
-        invalidate its rows via ``geometry_epoch``, not the cache).
-        Passing ``profiler`` (re)attaches a
-        :class:`~repro.obs.profile.SubsystemProfiler` to the engine.
-        Raises ``RuntimeError`` without numpy — the scalar path never
-        calls this.
-        """
-        engine = self._vector_engines.get(tech.name)
-        if engine is None:
-            from repro.radio.vectorized import VectorEngine
-            engine = VectorEngine(self, tech, profiler=profiler)
-            self._vector_engines[tech.name] = engine
-        elif profiler is not None:
-            engine.profiler = profiler
-        return engine
-
-    def neighbor_pairs_vectorized(self, tech: Technology):
-        """Every in-range unordered pair now, as ``(i, j, ids)``.
-
-        The whole-population equivalent of calling :meth:`neighbors`
-        for every node: ``i``/``j`` are numpy index arrays into the
-        string-sorted ``ids`` list, each pair listed once.  One
-        vectorized position/bin/filter pass — O(N + pairs) array work
-        instead of N Python-level queries.  Stats counting under this
-        path: ``neighbor_queries`` grows by the member count,
-        ``distance_checks`` by the number of candidate *pairs* (the
-        scalar path counts each pair once per direction — see
-        ``docs/PERFORMANCE.md``).
-        """
-        engine = self.vector_engine(tech)
-        pair_i, pair_j = engine.neighbor_pairs(self.sim.now)
-        return pair_i, pair_j, engine.ids
-
-    def all_neighbors_vectorized(self, tech: Technology
-                                 ) -> dict[str, list[str]]:
-        """Batch-path neighbor lists for every member node.
-
-        Dict of sorted neighbor lists, identical to
-        :meth:`all_neighbors` (the property tests assert it) — the
-        dict-building convenience costs Python-level work per link, so
-        benchmarks time :meth:`neighbor_pairs_vectorized` instead.
-        """
-        return self.vector_engine(tech).all_neighbors(self.sim.now)
-
-    def all_neighbors(self, tech: Technology) -> dict[str, list[str]]:
-        """Scalar reference for :meth:`all_neighbors_vectorized`.
-
-        One grid-backed :meth:`neighbors` query per node — the loop the
-        batch engine replaces.  Suspended and radio-less nodes answer
-        ``[]`` (they are not members of the batch path's row table, so
-        equivalence tests compare over the engine's id list).
-        """
-        return {node_id: self.neighbors(node_id, tech)
-                for node_id in self.node_ids()}
 
     # ------------------------------------------------------------------
     # link quality

@@ -6,8 +6,9 @@ world and a fabric, with convenience methods to add PeerHood nodes.
 thesis' figures (3.3, 3.6, 3.9, 4.5, 5.8, 6.1) plus generic lines, grids
 and random discs for sweeps.  :mod:`~repro.scenarios.large_scale` adds
 the production-scale family (dense plaza, sparse highway, flash-crowd
-churn, city-day) that stresses the spatial-grid discovery path at
-hundreds of nodes and the vectorized batch engine at tens of thousands.  :mod:`~repro.scenarios.dtn` is the store-carry-forward family
+churn, city-day) that stresses the spatial-grid discovery path from
+hundreds of nodes up.  :mod:`~repro.scenarios.dtn` is the
+store-carry-forward family
 (commuter corridor, island-hopping ferry, flash-crowd broadcast) where
 some endpoint pairs are never simultaneously connected and delivery
 must ride a moving custodian.  :mod:`~repro.scenarios.bandwidth` is

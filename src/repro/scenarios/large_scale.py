@@ -19,8 +19,7 @@ Four regimes, chosen to exercise the geometry layer differently:
   and eviction while discovery loops are running.
 * :func:`city_day` — a mixed city-scale population (pedestrians,
   scripted vehicles, static kiosks) at constant *density* regardless of
-  N; the 10⁴–10⁵-node regime the numpy batch geometry engine
-  (:mod:`repro.radio.vectorized`) exists for.
+  N, so only the population grows, never the neighbor lists.
 
 All builders return an unstarted :class:`~repro.scenarios.builder.
 Scenario` (call ``start_all()``); distances in metres, times in
@@ -168,12 +167,12 @@ def city_day(count: int = 10000,
              pedestrian_fraction: float = 0.7,
              vehicle_fraction: float = 0.2,
              config: DaemonConfig | None = None) -> Scenario:
-    """A city-scale mixed population: the batch geometry engine's regime.
+    """A city-scale mixed population at constant density.
 
     ``count`` devices on a square sized so the area density matches
     ``density_per_m2`` (the default keeps dense-plaza-like occupancy —
     ~500 devices per 120 m square — regardless of ``count``, so the
-    *neighbor* structure stays realistic while N scales to 10⁴–10⁵):
+    *neighbor* structure stays realistic as N grows):
 
     * ``pedestrian_fraction`` random-waypoint pedestrians (``p0`` …) at
       walking pace;
@@ -183,11 +182,9 @@ def city_day(count: int = 10000,
       the contact plane can park their watches);
     * the remainder static kiosks (``k0`` …) on a regular grid.
 
-    At ``count=10000`` the scalar discovery sweep does ~10⁴ Python-level
-    neighbor queries per round; this scenario exists to show the
-    vectorized path (:mod:`repro.radio.vectorized`) completing the same
-    sweep as a handful of array operations.  All distances metres, times
-    sim-seconds.
+    Each grid-backed neighbor query then costs the same at any
+    ``count``; a discovery round grows linearly in N.  All distances
+    metres, times sim-seconds.
     """
     if count < 3:
         raise ValueError(f"city_day needs at least 3 devices, got {count}")

@@ -4,7 +4,13 @@ import pytest
 
 from repro.core.config import HandoverConfig
 from repro.core.handover import HandoverThread
-from repro.mobility import CorridorWalk, LinearMovement, StaticPosition
+from repro.mobility import (
+    CorridorWalk,
+    LinearMovement,
+    PathMovement,
+    RandomWaypoint,
+    StaticPosition,
+)
 from repro.radio import BLUETOOTH, WLAN, Link, World
 from repro.radio.bus import LINK_DOWN, LINK_UP, QUALITY_BELOW, ContactStream
 from repro.scenarios import Scenario
@@ -14,6 +20,32 @@ from repro.sim import SimulationError, Simulator
 def make_world(seed=1):
     sim = Simulator(seed=seed)
     return sim, World(sim)
+
+
+def mixed_world(seed, count, area=70.0):
+    """Every bundled piecewise-linear model, on one or both radios."""
+    sim, world = make_world(seed)
+    for index in range(count):
+        name = f"n{index:03d}"
+        kind = index % 4
+        if kind == 0:
+            mobility = StaticPosition(3.1 * index % area, 5.7 * index % area)
+        elif kind == 1:
+            mobility = RandomWaypoint(
+                sim.rng(f"rwp/{name}"), area=(area, area),
+                speed_range=(0.4, 3.0), pause_range=(0.0, 8.0))
+        elif kind == 2:
+            mobility = LinearMovement(
+                (index % 9 * 7.0, index % 5 * 11.0),
+                (0.6 * (1 if index % 2 else -1), 0.3))
+        else:
+            x = index % 11 * 6.0
+            mobility = PathMovement(
+                [(0.0, (x, 0.0)), (30.0, (x, area / 2)),
+                 (75.0, (0.0, area / 2)), (90.0, (0.0, area / 2))])
+        technologies = [BLUETOOTH] if index % 3 else [BLUETOOTH, WLAN]
+        world.add_node(name, mobility, technologies)
+    return sim, world
 
 
 # ----------------------------------------------------------------------
@@ -48,7 +80,6 @@ def test_repeating_link_watch_fires_alternating_events():
     sim, world = make_world()
     world.add_node("a", StaticPosition(0, 0), [BLUETOOTH])
     # Out 5 m -> 15 m (down at 10), back (up at 10), out again.
-    from repro.mobility import PathMovement
     world.add_node("b", PathMovement([
         (0.0, (5.0, 0.0)), (10.0, (15.0, 0.0)), (20.0, (5.0, 0.0)),
         (30.0, (15.0, 0.0))]), [BLUETOOTH])
@@ -58,6 +89,58 @@ def test_repeating_link_watch_fires_alternating_events():
     assert [e.kind for e in events] == [LINK_DOWN, LINK_UP, LINK_DOWN]
     assert [round(e.time, 6) for e in events] == [5.0, 15.0, 25.0]
     assert world.stats.bus.fired == 3
+
+
+def test_watch_on_unknown_node_is_refused():
+    """A watch naming a node the world does not hold could never fire,
+    even after the node joins, so registration refuses it."""
+    sim, world = make_world()
+    world.add_node("a", StaticPosition(0, 0), [BLUETOOTH])
+    events = []
+    with pytest.raises(KeyError, match="zz"):
+        world.bus.watch_link("a", "zz", BLUETOOTH, callback=events.append)
+    with pytest.raises(KeyError, match="zz"):
+        world.bus.watch_quality_below("zz", "a", BLUETOOTH, 100,
+                                      callback=events.append)
+    assert world.bus.active_watches() == 0
+    world.add_node("zz", LinearMovement((100.0, 0.0), (-1.0, 0.0)),
+                   [BLUETOOTH])
+    world.bus.watch_link("a", "zz", BLUETOOTH, callback=events.append)
+    sim.run(until=200.0)
+    assert [(e.kind, round(e.time, 6)) for e in events] == [
+        (LINK_UP, 90.0), (LINK_DOWN, 110.0)]
+
+
+def test_watch_links_batch_equals_per_pair_watches():
+    """Twin worlds, twin event streams: batch registration schedules and
+    fires exactly the events per-pair registration does."""
+    streams = {}
+    for mode in ("loop", "batch"):
+        sim, world = mixed_world(seed=11, count=16)
+        bus = world.bus
+        ids = world.node_ids()
+        pairs = [(ids[i], ids[j])
+                 for i in range(len(ids)) for j in range(i + 1, len(ids))]
+        events = []
+
+        def record(event, events=events):
+            events.append((event.time, event.kind,
+                           event.node_a, event.node_b))
+
+        if mode == "loop":
+            watches = [bus.watch_link(a, b, BLUETOOTH, record)
+                       for a, b in pairs]
+        else:
+            watches = bus.watch_links_batch(pairs, BLUETOOTH, record)
+        assert [(w.node_a, w.node_b) for w in watches] == pairs
+        # run(until=...) — repeating watches on waypoint pairs refill
+        # the event queue forever, so draining it would never return.
+        sim.run(until=150.0)
+        bus_stats = world.stats.bus
+        streams[mode] = (events, bus_stats.fired, bus_stats.scheduled,
+                         bus_stats.rescheduled)
+    assert streams["loop"] == streams["batch"]
+    assert streams["loop"][0]   # the worlds do produce contacts
 
 
 def test_settled_pair_watch_parks_without_events():

@@ -246,53 +246,6 @@ def test_grid_neighbors_equal_brute_force_under_motion(
 
 
 # ----------------------------------------------------------------------
-# vectorized engine vs scalar grid: the batch-geometry oracle
-# ----------------------------------------------------------------------
-@given(seed=st.integers(min_value=0, max_value=10_000),
-       count=st.integers(min_value=2, max_value=18),
-       steps=st.lists(st.floats(min_value=0.1, max_value=60.0),
-                      min_size=1, max_size=5),
-       removals=st.integers(min_value=0, max_value=3))
-@settings(max_examples=30, deadline=None)
-def test_vector_neighbors_equal_scalar_under_motion(
-        seed, count, steps, removals):
-    """The numpy batch engine's ``all_neighbors`` must equal the scalar
-    grid result at every instant, for every technology, under
-    random-waypoint motion, mixed radios, mixed static/mobile nodes and
-    mid-run node removal (PR 8 acceptance criterion).  Same world
-    recipe as the grid-vs-brute-force oracle above, so the three
-    discovery paths are pinned pairwise equal."""
-    sim = Simulator(seed=seed)
-    world = World(sim)
-    for index in range(count):
-        name = f"n{index}"
-        if index % 4 == 0:
-            mobility = StaticPosition(7.0 * index, 3.0 * (index % 3))
-        else:
-            mobility = RandomWaypoint(
-                sim.rng(f"rwp/{name}"), area=(45.0, 45.0),
-                speed_range=(0.5, 4.0), pause_range=(0.0, 5.0))
-        technologies = (["bluetooth"] if index % 3 else ["bluetooth", "wlan"])
-        world.add_node(name, mobility, technologies)
-
-    def check_all():
-        for tech in (BLUETOOTH, WLAN):
-            scalar = world.all_neighbors(tech)
-            for node_id, neighbors in (
-                    world.all_neighbors_vectorized(tech).items()):
-                assert neighbors == scalar[node_id], (
-                    node_id, tech.name, sim.now)
-
-    check_all()
-    for index, step in enumerate(steps):
-        sim.timeout(step)
-        sim.run()
-        if index < removals and len(world.node_ids()) > 1:
-            world.remove_node(world.node_ids()[index % len(world.node_ids())])
-        check_all()
-
-
-# ----------------------------------------------------------------------
 # statistics properties
 # ----------------------------------------------------------------------
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
