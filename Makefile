@@ -82,8 +82,8 @@ bench-phy:
 # The reference experiment campaign: 24 runs (2 scenarios x 2 node
 # counts x 2 radio mixes x 3 repeats) -> results/demo_sweep/.  Output
 # is byte-identical at any --workers value, and the campaign layer
-# journals + memoizes cells, so re-runs and interrupted runs only
-# execute what is missing.
+# caches every finished cell (<out>/cache), so re-runs and interrupted
+# runs only execute what is missing.
 sweep:
 	$(PYTHON) -m repro.experiments run demo_sweep --workers 4
 
@@ -98,9 +98,9 @@ bandwidth-sweep:
 	$(PYTHON) -m repro.experiments run bandwidth_sweep --workers 4
 
 # Campaign crash/resume differential: runs delay_sweep, SIGTERMs it
-# after the first journal commit, resumes, and asserts the resumed
-# output is byte-identical to a clean run while executing only the
-# uncommitted cells — then re-runs against the clean cache asserting
+# after the first cell lands in its run cache, resumes, and asserts the
+# resumed output is byte-identical to a clean run while executing only
+# the uncached cells — then re-runs against the clean cache asserting
 # 100% hits (mirrors the CI resume-smoke job).
 resume-smoke:
 	$(PYTHON) tools/resume_smoke.py

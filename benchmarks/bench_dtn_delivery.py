@@ -33,9 +33,7 @@ import time
 from repro.analysis.snapshots import write_bench_snapshot
 from repro.dtn import DtnOverlay, PollingDtnOverlay, make_router
 from repro.dtn.traffic import generate_traffic, schedule_traffic
-from repro.experiments.report import aggregate
-from repro.experiments.runner import run_spec, write_jsonl
-from repro.experiments.report import write_csv
+from repro.experiments.campaign import run_campaign
 from repro.experiments.specs import get_spec
 from repro.scenarios import island_hopping_ferry
 
@@ -59,12 +57,10 @@ def run_sweep(tmp_dir: pathlib.Path):
     spec = get_spec("dtn_sweep")
     outputs = {}
     for workers in (1, 2):
-        results = run_spec(spec, workers=workers)
-        records = [result.record for result in results]
-        out = tmp_dir / f"w{workers}"
-        jsonl = write_jsonl(records, out / "runs.jsonl")
-        csv = write_csv(aggregate(records), out / "summary.csv")
-        outputs[workers] = (jsonl.read_bytes(), csv.read_bytes(), records)
+        result = run_campaign(spec, tmp_dir / f"w{workers}",
+                              workers=workers)
+        outputs[workers] = (result.jsonl_path.read_bytes(),
+                            result.csv_path.read_bytes(), result.records)
     assert outputs[1][0] == outputs[2][0], (
         "dtn_sweep runs.jsonl differs between 1 and 2 workers")
     assert outputs[1][1] == outputs[2][1], (

@@ -12,25 +12,25 @@ within a small multiple of the search cycle per jump.
 
 import statistics
 
-from repro.experiments import get_spec, run_spec
+from repro.experiments import get_spec, run_campaign
 from repro.radio.technologies import BLUETOOTH
 from paperbench import print_table
 
 
-def run_sweep():
+def run_sweep(out_dir):
     """Execute the declarative sweep; delays per jump count."""
     results = {}
-    for result in run_spec(get_spec("delay_sweep")):
-        metrics = result.record["metrics"]
+    for record in run_campaign(get_spec("delay_sweep"), out_dir).records:
+        metrics = record["metrics"]
         delays = results.setdefault(metrics["jumps"], [])
         if metrics["delay_s"] is not None:
             delays.append(metrics["delay_s"])
     return results
 
 
-def test_e4_fig_3_10_delay_grows_with_jumps(benchmark):
-    results = benchmark.pedantic(run_sweep, rounds=1, iterations=1,
-                                 warmup_rounds=0)
+def test_e4_fig_3_10_delay_grows_with_jumps(benchmark, tmp_path):
+    results = benchmark.pedantic(run_sweep, args=(tmp_path,), rounds=1,
+                                 iterations=1, warmup_rounds=0)
     cycle = BLUETOOTH.search_cycle_s
     rows = []
     means = {}

@@ -17,7 +17,7 @@ from repro.baselines.previous_peerhood import (
     TwoJumpDiscovery,
     mean_awareness,
 )
-from repro.experiments import aggregate, get_spec, run_spec
+from repro.experiments import aggregate, get_spec, run_campaign
 from repro.radio.technologies import BLUETOOTH
 from repro.scenarios import fig_3_3_coverage_exclusion
 from paperbench import print_table
@@ -66,10 +66,10 @@ def test_e5_fig_3_3_schemes(benchmark):
         {k: round(v, 3) for k, v in result.items() if k[0] != "_"})
 
 
-def run_random_discs():
+def run_random_discs(out_dir):
     """The random-disc campaign, as a declarative sweep."""
-    results = run_spec(get_spec("coverage_sweep"))
-    [row] = aggregate([result.record for result in results])
+    [row] = aggregate(run_campaign(get_spec("coverage_sweep"),
+                                   out_dir).records)
     return {
         "direct-only": row.metrics["direct_only"].mean,
         "two-jump": row.metrics["two_jump"].mean,
@@ -78,8 +78,9 @@ def run_random_discs():
     }
 
 
-def test_e5_random_disc_ordering(benchmark):
-    result = benchmark.pedantic(run_random_discs, rounds=1, iterations=1,
+def test_e5_random_disc_ordering(benchmark, tmp_path):
+    result = benchmark.pedantic(run_random_discs, args=(tmp_path,),
+                                rounds=1, iterations=1,
                                 warmup_rounds=0)
     rows = [[scheme, f"{value:.3f}"] for scheme, value in result.items()]
     print_table("E5b: random-disc awareness fraction (10 nodes, 40 m sq)",

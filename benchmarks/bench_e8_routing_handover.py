@@ -19,7 +19,7 @@ it wires a custom mobility model mid-scenario.
 
 from repro.core.errors import ConnectionClosedError
 from repro.core.handover import HandoverThread
-from repro.experiments import get_spec, run_spec
+from repro.experiments import get_spec, run_campaign
 from repro.metrics.stats import summarize
 from repro.mobility import CorridorWalk
 from repro.scenarios import Scenario
@@ -42,11 +42,11 @@ def _print_service(node, printed):
     node.library.register_service("print", handler)
 
 
-def run_decay_campaign():
+def run_decay_campaign(out_dir):
     """The eight-run decay campaign, as a declarative sweep."""
     runs = []
-    for result in run_spec(get_spec("handover_decay")):
-        metrics = result.record["metrics"]
+    for record in run_campaign(get_spec("handover_decay"), out_dir).records:
+        metrics = record["metrics"]
         if not metrics["route_found"]:
             continue
         runs.append({
@@ -59,8 +59,9 @@ def run_decay_campaign():
     return runs
 
 
-def test_e8_fig_5_8_decay_simulation(benchmark):
-    runs = benchmark.pedantic(run_decay_campaign, rounds=1, iterations=1,
+def test_e8_fig_5_8_decay_simulation(benchmark, tmp_path):
+    runs = benchmark.pedantic(run_decay_campaign, args=(tmp_path,),
+                              rounds=1, iterations=1,
                               warmup_rounds=0)
     assert len(runs) >= 5
     fired = [r for r in runs if r["fired"]]

@@ -17,17 +17,18 @@ channel) so the perf trajectory is tracked across PRs.
 import pathlib
 
 from repro.analysis.snapshots import write_bench_snapshot
-from repro.experiments import get_spec, run_spec
+from repro.experiments import get_spec, run_campaign
 from paperbench import print_table
 
 SNAPSHOT_PATH = (pathlib.Path(__file__).resolve().parent.parent
                  / "BENCH_scale_neighbors.json")
 
 
-def run_scale_sweep():
-    """Execute the declarative sweep; returns result rows with timings."""
+def run_scale_sweep(out_dir):
+    """Execute the declarative sweep into a fresh ``out_dir`` (so every
+    cell runs and carries timings); returns result rows."""
     rows = []
-    for result in run_spec(get_spec("scale_sweep")):
+    for result in run_campaign(get_spec("scale_sweep"), out_dir).results:
         metrics = result.record["metrics"]
         rows.append({
             "n": metrics["nodes"],
@@ -63,8 +64,9 @@ def write_snapshot(results, path=SNAPSHOT_PATH):
     return path
 
 
-def test_scale_grid_discovery_beats_pairwise(benchmark):
-    results = benchmark.pedantic(run_scale_sweep, rounds=1, iterations=1,
+def test_scale_grid_discovery_beats_pairwise(benchmark, tmp_path):
+    results = benchmark.pedantic(run_scale_sweep, args=(tmp_path,),
+                                 rounds=1, iterations=1,
                                  warmup_rounds=0)
     write_snapshot(results)
     rows = []

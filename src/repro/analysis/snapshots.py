@@ -22,8 +22,7 @@ only common key was ``"benchmark"``.  Every writer now goes through
 ``campaign`` *(optional)*
     Cell accounting when the figures came from a memoized campaign
     (:class:`repro.experiments.campaign.CampaignStats.as_dict`):
-    ``total`` / ``executed`` / ``cache_hits`` / ``journal_hits`` /
-    ``failures``.  Deterministic counts, not timings — they record how
+    ``total`` / ``executed`` / ``cache_hits`` / ``failures``.  Deterministic counts, not timings — they record how
     much of the sweep was actually recomputed for this snapshot.
 
 Each write also appends one line to ``BENCH_trajectory.jsonl`` next to

@@ -14,12 +14,14 @@ node counts.  This package turns such campaigns into data:
 * :mod:`~repro.experiments.dispatch` — *where* cells execute:
   :class:`DispatchBackend` (inline serial, local process pool; the
   seam for SSH/cluster fan-out);
-* :mod:`~repro.experiments.runner` — one-shot execution through a
-  backend, byte-identical JSONL output at any worker count;
+* :mod:`~repro.experiments.runner` — one cell's execution
+  (``execute_point_outcome``) and the JSONL/telemetry sinks;
 * :mod:`~repro.experiments.cache` — the content-addressed run cache
-  (cell identity → finished record, cross-campaign);
-* :mod:`~repro.experiments.campaign` — journaled, memoized, resumable
-  execution (``run_campaign``: the durable superset of ``run_spec``);
+  (cell identity → finished record, cross-campaign), the only record
+  of finished cells;
+* :mod:`~repro.experiments.campaign` — ``run_campaign``, the one way to
+  execute a spec: memoized, resumable, byte-identical JSONL output at
+  any worker count;
 * :mod:`~repro.experiments.report` — fold repeats into
   :class:`~repro.metrics.stats.Summary` rows, render tables and CSV;
 * :mod:`~repro.experiments.specs` — the bundled campaigns
@@ -27,9 +29,9 @@ node counts.  This package turns such campaigns into data:
 * :mod:`~repro.experiments.cli` — ``python -m repro.experiments
   list|run|report``.
 
-Dataflow: spec → expand (grid of seeded run points) → campaign
-(journal/cache lookup per cell) → dispatch backend (workload per
-pending cell) → journal commit → JSONL sink → aggregate → CSV/tables.
+Dataflow: spec → expand (grid of seeded run points) → campaign (cache
+lookup per cell) → dispatch backend (workload per pending cell) →
+cache put → JSONL sink → aggregate → CSV/tables.
 """
 
 from repro.experiments.cache import CampaignCache, cache_key, point_key
@@ -37,14 +39,12 @@ from repro.experiments.campaign import (
     CampaignError,
     CampaignResult,
     CampaignStats,
-    Journal,
     run_campaign,
 )
 from repro.experiments.dispatch import (
     DispatchBackend,
     ProcessPoolBackend,
     SerialBackend,
-    backend_names,
     make_backend,
 )
 from repro.experiments.registry import (
@@ -64,10 +64,8 @@ from repro.experiments.report import (
 )
 from repro.experiments.runner import (
     RunResult,
-    execute_point,
     execute_point_outcome,
     read_jsonl,
-    run_spec,
     write_jsonl,
 )
 from repro.experiments.spec import ExperimentSpec, RunPoint, run_label
@@ -87,7 +85,6 @@ __all__ = [
     "CampaignStats",
     "DispatchBackend",
     "ExperimentSpec",
-    "Journal",
     "Param",
     "ProcessPoolBackend",
     "RunPoint",
@@ -97,10 +94,8 @@ __all__ = [
     "aggregate",
     "aggregate_csv",
     "aggregate_table",
-    "backend_names",
     "build_scenario",
     "cache_key",
-    "execute_point",
     "execute_point_outcome",
     "get_scenario",
     "get_spec",
@@ -113,7 +108,6 @@ __all__ = [
     "register_workload",
     "run_campaign",
     "run_label",
-    "run_spec",
     "scenario_names",
     "spec_names",
     "workload_fingerprint",

@@ -1,26 +1,22 @@
 """Resumable, memoized campaign execution over dispatch backends.
 
-:func:`run_campaign` is the durable superset of
-:func:`~repro.experiments.runner.run_spec`: same spec, same grid, same
-byte-identical ``runs.jsonl`` + ``summary.csv`` — plus a write-ahead
-journal that makes any interrupted sweep resumable at cell granularity,
-and a content-addressed cache (:mod:`~repro.experiments.cache`) so a
-re-run — or a *grown* re-run — computes only cells never finished
-before.
+:func:`run_campaign` is the one way to execute an
+:class:`~repro.experiments.spec.ExperimentSpec`: it expands the grid,
+runs the cells through a dispatch backend and writes byte-identical
+``runs.jsonl`` + ``summary.csv``.  A content-addressed cache
+(:mod:`~repro.experiments.cache`, ``<out_dir>/cache`` by default) holds
+every finished cell, so an interrupted sweep resumes at cell
+granularity and a re-run — or a *grown* re-run — computes only cells
+never finished before.
 
 Execution protocol, per cell (key = :func:`~repro.experiments.cache.
 point_key`):
 
-1. **journal hit** — a committed entry for the key already sits in this
-   output directory's ``runs.journal.jsonl``: adopt it, execute
+1. **cache hit** — the cache holds the key: adopt the entry, execute
    nothing.
-2. **cache hit** — the cross-campaign cache holds the key: adopt the
-   entry *and* commit it to the journal (the journal converges to a
-   complete transcript even when every cell came from cache).
-3. **execute** — dispatch the cell through the backend; on completion
-   append a ``commit`` line to the journal (flushed before the next
-   cell is consumed) and store the entry in the cache; on workload
-   failure append a ``failure`` line (key + exception repr) and keep
+2. **execute** — dispatch the cell through the backend; on completion
+   ``put`` the entry in the cache (atomic, before the next cell is
+   consumed); on workload failure record it in the stats and keep
    going — one poisoned cell costs one cell, never the sweep.
 
 Only after every cell resolves are ``runs.jsonl`` and ``summary.csv``
@@ -31,16 +27,14 @@ interrupted and resumed five times, or was served entirely from cache —
 the worker-count byte-identity contract extended across interruptions
 and cache states (``tests/test_campaign.py`` proves it differentially).
 
-The journal is append-only JSONL: a header line binding it to
-``(spec, version, workload, code fingerprint, master seed, grid
-size)``, then one line per commit/failure.  A header mismatch (grown
-grid, edited workload) retires the journal wholesale — the *cache*
-still deduplicates unchanged cells, so nothing is recomputed that
-doesn't have to be.  A torn final line (SIGKILL mid-write) is skipped
-on load; at most one cell's work is lost.  Failure lines are never
-adopted on resume — failed cells retry.
+Crash semantics follow from the cache's atomic ``put`` (temp file +
+``os.replace``): a kill leaves every consumed cell stored, and a torn
+entry reads as a miss, so at most one cell's work is lost.  The key
+binds the spec version and workload code fingerprint, so an edited
+workload never adopts stale cells.  Failures are never stored — failed
+cells retry on the next run.
 
-Wall-clock discipline: journal lines, records and ``campaign.json``
+Wall-clock discipline: cache entries, records and ``campaign.json``
 stats hold no timestamps; wall-clock rides the in-memory
 :attr:`~repro.experiments.runner.RunResult.timings` side channel only,
 so every persisted byte is deterministic.
@@ -60,13 +54,10 @@ from repro.experiments.dispatch import DispatchBackend, make_backend
 from repro.experiments.runner import (
     RunResult,
     execute_point_outcome,
-    jsonl_line,
     write_jsonl,
 )
 from repro.experiments.spec import ExperimentSpec, RunPoint
 from repro.experiments.workloads import workload_fingerprint
-
-JOURNAL_SCHEMA = 1
 
 #: Events passed to the campaign ``progress`` callback.
 ProgressFn = typing.Callable[[dict], None]
@@ -78,8 +69,7 @@ class CampaignStats:
 
     total: int = 0          #: cells in the expanded grid
     executed: int = 0       #: workload calls dispatched this invocation
-    cache_hits: int = 0     #: cells adopted from the cross-campaign cache
-    journal_hits: int = 0   #: cells adopted from this out-dir's journal
+    cache_hits: int = 0     #: cells adopted from the run cache
     #: one ``{"key", "index", "label", "error"}`` per failed cell
     failures: list[dict] = dataclasses.field(default_factory=list)
 
@@ -89,7 +79,6 @@ class CampaignStats:
             "total": self.total,
             "executed": self.executed,
             "cache_hits": self.cache_hits,
-            "journal_hits": self.journal_hits,
             "failures": len(self.failures),
         }
 
@@ -102,7 +91,6 @@ class CampaignResult:
     stats: CampaignStats
     jsonl_path: pathlib.Path
     csv_path: pathlib.Path
-    journal_path: pathlib.Path
 
     @property
     def records(self) -> list[dict]:
@@ -113,10 +101,9 @@ class CampaignError(RuntimeError):
     """Raised after a campaign finishes with failed cells.
 
     Loud by contract, lossless by construction: every other cell's
-    result is already journaled, cached and written to ``runs.jsonl``
-    before this raises — re-running the campaign retries only the
-    failed cells.  ``result`` carries the partial
-    :class:`CampaignResult`.
+    result is already cached and written to ``runs.jsonl`` before this
+    raises — re-running the campaign retries only the failed cells.
+    ``result`` carries the partial :class:`CampaignResult`.
     """
 
     def __init__(self, result: CampaignResult):
@@ -128,106 +115,6 @@ class CampaignError(RuntimeError):
         super().__init__(
             f"{len(failures)} of {result.stats.total} cells failed: "
             f"{preview}{more}")
-
-
-# ----------------------------------------------------------------------
-# journal
-# ----------------------------------------------------------------------
-class Journal:
-    """Append-only per-output-directory commit log.
-
-    ``open(header)`` loads committed entries if the existing file's
-    header matches, else truncates and starts fresh; ``commit``/
-    ``failure`` append one flushed line each.  Use as a context manager
-    so the handle closes even when the backend dies mid-sweep.
-    """
-
-    def __init__(self, path: str | pathlib.Path):
-        self.path = pathlib.Path(path)
-        self._sink: typing.IO[str] | None = None
-
-    # -- read side ----------------------------------------------------
-    @staticmethod
-    def _parse_lines(path: pathlib.Path) -> list[dict]:
-        """Every parseable JSON object line; a torn tail is skipped."""
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError:
-            return []
-        lines = []
-        for raw in text.splitlines():
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                entry = json.loads(raw)
-            except json.JSONDecodeError:
-                continue    # torn by a crash mid-write; drop it
-            if isinstance(entry, dict):
-                lines.append(entry)
-        return lines
-
-    def open(self, header: dict) -> dict[str, dict]:
-        """Open for appending; return committed entries keyed by cell.
-
-        The existing journal is adopted only when its header line
-        matches ``header`` exactly (same spec identity, workload
-        fingerprint, master seed and grid size) — anything else is a
-        different campaign and the file restarts.  Later lines for the
-        same key win (a cell re-committed after a retried failure).
-        """
-        committed: dict[str, dict] = {}
-        adopt = False
-        lines = self._parse_lines(self.path)
-        if lines and lines[0].get("type") == "campaign":
-            head = {k: v for k, v in lines[0].items() if k != "type"}
-            adopt = head == header
-        if adopt:
-            for line in lines[1:]:
-                if line.get("type") == "commit" and "key" in line:
-                    committed[line["key"]] = {
-                        "record": line.get("record", {}),
-                        "telemetry": line.get("telemetry", []),
-                    }
-            self._sink = open(self.path, "a", encoding="utf-8",
-                              newline="\n")
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._sink = open(self.path, "w", encoding="utf-8",
-                              newline="\n")
-            self._append({"type": "campaign", **header})
-        return committed
-
-    # -- write side ---------------------------------------------------
-    def _append(self, line: dict) -> None:
-        assert self._sink is not None, "journal not opened"
-        self._sink.write(jsonl_line(line) + "\n")
-        self._sink.flush()    # must hit the OS before the next cell runs
-
-    def commit(self, key: str, index: int, entry: dict) -> None:
-        """Durably record one finished cell."""
-        line = {"type": "commit", "key": key, "index": index,
-                "record": entry["record"]}
-        if entry.get("telemetry"):
-            line["telemetry"] = entry["telemetry"]
-        self._append(line)
-
-    def failure(self, key: str, index: int, label: str,
-                error: str) -> None:
-        """Durably record one failed cell (retried on resume)."""
-        self._append({"type": "failure", "key": key, "index": index,
-                      "label": label, "error": error})
-
-    def close(self) -> None:
-        if self._sink is not None:
-            self._sink.close()
-            self._sink = None
-
-    def __enter__(self) -> "Journal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 # ----------------------------------------------------------------------
@@ -248,46 +135,32 @@ def _adopt(entry: dict, point: RunPoint) -> RunResult:
     return RunResult(record=record, timings={}, telemetry=rows)
 
 
-def campaign_header(spec: ExperimentSpec, fingerprint: str,
-                    total: int) -> dict:
-    """The journal-binding identity of one campaign."""
-    return {
-        "schema": JOURNAL_SCHEMA,
-        "spec": spec.name,
-        "version": spec.version,
-        "workload": spec.workload,
-        "fingerprint": fingerprint,
-        "master_seed": spec.master_seed,
-        "total": total,
-    }
-
-
 def run_campaign(spec: ExperimentSpec,
                  out_dir: str | pathlib.Path, *,
                  workers: int = 1,
                  backend: DispatchBackend | None = None,
-                 cache: CampaignCache | None = None,
                  cache_dir: str | pathlib.Path | None = None,
                  telemetry: bool = False,
                  progress: ProgressFn | None = None) -> CampaignResult:
     """Execute ``spec`` durably; see the module docstring for protocol.
 
-    ``cache_dir`` builds a :class:`CampaignCache` unless ``cache`` is
-    passed directly; both ``None`` disables memoization (the journal
-    alone still makes the run resumable).  ``progress`` receives one
-    dict per resolved cell — ``{"done", "total", "source", "record"}``
-    with source ``"journal" | "cache" | "run" | "failure"`` — strictly
-    presentation-side, like the runner's.
+    ``backend`` defaults to :func:`~repro.experiments.dispatch.
+    make_backend` for ``workers``.  ``cache_dir`` defaults to
+    ``<out_dir>/cache``, so re-running into the same ``out_dir``
+    resumes; share one directory across campaigns so grown sweeps only
+    compute new cells.  ``progress`` receives one dict per resolved
+    cell — ``{"done", "total", "source", "record"}`` with source
+    ``"cache" | "run" | "failure"`` — strictly presentation-side.
 
     Raises :class:`CampaignError` (after writing all output) if any
     cell failed; propagates ``BaseException`` from the backend
-    (interruption) with the journal intact for resume.
+    (interruption) with every consumed cell already cached for resume.
     """
     out_dir = pathlib.Path(out_dir)
     if backend is None:
-        backend = make_backend(workers=workers)
-    if cache is None and cache_dir is not None:
-        cache = CampaignCache(cache_dir)
+        backend = make_backend(workers)
+    cache = CampaignCache(out_dir / "cache" if cache_dir is None
+                          else cache_dir)
 
     points = spec.expand()
     fingerprint = workload_fingerprint(spec.workload)
@@ -304,54 +177,37 @@ def run_campaign(spec: ExperimentSpec,
             progress({"done": done, "total": stats.total,
                       "source": source, "record": record})
 
-    with Journal(out_dir / "runs.journal.jsonl") as journal:
-        committed = journal.open(
-            campaign_header(spec, fingerprint, len(points)))
-
-        pending: list[tuple[RunPoint, str]] = []
-        for point, key in zip(points, keys):
-            entry = committed.get(key)
-            if entry is not None:
-                outcomes[point.index] = _adopt(entry, point)
-                stats.journal_hits += 1
-                done += 1
-                emit("journal", outcomes[point.index].record)
-                continue
-            entry = cache.get(key) if cache is not None else None
-            if entry is not None:
-                outcomes[point.index] = _adopt(entry, point)
-                stats.cache_hits += 1
-                journal.commit(key, point.index, entry)
-                done += 1
-                emit("cache", outcomes[point.index].record)
-                continue
+    pending: list[tuple[RunPoint, str]] = []
+    for point, key in zip(points, keys):
+        entry = cache.get(key)
+        if entry is None:
             pending.append((point, key))
+            continue
+        outcomes[point.index] = _adopt(entry, point)
+        stats.cache_hits += 1
+        done += 1
+        emit("cache", outcomes[point.index].record)
 
-        execute = functools.partial(execute_point_outcome,
-                                    telemetry=telemetry)
-        payloads = [point.as_dict() for point, _ in pending]
-        for (point, key), outcome in zip(
-                pending, backend.dispatch(execute, payloads)):
-            stats.executed += 1
-            done += 1
-            if outcome["ok"]:
-                entry = {"record": outcome["record"],
-                         "telemetry": outcome["telemetry"]}
-                journal.commit(key, point.index, entry)
-                if cache is not None:
-                    cache.put(key, entry)
-                outcomes[point.index] = RunResult(
-                    record=outcome["record"],
-                    timings=outcome["timings"],
-                    telemetry=outcome["telemetry"])
-                emit("run", outcome["record"])
-            else:
-                journal.failure(key, point.index, point.label(),
-                                outcome["error"])
-                stats.failures.append({
-                    "key": key, "index": point.index,
-                    "label": point.label(), "error": outcome["error"]})
-                emit("failure", None)
+    execute = functools.partial(execute_point_outcome,
+                                telemetry=telemetry)
+    payloads = [point.as_dict() for point, _ in pending]
+    for (point, key), outcome in zip(
+            pending, backend.dispatch(execute, payloads)):
+        stats.executed += 1
+        done += 1
+        if outcome["ok"]:
+            cache.put(key, {"record": outcome["record"],
+                            "telemetry": outcome["telemetry"]})
+            outcomes[point.index] = RunResult(
+                record=outcome["record"],
+                timings=outcome["timings"],
+                telemetry=outcome["telemetry"])
+            emit("run", outcome["record"])
+        else:
+            stats.failures.append({
+                "key": key, "index": point.index,
+                "label": point.label(), "error": outcome["error"]})
+            emit("failure", None)
 
     # Every cell resolved (some possibly as failures): write the final
     # artifacts in grid order.  Deterministic bytes by construction.
@@ -367,8 +223,7 @@ def run_campaign(spec: ExperimentSpec,
 
     result = CampaignResult(
         results=results, stats=stats, jsonl_path=jsonl_path,
-        csv_path=csv_path,
-        journal_path=out_dir / "runs.journal.jsonl")
+        csv_path=csv_path)
     if stats.failures:
         raise CampaignError(result)
     return result

@@ -3,11 +3,10 @@
 * ``list`` — bundled specs, registered scenarios (with schemas) and
   workloads;
 * ``run SPEC`` — expand the grid, execute it as a *campaign* (``--
-  workers N``, ``--backend``): journaled to ``runs.journal.jsonl`` (an
-  interrupted run resumes where it stopped — just re-run the same
-  command), memoized through a content-addressed run cache (default
-  ``<out>/cache``; share one with ``--cache-dir`` so grown sweeps only
-  compute new cells), writing ``runs.jsonl`` + aggregated
+  workers N``) memoized through a content-addressed run cache (default
+  ``<out>/cache``, so an interrupted run resumes where it stopped — just
+  re-run the same command; share one with ``--cache-dir`` so grown
+  sweeps only compute new cells), writing ``runs.jsonl`` + aggregated
   ``summary.csv`` + ``campaign.json`` stats under ``--out`` (default
   ``results/<spec>/``) and printing the aggregate table;
 * ``report SPEC`` — re-aggregate an existing ``runs.jsonl`` without
@@ -27,7 +26,6 @@ import sys
 from repro.experiments import campaign as campaign_mod
 from repro.experiments import report as report_mod
 from repro.experiments import runner as runner_mod
-from repro.experiments.dispatch import backend_names, make_backend
 from repro.experiments.registry import get_scenario, scenario_names
 from repro.experiments.specs import get_spec, spec_names
 from repro.experiments.workloads import workload_names
@@ -68,8 +66,8 @@ def _campaign_progress_printer(verbose: bool, show_eta: bool):
     collecting (parent) process in grid order, driven by wall-clock —
     none of it can reach ``runs.jsonl``/``telemetry.jsonl``, so the
     byte-identity contract is untouched.  ETA extrapolates over
-    *executed* cells only (journal/cache hits are near-free and would
-    skew the rate).
+    *executed* cells only (cache hits are near-free and would skew the
+    rate).
     """
     import time
     started = time.perf_counter()
@@ -80,7 +78,7 @@ def _campaign_progress_printer(verbose: bool, show_eta: bool):
         total = event["total"]
         width = len(str(total))
         source = event["source"]
-        if source in ("journal", "cache"):
+        if source == "cache":
             hits[0] += 1
             if not verbose:
                 return    # hits are silent unless asked for
@@ -110,7 +108,6 @@ def _print_campaign(spec, result, args, out_dir) -> None:
     stats = result.stats
     print(f"campaign: total={stats.total} executed={stats.executed} "
           f"cache_hits={stats.cache_hits} "
-          f"journal_hits={stats.journal_hits} "
           f"failures={len(stats.failures)}")
     records = result.records
     rows = report_mod.aggregate(records)
@@ -132,15 +129,9 @@ def cmd_run(args) -> int:
         spec = dataclasses.replace(spec, master_seed=args.seed)
     out_dir = _out_dir(args)
     total = spec.size()
-    backend = make_backend(args.backend, workers=args.workers)
-    cache_dir = None
-    if not args.no_cache:
-        cache_dir = (pathlib.Path(args.cache_dir)
-                     if args.cache_dir is not None
-                     else out_dir / "cache")
     print(f"spec {spec.name!r}: {total} runs, workload "
-          f"{spec.workload!r}, backend {backend.describe()} -> {out_dir}"
-          + (f" (cache {cache_dir})" if cache_dir is not None else ""))
+          f"{spec.workload!r}, {args.workers} worker(s) -> {out_dir}"
+          + (f" (cache {args.cache_dir})" if args.cache_dir else ""))
 
     progress = None
     if args.verbose or args.progress:
@@ -149,7 +140,7 @@ def cmd_run(args) -> int:
 
     try:
         result = campaign_mod.run_campaign(
-            spec, out_dir, backend=backend, cache_dir=cache_dir,
+            spec, out_dir, workers=args.workers, cache_dir=args.cache_dir,
             telemetry=args.telemetry, progress=progress)
     except campaign_mod.CampaignError as error:
         result = error.result
@@ -158,9 +149,8 @@ def cmd_run(args) -> int:
         for failure in result.stats.failures:
             print(f"  {failure['label']}: {failure['error']}",
                   file=sys.stderr)
-        print(f"(completed cells are journaled in {result.journal_path}"
-              f" — re-run the same command to retry only the failures)",
-              file=sys.stderr)
+        print("(completed cells are cached — re-run the same command to "
+              "retry only the failures)", file=sys.stderr)
         return 1
     _print_campaign(spec, result, args, out_dir)
     return 0
@@ -198,10 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--workers", type=int, default=1,
                             help="worker processes (default 1; output is "
                                  "identical at any value)")
-    run_parser.add_argument("--backend", default=None,
-                            choices=backend_names(),
-                            help="dispatch backend (default: serial at "
-                                 "1 worker, process above)")
     run_parser.add_argument("--out", default=None,
                             help="output directory "
                                  "(default results/<spec>/)")
@@ -209,9 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="content-addressed run cache (default "
                                  "<out>/cache; share one directory so "
                                  "grown sweeps only compute new cells)")
-    run_parser.add_argument("--no-cache", action="store_true",
-                            help="disable the run cache (the journal "
-                                 "still makes the run resumable)")
     run_parser.add_argument("--seed", type=int, default=None,
                             help="override the spec's master seed")
     run_parser.add_argument("--verbose", action="store_true",

@@ -1,18 +1,18 @@
 """Dispatch backends: *where* grid cells execute, behind one interface.
 
-The runner and the campaign layer never talk to executors directly;
-they hand a picklable function + payload list to a
-:class:`DispatchBackend` and consume results lazily, **in submission
-order**.  That single contract carries every determinism guarantee —
-output depends only on the payloads, never on the backend — and sizes
+The campaign layer never talks to executors directly; it hands a
+picklable function + payload list to a :class:`DispatchBackend` and
+consumes results lazily, **in submission order**.  That single
+contract carries every determinism guarantee — output depends only on
+the payloads, never on the backend — and sizes
 the seam for remote fan-out (an SSH/cluster backend slots in by
 implementing one generator method; nothing above the seam changes).
 
 Two backends ship today:
 
 * :class:`SerialBackend` — inline, zero processes, easiest to debug;
-  results stream one cell at a time so a campaign can journal each
-  commit before the next cell starts (what makes a SIGTERM mid-sweep
+  results stream one cell at a time so a campaign can cache each cell
+  before the next one starts (what makes a SIGTERM mid-sweep
   recoverable at cell granularity).
 * :class:`ProcessPoolBackend` — ``ProcessPoolExecutor`` fan-out for
   CPU-bound pure-Python simulation; ``Executor.map`` preserves input
@@ -39,22 +39,14 @@ class DispatchBackend:
     never swallow or reorder.
     """
 
-    name = "abstract"
-
     def dispatch(self, fn: typing.Callable[[dict], typing.Any],
                  payloads: typing.Sequence[dict]
                  ) -> typing.Iterator[typing.Any]:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        """Human-readable form for CLI banners."""
-        return self.name
-
 
 class SerialBackend(DispatchBackend):
     """Run every cell inline in the calling process."""
-
-    name = "serial"
 
     def dispatch(self, fn, payloads):
         for payload in payloads:
@@ -63,8 +55,6 @@ class SerialBackend(DispatchBackend):
 
 class ProcessPoolBackend(DispatchBackend):
     """Fan cells out over a local ``ProcessPoolExecutor``."""
-
-    name = "process"
 
     def __init__(self, workers: int = 2):
         if workers < 1:
@@ -78,37 +68,10 @@ class ProcessPoolBackend(DispatchBackend):
                 max_workers=self.workers) as pool:
             yield from pool.map(fn, payloads)
 
-    def describe(self) -> str:
-        return f"{self.name}({self.workers} workers)"
 
-
-#: name → factory taking the worker count (serial ignores it).
-BACKENDS: dict[str, typing.Callable[[int], DispatchBackend]] = {
-    "serial": lambda workers: SerialBackend(),
-    "process": lambda workers: ProcessPoolBackend(workers),
-}
-
-
-def backend_names() -> list[str]:
-    """Registered backend names, sorted."""
-    return sorted(BACKENDS)
-
-
-def make_backend(name: str | None = None,
-                 workers: int = 1) -> DispatchBackend:
-    """Build a backend by name; ``None`` picks by worker count.
-
-    ``workers == 1`` defaults to :class:`SerialBackend` (no pool
-    overhead, same bytes), anything above to
-    :class:`ProcessPoolBackend`.
-    """
+def make_backend(workers: int = 1) -> DispatchBackend:
+    """The backend for ``workers``: :class:`SerialBackend` at 1 (no pool
+    overhead, same bytes), :class:`ProcessPoolBackend` above."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if name is None:
-        name = "serial" if workers == 1 else "process"
-    try:
-        factory = BACKENDS[name]
-    except KeyError:
-        raise KeyError(f"unknown backend {name!r}; "
-                       f"registered: {backend_names()}") from None
-    return factory(workers)
+    return SerialBackend() if workers == 1 else ProcessPoolBackend(workers)

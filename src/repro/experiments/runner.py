@@ -1,15 +1,11 @@
-"""The sweep runner: execute an expanded grid through a dispatch backend.
+"""Per-cell execution and the JSONL/telemetry sinks.
 
 Each :class:`~repro.experiments.spec.RunPoint` is executed by
-:func:`execute_point` — a module-level function taking and returning
-plain dicts, so it crosses process boundaries untouched.  *Where* cells
-run is the :mod:`~repro.experiments.dispatch` backend's business:
-``workers=1`` maps to the inline :class:`~repro.experiments.dispatch.
-SerialBackend`, anything above to a ``ProcessPoolExecutor`` fan-out
-(simulations are CPU-bound pure Python; processes sidestep the GIL).
-:func:`run_spec` is a thin loop over ``backend.dispatch``; the
-journaled, memoized superset lives in
-:mod:`~repro.experiments.campaign`.
+:func:`execute_point_outcome` — a module-level function taking and
+returning plain dicts, so it crosses process boundaries untouched.
+*Where* cells run is the :mod:`~repro.experiments.dispatch` backend's
+business, and :func:`~repro.experiments.campaign.run_campaign` is the
+one loop that drives it.
 
 Determinism: a run's result depends only on its :class:`RunPoint` (the
 seed is derived from the run's label, not its schedule), results are
@@ -22,14 +18,12 @@ enter records; they ride the :attr:`RunResult.timings` side channel.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import pathlib
 import time
 import typing
 
-from repro.experiments.dispatch import DispatchBackend, make_backend
-from repro.experiments.spec import ExperimentSpec, RunPoint
+from repro.experiments.spec import RunPoint
 from repro.experiments.workloads import get_workload
 from repro.obs import runtime as obs_runtime
 
@@ -48,14 +42,21 @@ class RunResult:
         default_factory=list)
 
 
-def execute_point(point_dict: dict,
-                  telemetry: bool = False) -> tuple[dict, dict, list]:
+def execute_point_outcome(point_dict: dict,
+                          telemetry: bool = False) -> dict:
     """Execute one run; the unit of work shipped to worker processes.
 
-    Returns ``(record, timings, telemetry_rows)``.  A workload's
-    reserved ``"timings"`` metric is stripped into the timing side
-    channel along with the measured ``wall_s``, keeping the record
-    deterministic.
+    Returns ``{"ok": True, "record", "timings", "telemetry"}`` on
+    success.  A workload's reserved ``"timings"`` metric is stripped
+    into the timing side channel along with the measured ``wall_s``,
+    keeping the record deterministic.
+
+    A raised workload exception costs *one cell*, not the sweep: it
+    comes back as ``{"ok": False, "error": repr(exc), "error_type",
+    "timings"}``, its wall-clock still on the side channel (a poisoned
+    cell that burned ten minutes should say so).  ``BaseException``
+    (KeyboardInterrupt, SystemExit) propagates — interruption is crash
+    semantics, handled by the campaign's cache, not a per-cell failure.
 
     With ``telemetry=True`` a :class:`~repro.obs.runtime.TelemetryContext`
     is active around the workload call, so every scenario the workload
@@ -64,13 +65,17 @@ def execute_point(point_dict: dict,
     construction (recorders only observe — asserted in
     ``tests/test_obs.py``).
     """
-    point = RunPoint.from_dict(point_dict)
-    workload = get_workload(point.workload)
-    context = (obs_runtime.activate(obs_runtime.TelemetryContext())
-               if telemetry else None)
     started = time.perf_counter()
+    context = None
     try:
-        metrics = dict(workload(point))
+        point = RunPoint.from_dict(point_dict)
+        if telemetry:
+            context = obs_runtime.activate(obs_runtime.TelemetryContext())
+        metrics = dict(get_workload(point.workload)(point))
+    except Exception as exc:
+        return {"ok": False, "error": repr(exc),
+                "error_type": type(exc).__name__,
+                "timings": {"wall_s": time.perf_counter() - started}}
     finally:
         if context is not None:
             obs_runtime.deactivate()
@@ -93,66 +98,8 @@ def execute_point(point_dict: dict,
         "seed": point.seed,
         "metrics": metrics,
     }
-    return record, timings, telemetry_rows
-
-
-def execute_point_outcome(point_dict: dict,
-                          telemetry: bool = False) -> dict:
-    """Run :func:`execute_point`, folding failure into the return value.
-
-    The campaign layer's unit of work: a raised workload exception must
-    cost *one cell*, not the sweep, and its wall-clock must still reach
-    the timing side channel (a poisoned cell that burned ten minutes
-    should say so).  Returns ``{"ok": True, "record", "timings",
-    "telemetry"}`` on success, ``{"ok": False, "error": repr(exc),
-    "error_type", "timings"}`` on workload failure.  ``BaseException``
-    (KeyboardInterrupt, SystemExit) propagates — interruption is crash
-    semantics, handled by the journal, not a per-cell failure.
-    """
-    started = time.perf_counter()
-    try:
-        record, timings, rows = execute_point(point_dict,
-                                              telemetry=telemetry)
-    except Exception as exc:
-        return {"ok": False, "error": repr(exc),
-                "error_type": type(exc).__name__,
-                "timings": {"wall_s": time.perf_counter() - started}}
     return {"ok": True, "record": record, "timings": timings,
-            "telemetry": rows}
-
-
-def run_spec(spec: ExperimentSpec, workers: int = 1,
-             progress: typing.Callable[[dict], None] | None = None,
-             telemetry: bool = False,
-             backend: DispatchBackend | None = None) -> list[RunResult]:
-    """Execute every run of ``spec``; results come back in grid order.
-
-    ``progress``, if given, is called with each finished record (in grid
-    order).  ``workers=1`` runs inline — no pool, easiest to debug —
-    unless ``backend`` overrides the choice (see
-    :func:`repro.experiments.dispatch.make_backend`).  ``telemetry=True``
-    attaches a passive recorder to every scenario built by every run
-    (see :mod:`repro.obs`); rows collect per run and stay
-    byte-identical at any worker count because they contain only
-    sim-time-deterministic data and travel back in grid order.
-
-    This is the one-shot path: no cache, no journal, workload
-    exceptions propagate.  :func:`repro.experiments.campaign.
-    run_campaign` wraps the same backends with memoization and
-    crash-resume.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if backend is None:
-        backend = make_backend(workers=workers)
-    point_dicts = [point.as_dict() for point in spec.expand()]
-    execute = functools.partial(execute_point, telemetry=telemetry)
-    results: list[RunResult] = []
-    for record, timings, rows in backend.dispatch(execute, point_dicts):
-        if progress is not None:
-            progress(record)
-        results.append(RunResult(record, timings, rows))
-    return results
+            "telemetry": telemetry_rows}
 
 
 # ----------------------------------------------------------------------

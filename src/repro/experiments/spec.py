@@ -84,6 +84,20 @@ class RunPoint:
             seed=data["seed"], settings=dict(data["settings"]))
 
 
+def _reject_duplicates(spec_name: str, what: str,
+                       values: typing.Iterable[object]) -> None:
+    """Refuse a repeated grid value: its cells would share one seed and
+    one cache key, so ``aggregate`` would count a single sample twice.
+    Values compare in the :func:`canonical` form the cache key hashes."""
+    seen = set()
+    for value in values:
+        form = json.dumps(canonical(value), sort_keys=True)
+        if form in seen:
+            raise ValueError(
+                f"spec {spec_name!r}: duplicate {what} {value!r}")
+        seen.add(form)
+
+
 def run_label(spec_name: str, scenario: str,
               params: typing.Mapping[str, object], repeat: int) -> str:
     """The stable per-run seed label (see module docstring)."""
@@ -146,10 +160,12 @@ class ExperimentSpec:
             raise ValueError(
                 f"spec {self.name!r}: repeats must be >= 1, "
                 f"got {self.repeats}")
+        _reject_duplicates(self.name, "scenario", self.scenarios)
         for axis, values in self.axes.items():
             if not values:
                 raise ValueError(
                     f"spec {self.name!r}: axis {axis!r} has no values")
+            _reject_duplicates(self.name, f"axis {axis!r} value", values)
         # Validate the whole grid up front: every scenario exists and
         # accepts every axis parameter with a well-typed value.
         for scenario_name in self.scenarios:

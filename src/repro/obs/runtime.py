@@ -7,7 +7,7 @@ recorder to each world directly.  Instead it activates a
 :class:`~repro.scenarios.builder.Scenario` consults :func:`active` at
 construction and adopts a recorder for its world.  The context is
 process-local state, which is safe because worker processes each run
-one ``execute_point`` at a time.
+one ``execute_point_outcome`` at a time.
 
 Activation changes nothing recorded: run seeds derive from the run
 label (never from settings), recorders only observe, and the context's

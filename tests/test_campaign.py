@@ -10,29 +10,28 @@ counted through a test-only dispatch wrapper so "resumed execution
 performs exactly n−k calls" is an assertion, not a hope.
 """
 
-import dataclasses
 import json
 
 import pytest
 
 from repro.experiments import ExperimentSpec
+from repro.experiments import campaign as campaign_mod
+from repro.experiments.cache import CampaignCache, point_key
 from repro.experiments.campaign import (
     CampaignError,
     run_campaign,
 )
 from repro.experiments.dispatch import (
     DispatchBackend,
-    ProcessPoolBackend,
     SerialBackend,
     make_backend,
 )
-from repro.experiments.runner import (
-    execute_point_outcome,
-    run_spec,
-    write_jsonl,
+from repro.experiments.runner import execute_point_outcome
+from repro.experiments.workloads import (
+    register_workload,
+    workload_fingerprint,
+    workload_names,
 )
-from repro.experiments.report import aggregate, write_csv
-from repro.experiments.workloads import register_workload, workload_names
 
 # ----------------------------------------------------------------------
 # test doubles
@@ -60,8 +59,6 @@ class SimulatedCrash(BaseException):
 class CountingBackend(DispatchBackend):
     """Counts workload calls actually performed by the inner backend."""
 
-    name = "counting"
-
     def __init__(self, inner: DispatchBackend):
         self.inner = inner
         self.calls = 0
@@ -75,12 +72,10 @@ class CountingBackend(DispatchBackend):
 class CrashingBackend(DispatchBackend):
     """Kills the campaign after ``after`` cells have been committed.
 
-    The crash lands *after* the consumer processed (journaled) the
-    k-th result and *before* the next one — the worst honest moment,
-    equivalent to SIGKILL between two journal appends.
+    The crash lands *after* the consumer processed (cached) the k-th
+    result and *before* the next one — the worst honest moment,
+    equivalent to SIGKILL between two cache writes.
     """
-
-    name = "crashing"
 
     def __init__(self, inner: DispatchBackend, after: int):
         self.inner = inner
@@ -119,25 +114,23 @@ def _campaign_bytes(out_dir):
             (out_dir / "summary.csv").read_bytes())
 
 
-def _journal_lines(out_dir):
-    lines = (out_dir / "runs.journal.jsonl").read_text().splitlines()
-    return [json.loads(line) for line in lines]
+def _cache_entries(out_dir):
+    """Finished cells stored in ``out_dir``'s default cache."""
+    return sorted((out_dir / "cache").glob("*/*.json"))
 
 
-# ----------------------------------------------------------------------
-# clean-path equivalence with the one-shot runner
-# ----------------------------------------------------------------------
-def test_campaign_matches_run_spec_bytes(tmp_path):
+def _entry_path(out_dir, spec, point):
+    key = point_key(point, workload_fingerprint(spec.workload),
+                    version=spec.version)
+    return CampaignCache(out_dir / "cache")._path(key)
+
+
+def test_campaign_stats_and_default_cache(tmp_path):
     spec = _probe_spec()
-    records = [r.record for r in run_spec(spec)]
-    write_jsonl(records, tmp_path / "ref" / "runs.jsonl")
-    write_csv(aggregate(records), tmp_path / "ref" / "summary.csv")
     result = run_campaign(spec, tmp_path / "camp")
     assert result.stats.as_dict() == {
-        "total": 6, "executed": 6, "cache_hits": 0,
-        "journal_hits": 0, "failures": 0}
-    assert _campaign_bytes(tmp_path / "camp") \
-        == _campaign_bytes(tmp_path / "ref")
+        "total": 6, "executed": 6, "cache_hits": 0, "failures": 0}
+    assert len(_cache_entries(tmp_path / "camp")) == spec.size()
     # campaign.json mirrors the stats, deterministically
     stats = json.loads((tmp_path / "camp" / "campaign.json").read_text())
     assert stats == result.stats.as_dict()
@@ -157,16 +150,14 @@ def test_crash_after_k_commits_resumes_byte_identical(tmp_path, k):
     with pytest.raises(SimulatedCrash):
         run_campaign(spec, crashed_dir,
                      backend=CrashingBackend(SerialBackend(), after=k))
-    committed = [line for line in _journal_lines(crashed_dir)
-                 if line["type"] == "commit"]
-    assert len(committed) == k
+    assert len(_cache_entries(crashed_dir)) == k
     assert not (crashed_dir / "runs.jsonl").exists()
 
     counting = CountingBackend(SerialBackend())
     resumed = run_campaign(spec, crashed_dir, backend=counting)
     assert counting.calls == n - k, \
         "resume must execute exactly the uncommitted cells"
-    assert resumed.stats.journal_hits == k
+    assert resumed.stats.cache_hits == k
     assert resumed.stats.executed == n - k
     assert _campaign_bytes(crashed_dir) == _campaign_bytes(
         tmp_path / "clean")
@@ -185,7 +176,7 @@ def test_double_crash_then_resume(tmp_path):
     counting = CountingBackend(SerialBackend())
     resumed = run_campaign(spec, out, backend=counting)
     assert counting.calls == n - 4
-    assert resumed.stats.journal_hits == 4
+    assert resumed.stats.cache_hits == 4
     assert _campaign_bytes(out) == _campaign_bytes(tmp_path / "clean")
     assert clean.records == resumed.records
 
@@ -208,7 +199,7 @@ def test_crash_resume_differential_with_real_workload(tmp_path, workers):
     counting = CountingBackend(make_backend(workers=workers))
     resumed = run_campaign(spec, out, backend=counting)
     assert counting.calls == n - k
-    assert resumed.stats.journal_hits == k
+    assert resumed.stats.cache_hits == k
     assert _campaign_bytes(out) == _campaign_bytes(tmp_path / "clean")
 
 
@@ -263,40 +254,40 @@ def test_full_cache_rerun_executes_nothing(tmp_path):
     assert again.stats.cache_hits == spec.size()
     assert _campaign_bytes(tmp_path / "one") \
         == _campaign_bytes(tmp_path / "two")
-    # the second out-dir's journal converged to a complete transcript
-    commits = [line for line in _journal_lines(tmp_path / "two")
-               if line["type"] == "commit"]
-    assert len(commits) == spec.size()
 
 
-def test_edited_workload_fingerprint_invalidates_journal(tmp_path):
-    """A journal written by different workload code is never adopted."""
+def test_edited_workload_fingerprint_invalidates_cache(tmp_path,
+                                                       monkeypatch):
+    """Cells cached by different workload code are never adopted."""
     spec = _probe_spec()
     out = tmp_path / "out"
     run_campaign(spec, out)
-    journal = out / "runs.journal.jsonl"
-    lines = journal.read_text().splitlines()
-    header = json.loads(lines[0])
-    header["fingerprint"] = "0" * 64
-    journal.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    monkeypatch.setattr(campaign_mod, "workload_fingerprint",
+                        lambda name: "0" * 64)
     counting = CountingBackend(SerialBackend())
     rerun = run_campaign(spec, out, backend=counting)
     assert counting.calls == spec.size()
-    assert rerun.stats.journal_hits == 0
+    assert rerun.stats.cache_hits == 0
 
 
-def test_torn_journal_tail_is_skipped(tmp_path):
+def test_torn_cache_entry_is_recomputed_on_resume(tmp_path):
+    """A crash that tore the last cache entry mid-write costs exactly
+    that cell: resume recomputes it and the bytes match a clean run."""
     spec = _probe_spec()
+    n, k = spec.size(), 3
     out = tmp_path / "out"
     with pytest.raises(SimulatedCrash):
         run_campaign(spec, out, backend=CrashingBackend(
-            SerialBackend(), after=2))
-    journal = out / "runs.journal.jsonl"
-    with open(journal, "a", encoding="utf-8") as sink:
-        sink.write('{"type": "commit", "key": "half-writ')  # no newline
-    clean = run_campaign(spec, tmp_path / "clean")
-    resumed = run_campaign(spec, out)
-    assert resumed.stats.journal_hits == 2
+            SerialBackend(), after=k))
+    torn = _entry_path(out, spec, spec.expand()[k - 1])
+    assert torn.exists()
+    torn.write_text("{torn", encoding="utf-8")
+    run_campaign(spec, tmp_path / "clean")
+    counting = CountingBackend(SerialBackend())
+    resumed = run_campaign(spec, out, backend=counting)
+    assert counting.calls == resumed.stats.executed == n - k + 1
+    assert resumed.stats.cache_hits == k - 1
+    assert json.loads(torn.read_text())["record"]["run"] == k - 1
     assert _campaign_bytes(out) == _campaign_bytes(tmp_path / "clean")
 
 
@@ -307,13 +298,11 @@ def test_poisoned_cell_fails_loudly_without_losing_results(tmp_path):
     spec = _probe_spec(axes={"count": (2, 3, 4)}, repeats=1,
                        settings={"poison": 3})
     out = tmp_path / "out"
-    with pytest.raises(CampaignError, match="1 of 3 cells failed"):
+    with pytest.raises(CampaignError, match="1 of 3 cells failed") \
+            as exc_info:
         run_campaign(spec, out)
-    lines = _journal_lines(out)
-    failures = [l for l in lines if l["type"] == "failure"]
-    commits = [l for l in lines if l["type"] == "commit"]
-    assert len(commits) == 2
-    [failure] = failures
+    assert len(_cache_entries(out)) == 2
+    [failure] = exc_info.value.result.stats.failures
     assert "ValueError" in failure["error"]
     assert "poisoned cell count=3" in failure["error"]
     assert len(failure["key"]) == 64
@@ -367,11 +356,10 @@ def test_cli_run_is_a_campaign(tmp_path, capsys, monkeypatch):
     assert cli_mod.main(args + ["--progress"]) == 0
     captured = capsys.readouterr()
     assert ("campaign: total=6 executed=6 cache_hits=0 "
-            "journal_hits=0 failures=0") in captured.out
-    assert (out / "runs.journal.jsonl").exists()
-    # re-running the same command is a no-op resume: all journal hits
+            "failures=0") in captured.out
+    # re-running the same command is a no-op resume: all cache hits
     assert cli_mod.main(args) == 0
-    assert "journal_hits=6" in capsys.readouterr().out
+    assert "executed=0 cache_hits=6" in capsys.readouterr().out
     # a fresh out-dir sharing the cache executes nothing
     assert cli_mod.main(
         ["run", "probe", "--out", str(tmp_path / "out2"),
@@ -389,8 +377,7 @@ def test_cli_run_failure_exit_code_and_stderr(tmp_path, capsys,
         lambda name: _probe_spec(axes={"count": (2, 3, 4)}, repeats=1,
                                  settings={"poison": 3}))
     assert cli_mod.main(
-        ["run", "probe", "--out", str(tmp_path / "out"),
-         "--no-cache"]) == 1
+        ["run", "probe", "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
     assert "campaign failed" in captured.err
     assert "ValueError" in captured.err

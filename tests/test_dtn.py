@@ -20,13 +20,7 @@ from repro.dtn import (
     transmission_order,
 )
 from repro.dtn.traffic import generate_traffic, schedule_traffic
-from repro.experiments import (
-    ExperimentSpec,
-    aggregate,
-    run_spec,
-    write_csv,
-    write_jsonl,
-)
+from repro.experiments import ExperimentSpec, run_campaign
 from repro.mobility.linear import LinearMovement
 from repro.scenarios import Scenario, island_hopping_ferry
 
@@ -313,11 +307,10 @@ def test_dtn_workload_deterministic_across_workers(tmp_path):
     spec = _dtn_tiny_spec()
     outputs = {}
     for workers in (1, 2):
-        records = [r.record for r in run_spec(spec, workers=workers)]
-        out = tmp_path / f"w{workers}"
-        jsonl = write_jsonl(records, out / "runs.jsonl")
-        csv = write_csv(aggregate(records), out / "summary.csv")
-        outputs[workers] = (jsonl.read_bytes(), csv.read_bytes())
+        result = run_campaign(spec, tmp_path / f"w{workers}",
+                              workers=workers)
+        outputs[workers] = (result.jsonl_path.read_bytes(),
+                            result.csv_path.read_bytes())
     assert outputs[1] == outputs[2]
 
 

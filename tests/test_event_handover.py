@@ -9,7 +9,7 @@ import dataclasses
 import pytest
 
 from repro.core.config import HandoverConfig
-from repro.experiments import get_spec, run_spec
+from repro.experiments import get_spec, run_campaign
 
 #: Metric keys that constitute the *decision*; ``monitor_wakeups`` is
 #: intentionally different between modes, ``duration_s`` is compared
@@ -18,7 +18,7 @@ DECISION_KEYS = ("route_found", "fired", "lows_before", "delivered",
                  "reestablished")
 
 
-def run_handover_spec(event_driven: bool, repeats: int = 6):
+def run_handover_spec(tmp_path, event_driven: bool, repeats: int = 6):
     # Per-run seeds derive from (master_seed, spec name, scenario,
     # params, repeat) — none of which the monitor mode touches, so both
     # variants execute the exact same seeded runs.
@@ -26,12 +26,13 @@ def run_handover_spec(event_driven: bool, repeats: int = 6):
     spec = dataclasses.replace(
         base, repeats=repeats,
         settings={**base.settings, "event_driven": event_driven})
-    return run_spec(spec)
+    mode = "event" if event_driven else "polling"
+    return run_campaign(spec, tmp_path / f"{mode}{repeats}").results
 
 
-def test_event_driven_decisions_match_polling_on_bundled_spec():
-    polling = run_handover_spec(event_driven=False)
-    event = run_handover_spec(event_driven=True)
+def test_event_driven_decisions_match_polling_on_bundled_spec(tmp_path):
+    polling = run_handover_spec(tmp_path, event_driven=False)
+    event = run_handover_spec(tmp_path, event_driven=True)
     assert len(polling) == len(event) == 6
     for poll_result, event_result in zip(polling, event):
         poll_metrics = poll_result.record["metrics"]
@@ -47,9 +48,9 @@ def test_event_driven_decisions_match_polling_on_bundled_spec():
                 poll_metrics["duration_s"], abs=1e-6)
 
 
-def test_event_driven_spends_fewer_monitor_wakeups():
-    polling = run_handover_spec(event_driven=False, repeats=4)
-    event = run_handover_spec(event_driven=True, repeats=4)
+def test_event_driven_spends_fewer_monitor_wakeups(tmp_path):
+    polling = run_handover_spec(tmp_path, event_driven=False, repeats=4)
+    event = run_handover_spec(tmp_path, event_driven=True, repeats=4)
     poll_wakeups = sum(
         r.record["metrics"].get("monitor_wakeups", 0) for r in polling)
     event_wakeups = sum(

@@ -19,15 +19,14 @@ from repro.experiments import (
     aggregate,
     aggregate_csv,
     build_scenario,
-    execute_point,
+    execute_point_outcome,
     get_scenario,
     get_spec,
     read_jsonl,
-    run_spec,
+    run_campaign,
     scenario_names,
     spec_names,
     workload_names,
-    write_csv,
     write_jsonl,
 )
 from repro.experiments.cli import main as cli_main
@@ -118,6 +117,27 @@ def test_spec_validates_up_front():
         _tiny_spec(axes={"count": (3, "many")})
 
 
+def test_spec_rejects_duplicate_grid_cells():
+    """A repeated scenario or axis value would expand to cells sharing
+    one seed and one cache key, so ``aggregate`` would report n=4 for a
+    single sample.  Values compare in canonical (cache-key) form."""
+    with pytest.raises(ValueError, match="duplicate scenario 'line_topology'"):
+        ExperimentSpec(name="d", workload="discovery",
+                       scenarios=("line_topology", "line_topology"))
+    with pytest.raises(ValueError, match="duplicate axis 'count' value 3"):
+        ExperimentSpec(name="d", workload="discovery",
+                       scenarios=("line_topology",), axes={"count": (3, 3)})
+    with pytest.raises(ValueError, match="duplicate axis 'technologies'"):
+        ExperimentSpec(name="d", workload="contact_trace",
+                       scenarios=("sparse_highway",),
+                       axes={"technologies": (("wlan",), ["wlan"])})
+    # distinct canonical forms stay distinct cells
+    spec = ExperimentSpec(name="d", workload="discovery",
+                          scenarios=("line_topology",),
+                          axes={"count": (3, 4)})
+    assert len({p.seed for p in spec.expand()}) == spec.size() == 2
+
+
 def test_expansion_is_the_full_ordered_grid():
     spec = _tiny_spec()
     points = spec.expand()
@@ -153,11 +173,9 @@ def test_runner_output_identical_for_1_and_4_workers(tmp_path):
     spec = _tiny_spec()
     paths = {}
     for workers in (1, 4):
-        results = run_spec(spec, workers=workers)
-        records = [result.record for result in results]
         out = tmp_path / f"w{workers}"
-        write_jsonl(records, out / "runs.jsonl")
-        write_csv(aggregate(records), out / "summary.csv")
+        result = run_campaign(spec, out, workers=workers)
+        assert result.stats.executed == spec.size()
         paths[workers] = out
     jsonl_1 = (paths[1] / "runs.jsonl").read_bytes()
     jsonl_4 = (paths[4] / "runs.jsonl").read_bytes()
@@ -170,7 +188,10 @@ def test_runner_output_identical_for_1_and_4_workers(tmp_path):
 
 def test_execute_point_record_shape_and_timings_split():
     point = _tiny_spec().expand()[0]
-    record, timings, telemetry_rows = execute_point(point.as_dict())
+    outcome = execute_point_outcome(point.as_dict())
+    assert outcome["ok"] is True
+    record, timings = outcome["record"], outcome["timings"]
+    telemetry_rows = outcome["telemetry"]
     assert record["scenario"] == "line_topology"
     assert record["seed"] == point.seed
     assert "timings" not in record["metrics"]
@@ -302,8 +323,8 @@ def test_cli_list_and_report_roundtrip(tmp_path, capsys):
     assert cli_main(["list"]) == 0
     assert "demo_sweep" in capsys.readouterr().out
     # report on an existing result directory (no re-run)
-    records = [result.record for result in
-               run_spec(_tiny_spec(axes={"count": (3,)}, repeats=1))]
+    records = run_campaign(_tiny_spec(axes={"count": (3,)}, repeats=1),
+                           tmp_path / "run").records
     out = tmp_path / "tiny"
     write_jsonl(records, out / "runs.jsonl")
     assert cli_main(["report", "tiny", "--out", str(out)]) == 0

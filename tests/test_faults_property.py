@@ -23,7 +23,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro.experiments.registry import build_scenario
-from repro.experiments.runner import run_spec, jsonl_line
+from repro.experiments.campaign import run_campaign
+from repro.experiments.runner import jsonl_line
 from repro.experiments.spec import RunPoint
 from repro.experiments.specs import get_spec
 from repro.experiments.workloads import get_workload
@@ -86,12 +87,13 @@ def test_zero_rate_workload_degenerates_to_the_fault_free_one():
     assert faulted["fault_events"] == 0
 
 
-def test_fault_sweep_is_byte_identical_across_worker_counts():
+def test_fault_sweep_is_byte_identical_across_worker_counts(tmp_path):
     spec = dataclasses.replace(get_spec("fault_sweep"), repeats=1)
     lines = {}
     for workers in (1, 2):
-        results = run_spec(spec, workers=workers)
-        lines[workers] = [jsonl_line(r.record) for r in results]
+        result = run_campaign(spec, tmp_path / f"w{workers}",
+                              workers=workers)
+        lines[workers] = [jsonl_line(record) for record in result.records]
     assert lines[1] == lines[2]
     # And the runs genuinely exercised the fault plane.
     faulted = [json.loads(line)["metrics"]["fault_events"]

@@ -18,8 +18,8 @@ import json
 import pytest
 
 from repro.dtn import DtnOverlay, make_router
-from repro.experiments import ExperimentSpec, run_spec
-from repro.experiments.runner import execute_point, write_telemetry
+from repro.experiments import ExperimentSpec, run_campaign
+from repro.experiments.runner import execute_point_outcome, write_telemetry
 from repro.mobility.linear import LinearMovement
 from repro.obs import (
     Span,
@@ -276,8 +276,11 @@ def _tiny_spec():
 
 def test_execute_point_with_telemetry_keeps_records_identical():
     point = _tiny_spec().expand()[0].as_dict()
-    record_off, _, rows_off = execute_point(point)
-    record_on, timings_on, rows_on = execute_point(point, telemetry=True)
+    off = execute_point_outcome(point)
+    on = execute_point_outcome(point, telemetry=True)
+    record_off, rows_off = off["record"], off["telemetry"]
+    record_on, timings_on, rows_on = (on["record"], on["timings"],
+                                      on["telemetry"])
     assert record_on == record_off            # the contract, end to end
     assert rows_off == []
     assert rows_on
@@ -291,9 +294,9 @@ def test_telemetry_jsonl_byte_identical_at_1_vs_2_workers(tmp_path):
     spec = _tiny_spec()
     outputs = {}
     for workers in (1, 2):
-        results = run_spec(spec, workers=workers, telemetry=True)
-        jsonl_path, csv_path = write_telemetry(
-            results, tmp_path / f"w{workers}")
+        out = tmp_path / f"w{workers}"
+        result = run_campaign(spec, out, workers=workers, telemetry=True)
+        jsonl_path, csv_path = write_telemetry(result.results, out)
         outputs[workers] = (jsonl_path.read_bytes(),
                             csv_path.read_bytes())
     assert outputs[1][0] == outputs[2][0]     # telemetry.jsonl

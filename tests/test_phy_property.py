@@ -28,7 +28,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.experiments.runner import jsonl_line, run_spec
+from repro.experiments.campaign import run_campaign
+from repro.experiments.runner import jsonl_line
 from repro.experiments.spec import RunPoint
 from repro.experiments.specs import get_spec
 from repro.experiments.workloads import get_workload
@@ -198,12 +199,13 @@ def test_explicit_zero_phy_params_match_absent_params():
                 == json.dumps(explicit, sort_keys=True)), workload
 
 
-def test_phy_sweep_is_byte_identical_across_worker_counts():
+def test_phy_sweep_is_byte_identical_across_worker_counts(tmp_path):
     spec = dataclasses.replace(get_spec("phy_sweep"), repeats=1)
     lines = {}
     for workers in (1, 2):
-        results = run_spec(spec, workers=workers)
-        lines[workers] = [jsonl_line(r.record) for r in results]
+        result = run_campaign(spec, tmp_path / f"w{workers}",
+                              workers=workers)
+        lines[workers] = [jsonl_line(record) for record in result.records]
     assert lines[1] == lines[2]
     # And the lossy cells genuinely exercised the plane.
     offered = [json.loads(line)["metrics"]["epidemic_phy_offered"]

@@ -1,6 +1,6 @@
 """Recorded-output identity of the bundled DTN and contact-trace sweeps.
 
-Each spec runs as a fresh campaign (``--no-cache``, one worker) and the
+Each spec runs as a fresh campaign (a new out dir, one worker) and the
 SHA-256 of its ``runs.jsonl`` must equal the pinned digest, so a
 refactor of the scenario factories, the plane installers, the paired
 DTN workload or the contact stream cannot move a recorded byte
@@ -11,6 +11,7 @@ The ``fault_sweep`` digest is also that of the committed
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -37,6 +38,8 @@ DIGESTS = {
 ])
 def test_runs_jsonl_matches_pinned_digest(spec, tmp_path, capsys):
     out = tmp_path / spec
-    assert cli_main(["run", spec, "--no-cache", "--out", str(out)]) == 0
+    assert cli_main(["run", spec, "--out", str(out)]) == 0
+    stats = json.loads((out / "campaign.json").read_text())
+    assert stats["executed"] == stats["total"]     # nothing from cache
     digest = hashlib.sha256((out / "runs.jsonl").read_bytes()).hexdigest()
     assert digest == DIGESTS[spec]

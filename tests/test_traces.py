@@ -5,7 +5,12 @@ import dataclasses
 import pytest
 
 from repro.dtn import DtnOverlay, make_router
-from repro.experiments import ExperimentSpec, aggregate, get_spec, run_spec
+from repro.experiments import (
+    ExperimentSpec,
+    aggregate,
+    get_spec,
+    run_campaign,
+)
 from repro.radio import bus
 from repro.radio.technologies import WLAN
 from repro.scenarios import (
@@ -121,27 +126,27 @@ def test_trace_replays_byte_identically_through_runner(tmp_path):
         scenarios=("replay_arena",),
         settings={"trace_path": str(trace_path),
                   "out_path": str(replay_path)})
-    results = run_spec(spec)
-    metrics = results[0].record["metrics"]
+    records = run_campaign(spec, tmp_path / "campaign").records
+    metrics = records[0]["metrics"]
     assert metrics["events"] == len(rows)
     assert metrics["digest"] == trace_digest(rows)
     assert replay_path.read_bytes() == trace_path.read_bytes()
 
 
-def test_contact_trace_workload_runs_through_bundled_spec():
+def test_contact_trace_workload_runs_through_bundled_spec(tmp_path):
     spec = get_spec("contact_sweep")
     small = dataclasses.replace(
         spec, name="contact_smoke", scenarios=("sparse_highway",),
         axes={"count": (8,), "technologies": (("wlan",),)}, repeats=1,
         settings={"duration_s": 60.0, "tech": "wlan"})
-    results = run_spec(small)
-    metrics = results[0].record["metrics"]
+    records = run_campaign(small, tmp_path / "campaign").records
+    metrics = records[0]["metrics"]
     assert metrics["nodes"] == 8
     assert metrics["events"] == metrics["link_ups"] + metrics["link_downs"]
     # Synthetic opening edges aren't bus firings; everything else is.
     assert 0 < metrics["bus_fired"] <= metrics["events"]
     assert len(metrics["digest"]) == 64
     # The report layer treats the digest as identity, not sample data.
-    rows = aggregate([r.record for r in results])
+    rows = aggregate(records)
     assert "digest" not in rows[0].metrics
     assert rows[0].metrics["events"].count == 1

@@ -6,16 +6,17 @@ guarantees, exercised through the real CLI as separate OS processes:
 1. **Crash/resume byte identity** — a campaign SIGTERM-killed
    mid-flight and then resumed produces ``runs.jsonl`` +
    ``summary.csv`` byte-identical to an uninterrupted run, and the
-   resume executes exactly the cells the kill left uncommitted
-   (asserted against ``campaign.json`` using the journal's commit
-   count at the moment of death).
+   resume executes exactly the cells the kill left uncached (asserted
+   against ``campaign.json`` using the cache's entry count at the
+   moment of death).
 2. **Cache-hit rate** — re-running the sweep against the clean run's
    cache executes zero cells (100% hits) and still emits identical
    bytes.
 
-The kill is synchronised on the journal itself: the driver polls
-``runs.journal.jsonl`` until at least one cell has committed, then
-terminates the child — a deterministic "mid-flight", not a sleep race.
+The kill is synchronised on the run cache itself: the driver polls
+``<out>/cache`` until at least one ``*.json`` entry has landed (entries
+appear atomically, via ``os.replace``), then terminates the child — a
+deterministic "mid-flight", not a sleep race.
 If the sweep finishes before the signal lands (fast hardware), the
 run degrades to a resume-is-a-no-op check and says so.
 
@@ -58,21 +59,9 @@ def _run(cmd: list[str]) -> None:
         sys.exit(f"FAIL: {' '.join(cmd)} exited {proc.returncode}")
 
 
-def _journal_commits(path: pathlib.Path) -> int:
-    """Committed cells in a journal (tolerant of a torn tail)."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError:
-        return 0
-    count = 0
-    for raw in text.splitlines():
-        try:
-            line = json.loads(raw)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(line, dict) and line.get("type") == "commit":
-            count += 1
-    return count
+def _cached_cells(cache: pathlib.Path) -> int:
+    """Finished cells in a run cache (in-flight temp files don't count)."""
+    return sum(1 for _ in cache.glob("*/*.json"))
 
 
 def _stats(out: pathlib.Path) -> dict:
@@ -90,7 +79,7 @@ def main() -> int:
     parser.add_argument("--spec", default="delay_sweep",
                         help="bundled spec to sweep (default delay_sweep)")
     parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds to wait for the first commit")
+                        help="seconds to wait for the first cached cell")
     args = parser.parse_args()
 
     base = pathlib.Path(tempfile.mkdtemp(prefix="resume_smoke_"))
@@ -101,36 +90,36 @@ def main() -> int:
     _run(_cmd(args.spec, clean, clean / "cache", workers=2))
     total = _stats(clean)["total"]
 
-    # --- interrupted leg: SIGTERM after the first journal commit -----
-    journal = interrupted / "runs.journal.jsonl"
+    # --- interrupted leg: SIGTERM after the first cached cell -------
+    cache = interrupted / "cache"
     child = subprocess.Popen(
-        _cmd(args.spec, interrupted, interrupted / "cache", workers=1),
+        _cmd(args.spec, interrupted, cache, workers=1),
         env=_env(), cwd=REPO_ROOT)
     deadline = time.monotonic() + args.timeout
-    while (child.poll() is None and _journal_commits(journal) < 1
+    while (child.poll() is None and _cached_cells(cache) < 1
            and time.monotonic() < deadline):
         time.sleep(0.02)
     if child.poll() is None:
         child.send_signal(signal.SIGTERM)
         child.wait(timeout=120)
-        print(f"sent SIGTERM after {_journal_commits(journal)} commits "
+        print(f"sent SIGTERM after {_cached_cells(cache)} cached cells "
               f"(child exited {child.returncode})")
     else:
         print("note: sweep finished before SIGTERM landed; "
               "checking resume-as-no-op instead")
-    committed = _journal_commits(journal)
+    committed = _cached_cells(cache)
 
-    # --- resume: must execute exactly the uncommitted cells ----------
-    _run(_cmd(args.spec, interrupted, interrupted / "cache", workers=1))
+    # --- resume: must execute exactly the uncached cells -------------
+    _run(_cmd(args.spec, interrupted, cache, workers=1))
     stats = _stats(interrupted)
-    if stats["journal_hits"] != committed:
-        sys.exit(f"FAIL: resume adopted {stats['journal_hits']} cells, "
-                 f"journal held {committed}")
+    if stats["cache_hits"] != committed:
+        sys.exit(f"FAIL: resume adopted {stats['cache_hits']} cells, "
+                 f"cache held {committed}")
     if stats["executed"] != total - committed:
         sys.exit(f"FAIL: resume executed {stats['executed']} cells, "
                  f"expected {total - committed} of {total}")
     _assert_same_bytes(clean, interrupted)
-    print(f"resume ok: {committed} committed before kill, "
+    print(f"resume ok: {committed} cached before kill, "
           f"{stats['executed']} executed on resume, bytes identical")
 
     # --- cache-hit rate: clean cache serves the whole sweep ----------
