@@ -113,9 +113,6 @@ class ScenarioEntry:
             f"scenario {self.name!r} has no parameter {name!r} "
             f"(has: {[p.name for p in self.params] or 'none'})")
 
-    def has_param(self, name: str) -> bool:
-        return any(p.name == name for p in self.params)
-
 
 _REGISTRY: dict[str, ScenarioEntry] = {}
 

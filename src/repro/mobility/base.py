@@ -37,17 +37,16 @@ class MobilityModel:
         return True
 
     def linear_segments(self, t0: float,
-                        t1: float) -> typing.List[Segment] | None:
+                        t1: float) -> typing.List[Segment]:
         """Piecewise-linear description of the motion over ``[t0, t1]``.
 
-        Returns contiguous :data:`Segment` tuples covering exactly the
-        window (first starts at ``t0``, last ends at ``t1``), or ``None``
-        when the model cannot express its motion in closed form — the
-        connectivity-event solver (:mod:`repro.radio.contacts`) then falls
-        back to guarded bisection.  All bundled models are piecewise
-        linear and override this.
+        Returns contiguous :data:`Segment` tuples of positive length
+        covering exactly the window (first starts at ``t0``, last ends
+        at ``t1``) and agreeing with :meth:`position` throughout.  The
+        connectivity-event solver (:mod:`repro.radio.contacts`) predicts
+        every link crossing from them, so every model must implement it.
         """
-        return None
+        raise NotImplementedError
 
     def settled_after(self) -> float | None:
         """Time after which the position is constant forever, or ``None``.

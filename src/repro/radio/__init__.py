@@ -7,8 +7,9 @@ those radios with a 2-D world model:
   (coverage radius, connect-time distribution, establishment fault
   probability, bitrate, inquiry behaviour), calibrated from the paper's own
   measurements (Bluetooth bridge connects in 3–18 s with ~30 % faults, §4.3);
-* :mod:`~repro.radio.propagation` — log-distance path loss → RSSI;
-* :mod:`~repro.radio.quality` — RSSI/distance → the PeerHood link-quality
+* :mod:`~repro.radio.propagation` — log-distance path loss → RSSI, which
+  the lossy PHY plane (:mod:`~repro.radio.phy`) decides packet fates from;
+* :mod:`~repro.radio.quality` — distance → the PeerHood link-quality
   scale (0–255, "low" threshold 230, §3.4.1/Fig. 5.8);
 * :mod:`~repro.radio.spatial` — the uniform spatial-grid index (one grid
   per technology, cell side = coverage radius) that makes neighbor
@@ -21,7 +22,8 @@ those radios with a 2-D world model:
   at the predicted LinkDown instant);
 * :mod:`~repro.radio.contacts` — the analytic crossing-time solver:
   closed-form LinkUp/LinkDown and quality-threshold instants over
-  piecewise-linear mobility, with a guarded-bisection fallback;
+  piecewise-linear mobility, and guarded bisection under quality
+  overrides;
 * :mod:`~repro.radio.bus` — the connectivity-event bus that turns those
   predictions into scheduled (and cancellable) kernel events, and the
   :class:`ContactStream` of every pair of a node set built on it.
@@ -47,14 +49,12 @@ from repro.radio.phy import (
     PhyTransmission,
     install_scenario_phy,
 )
-from repro.radio.propagation import LogDistancePathLoss, PathLossModel
+from repro.radio.propagation import LogDistancePathLoss
 from repro.radio.spatial import SpatialGrid, WorldStats
 from repro.radio.quality import (
     PAPER_LOW_QUALITY_THRESHOLD,
     QUALITY_MAX,
-    PathLossQuality,
     PiecewiseLinearQuality,
-    QualityModel,
 )
 from repro.radio.technologies import (
     BLUETOOTH,
@@ -81,14 +81,11 @@ __all__ = [
     "LogDistancePathLoss",
     "OutOfRange",
     "PAPER_LOW_QUALITY_THRESHOLD",
-    "PathLossModel",
-    "PathLossQuality",
     "PhyPlane",
     "PhyProfile",
     "PhyTransmission",
     "PiecewiseLinearQuality",
     "QUALITY_MAX",
-    "QualityModel",
     "SpatialGrid",
     "TECHNOLOGIES",
     "Technology",

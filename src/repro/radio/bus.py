@@ -24,11 +24,11 @@ Invalidation rules (the part polling got for free):
 * **quality override installed or cleared** — the closed-form prediction
   is stale; :meth:`ConnectivityBus.invalidate_pair` re-predicts every
   watch on the pair.  Wired into ``World.set_quality_override``.
-* **mobility segment rollover** — predictions only look ``horizon_s``
-  ahead (random-waypoint legs are generated lazily); a window with no
-  crossing re-arms at the horizon.  Pairs that are *settled* (both
-  models constant forever — static scenarios) park instead: zero
-  events, ever.
+* **mobility segment rollover** — predictions only look
+  :data:`~repro.radio.contacts.HORIZON_S` ahead (random-waypoint legs
+  are generated lazily); a window with no crossing re-arms at the
+  horizon.  Pairs that are *settled* (both models constant forever —
+  static scenarios) park instead: zero events, ever.
 
 Counters (``world.stats.bus``, a :class:`~repro.metrics.counters.
 BusCounters`) record scheduled / fired / cancelled / rescheduled — the
@@ -49,7 +49,7 @@ import dataclasses
 import math
 import typing
 
-from repro.radio.contacts import ContactSolver, Crossing
+from repro.radio.contacts import HORIZON_S, Crossing
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.radio.technologies import Technology
@@ -124,11 +124,10 @@ class Watch:
 class ConnectivityBus:
     """Deterministic scheduler of predicted connectivity events."""
 
-    def __init__(self, world: "World",
-                 solver: ContactSolver | None = None):
+    def __init__(self, world: "World"):
         self.world = world
         self.sim = world.sim
-        self.solver = solver or ContactSolver(world)
+        self.solver = world.contacts
         self.stats = world.stats.bus
         self._watches: dict[int, Watch] = {}
         self._by_node: dict[str, set[int]] = {}
@@ -196,7 +195,8 @@ class ConnectivityBus:
         distance ring and arm in O(P) closed form; pairs under a
         quality override fall back to guarded bisection
         (O(horizon / step) predicate samples per arm) and never park,
-        since an override is not a function of geometry.  Used by the
+        since an override is not a function of geometry.  Quality never
+        reads below 0, so a threshold-0 watch never fires.  Used by the
         event-driven handover monitor.
         """
         if not 0 <= threshold <= 255:
@@ -443,7 +443,7 @@ class ConnectivityBus:
         return QUALITY_ABOVE if crossing.inside else QUALITY_BELOW
 
     def _schedule_rearm(self, watch: Watch) -> None:
-        horizon_end = self.sim.now + self.solver.horizon_s
+        horizon_end = self.sim.now + HORIZON_S
         watch._handle = self.sim.call_at(
             horizon_end, lambda w=watch: self._rearm(w),
             name=f"bus-rearm#{watch.watch_id}")
@@ -612,17 +612,17 @@ class ContactStream:
 
         One closed-form solve (O(segments)): the next LinkDown crossing.
         A settled in-range pair never closes — ``inf``.  No crossing
-        before the solver horizon yields ``now + horizon_s`` (an
+        before the solver horizon yields ``now + HORIZON_S`` (an
         *under*-estimate of the window); the real LinkDown event still
         arrives whenever it happens.
         """
-        solver = self.world.bus.solver
+        solver = self.world.contacts
         crossing = solver.next_link_crossing(a, b, self.tech, t0=now)
         if crossing is not None and not crossing.inside:
             return crossing.time
         if crossing is None and solver.pair_settled(a, b, now):
             return math.inf
-        return now + solver.horizon_s
+        return now + HORIZON_S
 
     def detach(self) -> None:
         """Cancel every watch without calling ``on_leave``.  Idempotent."""

@@ -13,14 +13,16 @@ interval" into "schedule one event at the predicted crossing": the
 discrete-event treatment that lets OMNeT++-style mobility studies scale,
 applied to the PeerHood world.
 
-Three prediction tiers, matching the tentpole spec:
+Two prediction tiers:
 
-* **closed form** for static/linear pairs (one segment each);
-* **piecewise closed form** over waypoint/walker/random-waypoint segment
-  lists (:meth:`repro.mobility.base.MobilityModel.linear_segments`);
-* **guarded bisection** for models that cannot describe themselves
-  (``linear_segments() is None``) and for arbitrary quality overrides:
-  sample the predicate at a fixed step, then bisect the first flip.
+* **piecewise closed form** over the pair's segment lists
+  (:meth:`repro.mobility.base.MobilityModel.linear_segments`, which
+  every mobility model implements) — usually one piece for a
+  static/linear pair, several for waypoint/walker/random-waypoint
+  motion;
+* **guarded bisection** for pairs under a quality override (the
+  Fig. 5.8 decay), which is an arbitrary function of time: sample the
+  predicate at a fixed step, then bisect the first flip.
 
 All public entry points answer the same question: *the earliest time
 strictly after* ``t0`` *at which a boolean predicate of the pair flips*,
@@ -35,7 +37,7 @@ import dataclasses
 import math
 import typing
 
-from repro.mobility.base import MobilityModel, Point, distance
+from repro.mobility.base import MobilityModel, Point
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.radio.technologies import Technology
@@ -44,12 +46,11 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: How far ahead one prediction looks (sim-seconds).  Beyond it the bus
 #: schedules a re-check — the "segment rollover" bound that keeps lazily
 #: generated random-waypoint legs from being forced arbitrarily far ahead.
-DEFAULT_HORIZON_S = 600.0
+HORIZON_S = 600.0
 
-#: Sampling step of the guarded-bisection fallback (sim-seconds).  Flips
-#: shorter than this can be missed on models without segment support;
-#: every bundled model has segment support and never takes this path for
-#: geometry (only arbitrary quality overrides do).
+#: Sampling step of guarded bisection (sim-seconds).  Flips shorter than
+#: this can be missed; only quality overrides take this path, never
+#: geometry.
 BISECT_STEP_S = 0.25
 
 #: Bisection refinement tolerance (sim-seconds).
@@ -124,9 +125,7 @@ def next_distance_crossing(
     """Earliest flip of ``distance(a, b) <= threshold_m`` in ``(t0, t1]``.
 
     Closed-form over the pair's merged linear segments; ``None`` when
-    the models provide no segments (caller should use
-    :func:`bisect_predicate_flip` on a sampled predicate) or when no
-    flip occurs before ``t1``.  Units: metres in, sim-seconds out.
+    no flip occurs before ``t1``.  Units: metres in, sim-seconds out.
     O(S_a + S_b) for the models' segment counts over the window (the
     two-pointer merge visits each piece once; each piece is one
     quadratic solve).  Tangential grazes are not flips; a pair starting
@@ -139,11 +138,6 @@ def next_distance_crossing(
         return None
     segs_a = mobility_a.linear_segments(t0, t1)
     segs_b = mobility_b.linear_segments(t0, t1)
-    if segs_a is None or segs_b is None:
-        def predicate(t: float) -> bool:
-            return distance(mobility_a.position(t),
-                            mobility_b.position(t)) <= threshold_m
-        return bisect_predicate_flip(predicate, t0, t1)
     r_squared = threshold_m * threshold_m
     on_ring_eps = 1e-9 * max(1.0, r_squared)
     initial: bool | None = None
@@ -239,16 +233,14 @@ def bisect_predicate_flip(
 class ContactSolver:
     """World-aware prediction of link and quality-threshold crossings.
 
-    One solver per :class:`~repro.radio.world.World`.  ``predictions``
-    counts closed-form solves, ``bisections`` the fallback scans — the
-    benchmarks assert the hot path stays analytic.
+    One solver per :class:`~repro.radio.world.World`; every prediction
+    window is :data:`HORIZON_S` long.  ``predictions`` counts closed-form
+    solves, ``bisections`` the override scans — the benchmarks assert
+    the hot path stays analytic.
     """
 
-    def __init__(self, world: "World", horizon_s: float = DEFAULT_HORIZON_S):
-        if horizon_s <= 0:
-            raise ValueError(f"horizon must be positive: {horizon_s}")
+    def __init__(self, world: "World"):
         self.world = world
-        self.horizon_s = horizon_s
         self.predictions = 0
         self.bisections = 0
 
@@ -284,21 +276,19 @@ class ContactSolver:
     # link (range-ring) crossings
     # ------------------------------------------------------------------
     def next_link_crossing(self, a: str, b: str, tech: "Technology",
-                           t0: float | None = None,
-                           horizon_s: float | None = None
-                           ) -> Crossing | None:
+                           t0: float | None = None) -> Crossing | None:
         """Next flip of ``in range on tech`` for the pair, or ``None``.
 
         ``Crossing.inside`` True is a LinkUp instant, False a LinkDown.
         ``t0`` defaults to the world's current instant; the window ends
-        one ``horizon_s`` later (600 s default) — ``None`` means "no
-        flip before the horizon", which callers must treat as *re-check
-        at the horizon*, not "never" (unless :meth:`pair_settled`).
-        Cost: one O(segments) closed-form solve; a pair with a removed
-        endpoint answers ``None`` without solving.
+        :data:`HORIZON_S` later — ``None`` means "no flip before the
+        horizon", which callers must treat as *re-check at the
+        horizon*, not "never" (unless :meth:`pair_settled`).  Cost: one
+        O(segments) closed-form solve; a pair with a removed endpoint
+        answers ``None`` without solving.
         """
         start = self.world.sim.now if t0 is None else t0
-        end = start + (self.horizon_s if horizon_s is None else horizon_s)
+        end = start + HORIZON_S
         pair = self._mobilities(a, b)
         if pair is None:
             return None
@@ -311,39 +301,35 @@ class ContactSolver:
     # ------------------------------------------------------------------
     def next_quality_crossing(self, a: str, b: str, tech: "Technology",
                               threshold: int,
-                              t0: float | None = None,
-                              horizon_s: float | None = None
-                              ) -> Crossing | None:
+                              t0: float | None = None) -> Crossing | None:
         """Next flip of ``link_quality(a, b, tech) >= threshold``.
 
         ``Crossing.inside`` True means quality is at/above the threshold
         after the instant (QualityAbove), False below (QualityBelow);
         ``threshold`` is on the 0–255 scale, window semantics as in
-        :meth:`next_link_crossing`.  With a quality override installed
-        the override is an arbitrary callable, so the solver bisects
-        the full quality function of time (O(horizon/step) samples,
-        counted in ``bisections``); pure geometry inverts the threshold
-        to a distance ring via
-        :meth:`~repro.radio.quality.QualityModel.threshold_distance`
+        :meth:`next_link_crossing`.  Quality never reads below 0, so a
+        threshold of 0 or less never flips and answers ``None``.  With a
+        quality override installed the override is an arbitrary
+        callable, so the solver bisects the full quality function of
+        time (O(horizon/step) samples, counted in ``bisections``); pure
+        geometry inverts the threshold to a distance ring via
+        :meth:`~repro.radio.quality.PiecewiseLinearQuality.threshold_distance`
         and reuses the closed-form distance solver (counted in
         ``predictions``).  A threshold quality can never reach (ring
         ≤ 0) answers ``None`` immediately.
         """
+        if threshold <= 0:
+            return None  # quality >= 0 holds everywhere: no ring, no flip
         start = self.world.sim.now if t0 is None else t0
-        end = start + (self.horizon_s if horizon_s is None else horizon_s)
+        end = start + HORIZON_S
         world = self.world
-        ring = None
-        if not world.has_override(a, b, tech):
-            ring = world.quality_model.threshold_distance(
-                threshold, tech.range_m)
-        if ring is None:
-            # Arbitrary override function, or a model that cannot invert
-            # itself: scan the quality of time directly.
+        if world.has_override(a, b, tech):
             self.bisections += 1
 
             def predicate(t: float) -> bool:
                 return world.link_quality_at(a, b, tech, t) >= threshold
             return bisect_predicate_flip(predicate, start, end)
+        ring = world.quality_model.threshold_distance(threshold, tech.range_m)
         if ring <= 0.0:
             return None  # quality can never reach the threshold: no flips
         pair = self._mobilities(a, b)

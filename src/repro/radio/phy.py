@@ -61,7 +61,7 @@ import typing
 
 from repro.metrics.counters import PhyCounters
 from repro.mobility.base import distance
-from repro.radio.propagation import LogDistancePathLoss, PathLossModel
+from repro.radio.propagation import LogDistancePathLoss
 from repro.radio.technologies import Technology, get_technology
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -114,7 +114,7 @@ class PhyProfile:
     __slots__ = ("tech_name", "path_loss", "sensitivity_dbm",
                  "required_snr_db", "noise_floor_dbm")
 
-    def __init__(self, tech_name: str, path_loss: PathLossModel,
+    def __init__(self, tech_name: str, path_loss: LogDistancePathLoss,
                  sensitivity_dbm: float,
                  required_snr_db: float = DEFAULT_REQUIRED_SNR_DB):
         self.tech_name = tech_name
@@ -125,13 +125,11 @@ class PhyProfile:
 
     @classmethod
     def for_technology(cls, tech: Technology,
-                       path_loss: PathLossModel | None = None,
                        required_snr_db: float = DEFAULT_REQUIRED_SNR_DB
                        ) -> "PhyProfile":
         """Calibrated profile: sensitivity = rssi at nominal range."""
-        if path_loss is None:
-            path_loss = LogDistancePathLoss(
-                tx_power_dbm=_TX_POWER_DBM.get(tech.name, 4.0))
+        path_loss = LogDistancePathLoss(
+            tx_power_dbm=_TX_POWER_DBM.get(tech.name, 4.0))
         return cls(tech.name, path_loss,
                    path_loss.rssi_dbm(tech.range_m), required_snr_db)
 

@@ -1,9 +1,10 @@
-"""Path-loss models: distance → received signal strength (dBm).
+"""Path loss: distance → received signal strength (dBm).
 
 The thesis reads Bluetooth RSSI during the short discovery connections
-(§3.4.1) and treats it, rescaled, as the 0–255 link-quality value.  We model
-received power with the standard log-distance path-loss law so quality falls
-off realistically as a device walks away.
+(§3.4.1).  The lossy PHY plane (:mod:`repro.radio.phy`) models received
+power with the standard log-distance path-loss law and decides each
+packet's fate from it; link quality itself comes from
+:mod:`repro.radio.quality`.
 """
 
 from __future__ import annotations
@@ -11,15 +12,7 @@ from __future__ import annotations
 import math
 
 
-class PathLossModel:
-    """Interface: ``rssi_dbm(distance_m)``."""
-
-    def rssi_dbm(self, distance_m: float) -> float:
-        """Received power in dBm at the given distance."""
-        raise NotImplementedError
-
-
-class LogDistancePathLoss(PathLossModel):
+class LogDistancePathLoss:
     """Log-distance path loss with a reference-distance intercept.
 
     ``PL(d) = pl0_db + 10 * exponent * log10(d / d0)`` and
@@ -48,9 +41,3 @@ class LogDistancePathLoss(PathLossModel):
         loss = self.pl0_db + 10.0 * self.exponent * math.log10(
             effective / self.reference_distance_m)
         return self.tx_power_dbm - loss
-
-    def distance_for_rssi(self, rssi_dbm: float) -> float:
-        """Inverse mapping: distance at which the given RSSI is received."""
-        loss = self.tx_power_dbm - rssi_dbm
-        exponent_term = (loss - self.pl0_db) / (10.0 * self.exponent)
-        return self.reference_distance_m * (10.0 ** exponent_term)

@@ -1,4 +1,4 @@
-"""Link-quality models: distance → the PeerHood 0–255 quality scale.
+"""Link-quality model: distance → the PeerHood 0–255 quality scale.
 
 The thesis stores a single integer "link quality" per neighbour (§3.4.1),
 compares route qualities additively (Fig. 3.8/3.9) and uses **230** as the
@@ -7,8 +7,6 @@ low" threshold (Fig. 5.8).  Quality 255 is a perfect link; 0 means no link.
 """
 
 from __future__ import annotations
-
-from repro.radio.propagation import LogDistancePathLoss, PathLossModel
 
 #: Top of the PeerHood link-quality scale.
 QUALITY_MAX = 255
@@ -22,28 +20,7 @@ def clamp_quality(value: float) -> int:
     return max(0, min(QUALITY_MAX, round(value)))
 
 
-class QualityModel:
-    """Interface: ``quality(distance_m, range_m) -> int`` in 0–255."""
-
-    def quality(self, distance_m: float, range_m: float) -> int:
-        """Link quality at the given distance for a radio of given range."""
-        raise NotImplementedError
-
-    def threshold_distance(self, threshold: int,
-                           range_m: float) -> float | None:
-        """The ring beyond which ``quality(d) < threshold`` (inversion).
-
-        Returns ``d*`` such that ``quality(d) >= threshold`` exactly for
-        ``d <= d*`` (monotone models; the half-unit rounding of
-        :func:`clamp_quality` is accounted for), ``0.0`` when the
-        threshold is unreachable anywhere, or ``None`` when the model
-        cannot invert itself — the contact solver then falls back to
-        guarded bisection in time.
-        """
-        return None
-
-
-class PiecewiseLinearQuality(QualityModel):
+class PiecewiseLinearQuality:
     """Plateau-then-ramp model matching observed Bluetooth behaviour.
 
     Real Bluetooth link quality sits near 255 until the device approaches
@@ -83,26 +60,19 @@ class PiecewiseLinearQuality(QualityModel):
         value = QUALITY_MAX - ramp * (QUALITY_MAX - self.edge_quality)
         return clamp_quality(value)
 
-    def distance_for_quality(self, target_quality: int,
-                             range_m: float) -> float:
-        """Distance at which quality first drops to ``target_quality``."""
-        if target_quality >= QUALITY_MAX:
-            return 0.0
-        if target_quality <= self.edge_quality:
-            return range_m
-        plateau_end = self.plateau_fraction * range_m
-        ramp = (QUALITY_MAX - target_quality) / (
-            QUALITY_MAX - self.edge_quality)
-        return plateau_end + ramp * (range_m - plateau_end)
-
     def threshold_distance(self, threshold: int,
                            range_m: float) -> float:
-        """Exact inversion for the contact solver (see base class).
+        """The ring beyond which ``quality(d) < threshold``.
 
-        The rounded quality reads ``>= threshold`` while the continuous
-        ramp value is ``>= threshold - 0.5``, so the ring solves the ramp
-        at that half-unit-shifted level; the out-of-range cliff (quality
-        0 past ``range_m``) caps the ring at the coverage radius.
+        Returns ``d*`` such that, for ``threshold >= 1``, ``quality(d) >=
+        threshold`` for ``d < d*`` and ``quality(d) < threshold`` for
+        ``d > d*``, or ``0.0`` when the threshold is unreachable
+        anywhere.  The contact solver predicts quality crossings as
+        crossings of this ring.  The rounded quality reads ``>=
+        threshold`` while the continuous ramp value is ``>= threshold -
+        0.5``, so the ring solves the ramp at that half-unit-shifted
+        level; the out-of-range cliff (quality 0 past ``range_m``) caps
+        the ring at the coverage radius.
         """
         if threshold > QUALITY_MAX:
             return 0.0
@@ -112,51 +82,3 @@ class PiecewiseLinearQuality(QualityModel):
         plateau_end = self.plateau_fraction * range_m
         ramp = (QUALITY_MAX - continuous) / (QUALITY_MAX - self.edge_quality)
         return plateau_end + ramp * (range_m - plateau_end)
-
-
-class PathLossQuality(QualityModel):
-    """RSSI-derived quality: log-distance path loss linearly rescaled.
-
-    ``quality = 255 * (rssi - floor) / (ceiling - floor)``, clamped, and 0
-    beyond the radio range.  This is closest to what the thesis actually
-    measured (HCI RSSI during discovery fetch connections, §3.4.1).
-    """
-
-    def __init__(self, path_loss: PathLossModel | None = None,
-                 rssi_ceiling_dbm: float = -45.0,
-                 rssi_floor_dbm: float = -90.0):
-        if rssi_floor_dbm >= rssi_ceiling_dbm:
-            raise ValueError("rssi floor must lie below ceiling")
-        self.path_loss = path_loss or LogDistancePathLoss()
-        self.rssi_ceiling_dbm = rssi_ceiling_dbm
-        self.rssi_floor_dbm = rssi_floor_dbm
-
-    def quality(self, distance_m: float, range_m: float) -> int:
-        if distance_m < 0:
-            raise ValueError(f"negative distance: {distance_m}")
-        if distance_m > range_m:
-            return 0
-        rssi = self.path_loss.rssi_dbm(distance_m)
-        span = self.rssi_ceiling_dbm - self.rssi_floor_dbm
-        fraction = (rssi - self.rssi_floor_dbm) / span
-        return clamp_quality(QUALITY_MAX * fraction)
-
-    def threshold_distance(self, threshold: int,
-                           range_m: float) -> float | None:
-        """Inversion through the path-loss model, when it supports one.
-
-        Maps the (half-unit-shifted, see base class) quality level back
-        to an RSSI target and asks the path-loss model for the distance
-        receiving it; capped at the coverage radius (quality 0 beyond).
-        """
-        if threshold > QUALITY_MAX:
-            return 0.0
-        inverse = getattr(self.path_loss, "distance_for_rssi", None)
-        if inverse is None:
-            return None
-        span = self.rssi_ceiling_dbm - self.rssi_floor_dbm
-        target_rssi = self.rssi_floor_dbm + (
-            (threshold - 0.5) / QUALITY_MAX) * span
-        if target_rssi > self.path_loss.rssi_dbm(0.0):
-            return 0.0  # stronger than the signal ever gets
-        return max(0.0, min(float(inverse(target_rssi)), range_m))

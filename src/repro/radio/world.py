@@ -28,7 +28,7 @@ import typing
 from repro.mobility.base import MobilityModel, Point, distance
 from repro.radio.bus import ConnectivityBus
 from repro.radio.contacts import ContactSolver
-from repro.radio.quality import PiecewiseLinearQuality, QualityModel
+from repro.radio.quality import PiecewiseLinearQuality
 from repro.radio.spatial import SpatialGrid, WorldStats
 from repro.radio.technologies import Technology, get_technology
 
@@ -63,10 +63,9 @@ class World:
     computations and grid activity for the scale benchmarks.
     """
 
-    def __init__(self, sim: "Simulator",
-                 quality_model: QualityModel | None = None):
+    def __init__(self, sim: "Simulator"):
         self.sim = sim
-        self.quality_model = quality_model or PiecewiseLinearQuality()
+        self.quality_model = PiecewiseLinearQuality()
         self._nodes: dict[str, WorldNode] = {}
         self._overrides: dict[tuple[str, str, str], QualityOverride] = {}
         self._inquiring: set[tuple[str, str]] = set()
@@ -102,7 +101,7 @@ class World:
         #: instead of polled.  See :mod:`repro.radio.contacts` /
         #: :mod:`repro.radio.bus`.
         self.contacts = ContactSolver(self)
-        self.bus = ConnectivityBus(self, solver=self.contacts)
+        self.bus = ConnectivityBus(self)
 
     # ------------------------------------------------------------------
     # node management

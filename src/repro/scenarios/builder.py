@@ -25,7 +25,6 @@ from repro.metrics.trace import EventTrace
 from repro.mobility.base import MobilityModel
 from repro.mobility.static import StaticPosition
 from repro.obs import runtime as obs_runtime
-from repro.radio.quality import QualityModel
 from repro.radio.world import World
 from repro.sim.kernel import Simulator
 
@@ -33,10 +32,9 @@ from repro.sim.kernel import Simulator
 class Scenario:
     """A complete simulation environment with named PeerHood nodes."""
 
-    def __init__(self, seed: int = 0,
-                 quality_model: QualityModel | None = None):
+    def __init__(self, seed: int = 0):
         self.sim = Simulator(seed=seed)
-        self.world = World(self.sim, quality_model=quality_model)
+        self.world = World(self.sim)
         self.fabric = Fabric(self.world)
         self.nodes: dict[str, PeerHoodNode] = {}
         #: ``(width, height)`` footprint in metres that the factory's

@@ -6,6 +6,11 @@ The thesis' implementation used POSIX threads on real devices; here every
 :class:`~repro.sim.process.Process` driven by a deterministic event heap, so
 experiments are reproducible and can be run thousands of times per second.
 
+The kernel is an event heap, timeouts, the :class:`AnyOf` composite,
+generator processes and one FIFO :class:`Store`.  It runs each event
+callback to completion, so shared state needs no lock (the §3.5 single
+update phase).
+
 Public surface::
 
     from repro.sim import Simulator
@@ -22,33 +27,26 @@ Public surface::
 """
 
 from repro.sim.events import (
-    AllOf,
     AnyOf,
     Event,
     EventAlreadyTriggered,
-    Interrupt,
     SimulationError,
     Timeout,
 )
-from repro.sim.kernel import ScheduledCall, Simulator, StopSimulation
+from repro.sim.kernel import ScheduledCall, Simulator
 from repro.sim.process import Process
-from repro.sim.resources import Lock, Resource, Store
+from repro.sim.resources import Store
 from repro.sim.rng import RandomStream
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Event",
     "EventAlreadyTriggered",
-    "Interrupt",
-    "Lock",
     "Process",
     "RandomStream",
-    "Resource",
     "ScheduledCall",
     "SimulationError",
     "Simulator",
-    "StopSimulation",
     "Store",
     "Timeout",
 ]

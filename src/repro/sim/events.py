@@ -3,8 +3,8 @@
 Events follow the classic discrete-event model: an event is *triggered* when
 a value (or failure) has been assigned to it and it has been scheduled on the
 simulator's heap, and *processed* once its callbacks have run.  Processes
-wait on events by yielding them; composite events (:class:`AnyOf`,
-:class:`AllOf`) allow waiting on several conditions at once.
+wait on events by yielding them; the composite :class:`AnyOf` waits for
+the first of several.
 """
 
 from __future__ import annotations
@@ -21,21 +21,6 @@ class SimulationError(Exception):
 
 class EventAlreadyTriggered(SimulationError):
     """Raised when succeed()/fail() is called on a triggered event."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it.
-
-    The ``cause`` is whatever object the interrupter supplied; the PeerHood
-    stack uses small strings such as ``"link-lost"`` or ``"handover"``.
-    """
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Interrupt(cause={self.cause!r})"
 
 
 class Event:
@@ -141,8 +126,13 @@ class Timeout(Event):
         sim._schedule(self, delay=delay)
 
 
-class _Condition(Event):
-    """Common machinery for AnyOf / AllOf composites."""
+class AnyOf(Event):
+    """Triggers when the first child event triggers.
+
+    The value is a dict mapping the already-succeeded events to their
+    values, mirroring :mod:`simpy`'s condition values.  A child failure
+    fails the composite; no children at all succeed it at once.
+    """
 
     def __init__(self, sim: "Simulator", events: typing.Sequence[Event],
                  name: str = ""):
@@ -151,7 +141,6 @@ class _Condition(Event):
         for event in self.events:
             if event.sim is not sim:
                 raise SimulationError("cannot mix events of two simulators")
-        self._remaining = len(self.events)
         if not self.events:
             self.succeed(self._collect())
             return
@@ -169,39 +158,9 @@ class _Condition(Event):
         }
 
     def _on_child(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _child_failed(self, event: Event) -> None:
-        if not self._triggered:
-            assert event._exception is not None
-            self.fail(event._exception)
-
-
-class AnyOf(_Condition):
-    """Triggers when the first child event triggers.
-
-    The value is a dict mapping the already-succeeded events to their
-    values, mirroring :mod:`simpy`'s condition values.
-    """
-
-    def _on_child(self, event: Event) -> None:
         if self._triggered:
             return
         if event._exception is not None:
-            self._child_failed(event)
+            self.fail(event._exception)
             return
         self.succeed(self._collect())
-
-
-class AllOf(_Condition):
-    """Triggers when every child event has triggered."""
-
-    def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if event._exception is not None:
-            self._child_failed(event)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed(self._collect())

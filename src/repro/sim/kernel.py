@@ -11,13 +11,9 @@ from __future__ import annotations
 import heapq
 import typing
 
-from repro.sim.events import AllOf, AnyOf, Event, SimulationError, Timeout
+from repro.sim.events import AnyOf, Event, SimulationError, Timeout
 from repro.sim.process import Process
 from repro.sim.rng import RandomStream
-
-
-class StopSimulation(Exception):
-    """Raised internally to abort :meth:`Simulator.run` early."""
 
 
 class ScheduledCall:
@@ -69,8 +65,6 @@ class Simulator:
         self._sequence = 0
         self._seed = seed
         self._streams: dict[str, RandomStream] = {}
-        self._active_process: Process | None = None
-        self._stopped = False
         #: Events popped and run by :meth:`step` — the kernel-wakeup
         #: figure the event-driven connectivity benchmarks compare.
         #: Observer events (telemetry sampling) are excluded.
@@ -93,11 +87,6 @@ class Simulator:
         """Current virtual time in seconds."""
         return self._now
 
-    @property
-    def active_process(self) -> Process | None:
-        """The process currently executing, if any."""
-        return self._active_process
-
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         """Put a triggered event on the heap ``delay`` seconds from now."""
         heapq.heappush(self._heap, (self._now + delay, self._sequence, event))
@@ -117,10 +106,6 @@ class Simulator:
     def any_of(self, events: typing.Sequence[Event]) -> AnyOf:
         """Wait for the first of ``events``."""
         return AnyOf(self, events)
-
-    def all_of(self, events: typing.Sequence[Event]) -> AllOf:
-        """Wait for all of ``events``."""
-        return AllOf(self, events)
 
     def call_at(self, when: float, callback: typing.Callable[[], None],
                 name: str = "call-at", observer: bool = False) -> ScheduledCall:
@@ -153,8 +138,6 @@ class Simulator:
     def spawn(self, generator: typing.Generator, name: str = "") -> Process:
         """Start a new process running ``generator``."""
         return Process(self, generator, name=name)
-
-    process = spawn  # simpy-compatible alias
 
     # ------------------------------------------------------------------
     # random streams
@@ -200,12 +183,6 @@ class Simulator:
                 for callback in callbacks:
                     callback(event)
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        if not self._heap:
-            return float("inf")
-        return self._heap[0][0]
-
     def pending_real_events(self) -> int:
         """Heap entries that are *not* telemetry observer events.
 
@@ -226,7 +203,6 @@ class Simulator:
           exactly that time),
         * an :class:`Event` — run until it is processed and return its value.
         """
-        self._stopped = False
         if until is None:
             self._run_all()
             return None
@@ -234,27 +210,20 @@ class Simulator:
             return self._run_until_event(until)
         return self._run_until_time(float(until))
 
-    def stop(self) -> None:
-        """Request that :meth:`run` return after the current event."""
-        self._stopped = True
-
     def _run_all(self) -> None:
-        while self._heap and not self._stopped:
+        while self._heap:
             self.step()
 
     def _run_until_time(self, deadline: float) -> None:
         if deadline < self._now:
             raise SimulationError(
                 f"cannot run until {deadline}: clock is at {self._now}")
-        while self._heap and self._heap[0][0] <= deadline and not self._stopped:
+        while self._heap and self._heap[0][0] <= deadline:
             self.step()
-        if not self._stopped:
-            self._now = max(self._now, deadline)
+        self._now = max(self._now, deadline)
 
     def _run_until_event(self, event: Event) -> object:
         while not event.processed:
-            if self._stopped:
-                raise StopSimulation("simulator stopped before event fired")
             if not self._heap:
                 raise SimulationError(
                     f"event heap empty before {event!r} triggered")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.sim.events import Event, Interrupt, SimulationError
+from repro.sim.events import Event, SimulationError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
@@ -42,7 +42,6 @@ class Process(Event):
                 " (did you forget to call the function?)")
         super().__init__(sim, name or getattr(generator, "__name__", "process"))
         self._generator = generator
-        self._waiting_on: Event | None = None
         # Kick-start on the next kernel step so creation order does not
         # matter within a single simulated instant.
         bootstrap = Event(sim, f"bootstrap:{self.name}")
@@ -54,52 +53,13 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self._triggered
 
-    @property
-    def waiting_on(self) -> Event | None:
-        """The event this process is currently blocked on, if any."""
-        return self._waiting_on
-
-    def interrupt(self, cause: object = None) -> None:
-        """Throw :class:`Interrupt` into the process at its yield point.
-
-        Interrupting a dead process is an error; PeerHood callers guard with
-        :attr:`is_alive`.  The event the process was waiting on remains
-        pending — the interrupt handler may re-wait on it.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt dead process {self!r}")
-        if self.sim.active_process is self:
-            raise SimulationError("a process cannot interrupt itself")
-        interrupt_event = Event(self.sim, f"interrupt:{self.name}")
-        interrupt_event._interrupt_cause = cause  # type: ignore[attr-defined]
-        interrupt_event._add_callback(self._deliver_interrupt)
-        interrupt_event.succeed()
-
-    def _deliver_interrupt(self, event: Event) -> None:
-        if not self.is_alive:
-            # Process finished between scheduling and delivery: drop it,
-            # matching pthread semantics of signalling an exited thread.
-            return
-        waited = self._waiting_on
-        if waited is not None and waited.callbacks is not None:
-            try:
-                waited.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._waiting_on = None
-        cause = event._interrupt_cause  # type: ignore[attr-defined]
-        self._step(Interrupt(cause), throw=True)
-
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         if event.exception is not None:
             self._step(event.exception, throw=True)
         else:
             self._step(event._value, throw=False)
 
     def _step(self, payload: object, throw: bool) -> None:
-        previous = self.sim._active_process
-        self.sim._active_process = self
         try:
             if throw:
                 assert isinstance(payload, BaseException)
@@ -114,8 +74,6 @@ class Process(Event):
                 raise
             self.fail(error)
             return
-        finally:
-            self.sim._active_process = previous
         self._wait_on(target)
 
     def _wait_on(self, target: object) -> None:
@@ -130,5 +88,4 @@ class Process(Event):
                 SimulationError("yielded an event from another simulator"),
                 throw=True)
             return
-        self._waiting_on = target
         target._add_callback(self._resume)

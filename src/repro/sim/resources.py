@@ -1,13 +1,9 @@
-"""Shared-resource primitives built on events.
+"""The one queueing primitive built on events.
 
-PeerHood needs three coordination shapes:
-
-* :class:`Lock` — the thesis' "critical zone control" guarding the shared
-  ``DeviceStorage`` and the bridge connection list (§3.5, §4.2);
-* :class:`Resource` — a counted pool (e.g. a bridge's maximum simultaneous
-  relayed connections, §4.0);
-* :class:`Store` — an unbounded FIFO used to model sockets' receive queues
-  and the daemon⇄library local-socket hop.
+:class:`Store` is an unbounded FIFO with a blocking ``get``: it models
+sockets' receive queues and the daemon⇄library local-socket hop.  The
+thesis' critical zones (§3.5, §4.2) need no lock here, because the kernel
+runs each event callback to completion before the next one starts.
 """
 
 from __future__ import annotations
@@ -15,82 +11,10 @@ from __future__ import annotations
 import collections
 import typing
 
-from repro.sim.events import Event, SimulationError
+from repro.sim.events import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
-
-
-class Resource:
-    """A pool of ``capacity`` identical slots.
-
-    ``acquire()`` returns an event that fires when a slot is granted;
-    ``release()`` frees one.  Grants are FIFO.
-    """
-
-    def __init__(self, sim: "Simulator", capacity: int = 1, name: str = ""):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._in_use = 0
-        self._waiters: collections.deque[Event] = collections.deque()
-
-    @property
-    def in_use(self) -> int:
-        """Number of currently-held slots."""
-        return self._in_use
-
-    @property
-    def available(self) -> int:
-        """Number of free slots."""
-        return self.capacity - self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of pending acquire requests."""
-        return len(self._waiters)
-
-    def acquire(self) -> Event:
-        """Request a slot.  The returned event fires when granted."""
-        request = Event(self.sim, f"acquire:{self.name}")
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            request.succeed(self)
-        else:
-            self._waiters.append(request)
-        return request
-
-    def release(self) -> None:
-        """Free a slot, waking the oldest waiter if any."""
-        if self._in_use <= 0:
-            raise SimulationError(f"release() on idle resource {self.name!r}")
-        if self._waiters:
-            request = self._waiters.popleft()
-            request.succeed(self)
-        else:
-            self._in_use -= 1
-
-    def cancel(self, request: Event) -> bool:
-        """Withdraw a pending acquire request.  Returns True if removed."""
-        try:
-            self._waiters.remove(request)
-            return True
-        except ValueError:
-            return False
-
-
-class Lock(Resource):
-    """A mutex: a :class:`Resource` of capacity one."""
-
-    def __init__(self, sim: "Simulator", name: str = ""):
-        super().__init__(sim, capacity=1, name=name)
-
-    @property
-    def locked(self) -> bool:
-        """True while held."""
-        return self._in_use > 0
 
 
 class Store:
@@ -130,20 +54,6 @@ class Store:
         else:
             self._getters.append(request)
         return request
-
-    def get_nowait(self) -> object:
-        """Pop the next item immediately; raises if empty."""
-        if not self._items:
-            raise SimulationError(f"get_nowait() on empty store {self.name!r}")
-        return self._items.popleft()
-
-    def cancel(self, request: Event) -> bool:
-        """Withdraw a pending get request.  Returns True if removed."""
-        try:
-            self._getters.remove(request)
-            return True
-        except ValueError:
-            return False
 
     def clear(self) -> None:
         """Drop all buffered items (used when a connection is torn down)."""

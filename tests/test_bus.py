@@ -168,6 +168,21 @@ def test_quality_below_fires_immediately_when_already_low():
     assert events[0].time == 0.0
 
 
+def test_quality_below_zero_threshold_never_fires():
+    """Quality never reads below 0, so a threshold-0 watch stays silent,
+    also when b walks past the coverage edge (quality 180, then 0)."""
+    sim, world = make_world()
+    world.add_node("a", StaticPosition(0, 0), [BLUETOOTH])
+    world.add_node("b", LinearMovement((1, 0), (1, 0)), [BLUETOOTH])
+    events = []
+    world.bus.watch_quality_below("a", "b", BLUETOOTH, 0,
+                                  callback=events.append)
+    sim.run(until=100.0)
+    assert events == []
+    assert world.contacts.next_quality_crossing(
+        "a", "b", BLUETOOTH, 0, t0=0.0) is None
+
+
 def test_override_crossing_beyond_horizon_is_still_detected():
     """A settled pair with a slow decay must not park the quality watch:
     the crossing lies past the prediction horizon, so the watch has to

@@ -26,7 +26,7 @@ from repro.radio.contacts import (
     distance_crossings,
     next_distance_crossing,
 )
-from repro.radio.quality import PathLossQuality, PiecewiseLinearQuality
+from repro.radio.quality import PiecewiseLinearQuality
 from repro.sim import Simulator
 from repro.sim.rng import RandomStream
 
@@ -124,41 +124,8 @@ def test_window_clamps_prediction():
 
 
 # ----------------------------------------------------------------------
-# guarded bisection fallback
+# guarded bisection (quality overrides)
 # ----------------------------------------------------------------------
-class _Orbit:
-    """A model without segment support: circular motion (bisection path)."""
-
-    def __init__(self, radius: float, period: float):
-        self.radius = radius
-        self.period = period
-
-    def position(self, t):
-        angle = 2.0 * math.pi * t / self.period
-        return (self.radius * math.cos(angle), self.radius * math.sin(angle))
-
-    def is_mobile(self):
-        return True
-
-    def linear_segments(self, t0, t1):
-        return None
-
-    def settled_after(self):
-        return None
-
-
-def test_bisection_fallback_on_unsupported_model():
-    """An orbiting node drifts in and out of range of an offset point."""
-    orbit = _Orbit(radius=12.0, period=40.0)
-    static = StaticPosition(8.0, 0.0)
-    # distance ranges [4, 20]; crossing of 10 m happens twice per orbit.
-    first = next_distance_crossing(static, orbit, 10.0, 0.0, 40.0)
-    assert first is not None
-    assert first.inside is False
-    gap = distance(static.position(first.time), orbit.position(first.time))
-    assert gap == pytest.approx(10.0, abs=1e-3)
-
-
 def test_bisect_predicate_flip_refines_to_tolerance():
     crossing = bisect_predicate_flip(
         lambda t: t < math.pi, 0.0, 10.0, step=0.5)
@@ -175,9 +142,9 @@ def test_bisect_no_flip_returns_none():
 # ----------------------------------------------------------------------
 # world-level solver: quality rings and overrides
 # ----------------------------------------------------------------------
-def _world_with_pair(mobility_b, quality_model=None):
+def _world_with_pair(mobility_b):
     sim = Simulator(seed=2)
-    world = World(sim, quality_model=quality_model)
+    world = World(sim)
     world.add_node("a", StaticPosition(0, 0), [BLUETOOTH])
     world.add_node("b", mobility_b, [BLUETOOTH])
     return sim, world
@@ -189,15 +156,6 @@ def test_quality_threshold_ring_inversion_piecewise():
     # Quality >= 230 inside the ring, < 230 just outside (rounding-aware).
     assert model.quality(ring - 1e-6, 10.0) >= 230
     assert model.quality(ring + 1e-6, 10.0) < 230
-
-
-def test_quality_threshold_ring_inversion_path_loss():
-    model = PathLossQuality()
-    ring = model.threshold_distance(200, 10.0)
-    assert ring is not None and 0.0 < ring <= 10.0
-    assert model.quality(max(0.0, ring - 1e-6), 10.0) >= 200
-    if ring < 10.0:
-        assert model.quality(ring + 1e-6, 10.0) < 200
 
 
 def test_solver_predicts_quality_crossing_from_geometry():

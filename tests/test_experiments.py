@@ -58,6 +58,24 @@ def test_registered_scenarios_constructible_with_defaults(name):
     # flash_crowd populates via its churn process; replay_arena is the
     # intentionally empty world contact traces replay under.
     assert scenario.nodes or name in ("flash_crowd", "replay_arena")
+    # The segment contract the contact solver predicts every crossing
+    # from: contiguous positive-length pieces covering exactly the
+    # window, each agreeing with position(t).
+    world = scenario.world
+    for node_id in world.node_ids()[:40]:
+        mobility = world.node(node_id).mobility
+        for t0, t1 in ((0.0, 600.0), (137.25, 737.25)):
+            pieces = list(mobility.linear_segments(t0, t1))
+            assert pieces[0][0] == t0 and pieces[-1][1] == t1, node_id
+            for previous, piece in zip(pieces, pieces[1:]):
+                assert previous[1] == piece[0], node_id
+            for start, end, (x, y), (vx, vy) in pieces:
+                assert end > start, node_id
+                for t in (start, (start + end) / 2.0, end):
+                    px, py = mobility.position(t)
+                    dt = t - start
+                    assert abs(x + vx * dt - px) <= 1e-6, (node_id, t)
+                    assert abs(y + vy * dt - py) <= 1e-6, (node_id, t)
 
 
 def test_registry_rejects_unknown_scenario_and_params():

@@ -10,7 +10,6 @@ from repro.radio import (
     QUALITY_MAX,
     WLAN,
     LogDistancePathLoss,
-    PathLossQuality,
     PiecewiseLinearQuality,
     World,
 )
@@ -77,12 +76,6 @@ def test_path_loss_clamps_below_reference_distance():
     assert model.rssi_dbm(0.0) == model.rssi_dbm(1.0)
 
 
-def test_path_loss_inverse_round_trip():
-    model = LogDistancePathLoss()
-    for d in (2.0, 7.5, 15.0):
-        assert model.distance_for_rssi(model.rssi_dbm(d)) == pytest.approx(d)
-
-
 def test_path_loss_rejects_negative_distance():
     with pytest.raises(ValueError):
         LogDistancePathLoss().rssi_dbm(-2.0)
@@ -112,9 +105,10 @@ def test_piecewise_quality_zero_beyond_range():
 def test_piecewise_threshold_crossing_is_inside_coverage():
     """The paper's 230 threshold must trip before the link dies (§3.4.1)."""
     model = PiecewiseLinearQuality()
-    crossing = model.distance_for_quality(PAPER_LOW_QUALITY_THRESHOLD, 10.0)
-    assert 5.0 < crossing < 10.0
-    assert model.quality(crossing, 10.0) == PAPER_LOW_QUALITY_THRESHOLD
+    ring = model.threshold_distance(PAPER_LOW_QUALITY_THRESHOLD, 10.0)
+    assert 5.0 < ring < 10.0
+    assert model.quality(ring - 1e-6, 10.0) >= PAPER_LOW_QUALITY_THRESHOLD
+    assert model.quality(ring + 1e-6, 10.0) < PAPER_LOW_QUALITY_THRESHOLD
 
 
 def test_piecewise_quality_monotone_nonincreasing():
@@ -123,20 +117,11 @@ def test_piecewise_quality_monotone_nonincreasing():
     assert values == sorted(values, reverse=True)
 
 
-def test_path_loss_quality_monotone_and_bounded():
-    model = PathLossQuality()
-    values = [model.quality(float(d), 10.0) for d in range(0, 11)]
-    assert values == sorted(values, reverse=True)
-    assert all(0 <= v <= QUALITY_MAX for v in values)
-
-
 def test_quality_model_validation():
     with pytest.raises(ValueError):
         PiecewiseLinearQuality(plateau_fraction=1.5)
     with pytest.raises(ValueError):
         PiecewiseLinearQuality(edge_quality=300)
-    with pytest.raises(ValueError):
-        PathLossQuality(rssi_ceiling_dbm=-90.0, rssi_floor_dbm=-45.0)
 
 
 # ----------------------------------------------------------------------

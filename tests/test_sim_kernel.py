@@ -157,34 +157,6 @@ def test_run_until_event_with_empty_heap_raises():
         sim.run(until=event)
 
 
-def test_stop_aborts_run():
-    sim = Simulator()
-    seen = []
-
-    def stopper(sim):
-        yield sim.timeout(1.0)
-        seen.append("stopping")
-        sim.stop()
-
-    def late(sim):
-        yield sim.timeout(100.0)
-        seen.append("late")
-
-    sim.spawn(stopper(sim))
-    sim.spawn(late(sim))
-    sim.run()
-    assert seen == ["stopping"]
-
-
-def test_peek_reports_next_event_time():
-    sim = Simulator()
-    assert sim.peek() == float("inf")
-    sim.timeout(7.0)
-    assert sim.peek() == 0.0 or sim.peek() == 7.0  # heap holds the timeout
-    sim.run()
-    assert sim.peek() == float("inf")
-
-
 def test_step_on_empty_heap_raises():
     sim = Simulator()
     with pytest.raises(SimulationError):
@@ -205,35 +177,6 @@ def test_any_of_fires_on_first():
     sim.spawn(worker(sim))
     sim.run()
     assert results == [["fast"], 1.0]
-
-
-def test_all_of_waits_for_every_event():
-    sim = Simulator()
-    results = []
-
-    def worker(sim):
-        a = sim.timeout(1.0, value="a")
-        b = sim.timeout(3.0, value="b")
-        value = yield sim.all_of([a, b])
-        results.append(sorted(v for v in value.values()))
-        results.append(sim.now)
-
-    sim.spawn(worker(sim))
-    sim.run()
-    assert results == [["a", "b"], 3.0]
-
-
-def test_all_of_with_no_events_fires_immediately():
-    sim = Simulator()
-    done = []
-
-    def worker(sim):
-        yield sim.all_of([])
-        done.append(sim.now)
-
-    sim.spawn(worker(sim))
-    sim.run()
-    assert done == [0.0]
 
 
 def test_condition_rejects_foreign_events():

@@ -1,8 +1,8 @@
-"""Unit tests for processes: lifecycle, interrupts, inter-process waits."""
+"""Unit tests for processes: lifecycle, failures, inter-process waits."""
 
 import pytest
 
-from repro.sim import Interrupt, Process, SimulationError, Simulator
+from repro.sim import Process, SimulationError, Simulator
 
 
 def test_process_requires_generator():
@@ -91,79 +91,6 @@ def test_process_waits_on_another_process():
     assert log == [("child-done", 2.0), ("parent-got", "child-value", 2.0)]
 
 
-def test_interrupt_wakes_blocked_process():
-    sim = Simulator()
-    log = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(100.0)
-            log.append("slept-through")
-        except Interrupt as interrupt:
-            log.append(("interrupted", interrupt.cause, sim.now))
-
-    def interrupter(sim, target):
-        yield sim.timeout(3.0)
-        target.interrupt("wake-up")
-
-    target = sim.spawn(sleeper(sim))
-    sim.spawn(interrupter(sim, target))
-    sim.run()
-    assert log == [("interrupted", "wake-up", 3.0)]
-
-
-def test_interrupt_dead_process_raises():
-    sim = Simulator()
-
-    def quick(sim):
-        yield sim.timeout(0.0)
-
-    proc = sim.spawn(quick(sim))
-    sim.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
-
-
-def test_self_interrupt_raises():
-    sim = Simulator()
-    errors = []
-
-    def selfish(sim):
-        yield sim.timeout(0.0)
-        me = sim.active_process
-        try:
-            me.interrupt()
-        except SimulationError as error:
-            errors.append(str(error))
-
-    sim.spawn(selfish(sim))
-    sim.run()
-    assert len(errors) == 1
-
-
-def test_interrupted_process_can_rewait_original_event():
-    sim = Simulator()
-    log = []
-
-    def patient(sim):
-        nap = sim.timeout(10.0)
-        try:
-            yield nap
-        except Interrupt:
-            log.append(("poked", sim.now))
-            yield nap  # resume waiting for the same timeout
-        log.append(("woke", sim.now))
-
-    def poker(sim, target):
-        yield sim.timeout(4.0)
-        target.interrupt()
-
-    target = sim.spawn(patient(sim))
-    sim.spawn(poker(sim, target))
-    sim.run()
-    assert log == [("poked", 4.0), ("woke", 10.0)]
-
-
 def test_yielding_non_event_fails_process():
     sim = Simulator()
 
@@ -211,30 +138,6 @@ def test_process_bootstrap_runs_at_spawn_time_not_creation_order():
     sim.spawn(worker(sim, "b"))
     sim.run()
     assert starts == [("a", 0.0), ("b", 0.0)]
-
-
-def test_interrupt_delivered_in_fifo_order_with_timeouts():
-    sim = Simulator()
-    log = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(5.0)
-            log.append("timeout-won")
-        except Interrupt:
-            log.append("interrupt-won")
-
-    def interrupter(sim, target):
-        yield sim.timeout(5.0)
-        if target.is_alive:
-            target.interrupt()
-
-    target = sim.spawn(sleeper(sim))
-    sim.spawn(interrupter(sim, target))
-    sim.run()
-    # The sleeper's timeout is scheduled before the interrupter's, so the
-    # timeout wins deterministically.
-    assert log == ["timeout-won"]
 
 
 def test_process_is_event_usable_in_conditions():

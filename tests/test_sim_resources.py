@@ -1,82 +1,6 @@
-"""Unit tests for Resource / Lock / Store primitives."""
+"""Unit tests for the Store primitive."""
 
-import pytest
-
-from repro.sim import Lock, Resource, SimulationError, Simulator, Store
-
-
-def test_resource_grants_up_to_capacity_immediately():
-    sim = Simulator()
-    pool = Resource(sim, capacity=2)
-    a = pool.acquire()
-    b = pool.acquire()
-    assert a.triggered and b.triggered
-    assert pool.in_use == 2
-    assert pool.available == 0
-
-
-def test_resource_queues_beyond_capacity():
-    sim = Simulator()
-    pool = Resource(sim, capacity=1)
-    pool.acquire()
-    waiting = pool.acquire()
-    assert not waiting.triggered
-    assert pool.queue_length == 1
-    pool.release()
-    assert waiting.triggered
-    assert pool.queue_length == 0
-
-
-def test_resource_release_without_acquire_raises():
-    sim = Simulator()
-    pool = Resource(sim, capacity=1)
-    with pytest.raises(SimulationError):
-        pool.release()
-
-
-def test_resource_invalid_capacity_rejected():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Resource(sim, capacity=0)
-
-
-def test_resource_fifo_grant_order():
-    sim = Simulator()
-    pool = Resource(sim, capacity=1)
-    grants = []
-
-    def user(sim, pool, tag, hold):
-        yield pool.acquire()
-        grants.append((tag, sim.now))
-        yield sim.timeout(hold)
-        pool.release()
-
-    sim.spawn(user(sim, pool, "a", 2.0))
-    sim.spawn(user(sim, pool, "b", 2.0))
-    sim.spawn(user(sim, pool, "c", 2.0))
-    sim.run()
-    assert grants == [("a", 0.0), ("b", 2.0), ("c", 4.0)]
-
-
-def test_resource_cancel_pending_request():
-    sim = Simulator()
-    pool = Resource(sim, capacity=1)
-    pool.acquire()
-    pending = pool.acquire()
-    assert pool.cancel(pending)
-    assert not pool.cancel(pending)  # already removed
-    pool.release()
-    assert pool.available == 1  # nobody waiting, slot freed
-
-
-def test_lock_reports_locked_state():
-    sim = Simulator()
-    lock = Lock(sim)
-    assert not lock.locked
-    lock.acquire()
-    assert lock.locked
-    lock.release()
-    assert not lock.locked
+from repro.sim import Simulator, Store
 
 
 def test_store_put_then_get():
@@ -144,15 +68,6 @@ def test_store_multiple_getters_served_fifo():
     assert out == [("first", "a"), ("second", "b")]
 
 
-def test_store_get_nowait():
-    sim = Simulator()
-    store = Store(sim)
-    store.put(7)
-    assert store.get_nowait() == 7
-    with pytest.raises(SimulationError):
-        store.get_nowait()
-
-
 def test_store_len_and_clear():
     sim = Simulator()
     store = Store(sim)
@@ -161,12 +76,3 @@ def test_store_len_and_clear():
     assert len(store) == 2
     store.clear()
     assert len(store) == 0
-
-
-def test_store_cancel_pending_get():
-    sim = Simulator()
-    store = Store(sim)
-    request = store.get()
-    assert store.cancel(request)
-    store.put("orphan")
-    assert len(store) == 1  # cancelled getter did not consume it
