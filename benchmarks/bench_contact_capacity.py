@@ -22,7 +22,10 @@ capacity`).  Three gates, all written into
    constrained 24 kB/s and under the PR 4 infinite-bandwidth overlay;
    the constrained run must deliver no more than the infinite one and
    must truncate transfers, while the infinite run keeps the plane's
-   established delivery behaviour.
+   established delivery behaviour.  The constrained run also records
+   two work counters the regression gate holds: ``pump_passes``
+   (transfer-schedule passes; only idle sessions are pumped) and
+   ``solver_segments`` (mobility segments the contact solver pulled).
 """
 
 import os
@@ -88,7 +91,7 @@ def run_farm(constrained: bool, n_nodes: int):
     scenario.run(until=DURATION_S)
     plane.detach()
     counters = plane.counters
-    return {
+    figures = {
         "mode": "constrained" if constrained else "infinite",
         "delivery_ratio": round(plane.delivery_ratio(), 4),
         "delivered_ids": sorted(plane.delivered),
@@ -99,6 +102,12 @@ def run_farm(constrained: bool, n_nodes: int):
         "kernel_events": scenario.sim.events_processed,
         "wall_s": round(time.perf_counter() - started, 3),
     }
+    if constrained:
+        # Work counters: pump passes and mobility segments the contact
+        # solver pulled (a solve stops pulling at its first flip).
+        figures["pump_passes"] = plane.pump_passes
+        figures["solver_segments"] = scenario.world.contacts.segments
+    return figures
 
 
 def write_snapshot(records, constrained, infinite, path=SNAPSHOT_PATH):

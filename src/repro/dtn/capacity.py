@@ -161,7 +161,11 @@ class BandwidthDtnOverlay(DtnOverlay):
             raise ValueError(f"data rate must be positive: {data_rate_Bps}")
         self.data_rate_Bps = float(data_rate_Bps)
         self._sessions: dict[tuple[str, str], ContactSession] = {}
+        # node -> its open session pairs (contact_up/_close_session).
+        self._node_sessions: dict[str, set[tuple[str, str]]] = {}
         self._inbound: dict[str, set[str]] = {}
+        #: ``_pump`` entries (a work counter the capacity bench gates).
+        self.pump_passes = 0
         # super().__init__ seeds contact_up for pairs already in range,
         # so every attribute above must exist first.
         super().__init__(world, router, tech=tech_obj, nodes=nodes,
@@ -200,6 +204,8 @@ class BandwidthDtnOverlay(DtnOverlay):
         session.used_bytes = control
         session.next_free = now + self.airtime_s(control)
         self._sessions[pair] = session
+        for node in pair:
+            self._node_sessions.setdefault(node, set()).add(pair)
         self.counters.bytes_offered += self._offered_bytes(session)
         self._pump(session)
 
@@ -215,7 +221,7 @@ class BandwidthDtnOverlay(DtnOverlay):
         the node before the base class drops its custody."""
         if node_id in self._dead or node_id not in self.stores:
             return
-        for pair in sorted(p for p in self._sessions if node_id in p):
+        for pair in sorted(self._node_sessions.get(node_id, ())):
             self._close_session(pair, _CLOSE_CHURN)
         super().retire_node(node_id)
 
@@ -225,7 +231,7 @@ class BandwidthDtnOverlay(DtnOverlay):
         receiver never got the bytes) before the base state loss."""
         if node_id not in self.stores or node_id in self._dead:
             return
-        for pair in sorted(p for p in self._sessions if node_id in p):
+        for pair in sorted(self._node_sessions.get(node_id, ())):
             self._close_session(pair, _CLOSE_CHURN)
         super().on_crash(node_id)
 
@@ -239,14 +245,18 @@ class BandwidthDtnOverlay(DtnOverlay):
         session = self._sessions.pop(pair, None)
         if session is None:
             return
+        for node in pair:
+            pairs = self._node_sessions[node]
+            pairs.discard(pair)
+            if not pairs:
+                del self._node_sessions[node]
         transfer = session.transfer
         session.transfer = None
         if transfer is None:
             self._report_contact(session)
             return
         transfer.handle.cancel()
-        self._inbound.get(transfer.receiver, set()).discard(
-            transfer.bundle.bundle_id)
+        self._release_inbound(transfer)
         if mode == _CLOSE_DETACH:
             self._report_contact(session)
             return
@@ -300,11 +310,26 @@ class BandwidthDtnOverlay(DtnOverlay):
         self._pump_node(origin)
 
     def _pump_node(self, node_id: str) -> None:
-        """Re-evaluate every idle session touching ``node_id``."""
-        for pair in sorted(p for p in self._sessions if node_id in p):
+        """Re-evaluate every idle session touching ``node_id``, in pair
+        order: O(k log k) for the node's k sessions in the index.  A
+        session with a leg in flight is skipped (``_pump`` would return
+        on it at once)."""
+        pairs = self._node_sessions.get(node_id)
+        if not pairs:
+            return
+        for pair in sorted(pairs):
             session = self._sessions.get(pair)
-            if session is not None:
+            if session is not None and session.transfer is None:
                 self._pump(session)
+
+    def _release_inbound(self, transfer: Transfer) -> None:
+        """Forget ``transfer``'s bundle as in flight to its receiver,
+        dropping the receiver's entry once nothing is inbound."""
+        inbound = self._inbound.get(transfer.receiver)
+        if inbound is not None:
+            inbound.discard(transfer.bundle.bundle_id)
+            if not inbound:
+                del self._inbound[transfer.receiver]
 
     def _offered_bytes(self, session: ContactSession) -> int:
         """Remaining bytes both directions want to ship right now."""
@@ -326,7 +351,9 @@ class BandwidthDtnOverlay(DtnOverlay):
 
         Per direction the router's first offer not already in flight to
         that receiver; directions tie-break on (queue rank, sender).
-        O(n log n) in the busier store.
+        O(n log n) in the busier store: each direction builds the full
+        ranked ``offers`` list to use its first startable bundle, once
+        per ``_pump`` turn on an idle session.
         """
         best: tuple[tuple[int, str, str], str, str, Bundle] | None = None
         for sender, receiver in ((session.node_a, session.node_b),
@@ -357,6 +384,7 @@ class BandwidthDtnOverlay(DtnOverlay):
         fragment is already complete (paid for on an earlier contact
         whose custody could not settle) settles at zero byte cost and
         the queue re-ranks."""
+        self.pump_passes += 1
         while True:
             if session.transfer is not None:
                 return
@@ -453,7 +481,7 @@ class BandwidthDtnOverlay(DtnOverlay):
         session.transfer = None
         sender, receiver = transfer.sender, transfer.receiver
         bundle = transfer.bundle
-        self._inbound.get(receiver, set()).discard(bundle.bundle_id)
+        self._release_inbound(transfer)
         session.used_bytes += transfer.send_bytes
         self.counters.bytes_transferred += transfer.send_bytes
         if self.meter is not None:

@@ -37,14 +37,18 @@ class MobilityModel:
         return True
 
     def linear_segments(self, t0: float,
-                        t1: float) -> typing.List[Segment]:
+                        t1: float) -> typing.Iterator[Segment]:
         """Piecewise-linear description of the motion over ``[t0, t1]``.
 
-        Returns contiguous :data:`Segment` tuples of positive length
-        covering exactly the window (first starts at ``t0``, last ends
-        at ``t1``) and agreeing with :meth:`position` throughout.  The
-        connectivity-event solver (:mod:`repro.radio.contacts`) predicts
-        every link crossing from them, so every model must implement it.
+        A lazy stream of contiguous :data:`Segment` tuples of positive
+        length covering exactly the window (first starts at ``t0``, last
+        ends at ``t1``) and agreeing with :meth:`position` throughout;
+        an empty window (``t1 <= t0``) yields nothing.  Consumers only
+        iterate it — never index or measure it — and may stop early:
+        the connectivity-event solver (:mod:`repro.radio.contacts`)
+        predicts every link crossing from it and stops pulling at the
+        first flip, so a model should do a segment's work only when
+        that segment is pulled.  Every model must implement it.
         """
         raise NotImplementedError
 

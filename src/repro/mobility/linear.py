@@ -29,13 +29,16 @@ class LinearMovement(MobilityModel):
         return self.velocity != (0.0, 0.0)
 
     def linear_segments(self, t0: float, t1: float):
+        if t1 <= t0:
+            return
         still = (0.0, 0.0)
         if t1 <= self.start_time or self.velocity == still:
-            return [(t0, t1, self.position(t0), still)]
-        if t0 >= self.start_time:
-            return [(t0, t1, self.position(t0), self.velocity)]
-        return [(t0, self.start_time, self.start, still),
-                (self.start_time, t1, self.start, self.velocity)]
+            yield (t0, t1, self.position(t0), still)
+        elif t0 >= self.start_time:
+            yield (t0, t1, self.position(t0), self.velocity)
+        else:
+            yield (t0, self.start_time, self.start, still)
+            yield (self.start_time, t1, self.start, self.velocity)
 
     def settled_after(self) -> float | None:
         return 0.0 if self.velocity == (0.0, 0.0) else None
@@ -80,12 +83,13 @@ class PathMovement(MobilityModel):
         return len(points) > 1
 
     def linear_segments(self, t0: float, t1: float):
-        segments: list = []
+        if t1 <= t0:
+            return
         cursor = t0
         first_time = self.waypoints[0][0]
         if cursor < first_time:
             end = min(first_time, t1)
-            segments.append((cursor, end, self.waypoints[0][1], (0.0, 0.0)))
+            yield (cursor, end, self.waypoints[0][1], (0.0, 0.0))
             cursor = end
         for (a_t, a_p), (b_t, b_p) in zip(self.waypoints,
                                           self.waypoints[1:]):
@@ -98,11 +102,10 @@ class PathMovement(MobilityModel):
                 continue
             velocity = ((b_p[0] - a_p[0]) / (b_t - a_t),
                         (b_p[1] - a_p[1]) / (b_t - a_t))
-            segments.append((cursor, end, self.position(cursor), velocity))
+            yield (cursor, end, self.position(cursor), velocity)
             cursor = end
         if cursor < t1:
-            segments.append((cursor, t1, self.waypoints[-1][1], (0.0, 0.0)))
-        return segments
+            yield (cursor, t1, self.waypoints[-1][1], (0.0, 0.0))
 
     def settled_after(self) -> float:
         return self.waypoints[-1][0]

@@ -18,7 +18,8 @@ class StaticPosition(MobilityModel):
         return False
 
     def linear_segments(self, t0: float, t1: float):
-        return [(t0, t1, self._point, (0.0, 0.0))]
+        if t1 > t0:
+            yield (t0, t1, self._point, (0.0, 0.0))
 
     def settled_after(self) -> float:
         return 0.0

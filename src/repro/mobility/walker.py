@@ -62,7 +62,6 @@ class CorridorWalk(MobilityModel):
         if self.stop_distance is not None:
             boundaries.append(self.depart_time
                               + self.stop_distance / self.speed)
-        segments: list = []
         cursor = t0
         for boundary in boundaries:
             if cursor >= t1:
@@ -71,15 +70,14 @@ class CorridorWalk(MobilityModel):
                 continue
             end = min(boundary, t1)
             moving = cursor >= self.depart_time
-            segments.append((cursor, end, self.position(cursor),
-                             velocity if moving else still))
+            yield (cursor, end, self.position(cursor),
+                   velocity if moving else still)
             cursor = end
         if cursor < t1:
             moving = (self.stop_distance is None
                       and cursor >= self.depart_time)
-            segments.append((cursor, t1, self.position(cursor),
-                             velocity if moving else still))
-        return segments
+            yield (cursor, t1, self.position(cursor),
+                   velocity if moving else still)
 
     def settled_after(self) -> float | None:
         if self.stop_distance is None:

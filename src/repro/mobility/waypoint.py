@@ -7,6 +7,20 @@ import bisect
 from repro.mobility.base import MobilityModel, Point, distance
 from repro.sim.rng import RandomStream
 
+#: One leg: ``(start_time, end_time, from_point, to_point)``.
+Leg = tuple[float, float, Point, Point]
+
+
+def _point_on(leg: Leg, t: float) -> Point:
+    """Position at ``t`` given ``leg``, the last leg departing at or
+    before ``t``: on the leg while it lasts, then at its destination."""
+    leg_start, leg_end, origin, target = leg
+    if t > leg_end or leg_end == leg_start:
+        return target  # pausing at this leg's destination
+    fraction = (t - leg_start) / (leg_end - leg_start)
+    return (origin[0] + fraction * (target[0] - origin[0]),
+            origin[1] + fraction * (target[1] - origin[1]))
+
 
 class RandomWaypoint(MobilityModel):
     """Pick a random destination, move to it at a random speed, pause, repeat.
@@ -50,7 +64,7 @@ class RandomWaypoint(MobilityModel):
         # timestep, so lookups must not degrade with elapsed sim time.
         # The cache itself cannot be pruned: queries may legally arrive
         # out of time order (see MobilityModel).
-        self._legs: list[tuple[float, float, Point, Point]] = []
+        self._legs: list[Leg] = []
         self._leg_starts: list[float] = []
         self._next_leg_start = 0.0
         self._current_point: Point = start
@@ -71,56 +85,61 @@ class RandomWaypoint(MobilityModel):
             self._current_point = target
 
     def linear_segments(self, t0: float, t1: float):
-        """Legs and pauses intersecting ``[t0, t1]``; extends the cache.
+        """Legs and pauses intersecting ``[t0, t1]``; the leg cache
+        grows only as far as the stream is pulled.
 
         Leg generation draws only from this model's own stream, so
-        predicting ahead never perturbs any other component — the legs a
-        later ``position`` query would generate are identical.
+        predicting ahead — or abandoning a stream half-way — never
+        perturbs any other component: the legs a later ``position``
+        query generates are identical.  Before time 0 the node waits at
+        its start.  Piece starts equal :meth:`position` exactly: both
+        apply :func:`_point_on` to the last leg departing at or before
+        that instant, which the walk tracks instead of bisecting.
         """
-        if t0 < 0:
-            t0 = 0.0
-        self._extend_until(t1)
+        if t1 <= t0:
+            return
         still = (0.0, 0.0)
-        segments: list = []
         cursor = t0
-        index = max(0, bisect.bisect_right(self._leg_starts, t0) - 1)
-        for i in range(index, len(self._legs)):
+        if cursor < 0.0:
+            end = min(0.0, t1)
+            yield (cursor, end, self.position(cursor), still)
+            cursor = end
             if cursor >= t1:
-                break
-            leg_start, leg_end, origin, target = self._legs[i]
+                return
+        self._extend_until(cursor)
+        legs = self._legs
+        index = bisect.bisect_right(self._leg_starts, cursor) - 1
+        departed = legs[index]  # the last leg departing at or before cursor
+        while cursor < t1:
+            if index == len(legs):
+                if self._next_leg_start >= t1:
+                    break   # pausing past the last leg until the window ends
+                self._extend_until(self._next_leg_start)
+            leg = legs[index]
+            index += 1
+            leg_start, leg_end, origin, target = leg
             if leg_start > cursor:  # pause before this leg departs
                 end = min(leg_start, t1)
-                segments.append((cursor, end, self.position(cursor), still))
+                yield (cursor, end, _point_on(departed, cursor), still)
                 cursor = end
                 if cursor >= t1:
-                    break
+                    return
+            departed = leg
             if leg_end <= cursor or leg_end == leg_start:
                 continue
             travel = leg_end - leg_start
             velocity = ((target[0] - origin[0]) / travel,
                         (target[1] - origin[1]) / travel)
             end = min(leg_end, t1)
-            segments.append((cursor, end, self.position(cursor), velocity))
+            yield (cursor, end, _point_on(leg, cursor), velocity)
             cursor = end
-        if cursor < t1:  # pausing past the last generated leg's arrival
-            segments.append((cursor, t1, self.position(cursor), still))
-        return segments
+        if cursor < t1:  # pausing past the last leg's arrival
+            yield (cursor, t1, _point_on(departed, cursor), still)
 
     def position(self, t: float) -> Point:
         """Position at time ``t`` (sim-seconds); O(log legs) per call."""
         if t < 0:
             t = 0.0
-        self._extend_until(t)
-        if not self._legs:
-            return self._current_point
+        self._extend_until(t)  # the first leg departs at 0: index >= 0
         index = bisect.bisect_right(self._leg_starts, t) - 1
-        if index < 0:
-            return self._legs[0][2]  # before the first departure
-        leg_start, leg_end, origin, target = self._legs[index]
-        if t > leg_end:
-            return target  # pausing at this leg's destination
-        if leg_end == leg_start:
-            return target
-        fraction = (t - leg_start) / (leg_end - leg_start)
-        return (origin[0] + fraction * (target[0] - origin[0]),
-                origin[1] + fraction * (target[1] - origin[1]))
+        return _point_on(self._legs[index], t)

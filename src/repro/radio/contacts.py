@@ -15,11 +15,13 @@ applied to the PeerHood world.
 
 Two prediction tiers:
 
-* **piecewise closed form** over the pair's segment lists
+* **piecewise closed form** over the pair's lazy segment streams
   (:meth:`repro.mobility.base.MobilityModel.linear_segments`, which
   every mobility model implements) — usually one piece for a
   static/linear pair, several for waypoint/walker/random-waypoint
-  motion;
+  motion.  The merge pulls segments only as it walks and stops at the
+  first flip, so a solve costs the pieces up to that flip, not the
+  whole horizon;
 * **guarded bisection** for pairs under a quality override (the
   Fig. 5.8 decay), which is an arbitrary function of time: sample the
   predicate at a fixed step, then bisect the first flip.
@@ -74,30 +76,38 @@ def _dot(a: Point, b: Point) -> float:
     return a[0] * b[0] + a[1] * b[1]
 
 
-def _relative_pieces(segs_a, segs_b):
-    """Merge two contiguous segment lists into relative-motion pieces.
+def _relative_pieces(segs_a, segs_b, pulled):
+    """Merge two contiguous segment streams into relative-motion pieces.
 
     Yields ``(u, v, D, V)``: over ``[u, v]`` the offset a−b is
     ``D + V·(t − u)``.  Both inputs cover the same window, so the merge
-    is a linear two-pointer walk.
+    is a two-pointer walk that pulls a segment only when the consumer
+    asks for a piece needing it; ``pulled[0]`` counts the pulls.
     """
-    i = j = 0
-    while i < len(segs_a) and j < len(segs_b):
-        a_start, a_end, a_pos, a_vel = segs_a[i]
-        b_start, b_end, b_pos, b_vel = segs_b[j]
-        u = max(a_start, b_start)
-        v = min(a_end, b_end)
-        if v > u:
-            ax = a_pos[0] + a_vel[0] * (u - a_start)
-            ay = a_pos[1] + a_vel[1] * (u - a_start)
-            bx = b_pos[0] + b_vel[0] * (u - b_start)
-            by = b_pos[1] + b_vel[1] * (u - b_start)
-            yield (u, v, (ax - bx, ay - by),
-                   (a_vel[0] - b_vel[0], a_vel[1] - b_vel[1]))
-        if a_end <= v:
-            i += 1
-        if b_end <= v:
-            j += 1
+    next_a = iter(segs_a).__next__
+    next_b = iter(segs_b).__next__
+    try:
+        a_start, a_end, a_pos, a_vel = next_a()
+        b_start, b_end, b_pos, b_vel = next_b()
+        pulled[0] += 2
+        while True:
+            u = max(a_start, b_start)
+            v = min(a_end, b_end)
+            if v > u:
+                ax = a_pos[0] + a_vel[0] * (u - a_start)
+                ay = a_pos[1] + a_vel[1] * (u - a_start)
+                bx = b_pos[0] + b_vel[0] * (u - b_start)
+                by = b_pos[1] + b_vel[1] * (u - b_start)
+                yield (u, v, (ax - bx, ay - by),
+                       (a_vel[0] - b_vel[0], a_vel[1] - b_vel[1]))
+            if a_end <= v:
+                a_start, a_end, a_pos, a_vel = next_a()
+                pulled[0] += 1
+            if b_end <= v:
+                b_start, b_end, b_pos, b_vel = next_b()
+                pulled[0] += 1
+    except StopIteration:
+        return
 
 
 def _state_at_piece_start(c0: float, b: float, a: float,
@@ -121,16 +131,19 @@ def _state_at_piece_start(c0: float, b: float, a: float,
 
 def next_distance_crossing(
         mobility_a: MobilityModel, mobility_b: MobilityModel,
-        threshold_m: float, t0: float, t1: float) -> Crossing | None:
+        threshold_m: float, t0: float, t1: float,
+        pulled: list[int] | None = None) -> Crossing | None:
     """Earliest flip of ``distance(a, b) <= threshold_m`` in ``(t0, t1]``.
 
-    Closed-form over the pair's merged linear segments; ``None`` when
-    no flip occurs before ``t1``.  Units: metres in, sim-seconds out.
-    O(S_a + S_b) for the models' segment counts over the window (the
-    two-pointer merge visits each piece once; each piece is one
-    quadratic solve).  Tangential grazes are not flips; a pair starting
-    exactly on the ring takes the state it is heading toward, so
-    re-solving from a returned crossing time always progresses.
+    Closed-form over the pair's merged linear segment streams; ``None``
+    when no flip occurs before ``t1``.  Units: metres in, sim-seconds
+    out.  O(pieces walked to the first flip), each piece one quadratic
+    solve: the merge pulls from the models' lazy streams only as it
+    walks, so only a flip-free window costs O(S_a + S_b).  ``pulled[0]``,
+    when given, is increased by the segments pulled.
+    Tangential grazes are not flips; a pair starting exactly on the
+    ring takes the state it is heading toward, so re-solving from a
+    returned crossing time always progresses.
     """
     if threshold_m <= 0:
         raise ValueError(f"threshold must be positive: {threshold_m}")
@@ -141,7 +154,8 @@ def next_distance_crossing(
     r_squared = threshold_m * threshold_m
     on_ring_eps = 1e-9 * max(1.0, r_squared)
     initial: bool | None = None
-    for u, v, offset, velocity in _relative_pieces(segs_a, segs_b):
+    for u, v, offset, velocity in _relative_pieces(
+            segs_a, segs_b, [0] if pulled is None else pulled):
         a = _dot(velocity, velocity)
         b = 2.0 * _dot(offset, velocity)
         c0 = _dot(offset, offset) - r_squared
@@ -180,8 +194,9 @@ def distance_crossings(
         threshold_m: float, t0: float, t1: float) -> list[Crossing]:
     """All flips in ``(t0, t1]``, in time order (test/trace helper).
 
-    O(C · (S_a + S_b)) for C crossings in the window — each crossing
-    re-enters :func:`next_distance_crossing` from the previous root.
+    O(C · P) for C crossings in the window and P pieces walked per
+    re-solve — each crossing re-enters :func:`next_distance_crossing`
+    from the previous root.
     """
     crossings: list[Crossing] = []
     cursor = t0
@@ -236,13 +251,20 @@ class ContactSolver:
     One solver per :class:`~repro.radio.world.World`; every prediction
     window is :data:`HORIZON_S` long.  ``predictions`` counts closed-form
     solves, ``bisections`` the override scans — the benchmarks assert
-    the hot path stays analytic.
+    the hot path stays analytic — and ``segments`` the mobility
+    segments those solves pulled.
     """
 
     def __init__(self, world: "World"):
         self.world = world
         self.predictions = 0
         self.bisections = 0
+        self._pulled = [0]
+
+    @property
+    def segments(self) -> int:
+        """Segments pulled from mobility models, summed over solves."""
+        return self._pulled[0]
 
     # ------------------------------------------------------------------
     # helpers
@@ -284,8 +306,8 @@ class ContactSolver:
         :data:`HORIZON_S` later — ``None`` means "no flip before the
         horizon", which callers must treat as *re-check at the
         horizon*, not "never" (unless :meth:`pair_settled`).  Cost: one
-        O(segments) closed-form solve; a pair with a removed endpoint
-        answers ``None`` without solving.
+        closed-form solve, O(pieces walked to the first flip); a pair
+        with a removed endpoint answers ``None`` without solving.
         """
         start = self.world.sim.now if t0 is None else t0
         end = start + HORIZON_S
@@ -294,7 +316,7 @@ class ContactSolver:
             return None
         self.predictions += 1
         return next_distance_crossing(
-            pair[0], pair[1], tech.range_m, start, end)
+            pair[0], pair[1], tech.range_m, start, end, self._pulled)
 
     # ------------------------------------------------------------------
     # quality-threshold crossings
@@ -336,4 +358,5 @@ class ContactSolver:
         if pair is None:
             return None
         self.predictions += 1
-        return next_distance_crossing(pair[0], pair[1], ring, start, end)
+        return next_distance_crossing(pair[0], pair[1], ring, start, end,
+                                      self._pulled)

@@ -23,7 +23,7 @@ from repro.dtn import (
     make_router,
 )
 from repro.dtn.traffic import generate_traffic, schedule_traffic
-from repro.experiments import ExperimentSpec, run_campaign
+from repro.experiments import ExperimentSpec, build_scenario, run_campaign
 from repro.mobility.linear import LinearMovement, PathMovement
 from repro.radio.technologies import TECHNOLOGIES, get_technology
 from repro.scenarios import Scenario, island_hopping_ferry, rural_bus_dtn
@@ -221,6 +221,57 @@ def test_detach_cancels_sessions_silently():
     assert plane.delivered == {}
     assert plane.counters.transfers_cancelled == 0
     assert plane.counters.transfers_truncated == 0
+
+
+def _assert_session_index_fresh(plane, retired=()):
+    """The per-node session index equals a scan of the open sessions,
+    and neither it nor the inbound ledger keeps an empty or retired
+    node's entry."""
+    nodes = set(plane.stores) | set(plane._node_sessions)
+    for node in nodes:
+        expected = {pair for pair in plane._sessions if node in pair}
+        assert plane._node_sessions.get(node, set()) == expected, node
+    assert all(plane._node_sessions.values())
+    assert all(plane._inbound.values())
+    for node in retired:
+        assert node not in plane._node_sessions, node
+        assert node not in plane._inbound, node
+
+
+def test_session_index_never_goes_stale():
+    """Crash faults, a mid-run removal of the busiest node and detach:
+    after every kernel step the index matches the sessions."""
+    scenario = build_scenario("crowded_festival", seed=4, params={
+        "count": 12, "crash_rate": 0.5, "crash_downtime_s": 30.0,
+        "fault_window_s": 200.0})
+    plane = BandwidthDtnOverlay(scenario.world, make_router("epidemic"),
+                                data_rate_Bps=5_000.0)
+    injections = generate_traffic(
+        scenario.sim.rng("dtn/traffic"), plane.live_nodes(), "uniform",
+        16, window=(5.0, 120.0), size_bytes=40_000, ttl_s=400.0)
+    schedule_traffic(plane, injections)
+    retired: list[str] = []
+
+    def retire_busiest():
+        busiest = max(sorted(plane._node_sessions),
+                      key=lambda node: len(plane._node_sessions[node]))
+        scenario.remove_node(busiest)
+        retired.append(busiest)
+
+    sim = scenario.sim
+    sim.call_at(90.0, retire_busiest)
+    deadline = sim.timeout(240.0)
+    while not deadline.processed:
+        sim.step()
+        _assert_session_index_fresh(plane, retired)
+    assert retired and retired[0] not in plane.live_nodes()
+    assert scenario.world.faults.counters.crashes > 0
+    assert plane.counters.transfers_cancelled > 0
+    assert plane.pump_passes > 0
+    plane.detach()
+    _assert_session_index_fresh(plane, retired)
+    assert plane._sessions == {} and plane._node_sessions == {}
+    assert plane._inbound == {}
 
 
 def test_spray_tokens_conserved_across_concurrent_sessions():

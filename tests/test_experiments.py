@@ -8,6 +8,7 @@ the same spec produces byte-identical JSONL and aggregate CSV with
 """
 
 import inspect
+import itertools
 import json
 import pathlib
 
@@ -60,11 +61,15 @@ def test_registered_scenarios_constructible_with_defaults(name):
     assert scenario.nodes or name in ("flash_crowd", "replay_arena")
     # The segment contract the contact solver predicts every crossing
     # from: contiguous positive-length pieces covering exactly the
-    # window, each agreeing with position(t).
+    # window, each agreeing with position(t).  The solver abandons a
+    # stream at the first flip, so a stream consumed only in part
+    # first must leave every later answer unchanged.
     world = scenario.world
     for node_id in world.node_ids()[:40]:
         mobility = world.node(node_id).mobility
-        for t0, t1 in ((0.0, 600.0), (137.25, 737.25)):
+        prefix = list(itertools.islice(
+            mobility.linear_segments(61.5, 661.5), 2))
+        for t0, t1 in ((0.0, 600.0), (137.25, 737.25), (61.5, 661.5)):
             pieces = list(mobility.linear_segments(t0, t1))
             assert pieces[0][0] == t0 and pieces[-1][1] == t1, node_id
             for previous, piece in zip(pieces, pieces[1:]):
@@ -76,6 +81,8 @@ def test_registered_scenarios_constructible_with_defaults(name):
                     dt = t - start
                     assert abs(x + vx * dt - px) <= 1e-6, (node_id, t)
                     assert abs(y + vy * dt - py) <= 1e-6, (node_id, t)
+        full = list(mobility.linear_segments(61.5, 661.5))
+        assert prefix == full[:len(prefix)], node_id
 
 
 def test_registry_rejects_unknown_scenario_and_params():

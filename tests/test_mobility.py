@@ -1,6 +1,10 @@
 """Unit tests for mobility models."""
 
+import itertools
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.mobility import (
     CorridorWalk,
@@ -151,3 +155,119 @@ def test_random_waypoint_actually_moves():
     start = model.position(0.0)
     later = model.position(60.0)
     assert start != later
+
+
+# ----------------------------------------------------------------------
+# the linear_segments stream contract
+# ----------------------------------------------------------------------
+def _models():
+    """One instance of every mobility model, keyed by class name."""
+    return {
+        "StaticPosition": StaticPosition(2.0, 3.0),
+        "LinearMovement": LinearMovement((0.0, 0.0), (1.0, 0.5),
+                                         start_time=4.0),
+        "PathMovement": PathMovement([(2.0, (0.0, 0.0)),
+                                      (8.0, (6.0, 0.0)),
+                                      (12.0, (6.0, 4.0))]),
+        "CorridorWalk": CorridorWalk((1.0, 1.0), heading_deg=30.0,
+                                     depart_time=3.0, stop_distance=5.0),
+        "RandomWaypoint": RandomWaypoint(RandomStream(7, "rwp"),
+                                         area=(30.0, 30.0),
+                                         pause_range=(1.0, 4.0)),
+    }
+
+
+MODEL_NAMES = sorted(_models())
+
+
+def _assert_covers(model, t0, t1, pieces):
+    """``pieces`` are contiguous, positive-length, span exactly
+    ``[t0, t1]`` and agree with ``position(t)``."""
+    assert pieces[0][0] == t0 and pieces[-1][1] == t1
+    for previous, piece in zip(pieces, pieces[1:]):
+        assert previous[1] == piece[0]
+    for start, end, (x, y), (vx, vy) in pieces:
+        assert end > start
+        for t in (start, (start + end) / 2.0, end):
+            px, py = model.position(t)
+            assert abs(x + vx * (t - start) - px) <= 1e-9
+            assert abs(y + vy * (t - start) - py) <= 1e-9
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_linear_segments_is_a_lazy_stream(name):
+    stream = _models()[name].linear_segments(0.0, 50.0)
+    assert iter(stream) is stream   # an iterator, not a built list
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+@pytest.mark.parametrize("t0, t1", [(5.0, 5.0), (5.0, 3.0), (0.0, 0.0),
+                                    (-2.0, -3.0)])
+def test_empty_window_yields_nothing(name, t0, t1):
+    assert list(_models()[name].linear_segments(t0, t1)) == []
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+@pytest.mark.parametrize("t0, t1", [(-10.0, 30.0), (-10.0, -4.0),
+                                    (-0.5, 0.25)])
+def test_window_before_time_zero_starts_at_t0(name, t0, t1):
+    model = _models()[name]
+    _assert_covers(model, t0, t1, list(model.linear_segments(t0, t1)))
+
+
+def test_random_waypoint_waits_at_its_start_before_time_zero():
+    model = _models()["RandomWaypoint"]
+    first = next(iter(model.linear_segments(-10.0, 30.0)))
+    assert first == (-10.0, 0.0, model.position(0.0), (0.0, 0.0))
+
+
+# ----------------------------------------------------------------------
+# lazy random-waypoint legs are stream-safe
+# ----------------------------------------------------------------------
+_times = st.floats(min_value=-20.0, max_value=900.0, allow_nan=False)
+_operations = st.lists(st.one_of(
+    st.tuples(st.just("open"), _times,
+              st.floats(min_value=1e-3, max_value=700.0)),
+    st.tuples(st.just("pull"), st.integers(0, 7), st.integers(1, 6)),
+    st.tuples(st.just("abandon"), st.integers(0, 7)),
+    st.tuples(st.just("position"), _times),
+), max_size=30)
+
+
+def _fresh_twin(seed):
+    return RandomWaypoint(RandomStream(seed, "rwp"), area=(60.0, 40.0),
+                          pause_range=(0.0, 8.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), operations=_operations)
+def test_random_waypoint_lazy_legs_are_stream_safe(seed, operations):
+    """Interleaved, partly consumed and abandoned segment streams plus
+    out-of-order ``position`` queries see exactly what an untouched
+    model with an equal stream sees."""
+    model = _fresh_twin(seed)
+    streams = []        # [window, iterator, pieces pulled so far]
+    queried = []
+    for operation in operations:
+        kind = operation[0]
+        if kind == "open":
+            window = (operation[1], operation[1] + operation[2])
+            streams.append([window, model.linear_segments(*window), []])
+        elif kind == "pull" and streams:
+            window, stream, pulled = streams[operation[1] % len(streams)]
+            pulled.extend(itertools.islice(stream, operation[2]))
+        elif kind == "abandon" and streams:
+            del streams[operation[1] % len(streams)]
+        elif kind == "position":
+            queried.append((operation[1], model.position(operation[1])))
+    for t, point in queried:
+        assert _fresh_twin(seed).position(t) == point
+    for window, stream, pulled in streams:
+        expected = list(_fresh_twin(seed).linear_segments(*window))
+        assert pulled + list(stream) == expected
+        assert list(model.linear_segments(*window)) == expected
+        # Piece starts are position() exactly, not merely within 1e-9:
+        # the solver's predictions must not depend on how a point was
+        # reached.
+        assert all(point == model.position(start)
+                   for start, _end, point, _velocity in expected)
