@@ -110,7 +110,8 @@ class Daemon:
         """Answer one information fetch from an inquiring peer (Fig. 3.7).
 
         Returns None when the daemon is down (the inquirer sees a failed
-        short connection).
+        short connection).  The neighbourhood is the storage's shared
+        snapshot, whose wire size is summed once per storage change.
         """
         if not self._running:
             return None

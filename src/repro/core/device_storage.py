@@ -22,8 +22,14 @@ import typing
 
 from repro.core.config import RoutingPolicy
 from repro.core.device import DeviceIdentity, MobilityClass
-from repro.core.protocol import NeighbourEntry
-from repro.core.routing import RouteMetrics, direct_route, is_better_route
+from repro.core.protocol import NeighbourEntry, Neighbourhood
+from repro.core.routing import (
+    RouteMetrics,
+    check_route_figures,
+    direct_route,
+    is_better_route,
+    upstream_route,
+)
 from repro.core.service import ServiceRecord
 
 
@@ -40,7 +46,6 @@ class StoredDevice:
     services: tuple[ServiceRecord, ...] = ()
     timestamp: int = 0
     loops_since_fetch: int = 0
-    last_seen_at: float = 0.0
     #: The device's own neighbourhood snapshot as fetched (Fig. 3.2 keeps
     #: per-device neighbour lists).  Populated for direct devices only;
     #: HandoverThread state 0 "searches for the actual connection address
@@ -98,6 +103,10 @@ class DeviceStorage:
         self.policy = policy or RoutingPolicy()
         self.stale_after_loops = stale_after_loops
         self._devices: dict[str, StoredDevice] = {}
+        #: The last snapshot built; every mutator drops it.
+        self._snapshot: Neighbourhood | None = None
+        #: Work counter: ``NeighbourEntry`` rows built by :meth:`snapshot`.
+        self.snapshot_rows = 0
 
     # ------------------------------------------------------------------
     # queries
@@ -132,9 +141,20 @@ class DeviceStorage:
                                     d.address))
         return matches
 
-    def snapshot(self) -> tuple[NeighbourEntry, ...]:
-        """The neighbourhood info sent to an inquiring peer (§3.3)."""
-        return tuple(d.to_neighbour_entry() for d in self.devices())
+    def snapshot(self) -> Neighbourhood:
+        """The neighbourhood info sent to an inquiring peer (§3.3).
+
+        An immutable tuple of frozen rows, built once per storage change
+        and shared by every response (and every peer's retained
+        ``StoredDevice.neighbourhood``) until the next mutation; it is
+        never copied per response.
+        """
+        snapshot = self._snapshot
+        if snapshot is None:
+            snapshot = self._snapshot = Neighbourhood(
+                d.to_neighbour_entry() for d in self.devices())
+            self.snapshot_rows += len(snapshot)
+        return snapshot
 
     # ------------------------------------------------------------------
     # direct-device updates (Fig. 3.12)
@@ -148,7 +168,10 @@ class DeviceStorage:
 
         A direct observation always replaces any stored multi-hop route —
         physical presence inside our coverage beats any relayed path.
+        A tuple ``neighbourhood`` (a peer's shared snapshot) is kept as
+        is, not copied.
         """
+        self._snapshot = None
         entry = StoredDevice(
             address=identity.address,
             name=identity.name,
@@ -159,8 +182,8 @@ class DeviceStorage:
             services=tuple(services),
             timestamp=0,
             loops_since_fetch=0,
-            last_seen_at=now,
-            neighbourhood=tuple(neighbourhood),
+            neighbourhood=(neighbourhood if isinstance(neighbourhood, tuple)
+                           else tuple(neighbourhood)),
             load_factor=load_factor,
         )
         self._devices[identity.address] = entry
@@ -172,12 +195,12 @@ class DeviceStorage:
         Resets staleness and refreshes the measured link quality, keeping
         services from the previous fetch (§3.5's service-check interval).
         """
+        self._snapshot = None
         entry = self._devices.get(address)
         if entry is None or not entry.is_direct():
             return
         entry.timestamp = 0
         entry.loops_since_fetch += 1
-        entry.last_seen_at = now
         scaled = round(quality * entry.load_factor)
         entry.route = direct_route(scaled, entry.mobility)
 
@@ -201,6 +224,7 @@ class DeviceStorage:
         return evicted
 
     def _evict_with_routes(self, address: str) -> None:
+        self._snapshot = None
         del self._devices[address]
         dependent = [a for a, d in self._devices.items()
                      if d.bridge == address]
@@ -234,11 +258,19 @@ class DeviceStorage:
         Routes previously learnt through this reporter that it no longer
         advertises are dropped — the reporter's snapshot is authoritative
         for its own subtree.
+
+        Every entry past the own-device and reporter filters has its
+        figures validated; one :class:`RouteMetrics` is built per entry
+        that also survives the ``max_jump`` cut and the never-shadow-a-
+        direct-device rule.
         """
+        self._snapshot = None
         if not reporter.is_direct():
             raise ValueError("neighbourhood analysis requires a direct "
                              f"reporter, got jump {reporter.jump}")
         link_quality = reporter.route.quality_sum
+        bridge_mobility = reporter.mobility
+        max_jump = self.policy.max_jump
         advertised = {e.address for e in entries}
         stale_via_reporter = [
             address for address, device in self._devices.items()
@@ -253,15 +285,16 @@ class DeviceStorage:
                 continue  # own-device filter (§3.5)
             if entry.address == reporter.address:
                 continue  # the reporter is already stored directly
-            candidate_route = RouteMetrics(
-                jump=entry.jump,
-                first_hop_mobility=entry.mobility,
-                quality_sum=entry.route_quality_sum,
-                min_link_quality=entry.route_min_quality,
-            ).extend(link_quality, reporter.mobility)
-            if candidate_route.jump > self.policy.max_jump:
+            check_route_figures(entry.jump, entry.route_quality_sum,
+                                entry.route_min_quality)
+            if entry.jump + 1 > max_jump:
                 continue
             stored = self._devices.get(entry.address)
+            if stored is not None and stored.is_direct():
+                continue  # never shadow a direct observation
+            candidate_route = upstream_route(
+                entry.jump, entry.route_quality_sum, entry.route_min_quality,
+                link_quality, bridge_mobility)
             if stored is None:
                 self._devices[entry.address] = StoredDevice(
                     address=entry.address,
@@ -271,12 +304,9 @@ class DeviceStorage:
                     route=candidate_route,
                     bridge=reporter.address,
                     services=entry.services,
-                    last_seen_at=now,
                 )
                 changed.append(entry.address)
                 continue
-            if stored.is_direct():
-                continue  # never shadow a direct observation
             if stored.bridge == reporter.address or is_better_route(
                     candidate_route, stored.route, self.policy):
                 stored.route = candidate_route
@@ -285,7 +315,6 @@ class DeviceStorage:
                 stored.name = entry.name
                 stored.prototype = entry.prototype
                 stored.mobility = entry.mobility
-                stored.last_seen_at = now
                 changed.append(entry.address)
         return changed
 
@@ -346,4 +375,5 @@ class DeviceStorage:
 
     def clear(self) -> None:
         """Drop everything (daemon restart)."""
+        self._snapshot = None
         self._devices.clear()

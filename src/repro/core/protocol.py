@@ -199,6 +199,24 @@ class NeighbourEntry(Frame):
         return base + sum(s.wire_size() for s in self.services)
 
 
+class Neighbourhood(tuple):
+    """An immutable DeviceStorage snapshot that knows its wire size.
+
+    A daemon builds one per storage change and shares it with every
+    response until the next change, so the rows' bytes are summed once
+    here, not once per response.
+    """
+
+    def __new__(cls, entries: typing.Iterable[NeighbourEntry] = ()):
+        self = super().__new__(cls, entries)
+        self._wire_size = sum(entry.wire_size() for entry in self)
+        return self
+
+    def wire_size(self) -> int:
+        """``sum(entry.wire_size() for entry in self)``, summed once."""
+        return self._wire_size
+
+
 @dataclasses.dataclass(frozen=True)
 class DiscoveryResponse(Frame):
     """The bundle a daemon returns to one discovery inquiry.
@@ -211,13 +229,19 @@ class DiscoveryResponse(Frame):
     identity: DeviceIdentity
     prototype: str
     services: tuple[ServiceRecord, ...]
-    neighbourhood: tuple[NeighbourEntry, ...]
+    #: Any sequence of entries; kept as a :class:`Neighbourhood`.
+    neighbourhood: Neighbourhood
     #: §4.0's bottleneck hint: fraction of remaining bridge capacity; the
     #: inquirer scales the measured link quality by it when the responder
     #: has ``advertise_load_in_quality`` enabled.
     load_factor: float = 1.0
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.neighbourhood, Neighbourhood):
+            object.__setattr__(self, "neighbourhood",
+                               Neighbourhood(self.neighbourhood))
+
     def wire_size(self) -> int:
         return (self.identity.wire_size() + len(self.prototype) + 4
                 + sum(s.wire_size() for s in self.services)
-                + sum(n.wire_size() for n in self.neighbourhood))
+                + self.neighbourhood.wire_size())

@@ -45,10 +45,8 @@ class RouteMetrics:
     min_link_quality: int
 
     def __post_init__(self) -> None:
-        if self.jump < 0:
-            raise ValueError(f"negative jump count: {self.jump}")
-        if self.quality_sum < 0 or self.min_link_quality < 0:
-            raise ValueError("negative quality")
+        check_route_figures(self.jump, self.quality_sum,
+                            self.min_link_quality)
 
     def meets_threshold(self, threshold: int) -> bool:
         """Fig. 3.9: every link on the route is at least ``threshold``."""
@@ -62,12 +60,35 @@ class RouteMetrics:
         ``link_quality`` stores it with one more jump, the neighbour as
         first hop, and the local link folded into the quality figures.
         """
-        return RouteMetrics(
-            jump=self.jump + 1,
-            first_hop_mobility=bridge_mobility,
-            quality_sum=self.quality_sum + link_quality,
-            min_link_quality=min(self.min_link_quality, link_quality),
-        )
+        return upstream_route(self.jump, self.quality_sum,
+                              self.min_link_quality, link_quality,
+                              bridge_mobility)
+
+
+def check_route_figures(jump: int, quality_sum: int,
+                        min_link_quality: int) -> None:
+    """Raise ``ValueError`` for figures no route can have."""
+    if jump < 0:
+        raise ValueError(f"negative jump count: {jump}")
+    if quality_sum < 0 or min_link_quality < 0:
+        raise ValueError("negative quality")
+
+
+def upstream_route(jump: int, quality_sum: int, min_link_quality: int,
+                   link_quality: int,
+                   bridge_mobility: MobilityClass) -> RouteMetrics:
+    """An advertised route's metrics as stored one hop upstream.
+
+    The body of :meth:`RouteMetrics.extend`, taking the advertised
+    figures directly so a neighbourhood fold builds one
+    :class:`RouteMetrics` per candidate, not two.
+    """
+    return RouteMetrics(
+        jump=jump + 1,
+        first_hop_mobility=bridge_mobility,
+        quality_sum=quality_sum + link_quality,
+        min_link_quality=min(min_link_quality, link_quality),
+    )
 
 
 def direct_route(quality: int, mobility: MobilityClass) -> RouteMetrics:

@@ -1,6 +1,13 @@
 """Unit tests for DeviceStorage: Figs. 3.2, 3.12, 3.13 behaviour."""
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.core.config import RoutingPolicy
 from repro.core.device import DeviceIdentity, MobilityClass
@@ -301,3 +308,104 @@ def test_erase_and_clear():
 def test_stale_after_validation():
     with pytest.raises(ValueError):
         make_storage(stale_after_loops=0)
+
+
+@pytest.mark.parametrize("bad", [
+    {"jump": -1}, {"quality": -1}, {"min_quality": -1},
+    {"jump": 9, "min_quality": -1}])     # also past the jump cap
+@pytest.mark.parametrize("stored_directly", [False, True])
+def test_analyze_rejects_negative_route_figures(bad, stored_directly):
+    """Every entry past the own-device and reporter filters is validated,
+    even one the jump cap or a direct observation would discard."""
+    storage = make_storage()
+    reporter = add_direct(storage, "B")
+    if stored_directly:
+        add_direct(storage, "bad")
+    with pytest.raises(ValueError, match="negative"):
+        storage.analyze_neighbourhood(
+            reporter, [entry_for("ok", jump=0), entry_for("bad", **bad)],
+            now=0.0)
+
+
+def test_snapshot_is_shared_and_never_copied():
+    storage = make_storage()
+    add_direct(storage, "pc")
+    snapshot = storage.snapshot()
+    assert storage.snapshot() is snapshot
+    assert storage.snapshot_rows == 1
+    peer = make_storage()
+    stored = add_direct(peer, "other", neighbourhood=snapshot)
+    assert stored.neighbourhood is snapshot
+
+
+# ----------------------------------------------------------------------
+# the cached snapshot never goes stale
+# ----------------------------------------------------------------------
+NAMES = ("a", "b", "c", "d", "e")
+
+_qualities = st.integers(0, 255)
+_adverts = st.lists(st.builds(
+    lambda name, jump, quality, low: entry_for(
+        name, jump=jump, quality=quality, min_quality=min(low, quality)),
+    name=st.sampled_from(NAMES + ("own-device",)),
+    jump=st.integers(0, 3), quality=_qualities, low=_qualities),
+    max_size=6)
+
+
+class SnapshotMachine(RuleBasedStateMachine):
+    """Random mutator sequences; the cached snapshot must always equal a
+    fresh one, and be the same object until the next mutation."""
+
+    def __init__(self):
+        super().__init__()
+        self.storage = make_storage(policy=RoutingPolicy(max_jump=2),
+                                    stale_after_loops=1)
+
+    def _direct(self):
+        return [d.name for d in self.storage.direct_devices()]
+
+    @rule(name=st.sampled_from(NAMES), quality=_qualities,
+          neighbourhood=st.one_of(st.just(()), _adverts))
+    def update_direct(self, name, quality, neighbourhood):
+        add_direct(self.storage, name, quality=quality,
+                   neighbourhood=neighbourhood)
+
+    @rule(name=st.sampled_from(NAMES),
+          quality=st.one_of(st.none(), _qualities))
+    def mark_responded(self, name, quality):
+        stored = self.storage.get(identity(name).address)
+        if quality is None:  # same quality as stored
+            quality = stored.link_quality if stored else 0
+        self.storage.mark_responded(identity(name).address, quality, 0.0)
+
+    @precondition(lambda self: self._direct())
+    @rule(data=st.data(), entries=_adverts)
+    def analyze_neighbourhood(self, data, entries):
+        name = data.draw(st.sampled_from(self._direct()))
+        reporter = self.storage.get(identity(name).address)
+        self.storage.analyze_neighbourhood(reporter, entries, 0.0)
+
+    @rule(responded=st.sets(st.sampled_from(NAMES)))
+    def make_older(self, responded):
+        self.storage.make_older(identity(n).address for n in responded)
+
+    @rule(name=st.sampled_from(NAMES))
+    def erase(self, name):
+        self.storage.erase(identity(name).address)
+
+    @rule()
+    def clear(self):
+        self.storage.clear()
+
+    @invariant()
+    def snapshot_is_fresh_and_shared(self):
+        snapshot = self.storage.snapshot()
+        assert snapshot == tuple(d.to_neighbour_entry()
+                                 for d in self.storage.devices())
+        assert self.storage.snapshot() is snapshot
+
+
+SnapshotMachine.TestCase.settings = settings(max_examples=150,
+                                             stateful_step_count=30,
+                                             deadline=None)
+test_snapshot_never_goes_stale = SnapshotMachine.TestCase
