@@ -4,6 +4,8 @@
 #   make test         tier-1 test suite (unit + integration + property)
 #   make test-all     tier-1 plus the @pytest.mark.slow tier
 #   make bench        every paper-reproduction + scale benchmark
+#   make bench-paper  just the 19 paper-figure tests (E1-E10, ablations,
+#                     buffering extension; fast, writes no files)
 #   make bench-scale  just the spatial-grid scale benchmark (fast)
 #   make bench-events just the event-driven handover benchmark (fast)
 #   make bench-dtn    just the DTN delivery/wakeup benchmark
@@ -25,8 +27,14 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 BENCHES := $(wildcard benchmarks/bench_*.py)
+# The paper-figure benches.  `bench_e[0-9]*` rather than `bench_e*`:
+# the latter also matches bench_event_handover.py, which rewrites
+# BENCH_event_handover.json and appends to BENCH_trajectory.jsonl.
+PAPER_BENCHES := $(wildcard benchmarks/bench_e[0-9]*.py) \
+                 benchmarks/bench_ablations.py \
+                 benchmarks/bench_buffering_extension.py
 
-.PHONY: test test-all bench bench-scale bench-events bench-dtn \
+.PHONY: test test-all bench bench-paper bench-scale bench-events bench-dtn \
         bench-capacity bench-fault bench-phy sweep \
         dtn-sweep bandwidth-sweep resume-smoke lint docs-check report \
         gate perf quickstart
@@ -42,6 +50,11 @@ test-all:
 
 bench:
 	$(PYTHON) -m pytest $(BENCHES) -q -s
+
+# The thesis's figures and tables as shape assertions (Fig. 3.10 delay
+# per jump, the awareness schemes, Gnutella traffic, the relay chain…).
+bench-paper:
+	$(PYTHON) -m pytest $(PAPER_BENCHES) -q
 
 bench-scale:
 	$(PYTHON) -m pytest benchmarks/bench_scale_neighbors.py -q -s

@@ -1,4 +1,5 @@
-"""Ablations of the design choices DESIGN.md calls out.
+"""Ablations of the design choices the thesis argues for (see the
+"Benchmarks" paragraph of the README's "Tests and benchmarks" section).
 
 Each ablation flips one knob the thesis argues for and shows the
 consequence:

@@ -1,11 +1,12 @@
 """Shared helpers for the paper-reproduction benchmarks.
 
-Each ``bench_e*.py`` file regenerates one evaluation artifact of the
-thesis (see DESIGN.md's experiment index).  The pattern: a pure
-``run_*`` function produces the figures, ``benchmark.pedantic`` times one
-full run, the test asserts the paper's *shape*, and the reproduced rows
-are printed (visible with ``pytest benchmarks/ --benchmark-only -s``) and
-attached to ``benchmark.extra_info``.
+Each ``bench_e<N>_*.py`` file regenerates one evaluation artifact of
+the thesis (see the "Benchmarks" paragraph of the README's "Tests and
+benchmarks" section).  The pattern: a pure ``run_*`` function produces
+the figures, ``benchmark.pedantic`` times one full run, the test asserts
+the paper's *shape*, and the reproduced rows are printed (visible with
+``-s``, e.g. ``make bench``; ``pytest benchmarks/`` collects nothing, so
+name the files) and attached to ``benchmark.extra_info``.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ node counts.  This package turns such campaigns into data:
 * :mod:`~repro.experiments.runner` — one cell's execution
   (``execute_point_outcome``) and the JSONL/telemetry sinks;
 * :mod:`~repro.experiments.cache` — the content-addressed run cache
-  (cell identity → finished record, cross-campaign), the only record
-  of finished cells;
+  (cell identity + package code fingerprint → finished record,
+  cross-campaign), the only record of finished cells;
 * :mod:`~repro.experiments.campaign` — ``run_campaign``, the one way to
   execute a spec: memoized, resumable, byte-identical JSONL output at
   any worker count;
@@ -34,7 +34,7 @@ lookup per cell) → dispatch backend (workload per pending cell) →
 cache put → JSONL sink → aggregate → CSV/tables.
 """
 
-from repro.experiments.cache import CampaignCache, cache_key, point_key
+from repro.experiments.cache import CampaignCache, cache_key
 from repro.experiments.campaign import (
     CampaignError,
     CampaignResult,
@@ -73,7 +73,6 @@ from repro.experiments.specs import get_spec, register_spec, spec_names
 from repro.experiments.workloads import (
     get_workload,
     register_workload,
-    workload_fingerprint,
     workload_names,
 )
 
@@ -101,7 +100,6 @@ __all__ = [
     "get_spec",
     "get_workload",
     "make_backend",
-    "point_key",
     "read_jsonl",
     "register_scenario",
     "register_spec",
@@ -110,7 +108,6 @@ __all__ = [
     "run_label",
     "scenario_names",
     "spec_names",
-    "workload_fingerprint",
     "workload_names",
     "write_csv",
     "write_jsonl",

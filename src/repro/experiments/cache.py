@@ -1,27 +1,29 @@
 """Content-addressed run cache: never recompute a finished grid cell.
 
-A *cell* is one :class:`~repro.experiments.spec.RunPoint` — and its
-result is a pure function of what the cell *is*, never where it sits in
-the grid or when it executes.  :func:`cache_key` canonicalises exactly
-that identity — spec name + version, scenario, sorted params, repeat,
-seed, workload name + code fingerprint, settings — into a SHA-256 hex
-digest, and :class:`CampaignCache` stores one JSON entry per digest on
-disk.  Re-running a *grown* sweep (new axis values, extra repeats) then
-computes only the new cells: the old cells' keys are unchanged because
-nothing positional enters the key (the companion guarantee to the
-position-independent ``derive_seed`` labels in ``spec.py``).
+A *cell* is one :class:`~repro.experiments.spec.RunPoint`, and its
+result is a pure function of what the cell *is* and of the code that
+ran it — never where it sits in the grid or when it executes.
+:func:`cache_key` hashes exactly that: the canonical cell (spec,
+workload, scenario, sorted params, repeat, seed, settings), the
+telemetry flag and :func:`package_fingerprint`.  :class:`CampaignCache`
+stores one JSON entry per key on disk.
 
-Key stability contract (property-tested in
-``tests/test_campaign_cache.py``):
+Key contract (property-tested in ``tests/test_campaign_cache.py``,
+differentially in ``tests/test_cache_code_key.py``):
 
 * identical cells produce identical keys regardless of param-dict
-  insertion order, process, or run;
-* distinct ``(seed, params, scenario)`` (or any other component) never
-  collide — the serialisation is injective and SHA-256 does the rest;
-* editing a workload's *code* changes its fingerprint
-  (:func:`~repro.experiments.workloads.workload_fingerprint`) and
-  therefore every key it produced, so stale results can never be
-  replayed against new measurement logic.
+  insertion order, process, run or where the package is installed;
+* distinct cells never collide — the serialisation is injective and
+  SHA-256 does the rest.  The grid index is left out, so re-running a
+  *grown* sweep (new axis values, extra repeats) computes only the new
+  cells;
+* editing any module of the package retires every cached cell, so a
+  result is only ever replayed by the code that produced it.  The one
+  exception is the bundled spec table (``experiments/specs.py``):
+  every spec field that can change a result already enters the key by
+  value, so growing a bundled sweep keeps its old cells.  Code outside
+  the package (a workload or scenario a test or script registers) is
+  not hashed: run edits to such code into a fresh cache.
 
 Entries are written atomically (temp file + ``os.replace``) so a crash
 mid-``put`` leaves either the old entry or none — never a torn one; a
@@ -33,54 +35,54 @@ different index in a grown grid.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import pathlib
 import typing
 
-from repro.experiments.spec import RunPoint, canonical
+from repro.experiments.spec import RunPoint
 
-KEY_SCHEMA = 1
+KEY_SCHEMA = 2
+
+#: Left out of :func:`package_fingerprint` (see the module docstring).
+_SPEC_TABLE = "experiments/specs.py"
 
 
-def cache_key(*, spec: str, version: int, scenario: str,
-              params: typing.Mapping[str, object], repeat: int, seed: int,
-              workload: str, fingerprint: str,
-              settings: typing.Mapping[str, object],
-              extras: typing.Mapping[str, object] | None = None) -> str:
-    """SHA-256 hex digest of a cell's canonical identity.
+@functools.cache
+def package_fingerprint() -> str:
+    """SHA-256 hex digest of the imported ``repro`` package's source.
 
-    ``extras`` names execution dimensions outside the spec that change
-    what a run *produces* (today: ``{"telemetry": True}``, because a
-    telemetry-bearing entry carries rows a bare one lacks).  ``None``
-    and ``{}`` hash identically — absent means default.
+    Hashes the sorted relative POSIX paths and bytes of every ``*.py``
+    under the package directory (the parent of this module's
+    subpackage) except the spec table, once per process.  Relative
+    paths keep the digest independent of where the package lives.
     """
-    identity = {
-        "schema": KEY_SCHEMA,
-        "spec": str(spec),
-        "version": int(version),
-        "scenario": str(scenario),
-        "params": {str(k): canonical(v) for k, v in params.items()},
-        "repeat": int(repeat),
-        "seed": int(seed),
-        "workload": str(workload),
-        "fingerprint": str(fingerprint),
-        "settings": {str(k): canonical(v) for k, v in settings.items()},
-        "extras": {str(k): canonical(v) for k, v in (extras or {}).items()},
-    }
+    root = pathlib.Path(__file__).parent.parent
+    digest = hashlib.sha256()
+    for rel, path in sorted((path.relative_to(root).as_posix(), path)
+                            for path in root.rglob("*.py")):
+        if rel == _SPEC_TABLE:
+            continue
+        data = path.read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def cache_key(point: RunPoint, *, telemetry: bool = False) -> str:
+    """SHA-256 hex digest of ``point``'s identity under the current code.
+
+    ``telemetry`` enters the key because a telemetry-bearing entry
+    carries rows a bare one lacks.
+    """
+    identity = point.as_dict()
+    del identity["index"]           # positional: re-stamped on adoption
+    identity.update(schema=KEY_SCHEMA, telemetry=bool(telemetry),
+                    code=package_fingerprint())
     payload = json.dumps(identity, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def point_key(point: RunPoint, fingerprint: str, *, version: int = 1,
-              extras: typing.Mapping[str, object] | None = None) -> str:
-    """:func:`cache_key` for an expanded :class:`RunPoint`."""
-    return cache_key(
-        spec=point.spec, version=version, scenario=point.scenario,
-        params=point.params, repeat=point.repeat, seed=point.seed,
-        workload=point.workload, fingerprint=fingerprint,
-        settings=point.settings, extras=extras)
 
 
 class CampaignCache:
@@ -90,31 +92,22 @@ class CampaignCache:
     million-cell campaign never piles one directory).  ``get`` returns
     the stored entry or ``None``; ``put`` is atomic and last-writer-wins
     (identical keys imply identical payloads, so races are benign).
-    The ``hits``/``misses``/``stores`` counters feed campaign progress
-    and the BENCH envelope's cache stats.
     """
 
     def __init__(self, root: str | pathlib.Path):
         self.root = pathlib.Path(root)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
 
     def _path(self, key: str) -> pathlib.Path:
         return self.root / key[:2] / f"{key[2:]}.json"
 
     def get(self, key: str) -> dict | None:
         """The stored entry for ``key``, or ``None`` (corrupt = miss)."""
-        path = self._path(key)
         try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
+            entry = json.loads(self._path(key).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError):
-            self.misses += 1
             return None
         if not isinstance(entry, dict) or "record" not in entry:
-            self.misses += 1
             return None
-        self.hits += 1
         return entry
 
     def put(self, key: str, entry: typing.Mapping[str, object]) -> None:
@@ -125,11 +118,6 @@ class CampaignCache:
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         tmp.write_text(payload + "\n", encoding="utf-8")
         os.replace(tmp, path)
-        self.stores += 1
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).exists()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<CampaignCache {str(self.root)!r} hits={self.hits} "
-                f"misses={self.misses} stores={self.stores}>")

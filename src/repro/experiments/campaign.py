@@ -10,7 +10,7 @@ granularity and a re-run — or a *grown* re-run — computes only cells
 never finished before.
 
 Execution protocol, per cell (key = :func:`~repro.experiments.cache.
-point_key`):
+cache_key`):
 
 1. **cache hit** — the cache holds the key: adopt the entry, execute
    nothing.
@@ -30,9 +30,9 @@ and cache states (``tests/test_campaign.py`` proves it differentially).
 Crash semantics follow from the cache's atomic ``put`` (temp file +
 ``os.replace``): a kill leaves every consumed cell stored, and a torn
 entry reads as a miss, so at most one cell's work is lost.  The key
-binds the spec version and workload code fingerprint, so an edited
-workload never adopts stale cells.  Failures are never stored — failed
-cells retry on the next run.
+binds the package's code fingerprint, so a campaign run after any edit
+to the simulator never adopts stale cells.  Failures are never stored —
+failed cells retry on the next run.
 
 Wall-clock discipline: cache entries, records and ``campaign.json``
 stats hold no timestamps; wall-clock rides the in-memory
@@ -49,7 +49,7 @@ import pathlib
 import typing
 
 from repro.experiments import report as report_mod
-from repro.experiments.cache import CampaignCache, point_key
+from repro.experiments.cache import CampaignCache, cache_key
 from repro.experiments.dispatch import DispatchBackend, make_backend
 from repro.experiments.runner import (
     RunResult,
@@ -57,7 +57,6 @@ from repro.experiments.runner import (
     write_jsonl,
 )
 from repro.experiments.spec import ExperimentSpec, RunPoint
-from repro.experiments.workloads import workload_fingerprint
 
 #: Events passed to the campaign ``progress`` callback.
 ProgressFn = typing.Callable[[dict], None]
@@ -163,10 +162,7 @@ def run_campaign(spec: ExperimentSpec,
                           else cache_dir)
 
     points = spec.expand()
-    fingerprint = workload_fingerprint(spec.workload)
-    extras = {"telemetry": True} if telemetry else None
-    keys = [point_key(point, fingerprint, version=spec.version,
-                      extras=extras) for point in points]
+    keys = [cache_key(point, telemetry=telemetry) for point in points]
 
     stats = CampaignStats(total=len(points))
     outcomes: dict[int, RunResult] = {}

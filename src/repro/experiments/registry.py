@@ -221,8 +221,9 @@ def _phy_params(shadowing_sigma_db: float = 0.0, phy_collisions: int = 0,
     defaults (zero knobs install nothing — the no-PHY byte-identity
     contract); ``lossy_festival`` registers the same knobs with its
     lossy defaults.  Because these are schema parameters they flow into
-    every run's canonical params and therefore into the campaign
-    cache_key.
+    every run's canonical params, which the campaign cache key hashes
+    by value, so runs that differ only in a PHY knob never share a
+    cached cell.
     """
     return (
         Param("shadowing_sigma_db", float, shadowing_sigma_db,

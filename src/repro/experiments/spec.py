@@ -128,13 +128,6 @@ class ExperimentSpec:
         Root of all per-run seed derivation.
     settings:
         Fixed workload settings shared by every run (e.g. settle time).
-    version:
-        Campaign-cache epoch.  Every cached cell's key includes it, so
-        bumping the version retires all previously memoized results of
-        this spec at once — the escape hatch for semantic changes the
-        key cannot see (a scenario factory edit, a unit change).
-        Growing axes or repeats is *not* such a change: leave the
-        version alone and old cells stay valid.
     """
 
     name: str
@@ -145,15 +138,10 @@ class ExperimentSpec:
     master_seed: int = 0
     settings: dict[str, object] = dataclasses.field(default_factory=dict)
     description: str = ""
-    version: int = 1
 
     def __post_init__(self):
         if not self.name:
             raise ValueError("spec needs a non-empty name")
-        if self.version < 1:
-            raise ValueError(
-                f"spec {self.name!r}: version must be >= 1, "
-                f"got {self.version}")
         if not self.scenarios:
             raise ValueError(f"spec {self.name!r} lists no scenarios")
         if self.repeats < 1:

@@ -161,8 +161,8 @@ register_spec(ExperimentSpec(
 #: how epidemic's flooding advantage erodes when fading eats copies
 #: and its own parallel sessions contend at shared receivers (the
 #: zero-sigma column isolates pure collision loss).  The PHY params
-#: flow through ``cache_key`` like any other scenario axis, so the
-#: campaign cache distinguishes sigma values; the PHY bench's
+#: enter the cache key by value like any other scenario axis, so each
+#: sigma value has its own cached cells; the PHY bench's
 #: zero-rate identity leg instead runs ``dtn_phy`` with *all* knobs at
 #: zero (no plane installed) and byte-compares it to ``dtn_bandwidth``.
 register_spec(ExperimentSpec(

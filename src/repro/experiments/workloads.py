@@ -17,11 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
-import inspect
-import json
 import statistics
-import textwrap
 import time
 import typing
 
@@ -81,46 +77,6 @@ def get_workload(name: str):
     except KeyError:
         raise KeyError(f"unknown workload {name!r}; "
                        f"registered: {workload_names()}") from None
-
-
-def workload_fingerprint(name: str) -> str:
-    """SHA-256 of the workload's *source code*, hex.
-
-    Part of every campaign cache key: editing a workload's measurement
-    logic changes its fingerprint, which invalidates every cached cell
-    it produced — stale results can never satisfy new code.  Hashing
-    source (dedented, so nesting depth is irrelevant) is stable across
-    processes and interpreter runs, unlike ``hash()`` or code-object
-    ids.  A ``functools.partial`` (the paired-DTN aliases) hashes its
-    function's source plus the canonical JSON of its bound arguments,
-    so editing one alias's preset retires only that alias's cells.
-    Falls back to the compiled bytecode for source-less callables
-    (frozen modules); still deterministic for a fixed build.
-    """
-    fn = get_workload(name)
-    bound = ""
-    while isinstance(fn, functools.partial):
-        bound += json.dumps([fn.args, fn.keywords], sort_keys=True,
-                            separators=(",", ":"), default=_bound_json)
-        fn = fn.func
-    try:
-        source = textwrap.dedent(inspect.getsource(fn))
-    except (OSError, TypeError):
-        code = getattr(fn, "__code__", None)
-        source = repr((getattr(code, "co_code", b""),
-                       getattr(code, "co_consts", ())))
-    return hashlib.sha256((source + bound).encode("utf-8")).hexdigest()
-
-
-def _bound_json(value: object) -> object:
-    """JSON form of a workload's bound argument: a dataclass as its
-    fields, a class or function by qualified name."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return dataclasses.asdict(value)
-    qualname = getattr(value, "__qualname__", None)
-    if qualname is None:
-        raise TypeError(f"cannot fingerprint workload argument {value!r}")
-    return f"{value.__module__}.{qualname}"
 
 
 def _sink_service(node, delivered: list) -> None:

@@ -15,8 +15,8 @@ import json
 import pytest
 
 from repro.experiments import ExperimentSpec
-from repro.experiments import campaign as campaign_mod
-from repro.experiments.cache import CampaignCache, point_key
+from repro.experiments import cache as cache_mod
+from repro.experiments.cache import CampaignCache, cache_key
 from repro.experiments.campaign import (
     CampaignError,
     run_campaign,
@@ -27,11 +27,7 @@ from repro.experiments.dispatch import (
     make_backend,
 )
 from repro.experiments.runner import execute_point_outcome
-from repro.experiments.workloads import (
-    register_workload,
-    workload_fingerprint,
-    workload_names,
-)
+from repro.experiments.workloads import register_workload, workload_names
 
 # ----------------------------------------------------------------------
 # test doubles
@@ -119,10 +115,8 @@ def _cache_entries(out_dir):
     return sorted((out_dir / "cache").glob("*/*.json"))
 
 
-def _entry_path(out_dir, spec, point):
-    key = point_key(point, workload_fingerprint(spec.workload),
-                    version=spec.version)
-    return CampaignCache(out_dir / "cache")._path(key)
+def _entry_path(out_dir, point):
+    return CampaignCache(out_dir / "cache")._path(cache_key(point))
 
 
 def test_campaign_stats_and_default_cache(tmp_path):
@@ -256,14 +250,13 @@ def test_full_cache_rerun_executes_nothing(tmp_path):
         == _campaign_bytes(tmp_path / "two")
 
 
-def test_edited_workload_fingerprint_invalidates_cache(tmp_path,
-                                                       monkeypatch):
-    """Cells cached by different workload code are never adopted."""
+def test_edited_package_code_invalidates_cache(tmp_path, monkeypatch):
+    """Cells cached by different package code are never adopted."""
     spec = _probe_spec()
     out = tmp_path / "out"
     run_campaign(spec, out)
-    monkeypatch.setattr(campaign_mod, "workload_fingerprint",
-                        lambda name: "0" * 64)
+    monkeypatch.setattr(cache_mod, "package_fingerprint",
+                        lambda: "0" * 64)
     counting = CountingBackend(SerialBackend())
     rerun = run_campaign(spec, out, backend=counting)
     assert counting.calls == spec.size()
@@ -279,7 +272,7 @@ def test_torn_cache_entry_is_recomputed_on_resume(tmp_path):
     with pytest.raises(SimulatedCrash):
         run_campaign(spec, out, backend=CrashingBackend(
             SerialBackend(), after=k))
-    torn = _entry_path(out, spec, spec.expand()[k - 1])
+    torn = _entry_path(out, spec.expand()[k - 1])
     assert torn.exists()
     torn.write_text("{torn", encoding="utf-8")
     run_campaign(spec, tmp_path / "clean")

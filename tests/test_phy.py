@@ -14,10 +14,10 @@ import pytest
 from repro.core.buffering import ReliableChannel
 from repro.core.errors import ConnectionClosedError
 from repro.dtn import BandwidthDtnOverlay, DtnOverlay, make_router
-from repro.experiments.cache import point_key
+from repro.experiments.cache import cache_key
 from repro.experiments.registry import build_scenario, get_scenario
 from repro.experiments.spec import RunPoint
-from repro.experiments.workloads import get_workload, workload_fingerprint
+from repro.experiments.workloads import get_workload
 from repro.faults import FaultPlane
 from repro.mobility import StaticPosition
 from repro.radio import BLUETOOTH, World
@@ -510,15 +510,13 @@ def test_phy_params_are_registered_on_the_dtn_families():
 def test_cache_key_distinguishes_phy_params():
     """Two cells differing only in a PHY knob must never share a cache
     entry: the knobs flow through ``cache_key`` like any scenario axis."""
-    fingerprint = workload_fingerprint("dtn_phy")
-
     def key(sigma):
         point = RunPoint(
             spec="phy_sweep", workload="dtn_phy", index=0,
             scenario="crowded_festival",
             params={"shadowing_sigma_db": sigma, "phy_collisions": 1},
             repeat=0, seed=1234, settings={"duration_s": 60.0})
-        return point_key(point, fingerprint)
+        return cache_key(point)
 
     assert key(0.0) != key(4.0) != key(8.0)
     assert key(4.0) == key(4.0)
