@@ -23,9 +23,12 @@ capacity`).  Three gates, all written into
    the constrained run must deliver no more than the infinite one and
    must truncate transfers, while the infinite run keeps the plane's
    established delivery behaviour.  The constrained run also records
-   two work counters the regression gate holds: ``pump_passes``
-   (transfer-schedule passes; only idle sessions are pumped) and
-   ``solver_segments`` (mobility segments the contact solver pulled).
+   three work counters the regression gate holds: ``pump_passes``
+   (transfer-schedule passes; only idle sessions are pumped),
+   ``offer_passes`` (ranked-queue builds; a session re-reads its
+   memoised queue until a store or the router changes) and
+   ``solver_segments`` (mobility segments the contact solver pulled;
+   a LinkUp's window solve is shared with the bus's re-arm).
 """
 
 import os
@@ -103,9 +106,11 @@ def run_farm(constrained: bool, n_nodes: int):
         "wall_s": round(time.perf_counter() - started, 3),
     }
     if constrained:
-        # Work counters: pump passes and mobility segments the contact
-        # solver pulled (a solve stops pulling at its first flip).
+        # Work counters: pump passes, queue builds and mobility
+        # segments the contact solver pulled (a solve stops pulling at
+        # its first flip).
         figures["pump_passes"] = plane.pump_passes
+        figures["offer_passes"] = plane.offer_passes
         figures["solver_segments"] = scenario.world.contacts.segments
     return figures
 

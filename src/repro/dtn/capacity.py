@@ -7,19 +7,24 @@ overlap, and carry ``window × data_rate`` bytes at most.  This module
 replaces the instantaneous cascade with a **transfer schedule**:
 
 * **byte budget** — at contact-up the plane asks its contact stream
-  (:meth:`~repro.radio.bus.ContactStream.window`, one analytic solve)
-  for the predicted LinkDown instant and prices the whole contact in
-  closed form:
+  (:meth:`~repro.radio.bus.ContactStream.window`) for the predicted
+  LinkDown instant — the same solve the bus's re-arm then reuses, so
+  one flip costs one solve — and prices the whole contact in closed
+  form:
   ``budget = ⌊(t_down − t_up) × data_rate⌋`` (the technology's
   :attr:`~repro.radio.technologies.Technology.data_rate_Bps`, or the
   plane's explicit override).  Settled in-range pairs get an unbounded
   budget (their contact never ends);
 * **ranked transmission queue** — the router's ``offers`` order *is*
   the queue (PRoPHET ranks relays by peer predictability, the classics
-  by destined-first/oldest-first); the link is serialised, one bundle
-  in flight per contact, each leg costing
-  ``base_latency + bytes / rate`` sim-seconds and completing via one
-  scheduled kernel event (``Simulator.call_at`` — no polling);
+  by destined-first/oldest-first).  Each session keeps one queue per
+  direction, rebuilt only when an input of ``offers`` may have changed
+  (either store's ``version``, the router's ``version``, the sender's
+  control blindness); a byzantine receiver's queue is rebuilt at every
+  read.  The link is serialised, one bundle in flight per contact,
+  each leg costing ``base_latency + bytes / rate`` sim-seconds and
+  completing via one scheduled kernel event (``Simulator.call_at`` —
+  no polling);
 * **control traffic costs capacity** — summary vectors and router
   control vectors (PRoPHET's predictability tables) are charged
   against the budget *first* and delay the first data leg by their
@@ -57,6 +62,7 @@ Units: metres / sim-seconds / bytes throughout.
 
 from __future__ import annotations
 
+import bisect
 import math
 import typing
 
@@ -105,11 +111,14 @@ class ContactSession:
     settled pairs); ``budget_bytes is None`` means unbounded.
     ``next_free`` is the link-serialisation cursor: the instant the
     air is free again (control vectors and every transfer leg advance
-    it).
+    it).  ``queues`` holds, per direction (a→b, then b→a), the last
+    ranked ``offers`` list with the state it was built in (see
+    :meth:`BandwidthDtnOverlay._queue`).
     """
 
     __slots__ = ("node_a", "node_b", "opened_at", "closes_at",
-                 "budget_bytes", "used_bytes", "next_free", "transfer")
+                 "budget_bytes", "used_bytes", "next_free", "transfer",
+                 "queues")
 
     def __init__(self, node_a: str, node_b: str, opened_at: float,
                  closes_at: float, budget_bytes: int | None):
@@ -121,6 +130,7 @@ class ContactSession:
         self.used_bytes = 0
         self.next_free = opened_at
         self.transfer: Transfer | None = None
+        self.queues: list[tuple[tuple, list[Bundle]] | None] = [None, None]
 
     def budget_left(self) -> float:
         """Unspent budget bytes (``inf`` when unbounded).  O(1)."""
@@ -161,10 +171,12 @@ class BandwidthDtnOverlay(DtnOverlay):
             raise ValueError(f"data rate must be positive: {data_rate_Bps}")
         self.data_rate_Bps = float(data_rate_Bps)
         self._sessions: dict[tuple[str, str], ContactSession] = {}
-        # node -> its open session pairs (contact_up/_close_session).
-        self._node_sessions: dict[str, set[tuple[str, str]]] = {}
+        # node -> its open session pairs, kept sorted
+        # (contact_up/_close_session).
+        self._node_sessions: dict[str, list[tuple[str, str]]] = {}
         self._inbound: dict[str, set[str]] = {}
-        #: ``_pump`` entries (a work counter the capacity bench gates).
+        #: ``_pump`` entries (a work counter the capacity bench gates,
+        #: beside the inherited ``offer_passes``: queue builds).
         self.pump_passes = 0
         # super().__init__ seeds contact_up for pairs already in range,
         # so every attribute above must exist first.
@@ -205,7 +217,7 @@ class BandwidthDtnOverlay(DtnOverlay):
         session.next_free = now + self.airtime_s(control)
         self._sessions[pair] = session
         for node in pair:
-            self._node_sessions.setdefault(node, set()).add(pair)
+            bisect.insort(self._node_sessions.setdefault(node, []), pair)
         self.counters.bytes_offered += self._offered_bytes(session)
         self._pump(session)
 
@@ -221,7 +233,7 @@ class BandwidthDtnOverlay(DtnOverlay):
         the node before the base class drops its custody."""
         if node_id in self._dead or node_id not in self.stores:
             return
-        for pair in sorted(self._node_sessions.get(node_id, ())):
+        for pair in tuple(self._node_sessions.get(node_id, ())):
             self._close_session(pair, _CLOSE_CHURN)
         super().retire_node(node_id)
 
@@ -231,7 +243,7 @@ class BandwidthDtnOverlay(DtnOverlay):
         receiver never got the bytes) before the base state loss."""
         if node_id not in self.stores or node_id in self._dead:
             return
-        for pair in sorted(self._node_sessions.get(node_id, ())):
+        for pair in tuple(self._node_sessions.get(node_id, ())):
             self._close_session(pair, _CLOSE_CHURN)
         super().on_crash(node_id)
 
@@ -247,7 +259,7 @@ class BandwidthDtnOverlay(DtnOverlay):
             return
         for node in pair:
             pairs = self._node_sessions[node]
-            pairs.discard(pair)
+            pairs.remove(pair)
             if not pairs:
                 del self._node_sessions[node]
         transfer = session.transfer
@@ -311,13 +323,14 @@ class BandwidthDtnOverlay(DtnOverlay):
 
     def _pump_node(self, node_id: str) -> None:
         """Re-evaluate every idle session touching ``node_id``, in pair
-        order: O(k log k) for the node's k sessions in the index.  A
+        order: O(k) for the node's k sessions, which the index keeps
+        sorted (iterated as a copy — a pump may close sessions).  A
         session with a leg in flight is skipped (``_pump`` would return
         on it at once)."""
         pairs = self._node_sessions.get(node_id)
         if not pairs:
             return
-        for pair in sorted(pairs):
+        for pair in tuple(pairs):
             session = self._sessions.get(pair)
             if session is not None and session.transfer is None:
                 self._pump(session)
@@ -331,15 +344,43 @@ class BandwidthDtnOverlay(DtnOverlay):
             if not inbound:
                 del self._inbound[transfer.receiver]
 
+    def _queue(self, session: ContactSession, slot: int, sender: str,
+               receiver: str) -> list[Bundle]:
+        """``sender``'s ranked offers to ``receiver`` over ``session``.
+
+        ``slot`` is the direction's index in ``session.queues`` (0 for
+        a→b).  The list is rebuilt (one ``Router.offers`` call, counted
+        in ``offer_passes``) only when an input may have changed since
+        the last build: either store's ``version``, the router's
+        ``version``, or whether the sender offers blind; otherwise the
+        memoised list is returned — callers must not mutate it.  A
+        byzantine receiver's queue is never memoised: each read
+        re-hears (and counts) its lying advertisement.  O(1) on a hit,
+        O(n log n) in the sender's store on a build.
+        """
+        sender_store = self.stores[sender]
+        state = None
+        if self.faults is None or not self.faults.is_byzantine(receiver):
+            state = (sender_store.version, self.stores[receiver].version,
+                     self.router.version, (sender, receiver) in self._blind)
+            memo = session.queues[slot]
+            if memo is not None and memo[0] == state:
+                return memo[1]
+        self.offer_passes += 1
+        offers = self.router.offers(sender_store, receiver,
+                                    self._peer_vector(receiver, sender))
+        if state is not None:
+            session.queues[slot] = (state, offers)
+        return offers
+
     def _offered_bytes(self, session: ContactSession) -> int:
         """Remaining bytes both directions want to ship right now."""
         total = 0
-        for sender, receiver in ((session.node_a, session.node_b),
-                                 (session.node_b, session.node_a)):
+        for slot, (sender, receiver) in enumerate((
+                (session.node_a, session.node_b),
+                (session.node_b, session.node_a))):
             receiver_store = self.stores[receiver]
-            for bundle in self.router.offers(
-                    self.stores[sender], receiver,
-                    self._peer_vector(receiver, sender)):
+            for bundle in self._queue(session, slot, sender, receiver):
                 total += max(0, bundle.size_bytes
                              - receiver_store.partial_received(
                                  bundle.bundle_id))
@@ -349,25 +390,25 @@ class BandwidthDtnOverlay(DtnOverlay):
                         ) -> tuple[str, str, Bundle] | None:
         """Top-ranked startable leg across both directions, or None.
 
-        Per direction the router's first offer not already in flight to
-        that receiver; directions tie-break on (queue rank, sender).
-        O(n log n) in the busier store: each direction builds the full
-        ranked ``offers`` list to use its first startable bundle, once
-        per ``_pump`` turn on an idle session.
+        Per direction the first bundle of its ranked queue
+        (:meth:`_queue`) not already in flight to that receiver;
+        directions tie-break on (queue rank, sender).  The fault gate
+        runs before the queue is read.  O(r) for the r leading offers
+        already in flight, plus a queue rebuild (O(n log n) in the
+        sender's store) only after a store, router or blindness change.
         """
         best: tuple[tuple[int, str, str], str, str, Bundle] | None = None
-        for sender, receiver in ((session.node_a, session.node_b),
-                                 (session.node_b, session.node_a)):
+        for slot, (sender, receiver) in enumerate((
+                (session.node_a, session.node_b),
+                (session.node_b, session.node_a))):
             if sender in self._dead or receiver in self._dead:
                 continue
             if (self.faults is not None
                     and not self.faults.can_transmit(sender, receiver)):
                 continue  # deaf/mute/jammed direction: no leg starts
             inbound = self._inbound.get(receiver, ())
-            offers = self.router.offers(
-                self.stores[sender], receiver,
-                self._peer_vector(receiver, sender))
-            for rank, bundle in enumerate(offers):
+            for rank, bundle in enumerate(
+                    self._queue(session, slot, sender, receiver)):
                 if bundle.bundle_id in inbound:
                     continue
                 key = (rank, sender, bundle.bundle_id)

@@ -610,8 +610,11 @@ class ContactStream:
     def window(self, a: str, b: str, now: float) -> float:
         """Predicted close instant of the pair's contact open at ``now``.
 
-        One closed-form solve (O(segments)): the next LinkDown crossing.
-        A settled in-range pair never closes — ``inf``.  No crossing
+        The next LinkDown crossing: one closed-form solve (O(pieces to
+        the first flip)), which the bus's re-arm of the same pair at the
+        same instant then reuses from the solver's one-slot memo — so a
+        LinkUp consumer that calls this costs no second solve.  A
+        settled in-range pair never closes — ``inf``.  No crossing
         before the solver horizon yields ``now + HORIZON_S`` (an
         *under*-estimate of the window); the real LinkDown event still
         arrives whenever it happens.

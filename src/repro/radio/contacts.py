@@ -253,6 +253,14 @@ class ContactSolver:
     solves, ``bisections`` the override scans — the benchmarks assert
     the hot path stays analytic — and ``segments`` the mobility
     segments those solves pulled.
+
+    :meth:`next_link_crossing` keeps its last answer in one slot keyed
+    on ``(mobility_a, mobility_b, range_m, start)``, the mobility models
+    compared by identity and held by the slot: a LinkUp consumer's
+    window solve and the bus's re-arm straight after it ask the same
+    question, and the second is answered without solving.  The key
+    cannot go stale — a node's mobility is fixed when it is added, and
+    a re-added node brings a new model object.
     """
 
     def __init__(self, world: "World"):
@@ -260,6 +268,7 @@ class ContactSolver:
         self.predictions = 0
         self.bisections = 0
         self._pulled = [0]
+        self._last_link: tuple | None = None
 
     @property
     def segments(self) -> int:
@@ -306,17 +315,25 @@ class ContactSolver:
         :data:`HORIZON_S` later — ``None`` means "no flip before the
         horizon", which callers must treat as *re-check at the
         horizon*, not "never" (unless :meth:`pair_settled`).  Cost: one
-        closed-form solve, O(pieces walked to the first flip); a pair
-        with a removed endpoint answers ``None`` without solving.
+        closed-form solve, O(pieces walked to the first flip); O(1)
+        when it repeats the previous call's question (see the class
+        docstring); a pair with a removed endpoint answers ``None``
+        without solving.
         """
         start = self.world.sim.now if t0 is None else t0
-        end = start + HORIZON_S
         pair = self._mobilities(a, b)
         if pair is None:
             return None
+        last = self._last_link
+        if (last is not None and last[0] is pair[0] and last[1] is pair[1]
+                and last[2] == tech.range_m and last[3] == start):
+            return last[4]
         self.predictions += 1
-        return next_distance_crossing(
-            pair[0], pair[1], tech.range_m, start, end, self._pulled)
+        crossing = next_distance_crossing(
+            pair[0], pair[1], tech.range_m, start, start + HORIZON_S,
+            self._pulled)
+        self._last_link = (pair[0], pair[1], tech.range_m, start, crossing)
+        return crossing
 
     # ------------------------------------------------------------------
     # quality-threshold crossings

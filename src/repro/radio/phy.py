@@ -135,18 +135,22 @@ class PhyProfile:
 
 
 class PhyTransmission:
-    """One packet on the air: its window, power and (eventual) fate."""
+    """One packet on the air: its window, power and (eventual) fate.
 
-    __slots__ = ("sender", "receiver", "tech_name", "kind", "size_bytes",
+    ``profile`` is the receive profile the packet is decoded against
+    (its ``tech_name`` names the technology).
+    """
+
+    __slots__ = ("sender", "receiver", "profile", "kind", "size_bytes",
                  "started_at", "ends_at", "rssi_dbm", "contenders",
                  "resolved", "fate")
 
-    def __init__(self, sender: str, receiver: str, tech_name: str,
+    def __init__(self, sender: str, receiver: str, profile: PhyProfile,
                  kind: str, size_bytes: int, started_at: float,
                  ends_at: float, rssi_dbm: float):
         self.sender = sender
         self.receiver = receiver
-        self.tech_name = tech_name
+        self.profile = profile
         self.kind = kind
         self.size_bytes = size_bytes
         self.started_at = started_at
@@ -237,11 +241,13 @@ class PhyPlane:
     # ------------------------------------------------------------------
     def profile(self, tech: Technology | str | None = None) -> PhyProfile:
         """The (cached) profile for ``tech`` (default Bluetooth)."""
-        tech_obj = self._tech(tech)
-        profile = self._profiles.get(tech_obj.name)
+        return self._profile_of(self._tech(tech))
+
+    def _profile_of(self, tech: Technology) -> PhyProfile:
+        profile = self._profiles.get(tech.name)
         if profile is None:
-            profile = PhyProfile.for_technology(tech_obj)
-            self._profiles[tech_obj.name] = profile
+            profile = PhyProfile.for_technology(tech)
+            self._profiles[tech.name] = profile
         return profile
 
     @staticmethod
@@ -295,8 +301,9 @@ class PhyPlane:
             started_at = now
         if ends_at is None:
             ends_at = started_at + tech_obj.transmit_time(size_bytes)
-        rssi = self._draw_rssi(sender, receiver, tech_obj)
-        tx = PhyTransmission(sender, receiver, tech_obj.name, kind,
+        profile = self._profile_of(tech_obj)
+        rssi = self._draw_rssi(sender, receiver, profile)
+        tx = PhyTransmission(sender, receiver, profile, kind,
                              size_bytes, started_at, ends_at, rssi)
         self.counters.offered += 1
         if self.collisions:
@@ -361,8 +368,7 @@ class PhyPlane:
     # internals
     # ------------------------------------------------------------------
     def _draw_rssi(self, sender: str, receiver: str,
-                   tech: Technology) -> float:
-        profile = self.profile(tech)
+                   profile: PhyProfile) -> float:
         gap = distance(self.world.position(sender),
                        self.world.position(receiver))
         rssi = profile.path_loss.rssi_dbm(gap)
@@ -386,8 +392,7 @@ class PhyPlane:
         either endpoint sits inside a jammer disk (the noise-floor
         coupling that replaces the fault plane's binary jammer gate).
         """
-        profile = self.profile(tx.tech_name)
-        threshold = profile.sensitivity_dbm
+        threshold = tx.profile.sensitivity_dbm
         faults = getattr(self.world, "faults", None)
         if faults is not None and (faults.jammed(tx.sender)
                                    or faults.jammed(tx.receiver)):

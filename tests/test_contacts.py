@@ -188,6 +188,28 @@ def test_solver_final_for_settled_pairs():
     assert not world2.contacts.pair_settled("a", "b", sim2.now)
 
 
+def test_repeated_link_question_is_answered_once_and_never_stale():
+    """The solver's one-slot memo: asking the same pair, range and
+    start again costs no solve; a node removed and re-added under the
+    same name with other mobility at the same instant is solved
+    afresh."""
+    sim, world = _world_with_pair(StaticPosition(4.0, 0.0))
+    solver = world.contacts
+    assert solver.next_link_crossing("a", "b", BLUETOOTH) is None
+    assert solver.next_link_crossing("a", "b", BLUETOOTH, t0=0.0) is None
+    assert solver.predictions == 1
+    world.remove_node("b")
+    world.add_node("b", LinearMovement((4.0, 0.0), (1.0, 0.0)), [BLUETOOTH])
+    crossing = solver.next_link_crossing("a", "b", BLUETOOTH)
+    assert crossing is not None and crossing.inside is False
+    assert crossing.time == pytest.approx(6.0)
+    assert solver.predictions == 2
+    # Another range is another question.
+    assert solver.next_link_crossing("a", "b", WLAN).time == pytest.approx(
+        46.0)
+    assert solver.predictions == 3
+
+
 # ----------------------------------------------------------------------
 # the hypothesis property: solver timeline == brute-force oracle
 # ----------------------------------------------------------------------

@@ -10,6 +10,8 @@ forwarder, PRoPHET's predictability algebra, and determinism of the
 ``dtn_bandwidth`` workload through the experiment runner.
 """
 
+import collections
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -224,13 +226,13 @@ def test_detach_cancels_sessions_silently():
 
 
 def _assert_session_index_fresh(plane, retired=()):
-    """The per-node session index equals a scan of the open sessions,
-    and neither it nor the inbound ledger keeps an empty or retired
-    node's entry."""
+    """The per-node session index equals a sorted scan of the open
+    sessions, and neither it nor the inbound ledger keeps an empty or
+    retired node's entry."""
     nodes = set(plane.stores) | set(plane._node_sessions)
     for node in nodes:
         expected = {pair for pair in plane._sessions if node in pair}
-        assert plane._node_sessions.get(node, set()) == expected, node
+        assert plane._node_sessions.get(node, []) == sorted(expected), node
     assert all(plane._node_sessions.values())
     assert all(plane._inbound.values())
     for node in retired:
@@ -272,6 +274,107 @@ def test_session_index_never_goes_stale():
     _assert_session_index_fresh(plane, retired)
     assert plane._sessions == {} and plane._node_sessions == {}
     assert plane._inbound == {}
+
+
+@pytest.mark.parametrize("router_name",
+                         ["direct", "epidemic", "spray", "prophet"])
+def test_memoised_queue_is_never_stale(monkeypatch, router_name):
+    """Every read of a session's ranked queue equals a fresh
+    ``Router.offers`` build against the vector the sender heard — under
+    a shadowing PHY (control losses leave senders blind), byzantine
+    receivers and crash-reboots — and a byzantine receiver's lie is
+    heard (and counted) at every read."""
+    scenario = build_scenario("lossy_festival", seed=4, params={
+        "count": 12, "crash_rate": 0.5, "crash_downtime_s": 30.0,
+        "byzantine_rate": 0.5, "fault_window_s": 200.0})
+    faults = scenario.world.faults
+    seen = collections.Counter()
+    build_queue = BandwidthDtnOverlay._queue
+
+    def checked(self, session, slot, sender, receiver):
+        byzantine = faults.is_byzantine(receiver)
+        blind = (sender, receiver) in self._blind
+        truth = self.stores[receiver].summary_vector()
+        beacons = faults.counters.byzantine_beacons
+        passes = self.offer_passes
+        queue = build_queue(self, session, slot, sender, receiver)
+        heard = frozenset() if blind or byzantine else truth
+        fresh = self.router.offers(self.stores[sender], receiver, heard)
+        assert len(queue) == len(fresh), (sender, receiver)
+        assert all(mine is theirs for mine, theirs in zip(queue, fresh))
+        lied = byzantine and not blind and bool(truth)
+        assert faults.counters.byzantine_beacons == beacons + lied
+        seen["reads"] += 1
+        seen["hits"] += self.offer_passes == passes
+        seen["blind"] += blind
+        seen["byzantine"] += byzantine
+        return queue
+
+    monkeypatch.setattr(BandwidthDtnOverlay, "_queue", checked)
+    plane = BandwidthDtnOverlay(scenario.world, make_router(router_name),
+                                data_rate_Bps=5_000.0)
+    injections = generate_traffic(
+        scenario.sim.rng("dtn/traffic"), plane.live_nodes(), "uniform",
+        16, window=(5.0, 120.0), size_bytes=40_000, ttl_s=400.0)
+    schedule_traffic(plane, injections)
+    scenario.run(until=240.0)
+    plane.detach()
+    assert faults.counters.crashes > 0
+    assert seen["blind"] > 0 and seen["byzantine"] > 0
+    assert 0 < seen["hits"] < seen["reads"]
+    assert plane.offer_passes == seen["reads"] - seen["hits"]
+
+
+def test_queue_rebuilds_when_any_offers_input_changes():
+    """The memo key, one input at a time: the sender's store, the
+    receiver's store, the router's version and the sender's blindness
+    each force a rebuild; nothing else does."""
+    scenario = Scenario(seed=5)
+    scenario.add_node("a", position=(0, 0), mobility_class="static")
+    scenario.add_node("b", position=(5, 0), mobility_class="static")
+    plane = BandwidthDtnOverlay(scenario.world, make_router("epidemic"),
+                                data_rate_Bps=1.0)
+    session = plane._sessions[("a", "b")]
+    now = scenario.sim.now
+
+    def read():
+        passes = plane.offer_passes
+        queue = plane._queue(session, 0, "a", "b")
+        return [bundle.bundle_id for bundle in queue], \
+            plane.offer_passes - passes
+
+    assert read() == ([], 0)    # contact-up already built it
+    plane.stores["a"].add(Bundle("x#1", "x", "z", now, 1e6), now)
+    assert read() == (["x#1"], 1)
+    assert read() == (["x#1"], 0)
+    plane.stores["b"].mark_seen("x#1")
+    assert read() == ([], 1)
+    plane._blind.add(("a", "b"))
+    assert read() == (["x#1"], 1)
+    plane.router.version += 1
+    assert read() == (["x#1"], 1)
+    plane.stores["b"].record_partial("x#1", 100)   # fragments are no input
+    assert read() == (["x#1"], 0)
+
+
+def test_one_contact_solve_per_flip():
+    """A crossing pair under the bandwidth plane: the LinkUp's window
+    solve and the bus's re-arm share one solve, so the solver counts
+    exactly one prediction per LinkUp and per LinkDown."""
+    scenario = Scenario(seed=6)
+    scenario.add_node("a", position=(0, 0), mobility_class="static")
+    scenario.add_node("b", mobility=LinearMovement((-100.0, 0.0),
+                                                   (5.0, 0.0)))
+    solver = scenario.world.contacts
+    plane = BandwidthDtnOverlay(scenario.world, make_router("epidemic"))
+    attached = solver.predictions
+    scenario.run(until=18.5)         # LinkUp at t = 18
+    assert plane.wakeups == 1 and len(plane._sessions) == 1
+    assert solver.predictions == attached + 1
+    scenario.run(until=22.5)         # LinkDown at t = 22
+    assert plane.wakeups == 2 and plane._sessions == {}
+    assert solver.predictions == attached + 2
+    plane.detach()
 
 
 def test_spray_tokens_conserved_across_concurrent_sessions():
