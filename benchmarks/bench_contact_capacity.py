@@ -40,9 +40,9 @@ from repro.dtn import BandwidthDtnOverlay, DtnOverlay, make_router
 from repro.dtn.traffic import generate_traffic, schedule_traffic
 from repro.experiments.campaign import run_campaign
 from repro.experiments.specs import get_spec
+from repro.metrics.tables import print_table
 from repro.scenarios import rural_bus_dtn
 
-from paperbench import print_table
 
 SNAPSHOT_PATH = (pathlib.Path(__file__).resolve().parent.parent
                  / "BENCH_contact_capacity.json")

@@ -35,9 +35,9 @@ from repro.dtn import DtnOverlay, PollingDtnOverlay, make_router
 from repro.dtn.traffic import generate_traffic, schedule_traffic
 from repro.experiments.campaign import run_campaign
 from repro.experiments.specs import get_spec
+from repro.metrics.tables import print_table
 from repro.scenarios import island_hopping_ferry
 
-from paperbench import print_table
 
 SNAPSHOT_PATH = (pathlib.Path(__file__).resolve().parent.parent
                  / "BENCH_dtn_delivery.json")

@@ -33,12 +33,12 @@ from repro.analysis.snapshots import write_bench_snapshot
 from repro.core.config import HandoverConfig
 from repro.core.handover import HandoverThread
 from repro.core.connection import PeerHoodConnection
+from repro.metrics.tables import print_table
 from repro.mobility.walker import CorridorWalk
 from repro.radio.channel import Link
 from repro.radio.technologies import BLUETOOTH
 from repro.scenarios import Scenario
 
-from paperbench import print_table
 
 SNAPSHOT_PATH = (pathlib.Path(__file__).resolve().parent.parent
                  / "BENCH_event_handover.json")

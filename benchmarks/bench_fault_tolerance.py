@@ -40,9 +40,9 @@ from repro.experiments.campaign import run_campaign
 from repro.experiments.spec import RunPoint
 from repro.experiments.specs import get_spec
 from repro.experiments.workloads import get_workload
+from repro.metrics.tables import print_table
 from repro.scenarios import commuter_corridor
 
-from paperbench import print_table
 
 SNAPSHOT_PATH = (pathlib.Path(__file__).resolve().parent.parent
                  / "BENCH_fault_tolerance.json")

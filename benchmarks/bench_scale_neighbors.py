@@ -29,8 +29,8 @@ from unittest import mock
 from repro.analysis.snapshots import write_bench_snapshot
 from repro.core.device_storage import DeviceStorage
 from repro.experiments import get_spec, run_campaign
+from repro.metrics.tables import print_table
 from repro.scenarios import dense_plaza
-from paperbench import print_table
 
 SNAPSHOT_PATH = (pathlib.Path(__file__).resolve().parent.parent
                  / "BENCH_scale_neighbors.json")
@@ -108,10 +108,8 @@ def write_snapshot(results, discovery, path=SNAPSHOT_PATH):
     return path
 
 
-def test_scale_grid_discovery_beats_pairwise(benchmark, tmp_path):
-    results = benchmark.pedantic(run_scale_sweep, args=(tmp_path,),
-                                 rounds=1, iterations=1,
-                                 warmup_rounds=0)
+def test_scale_grid_discovery_beats_pairwise(tmp_path):
+    results = run_scale_sweep(tmp_path)
     discovery = run_plaza_discovery()
     write_snapshot(results, discovery)
     rows = []
@@ -145,6 +143,3 @@ def test_scale_grid_discovery_beats_pairwise(benchmark, tmp_path):
     # The advantage must grow with N (the whole point of the index).
     ratios = [r["brute_checks"] / max(1, r["grid_checks"]) for r in results]
     assert ratios == sorted(ratios), f"reduction not monotone in N: {ratios}"
-    benchmark.extra_info["reduction_at_500"] = round(ratios[-1], 1)
-    benchmark.extra_info["rows"] = [
-        {k: v for k, v in row.items() if k != "wall_s"} for row in results]

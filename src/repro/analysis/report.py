@@ -317,21 +317,28 @@ def _comparison_rows(snapshots: dict[str, dict]) -> list[list[object]]:
          "BENCH_dtn_delivery.json"],
         ["epidemic beats direct delivery (PR 4)",
          "mean delivery ratio epidemic vs direct",
-         f"{_fmt(_dig(dtn, 'sweep', 'mean_delivery_ratio', 'epidemic'))}"
-         f" vs {_fmt(_dig(dtn, 'sweep', 'mean_delivery_ratio', 'direct'))}",
+         _versus(dtn, "epidemic", "direct"),
          "BENCH_dtn_delivery.json"],
         ["PRoPHET beats epidemic under byte budgets (PR 5)",
          "mean delivery ratio prophet vs epidemic",
-         f"{_fmt(_dig(capacity, 'sweep', 'mean_delivery_ratio', 'prophet'))}"
-         f" vs "
-         f"{_fmt(_dig(capacity, 'sweep', 'mean_delivery_ratio', 'epidemic'))}",
+         _versus(capacity, "prophet", "epidemic"),
          "BENCH_contact_capacity.json"],
         ["redundant routers degrade gracefully under crashes (PR 6)",
          "zero-rate runs byte-identical to fault-free",
          _fmt(_dig(fault, "zero_rate", "identical")),
          "BENCH_fault_tolerance.json"],
     ]
-    return [row for row in rows if row[2] not in (None, "None vs None")]
+    return [row for row in rows if row[2] is not None]
+
+
+def _versus(snapshot: dict | None, left: str, right: str) -> str | None:
+    """``"<left> vs <right>"`` mean delivery ratios, or None if either
+    side is missing (a half-empty claim is no claim)."""
+    ratios = [_dig(snapshot, "sweep", "mean_delivery_ratio", router)
+              for router in (left, right)]
+    if None in ratios:
+        return None
+    return " vs ".join(str(_fmt(ratio)) for ratio in ratios)
 
 
 # ----------------------------------------------------------------------

@@ -173,6 +173,18 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    """``--workers`` value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -185,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = commands.add_parser(
         "run", help="execute a bundled spec and write JSONL + CSV")
     run_parser.add_argument("spec", help="bundled spec name")
-    run_parser.add_argument("--workers", type=int, default=1,
+    run_parser.add_argument("--workers", type=_worker_count, default=1,
                             help="worker processes (default 1; output is "
                                  "identical at any value)")
     run_parser.add_argument("--out", default=None,

@@ -1,9 +1,9 @@
 """Bundled experiment specs: the campaigns shipped with the repo.
 
 ``demo_sweep`` is the reference campaign (the CLI quickstart and the
-``make sweep`` target); the others back the refactored ``bench_e*``
-scripts, which execute them through the runner instead of hand-rolled
-loops.  Specs are plain data — copy one and edit the axes to make a
+``make sweep`` target); the others back the paper-figure tests in
+``tests/paper/`` and the benchmarks, which execute them through the
+runner instead of hand-rolled loops.  Specs are plain data — copy one and edit the axes to make a
 new campaign, or register your own via :func:`register_spec`.
 """
 

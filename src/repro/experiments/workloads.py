@@ -373,19 +373,6 @@ def trace_replay(point: RunPoint) -> Metrics:
 _ENDPOINT_PAIRS = (("home", "work"), ("kiosk", "depot"))
 
 
-def _resolve_pattern(pattern: str, nodes: typing.Sequence[str]) -> str:
-    """``"auto"`` picks the pattern the scenario was built for."""
-    if pattern != "auto":
-        return pattern
-    names = set(nodes)
-    for pair in _ENDPOINT_PAIRS:
-        if set(pair) <= names:
-            return "endpoints"
-    if "source" in names:
-        return "broadcast"
-    return "uniform"
-
-
 def _pattern_endpoints(nodes: typing.Sequence[str]
                        ) -> tuple[str, str] | None:
     """The named terminal pair for the ``endpoints`` pattern, if any."""
@@ -394,6 +381,17 @@ def _pattern_endpoints(nodes: typing.Sequence[str]
         if set(pair) <= names:
             return pair
     return None
+
+
+def _resolve_pattern(pattern: str, nodes: typing.Sequence[str]) -> str:
+    """``"auto"`` picks the pattern the scenario was built for."""
+    if pattern != "auto":
+        return pattern
+    if _pattern_endpoints(nodes) is not None:
+        return "endpoints"
+    if "source" in nodes:
+        return "broadcast"
+    return "uniform"
 
 
 @dataclasses.dataclass(frozen=True)

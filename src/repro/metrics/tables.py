@@ -1,8 +1,8 @@
 """Aligned-table and CSV rendering shared by benchmarks and reports.
 
-One implementation serves both consumers: the paper-reproduction
-benchmarks (via :mod:`benchmarks.paperbench`, which re-exports
-:func:`print_table`) and ``python -m repro.experiments report``.
+One implementation serves both consumers: the paper-figure tests and
+benchmarks (:func:`print_table`) and ``python -m repro.experiments
+report``.
 
 Alignment: a column whose cells are all numbers (``int``/``float``,
 ``None`` allowed) is right-aligned, as numeric tables should be; text

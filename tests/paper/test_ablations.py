@@ -21,9 +21,9 @@ from repro.core.device import MobilityClass
 from repro.core.errors import ConnectionClosedError
 from repro.core.handover import HandoverThread
 from repro.core.routing import RouteMetrics, is_better_route
+from repro.metrics.tables import print_table
 from repro.radio.technologies import BLUETOOTH
 from repro.scenarios import fig_4_5_bridge_test, fig_5_8_handover
-from paperbench import print_table
 
 SETTLE_S = 200.0
 S = MobilityClass.STATIC
@@ -56,8 +56,8 @@ def run_policy_ablations():
     }
 
 
-def test_ablation_routing_policy(benchmark):
-    verdict = benchmark(run_policy_ablations)
+def test_ablation_routing_policy():
+    verdict = run_policy_ablations()
     rows = [[name, value] for name, value in verdict.items()]
     print_table("A1/A2/A6: routing-policy ablations", ["check", "holds"],
                 rows)
@@ -101,17 +101,14 @@ def run_retry_ablation(attempts=16):
     return results
 
 
-def test_ablation_connect_retries(benchmark):
-    results = benchmark.pedantic(run_retry_ablation, rounds=1,
-                                 iterations=1, warmup_rounds=0)
+def test_ablation_connect_retries():
+    results = run_retry_ablation()
     rows = [[retries, f"{rate:.0%}"] for retries, rate in results.items()]
     print_table("A3: §4.3 bridge-chain failure rate vs retries",
                 ["retries", "failure rate"], rows)
     assert results[2] < results[0], (
         "retrying must reduce chain failures (the §4.3 recommendation): "
         f"{results}")
-    benchmark.extra_info["failure_rates"] = {
-        str(k): round(v, 3) for k, v in results.items()}
 
 
 # ----------------------------------------------------------------------
@@ -160,7 +157,7 @@ def run_handover_knob(config, sending, seed=5, messages=90):
     }
 
 
-def test_ablation_low_count_limit(benchmark):
+def test_ablation_low_count_limit():
     def sweep():
         results = {}
         for limit in (1, 3, 8):
@@ -169,8 +166,7 @@ def test_ablation_low_count_limit(benchmark):
             results[limit] = outcome
         return results
 
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1,
-                                 warmup_rounds=0)
+    results = sweep()
     rows = [[limit,
              outcome["fired"],
              f"{outcome['trigger_delay']:.0f} s"
@@ -183,17 +179,15 @@ def test_ablation_low_count_limit(benchmark):
     delays = [results[limit]["trigger_delay"] for limit in (1, 3, 8)]
     assert delays == sorted(delays), (
         f"a stricter limit must delay the trigger: {delays}")
-    benchmark.extra_info["delays"] = [round(d, 1) for d in delays]
 
 
-def test_ablation_sending_flag(benchmark):
+def test_ablation_sending_flag():
     def compare():
         active = run_handover_knob(HandoverConfig(), sending=True)
         idle = run_handover_knob(HandoverConfig(), sending=False)
         return active, idle
 
-    active, idle = benchmark.pedantic(compare, rounds=1, iterations=1,
-                                      warmup_rounds=0)
+    active, idle = compare()
     rows = [
         ["sending=True (streaming)", "handover fires", active["fired"]],
         ["sending=False (waiting for result)", "no handover (§5.3)",

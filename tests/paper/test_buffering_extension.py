@@ -15,9 +15,9 @@ order, at a bounded ack overhead (one cumulative ack per 4 payloads).
 from repro.core.buffering import ReliableChannel
 from repro.core.errors import ConnectionClosedError
 from repro.core.handover import HandoverThread
+from repro.metrics.tables import print_table
 from repro.radio.technologies import BLUETOOTH
 from repro.scenarios import fig_5_8_handover
-from paperbench import print_table
 
 SETTLE_S = 200.0
 SEEDS = (17, 18, 19, 20, 21, 22)
@@ -87,9 +87,8 @@ def run_comparison():
     return outcomes
 
 
-def test_buffering_extension(benchmark):
-    outcomes = benchmark.pedantic(run_comparison, rounds=1, iterations=1,
-                                  warmup_rounds=0)
+def test_buffering_extension():
+    outcomes = run_comparison()
     assert len(outcomes["raw"]) >= 3
     assert len(outcomes["buffered"]) >= 3
     raw_delivered = [o["delivered"] for o in outcomes["raw"]]
@@ -110,5 +109,3 @@ def test_buffering_extension(benchmark):
         assert outcome["in_order"]
     # The raw runs deliver at most as much — usually with some loss.
     assert min(raw_delivered) <= MESSAGES
-    benchmark.extra_info["raw_min_delivered"] = min(raw_delivered)
-    benchmark.extra_info["buffered_min_delivered"] = min(buffered_delivered)

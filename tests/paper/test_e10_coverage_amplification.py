@@ -11,8 +11,8 @@ chain (every hop re-transmits, §4.1).
 """
 
 from repro.apps.coverage_amplification import GprsGateway, TunnelPhone
+from repro.metrics.tables import print_table
 from repro.scenarios import tunnel_topology
-from paperbench import print_table
 
 CHAIN_LENGTHS = (1, 2, 3)
 SETTLE_BASE_S = 240.0
@@ -47,9 +47,8 @@ def run_sweep():
     return {count: run_chain(count) for count in CHAIN_LENGTHS}
 
 
-def test_e10_tunnel_coverage_amplification(benchmark):
-    results = benchmark.pedantic(run_sweep, rounds=1, iterations=1,
-                                 warmup_rounds=0)
+def test_e10_tunnel_coverage_amplification():
+    results = run_sweep()
     rows = []
     for count in CHAIN_LENGTHS:
         outcome = results[count]
@@ -72,5 +71,3 @@ def test_e10_tunnel_coverage_amplification(benchmark):
     # Per-hop re-transmission: the RTT grows with the chain.
     assert results[3]["rtt"] > results[1]["rtt"]
     assert results[3]["connect_time"] > results[1]["connect_time"] * 0.5
-    benchmark.extra_info["rtt_by_relays"] = {
-        str(c): round(results[c]["rtt"], 3) for c in CHAIN_LENGTHS}

@@ -6,7 +6,7 @@ better would be the stability of the connection".
 """
 
 from repro.core.device import MobilityClass, mobility_addition
-from paperbench import print_table
+from repro.metrics.tables import print_table
 
 PAPER_TABLE = {
     ("STATIC", "STATIC"): 0,
@@ -30,8 +30,8 @@ def run_table():
     return measured
 
 
-def test_e1_mobility_addition_table(benchmark):
-    measured = benchmark(run_table)
+def test_e1_mobility_addition_table():
+    measured = run_table()
     rows = []
     for pair, expected in PAPER_TABLE.items():
         got = measured[pair]
@@ -40,7 +40,6 @@ def test_e1_mobility_addition_table(benchmark):
         assert got == expected, f"{pair}: paper {expected}, measured {got}"
     print_table("E1: §3.4.3 mobility addition (paper vs measured)",
                 ["pair", "paper", "measured", "match"], rows)
-    benchmark.extra_info["all_match"] = True
     # Stability ordering: lower sum = preferred bridge pairing.
     assert measured[("STATIC", "STATIC")] < measured[
         ("DYNAMIC", "DYNAMIC")]

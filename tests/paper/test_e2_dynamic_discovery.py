@@ -4,8 +4,8 @@ Paper artifact: after propagation, A's DeviceStorage reads
 {B: 0 jumps, no bridge; C: 0, no bridge; D: 1 via C; E: 1 via B}.
 """
 
+from repro.metrics.tables import print_table
 from repro.scenarios import fig_3_6_dynamic_discovery
-from paperbench import print_table
 
 PAPER_TABLE = {
     "B": (0, None),
@@ -32,9 +32,8 @@ def run_discovery(seed=4, settle_s=240.0):
     return table
 
 
-def test_e2_fig_3_6_device_storage_of_a(benchmark):
-    table = benchmark.pedantic(run_discovery, rounds=1, iterations=1,
-                               warmup_rounds=0)
+def test_e2_fig_3_6_device_storage_of_a():
+    table = run_discovery()
     rows = []
     for name, (jump, bridge) in sorted(PAPER_TABLE.items()):
         got = table.get(name)
@@ -48,4 +47,3 @@ def test_e2_fig_3_6_device_storage_of_a(benchmark):
         assert table.get(name) == expected, (
             f"A's entry for {name}: paper {expected}, "
             f"measured {table.get(name)}")
-    benchmark.extra_info["devices_known"] = len(table)

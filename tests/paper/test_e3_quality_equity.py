@@ -7,8 +7,8 @@ below the 230 per-link minimum, so "the route A-C-D won't be accepted".
 from repro.core.config import RoutingPolicy
 from repro.core.device import MobilityClass
 from repro.core.routing import RouteMetrics, is_better_route
+from repro.metrics.tables import print_table
 from repro.scenarios import fig_3_9_quality_equity
-from paperbench import print_table
 
 
 def run_stack_level(seed=10, settle_s=240.0):
@@ -28,9 +28,8 @@ def run_stack_level(seed=10, settle_s=240.0):
     }
 
 
-def test_e3_fig_3_9_stack_chooses_abd(benchmark):
-    result = benchmark.pedantic(run_stack_level, rounds=1, iterations=1,
-                                warmup_rounds=0)
+def test_e3_fig_3_9_stack_chooses_abd():
+    result = run_stack_level()
     assert result is not None, "A never learnt a route to D"
     rows = [
         ["A-B-D", "230+230=460", "accepted (all links >= 230)",
@@ -43,7 +42,6 @@ def test_e3_fig_3_9_stack_chooses_abd(benchmark):
     assert result["bridge"] == "B", (
         f"paper picks A-B-D; stack picked via {result['bridge']}")
     assert result["min_link"] >= 230
-    benchmark.extra_info.update(result)
 
 
 def run_rule_level():
@@ -60,9 +58,8 @@ def run_rule_level():
     }
 
 
-def test_e3_fig_3_9_rule_level(benchmark):
-    verdict = benchmark(run_rule_level)
+def test_e3_fig_3_9_rule_level():
+    verdict = run_rule_level()
     assert verdict["abd_beats_acd"]
     assert not verdict["acd_beats_abd"]
     assert verdict["tie_without_threshold"]  # ablation: rule off => tie
-    benchmark.extra_info.update(verdict)

@@ -13,8 +13,8 @@ within a small multiple of the search cycle per jump.
 import statistics
 
 from repro.experiments import get_spec, run_campaign
+from repro.metrics.tables import print_table
 from repro.radio.technologies import BLUETOOTH
-from paperbench import print_table
 
 
 def run_sweep(out_dir):
@@ -28,9 +28,8 @@ def run_sweep(out_dir):
     return results
 
 
-def test_e4_fig_3_10_delay_grows_with_jumps(benchmark, tmp_path):
-    results = benchmark.pedantic(run_sweep, args=(tmp_path,), rounds=1,
-                                 iterations=1, warmup_rounds=0)
+def test_e4_fig_3_10_delay_grows_with_jumps(tmp_path):
+    results = run_sweep(tmp_path)
     cycle = BLUETOOTH.search_cycle_s
     rows = []
     means = {}
@@ -56,5 +55,3 @@ def test_e4_fig_3_10_delay_grows_with_jumps(benchmark, tmp_path):
     # times, but it stays within a few cycles per jump.
     for jumps, mean_delay in means.items():
         assert mean_delay < (jumps + 1) * 4 * cycle
-    benchmark.extra_info["mean_delay_by_jumps"] = {
-        str(k): round(v, 1) for k, v in means.items()}

@@ -18,9 +18,9 @@ from repro.baselines.previous_peerhood import (
     mean_awareness,
 )
 from repro.experiments import aggregate, get_spec, run_campaign
+from repro.metrics.tables import print_table
 from repro.radio.technologies import BLUETOOTH
 from repro.scenarios import fig_3_3_coverage_exclusion
-from paperbench import print_table
 
 
 def run_fig_3_3(seed=2, settle_s=300.0):
@@ -46,9 +46,8 @@ def run_fig_3_3(seed=2, settle_s=300.0):
     }
 
 
-def test_e5_fig_3_3_schemes(benchmark):
-    result = benchmark.pedantic(run_fig_3_3, rounds=1, iterations=1,
-                                warmup_rounds=0)
+def test_e5_fig_3_3_schemes():
+    result = run_fig_3_3()
     rows = [[scheme, f"{value:.3f}"]
             for scheme, value in result.items() if scheme[0] != "_"]
     print_table("E5: Fig. 3.3 awareness fraction by discovery scheme",
@@ -62,8 +61,6 @@ def test_e5_fig_3_3_schemes(benchmark):
     assert (result["direct-only"] < result["two-jump"]
             < result["dynamic (oracle)"])
     assert result["dynamic (measured stack)"] > result["two-jump"]
-    benchmark.extra_info.update(
-        {k: round(v, 3) for k, v in result.items() if k[0] != "_"})
 
 
 def run_random_discs(out_dir):
@@ -78,10 +75,8 @@ def run_random_discs(out_dir):
     }
 
 
-def test_e5_random_disc_ordering(benchmark, tmp_path):
-    result = benchmark.pedantic(run_random_discs, args=(tmp_path,),
-                                rounds=1, iterations=1,
-                                warmup_rounds=0)
+def test_e5_random_disc_ordering(tmp_path):
+    result = run_random_discs(tmp_path)
     rows = [[scheme, f"{value:.3f}"] for scheme, value in result.items()]
     print_table("E5b: random-disc awareness fraction (10 nodes, 40 m sq)",
                 ["scheme", "mean awareness"], rows)
@@ -90,5 +85,3 @@ def test_e5_random_disc_ordering(benchmark, tmp_path):
     # The measured stack approaches the oracle (some churn tolerated).
     assert result["dynamic (measured stack)"] >= (
         0.8 * result["dynamic (oracle)"])
-    benchmark.extra_info.update(
-        {k: round(v, 3) for k, v in result.items()})

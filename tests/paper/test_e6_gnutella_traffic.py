@@ -13,9 +13,9 @@ convergence every PeerHood search is a free local table lookup.
 """
 
 from repro.baselines.gnutella import GnutellaNetwork
+from repro.metrics.tables import print_table
 from repro.radio.technologies import BLUETOOTH
 from repro.scenarios import random_disc
-from paperbench import print_table
 
 NODE_COUNT = 12
 AREA = 26.0
@@ -54,9 +54,8 @@ def run_comparison(seed=3):
     }
 
 
-def test_e6_gnutella_vs_peerhood_traffic(benchmark):
-    result = benchmark.pedantic(run_comparison, rounds=1, iterations=1,
-                                warmup_rounds=0)
+def test_e6_gnutella_vs_peerhood_traffic():
+    result = run_comparison()
     rows = [[searches,
              values["gnutella"],
              values["peerhood"],
@@ -75,8 +74,6 @@ def test_e6_gnutella_vs_peerhood_traffic(benchmark):
         "whole periodic exchange budget")
     assert result["per_search"] >= result["nodes_reached"], (
         "flooding must visit (and re-visit) its component")
-    benchmark.extra_info["gnutella_per_search"] = result["per_search"]
-    benchmark.extra_info["peerhood_total"] = result["peerhood_total"]
 
 
 def run_density_sweep(counts=(6, 12, 18), seed=4):
@@ -92,9 +89,8 @@ def run_density_sweep(counts=(6, 12, 18), seed=4):
     return per_node
 
 
-def test_e6_flooding_cost_grows_with_density(benchmark):
-    per_node = benchmark.pedantic(run_density_sweep, rounds=1,
-                                  iterations=1, warmup_rounds=0)
+def test_e6_flooding_cost_grows_with_density():
+    per_node = run_density_sweep()
     rows = [[count, f"{cost:.1f}"] for count, cost in per_node.items()]
     print_table("E6b: Gnutella query messages per node vs density",
                 ["nodes", "msgs/node"], rows)
@@ -102,5 +98,3 @@ def test_e6_flooding_cost_grows_with_density(benchmark):
     assert costs[-1] > costs[0], (
         "per-node flooding cost must grow with density (duplicate "
         "deliveries), the paper's §3.2 argument")
-    benchmark.extra_info["per_node_cost"] = {
-        str(k): round(v, 2) for k, v in per_node.items()}

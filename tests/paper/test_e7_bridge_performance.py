@@ -10,8 +10,8 @@ time delay."
 from repro.apps.message_test import MessageTestClient, MessageTestServer
 from repro.core.config import DaemonConfig
 from repro.metrics.stats import summarize
+from repro.metrics.tables import print_table
 from repro.scenarios import fig_4_5_bridge_test
-from paperbench import print_table
 
 ATTEMPTS = 20
 SETTLE_S = 200.0
@@ -38,9 +38,8 @@ def run_campaign():
     return outcomes
 
 
-def test_e7_bridge_performance(benchmark):
-    outcomes = benchmark.pedantic(run_campaign, rounds=1, iterations=1,
-                                  warmup_rounds=0)
+def test_e7_bridge_performance():
+    outcomes = run_campaign()
     assert len(outcomes) >= 10
     successes = [o for o in outcomes if o.connected]
     failures = [o for o in outcomes if not o.connected]
@@ -71,7 +70,3 @@ def test_e7_bridge_performance(benchmark):
     for outcome in successes:
         assert outcome.messages_delivered == 20
     assert max(delays) < 0.5, "relay latency must be negligible (§4.3)"
-    benchmark.extra_info["failure_rate"] = round(failure_rate, 3)
-    benchmark.extra_info["connect_time_mean_s"] = round(stats.mean, 2)
-    benchmark.extra_info["connect_time_range_s"] = [
-        round(stats.minimum, 2), round(stats.maximum, 2)]

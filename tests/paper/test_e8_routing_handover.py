@@ -21,9 +21,9 @@ from repro.core.errors import ConnectionClosedError
 from repro.core.handover import HandoverThread
 from repro.experiments import get_spec, run_campaign
 from repro.metrics.stats import summarize
+from repro.metrics.tables import print_table
 from repro.mobility import CorridorWalk
 from repro.scenarios import Scenario
-from paperbench import print_table
 
 SETTLE_S = 200.0
 WALK_SEEDS = range(10)
@@ -59,10 +59,8 @@ def run_decay_campaign(out_dir):
     return runs
 
 
-def test_e8_fig_5_8_decay_simulation(benchmark, tmp_path):
-    runs = benchmark.pedantic(run_decay_campaign, args=(tmp_path,),
-                              rounds=1, iterations=1,
-                              warmup_rounds=0)
+def test_e8_fig_5_8_decay_simulation(tmp_path):
+    runs = run_decay_campaign(tmp_path)
     assert len(runs) >= 5
     fired = [r for r in runs if r["fired"]]
     durations = [r["duration"] for r in fired if r["duration"] is not None]
@@ -90,8 +88,6 @@ def test_e8_fig_5_8_decay_simulation(benchmark, tmp_path):
     # little slack for retries.
     assert 1.5 <= stats.minimum and stats.maximum <= 25.0
     assert delivery.mean >= 45.0, "the stream must survive the handover"
-    benchmark.extra_info["handover_duration_mean_s"] = round(stats.mean, 2)
-    benchmark.extra_info["delivery_mean"] = round(delivery.mean, 1)
 
 
 def run_walk_campaign():
@@ -131,9 +127,8 @@ def run_walk_campaign():
     return outcomes
 
 
-def test_e8_walking_speed_race(benchmark):
-    outcomes = benchmark.pedantic(run_walk_campaign, rounds=1,
-                                  iterations=1, warmup_rounds=0)
+def test_e8_walking_speed_race():
+    outcomes = run_walk_campaign()
     assert len(outcomes) >= 6
     lost = sum(1 for survived in outcomes if not survived)
     loss_rate = lost / len(outcomes)
@@ -147,4 +142,3 @@ def test_e8_walking_speed_race(benchmark):
     assert loss_rate >= 0.5, (
         "the paper concludes the handover usually loses the race at "
         f"walking speed; measured loss rate {loss_rate:.0%}")
-    benchmark.extra_info["loss_rate"] = round(loss_rate, 2)

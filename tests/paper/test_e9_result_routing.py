@@ -17,9 +17,9 @@ from repro.apps.picture_analysis import (
     PictureAnalysisClient,
     PictureAnalysisServer,
 )
+from repro.metrics.tables import print_table
 from repro.mobility import CorridorWalk
 from repro.scenarios import Scenario
-from paperbench import print_table
 
 SETTLE_S = 200.0
 
@@ -76,9 +76,8 @@ def run_sweep():
     return outcomes
 
 
-def test_e9_result_routing_regimes(benchmark):
-    outcomes = benchmark.pedantic(run_sweep, rounds=1, iterations=1,
-                                  warmup_rounds=0)
+def test_e9_result_routing_regimes():
+    outcomes = run_sweep()
     assert len(outcomes) == len(CASES)
     rows = []
     for label, (count, expected, outcome) in outcomes.items():
@@ -99,5 +98,3 @@ def test_e9_result_routing_regimes(benchmark):
     # Case 3: nothing to process, no result.
     huge = outcomes["huge"][2]
     assert not huge["result"].result_received
-    benchmark.extra_info["regimes"] = {
-        label: data[2]["regime"] for label, data in outcomes.items()}

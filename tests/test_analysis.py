@@ -205,6 +205,23 @@ def test_build_report_covers_all_benchmarks_and_the_sweep(tmp_path):
     assert html_path.read_text(encoding="utf-8").startswith("<!DOCTYPE")
 
 
+@pytest.mark.parametrize("ratios, claim", [
+    ({"epidemic": 0.9, "direct": 0.4}, "| 0.9 vs 0.4 |"),
+    ({"epidemic": 0.9}, None),             # direct missing: no half row
+])
+def test_headline_comparison_needs_both_sides(tmp_path, ratios, claim):
+    snapshot = {"benchmark": "dtn_delivery", "wakeup_reduction": 3.0,
+                "sweep": {"mean_delivery_ratio": ratios}}
+    (tmp_path / "BENCH_dtn_delivery.json").write_text(json.dumps(snapshot))
+    md = build_report(root=tmp_path).to_markdown()
+    assert "forwarder-wakeup reduction" in md
+    assert "None" not in md
+    if claim is None:
+        assert "epidemic vs direct" not in md
+    else:
+        assert claim in md
+
+
 def test_report_cli_writes_both_artifacts(tmp_path, capsys):
     out = tmp_path / "report"
     assert cli.main(["report", "--root", str(REPO_ROOT),

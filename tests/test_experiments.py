@@ -362,3 +362,12 @@ def test_cli_report_missing_results_fails_cleanly(tmp_path, capsys):
     missing = tmp_path / "never_ran"
     assert cli_main(["report", "demo_sweep", "--out", str(missing)]) == 1
     assert "no results" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_zero_workers_before_running(tmp_path, capsys):
+    out = tmp_path / "never_ran"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "delay_sweep", "--workers", "0", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--workers: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
