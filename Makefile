@@ -109,8 +109,8 @@ resume-smoke:
 # The container bakes in no external linter (flake8/ruff); compileall +
 # tabnanny catch syntax errors and indentation mixups without new deps.
 lint:
-	$(PYTHON) -m compileall -q src tests benchmarks examples tools
-	$(PYTHON) -m tabnanny src tests benchmarks examples tools
+	$(PYTHON) -m compileall -q src tests benchmarks examples tools perf
+	$(PYTHON) -m tabnanny src tests benchmarks examples tools perf
 
 # Intra-repo Markdown link check (README, CHANGES, ROADMAP, docs/*.md);
 # external URLs are ignored so CI never flakes on the network.

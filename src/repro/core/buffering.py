@@ -9,13 +9,13 @@ data integrity."
 Two layers live here:
 
 * :class:`BoundedBuffer` — the *shared* byte-bounded, TTL-aware buffer
-  with pluggable eviction policies.  It is the single buffering
+  that evicts its oldest entry first.  It is the single buffering
   implementation of the repo: the PeerHood service plane uses it as the
   :class:`ReliableChannel` retransmission window (unbounded, no TTL),
   and the DTN data plane (:mod:`repro.dtn`) builds its per-node
   :class:`~repro.dtn.store.MessageStore` on it (capacity- and
-  TTL-evicting).  Keeping one implementation means one set of eviction
-  semantics, counters and tests for both planes.
+  TTL-evicting).  Keeping one implementation means one eviction rule,
+  one set of counters and one set of tests for both planes.
 * :class:`ReliableChannel` — the §6.1 trade-off: application payloads
   carry sequence numbers and are buffered until *cumulatively*
   acknowledged — one ack per ``ack_every`` payloads instead of per
@@ -45,18 +45,6 @@ from repro.sim.resources import Store
 # ----------------------------------------------------------------------
 # the shared bounded buffer
 # ----------------------------------------------------------------------
-#: Eviction policies of :class:`BoundedBuffer`.  ``EVICT_OLDEST`` drops
-#: the longest-stored entry first (FIFO — the DTN default and what the
-#: reliable channel's cumulative trim approximates); ``EVICT_LARGEST``
-#: frees the most bytes per drop; ``EVICT_SOONEST_EXPIRY`` sacrifices the
-#: entry that would die of TTL first anyway.
-EVICT_OLDEST = "oldest"
-EVICT_LARGEST = "largest"
-EVICT_SOONEST_EXPIRY = "soonest-expiry"
-
-EVICTION_POLICIES = (EVICT_OLDEST, EVICT_LARGEST, EVICT_SOONEST_EXPIRY)
-
-
 @dataclasses.dataclass(frozen=True)
 class BufferEntry:
     """One buffered item with the facts eviction decisions need.
@@ -77,30 +65,26 @@ class BufferEntry:
 
 
 class BoundedBuffer:
-    """An ordered, keyed, byte-bounded buffer with eviction policies.
+    """An ordered, keyed, byte-bounded buffer that evicts oldest first.
 
     Entries keep insertion order (the retransmission window iterates in
-    sequence order; DTN stores offer oldest bundles first).  All
-    operations are O(1) amortised except ``drop_matching``, expiry
-    sweeps that find something due, and the ``EVICT_LARGEST`` /
-    ``EVICT_SOONEST_EXPIRY`` victim scans, which are O(n) in the number
-    of buffered entries.  ``capacity_bytes=None`` means unbounded (the
+    sequence order; DTN stores offer oldest bundles first), and capacity
+    pressure drops the longest-stored entry first (FIFO — what the
+    reliable channel's cumulative trim approximates).  All operations
+    are O(1) amortised except ``drop_matching`` and expiry sweeps that
+    find something due, which are O(n) in the number of buffered
+    entries.  ``capacity_bytes=None`` means unbounded (the
     reliable-channel window).  The buffer never advances a clock of its
     own: callers pass ``now`` explicitly, so expiry needs no timer
     wakeups.  :attr:`next_expiry` is a lower bound on the soonest
     expiry instant, so a sweep with nothing due is one comparison.
     """
 
-    def __init__(self, capacity_bytes: int | None = None,
-                 policy: str = EVICT_OLDEST):
+    def __init__(self, capacity_bytes: int | None = None):
         if capacity_bytes is not None and capacity_bytes <= 0:
             raise ValueError(
                 f"capacity must be positive or None: {capacity_bytes}")
-        if policy not in EVICTION_POLICIES:
-            raise ValueError(f"unknown eviction policy {policy!r}; "
-                             f"choose from {EVICTION_POLICIES}")
         self.capacity_bytes = capacity_bytes
-        self.policy = policy
         self._entries: dict[object, BufferEntry] = {}
         self.used_bytes = 0
         #: Entries dropped to make room (never incremented by remove()).
@@ -141,11 +125,11 @@ class BoundedBuffer:
         Storing an already-present key replaces the entry's item, size
         and expiry *in place*: it keeps its queue position and its
         original ``stored_at``, so updating a carried bundle (the
-        spray-and-wait token bookkeeping) never rejuvenates it under
-        ``EVICT_OLDEST`` — custody age is when the key first entered,
-        not when it was last touched.  A replacement is not an
-        eviction.  When the buffer is over capacity after the insert,
-        victims are chosen by the policy *excluding the new entry* —
+        spray-and-wait token bookkeeping) never rejuvenates it —
+        custody age is when the key first entered, not when it was last
+        touched.  A replacement is not an eviction.  When the buffer is
+        over capacity after the insert, the oldest entries are evicted,
+        *excluding the new entry* —
         unless even an empty buffer could not hold it, in which case the
         new entry itself is rejected (returned in the evicted list and
         not stored).  ``ttl_s`` ``None`` means no expiry.
@@ -180,30 +164,11 @@ class BoundedBuffer:
         return evicted
 
     def _victim(self, exclude: object) -> BufferEntry | None:
-        """The policy's next eviction victim, never the excluded key.
-
-        One pass over the entries (insertion-rank tie-breaks fall out
-        of the enumeration, keeping the scan O(n)).
-        """
-        candidates = ((i, e) for i, (k, e) in
-                      enumerate(self._entries.items()) if k != exclude)
-        if self.policy == EVICT_OLDEST:
-            pair = next(candidates, None)   # dict preserves insertion
-            return None if pair is None else pair[1]
-        best: BufferEntry | None = None
-        best_rank: tuple | None = None
-        for index, entry in candidates:
-            if self.policy == EVICT_LARGEST:
-                # Biggest wins; among equals the oldest (lowest index).
-                rank = (-entry.size_bytes, index)
-            else:
-                # EVICT_SOONEST_EXPIRY: immortal entries lose to any
-                # expiring one only when nothing expires; among
-                # expiring, soonest dies first.
-                rank = _expiry_rank(entry)
-            if best_rank is None or rank < best_rank:
-                best, best_rank = entry, rank
-        return best
+        """The oldest entry that is not under the excluded key."""
+        for key, entry in self._entries.items():   # insertion order
+            if key != exclude:
+                return entry
+        return None
 
     def _drop(self, entry: BufferEntry) -> None:
         del self._entries[entry.key]
@@ -256,12 +221,6 @@ class BoundedBuffer:
         self.next_expiry = soonest
         return victims
 
-
-def _expiry_rank(entry: BufferEntry) -> tuple:
-    """Sort key for EVICT_SOONEST_EXPIRY: expiring before immortal."""
-    if entry.expires_at is None:
-        return (1, entry.stored_at)
-    return (0, entry.expires_at)
 
 #: Cumulative-ack frequency: one ack per this many delivered payloads.
 DEFAULT_ACK_EVERY = 4

@@ -1,10 +1,25 @@
 """Configuration objects for the daemon, routing policy and handover.
 
 Defaults reproduce the paper's constants: quality threshold 230
-(Figs. 3.9/5.8), three consecutive low readings before handover (§5.2.1),
-service-checking interval for energy saving (§3.5), and the route
-preference order jump → mobility → quality (Fig. 3.13).  The ablation
-benchmarks flip individual flags here.
+(Figs. 3.9/5.8), three consecutive low readings before handover (§5.2.1)
+and the route preference order jump → mobility → quality (Fig. 3.13).
+The ablation tests (``tests/paper/test_ablations.py``) flip individual
+fields here.
+
+Values the thesis fixes and no experiment varies are module constants
+below, not fields.  Three of the thesis' design decisions are not
+settings at all but the only behaviour the code has:
+
+* §3.4.1's unified discovery fetch — "we could unify these 4 short
+  connections to an only one longer connection": one fetch per stored
+  device (``plugins/base.py``);
+* §3.4.3's static-bridge preference — "we will always give preference
+  to static terminals as a bridge": static handover bridges win ties
+  whenever ``RoutingPolicy.use_mobility`` is on;
+* §5.3's ``sending`` flag — when the application has finished sending
+  the HandoverThread "will be aware about the no need for the
+  reconnection and avoid the routing handover or service
+  reconnection".
 """
 
 from __future__ import annotations
@@ -12,6 +27,20 @@ from __future__ import annotations
 import dataclasses
 
 from repro.radio.quality import PAPER_LOW_QUALITY_THRESHOLD
+
+#: §3.5: stored devices are re-fetched only every this many inquiry
+#: loops "to achieve the energy saving"; the loops between refresh the
+#: link quality only.
+SERVICE_CHECK_INTERVAL_LOOPS = 3
+
+#: §5.2.1: the HandoverThread's link-quality sampling period, seconds
+#: (the paper decays 1 unit per second and counts per reading, implying
+#: a 1 s cadence).
+MONITOR_INTERVAL_S = 1.0
+
+#: How often the polling HandoverThread's state 0 re-derives the best
+#: alternative route, seconds.
+ROUTE_REFRESH_INTERVAL_S = 5.0
 
 
 @dataclasses.dataclass
@@ -35,10 +64,6 @@ class RoutingPolicy:
         Discard routes longer than this many jumps (§3.4.2 recommends a
         limit for mobile devices because notification delay grows with
         hops).
-    prefer_static_bridges:
-        §3.4.3: "we will always give preference to static terminals as a
-        bridge" — when choosing the next hop for an outgoing bridge
-        connection, static candidates win ties.
     """
 
     quality_threshold: int = PAPER_LOW_QUALITY_THRESHOLD
@@ -46,7 +71,6 @@ class RoutingPolicy:
     use_mobility: bool = True
     quality_first: bool = False
     max_jump: int = 8
-    prefer_static_bridges: bool = True
 
     def __post_init__(self) -> None:
         if not 0 <= self.quality_threshold <= 255:
@@ -60,6 +84,9 @@ class RoutingPolicy:
 class HandoverConfig:
     """Knobs of the HandoverThread (§5.2.1, Fig. 5.5).
 
+    The sampling cadence is :data:`MONITOR_INTERVAL_S`; the route
+    refresh period is :data:`ROUTE_REFRESH_INTERVAL_S`.
+
     Attributes
     ----------
     low_quality_threshold:
@@ -68,22 +95,12 @@ class HandoverConfig:
     low_count_limit:
         "And when this account is bigger than three, the HandoverThread
         will proceed to change the connection to the second route."
-    monitor_interval_s:
-        Link-quality sampling period (the paper decays 1 unit per second
-        and counts per reading, implying a 1 s cadence).
-    route_refresh_interval_s:
-        How often state 0 re-derives the best alternative route.
     max_handover_attempts:
         After this many failed routing handovers the thread falls back to
         service reconnection (§5.2.2: "after various attempts").
     connect_retries:
         Establishment retries for the replacement connection (§4.3
         recommends attempt repetition).
-    respect_sending_flag:
-        §5.3: when the application has finished sending (``sending`` is
-        False) the thread "will be aware about the no need for the
-        reconnection and avoid the routing handover or service
-        reconnection".
     event_driven:
         True (default): state-1 monitoring subscribes to predicted
         quality-threshold crossings on the connectivity bus and sleeps
@@ -95,16 +112,11 @@ class HandoverConfig:
 
     low_quality_threshold: int = PAPER_LOW_QUALITY_THRESHOLD
     low_count_limit: int = 3
-    monitor_interval_s: float = 1.0
-    route_refresh_interval_s: float = 5.0
     max_handover_attempts: int = 2
     connect_retries: int = 1
-    respect_sending_flag: bool = True
     event_driven: bool = True
 
     def __post_init__(self) -> None:
-        if self.monitor_interval_s <= 0:
-            raise ValueError("monitor interval must be positive")
         if self.low_count_limit < 1:
             raise ValueError("low count limit must be >= 1")
         if not 0 <= self.low_quality_threshold <= 255:
@@ -117,20 +129,15 @@ class HandoverConfig:
 class DaemonConfig:
     """Per-daemon settings (the thesis' system configuration parameters).
 
+    The service-check interval is :data:`SERVICE_CHECK_INTERVAL_LOOPS`.
+
     Attributes
     ----------
-    service_check_interval_loops:
-        §3.5: stored devices are re-fetched only every N inquiry loops
-        "to achieve the energy saving".
     stale_after_loops:
         §3.5: "If one device doesn't respond to the inquiry during certain
         loop ... the device information should be removed" — we allow a
         small number of missed loops before eviction because Bluetooth's
         asymmetric discovery produces random misses (§3.4.2).
-    unified_fetch:
-        §3.4.1: "we could unify these 4 short connections to an only one
-        longer connection" — True models the unified fetch, False the four
-        separate short connections of Fig. 3.7.
     bridge_enabled:
         Run the hidden bridge service (§4.0 discusses switching it off on
         battery-constrained mobiles).
@@ -144,9 +151,7 @@ class DaemonConfig:
         Library-level establishment retries for outgoing connections.
     """
 
-    service_check_interval_loops: int = 3
     stale_after_loops: int = 3
-    unified_fetch: bool = True
     bridge_enabled: bool = True
     bridge_max_connections: int = 8
     advertise_load_in_quality: bool = False
@@ -156,8 +161,6 @@ class DaemonConfig:
         default_factory=HandoverConfig)
 
     def __post_init__(self) -> None:
-        if self.service_check_interval_loops < 1:
-            raise ValueError("service check interval must be >= 1 loop")
         if self.stale_after_loops < 1:
             raise ValueError("stale-after must be >= 1 loop")
         if self.bridge_max_connections < 0:

@@ -128,10 +128,6 @@ class PeerHoodConnection:
         """Register the ChangeConnection application callback (§5.2.1)."""
         self._change_callbacks.append(callback)
 
-    def pending_payloads(self) -> int:
-        """Payloads buffered and ready for ``read()``."""
-        return sum(1 for item in self._rx._items if item is not _CLOSED)
-
     # ------------------------------------------------------------------
     # demultiplexer (the socket layer)
     # ------------------------------------------------------------------

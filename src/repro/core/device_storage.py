@@ -355,10 +355,9 @@ class DeviceStorage:
                                  >= self.policy.quality_threshold else 1)
             else:
                 threshold_key = 0
-            if self.policy.prefer_static_bridges and self.policy.use_mobility:
-                mobility_key = int(device.mobility)
-            else:
-                mobility_key = 0
+            # §3.4.3: static bridges win ties.
+            mobility_key = (int(device.mobility) if self.policy.use_mobility
+                            else 0)
             return (threshold_key, -quality_sum, mobility_key,
                     device.address)
 

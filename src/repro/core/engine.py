@@ -65,11 +65,6 @@ class Engine:
         """Detach a service handler."""
         self._service_callbacks.pop(service_name, None)
 
-    def server_connection(self, client_address: str,
-                          connection_id: int) -> PeerHoodConnection | None:
-        """Find a live server-side connection for reconnect handling."""
-        return self._server_connections.get((client_address, connection_id))
-
     # ------------------------------------------------------------------
     # accept path
     # ------------------------------------------------------------------

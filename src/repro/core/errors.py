@@ -31,7 +31,3 @@ class BridgeRefusedError(PeerHoodError):
 
 class ConnectionClosedError(PeerHoodError):
     """Read or write on a PeerHood connection that has been torn down."""
-
-
-class HandoverFailedError(PeerHoodError):
-    """Routing handover exhausted its attempts without a new route."""

@@ -6,9 +6,9 @@ Implements the Fig. 5.5 state machine:
   search the connected device's address in each direct neighbour's
   neighbourhood list; store the best-quality alternative route.
 * **State 1** — monitoring: sample the link quality every
-  ``monitor_interval_s``; a reading below the threshold (230) increments
-  the low counter, a good reading resets it.  Past ``low_count_limit``
-  (3) the thread proceeds to state 2.
+  ``MONITOR_INTERVAL_S`` (1 s); a reading below the threshold (230)
+  increments the low counter, a good reading resets it.  Past
+  ``low_count_limit`` (3) the thread proceeds to state 2.
 * **State 2** — substitution: open a bridge connection over the stored
   route carrying PH_RECONNECT, swap the transport under the application
   connection (ChangeConnection callback) and return to monitoring.
@@ -17,7 +17,7 @@ State 1 comes in two implementations, selected by
 ``HandoverConfig.event_driven``:
 
 * **polling** (the paper-faithful oracle): wake every
-  ``monitor_interval_s`` and read the quality — ``N`` monitors cost
+  ``MONITOR_INTERVAL_S`` and read the quality — ``N`` monitors cost
   ``N / interval`` kernel wakeups per second whether anything moves.
 * **event-driven** (default): subscribe to the connectivity bus for the
   *predicted* instant quality next reads below the threshold and sleep
@@ -45,7 +45,11 @@ from __future__ import annotations
 import enum
 import typing
 
-from repro.core.config import HandoverConfig
+from repro.core.config import (
+    MONITOR_INTERVAL_S,
+    ROUTE_REFRESH_INTERVAL_S,
+    HandoverConfig,
+)
 from repro.core.connection import PeerHoodConnection
 from repro.core.errors import (
     BridgeRefusedError,
@@ -147,14 +151,13 @@ class HandoverThread:
         last_refresh = -float("inf")
         while self._active and self.connection.is_open:
             # State 0: periodically re-derive the best alternative route.
-            if (self.sim.now - last_refresh
-                    >= self.config.route_refresh_interval_s):
+            if self.sim.now - last_refresh >= ROUTE_REFRESH_INTERVAL_S:
                 self.state = HandoverState.ROUTE_DISCOVERY
                 self._refresh_best_route()
                 last_refresh = self.sim.now
             # State 1: monitor the link quality.
             self.state = HandoverState.MONITORING
-            yield self.sim.timeout(self.config.monitor_interval_s)
+            yield self.sim.timeout(MONITOR_INTERVAL_S)
             self.monitor_wakeups += 1
             if not self._active or not self.connection.is_open:
                 break
@@ -173,7 +176,7 @@ class HandoverThread:
         which the polling oracle could only have read good quality onto a
         zero counter are slept through in one bus-predicted wait.
         """
-        interval = self.config.monitor_interval_s
+        interval = MONITOR_INTERVAL_S
         self.state = HandoverState.ROUTE_DISCOVERY
         self._refresh_best_route()
         next_reading = self.sim.now + interval
@@ -235,8 +238,7 @@ class HandoverThread:
 
     def _take_reading(self) -> typing.Generator:
         """One state-1 reading; shared verbatim by both monitor modes."""
-        if (self.config.respect_sending_flag
-                and not self.connection.sending):
+        if not self.connection.sending:
             # §5.3: the application finished sending; a broken link
             # needs no repair until the server routes the result back.
             self.low_count = 0

@@ -66,7 +66,6 @@ import bisect
 import math
 import typing
 
-from repro.core.buffering import EVICT_OLDEST
 from repro.dtn.bundle import Bundle
 from repro.dtn.forwarder import DtnOverlay
 from repro.dtn.routing import Router
@@ -161,7 +160,6 @@ class BandwidthDtnOverlay(DtnOverlay):
                  tech: Technology | str = "bluetooth",
                  nodes: typing.Sequence[str] | None = None,
                  capacity_bytes: int | None = None,
-                 policy: str = EVICT_OLDEST,
                  meter: TrafficMeter | None = None,
                  data_rate_Bps: float | None = None):
         tech_obj = get_technology(tech) if isinstance(tech, str) else tech
@@ -181,8 +179,7 @@ class BandwidthDtnOverlay(DtnOverlay):
         # super().__init__ seeds contact_up for pairs already in range,
         # so every attribute above must exist first.
         super().__init__(world, router, tech=tech_obj, nodes=nodes,
-                         capacity_bytes=capacity_bytes, policy=policy,
-                         meter=meter)
+                         capacity_bytes=capacity_bytes, meter=meter)
 
     # ------------------------------------------------------------------
     # capacity model

@@ -62,7 +62,6 @@ import collections
 import dataclasses
 import typing
 
-from repro.core.buffering import EVICT_OLDEST
 from repro.dtn.bundle import (
     DEFAULT_SIZE_BYTES,
     DEFAULT_TTL_S,
@@ -111,7 +110,6 @@ class DtnPlane:
                  tech: Technology | str = "bluetooth",
                  nodes: typing.Sequence[str] | None = None,
                  capacity_bytes: int | None = None,
-                 policy: str = EVICT_OLDEST,
                  meter: TrafficMeter | None = None):
         self.world = world
         self.sim = world.sim
@@ -124,7 +122,7 @@ class DtnPlane:
         self.meter = meter
         self.stores: dict[str, MessageStore] = {
             name: MessageStore(name, capacity_bytes=capacity_bytes,
-                               policy=policy, counters=self.counters)
+                               counters=self.counters)
             for name in sorted(nodes)}
         self.delivered: dict[str, DeliveryRecord] = {}
         #: Contact-event callback firings (see class docstrings).
@@ -530,11 +528,9 @@ class DtnOverlay(DtnPlane):
                  tech: Technology | str = "bluetooth",
                  nodes: typing.Sequence[str] | None = None,
                  capacity_bytes: int | None = None,
-                 policy: str = EVICT_OLDEST,
                  meter: TrafficMeter | None = None):
         super().__init__(world, router, tech=tech, nodes=nodes,
-                         capacity_bytes=capacity_bytes, policy=policy,
-                         meter=meter)
+                         capacity_bytes=capacity_bytes, meter=meter)
         self.stream = ContactStream(world, self.tech, self.stores,
                                     callback=self._on_event,
                                     on_leave=self.retire_node)
@@ -569,12 +565,10 @@ class PollingDtnOverlay(DtnPlane):
                  tech: Technology | str = "bluetooth",
                  nodes: typing.Sequence[str] | None = None,
                  capacity_bytes: int | None = None,
-                 policy: str = EVICT_OLDEST,
                  meter: TrafficMeter | None = None,
                  poll_interval_s: float = 1.0):
         super().__init__(world, router, tech=tech, nodes=nodes,
-                         capacity_bytes=capacity_bytes, policy=policy,
-                         meter=meter)
+                         capacity_bytes=capacity_bytes, meter=meter)
         if poll_interval_s <= 0:
             raise ValueError(
                 f"poll interval must be positive: {poll_interval_s}")

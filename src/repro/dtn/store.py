@@ -10,8 +10,8 @@ adds what custody needs on top:
   dropped by *lazy* sweeps (:meth:`expire`) at contact/send instants,
   so expiry costs no timer wakeups; before
   :attr:`~MessageStore.next_expiry` a sweep is one comparison;
-* **capacity eviction** — a byte budget with the shared policies
-  (drop-oldest, drop-largest, drop-soonest-expiry);
+* **capacity eviction** — a byte budget under the shared buffer's
+  drop-oldest rule;
 * **summary vectors** — the epidemic-routing dedup set: ids this node
   currently carries *plus* ids it has already seen (received, relayed
   onward, or delivered as destination), so a contact never re-sends
@@ -35,10 +35,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.core.buffering import (
-    BoundedBuffer,
-    EVICT_OLDEST,
-)
+from repro.core.buffering import BoundedBuffer
 from repro.dtn.bundle import Bundle
 from repro.metrics.counters import DtnCounters
 
@@ -54,12 +51,10 @@ class MessageStore:
     """
 
     def __init__(self, node_id: str, capacity_bytes: int | None = None,
-                 policy: str = EVICT_OLDEST,
                  counters: DtnCounters | None = None):
         self.node_id = node_id
         self.counters = counters if counters is not None else DtnCounters()
-        self._buffer = BoundedBuffer(capacity_bytes=capacity_bytes,
-                                     policy=policy)
+        self._buffer = BoundedBuffer(capacity_bytes=capacity_bytes)
         #: Every bundle id this node has ever held or delivered — the
         #: summary-vector memory that prevents epidemic re-infection.
         self._seen: set[str] = set()
@@ -85,10 +80,6 @@ class MessageStore:
     @property
     def capacity_bytes(self) -> int | None:
         return self._buffer.capacity_bytes
-
-    @property
-    def policy(self) -> str:
-        return self._buffer.policy
 
     @property
     def next_expiry(self) -> float:
@@ -153,7 +144,7 @@ class MessageStore:
         """Take custody of ``bundle``; True if it is buffered afterwards.
 
         An already-expired bundle is refused (counted ``expired``).
-        Capacity pressure evicts per the policy (counted ``evicted``);
+        Capacity pressure evicts oldest first (counted ``evicted``);
         the incoming bundle itself may be the reject when it can never
         fit.  Re-adding a carried id replaces the stored value (spray
         token updates) without touching the counters.
@@ -230,4 +221,4 @@ class MessageStore:
         cap = ("∞" if self._buffer.capacity_bytes is None
                else self._buffer.capacity_bytes)
         return (f"<MessageStore {self.node_id} bundles={len(self)} "
-                f"bytes={self.used_bytes}/{cap} policy={self.policy}>")
+                f"bytes={self.used_bytes}/{cap}>")

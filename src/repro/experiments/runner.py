@@ -36,8 +36,7 @@ class RunResult:
     timings: dict[str, float]    #: wall-clock info (never serialised)
     #: Telemetry rows recorded during the run (empty unless the spec ran
     #: with ``telemetry=True``).  Deterministic — rows carry sim times
-    #: and event counts only; the profiler's wall-clock attribution is
-    #: folded into :attr:`timings` instead.
+    #: and event counts only.
     telemetry: list[dict[str, object]] = dataclasses.field(
         default_factory=list)
 
@@ -85,9 +84,8 @@ def execute_point_outcome(point_dict: dict,
         timings.update(extra)
     telemetry_rows: list[dict[str, object]] = []
     if context is not None:
-        rows, profile_timings = context.collect()
-        telemetry_rows = [{"run": point.index, **row} for row in rows]
-        timings.update(profile_timings)
+        telemetry_rows = [{"run": point.index, **row}
+                          for row in context.collect()]
     record = {
         "spec": point.spec,
         "workload": point.workload,

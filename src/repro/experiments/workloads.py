@@ -418,8 +418,8 @@ class DtnPreset:
 _DTN_DEFAULTS = {
     "duration_s": 480.0, "messages": 16, "ttl_s": 300.0,
     "size_bytes": 512, "routers": ("direct", "epidemic", "spray"),
-    "spray_copies": 6, "capacity_bytes": 0, "policy": "oldest",
-    "pattern": "auto", "tech": "bluetooth", "inject_start_s": 10.0,
+    "spray_copies": 6, "pattern": "auto", "tech": "bluetooth",
+    "inject_start_s": 10.0,
 }
 _BANDWIDTH_DEFAULTS = {
     **_DTN_DEFAULTS, "duration_s": 600.0, "messages": 24,
@@ -479,11 +479,11 @@ def paired_dtn(point: RunPoint, preset: DtnPreset) -> Metrics:
     ``settings`` (defaults from the preset): ``duration_s``,
     ``messages`` (for the broadcast pattern this is *rounds*),
     ``ttl_s``, ``size_bytes``, ``routers``, ``spray_copies``,
-    ``capacity_bytes`` (0 = unbounded), ``policy``, ``pattern``
-    (``auto``: endpoints if a terminal pair exists, broadcast if
-    ``source`` exists, else uniform), ``tech``, ``inject_start_s`` /
-    ``inject_end_s`` (half the duration unless set) and, on the
-    bandwidth overlay, ``rate_Bps`` (0 = the technology's own rate).
+    ``pattern`` (``auto``: endpoints if a terminal pair exists,
+    broadcast if ``source`` exists, else uniform), ``tech``,
+    ``inject_start_s`` / ``inject_end_s`` (half the duration unless
+    set) and, on the bandwidth overlay, ``rate_Bps`` (0 = the
+    technology's own rate).
     """
     settings = {**preset.defaults, **point.settings}
     duration_s = float(settings["duration_s"])
@@ -494,11 +494,7 @@ def paired_dtn(point: RunPoint, preset: DtnPreset) -> Metrics:
     pattern = str(settings["pattern"])
     inject_start = float(settings["inject_start_s"])
     inject_end = float(settings.get("inject_end_s", duration_s / 2.0))
-    overlay_kwargs = {
-        "tech": str(settings["tech"]),
-        "capacity_bytes": int(settings["capacity_bytes"]) or None,
-        "policy": str(settings["policy"]),
-    }
+    overlay_kwargs: dict[str, object] = {"tech": str(settings["tech"])}
     bandwidth = issubclass(preset.overlay, BandwidthDtnOverlay)
     if bandwidth:
         overlay_kwargs["data_rate_Bps"] = (

@@ -89,7 +89,7 @@ class DtnCounters(Counters):
         Copies dropped because their TTL ran out (lazy sweeps at
         contact/send instants — expiry costs no timer wakeups).
     evicted:
-        Copies dropped by a capacity-eviction policy making room.
+        Copies dropped by capacity eviction (oldest first) making room.
     dropped_dead:
         Copies lost because their custodian was powered off / removed
         mid-carry (the churn path; never delivered post-mortem).

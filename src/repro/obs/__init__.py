@@ -8,8 +8,8 @@ consumes.  Public surface:
 * :class:`~repro.obs.runtime.TelemetryContext` + activate/deactivate —
   the process-local switch the experiments runner flips so scenarios
   built inside workloads adopt recorders;
-* :class:`~repro.obs.profile.SubsystemProfiler` — kernel-event and
-  wall-clock attribution (``Simulator.profiler``);
+* :class:`~repro.obs.profile.SubsystemProfiler` — per-subsystem
+  kernel-event counts (``Simulator.profiler``);
 * :class:`~repro.obs.spans.Span` / :class:`~repro.obs.spans.SpanLog` —
   the open→close flow records.
 

@@ -1,28 +1,19 @@
-"""Per-subsystem kernel-event and wall-clock attribution.
+"""Per-subsystem kernel-event counts.
 
 The kernel names every event it schedules ("bus#12:link-up",
 "dtn-contact#3", "timeout(5.0)", "call-at", ...).  When a
 :class:`SubsystemProfiler` is attached to ``Simulator.profiler``,
-``step()`` wraps each event's callbacks in :meth:`measure`, which buckets
-the work under a *subsystem label* — the event name stripped of its
-per-instance suffixes (everything after the first ``#``, ``:`` or
-``(``).
+``step()`` counts each event it runs under a *subsystem label* — the
+event name stripped of its per-instance suffixes (everything after the
+first ``#``, ``:`` or ``(``).
 
-Two outputs with different determinism grades:
-
-* **event counts** per subsystem are a pure function of the simulated
-  schedule — deterministic per seed, safe to put in recorded telemetry;
-* **wall seconds** per subsystem are machine noise — they ride the
-  experiments runner's timings side channel (``profile_<label>_wall_s``)
-  and must never enter recorded output, preserving the byte-identical
-  at-any-worker-count contract.
+The counts are a pure function of the simulated schedule —
+deterministic per seed, so they go into recorded telemetry.  Where the
+host time goes is the layer trace's business (``perf/``), which bills
+each callback to the module that defines it.
 """
 
 from __future__ import annotations
-
-import contextlib
-import time
-import typing
 
 
 def subsystem_label(event_name: str) -> str:
@@ -36,37 +27,22 @@ def subsystem_label(event_name: str) -> str:
 
 
 class SubsystemProfiler:
-    """Accumulates per-subsystem event counts and wall-clock."""
+    """Accumulates per-subsystem kernel-event counts."""
 
     def __init__(self) -> None:
         self.event_counts: dict[str, int] = {}
-        self.wall_seconds: dict[str, float] = {}
 
-    @contextlib.contextmanager
-    def measure(self, event_name: str,
-                observer: bool = False) -> typing.Iterator[None]:
-        """Attribute the work done inside the block to the event's bucket.
+    def count(self, event_name: str, observer: bool = False) -> None:
+        """Count one event under its subsystem label.
 
         Observer (telemetry) events are bucketed under ``"telemetry"``
-        regardless of name, so the recorder's own overhead is visible —
+        regardless of name, so the recorder's own events are visible —
         and visibly separate from the workload's subsystems.
         """
         label = "telemetry" if observer else subsystem_label(event_name)
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - started
-            self.event_counts[label] = self.event_counts.get(label, 0) + 1
-            self.wall_seconds[label] = (
-                self.wall_seconds.get(label, 0.0) + elapsed)
+        self.event_counts[label] = self.event_counts.get(label, 0) + 1
 
     def count_rows(self) -> dict[str, int]:
         """Deterministic per-subsystem event counts (sorted by label)."""
         return {label: self.event_counts[label]
                 for label in sorted(self.event_counts)}
-
-    def timing_entries(self, prefix: str = "profile_") -> dict[str, float]:
-        """Wall-clock attribution for the timings side channel."""
-        return {f"{prefix}{label}_wall_s": self.wall_seconds[label]
-                for label in sorted(self.wall_seconds)}

@@ -11,15 +11,14 @@ one ``execute_point_outcome`` at a time.
 
 Activation changes nothing recorded: run seeds derive from the run
 label (never from settings), recorders only observe, and the context's
-collected rows travel back on their own channel next to the timings
-side channel.
+collected rows travel back on their own channel next to the record.
 """
 
 from __future__ import annotations
 
 import typing
 
-from repro.obs.telemetry import DEFAULT_INTERVAL_S, Telemetry
+from repro.obs.telemetry import Telemetry
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.scenarios.builder import Scenario
@@ -28,12 +27,13 @@ _ACTIVE: "TelemetryContext | None" = None
 
 
 class TelemetryContext:
-    """Collects one recorder per scenario built while active."""
+    """Collects one recorder per scenario built while active.
 
-    def __init__(self, interval_s: float = DEFAULT_INTERVAL_S,
-                 profile: bool = True):
-        self.interval_s = float(interval_s)
-        self.profile = profile
+    Every recorder samples at the default interval and profiles its
+    kernel.
+    """
+
+    def __init__(self) -> None:
         self.telemetries: list[Telemetry] = []
 
     def adopt(self, scenario: "Scenario") -> Telemetry:
@@ -42,24 +42,20 @@ class TelemetryContext:
         Legs are labelled by adoption ordinal, which is deterministic:
         workloads build their scenarios in a fixed order.
         """
-        telemetry = Telemetry(label=f"leg{len(self.telemetries)}",
-                              interval_s=self.interval_s,
-                              profile=self.profile)
+        telemetry = Telemetry(label=f"leg{len(self.telemetries)}")
         telemetry.attach(scenario.world, trace=scenario.trace,
                          meter=scenario.meter)
         self.telemetries.append(telemetry)
         return telemetry
 
-    def collect(self) -> tuple[list[dict[str, object]], dict[str, float]]:
-        """Finalize every recorder; return (telemetry rows, wall timings)."""
+    def collect(self) -> list[dict[str, object]]:
+        """Finalize and detach every recorder; return their rows."""
         rows: list[dict[str, object]] = []
-        timings: dict[str, float] = {}
         for telemetry in self.telemetries:
             telemetry.finalize()
             rows.extend(telemetry.records())
-            timings.update(telemetry.timing_entries())
             telemetry.detach()
-        return rows, timings
+        return rows
 
 
 def activate(context: TelemetryContext) -> TelemetryContext:

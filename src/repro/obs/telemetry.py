@@ -20,10 +20,8 @@ and records three kinds of row, all JSON-safe dicts tagged with a
 
 ``profile``
     Per-subsystem kernel-event counts from the attached
-    :class:`~repro.obs.profile.SubsystemProfiler`.  Counts are
-    deterministic per seed; the profiler's *wall-clock* attribution is
-    exposed separately via :meth:`timing_entries` and rides the
-    experiments runner's timings side channel only.
+    :class:`~repro.obs.profile.SubsystemProfiler`, deterministic per
+    seed.
 
 Determinism contract: attaching a recorder must not change any recorded
 metric.  The recorder therefore never registers bus watches (it uses the
@@ -75,13 +73,13 @@ class Telemetry:
         router workloads build a fresh scenario per router leg).
     interval_s:
         Sampling period in simulated seconds.
-    profile:
-        Attach a :class:`SubsystemProfiler` to the kernel (skipped if
-        the simulator already has one).
+
+    Attaching also attaches a :class:`SubsystemProfiler` to the kernel,
+    unless the simulator already has one.
     """
 
-    def __init__(self, label: str = "", interval_s: float = DEFAULT_INTERVAL_S,
-                 profile: bool = True):
+    def __init__(self, label: str = "",
+                 interval_s: float = DEFAULT_INTERVAL_S):
         if interval_s <= 0:
             raise ValueError(f"interval_s must be positive: {interval_s}")
         self.label = label
@@ -92,7 +90,6 @@ class Telemetry:
         self.meter: "TrafficMeter | None" = None
         self.profiler: SubsystemProfiler | None = None
         self.spans = SpanLog()
-        self._want_profile = profile
         self._owns_profiler = False
         self._samples: list[dict[str, object]] = []
         self._sampler = None
@@ -125,7 +122,7 @@ class Telemetry:
         world.bus.add_tap(self._on_connectivity)
         if trace is not None:
             trace.add_tap(self._on_trace)
-        if self._want_profile and self.sim.profiler is None:
+        if self.sim.profiler is None:
             self.profiler = SubsystemProfiler()
             self.sim.profiler = self.profiler
             self._owns_profiler = True
@@ -321,8 +318,8 @@ class Telemetry:
 
         Order is deterministic: samples in time order, spans in the
         order their opening edge was observed (kernel-event order), and
-        one profile row with sorted subsystem counts.  Wall-clock never
-        appears here — see :meth:`timing_entries`.
+        one profile row with sorted subsystem counts.  No wall-clock
+        value ever appears here.
         """
         rows = list(self._samples)
         rows.extend(span.as_record(self.label) for span in self.spans)
@@ -334,10 +331,3 @@ class Telemetry:
     def timeline_rows(self) -> list[dict[str, object]]:
         """Just the sample rows (the ``timeline.csv`` payload)."""
         return list(self._samples)
-
-    def timing_entries(self) -> dict[str, float]:
-        """Per-subsystem wall-clock for the timings side channel."""
-        if self.profiler is None:
-            return {}
-        prefix = f"profile_{self.label}_" if self.label else "profile_"
-        return self.profiler.timing_entries(prefix)

@@ -11,9 +11,10 @@ One inquiry cycle:
    instants during the scan;
 2. SDP-check each response for the PeerHood tag (§2.3);
 3. for each PeerHood-capable response: fetch device / prototype / service /
-   neighbourhood information (Fig. 3.7) if it is new or due a re-check
-   (§3.5's service-checking interval), otherwise just refresh its
-   timestamp and measured link quality;
+   neighbourhood information (Fig. 3.7) over one unified connection
+   (§3.4.1) if it is new or due a re-check (§3.5's service-checking
+   interval), otherwise just refresh its timestamp and measured link
+   quality;
 4. update phase: fold fetches into the DeviceStorage and run
    AnalyzeNeighbourhoodDevices (Fig. 3.13) on each snapshot;
 5. age the silent devices ("make older") and evict the stale;
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import typing
 
+from repro.core.config import SERVICE_CHECK_INTERVAL_LOOPS
 from repro.core.protocol import DiscoveryResponse
 from repro.radio.technologies import Technology
 
@@ -104,8 +106,8 @@ class Plugin:
             if quality <= 0:
                 continue  # drifted out of range since the scan sample
             responded_addresses.append(address)
-            interval = self.node.config.service_check_interval_loops
-            if self.storage.needs_refetch(address, interval):
+            if self.storage.needs_refetch(address,
+                                          SERVICE_CHECK_INTERVAL_LOOPS):
                 response = yield from self._fetch_information(other_id)
                 if response is not None:
                     measured = self.world.link_quality(
@@ -145,21 +147,22 @@ class Plugin:
     def _fetch_information(
             self, other_id: str,
     ) -> typing.Generator:
-        """Fetch the Fig. 3.7 information bundle over short connections.
+        """Fetch the Fig. 3.7 information bundle over one connection.
+
+        §3.4.1 unifies the figure's four short connections (device,
+        prototype, service and neighbourhood information) into one.
 
         Returns the :class:`DiscoveryResponse` or None on failure (fault,
         peer out of range, or peer daemon down).
         """
         self.fetches_attempted += 1
-        fetch_count = 1 if self.node.config.unified_fetch else 4
-        for _ in range(fetch_count):
-            yield self.sim.timeout(self.tech.fetch_time_s)
-            if not self.world.in_range(self.node_id, other_id, self.tech):
-                self.fetches_failed += 1
-                return None
-            if self.rng.bernoulli(self.tech.connect_fault_probability):
-                self.fetches_failed += 1
-                return None
+        yield self.sim.timeout(self.tech.fetch_time_s)
+        if not self.world.in_range(self.node_id, other_id, self.tech):
+            self.fetches_failed += 1
+            return None
+        if self.rng.bernoulli(self.tech.connect_fault_probability):
+            self.fetches_failed += 1
+            return None
         other_node = self.fabric.node(other_id)
         if other_node is None:
             self.fetches_failed += 1
@@ -169,10 +172,8 @@ class Plugin:
             self.fetches_failed += 1
             return None
         self.fabric.meter.count(self.node_id, "discovery",
-                                _FETCH_REQUEST_BYTES * fetch_count,
-                                messages=fetch_count)
-        self.fabric.meter.count(other_id, "discovery", response.wire_size(),
-                                messages=fetch_count)
+                                _FETCH_REQUEST_BYTES)
+        self.fabric.meter.count(other_id, "discovery", response.wire_size())
         return response
 
     def _update_storage(

@@ -511,20 +511,6 @@ class World:
         """True while the node is scanning on ``tech``.  O(1)."""
         return (node_id, tech.name) in self._inquiring
 
-    def is_discoverable(self, node_id: str, tech: Technology) -> bool:
-        """Can an inquiry find this node right now?  O(1).
-
-        Bluetooth's asymmetric discovery (§3.4.2): a node that is itself
-        inquiring cannot be discovered.
-        """
-        if not self.supports(node_id, tech):
-            return False
-        if node_id in self._suspended:
-            return False  # a crashed radio answers no inquiries
-        if tech.discoverable_while_inquiring:
-            return True
-        return not self.is_inquiring(node_id, tech)
-
     def max_discoverable_gap(self, node_id: str, tech: Technology,
                              window_start: float,
                              window_end: float) -> float:
@@ -574,16 +560,3 @@ class World:
         gap = self.max_discoverable_gap(node_id, tech, window_start,
                                         window_end)
         return gap >= tech.response_window_s
-
-    def discoverable_neighbors(self, node_id: str,
-                               tech: Technology) -> list[str]:
-        """Nodes in range on ``tech`` that an inquiry would find now.
-
-        Grid-backed like :meth:`neighbors` (O(K) candidates, not O(N)),
-        then filtered by :meth:`is_discoverable`.  Sorted; ``KeyError``
-        if ``node_id`` is unknown.
-        """
-        if not self.supports(node_id, tech):
-            return []
-        return [other_id for other_id in self.neighbors(node_id, tech)
-                if self.is_discoverable(other_id, tech)]

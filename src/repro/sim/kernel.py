@@ -73,10 +73,8 @@ class Simulator:
         #: :meth:`pending_real_events` stays O(1).
         self._observer_pending = 0
         #: Optional :class:`repro.obs.profile.SubsystemProfiler`.  When
-        #: attached, :meth:`step` attributes each event's callback work
-        #: (count + wall-clock) to a subsystem label derived from the
-        #: event name.  Wall-clock rides the timings side-channel only,
-        #: never recorded output.
+        #: attached, :meth:`step` counts each event it runs under a
+        #: subsystem label derived from the event name.
         self.profiler = None
 
     # ------------------------------------------------------------------
@@ -174,14 +172,10 @@ class Simulator:
         callbacks = event.callbacks
         event.callbacks = None
         assert callbacks is not None
-        profiler = self.profiler
-        if profiler is None:
-            for callback in callbacks:
-                callback(event)
-        else:
-            with profiler.measure(event.name, observer=event.observer):
-                for callback in callbacks:
-                    callback(event)
+        if self.profiler is not None:
+            self.profiler.count(event.name, event.observer)
+        for callback in callbacks:
+            callback(event)
 
     def pending_real_events(self) -> int:
         """Heap entries that are *not* telemetry observer events.

@@ -4,13 +4,7 @@ are built on."""
 
 import pytest
 
-from repro.core.buffering import (
-    EVICT_LARGEST,
-    EVICT_OLDEST,
-    EVICT_SOONEST_EXPIRY,
-    BoundedBuffer,
-    ReliableChannel,
-)
+from repro.core.buffering import BoundedBuffer, ReliableChannel
 from repro.core.errors import ConnectionClosedError
 from repro.core.handover import HandoverThread
 from repro.radio.technologies import BLUETOOTH
@@ -25,8 +19,6 @@ SETTLE_S = 180.0
 def test_bounded_buffer_validation():
     with pytest.raises(ValueError, match="capacity"):
         BoundedBuffer(capacity_bytes=0)
-    with pytest.raises(ValueError, match="policy"):
-        BoundedBuffer(policy="random")
     buffer = BoundedBuffer()
     with pytest.raises(ValueError, match="size"):
         buffer.add("k", "item", -1, now=0.0)
@@ -44,7 +36,7 @@ def test_bounded_buffer_unbounded_keeps_insertion_order():
 
 
 def test_bounded_buffer_evicts_oldest_first():
-    buffer = BoundedBuffer(capacity_bytes=30, policy=EVICT_OLDEST)
+    buffer = BoundedBuffer(capacity_bytes=30)
     buffer.add("a", 1, 10, now=0.0)
     buffer.add("b", 2, 10, now=1.0)
     buffer.add("c", 3, 10, now=2.0)
@@ -52,25 +44,6 @@ def test_bounded_buffer_evicts_oldest_first():
     assert [entry.key for entry in evicted] == ["a"]
     assert buffer.keys() == ["b", "c", "d"]
     assert buffer.evicted == 1
-
-
-def test_bounded_buffer_evicts_largest_first():
-    buffer = BoundedBuffer(capacity_bytes=30, policy=EVICT_LARGEST)
-    buffer.add("small", 1, 5, now=0.0)
-    buffer.add("big", 2, 20, now=1.0)
-    evicted = buffer.add("new", 3, 10, now=2.0)
-    assert [entry.key for entry in evicted] == ["big"]
-    assert buffer.keys() == ["small", "new"]
-
-
-def test_bounded_buffer_evicts_soonest_expiry_first():
-    buffer = BoundedBuffer(capacity_bytes=30, policy=EVICT_SOONEST_EXPIRY)
-    buffer.add("immortal", 1, 10, now=0.0)
-    buffer.add("late", 2, 10, now=0.0, ttl_s=100.0)
-    buffer.add("soon", 3, 10, now=0.0, ttl_s=5.0)
-    evicted = buffer.add("new", 4, 10, now=1.0, ttl_s=50.0)
-    assert [entry.key for entry in evicted] == ["soon"]
-    assert sorted(buffer.keys()) == ["immortal", "late", "new"]
 
 
 def test_bounded_buffer_rejects_entry_larger_than_capacity():
@@ -90,9 +63,9 @@ def test_bounded_buffer_replacing_a_key_is_not_an_eviction():
 
 
 def test_bounded_buffer_replacement_keeps_queue_position_and_age():
-    """Spray token updates must not rejuvenate a bundle: under
-    EVICT_OLDEST the re-stored key still counts as the oldest."""
-    buffer = BoundedBuffer(capacity_bytes=30, policy=EVICT_OLDEST)
+    """Spray token updates must not rejuvenate a bundle: the re-stored
+    key still counts as the oldest."""
+    buffer = BoundedBuffer(capacity_bytes=30)
     buffer.add("a", 1, 10, now=0.0)
     buffer.add("b", 2, 10, now=50.0)
     buffer.add("a", "updated", 10, now=100.0)   # in-place replacement

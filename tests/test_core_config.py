@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.core.config import DaemonConfig, HandoverConfig, RoutingPolicy
+from repro.core.config import (
+    MONITOR_INTERVAL_S,
+    ROUTE_REFRESH_INTERVAL_S,
+    SERVICE_CHECK_INTERVAL_LOOPS,
+    DaemonConfig,
+    HandoverConfig,
+    RoutingPolicy,
+)
 from repro.radio.quality import PAPER_LOW_QUALITY_THRESHOLD
 
 
@@ -12,36 +19,32 @@ def test_routing_policy_paper_defaults():
     assert policy.use_quality_threshold
     assert policy.use_mobility
     assert not policy.quality_first
-    assert policy.prefer_static_bridges
 
 
 def test_handover_config_paper_defaults():
     config = HandoverConfig()
     assert config.low_quality_threshold == 230  # Fig. 5.8 threshold
     assert config.low_count_limit == 3          # "bigger than three"
-    assert config.monitor_interval_s == 1.0     # 1 unit per second decay
-    assert config.respect_sending_flag          # §5.3
+    assert MONITOR_INTERVAL_S == 1.0            # 1 unit per second decay
+    assert ROUTE_REFRESH_INTERVAL_S == 5.0
 
 
 def test_handover_config_validation():
     with pytest.raises(ValueError):
-        HandoverConfig(monitor_interval_s=0.0)
-    with pytest.raises(ValueError):
         HandoverConfig(low_count_limit=0)
+    with pytest.raises(ValueError):
+        HandoverConfig(low_quality_threshold=256)
 
 
 def test_daemon_config_defaults():
     config = DaemonConfig()
     assert config.bridge_enabled
-    assert config.service_check_interval_loops >= 1
-    assert config.unified_fetch
+    assert SERVICE_CHECK_INTERVAL_LOOPS == 3    # §3.5 energy saving
     assert isinstance(config.routing, RoutingPolicy)
     assert isinstance(config.handover, HandoverConfig)
 
 
 def test_daemon_config_validation():
-    with pytest.raises(ValueError):
-        DaemonConfig(service_check_interval_loops=0)
     with pytest.raises(ValueError):
         DaemonConfig(stale_after_loops=0)
     with pytest.raises(ValueError):

