@@ -17,8 +17,9 @@
 #   make resume-smoke interrupt/resume + cache-hit differential smoke
 #   make lint         byte-compile every source tree (syntax/tab check)
 #   make docs-check   verify intra-repo links in README + docs/*.md
-#   make report       render results/report/REPORT.md + REPORT.html
+#   make report       render results/report/REPORT.md (benchmarks/ledger.py)
 #   make gate         regression-gate BENCH_*.json vs committed baselines
+#                     (benchmarks/ledger.py)
 #   make perf         the repo benchmark: four phase-timed workloads
 #   make quickstart   run the two-device example end to end
 
@@ -118,16 +119,17 @@ docs-check:
 	$(PYTHON) tools/check_links.py
 
 # Fold every BENCH_*.json snapshot, sweep runs.jsonl and the perf
-# trajectory into results/report/REPORT.md + REPORT.html.
+# trajectory into results/report/REPORT.md.
 report:
-	$(PYTHON) -m repro.analysis report
+	$(PYTHON) benchmarks/ledger.py report
 
 # Compare the root BENCH_*.json against the committed CI-size baselines
 # (results/bench_baseline/): fails on >±10% relative drift.  Run the
-# benches at the CI sizes first — like-for-like N, see
-# docs/OBSERVABILITY.md.
+# benches at the CI sizes first (BENCH_EVENT_N=60 BENCH_DTN_N=60
+# BENCH_CAP_N=24 BENCH_FAULT_REPEATS=1 BENCH_PHY_REPEATS=1): a snapshot
+# measured at another N or repeat count than its baseline exits 2.
 gate:
-	$(PYTHON) -m repro.analysis gate --baseline results/bench_baseline --fresh .
+	$(PYTHON) benchmarks/ledger.py gate --baseline results/bench_baseline --fresh .
 
 # The repo benchmark declared in BENCHMARK.json: four workloads, each
 # timed per phase (setup/run/wall, peak RSS) and traced layer by layer

@@ -35,7 +35,7 @@ import os
 import pathlib
 import time
 
-from repro.analysis.snapshots import write_bench_snapshot
+from ledger import write_bench_snapshot
 from repro.dtn import BandwidthDtnOverlay, DtnOverlay, make_router
 from repro.dtn.traffic import generate_traffic, schedule_traffic
 from repro.experiments.campaign import run_campaign
@@ -148,7 +148,11 @@ def write_snapshot(records, constrained, infinite, path=SNAPSHOT_PATH):
     }
     return write_bench_snapshot(
         "contact_capacity", payload, path, n=FARM_N,
-        repeats=max(r["repeat"] for r in records) + 1)
+        repeats=max(r["repeat"] for r in records) + 1,
+        headline=[("PRoPHET beats epidemic under byte budgets: mean "
+                   "delivery ratio",
+                   ["sweep.mean_delivery_ratio.prophet",
+                    "sweep.mean_delivery_ratio.epidemic"])])
 
 
 def test_contact_capacity_gates(tmp_path):

@@ -29,7 +29,7 @@ import os
 import pathlib
 import time
 
-from repro.analysis.snapshots import write_bench_snapshot
+from ledger import write_bench_snapshot
 from repro.core.config import HandoverConfig
 from repro.core.handover import HandoverThread
 from repro.core.connection import PeerHoodConnection
@@ -143,8 +143,10 @@ def write_snapshot(n_nodes, polling, event, path=SNAPSHOT_PATH):
         "kernel_event_reduction": round(
             polling["kernel_events"] / max(1, event["kernel_events"]), 2),
     }
-    return write_bench_snapshot("event_handover", payload, path,
-                                n=n_nodes, repeats=1)
+    return write_bench_snapshot(
+        "event_handover", payload, path, n=n_nodes, repeats=1,
+        headline=[("event-driven handover beats polling: monitor-wakeup "
+                   "reduction", ["wakeup_reduction"])])
 
 
 def test_event_driven_monitoring_beats_polling():

@@ -34,7 +34,7 @@ import json
 import os
 import pathlib
 
-from repro.analysis.snapshots import write_bench_snapshot
+from ledger import write_bench_snapshot
 from repro.experiments.campaign import run_campaign
 from repro.experiments.spec import RunPoint
 from repro.experiments.specs import get_spec
@@ -177,7 +177,10 @@ def write_snapshot(identity, contention, records, campaign_stats,
     return write_bench_snapshot(
         "phy", payload, path,
         n=12, repeats=max(r["repeat"] for r in records) + 1,
-        campaign=campaign_stats.as_dict())
+        campaign=campaign_stats.as_dict(),
+        headline=[("contention erodes epidemic's flooding advantage: "
+                   "delivery drop under a lossy PHY",
+                   ["delivery_drop.epidemic", "delivery_drop.spray"])])
 
 
 def test_phy_gates(tmp_path):

@@ -26,7 +26,7 @@ import math
 import pathlib
 from unittest import mock
 
-from repro.analysis.snapshots import write_bench_snapshot
+from ledger import write_bench_snapshot
 from repro.core.device_storage import DeviceStorage
 from repro.experiments import get_spec, run_campaign
 from repro.metrics.tables import print_table
@@ -103,8 +103,11 @@ def write_snapshot(results, discovery, path=SNAPSHOT_PATH):
             for row in results
         ],
     }
-    write_bench_snapshot("scale_neighbors", payload, path,
-                         n=results[-1]["n"], repeats=1)
+    write_bench_snapshot(
+        "scale_neighbors", payload, path, n=results[-1]["n"], repeats=1,
+        headline=[("spatial grid beats O(N²) discovery: distance-check "
+                   "reduction at top N",
+                   [f"rows.{len(results) - 1}.reduction"])])
     return path
 
 

@@ -20,7 +20,7 @@ mechanics.  Three classes:
   scheduled contact event* is checkable as
   ``overlay.wakeups <= world.stats.bus.fired``.
 * :class:`PollingDtnOverlay` — the 1 s polling oracle kept as the test
-  and benchmark baseline: a process ticks every ``poll_interval_s``,
+  and benchmark baseline: a process ticks every ``POLL_INTERVAL_S``,
   re-derives the adjacency of every node from the spatial grid and
   diffs it.  Each tick wakes every node's forwarder, so ``wakeups``
   grows as ``N × duration / interval`` — the figure the event-driven
@@ -78,6 +78,9 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Bytes charged per bundle id in a summary-vector exchange.
 SUMMARY_VECTOR_ID_BYTES = 8
+
+#: Tick period of the :class:`PollingDtnOverlay` oracle (seconds).
+POLL_INTERVAL_S = 1.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -565,14 +568,9 @@ class PollingDtnOverlay(DtnPlane):
                  tech: Technology | str = "bluetooth",
                  nodes: typing.Sequence[str] | None = None,
                  capacity_bytes: int | None = None,
-                 meter: TrafficMeter | None = None,
-                 poll_interval_s: float = 1.0):
+                 meter: TrafficMeter | None = None):
         super().__init__(world, router, tech=tech, nodes=nodes,
                          capacity_bytes=capacity_bytes, meter=meter)
-        if poll_interval_s <= 0:
-            raise ValueError(
-                f"poll interval must be positive: {poll_interval_s}")
-        self.poll_interval_s = poll_interval_s
         self._stopped = False
         for first, second in self._pairs_in_range():
             self.contact_up(first, second)
@@ -588,7 +586,7 @@ class PollingDtnOverlay(DtnPlane):
 
     def _poll_loop(self):
         while not self._stopped:
-            yield self.sim.timeout(self.poll_interval_s)
+            yield self.sim.timeout(POLL_INTERVAL_S)
             if self._stopped:
                 return
             self.tick()

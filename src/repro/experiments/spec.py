@@ -127,7 +127,8 @@ class ExperimentSpec:
     master_seed:
         Root of all per-run seed derivation.
     settings:
-        Fixed workload settings shared by every run (e.g. settle time).
+        Fixed workload settings shared by every run (e.g. settle time);
+        each name must be one the workload declares it reads.
     """
 
     name: str
@@ -154,8 +155,11 @@ class ExperimentSpec:
                 raise ValueError(
                     f"spec {self.name!r}: axis {axis!r} has no values")
             _reject_duplicates(self.name, f"axis {axis!r} value", values)
-        # Validate the whole grid up front: every scenario exists and
-        # accepts every axis parameter with a well-typed value.
+        # Validate the whole grid up front: the workload reads every
+        # setting, every scenario exists and accepts every axis
+        # parameter with a well-typed value.
+        from repro.experiments.workloads import check_settings
+        check_settings(self.workload, self.settings)
         for scenario_name in self.scenarios:
             entry = get_scenario(scenario_name)
             for axis, values in self.axes.items():

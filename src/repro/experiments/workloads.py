@@ -53,14 +53,17 @@ from repro.scenarios.traces import (
 Metrics = typing.Dict[str, object]
 
 _WORKLOADS: dict[str, typing.Callable[[RunPoint], Metrics]] = {}
+_SETTINGS: dict[str, frozenset[str]] = {}
 
 
-def register_workload(name: str):
-    """Decorator registering a workload function under ``name``."""
+def register_workload(name: str, settings: typing.Iterable[str] = ()):
+    """Decorator registering a workload function under ``name`` that
+    reads the setting names ``settings`` (see :func:`check_settings`)."""
     def decorate(fn):
         if name in _WORKLOADS:
             raise ValueError(f"workload {name!r} already registered")
         _WORKLOADS[name] = fn
+        _SETTINGS[name] = frozenset(settings)
         return fn
     return decorate
 
@@ -77,6 +80,18 @@ def get_workload(name: str):
     except KeyError:
         raise KeyError(f"unknown workload {name!r}; "
                        f"registered: {workload_names()}") from None
+
+
+def check_settings(name: str, settings: typing.Iterable[str]) -> None:
+    """``KeyError`` listing the valid names when ``settings`` holds one
+    that workload ``name`` never reads (a typo would otherwise run the
+    default silently)."""
+    get_workload(name)
+    unknown = sorted(set(settings) - _SETTINGS[name])
+    if unknown:
+        raise KeyError(
+            f"workload {name!r} has no setting(s) {unknown} "
+            f"(has: {sorted(_SETTINGS[name]) or 'none'})")
 
 
 def _sink_service(node, delivered: list) -> None:
@@ -96,7 +111,7 @@ def _sink_service(node, delivered: list) -> None:
 # ----------------------------------------------------------------------
 # discovery: settle and measure environment awareness + traffic
 # ----------------------------------------------------------------------
-@register_workload("discovery")
+@register_workload("discovery", settings=("settle_s",))
 def discovery(point: RunPoint) -> Metrics:
     """Run discovery to ``settle_s`` and measure awareness + overhead."""
     settle_s = float(point.settings.get("settle_s", 180.0))
@@ -121,7 +136,7 @@ def discovery(point: RunPoint) -> Metrics:
 # ----------------------------------------------------------------------
 # discovery_handover: the E2/E8-style combined sweep cell
 # ----------------------------------------------------------------------
-@register_workload("discovery_handover")
+@register_workload("discovery_handover", settings=("settle_s", "messages"))
 def discovery_handover(point: RunPoint) -> Metrics:
     """Discovery settle, then a monitored stream over the fabric.
 
@@ -189,7 +204,7 @@ def discovery_handover(point: RunPoint) -> Metrics:
 # ----------------------------------------------------------------------
 # line_delay: E4 — change-notification delay along a settled chain
 # ----------------------------------------------------------------------
-@register_workload("line_delay")
+@register_workload("line_delay", settings=("settle_s",))
 def line_delay(point: RunPoint) -> Metrics:
     """Fig. 3.10 cell: when does n0 learn of a far-end newcomer?"""
     settle_s = float(point.settings.get("settle_s", 240.0))
@@ -228,7 +243,7 @@ def line_delay(point: RunPoint) -> Metrics:
 # ----------------------------------------------------------------------
 # awareness_schemes: E5 — discovery-scheme comparison on one layout
 # ----------------------------------------------------------------------
-@register_workload("awareness_schemes")
+@register_workload("awareness_schemes", settings=("settle_s",))
 def awareness_schemes(point: RunPoint) -> Metrics:
     """Awareness fraction under each discovery scheme (§3.1 oracles)."""
     settle_s = float(point.settings.get("settle_s", 300.0))
@@ -251,7 +266,8 @@ def awareness_schemes(point: RunPoint) -> Metrics:
 # ----------------------------------------------------------------------
 # handover_decay: E8 — the Fig. 5.8 quality-decay handover run
 # ----------------------------------------------------------------------
-@register_workload("handover_decay")
+@register_workload("handover_decay",
+                   settings=("settle_s", "messages", "event_driven"))
 def handover_decay(point: RunPoint) -> Metrics:
     """One Fig. 5.8 decay run: degrade A–B until handover fires.
 
@@ -305,7 +321,8 @@ def handover_decay(point: RunPoint) -> Metrics:
 # ----------------------------------------------------------------------
 # contact_trace: record the pairwise connectivity-event stream
 # ----------------------------------------------------------------------
-@register_workload("contact_trace")
+@register_workload("contact_trace",
+                   settings=("duration_s", "tech", "out_path"))
 def contact_trace(point: RunPoint) -> Metrics:
     """Record a contact trace of the scenario's geometry, zero polling.
 
@@ -340,7 +357,7 @@ def contact_trace(point: RunPoint) -> Metrics:
 # ----------------------------------------------------------------------
 # trace_replay: a recorded contact trace as a mobility-free workload
 # ----------------------------------------------------------------------
-@register_workload("trace_replay")
+@register_workload("trace_replay", settings=("trace_path", "out_path"))
 def trace_replay(point: RunPoint) -> Metrics:
     """Replay a recorded trace: scheduled events, no world, no mobility.
 
@@ -554,13 +571,15 @@ def paired_dtn(point: RunPoint, preset: DtnPreset) -> Metrics:
 
 
 for _name, _preset in DTN_PRESETS.items():
-    register_workload(_name)(functools.partial(paired_dtn, preset=_preset))
+    register_workload(_name, settings=(*_preset.defaults, "inject_end_s"))(
+        functools.partial(paired_dtn, preset=_preset))
 
 
 # ----------------------------------------------------------------------
 # scale_neighbors: grid vs pairwise discovery rounds at constant density
 # ----------------------------------------------------------------------
-@register_workload("scale_neighbors")
+@register_workload("scale_neighbors",
+                   settings=("rounds", "step_s", "density_per_m2"))
 def scale_neighbors(point: RunPoint) -> Metrics:
     """Full discovery rounds, spatial grid vs the O(N²) baseline.
 

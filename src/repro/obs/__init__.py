@@ -1,7 +1,8 @@
 """Telemetry plane: structured run traces and profiling hooks.
 
-The observability layer the analysis pipeline (:mod:`repro.analysis`)
-consumes.  Public surface:
+The observability layer of a run: campaigns write its rows to
+``telemetry.jsonl`` and ``timeline.csv``, and the benchmark ledger
+(``benchmarks/ledger.py``) counts them in its report.  Public surface:
 
 * :class:`~repro.obs.telemetry.Telemetry` — the per-world recorder
   (samples, spans, profile counts);
@@ -21,10 +22,10 @@ from repro.obs.profile import SubsystemProfiler, subsystem_label
 from repro.obs.runtime import (TelemetryContext, activate, active,
                                deactivate)
 from repro.obs.spans import Span, SpanLog
-from repro.obs.telemetry import DEFAULT_INTERVAL_S, TIMELINE_FIELDS, Telemetry
+from repro.obs.telemetry import SAMPLE_INTERVAL_S, TIMELINE_FIELDS, Telemetry
 
 __all__ = [
-    "DEFAULT_INTERVAL_S",
+    "SAMPLE_INTERVAL_S",
     "TIMELINE_FIELDS",
     "Span",
     "SpanLog",

@@ -29,8 +29,8 @@ _ACTIVE: "TelemetryContext | None" = None
 class TelemetryContext:
     """Collects one recorder per scenario built while active.
 
-    Every recorder samples at the default interval and profiles its
-    kernel.
+    Every recorder samples every ``SAMPLE_INTERVAL_S`` and profiles
+    its kernel.
     """
 
     def __init__(self) -> None:

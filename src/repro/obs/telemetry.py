@@ -44,8 +44,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.radio.bus import ConnectivityEvent
     from repro.radio.world import World
 
-#: Default sampling interval (simulated seconds).
-DEFAULT_INTERVAL_S = 60.0
+#: Sampling interval (simulated seconds).
+SAMPLE_INTERVAL_S = 60.0
 
 #: Fixed column order for ``timeline.csv`` — every sample row has
 #: exactly these keys (plus ``type``/``leg``), so the CSV needs no
@@ -71,19 +71,14 @@ class Telemetry:
     label:
         Row tag distinguishing multiple worlds in one run (the paired
         router workloads build a fresh scenario per router leg).
-    interval_s:
-        Sampling period in simulated seconds.
 
-    Attaching also attaches a :class:`SubsystemProfiler` to the kernel,
-    unless the simulator already has one.
+    Samples are taken every :data:`SAMPLE_INTERVAL_S` simulated
+    seconds.  Attaching also attaches a :class:`SubsystemProfiler` to
+    the kernel, unless the simulator already has one.
     """
 
-    def __init__(self, label: str = "",
-                 interval_s: float = DEFAULT_INTERVAL_S):
-        if interval_s <= 0:
-            raise ValueError(f"interval_s must be positive: {interval_s}")
+    def __init__(self, label: str = ""):
         self.label = label
-        self.interval_s = float(interval_s)
         self.world: "World | None" = None
         self.sim = None
         self.trace: "EventTrace | None" = None
@@ -156,7 +151,7 @@ class Telemetry:
     # ------------------------------------------------------------------
     def _arm(self) -> None:
         self._sampler = self.sim.call_at(
-            self.sim.now + self.interval_s, self._sample,
+            self.sim.now + SAMPLE_INTERVAL_S, self._sample,
             name="telemetry-sample", observer=True)
 
     def _sample(self) -> None:

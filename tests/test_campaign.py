@@ -33,7 +33,7 @@ from repro.experiments.workloads import register_workload, workload_names
 # test doubles
 # ----------------------------------------------------------------------
 if "campaign_probe" not in workload_names():
-    @register_workload("campaign_probe")
+    @register_workload("campaign_probe", settings=("poison",))
     def _campaign_probe(point):
         """Fast synthetic workload: deterministic metrics, no world.
 

@@ -205,8 +205,7 @@ def test_event_driven_matches_polling_oracle_on_long_contacts():
         if mode == "event":
             plane = DtnOverlay(scenario.world, router)
         else:
-            plane = PollingDtnOverlay(scenario.world, router,
-                                      poll_interval_s=1.0)
+            plane = PollingDtnOverlay(scenario.world, router)
         injections = generate_traffic(
             scenario.sim.rng("dtn/traffic"), plane.live_nodes(),
             "uniform", 8, window=(5.0, 120.0), ttl_s=300.0)

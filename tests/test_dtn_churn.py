@@ -77,8 +77,7 @@ def test_sends_naming_a_dead_node_are_refused_at_the_edge():
 
 def test_polling_oracle_retires_removed_nodes():
     scenario = _mule_world(seed=8)
-    plane = PollingDtnOverlay(scenario.world, make_router("epidemic"),
-                              poll_interval_s=1.0)
+    plane = PollingDtnOverlay(scenario.world, make_router("epidemic"))
     plane.send("src", "dst", ttl_s=500.0)
     scenario.run(until=20.0)
     scenario.remove_node("mule")

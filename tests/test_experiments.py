@@ -142,6 +142,19 @@ def test_spec_validates_up_front():
         _tiny_spec(axes={"count": (3, "many")})
 
 
+def test_spec_rejects_settings_its_workload_never_reads():
+    """A misspelt setting would otherwise run the default silently."""
+    with pytest.raises(KeyError) as excinfo:
+        ExperimentSpec(name="typo", workload="dtn",
+                       scenarios=("island_hopping_ferry",),
+                       settings={"capcity_bytes": 5, "ttl_s": 60.0})
+    message = str(excinfo.value)
+    assert "['capcity_bytes']" in message
+    assert "'inject_end_s'" in message and "'ttl_s'" in message
+    with pytest.raises(KeyError, match="'settle_s'"):
+        _tiny_spec(workload="trace_replay")
+
+
 def test_spec_rejects_duplicate_grid_cells():
     """A repeated scenario or axis value would expand to cells sharing
     one seed and one cache key, so ``aggregate`` would report n=4 for a

@@ -1,40 +1,44 @@
-"""Tests for the results pipeline (:mod:`repro.analysis`).
+"""Tests for the benchmark ledger (``benchmarks/ledger.py``).
 
-Covers the shared bench-snapshot envelope, the perf-trajectory ledger,
-the numeric-leaf flattener and tolerance-band regression gate, the
-dependency-free Document renderer, and — the acceptance criterion —
+Covers the shared bench-snapshot envelope, the perf-trajectory log, the
+numeric-leaf flattener and tolerance-band regression gate (including
+its refusal to compare snapshots measured at different sizes), and
 ``build_report`` on the real repo root rendering every committed
 ``BENCH_*.json`` plus the bundled ``results/fault_sweep`` campaign.
 """
 
+import importlib.util
 import json
 import pathlib
+import sys
 
 import pytest
 
-from repro.analysis import (
-    DEFAULT_TOLERANCE,
-    Document,
-    bench_envelope,
-    build_report,
-    compare_snapshots,
-    format_failures,
-    gate_directories,
-    git_sha,
-    load_snapshots,
-    numeric_leaves,
-    trajectory_by_benchmark,
-    trajectory_entries,
-    write_bench_snapshot,
-    write_report,
-)
-from repro.analysis import cli
-
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+_TOOL = REPO_ROOT / "benchmarks" / "ledger.py"
+_spec = importlib.util.spec_from_file_location("ledger", _TOOL)
+ledger = importlib.util.module_from_spec(_spec)
+sys.modules.setdefault("ledger", ledger)   # dataclasses resolve it
+_spec.loader.exec_module(ledger)
+
+DEFAULT_TOLERANCE = ledger.DEFAULT_TOLERANCE
+bench_envelope = ledger.bench_envelope
+build_report = ledger.build_report
+compare_snapshots = ledger.compare_snapshots
+format_failures = ledger.format_failures
+gate_directories = ledger.gate_directories
+git_sha = ledger.git_sha
+load_snapshots = ledger.load_snapshots
+numeric_leaves = ledger.numeric_leaves
+trajectory_by_benchmark = ledger.trajectory_by_benchmark
+trajectory_entries = ledger.trajectory_entries
+write_bench_snapshot = ledger.write_bench_snapshot
+write_report = ledger.write_report
 
 
 # ----------------------------------------------------------------------
-# snapshot envelope + trajectory ledger
+# snapshot envelope + trajectory log
 # ----------------------------------------------------------------------
 def test_envelope_carries_provenance_fields():
     envelope = bench_envelope("demo", n=12, repeats=3, cwd=REPO_ROOT)
@@ -62,8 +66,8 @@ def test_write_bench_snapshot_and_trajectory_roundtrip(tmp_path):
 
     # A second write appends a second trajectory line beside it.
     write_bench_snapshot("demo", payload, path, n=7, repeats=2)
-    ledger = tmp_path / "BENCH_trajectory.jsonl"
-    entries = trajectory_entries(ledger)
+    ledger_log = tmp_path / "BENCH_trajectory.jsonl"
+    entries = trajectory_entries(ledger_log)
     assert len(entries) == 2
     by_bench = trajectory_by_benchmark(entries)
     assert set(by_bench) == {"demo"}
@@ -73,6 +77,21 @@ def test_write_bench_snapshot_and_trajectory_roundtrip(tmp_path):
     assert "wall_s" not in metrics          # wall-clock never gated
 
     assert trajectory_entries(tmp_path / "absent.jsonl") == []
+
+
+def test_trajectory_line_keeps_its_format_without_the_headline(tmp_path):
+    path = tmp_path / "BENCH_demo.json"
+    snapshot = write_bench_snapshot(
+        "demo", {"score": 2}, path, n=3, repeats=1,
+        headline=[("demo scores", ["score"])])
+    assert snapshot["envelope"]["headline"] == [
+        {"claim": "demo scores", "metrics": ["score"]}]
+    line = (tmp_path / "BENCH_trajectory.jsonl").read_text()
+    envelope = {k: v for k, v in snapshot["envelope"].items()
+                if k != "headline"}
+    assert line == json.dumps({**envelope, "metrics": {"score": 2.0}},
+                              sort_keys=True,
+                              separators=(",", ":")) + "\n"
 
 
 def test_load_snapshots_keys_by_benchmark_and_skips_junk(tmp_path):
@@ -122,11 +141,11 @@ def test_compare_snapshots_vanished_vs_new_metrics():
     assert compare_snapshots("b", {"kept": 1}, {"kept": 1, "new": 9}) == []
 
 
-def _snapshot_dir(tmp_path, name, score):
+def _snapshot_dir(tmp_path, name, score, n=None):
     root = tmp_path / name
     root.mkdir()
     write_bench_snapshot("demo", {"score": score},
-                         root / "BENCH_demo.json",
+                         root / "BENCH_demo.json", n=n,
                          trajectory_path=root / "unused.jsonl")
     return root
 
@@ -157,52 +176,40 @@ def test_gate_cli_exit_codes(tmp_path, capsys):
     empty = tmp_path / "e"
     empty.mkdir()
 
-    assert cli.main(["gate", "--baseline", str(baseline),
-                     "--fresh", str(good)]) == 0
-    assert cli.main(["gate", "--baseline", str(baseline),
-                     "--fresh", str(bad)]) == 1
+    assert ledger.main(["gate", "--baseline", str(baseline),
+                        "--fresh", str(good)]) == 0
+    assert ledger.main(["gate", "--baseline", str(baseline),
+                        "--fresh", str(bad)]) == 1
     assert "regenerate" in capsys.readouterr().err.lower()
-    assert cli.main(["gate", "--baseline", str(baseline),
-                     "--fresh", str(empty)]) == 2
+    assert ledger.main(["gate", "--baseline", str(baseline),
+                        "--fresh", str(empty)]) == 2
+
+
+def test_gate_refuses_snapshots_measured_at_another_size(tmp_path, capsys):
+    baseline = _snapshot_dir(tmp_path, "b", score=10.0, n=60)
+    full_size = _snapshot_dir(tmp_path, "f", score=30.0, n=500)
+    with pytest.raises(ledger.SizeMismatch, match="N=500.*N=60"):
+        gate_directories(baseline, full_size)
+    assert ledger.main(["gate", "--baseline", str(baseline),
+                        "--fresh", str(full_size)]) == 2
+    err = capsys.readouterr().err
+    assert "fresh N=500 repeats=None, baseline N=60 repeats=None" in err
+    assert "drifted" not in err
 
 
 # ----------------------------------------------------------------------
-# document rendering
-# ----------------------------------------------------------------------
-def test_document_renders_markdown_and_html():
-    doc = Document("Demo Report")
-    doc.heading(2, "Section")
-    doc.paragraph("Some *prose*.")
-    doc.table(["name", "value"], [["a", 1], ["b", 2.5]])
-    doc.preformatted("raw <text>")
-    md = doc.to_markdown()
-    assert md.startswith("# Demo Report")
-    assert "## Section" in md
-    assert "| name | value |" in md
-    assert "| --- | --- |" in md
-    assert "| a | 1 |" in md and "| b | 2.5 |" in md
-    assert "```\nraw <text>\n```" in md
-    html = doc.to_html()
-    assert "<h1>Demo Report</h1>" in html
-    assert "<td>2.5</td>" in html
-    assert "raw &lt;text&gt;" in html       # pre blocks are escaped
-
-
-# ----------------------------------------------------------------------
-# build_report on the real repository (the acceptance criterion)
+# build_report on the real repository
 # ----------------------------------------------------------------------
 def test_build_report_covers_all_benchmarks_and_the_sweep(tmp_path):
-    doc = build_report(root=REPO_ROOT)
-    md = doc.to_markdown()
+    md = build_report(root=REPO_ROOT)
     for benchmark in ("scale_neighbors", "event_handover", "dtn_delivery",
                       "contact_capacity", "fault_tolerance"):
         assert benchmark in md, f"report missing {benchmark} section"
     assert "fault_sweep" in md              # the bundled campaign renders
     assert "Headline claims" in md
 
-    md_path, html_path = write_report(doc, tmp_path)
+    md_path = write_report(md, tmp_path)
     assert md_path.read_text(encoding="utf-8") == md
-    assert html_path.read_text(encoding="utf-8").startswith("<!DOCTYPE")
 
 
 @pytest.mark.parametrize("ratios, claim", [
@@ -210,10 +217,15 @@ def test_build_report_covers_all_benchmarks_and_the_sweep(tmp_path):
     ({"epidemic": 0.9}, None),             # direct missing: no half row
 ])
 def test_headline_comparison_needs_both_sides(tmp_path, ratios, claim):
-    snapshot = {"benchmark": "dtn_delivery", "wakeup_reduction": 3.0,
-                "sweep": {"mean_delivery_ratio": ratios}}
-    (tmp_path / "BENCH_dtn_delivery.json").write_text(json.dumps(snapshot))
-    md = build_report(root=tmp_path).to_markdown()
+    write_bench_snapshot(
+        "dtn_delivery",
+        {"wakeup_reduction": 3.0, "sweep": {"mean_delivery_ratio": ratios}},
+        tmp_path / "BENCH_dtn_delivery.json",
+        headline=[("forwarder-wakeup reduction", ["wakeup_reduction"]),
+                  ("epidemic vs direct delivery",
+                   ["sweep.mean_delivery_ratio.epidemic",
+                    "sweep.mean_delivery_ratio.direct"])])
+    md = build_report(root=tmp_path)
     assert "forwarder-wakeup reduction" in md
     assert "None" not in md
     if claim is None:
@@ -222,11 +234,10 @@ def test_headline_comparison_needs_both_sides(tmp_path, ratios, claim):
         assert claim in md
 
 
-def test_report_cli_writes_both_artifacts(tmp_path, capsys):
+def test_report_cli_writes_report_md(tmp_path, capsys):
     out = tmp_path / "report"
-    assert cli.main(["report", "--root", str(REPO_ROOT),
-                     "--out", str(out)]) == 0
+    assert ledger.main(["report", "--root", str(REPO_ROOT),
+                        "--out", str(out)]) == 0
     assert (out / "REPORT.md").exists()
-    assert (out / "REPORT.html").exists()
     printed = capsys.readouterr().out
     assert "REPORT.md" in printed
