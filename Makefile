@@ -21,6 +21,8 @@
 #   make gate         regression-gate BENCH_*.json vs committed baselines
 #                     (benchmarks/ledger.py)
 #   make perf         the repo benchmark: four phase-timed workloads
+#   make reach        which src/ functions production runs, gates and
+#                     unit tests reach (tools/reach_audit.py, ~6 min)
 #   make quickstart   run the two-device example end to end
 
 PYTHON ?= python
@@ -31,7 +33,7 @@ BENCHES := $(wildcard benchmarks/bench_*.py)
 .PHONY: test test-all bench bench-scale bench-events bench-dtn \
         bench-capacity bench-fault bench-phy sweep \
         dtn-sweep bandwidth-sweep resume-smoke lint docs-check report \
-        gate perf quickstart
+        gate perf reach quickstart
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -81,7 +83,7 @@ bench-fault:
 bench-phy:
 	$(PYTHON) -m pytest benchmarks/bench_phy.py -q -s
 
-# The reference experiment campaign: 24 runs (2 scenarios x 2 node
+# The reference experiment campaign: 36 runs (3 scenarios x 2 node
 # counts x 2 radio mixes x 3 repeats) -> results/demo_sweep/.  Output
 # is byte-identical at any --workers value, and the campaign layer
 # caches every finished cell (<out>/cache), so re-runs and interrupted
@@ -136,6 +138,12 @@ gate:
 # (see perf/README.md).
 perf:
 	python3 perf/run.py
+
+# Reach audit: every src/repro function classed by the first set of runs
+# that enters it (production, gates, unit tests, nothing).  Exits 1 when
+# an untagged function is reached by nothing.
+reach:
+	$(PYTHON) tools/reach_audit.py
 
 quickstart:
 	$(PYTHON) examples/quickstart.py

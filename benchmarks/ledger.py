@@ -59,7 +59,7 @@ import typing
 ENVELOPE_SCHEMA = 1
 
 #: Relative tolerance band of the gate (fraction of the baseline value).
-DEFAULT_TOLERANCE = 0.1
+TOLERANCE = 0.1
 
 #: Key substrings whose subtrees/leaves are excluded from comparison.
 SKIP_KEY_SUBSTRINGS = ("wall", "_ms", "ms_")
@@ -255,10 +255,9 @@ class SizeMismatch(ValueError):
     its baseline, so its figures cannot be compared."""
 
 
-def compare_snapshots(benchmark: str, baseline: dict, fresh: dict,
-                      tolerance: float = DEFAULT_TOLERANCE
-                      ) -> list[GateFailure]:
-    """Gate one fresh snapshot against its baseline.
+def compare_snapshots(benchmark: str, baseline: dict,
+                      fresh: dict) -> list[GateFailure]:
+    """Gate one fresh snapshot against its baseline (±:data:`TOLERANCE`).
 
     Relative delta is ``(fresh - baseline) / max(|baseline|, 1e-9)``;
     a zero baseline therefore tolerates only an (almost) exactly zero
@@ -274,7 +273,7 @@ def compare_snapshots(benchmark: str, baseline: dict, fresh: dict,
             continue
         fresh_value = fresh_leaves[metric]
         rel = (fresh_value - base_value) / max(abs(base_value), 1e-9)
-        if abs(rel) > tolerance:
+        if abs(rel) > TOLERANCE:
             failures.append(GateFailure(benchmark, metric, base_value,
                                         fresh_value, rel))
     return failures
@@ -333,7 +332,7 @@ def gate(baseline_dir: str, fresh_dir: str) -> int:
               f"{baseline_dir} and {fresh_dir}", file=sys.stderr)
         return 2
     print(f"gated {len(compared)} benchmark(s) at "
-          f"±{DEFAULT_TOLERANCE:.0%}: " + ", ".join(compared))
+          f"±{TOLERANCE:.0%}: " + ", ".join(compared))
     if failures:
         print(f"\n{len(failures)} metric(s) outside the tolerance band:\n"
               + format_failures(failures) + "\n\nIf the drift is "

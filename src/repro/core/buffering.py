@@ -108,10 +108,6 @@ class BoundedBuffer:
         """The entry stored under ``key``, or None.  O(1)."""
         return self._entries.get(key)
 
-    def keys(self) -> list:
-        """Keys in insertion order."""
-        return list(self._entries)
-
     def entries(self) -> list[BufferEntry]:
         """Entries in insertion order."""
         return list(self._entries.values())

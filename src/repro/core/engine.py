@@ -61,10 +61,6 @@ class Engine:
         """Attach the application handler for an advertised service."""
         self._service_callbacks[service_name] = callback
 
-    def remove_service_callback(self, service_name: str) -> None:
-        """Detach a service handler."""
-        self._service_callbacks.pop(service_name, None)
-
     # ------------------------------------------------------------------
     # accept path
     # ------------------------------------------------------------------

@@ -49,19 +49,9 @@ class Fabric:
         self._nodes[node.node_id] = node
         self._by_address[node.address] = node
 
-    def unregister(self, node_id: str) -> None:
-        """Remove a node (power-off)."""
-        node = self._nodes.pop(node_id, None)
-        if node is not None:
-            self._by_address.pop(node.address, None)
-
     def node(self, node_id: str) -> "PeerHoodNode | None":
         """Look up a registered node."""
         return self._nodes.get(node_id)
-
-    def nodes(self) -> list["PeerHoodNode"]:
-        """All registered nodes, sorted by id."""
-        return [self._nodes[node_id] for node_id in sorted(self._nodes)]
 
     def node_by_address(self, address: str) -> "PeerHoodNode | None":
         """Resolve a device address back to the node, if registered.

@@ -207,7 +207,7 @@ class HandoverThread:
         Subscribes a one-shot QualityBelow watch on the connection's
         current first hop; the bus fires it at the predicted crossing
         (immediately if quality is already low).  Watch cancellation
-        (node removed, thread stopped) also wakes us — the loop then
+        (link closed, thread stopped) also wakes us — the loop then
         re-examines the connection state.
         """
         link = self.connection.link

@@ -82,11 +82,6 @@ class PeerHoodLibrary:
         self.engine.set_service_callback(name, callback)
         return record
 
-    def unregister_service(self, name: str) -> None:
-        """Withdraw a service."""
-        self.node.daemon.registry.unregister(name)
-        self.engine.remove_service_callback(name)
-
     # ------------------------------------------------------------------
     # connection establishment (§2.3, §4.1)
     # ------------------------------------------------------------------

@@ -61,25 +61,6 @@ class PeerHoodNode:
         """Stop the daemon (device leaves the PeerHood network)."""
         self.daemon.stop()
 
-    def power_off(self) -> None:
-        """Remove the device from the physical world entirely.
-
-        ``stop()`` models the daemon exiting while the radio hardware
-        stays powered (the device remains physically discoverable);
-        ``power_off()`` models battery-out churn: the daemon stops, the
-        node leaves the fabric registry and the radio world (including
-        its spatial-grid entries and any quality overrides naming it).
-        Used by the flash-crowd churn scenario; idempotent.
-        """
-        self.daemon.stop()
-        self.fabric.unregister(self.node_id)
-        if self.fabric.world.has_node(self.node_id):
-            self.fabric.world.remove_node(self.node_id)
-
-    def supports(self, tech: Technology) -> bool:
-        """True if the node has the given radio."""
-        return any(t.name == tech.name for t in self.technologies)
-
     def __repr__(self) -> str:
         techs = ",".join(t.name for t in self.technologies)
         state = "up" if self.daemon.running else "down"

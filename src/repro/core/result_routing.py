@@ -120,8 +120,3 @@ class ResultWaiter:
             if not self.result_event.triggered:
                 self.result_event.succeed(payload)
         return receive()
-
-    def wait(self) -> typing.Generator:
-        """Process generator: block until the result arrives; returns it."""
-        payload = yield self.result_event
-        return payload

@@ -65,7 +65,3 @@ class Bundle:
     def with_copies(self, copies: int) -> "Bundle":
         """The same message under a different spray token count."""
         return dataclasses.replace(self, copies=copies)
-
-    def age(self, now: float) -> float:
-        """Seconds since creation (the delivery latency when delivered)."""
-        return now - self.created_at

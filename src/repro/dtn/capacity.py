@@ -38,10 +38,10 @@ replaces the instantaneous cascade with a **transfer schedule**:
 * **per-link in-flight accounting** — a bundle already in flight to a
   receiver on one link is never started on a parallel link, so
   concurrent contacts spend their budgets on *distinct* copies;
-* **churn safety** — an in-flight transfer whose endpoint is powered
-  off / removed is cancelled, credits nothing, and is counted
-  ``transfers_cancelled``; sessions naming the dead are closed before
-  the base-class retirement runs.
+* **crash safety** — an in-flight transfer whose endpoint crashes is
+  cancelled, credits nothing, and is counted ``transfers_cancelled``;
+  sessions naming the crashed node close before the base-class state
+  loss runs.
 
 Wakeup discipline is inherited: ``wakeups`` counts *contact-event*
 callbacks only.  Transfer completions are self-scheduled kernel events
@@ -82,7 +82,7 @@ class Transfer:
 
     ``phy_tx`` is the leg's on-air registration when a lossy PHY plane
     is installed (:mod:`repro.radio.phy`); its fate is resolved at the
-    completion instant.  A leg cancelled mid-air (churn, truncation,
+    completion instant.  A leg cancelled mid-air (crash, truncation,
     detach) abandons its registration unresolved — the air was occupied
     either way.
     """
@@ -140,7 +140,7 @@ class ContactSession:
 
 #: `_close_session` modes.
 _CLOSE_DOWN = "down"        # link closed: truncate + credit airtime
-_CLOSE_CHURN = "churn"      # endpoint died: cancel, credit nothing
+_CLOSE_CRASH = "crash"      # endpoint crashed: cancel, credit nothing
 _CLOSE_DETACH = "detach"    # measurement over: silent teardown
 
 
@@ -194,8 +194,6 @@ class BandwidthDtnOverlay(DtnOverlay):
     # ------------------------------------------------------------------
     def contact_up(self, a: str, b: str) -> None:
         """Open a session: price the window, charge control, pump."""
-        if a in self._dead or b in self._dead:
-            return
         if a not in self.stores or b not in self.stores:
             return
         pair = (a, b) if a < b else (b, a)
@@ -225,23 +223,14 @@ class BandwidthDtnOverlay(DtnOverlay):
         self._close_session((a, b) if a < b else (b, a), _CLOSE_DOWN)
         super().contact_down(a, b)
 
-    def retire_node(self, node_id: str) -> None:
-        """Churn: cancel every session (and in-flight transfer) naming
-        the node before the base class drops its custody."""
-        if node_id in self._dead or node_id not in self.stores:
-            return
-        for pair in tuple(self._node_sessions.get(node_id, ())):
-            self._close_session(pair, _CLOSE_CHURN)
-        super().retire_node(node_id)
-
     def on_crash(self, node_id: str) -> None:
         """Crash fault: kill every in-flight transfer naming the node
         (counted ``transfers_cancelled``, nothing credited — the
         receiver never got the bytes) before the base state loss."""
-        if node_id not in self.stores or node_id in self._dead:
+        if node_id not in self.stores:
             return
         for pair in tuple(self._node_sessions.get(node_id, ())):
-            self._close_session(pair, _CLOSE_CHURN)
+            self._close_session(pair, _CLOSE_CRASH)
         super().on_crash(node_id)
 
     def detach(self) -> None:
@@ -269,7 +258,7 @@ class BandwidthDtnOverlay(DtnOverlay):
         if mode == _CLOSE_DETACH:
             self._report_contact(session)
             return
-        if mode == _CLOSE_CHURN:
+        if mode == _CLOSE_CRASH:
             self.counters.transfers_cancelled += 1
             self._report_contact(session)
             return
@@ -398,8 +387,6 @@ class BandwidthDtnOverlay(DtnOverlay):
         for slot, (sender, receiver) in enumerate((
                 (session.node_a, session.node_b),
                 (session.node_b, session.node_a))):
-            if sender in self._dead or receiver in self._dead:
-                continue
             if (self.faults is not None
                     and not self.faults.can_transmit(sender, receiver)):
                 continue  # deaf/mute/jammed direction: no leg starts

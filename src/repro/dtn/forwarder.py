@@ -46,13 +46,6 @@ Exchange semantics (both implementations share them):
    copy and records one :class:`DeliveryRecord` per bundle (first copy
    wins; summary vectors stop later copies).
 
-Churn: a node that is ``power_off()``/``remove_node()``-ed mid-carry
-loses its buffered bundles (``DtnCounters.dropped_dead``) and leaves
-every adjacency — the bus cancels its watches (no contact event for a
-dead node ever fires), the contact stream's ``on_leave`` hook retires
-the node, and the plane refuses new sends naming it.  A bundle
-*destined* to a dead node is never delivered; it ages out by TTL.
-
 Units: metres / sim-seconds / bytes throughout.
 """
 
@@ -142,7 +135,6 @@ class DtnPlane:
         #: Directed pair → (carrier version, peer version, router
         #: version, blind) at its last empty offer pass.
         self._settled: dict[tuple[str, str], tuple] = {}
-        self._dead: set[str] = set()
         self._sequences: dict[str, int] = {}
         #: Installed fault plane, if the world carries one (crash /
         #: deaf-mute / jammer / byzantine injection — :mod:`repro.faults`).
@@ -181,17 +173,11 @@ class DtnPlane:
         runs at once, so a destination already in contact receives the
         bundle in the same instant.  Raises ``KeyError`` for nodes the
         plane does not manage and ``ValueError`` for a self-addressed
-        bundle or dead (powered-off) endpoints — sending *to* the dead
-        is refused at the edge; a node that dies *later* simply never
-        receives (TTL reaps the copies).
+        bundle or a crashed source.
         """
         for name in (source, destination):
             if name not in self.stores:
                 raise KeyError(f"node {name!r} is not on the DTN plane")
-            if name in self._dead:
-                raise ValueError(
-                    f"node {name!r} was removed from the world; "
-                    f"bundles cannot originate at or target it")
         if source == destination:
             # Refused before the source's sequence number is consumed.
             raise ValueError(f"node {source!r} cannot send to itself")
@@ -224,8 +210,6 @@ class DtnPlane:
         :meth:`_open_contact` runs first, then the exchange cascade.
         O(cluster) through the cascade.
         """
-        if a in self._dead or b in self._dead:
-            return
         if a not in self.stores or b not in self.stores:
             return
         self._open_contact(a, b)
@@ -281,10 +265,6 @@ class DtnPlane:
                     else airtime_s(size)):
                 self._blind.add((receiver, sender))
         return total
-
-    def contacts(self, node_id: str) -> list[str]:
-        """Current contacts of ``node_id``, sorted."""
-        return list(self._sorted_contacts(node_id))
 
     def contact_control_bytes(self, sender: str, receiver: str) -> int:
         """Control bytes ``sender`` ships when this contact opens.
@@ -400,11 +380,7 @@ class DtnPlane:
         queue: collections.deque[str] = collections.deque([origin])
         while queue:
             node = queue.popleft()
-            if node in self._dead:
-                continue
             for peer in self._sorted_contacts(node):
-                if peer in self._dead:
-                    continue
                 if self._exchange(node, peer):
                     queue.append(peer)
 
@@ -417,29 +393,12 @@ class DtnPlane:
         return view
 
     # ------------------------------------------------------------------
-    # churn
+    # crashes
     # ------------------------------------------------------------------
-    def retire_node(self, node_id: str) -> None:
-        """The node left the world: drop custody, leave every contact.
-
-        Idempotent.  Buffered bundles are counted ``dropped_dead``; the
-        node's delivery history stays (what arrived, arrived).
-        """
-        if node_id in self._dead or node_id not in self.stores:
-            return
-        self._dead.add(node_id)
-        victims = self.stores[node_id].drop_all()
-        self._telemetry_losses(victims, "custodian-removed")
-        for peer in list(self._adjacent.get(node_id, ())):
-            self.contact_down(node_id, peer)
-
     def live_nodes(self) -> list[str]:
-        """Plane nodes not yet retired, sorted."""
-        return [n for n in self.stores if n not in self._dead]
-
-    def retired(self, node_id: str) -> bool:
-        """True once the node left the world (power-off churn).  O(1)."""
-        return node_id in self._dead
+        """Plane nodes, in plane order (crashed ones included: a crash
+        is an outage, not a departure)."""
+        return list(self.stores)
 
     def crashed(self, node_id: str) -> bool:
         """True while the node is crash-suspended (fault plane).  O(1)."""
@@ -451,18 +410,18 @@ class DtnPlane:
     def on_crash(self, node_id: str) -> None:
         """A crash-reboot outage began: full state loss, contacts close.
 
-        Unlike :meth:`retire_node` the node stays on the plane — it
-        returns at reboot with an empty store and no memory of what it
-        had seen (:meth:`~repro.dtn.store.MessageStore.wipe`).
-        Buffered bundles are counted ``dropped_dead`` like any custodian
-        death; stateful routers drop the node's state
+        The node stays on the plane — it returns at reboot with an empty
+        store and no memory of what it had seen
+        (:meth:`~repro.dtn.store.MessageStore.wipe`).  Buffered bundles
+        are counted ``dropped_dead`` like any custodian death; stateful
+        routers drop the node's state
         (:meth:`~repro.dtn.routing.Router.on_crash`).  The fault plane
         calls this *before* ``World.suspend_node``, so adjacency closes
         here while the bus still reports pre-fault geometry (the
         synthetic LinkDowns that follow find the contacts already
         gone — a harmless no-op).
         """
-        if node_id not in self.stores or node_id in self._dead:
+        if node_id not in self.stores:
             return
         victims = self.stores[node_id].wipe()
         self._telemetry_losses(victims, "custodian-crashed")
@@ -482,7 +441,7 @@ class DtnPlane:
 
         A multi-copy bundle's journey stays open while any other live
         store still holds it; only terminal losses end the span.  Runs
-        only on (rare) churn/crash edges, O(victims × nodes).
+        only on (rare) crash edges, O(victims × nodes).
         """
         telemetry = self.telemetry
         if telemetry is None or not victims:
@@ -490,10 +449,8 @@ class DtnPlane:
         for bundle in victims:
             if bundle.bundle_id in self.delivered:
                 continue
-            survives = any(
-                bundle.bundle_id in store
-                for name, store in self.stores.items()
-                if name not in self._dead)
+            survives = any(bundle.bundle_id in store
+                           for store in self.stores.values())
             if not survives:
                 telemetry.bundle_dropped(bundle.bundle_id, reason)
 
@@ -523,8 +480,7 @@ class DtnOverlay(DtnPlane):
     which a settled pair would never report — are replayed through
     :meth:`contact_up` once every watch exists, so cascades observe the
     full current topology and ``wakeups`` does not count them.
-    ``detach()`` cancels the watches; an endpoint leaving the world
-    retires the node.
+    ``detach()`` cancels the watches.
     """
 
     def __init__(self, world: "World", router: Router,
@@ -535,8 +491,7 @@ class DtnOverlay(DtnPlane):
         super().__init__(world, router, tech=tech, nodes=nodes,
                          capacity_bytes=capacity_bytes, meter=meter)
         self.stream = ContactStream(world, self.tech, self.stores,
-                                    callback=self._on_event,
-                                    on_leave=self.retire_node)
+                                    callback=self._on_event)
         for event in self.stream.initial:
             self.contact_up(event.node_a, event.node_b)
 
@@ -594,16 +549,12 @@ class PollingDtnOverlay(DtnPlane):
     def tick(self) -> None:
         """One polling round: wake every forwarder, diff adjacencies."""
         world = self.world
-        for name in list(self.stores):
-            if name not in self._dead and not world.has_node(name):
-                self.retire_node(name)
         live = self.live_nodes()
         self.wakeups += len(live)
         fresh: dict[str, set[str]] = {}
         for name in live:
             found = world.neighbors(name, self.tech)
-            fresh[name] = {peer for peer in found if peer in self.stores
-                           and peer not in self._dead}
+            fresh[name] = {peer for peer in found if peer in self.stores}
         for name in live:
             before = self._adjacent[name]
             now = fresh[name]

@@ -351,11 +351,6 @@ class Prophet(Router):
         ranked.sort(key=lambda pair: pair[0])
         return [bundle for _key, bundle in ranked]
 
-    def eligible(self, bundle: Bundle, peer_id: str) -> bool:
-        """Unused: PRoPHET needs the carrier, so it overrides offers."""
-        raise NotImplementedError(
-            "Prophet ranks via offers(); eligible() has no carrier")
-
 
 def make_router(name: str, spray_copies: int = DEFAULT_SPRAY_COPIES
                 ) -> Router:

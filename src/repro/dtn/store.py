@@ -73,15 +73,6 @@ class MessageStore:
         return bundle_id in self._buffer
 
     @property
-    def used_bytes(self) -> int:
-        """Bytes currently under custody."""
-        return self._buffer.used_bytes
-
-    @property
-    def capacity_bytes(self) -> int | None:
-        return self._buffer.capacity_bytes
-
-    @property
     def next_expiry(self) -> float:
         """No bundle expires before this instant, so :meth:`expire`
         is a no-op until then (``inf``: the store is empty).  O(1)."""
@@ -193,9 +184,9 @@ class MessageStore:
     def drop_all(self) -> list[Bundle]:
         """Custodian death: every carried bundle is lost.  O(n).
 
-        Counted ``dropped_dead`` — the churn invariant (a bundle whose
-        custodian powered off is never delivered post-mortem) is
-        observable through this counter.
+        Counted ``dropped_dead`` — the custodian-death invariant (a
+        bundle whose custodian crashed is never delivered from its lost
+        copy) is observable through this counter.
         """
         victims = self._buffer.drop_matching(lambda entry: True)
         self.counters.dropped_dead += len(victims)
@@ -221,4 +212,4 @@ class MessageStore:
         cap = ("∞" if self._buffer.capacity_bytes is None
                else self._buffer.capacity_bytes)
         return (f"<MessageStore {self.node_id} bundles={len(self)} "
-                f"bytes={self.used_bytes}/{cap}>")
+                f"bytes={self._buffer.used_bytes}/{cap}>")

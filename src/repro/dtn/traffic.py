@@ -108,16 +108,12 @@ def schedule_traffic(plane: "DtnPlane",
                      injections: typing.Sequence[Injection]) -> int:
     """Arm one ``call_at`` per injection on the plane's simulator.
 
-    Returns the number armed.  Injections whose endpoints have been
-    retired by the time they fire are skipped silently (churn
-    scenarios): the message simply never existed — real senders do not
-    address devices they watched power off.
+    Returns the number armed.  An injection whose source is crashed
+    when it fires is skipped: a dark node originates nothing.
     """
     sim = plane.sim
 
     def fire(row: Injection) -> None:
-        if plane.retired(row.source) or plane.retired(row.destination):
-            return   # endpoint died before the injection instant
         if plane.crashed(row.source):
             return   # a dark node originates nothing mid-outage; a
                      # crashed *destination* is fine — the bundle waits

@@ -33,18 +33,14 @@ from repro.scenarios import (
     commuter_corridor,
     crowded_festival,
     dense_plaza,
-    drive_by_kiosk,
     fig_3_3_coverage_exclusion,
     fig_3_6_dynamic_discovery,
     fig_3_9_quality_equity,
     fig_4_5_bridge_test,
     fig_5_8_handover,
-    flash_crowd,
-    flash_crowd_broadcast,
     island_hopping_ferry,
     line_topology,
     random_disc,
-    replay_arena,
     rural_bus_dtn,
     sparse_highway,
     tunnel_topology,
@@ -325,10 +321,6 @@ register_scenario(
              "kiosks) at constant density"))
 
 register_scenario(
-    "replay_arena", replay_arena,
-    summary="empty world under which recorded contact traces replay")
-
-register_scenario(
     "commuter_corridor", commuter_corridor,
     params=(
         Param("count", int, 10, "commuters in the corridor"),
@@ -372,34 +364,6 @@ register_scenario(
     summary="partitioned islands bridged only by a scripted ferry")
 
 register_scenario(
-    "flash_crowd_broadcast", flash_crowd_broadcast,
-    params=(
-        Param("count", int, 24, "roaming attendees"),
-        Param("area", float, 60.0, "side of the square, metres"),
-        _TECHS,
-        *_fault_params(),
-        *_phy_params(),
-    ),
-    summary="static announcer amid a roaming crowd (broadcast traffic)")
-
-register_scenario(
-    "drive_by_kiosk", drive_by_kiosk,
-    params=(
-        Param("count", int, 6, "cars lapping the road"),
-        Param("road_length_m", float, 300.0, "kiosk–depot distance"),
-        Param("lane_offset_m", float, 6.0,
-              "lane's lateral offset from the terminals, metres"),
-        Param("speed_mps", float, 12.0, "car speed, metres/second"),
-        Param("headway_s", float, 20.0, "car start stagger, seconds"),
-        Param("laps", int, 4, "round trips per car before parking"),
-        _TECHS,
-        *_fault_params(),
-        *_phy_params(),
-    ),
-    summary=("seconds-long drive-by contacts; large bundles need "
-             "partial-transfer resume across laps"))
-
-register_scenario(
     "crowded_festival", crowded_festival,
     params=(
         Param("count", int, 18, "roaming attendees"),
@@ -438,13 +402,3 @@ register_scenario(
     ),
     summary=("partitioned villages served by one bus; each dwell "
              "prices the village uplink in bytes"))
-
-register_scenario(
-    "flash_crowd", flash_crowd,
-    params=(
-        Param("base_count", int, 10, "permanent residents"),
-        Param("crowd_count", int, 40, "transient walkers injected"),
-        Param("area", float, 80.0, "side of the square, metres"),
-        _TECHS,
-    ),
-    summary="resident population plus a churning transient crowd")

@@ -24,7 +24,7 @@ import time
 import typing
 
 from repro.experiments.spec import RunPoint
-from repro.experiments.workloads import get_workload
+from repro.experiments.workloads import check_settings, get_workload
 from repro.obs import runtime as obs_runtime
 
 
@@ -50,6 +50,8 @@ def execute_point_outcome(point_dict: dict,
     into the timing side channel along with the measured ``wall_s``,
     keeping the record deterministic.
 
+    A setting the workload never reads fails the cell like a raised
+    workload exception (a directly built point skips the spec's check).
     A raised workload exception costs *one cell*, not the sweep: it
     comes back as ``{"ok": False, "error": repr(exc), "error_type",
     "timings"}``, its wall-clock still on the side channel (a poisoned
@@ -68,6 +70,7 @@ def execute_point_outcome(point_dict: dict,
     context = None
     try:
         point = RunPoint.from_dict(point_dict)
+        check_settings(point.workload, point.settings)
         if telemetry:
             context = obs_runtime.activate(obs_runtime.TelemetryContext())
         metrics = dict(get_workload(point.workload)(point))

@@ -37,11 +37,13 @@ def get_spec(name: str) -> ExperimentSpec:
 
 
 #: The E2/E8-style discovery-and-handover sweep at multiple N:
-#: 2 scenarios × 2 node counts × 2 radio mixes × 3 repeats = 24 runs.
+#: 3 scenarios × 2 node counts × 2 radio mixes × 3 repeats = 36 runs.
+#: ``city_day`` comes last, so the first 24 records are those of the
+#: two-scenario grid.
 register_spec(ExperimentSpec(
     name="demo_sweep",
     workload="discovery_handover",
-    scenarios=("random_disc", "dense_plaza"),
+    scenarios=("random_disc", "dense_plaza", "city_day"),
     axes={
         "count": (16, 28),
         "technologies": (("bluetooth",), ("bluetooth", "wlan")),

@@ -42,13 +42,7 @@ from repro.experiments.spec import RunPoint
 from repro.metrics.counters import FaultCounters, PhyCounters
 from repro.radio.channel import OutOfRange
 from repro.radio.technologies import BLUETOOTH
-from repro.scenarios.traces import (
-    load_trace,
-    record_contact_trace,
-    replay_trace,
-    trace_digest,
-    write_trace,
-)
+from repro.scenarios.traces import record_contact_trace, trace_digest
 
 Metrics = typing.Dict[str, object]
 
@@ -106,31 +100,6 @@ def _sink_service(node, delivered: list) -> None:
                 delivered.append(message)
         return serve()
     node.library.register_service("sink", handler)
-
-
-# ----------------------------------------------------------------------
-# discovery: settle and measure environment awareness + traffic
-# ----------------------------------------------------------------------
-@register_workload("discovery", settings=("settle_s",))
-def discovery(point: RunPoint) -> Metrics:
-    """Run discovery to ``settle_s`` and measure awareness + overhead."""
-    settle_s = float(point.settings.get("settle_s", 180.0))
-    scenario = build_scenario(point.scenario, point.seed, point.params)
-    scenario.start_all()
-    scenario.run(until=settle_s)
-    names = sorted(scenario.nodes)
-    fractions = [scenario.awareness_fraction(name) for name in names]
-    known = [len(scenario.nodes[name].daemon.storage.devices())
-             for name in names]
-    return {
-        "nodes": len(names),
-        "awareness_mean": statistics.fmean(fractions),
-        "awareness_min": min(fractions),
-        "devices_known_mean": statistics.fmean(known),
-        "discovery_messages": scenario.meter.messages(category="discovery"),
-        "discovery_bytes": scenario.meter.bytes(category="discovery"),
-        "control_messages": scenario.meter.messages(category="control"),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -321,24 +290,19 @@ def handover_decay(point: RunPoint) -> Metrics:
 # ----------------------------------------------------------------------
 # contact_trace: record the pairwise connectivity-event stream
 # ----------------------------------------------------------------------
-@register_workload("contact_trace",
-                   settings=("duration_s", "tech", "out_path"))
+@register_workload("contact_trace", settings=("duration_s", "tech"))
 def contact_trace(point: RunPoint) -> Metrics:
     """Record a contact trace of the scenario's geometry, zero polling.
 
     One repeating link watch per node pair; the kernel wakes only at
     predicted crossings.  ``settings``: ``duration_s`` (default 120),
-    ``tech`` (default bluetooth), optional ``out_path`` to persist the
-    JSONL stream.  The digest is a deterministic fingerprint of the
-    canonical serialisation — the replay workload reproduces it.
+    ``tech`` (default bluetooth).  The digest is a deterministic
+    fingerprint of the canonical serialisation.
     """
     duration_s = float(point.settings.get("duration_s", 120.0))
     tech = str(point.settings.get("tech", "bluetooth"))
-    out_path = point.settings.get("out_path")
     scenario = build_scenario(point.scenario, point.seed, point.params)
     rows = record_contact_trace(scenario, tech, until=duration_s)
-    if out_path:
-        write_trace(rows, str(out_path))
     kinds = [row["kind"] for row in rows]
     stats = scenario.world.stats.bus
     return {
@@ -355,56 +319,18 @@ def contact_trace(point: RunPoint) -> Metrics:
 
 
 # ----------------------------------------------------------------------
-# trace_replay: a recorded contact trace as a mobility-free workload
-# ----------------------------------------------------------------------
-@register_workload("trace_replay", settings=("trace_path", "out_path"))
-def trace_replay(point: RunPoint) -> Metrics:
-    """Replay a recorded trace: scheduled events, no world, no mobility.
-
-    ``settings``: ``trace_path`` (required), optional ``out_path`` to
-    write the replayed stream back out — byte-identical to the input
-    recording, which the trace tests assert through this runner.
-    """
-    path = point.settings.get("trace_path")
-    if not path:
-        raise ValueError("trace_replay needs settings['trace_path']")
-    rows = load_trace(str(path))
-    result = replay_trace(rows)
-    out_path = point.settings.get("out_path")
-    if out_path:
-        write_trace(result.rows, str(out_path))
-    kinds = [row["kind"] for row in result.rows]
-    return {
-        "events": len(result.rows),
-        "link_ups": kinds.count("link-up"),
-        "link_downs": kinds.count("link-down"),
-        "final_t": result.final_time,
-        "digest": result.digest(),
-    }
-
-
-# ----------------------------------------------------------------------
 # paired DTN: every router on identical mobility + traffic
 # ----------------------------------------------------------------------
-#: Terminal pairs the ``auto`` pattern recognises, in checking order.
-_ENDPOINT_PAIRS = (("home", "work"), ("kiosk", "depot"))
-
-
-def _pattern_endpoints(nodes: typing.Sequence[str]
-                       ) -> tuple[str, str] | None:
-    """The named terminal pair for the ``endpoints`` pattern, if any."""
-    names = set(nodes)
-    for pair in _ENDPOINT_PAIRS:
-        if set(pair) <= names:
-            return pair
-    return None
+#: The terminal pair of the ``endpoints`` pattern (the commuter
+#: corridor's), which ``auto`` picks when both are plane nodes.
+_ENDPOINTS = ("home", "work")
 
 
 def _resolve_pattern(pattern: str, nodes: typing.Sequence[str]) -> str:
     """``"auto"`` picks the pattern the scenario was built for."""
     if pattern != "auto":
         return pattern
-    if _pattern_endpoints(nodes) is not None:
+    if set(_ENDPOINTS) <= set(nodes):
         return "endpoints"
     if "source" in nodes:
         return "broadcast"
@@ -529,8 +455,7 @@ def paired_dtn(point: RunPoint, preset: DtnPreset) -> Metrics:
             scenario.sim.rng("dtn/traffic"), nodes, resolved, messages,
             window=(inject_start, inject_end), size_bytes=size_bytes,
             ttl_s=ttl_s, source="source" if "source" in nodes else None,
-            endpoints=_pattern_endpoints(nodes)
-            if resolved == "endpoints" else None)
+            endpoints=_ENDPOINTS if resolved == "endpoints" else None)
         schedule_traffic(plane, injections)
         scenario.run(until=duration_s)
         plane.detach()

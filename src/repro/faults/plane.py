@@ -157,12 +157,11 @@ class FaultPlane:
         """Begin a crash outage: state loss, then the radio goes dark.
 
         Listeners (DTN planes) run *first* so in-flight transfers close
-        as churn cancellations and stores wipe while the world still
+        as crash cancellations and stores wipe while the world still
         reports pre-fault geometry; only then does
         ``World.suspend_node`` fire the synthetic LinkDowns that other
         consumers (links, overlays) observe.  No-op for an unknown or
-        already-crashed node — a schedule sampled before a removal must
-        not resurrect anything.
+        already-crashed node.
         """
         if not self.world.has_node(node_id) or node_id in self._crashed:
             return
@@ -181,13 +180,10 @@ class FaultPlane:
         The state loss already happened at crash time; here the world
         resumes the node (grid re-index, held watches re-arm, synthetic
         LinkUps for in-range pairs) and listeners get ``on_reboot``.
-        A node removed mid-outage stays gone.
         """
         if node_id not in self._crashed:
             return
         self._crashed.discard(node_id)
-        if not self.world.has_node(node_id):
-            return
         self.counters.reboots += 1
         telemetry = getattr(self.world, "telemetry", None)
         if telemetry is not None:
@@ -195,18 +191,6 @@ class FaultPlane:
         for listener in self._listeners:
             listener.on_reboot(node_id)
         self.world.resume_node(node_id)
-
-    def on_node_removed(self, node_id: str) -> None:
-        """Forget all fault state for a permanently removed node.
-
-        Called by ``World.remove_node`` so a node crashed at removal
-        time leaves no orphaned flags; its pending reboot event fires
-        as a guarded no-op (``reboot_now`` checks membership first).
-        """
-        self._crashed.discard(node_id)
-        self._deaf.discard(node_id)
-        self._mute.discard(node_id)
-        self._byzantine.discard(node_id)
 
     # ------------------------------------------------------------------
     # query surface

@@ -48,8 +48,8 @@ class BusCounters(Counters):
     fired:
         Connectivity events delivered to watch callbacks.
     cancelled:
-        Watches cancelled before their next event fired (power-off,
-        node removal, link teardown, monitor stop).
+        Watches cancelled before their next event fired (link
+        teardown, monitor stop, overlay detach).
     rescheduled:
         Re-arms without a firing: horizon rollover re-checks plus
         re-predictions after a quality-override change invalidated the
@@ -91,8 +91,8 @@ class DtnCounters(Counters):
     evicted:
         Copies dropped by capacity eviction (oldest first) making room.
     dropped_dead:
-        Copies lost because their custodian was powered off / removed
-        mid-carry (the churn path; never delivered post-mortem).
+        Copies lost because their custodian crashed mid-carry (never
+        delivered from the lost copy).
     bytes_offered:
         Bytes the routers *wanted* to move when a bandwidth-limited
         contact opened (sum of the remaining sizes of both directions'
@@ -108,8 +108,8 @@ class DtnCounters(Counters):
         the bundle still in flight.  The received prefix is kept by the
         peer's store for partial-transfer resume.
     transfers_cancelled:
-        In-flight transfers killed by churn: an endpoint was powered
-        off / removed mid-transfer.  Nothing is credited.
+        In-flight transfers killed because an endpoint crashed
+        mid-transfer.  Nothing is credited.
     """
 
     created: int = 0
@@ -139,8 +139,7 @@ class FaultCounters(Counters):
         state (store, summary vector, router tables) was wiped.
     reboots:
         Outages ended: the node returned at its mobility position,
-        rediscoverable and empty-handed.  At most ``crashes`` (a node
-        removed mid-outage never reboots).
+        rediscoverable and empty-handed.  At most ``crashes``.
     jammed_deliveries:
         Transfer attempts suppressed because an endpoint sat inside a
         mobile jammer's coverage disk at the attempt instant.
@@ -171,7 +170,7 @@ class PhyCounters(Counters):
         Transmissions put on the air (every :meth:`~repro.radio.phy.
         PhyPlane.begin`).  Resolved transmissions satisfy ``offered ==
         delivered + lost_fading + lost_collision``; bandwidth-plane
-        legs cancelled mid-air (churn/truncation) are offered but never
+        legs cancelled mid-air (crash/truncation) are offered but never
         resolved, so the sum may fall short of ``offered`` by exactly
         the abandoned legs.
     delivered:

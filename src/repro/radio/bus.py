@@ -18,9 +18,9 @@ scheduled break, a monitor's next-low wake-up).
 
 Invalidation rules (the part polling got for free):
 
-* **node removed / powered off** — :meth:`ConnectivityBus.cancel_node`
-  cancels every watch naming the node; an already-scheduled kernel event
-  fires as a no-op.  Wired into ``World.remove_node``.
+* **node crashed** — :meth:`ConnectivityBus.suspend_node` holds every
+  watch naming the node and :meth:`ConnectivityBus.resume_node` re-arms
+  them.  Wired into ``World.suspend_node`` / ``World.resume_node``.
 * **quality override installed or cleared** — the closed-form prediction
   is stale; :meth:`ConnectivityBus.invalidate_pair` re-predicts every
   watch on the pair.  Wired into ``World.set_quality_override``.
@@ -39,8 +39,8 @@ Contact streams
 :class:`ContactStream` is the one contact source of the consumers that
 watch *every* pair of a node set — both event-driven DTN overlays and
 the contact-trace recorder: it arms the per-pair watches, seeds the
-pairs already in range at attach, reports endpoints that left the world
-and predicts when an open contact closes.
+pairs already in range at attach and predicts when an open contact
+closes.
 """
 
 from __future__ import annotations
@@ -81,9 +81,6 @@ class ConnectivityEvent:
     tech: str
     threshold: int | None = None
 
-    def pair(self) -> tuple[str, str]:
-        return (self.node_a, self.node_b)
-
 
 class Watch:
     """One armed observation; returned by the ``watch_*`` methods."""
@@ -114,7 +111,7 @@ class Watch:
     @property
     def armed(self) -> bool:
         """True while a kernel event is scheduled for this watch."""
-        return self._handle is not None and not self._handle.cancelled
+        return self._handle is not None
 
     def cancel(self) -> None:
         """Convenience for :meth:`ConnectivityBus.cancel`."""
@@ -154,9 +151,7 @@ class ConnectivityBus:
         firing re-arms at the same cost.  ``callback`` receives the
         :class:`ConnectivityEvent` *at* the crossing instant (kernel
         time equals ``event.time``).  ``on_cancel`` fires exactly once
-        if the watch is invalidated (node removed, explicit
-        :meth:`cancel`) — :class:`ContactStream` uses it to observe
-        churn.  Steady-state cost for a
+        if the watch is cancelled.  Steady-state cost for a
         settled pair is zero: the watch parks.  Every ``watch_*`` method
         raises ``KeyError`` if either node is unknown to the world.
         """
@@ -226,7 +221,7 @@ class ConnectivityBus:
                   on_cancel: typing.Callable[[], None] | None,
                   once: bool, only_kind: str | None) -> Watch:
         # A watch on an unknown node could never fire: the solver has no
-        # mobility to predict from, and cancel_node never saw it.
+        # mobility to predict from.
         for node_id in (node_a, node_b):
             if not self.world.has_node(node_id):
                 raise KeyError(f"unknown node: {node_id!r}")
@@ -250,8 +245,7 @@ class ConnectivityBus:
         scheduled callback is nulled instead — see
         :class:`~repro.sim.kernel.ScheduledCall`).  Fires the watch's
         ``on_cancel`` hook (the handover monitor uses it to wake from a
-        predictive sleep and re-examine its connection; a contact stream
-        uses it to notice churn).
+        predictive sleep and re-examine its connection).
         """
         if not watch.active:
             return
@@ -263,25 +257,6 @@ class ConnectivityBus:
         self.stats.cancelled += 1
         if watch.on_cancel is not None:
             watch.on_cancel()
-
-    def cancel_node(self, node_id: str) -> int:
-        """Cancel every watch naming ``node_id``; returns how many.
-
-        Called by ``World.remove_node`` so no contact or quality event
-        for a powered-off/removed node can ever fire — the stale-state
-        guarantee every consumer (links, monitors, recorders, the DTN
-        forwarder) leans on.  O(W log W) for W watches naming the node
-        (sorted for deterministic ``on_cancel`` ordering).  A node
-        re-added later under the same id starts with no watches.
-        """
-        watch_ids = self._by_node.pop(node_id, set())
-        cancelled = 0
-        for watch_id in sorted(watch_ids):
-            watch = self._watches.get(watch_id)
-            if watch is not None and watch.active:
-                self.cancel(watch)
-                cancelled += 1
-        return cancelled
 
     def invalidate_pair(self, node_a: str, node_b: str,
                         tech: "Technology") -> None:
@@ -313,9 +288,9 @@ class ConnectivityBus:
         """Hold every watch naming a suspended node; close its contacts.
 
         Called by ``World.suspend_node`` *after* the node is flagged
-        suspended.  Unlike :meth:`cancel_node`, the watches survive:
-        each pending kernel event is cancelled and the watch parks in
-        the held set until :meth:`resume_node`.  Pairs that were in
+        suspended.  The watches survive: each pending kernel event is
+        cancelled and the watch parks in the held set until
+        :meth:`resume_node`.  Pairs that were in
         range at the suspension instant (pre-fault geometry, via
         ``World.in_range_raw``) get one synthetic LinkDown so consumers
         — links, DTN overlays, trace recorders — observe the outage as
@@ -355,8 +330,8 @@ class ConnectivityBus:
 
         Called by ``World.resume_node`` *after* the suspension flag is
         cleared.  Watches whose other endpoint is still suspended stay
-        held.  Repeating link watches whose pair is back in range fire
-        one synthetic LinkUp before re-arming — a settled in-range pair
+        held.  Repeating link watches whose pair is back in range
+        (``World.in_contact``) fire one synthetic LinkUp before re-arming — a settled in-range pair
         would otherwise never produce the reopening edge (the same
         reasoning as the DTN overlay's seeded contacts).  Returns the
         number re-armed; each re-arm counts ``rescheduled``.
@@ -374,8 +349,8 @@ class ConnectivityBus:
                 continue  # held until the other endpoint returns too
             self._held.discard(watch_id)
             if (watch.threshold is None and not watch.once
-                    and world.in_range(watch.node_a, watch.node_b,
-                                       watch.tech)):
+                    and world.in_contact(watch.node_a, watch.node_b,
+                                         watch.tech)):
                 self._deliver_synthetic(watch, LINK_UP)
                 if not watch.active:
                     continue
@@ -445,7 +420,7 @@ class ConnectivityBus:
     def _schedule_rearm(self, watch: Watch) -> None:
         horizon_end = self.sim.now + HORIZON_S
         watch._handle = self.sim.call_at(
-            horizon_end, lambda w=watch: self._rearm(w),
+            horizon_end, lambda w=watch: self._arm(w),
             name=f"bus-rearm#{watch.watch_id}")
         self.stats.rescheduled += 1
 
@@ -506,11 +481,6 @@ class ConnectivityBus:
         # Degenerate prediction churn: fall back to a horizon re-check.
         self._schedule_rearm(watch)
 
-    def _rearm(self, watch: Watch) -> None:
-        if watch.active:
-            watch._handle = None
-            self._arm(watch)
-
     def _fire(self, watch: Watch, event: ConnectivityEvent) -> None:
         if not watch.active:
             return
@@ -568,17 +538,14 @@ class ContactStream:
 
     ``initial`` holds one synthetic LinkUp per pair already in range at
     attach, in pair order: a settled in-range pair never produces a
-    LinkUp event, so consumers replay these as the opening edges.
-    ``on_leave(node)`` fires when the bus cancels a pair because an
-    endpoint left the world (``World.remove_node`` churn) — once per
-    cancelled pair, so it must be idempotent.  :meth:`detach` cancels
-    the watches without calling it.
+    LinkUp event, so consumers replay these as the opening edges.  "In
+    range" is :meth:`~repro.radio.world.World.in_contact`, the crossing
+    solver's rule.
     """
 
     def __init__(self, world: "World", tech: "Technology",
                  nodes: typing.Iterable[str],
-                 callback: typing.Callable[[ConnectivityEvent], None],
-                 on_leave: typing.Callable[[str], None] | None = None):
+                 callback: typing.Callable[[ConnectivityEvent], None]):
         names = sorted(nodes)
         pair_count = len(names) * (len(names) - 1) // 2
         if pair_count > MAX_PAIRS:
@@ -586,26 +553,16 @@ class ContactStream:
                 f"{pair_count} pairs exceed MAX_PAIRS={MAX_PAIRS}")
         self.world = world
         self.tech = tech
-        self._on_leave = on_leave
         self._watches: list[Watch] = []
         self.initial: list[ConnectivityEvent] = []
         now = world.sim.now
         for i, first in enumerate(names):
             for second in names[i + 1:]:
-                if world.in_range(first, second, tech):
+                if world.in_contact(first, second, tech):
                     self.initial.append(ConnectivityEvent(
                         now, LINK_UP, first, second, tech.name))
                 self._watches.append(world.bus.watch_link(
-                    first, second, tech, callback=callback,
-                    on_cancel=None if on_leave is None else
-                    (lambda a=first, b=second: self._on_cancel(a, b))))
-
-    def _on_cancel(self, a: str, b: str) -> None:
-        if self._on_leave is None:
-            return   # detached: our own teardown, not churn
-        for name in (a, b):
-            if not self.world.has_node(name):
-                self._on_leave(name)
+                    first, second, tech, callback=callback))
 
     def window(self, a: str, b: str, now: float) -> float:
         """Predicted close instant of the pair's contact open at ``now``.
@@ -628,8 +585,7 @@ class ContactStream:
         return now + HORIZON_S
 
     def detach(self) -> None:
-        """Cancel every watch without calling ``on_leave``.  Idempotent."""
-        self._on_leave = None
+        """Cancel every watch.  Idempotent."""
         for watch in self._watches:
             if watch.active:
                 watch.cancel()

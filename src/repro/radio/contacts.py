@@ -50,6 +50,11 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: generated random-waypoint legs from being forced arbitrarily far ahead.
 HORIZON_S = 600.0
 
+#: A pair whose ``distance² − R²`` is within this fraction of ``R²``
+#: (of 1 below R = 1 m) is on the ring and takes the state it heads
+#: toward (:func:`inside_at`, :func:`next_distance_crossing`).
+_ON_RING_REL = 1e-9
+
 #: Sampling step of guarded bisection (sim-seconds).  Flips shorter than
 #: this can be missed; only quality overrides take this path, never
 #: geometry.
@@ -129,6 +134,32 @@ def _state_at_piece_start(c0: float, b: float, a: float,
     return a <= 0.0
 
 
+def inside_at(mobility_a: MobilityModel, mobility_b: MobilityModel,
+              threshold_m: float, t: float) -> bool:
+    """``distance(a, b) <= threshold_m`` at ``t``, by the solver's rule.
+
+    Off the ring this is the plain distance test.  A pair on the ring
+    (within the solver's epsilon) takes the state it is heading toward,
+    the state :func:`next_distance_crossing` starts from — so a stream
+    seeded with this answer and fed that solver's crossings never
+    reports a contact that does not close, or a close that never
+    opened.  O(1) off the ring; one relative piece on it.
+    """
+    r_squared = threshold_m * threshold_m
+    on_ring_eps = _ON_RING_REL * max(1.0, r_squared)
+    pos_a, pos_b = mobility_a.position(t), mobility_b.position(t)
+    offset = (pos_a[0] - pos_b[0], pos_a[1] - pos_b[1])
+    c0 = _dot(offset, offset) - r_squared
+    if abs(c0) > on_ring_eps:
+        return c0 < 0.0
+    _u, _v, start, velocity = next(_relative_pieces(
+        mobility_a.linear_segments(t, t + HORIZON_S),
+        mobility_b.linear_segments(t, t + HORIZON_S), [0]))
+    return _state_at_piece_start(
+        _dot(start, start) - r_squared, 2.0 * _dot(start, velocity),
+        _dot(velocity, velocity), on_ring_eps)
+
+
 def next_distance_crossing(
         mobility_a: MobilityModel, mobility_b: MobilityModel,
         threshold_m: float, t0: float, t1: float,
@@ -152,7 +183,7 @@ def next_distance_crossing(
     segs_a = mobility_a.linear_segments(t0, t1)
     segs_b = mobility_b.linear_segments(t0, t1)
     r_squared = threshold_m * threshold_m
-    on_ring_eps = 1e-9 * max(1.0, r_squared)
+    on_ring_eps = _ON_RING_REL * max(1.0, r_squared)
     initial: bool | None = None
     for u, v, offset, velocity in _relative_pieces(
             segs_a, segs_b, [0] if pulled is None else pulled):
@@ -259,8 +290,7 @@ class ContactSolver:
     compared by identity and held by the slot: a LinkUp consumer's
     window solve and the bus's re-arm straight after it ask the same
     question, and the second is answered without solving.  The key
-    cannot go stale — a node's mobility is fixed when it is added, and
-    a re-added node brings a new model object.
+    cannot go stale — a node's mobility is fixed when it is added.
     """
 
     def __init__(self, world: "World"):
@@ -291,12 +321,12 @@ class ContactSolver:
         A settled pair's distance is constant forever, so a prediction
         window with no crossing is *final* — the bus parks the watch
         instead of re-checking every horizon.  O(1) (two
-        ``settled_after()`` queries); removed nodes count as settled
-        (they never cross anything again).  ``after`` in sim-seconds.
+        ``settled_after()`` queries); unknown nodes count as settled
+        (they never cross anything).  ``after`` in sim-seconds.
         """
         pair = self._mobilities(a, b)
         if pair is None:
-            return True  # removed nodes never cross anything again
+            return True  # unknown nodes never cross anything
         for mobility in pair:
             settled = mobility.settled_after()
             if settled is None or settled > after:
@@ -317,7 +347,7 @@ class ContactSolver:
         horizon*, not "never" (unless :meth:`pair_settled`).  Cost: one
         closed-form solve, O(pieces walked to the first flip); O(1)
         when it repeats the previous call's question (see the class
-        docstring); a pair with a removed endpoint answers ``None``
+        docstring); a pair with an unknown endpoint answers ``None``
         without solving.
         """
         start = self.world.sim.now if t0 is None else t0

@@ -27,7 +27,7 @@ import typing
 
 from repro.mobility.base import MobilityModel, Point, distance
 from repro.radio.bus import ConnectivityBus
-from repro.radio.contacts import ContactSolver
+from repro.radio.contacts import ContactSolver, inside_at
 from repro.radio.quality import PiecewiseLinearQuality
 from repro.radio.spatial import SpatialGrid, WorldStats
 from repro.radio.technologies import Technology, get_technology
@@ -71,7 +71,7 @@ class World:
         self._inquiring: set[tuple[str, str]] = set()
         # Toggle log per (node, tech): (time, became_inquiring) pairs, used
         # by the interval-overlap discoverability query.  Pruned explicitly
-        # on clock advance (see _maybe_prune_history) and on remove_node.
+        # on clock advance (see _maybe_prune_history).
         self._inquiry_history: dict[
             tuple[str, str], list[tuple[float, bool]]] = {}
         # One spatial grid per technology name, built lazily on the first
@@ -131,47 +131,13 @@ class World:
                             mobile=mobility.is_mobile())
         return node
 
-    def remove_node(self, node_id: str) -> None:
-        """Remove a node (power-off), evicting *all* state that names it.
-
-        Spatial-grid entries, quality overrides referencing the node (on
-        either side of the pair), inquiry marks, the inquiry toggle log
-        and every pending connectivity-bus watch naming the node are all
-        dropped, so a node re-added later under the same id starts
-        physically fresh and no scheduled contact event for the dead node
-        can ever fire.  O(G + overrides + watches).  Raises ``KeyError``
-        if the node is unknown.
-        """
-        self._node(node_id)  # raise if unknown
-        del self._nodes[node_id]
-        for grid in self._grids.values():
-            if node_id in grid:
-                grid.remove(node_id)
-        self._overrides = {
-            key: override for key, override in self._overrides.items()
-            if node_id not in (key[0], key[1])}
-        self._inquiring = {
-            key for key in self._inquiring if key[0] != node_id}
-        self._inquiry_history = {
-            key: history for key, history in self._inquiry_history.items()
-            if key[0] != node_id}
-        # A node crashed at removal time must not leave orphaned fault
-        # flags or held watches: clear the suspension first so
-        # cancel_node sees plain watches (their kernel handles are
-        # already None while held — cancel is a no-op on those).
-        self._suspended.discard(node_id)
-        self.bus.cancel_node(node_id)
-        if self.faults is not None:
-            self.faults.on_node_removed(node_id)
-
     def suspend_node(self, node_id: str) -> None:
         """Take a node dark without removing it (crash-reboot faults).
 
         The node keeps its identity and mobility but stops
         participating physically: it is out of range of everything,
         absent from every neighbor query, undiscoverable, and its link
-        qualities read 0.  Unlike :meth:`remove_node`, bus watches
-        naming it are *held* rather than cancelled, and synthetic
+        qualities read 0.  Bus watches naming it are *held*, and synthetic
         LinkDown events close its open contacts — see
         :meth:`~repro.radio.bus.ConnectivityBus.suspend_node`.
         Idempotent for an already-suspended node; ``KeyError`` if
@@ -252,15 +218,32 @@ class World:
     def in_range(self, a: str, b: str, tech: Technology) -> bool:
         """True if both nodes have ``tech`` and are within its radius.
 
-        A pair query — O(1), no grid involved.  A node that has been
-        removed from the world (powered off, battery pulled) is simply out
-        of range of everything — links to it break rather than the query
-        crashing.  A *suspended* (crashed) node is likewise out of range
+        A pair query — O(1), no grid involved.  A node unknown to the
+        world is out of range of everything rather than crashing the
+        query.  A *suspended* (crashed) node is likewise out of range
         until it resumes.
         """
         if a in self._suspended or b in self._suspended:
             return False
         return self.in_range_raw(a, b, tech)
+
+    def in_contact(self, a: str, b: str, tech: Technology) -> bool:
+        """:meth:`in_range` by the crossing solver's rule at the ring.
+
+        A pair exactly at range counts as in range unless its distance
+        is growing (:func:`~repro.radio.contacts.inside_at`) — the state
+        the solver predicts from, so a contact seeded from this answer
+        always gets its LinkDown.  Contact streams seed their opening
+        edges with it, and the bus its synthetic LinkUps at resume.
+        """
+        if a in self._suspended or b in self._suspended or a == b:
+            return False
+        if a not in self._nodes or b not in self._nodes:
+            return False
+        if not (self.supports(a, tech) and self.supports(b, tech)):
+            return False
+        return inside_at(self._nodes[a].mobility, self._nodes[b].mobility,
+                         tech.range_m, self.sim.now)
 
     def in_range_raw(self, a: str, b: str, tech: Technology) -> bool:
         """:meth:`in_range` ignoring suspension — pre-fault geometry.
@@ -379,7 +362,7 @@ class World:
         """Install (or clear, with None) an artificial quality function.
 
         The override is symmetric in the pair and keyed per technology;
-        O(1).  It survives until cleared or either node is removed.
+        O(1).  It survives until cleared.
         """
         key = self._override_key(a, b, tech)
         if override is None:

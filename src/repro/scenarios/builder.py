@@ -10,7 +10,7 @@ Everything in ``examples/`` and ``benchmarks/`` goes through this::
 
 Units follow the rest of the stack: positions and distances in metres,
 all times in sim-seconds (the simulator's virtual clock).  Nodes may be
-added — and, for churn scenarios, removed — while the simulation runs.
+added while the simulation runs.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class Scenario:
                  technologies: typing.Sequence[str] = ("bluetooth",),
                  mobility_class: str = "dynamic",
                  config: DaemonConfig | None = None) -> PeerHoodNode:
-        """Add a PeerHood device (allowed mid-run for churn scenarios).
+        """Add a PeerHood device (allowed mid-run).
 
         Give either ``position`` (a static point, metres) or ``mobility``
         (any mobility model); ``mobility`` wins when both are supplied.
@@ -77,22 +77,6 @@ class Scenario:
                             config=config)
         self.nodes[name] = node
         return node
-
-    def remove_node(self, name: str) -> None:
-        """Power a device off and drop it from the scenario (mid-run safe).
-
-        The daemon stops, the node leaves the fabric registry and the
-        radio world (spatial-grid entries and quality overrides naming it
-        are evicted — see :meth:`repro.radio.world.World.remove_node`).
-        Other nodes simply observe it falling out of range; their storage
-        entries age out over the following discovery loops.  O(grids +
-        overrides).  Raises ``KeyError`` for an unknown name.
-        """
-        try:
-            node = self.nodes.pop(name)
-        except KeyError:
-            raise KeyError(f"unknown scenario node: {name!r}") from None
-        node.power_off()
 
     def node(self, name: str) -> PeerHoodNode:
         """Look up a node by name.  O(1); ``KeyError`` if absent."""

@@ -1,7 +1,7 @@
 """DTN scenario family: worlds where store-carry-forward is load-bearing.
 
 The large-N family (:mod:`repro.scenarios.large_scale`) stresses the
-*discovery* layer; these three stress the *data plane*: in each, some
+*discovery* layer; these two stress the *data plane*: in each, some
 source–destination pairs are never simultaneously connected, so only a
 custodian physically carrying the bundle across a partition can deliver
 it.
@@ -14,10 +14,6 @@ it.
   spaced far out of mutual range, plus one scripted ferry cycling
   between them.  Inter-island traffic is ferry-carried; intra-island
   traffic delivers at the first exchange.
-* :func:`flash_crowd_broadcast` — a static announcer in the middle of a
-  roaming crowd; broadcast rounds fan one bundle per attendee.  Direct
-  delivery waits for each attendee to wander past the announcer;
-  epidemic gossip saturates the crowd far faster.
 
 All builders return an unstarted :class:`~repro.scenarios.builder.
 Scenario` — the DTN plane runs on pure geometry, so scenario daemons
@@ -161,37 +157,3 @@ def _clustered_shuttle(scenario: Scenario, *, count: int, clusters: int,
                       technologies=technologies, mobility_class="dynamic")
     scenario.area = ((clusters - 1) * spacing_m + 2 * radius_m,
                      4 * radius_m)
-
-
-def flash_crowd_broadcast(count: int = 24, area: float = 60.0,
-                          speed_range: tuple[float, float] = (0.5, 1.8),
-                          pause_range: tuple[float, float] = (0.0, 20.0),
-                          seed: int = 0,
-                          technologies: typing.Sequence[str] = (
-                              "bluetooth",),
-                          ) -> Scenario:
-    """A static announcer amid ``count`` roaming attendees.
-
-    ``source`` stands at the centre of an ``area`` × ``area`` square;
-    attendees ``a0`` … random-waypoint around it.  Pair with the
-    ``broadcast`` traffic pattern (one bundle per attendee per round):
-    epidemic gossip spreads announcements attendee-to-attendee, while
-    direct delivery reaches only whoever walks within radio range of
-    the announcer.
-    """
-    if count < 1:
-        raise ValueError(f"need at least one attendee, got {count}")
-    if area <= 0:
-        raise ValueError(f"area must be positive: {area}")
-    scenario = Scenario(seed=seed)
-    scenario.area = (area, area)
-    scenario.add_node("source", position=(area / 2.0, area / 2.0),
-                      technologies=technologies, mobility_class="static")
-    for index in range(count):
-        mobility = RandomWaypoint(
-            scenario.sim.rng(f"crowd/{index}"), area=(area, area),
-            speed_range=speed_range, pause_range=pause_range)
-        scenario.add_node(f"a{index}", mobility=mobility,
-                          technologies=technologies,
-                          mobility_class="dynamic")
-    return scenario

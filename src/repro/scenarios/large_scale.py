@@ -1,4 +1,4 @@
-"""Large-N scenario family: dense plaza, sparse highway, flash crowd.
+"""Large-N scenario family: dense plaza, sparse highway, city day.
 
 The paper evaluated PeerHood with a handful of laptops and phones; the
 ROADMAP's north star is production scale.  These builders generate the
@@ -6,17 +6,13 @@ workloads that stress the discovery layer at hundreds of devices — the
 regime where the seed's O(N²) pairwise neighbor scan collapsed and the
 spatial-grid index (:mod:`repro.radio.spatial`) is load-bearing.
 
-Four regimes, chosen to exercise the geometry layer differently:
+Three regimes, chosen to exercise the geometry layer differently:
 
 * :func:`dense_plaza` — many slow pedestrians packed into a small square;
   high cell occupancy, neighbor lists dominated by genuine neighbors.
 * :func:`sparse_highway` — fast vehicles strung along kilometres of road;
   most grid cells empty, neighbor lists short, heavy re-bucketing as
   vehicles cross cell boundaries every few sim-seconds.
-* :func:`flash_crowd` — a resident population plus hundreds of transient
-  walkers arriving in a burst and leaving again; exercises mid-run
-  ``add_node``/``remove_node`` churn, including spatial-grid insertion
-  and eviction while discovery loops are running.
 * :func:`city_day` — a mixed city-scale population (pedestrians,
   scripted vehicles, static kiosks) at constant *density* regardless of
   N, so only the population grows, never the neighbor lists.
@@ -97,66 +93,6 @@ def sparse_highway(count: int, length_m: float = 2000.0, lanes: int = 2,
             mobility=LinearMovement(start, (heading * speed, 0.0)),
             technologies=technologies,
             mobility_class="dynamic", config=config)
-    return scenario
-
-
-def flash_crowd(base_count: int = 20, crowd_count: int = 200,
-                area: float = 80.0, arrive_start_s: float = 30.0,
-                mean_interarrival_s: float = 1.0,
-                dwell_range_s: tuple[float, float] = (60.0, 240.0),
-                seed: int = 0,
-                technologies: typing.Sequence[str] = ("bluetooth",),
-                config: DaemonConfig | None = None) -> Scenario:
-    """A resident population plus a transient crowd churning through.
-
-    ``base_count`` residents (``r0`` …) roam the square permanently.
-    From ``arrive_start_s`` a churn process injects ``crowd_count``
-    walkers (``c0`` …) with exponential inter-arrival times (mean
-    ``mean_interarrival_s``); each crowd walker powers on, runs a full
-    PeerHood daemon, dwells for a uniform draw from ``dwell_range_s``
-    and is then powered off via :meth:`Scenario.remove_node` — the
-    world-level eviction path (spatial grids, quality overrides,
-    inquiry state) runs under live discovery traffic.
-
-    Start the residents with ``start_all()`` before running; crowd
-    walkers start their own daemons on arrival.  The churn process is
-    already spawned — just ``run(until=...)``.
-    """
-    if base_count < 0 or crowd_count < 0:
-        raise ValueError("node counts must be non-negative")
-    if mean_interarrival_s <= 0:
-        raise ValueError(
-            f"mean interarrival must be positive: {mean_interarrival_s}")
-    scenario = Scenario(seed=seed)
-    for index in range(base_count):
-        mobility = RandomWaypoint(
-            scenario.sim.rng(f"flash/base/{index}"), area=(area, area))
-        scenario.add_node(f"r{index}", mobility=mobility,
-                          technologies=technologies,
-                          mobility_class="dynamic", config=config)
-
-    def depart_later(sim, name: str, dwell_s: float):
-        yield sim.timeout(dwell_s)
-        if name in scenario.nodes:
-            scenario.remove_node(name)
-
-    def churn(sim):
-        rng = sim.rng("flash/churn")
-        yield sim.timeout(arrive_start_s)
-        for index in range(crowd_count):
-            name = f"c{index}"
-            mobility = RandomWaypoint(
-                sim.rng(f"flash/crowd/{index}"), area=(area, area))
-            node = scenario.add_node(name, mobility=mobility,
-                                     technologies=technologies,
-                                     mobility_class="dynamic", config=config)
-            node.start()
-            sim.spawn(
-                depart_later(sim, name, rng.uniform(*dwell_range_s)),
-                name=f"flash-depart:{name}")
-            yield sim.timeout(rng.expovariate(1.0 / mean_interarrival_s))
-
-    scenario.sim.spawn(churn(scenario.sim), name="flash-crowd-churn")
     return scenario
 
 

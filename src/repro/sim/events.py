@@ -59,11 +59,6 @@ class Event:
         return self.callbacks is None
 
     @property
-    def ok(self) -> bool:
-        """True if the event succeeded (valid only once triggered)."""
-        return self._triggered and self._exception is None
-
-    @property
     def value(self) -> object:
         """The success value.  Raises the failure exception if failed."""
         if not self._triggered:

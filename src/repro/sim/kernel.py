@@ -31,10 +31,6 @@ class ScheduledCall:
         self.when = when
         self._callback = callback
 
-    @property
-    def cancelled(self) -> bool:
-        return self._callback is None
-
     def cancel(self) -> None:
         """Prevent the callback from running (idempotent)."""
         self._callback = None

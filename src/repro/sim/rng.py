@@ -31,10 +31,6 @@ class RandomStream:
         self.label = label
         self._random = random.Random(derive_seed(master_seed, label))
 
-    def split(self, sublabel: str) -> "RandomStream":
-        """Create an independent child stream."""
-        return RandomStream(self.master_seed, f"{self.label}/{sublabel}")
-
     # Thin pass-throughs: keep the consumed surface explicit and small.
     def random(self) -> float:
         """Uniform float in [0, 1)."""
@@ -44,25 +40,9 @@ class RandomStream:
         """Uniform float in [low, high]."""
         return self._random.uniform(low, high)
 
-    def randint(self, low: int, high: int) -> int:
-        """Uniform integer in [low, high]."""
-        return self._random.randint(low, high)
-
     def choice(self, sequence):
         """Uniformly chosen element."""
         return self._random.choice(sequence)
-
-    def sample(self, population, k: int):
-        """k distinct elements chosen without replacement."""
-        return self._random.sample(population, k)
-
-    def shuffle(self, sequence) -> None:
-        """In-place Fisher-Yates shuffle."""
-        self._random.shuffle(sequence)
-
-    def expovariate(self, rate: float) -> float:
-        """Exponential variate with the given rate (1/mean)."""
-        return self._random.expovariate(rate)
 
     def gauss(self, mean: float, sigma: float) -> float:
         """Normal variate."""

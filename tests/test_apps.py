@@ -1,16 +1,10 @@
-"""Integration tests for the application layer (§4.3, §6.2, Fig. 6.1)."""
+"""Integration tests for the application layer (§4.3, Fig. 6.1)."""
 
 import pytest
 
-from repro.apps.chat import ChatPeer
 from repro.apps.coverage_amplification import GprsGateway, TunnelPhone
 from repro.apps.message_test import MessageTestClient, MessageTestServer
-from repro.baselines.no_handover import run_plain_connection
-from repro.scenarios import (
-    Scenario,
-    fig_4_5_bridge_test,
-    tunnel_topology,
-)
+from repro.scenarios import fig_4_5_bridge_test, tunnel_topology
 
 SETTLE_S = 180.0
 
@@ -84,74 +78,3 @@ def test_tunnel_round_trip_grows_with_chain_length():
         assert outcome.connected, outcome.error
         round_trips[bridges] = outcome.mean_round_trip_s
     assert round_trips[3] > round_trips[1]
-
-
-def test_chat_between_direct_neighbours():
-    scenario = Scenario(seed=46)
-    alice_node = scenario.add_node("alice", position=(0, 0))
-    bob_node = scenario.add_node("bob", position=(5, 0))
-    alice = ChatPeer(alice_node)
-    bob = ChatPeer(bob_node)
-    scenario.start_all()
-    scenario.run(until=SETTLE_S)
-    assert scenario.wait_for_route("alice", "bob")
-
-    def run(sim):
-        ok = yield from alice.send(bob_node.address, "hi bob", retries=6)
-        return ok
-
-    assert scenario.run_process(run(scenario.sim))
-    scenario.run(until=scenario.sim.now + 5)
-    assert bob.inbox
-    assert bob.inbox[0].text == "hi bob"
-    assert bob.inbox[0].sender == "alice"
-
-
-def test_chat_across_the_mesh():
-    """§6.2: social networking spanning multiple Bluetooth hops."""
-    scenario = Scenario(seed=47)
-    alice_node = scenario.add_node("alice", position=(0, 0))
-    scenario.add_node("middle", position=(8, 0), mobility_class="static")
-    carol_node = scenario.add_node("carol", position=(16, 0))
-    alice = ChatPeer(alice_node)
-    carol = ChatPeer(carol_node)
-    scenario.start_all()
-    scenario.run(until=240.0)
-    assert scenario.wait_for_route("alice", "carol")
-
-    def run(sim):
-        ok = yield from alice.send(carol_node.address, "hello from afar",
-                                   retries=8)
-        return ok
-
-    assert scenario.run_process(run(scenario.sim))
-    scenario.run(until=scenario.sim.now + 5)
-    assert carol.inbox and carol.inbox[0].text == "hello from afar"
-    # Both see each other in the chat roster.
-    assert carol_node.address in alice.reachable_peers()
-
-
-def test_plain_connection_baseline_fails_when_link_dies():
-    """Fig. 1.1: without handover the migrated task is lost."""
-    from repro.mobility import CorridorWalk
-    from repro.core.errors import ConnectionClosedError
-
-    scenario = Scenario(seed=48)
-    server_node = scenario.add_node("server", position=(0, 0),
-                                    mobility_class="static")
-    scenario.add_node(
-        "walker",
-        mobility=CorridorWalk((5.0, 0.0), depart_time=SETTLE_S + 5.0,
-                              speed=1.4),
-        mobility_class="dynamic")
-    server = MessageTestServer(server_node)
-    scenario.start_all()
-    scenario.run(until=SETTLE_S)
-    assert scenario.wait_for_route("walker", "server")
-    outcome = scenario.run_process(run_plain_connection(
-        scenario.node("walker"), server_node.address,
-        MessageTestServer.SERVICE_NAME, message_count=40, interval_s=1.0,
-        delivered_counter=lambda: len(server.printed), retries=6))
-    assert outcome.connected
-    assert not outcome.survived
-    assert outcome.messages_delivered < 40

@@ -30,7 +30,7 @@ def test_bounded_buffer_unbounded_keeps_insertion_order():
     buffer = BoundedBuffer()
     for index in range(5):
         assert buffer.add(index, f"item{index}", 10, now=float(index)) == []
-    assert buffer.keys() == [0, 1, 2, 3, 4]
+    assert [entry.key for entry in buffer.entries()] == [0, 1, 2, 3, 4]
     assert buffer.used_bytes == 50
     assert buffer.get(3).item == "item3"
 
@@ -42,7 +42,7 @@ def test_bounded_buffer_evicts_oldest_first():
     buffer.add("c", 3, 10, now=2.0)
     evicted = buffer.add("d", 4, 10, now=3.0)
     assert [entry.key for entry in evicted] == ["a"]
-    assert buffer.keys() == ["b", "c", "d"]
+    assert [entry.key for entry in buffer.entries()] == ["b", "c", "d"]
     assert buffer.evicted == 1
 
 
@@ -69,7 +69,8 @@ def test_bounded_buffer_replacement_keeps_queue_position_and_age():
     buffer.add("a", 1, 10, now=0.0)
     buffer.add("b", 2, 10, now=50.0)
     buffer.add("a", "updated", 10, now=100.0)   # in-place replacement
-    assert buffer.keys() == ["a", "b"]          # position preserved
+    # position preserved
+    assert [entry.key for entry in buffer.entries()] == ["a", "b"]
     assert buffer.get("a").stored_at == 0.0     # custody age preserved
     evicted = buffer.add("c", 3, 20, now=200.0)
     assert [entry.key for entry in evicted] == ["a"]  # still the oldest
@@ -85,7 +86,7 @@ def test_bounded_buffer_ttl_expiry_is_lazy_and_counted():
     assert [entry.key for entry in dropped] == ["a"]
     assert buffer.expired == 1
     assert buffer.drop_expired(1000.0)[0].key == "b"
-    assert buffer.keys() == ["c"]
+    assert [entry.key for entry in buffer.entries()] == ["c"]
 
 
 def test_bounded_buffer_deliberate_removal_not_counted():

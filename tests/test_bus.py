@@ -1,11 +1,8 @@
-"""The connectivity-event bus: scheduling, invalidation, churn safety."""
+"""The connectivity-event bus: scheduling and invalidation."""
 
 import pytest
 
-from repro.core.config import HandoverConfig
-from repro.core.handover import HandoverThread
 from repro.mobility import (
-    CorridorWalk,
     LinearMovement,
     PathMovement,
     RandomWaypoint,
@@ -13,7 +10,6 @@ from repro.mobility import (
 )
 from repro.radio import BLUETOOTH, WLAN, Link, World
 from repro.radio.bus import LINK_DOWN, LINK_UP, QUALITY_BELOW, ContactStream
-from repro.scenarios import Scenario
 from repro.sim import SimulationError, Simulator
 
 
@@ -221,88 +217,47 @@ def test_override_change_invalidates_and_reschedules():
 # ----------------------------------------------------------------------
 # contact streams
 # ----------------------------------------------------------------------
-def test_contact_stream_seeds_reports_leavers_and_detaches_cleanly():
+def test_contact_stream_seeds_and_detaches_cleanly():
     sim, world = make_world()
     for name, x in (("d", 3.0), ("a", 0.0), ("c", 100.0), ("b", 5.0)):
         world.add_node(name, StaticPosition(x, 0), [BLUETOOTH])
     world.bus.watch_link("a", "b", BLUETOOTH, callback=lambda event: None)
     before = world.bus.active_watches()
-    left = []
     stream = ContactStream(world, BLUETOOTH, ["d", "c", "b", "a"],
-                           callback=lambda event: None,
-                           on_leave=left.append)
+                           callback=lambda event: None)
     assert world.bus.active_watches() == before + 6   # one per pair
-    assert [(e.kind, e.pair(), e.time) for e in stream.initial] == [
+    assert [(e.kind, (e.node_a, e.node_b), e.time)
+            for e in stream.initial] == [
         (LINK_UP, ("a", "b"), 0.0), (LINK_UP, ("a", "d"), 0.0),
         (LINK_UP, ("b", "d"), 0.0)]
-    world.remove_node("c")       # cancels (a,c), (b,c), (c,d)
-    assert left == ["c", "c", "c"]
     stream.detach()
-    assert left == ["c", "c", "c"]
     assert world.bus.active_watches() == before
     stream.detach()              # idempotent
 
 
-# ----------------------------------------------------------------------
-# churn: no event for a dead node ever fires (satellite)
-# ----------------------------------------------------------------------
-def test_no_event_fires_for_removed_node():
+def test_contact_stream_pair_starting_on_the_ring_follows_its_heading():
+    """A pair exactly at range is in contact only if it is closing in:
+    one leaving opens no contact (it would never close), one arriving
+    opens one that closes when it leaves the far side."""
     sim, world = make_world()
     world.add_node("a", StaticPosition(0, 0), [BLUETOOTH])
-    world.add_node("b", LinearMovement((5.0, 0.0), (1.0, 0.0)), [BLUETOOTH])
+    world.add_node("out", LinearMovement((10.0, 0.0), (1.0, 0.0)),
+                   [BLUETOOTH])
+    world.add_node("in", LinearMovement((0.0, 10.0), (0.0, -1.0)),
+                   [BLUETOOTH])
     events = []
-    world.bus.watch_link("a", "b", BLUETOOTH, callback=events.append)
-    sim.run(until=2.0)         # crossing predicted for t=5
-    world.remove_node("b")     # powered off before it happens
-    assert world.stats.bus.cancelled >= 1
-    sim.run(until=100.0)       # run far past the predicted instant
-    assert events == []
-    assert world.stats.bus.fired == 0
-
-
-def test_power_off_cancels_pending_contact_events():
-    """PeerHoodNode.power_off cancels bus watches via World.remove_node."""
-    scenario = Scenario(seed=5)
-    scenario.add_node("anchor", position=(0, 0), mobility_class="static")
-    scenario.add_node(
-        "walker",
-        mobility=CorridorWalk((5.0, 0.0), heading_deg=0.0, depart_time=10.0),
-        mobility_class="dynamic")
-    events = []
-    scenario.world.bus.watch_link("anchor", "walker", BLUETOOTH,
-                                  callback=events.append)
-    scenario.run(until=5.0)
-    scenario.node("walker").power_off()
-    cancelled_before = scenario.world.stats.bus.cancelled
-    assert cancelled_before >= 1
-    scenario.run(until=120.0)  # walker would have left range at ~13.6 s
-    assert events == []
-    assert scenario.world.stats.bus.fired == 0
-
-
-def test_scenario_remove_node_churn_cancels_monitor_watch():
-    """A sleeping event-driven monitor wakes and exits on peer removal."""
-    scenario = Scenario(seed=6)
-    anchor = scenario.add_node("anchor", position=(0, 0),
-                               mobility_class="static")
-    peer = scenario.add_node("peer", position=(4.0, 0),
-                             mobility_class="static")
-    link = Link(scenario.world, "anchor", "peer", BLUETOOTH)
-    from repro.core.connection import PeerHoodConnection
-    connection = PeerHoodConnection(
-        fabric=scenario.fabric, local_node_id="anchor", link=link,
-        connection_id=1, remote_address=peer.address, service_name="t")
-    thread = HandoverThread(anchor.library, connection,
-                            config=HandoverConfig(event_driven=True)).start()
-    scenario.run(until=10.0)
-    assert thread.monitor_wakeups == 0  # plateau: predictive sleep
-    scenario.remove_node("peer")
-    # The removal cancelled the monitor's sleep watch; the monitor wakes,
-    # reads quality 0 (peer gone) and proceeds through its low counter.
-    scenario.run(until=20.0)
-    assert thread.monitor_wakeups > 0
-    lows = scenario.trace.events("signal-low")
-    assert lows and lows[0].detail["quality"] == 0
+    leaving = ContactStream(world, BLUETOOTH, ["a", "out"],
+                            callback=events.append)
+    arriving = ContactStream(world, BLUETOOTH, ["a", "in"],
+                             callback=events.append)
+    assert leaving.initial == []
+    assert [(e.kind, (e.node_a, e.node_b), e.time)
+            for e in arriving.initial] == [
+        (LINK_UP, ("a", "in"), 0.0)]
+    sim.run(until=100.0)
+    assert [(e.kind, e.node_a, e.node_b) for e in events] == [
+        (LINK_DOWN, "a", "in")]
+    assert events[0].time == pytest.approx(20.0)
 
 
 # ----------------------------------------------------------------------

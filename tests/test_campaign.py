@@ -98,7 +98,7 @@ def _probe_spec(**overrides):
 def _discovery_spec(**overrides):
     """A tiny real-workload spec, picklable into worker processes."""
     base = dict(
-        name="tinydisc", workload="discovery",
+        name="tinydisc", workload="awareness_schemes",
         scenarios=("line_topology",), axes={"count": (2, 3)},
         repeats=2, master_seed=5, settings={"settle_s": 40.0})
     base.update(overrides)

@@ -39,7 +39,8 @@ _PARAMS = st.dictionaries(st.text(min_size=1, max_size=8), _VALUES,
 
 def _point(**overrides) -> RunPoint:
     base = dict(
-        spec="spec", workload="discovery", index=0, scenario="scenario",
+        spec="spec", workload="awareness_schemes", index=0,
+        scenario="scenario",
         params={"count": 4, "technologies": ("bluetooth", "wlan")},
         repeat=0, seed=42, settings={"settle_s": 40.0})
     base.update(overrides)
@@ -103,7 +104,7 @@ def test_keys_of_a_spec_stable_across_expansions_and_axis_order():
     by_label = {}
     for axes in (axes_ab, axes_ba, axes_ab):
         spec = ExperimentSpec(
-            name="keyspec", workload="discovery",
+            name="keyspec", workload="awareness_schemes",
             scenarios=("random_disc",), axes=axes, repeats=2,
             master_seed=9, settings={"settle_s": 40.0})
         keys = {p.label(): cache_key(p) for p in spec.expand()}
@@ -144,7 +145,7 @@ def test_every_key_component_separates(monkeypatch):
 
 def test_expanded_spec_cells_have_distinct_keys():
     spec = ExperimentSpec(
-        name="inj", workload="discovery",
+        name="inj", workload="awareness_schemes",
         scenarios=("line_topology", "random_disc"),
         axes={"count": (3, 4)}, repeats=2, master_seed=5,
         settings={"settle_s": 40.0})

@@ -21,6 +21,7 @@ from repro.dtn import (
 )
 from repro.dtn.traffic import generate_traffic, schedule_traffic
 from repro.experiments import ExperimentSpec, run_campaign
+from repro.faults import FaultPlane
 from repro.mobility.linear import LinearMovement
 from repro.scenarios import Scenario, island_hopping_ferry
 
@@ -40,7 +41,6 @@ def test_bundle_validation_and_expiry():
     assert not bundle.expired(14.9)
     assert bundle.expired(15.0)
     assert bundle.with_copies(4).copies == 4
-    assert bundle.age(12.0) == 2.0
 
 
 # ----------------------------------------------------------------------
@@ -275,18 +275,19 @@ def test_endpoints_pattern_alternates_directions():
 
 
 def test_schedule_traffic_skips_dead_endpoints_but_fails_loudly_on_bad_rows():
-    """Only churn is forgiven; malformed injections must raise."""
+    """Only a crashed source is forgiven; malformed injections raise."""
     scenario = Scenario(seed=2)
     scenario.add_node("a", position=(0, 0))
     scenario.add_node("b", position=(5, 0))
+    fault_plane = FaultPlane(scenario.world)
     plane = DtnOverlay(scenario.world, make_router("epidemic"))
     from repro.dtn import Injection
     schedule_traffic(plane, [Injection(10.0, "a", "b", ttl_s=0.0)])
     with pytest.raises(ValueError, match="ttl"):
         scenario.run(until=20.0)             # bad TTL surfaces, loudly
-    scenario.remove_node("b")
+    fault_plane.crash_now("a")
     schedule_traffic(plane, [Injection(30.0, "a", "b")])
-    scenario.run(until=40.0)                 # dead endpoint: skipped
+    scenario.run(until=40.0)                 # dark source: skipped
     assert plane.counters.created == 0
 
 

@@ -178,39 +178,6 @@ def test_control_traffic_consumes_budget():
 # ----------------------------------------------------------------------
 # churn: in-flight transfers to the dead
 # ----------------------------------------------------------------------
-def test_inflight_transfer_to_removed_node_is_cancelled_and_counted():
-    scenario = Scenario(seed=5)
-    scenario.add_node("src", position=(0, 0), mobility_class="static")
-    scenario.add_node("rcv", position=(5, 0), mobility_class="static")
-    plane = BandwidthDtnOverlay(scenario.world, make_router("epidemic"),
-                                data_rate_Bps=100.0)
-    bundle = plane.send("src", "rcv", size_bytes=10000, ttl_s=1e6)
-    scenario.run(until=10.0)                    # leg needs ~100 s
-    assert plane.counters.transfers_cancelled == 0
-    scenario.remove_node("rcv")                 # battery-out mid-flight
-    assert plane.counters.transfers_cancelled == 1
-    scenario.run(until=300.0)
-    assert plane.delivered == {}
-    assert plane.counters.bytes_transferred == 0
-    # The sender never lost custody: after_transmit never ran.
-    assert plane.stores["src"].get(bundle.bundle_id) is not None
-
-
-def test_inflight_transfer_from_removed_sender_is_cancelled():
-    scenario = Scenario(seed=6)
-    scenario.add_node("src", position=(0, 0), mobility_class="static")
-    scenario.add_node("rcv", position=(5, 0), mobility_class="static")
-    plane = BandwidthDtnOverlay(scenario.world, make_router("epidemic"),
-                                data_rate_Bps=100.0)
-    plane.send("src", "rcv", size_bytes=10000, ttl_s=1e6)
-    scenario.run(until=10.0)
-    scenario.remove_node("src")                 # the custodian dies
-    assert plane.counters.transfers_cancelled == 1
-    assert plane.counters.dropped_dead == 1
-    scenario.run(until=300.0)
-    assert plane.delivered == {}
-
-
 def test_detach_cancels_sessions_silently():
     scenario = Scenario(seed=7)
     scenario.add_node("a", position=(0, 0), mobility_class="static")
@@ -225,24 +192,21 @@ def test_detach_cancels_sessions_silently():
     assert plane.counters.transfers_truncated == 0
 
 
-def _assert_session_index_fresh(plane, retired=()):
+def _assert_session_index_fresh(plane):
     """The per-node session index equals a sorted scan of the open
-    sessions, and neither it nor the inbound ledger keeps an empty or
-    retired node's entry."""
+    sessions, and neither it nor the inbound ledger keeps an empty
+    entry."""
     nodes = set(plane.stores) | set(plane._node_sessions)
     for node in nodes:
         expected = {pair for pair in plane._sessions if node in pair}
         assert plane._node_sessions.get(node, []) == sorted(expected), node
     assert all(plane._node_sessions.values())
     assert all(plane._inbound.values())
-    for node in retired:
-        assert node not in plane._node_sessions, node
-        assert node not in plane._inbound, node
 
 
 def test_session_index_never_goes_stale():
-    """Crash faults, a mid-run removal of the busiest node and detach:
-    after every kernel step the index matches the sessions."""
+    """Crash faults and detach: after every kernel step the index
+    matches the sessions."""
     scenario = build_scenario("crowded_festival", seed=4, params={
         "count": 12, "crash_rate": 0.5, "crash_downtime_s": 30.0,
         "fault_window_s": 200.0})
@@ -252,26 +216,16 @@ def test_session_index_never_goes_stale():
         scenario.sim.rng("dtn/traffic"), plane.live_nodes(), "uniform",
         16, window=(5.0, 120.0), size_bytes=40_000, ttl_s=400.0)
     schedule_traffic(plane, injections)
-    retired: list[str] = []
-
-    def retire_busiest():
-        busiest = max(sorted(plane._node_sessions),
-                      key=lambda node: len(plane._node_sessions[node]))
-        scenario.remove_node(busiest)
-        retired.append(busiest)
-
     sim = scenario.sim
-    sim.call_at(90.0, retire_busiest)
     deadline = sim.timeout(240.0)
     while not deadline.processed:
         sim.step()
-        _assert_session_index_fresh(plane, retired)
-    assert retired and retired[0] not in plane.live_nodes()
+        _assert_session_index_fresh(plane)
     assert scenario.world.faults.counters.crashes > 0
     assert plane.counters.transfers_cancelled > 0
     assert plane.pump_passes > 0
     plane.detach()
-    _assert_session_index_fresh(plane, retired)
+    _assert_session_index_fresh(plane)
     assert plane._sessions == {} and plane._node_sessions == {}
     assert plane._inbound == {}
 

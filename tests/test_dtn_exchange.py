@@ -68,7 +68,7 @@ def test_drop_expired_matches_a_brute_force_scan(ops, capacity):
                 del model[key]
         else:
             now += op[1]
-        assert buffer.keys() == list(model)
+        assert [entry.key for entry in buffer.entries()] == list(model)
         live = [at for at in model.values() if at is not None]
         assert buffer.next_expiry <= min(live, default=float("inf"))
 

@@ -32,6 +32,7 @@ from repro.experiments import (
 )
 from repro.experiments.cli import main as cli_main
 from repro.experiments.registry import FAULT_KNOBS, PHY_KNOBS
+from repro.experiments.spec import RunPoint
 from repro.scenarios import Scenario
 from repro.sim.rng import derive_seed
 
@@ -56,9 +57,7 @@ def test_factories_take_no_plane_knobs():
 def test_registered_scenarios_constructible_with_defaults(name):
     scenario = build_scenario(name, seed=3)
     assert isinstance(scenario, Scenario)
-    # flash_crowd populates via its churn process; replay_arena is the
-    # intentionally empty world contact traces replay under.
-    assert scenario.nodes or name in ("flash_crowd", "replay_arena")
+    assert scenario.nodes
     # The segment contract the contact solver predicts every crossing
     # from: contiguous positive-length pieces covering exactly the
     # window, each agreeing with position(t).  The solver abandons a
@@ -100,7 +99,8 @@ def test_registry_rejects_malformed_tuple_elements():
                        params={"technologies": ("bluetooth", 42)})
     with pytest.raises(TypeError, match="tuple of str"):
         ExperimentSpec(
-            name="bad", workload="discovery", scenarios=("random_disc",),
+            name="bad", workload="awareness_schemes",
+            scenarios=("random_disc",),
             axes={"technologies": (("bluetooth", 42),)})
 
 
@@ -122,7 +122,7 @@ def test_schema_defaults_match_declared_types():
 # ----------------------------------------------------------------------
 def _tiny_spec(**overrides):
     base = dict(
-        name="tiny", workload="discovery",
+        name="tiny", workload="awareness_schemes",
         scenarios=("line_topology", "random_disc"),
         axes={"count": (3, 4)}, repeats=2, master_seed=5,
         settings={"settle_s": 40.0})
@@ -152,7 +152,7 @@ def test_spec_rejects_settings_its_workload_never_reads():
     assert "['capcity_bytes']" in message
     assert "'inject_end_s'" in message and "'ttl_s'" in message
     with pytest.raises(KeyError, match="'settle_s'"):
-        _tiny_spec(workload="trace_replay")
+        _tiny_spec(workload="contact_trace")
 
 
 def test_spec_rejects_duplicate_grid_cells():
@@ -160,17 +160,17 @@ def test_spec_rejects_duplicate_grid_cells():
     one seed and one cache key, so ``aggregate`` would report n=4 for a
     single sample.  Values compare in canonical (cache-key) form."""
     with pytest.raises(ValueError, match="duplicate scenario 'line_topology'"):
-        ExperimentSpec(name="d", workload="discovery",
+        ExperimentSpec(name="d", workload="awareness_schemes",
                        scenarios=("line_topology", "line_topology"))
     with pytest.raises(ValueError, match="duplicate axis 'count' value 3"):
-        ExperimentSpec(name="d", workload="discovery",
+        ExperimentSpec(name="d", workload="awareness_schemes",
                        scenarios=("line_topology",), axes={"count": (3, 3)})
     with pytest.raises(ValueError, match="duplicate axis 'technologies'"):
         ExperimentSpec(name="d", workload="contact_trace",
                        scenarios=("sparse_highway",),
                        axes={"technologies": (("wlan",), ["wlan"])})
     # distinct canonical forms stay distinct cells
-    spec = ExperimentSpec(name="d", workload="discovery",
+    spec = ExperimentSpec(name="d", workload="awareness_schemes",
                           scenarios=("line_topology",),
                           axes={"count": (3, 4)})
     assert len({p.seed for p in spec.expand()}) == spec.size() == 2
@@ -235,8 +235,22 @@ def test_execute_point_record_shape_and_timings_split():
     assert "timings" not in record["metrics"]
     assert timings["wall_s"] >= 0.0
     assert telemetry_rows == []   # telemetry is opt-in
-    assert 0.0 <= record["metrics"]["awareness_mean"] <= 1.0
+    assert 0.0 <= record["metrics"]["dynamic_measured"] <= 1.0
     json.dumps(record)   # must be JSON-safe
+
+
+def test_execute_point_rejects_a_setting_its_workload_never_reads():
+    """A directly built point skips the spec's settings check, so the
+    runner checks again: a misspelt setting fails the cell instead of
+    running the default silently."""
+    point = RunPoint(spec="typo", workload="line_delay", index=0,
+                     scenario="line_topology", params={"count": 2},
+                     repeat=0, seed=1,
+                     settings={"settle_s": 20.0, "setle_s": 5})
+    outcome = execute_point_outcome(point.as_dict())
+    assert outcome["ok"] is False
+    assert outcome["error_type"] == "KeyError"
+    assert "setle_s" in outcome["error"]
 
 
 def test_jsonl_roundtrip(tmp_path):
@@ -287,15 +301,14 @@ def test_aggregate_tolerates_mixed_specs_with_disjoint_metrics():
     """A runs.jsonl concatenated from two specs must aggregate cleanly.
 
     DTN runs emit delivery metrics that discovery runs lack, and both
-    may name the same scenario + params (the ``replay_arena`` case):
-    rows must split by workload, each metric folding only the records
-    that observed it.
+    may name the same scenario + params: rows must split by workload,
+    each metric folding only the records that observed it.
     """
-    discovery = [{"workload": "discovery", "scenario": "replay_arena",
+    discovery = [{"workload": "discovery", "scenario": "random_disc",
                   "params": {}, "repeat": r,
                   "metrics": {"awareness_mean": 0.5, "digest": "abc"}}
                  for r in range(2)]
-    dtn = [{"workload": "dtn", "scenario": "replay_arena",
+    dtn = [{"workload": "dtn", "scenario": "random_disc",
             "params": {}, "repeat": r,
             "metrics": {"epidemic_delivery_ratio": 0.75 + r * 0.1,
                         "epidemic_latency_mean": None}}
@@ -367,7 +380,7 @@ def test_cli_list_and_report_roundtrip(tmp_path, capsys):
     write_jsonl(records, out / "runs.jsonl")
     assert cli_main(["report", "tiny", "--out", str(out)]) == 0
     captured = capsys.readouterr().out
-    assert "awareness_mean" in captured
+    assert "dynamic_measured" in captured
     assert (out / "summary.csv").exists()
 
 

@@ -1,4 +1,4 @@
-"""Failure-injection tests: daemons dying, nodes vanishing, load limits."""
+"""Failure-injection tests: daemons dying, nodes crashing, load limits."""
 
 import pytest
 
@@ -127,34 +127,6 @@ def test_bridge_node_death_tears_down_relayed_connection():
     assert received == ["one"]
 
 
-def test_world_remove_node_mid_stream_breaks_link():
-    """Physically yanking a node (battery out) downs its links."""
-    scenario = Scenario(seed=84)
-    client = scenario.add_node("client", position=(0, 0))
-    server = scenario.add_node("server", position=(5, 0),
-                               mobility_class="static")
-    received = []
-    sink_service(server, received)
-    scenario.start_all()
-    scenario.run(until=SETTLE_S)
-    assert scenario.wait_for_route("client", "server")
-
-    def run(sim):
-        connection = yield from client.library.connect(
-            server.address, "sink", retries=6)
-        connection.write("first", 64)
-        yield sim.timeout(2.0)
-        scenario.fabric.unregister("server")
-        scenario.world.remove_node("server")
-        connection.write("void", 64)  # in-range check now fails
-        yield sim.timeout(2.0)
-        return connection
-
-    connection = scenario.run_process(run(scenario.sim))
-    assert received == ["first"]
-    assert not connection.link.is_open  # frame loss broke the link
-
-
 def test_load_factor_scales_advertised_quality():
     """§4.0: a loaded bridge advertises reduced quality."""
     config = DaemonConfig(advertise_load_in_quality=True,
@@ -228,5 +200,6 @@ def test_unregistered_world_node_fails_sdp_check():
     node = scenario.add_node("n", position=(0, 0))
     node.start()
     assert scenario.fabric.is_peerhood("n")
-    scenario.fabric.unregister("n")
-    assert not scenario.fabric.is_peerhood("n")
+    # A radio in the world that never joined the fabric runs no daemon.
+    scenario.world.add_node("bare", StaticPosition(1, 0), [BLUETOOTH])
+    assert not scenario.fabric.is_peerhood("bare")

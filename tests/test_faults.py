@@ -93,26 +93,22 @@ def test_crash_guards_unknown_and_double_crash():
     assert plane.counters.reboots == 0
 
 
-def test_remove_node_while_suspended_leaves_no_orphans():
-    """The PR 6 bugfix: removal mid-outage must clear suspension state,
-    cancel the node's held watches and let the pending reboot fire as a
-    guarded no-op — no resurrection, no orphaned grid or bus entries."""
+def test_reboot_on_the_ring_heading_out_opens_no_contact():
+    """A node rebooting exactly at range while it leaves gets no
+    synthetic LinkUp: the solver already counts it outside, so that
+    contact would never close."""
     sim, world = make_world()
-    static_pair(world)
-    plane = FaultPlane(world)
+    world.add_node("a", StaticPosition(0, 0), [BLUETOOTH])
+    world.add_node("b", LinearMovement((0.0, 0.0), (1.0, 0.0)), [BLUETOOTH])
     events = []
     world.bus.watch_link("a", "b", BLUETOOTH, callback=events.append)
-    plane.arm([FaultEvent(5.0, CRASH, "b"), FaultEvent(15.0, REBOOT, "b")])
-    sim.run(until=8.0)
-    assert plane.is_crashed("b")
-    world.remove_node("b")
-    assert not plane.is_crashed("b")             # plane was notified
-    assert not world.is_suspended("b")
-    sim.run(until=30.0)                          # reboot event drains
-    assert plane.counters.reboots == 0           # nothing resurrected
-    assert [e.kind for e in events] == [LINK_DOWN]
-    assert world.bus.active_watches() == 0
-    assert world.node_ids() == ["a"]
+    plane = FaultPlane(world)
+    sim.run(until=2.0)
+    plane.crash_now("b")
+    sim.run(until=10.0)
+    plane.reboot_now("b")       # 10 m out, heading away
+    sim.run(until=200.0)
+    assert [(e.kind, e.time) for e in events] == [(LINK_DOWN, 2.0)]
 
 
 def test_stacking_two_planes_is_refused():

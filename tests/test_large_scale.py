@@ -1,10 +1,10 @@
 """Smoke tests for the large-N scenario family (dense plaza, sparse
-highway, flash crowd) and mid-run churn through the spatial index."""
+highway)."""
 
 import pytest
 
 from repro.radio import BLUETOOTH, WLAN
-from repro.scenarios import dense_plaza, flash_crowd, sparse_highway
+from repro.scenarios import dense_plaza, sparse_highway
 
 
 def assert_grid_matches_brute_force(world, tech):
@@ -64,61 +64,3 @@ def test_sparse_highway_validation():
         sparse_highway(0)
     with pytest.raises(ValueError):
         sparse_highway(4, length_m=0.0)
-
-
-# ----------------------------------------------------------------------
-# flash crowd churn
-# ----------------------------------------------------------------------
-def test_flash_crowd_churns_through_and_cleans_up():
-    scenario = flash_crowd(base_count=4, crowd_count=8, area=30.0,
-                           arrive_start_s=10.0, mean_interarrival_s=0.5,
-                           dwell_range_s=(15.0, 30.0), seed=2)
-    scenario.start_all()
-    world = scenario.world
-
-    # Mid-burst: crowd members are present and running.
-    scenario.run(until=25.0)
-    crowd_present = [name for name in scenario.nodes if
-                     name.startswith("c")]
-    assert crowd_present, "no crowd walker arrived during the burst"
-    assert_grid_matches_brute_force(world, BLUETOOTH)
-
-    # Long after the last dwell expires: only residents remain, and all
-    # world-level state about the crowd is gone.
-    scenario.run(until=120.0)
-    assert sorted(scenario.nodes) == ["r0", "r1", "r2", "r3"]
-    assert world.node_ids() == ["r0", "r1", "r2", "r3"]
-    assert not [key for key in world._inquiry_history
-                if key[0].startswith("c")]
-    assert scenario.fabric.node("c0") is None
-    assert_grid_matches_brute_force(world, BLUETOOTH)
-    # Residents keep discovering each other after the crowd left.
-    assert any(scenario.awareness(name) for name in scenario.nodes)
-
-
-def test_flash_crowd_validation():
-    with pytest.raises(ValueError):
-        flash_crowd(base_count=-1)
-    with pytest.raises(ValueError):
-        flash_crowd(mean_interarrival_s=0.0)
-
-
-# ----------------------------------------------------------------------
-# scenario-level removal API
-# ----------------------------------------------------------------------
-def test_scenario_remove_node_unknown_name_raises():
-    scenario = dense_plaza(2, area=20.0, seed=1)
-    with pytest.raises(KeyError):
-        scenario.remove_node("nope")
-
-
-def test_scenario_remove_node_drops_device_everywhere():
-    scenario = dense_plaza(3, area=20.0, seed=1)
-    scenario.start_all()
-    scenario.run(until=5.0)
-    scenario.remove_node("p1")
-    assert "p1" not in scenario.nodes
-    assert not scenario.world.has_node("p1")
-    assert scenario.fabric.node("p1") is None
-    scenario.run(until=40.0)  # survivors keep running
-    assert_grid_matches_brute_force(scenario.world, BLUETOOTH)

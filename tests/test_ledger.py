@@ -22,7 +22,7 @@ ledger = importlib.util.module_from_spec(_spec)
 sys.modules.setdefault("ledger", ledger)   # dataclasses resolve it
 _spec.loader.exec_module(ledger)
 
-DEFAULT_TOLERANCE = ledger.DEFAULT_TOLERANCE
+TOLERANCE = ledger.TOLERANCE
 bench_envelope = ledger.bench_envelope
 build_report = ledger.build_report
 compare_snapshots = ledger.compare_snapshots
@@ -127,10 +127,7 @@ def test_compare_snapshots_tolerance_band():
         assert failure.metric == "count"
         assert abs(failure.rel_delta) == pytest.approx(0.12)
         assert "b" in failure.describe() and "count" in failure.describe()
-    # A custom tolerance widens the band.
-    assert compare_snapshots("b", baseline, {"ratio": 0.8, "count": 112},
-                             tolerance=0.2) == []
-    assert DEFAULT_TOLERANCE == 0.1
+    assert TOLERANCE == 0.1
 
 
 def test_compare_snapshots_vanished_vs_new_metrics():

@@ -20,6 +20,7 @@ import pytest
 from repro.dtn import DtnOverlay, make_router
 from repro.experiments import ExperimentSpec, run_campaign
 from repro.experiments.runner import execute_point_outcome, write_telemetry
+from repro.faults import FaultPlane
 from repro.mobility.linear import LinearMovement
 from repro.obs import (
     SAMPLE_INTERVAL_S,
@@ -201,15 +202,16 @@ def test_bundle_drop_span_closes_only_on_terminal_loss():
     scenario = _relay_world()
     telemetry = Telemetry()
     telemetry.attach(scenario.world, trace=scenario.trace)
+    faults = FaultPlane(scenario.world)
     plane = DtnOverlay(scenario.world, make_router("epidemic"))
     plane.send("src", "dst", ttl_s=500.0)
     scenario.run(until=20.0)      # mule has the copy, src still does too
-    scenario.remove_node("mule")  # one copy lost, src's copy survives
+    faults.crash_now("mule")      # one copy lost, src's copy survives
     [journey] = telemetry.spans.by_kind("bundle")
     assert journey.status == "open"
-    scenario.remove_node("src")   # last living copy gone
+    faults.crash_now("src")       # last living copy gone
     assert journey.status == "dropped"
-    assert journey.detail["reason"] == "custodian-removed"
+    assert journey.detail["reason"] == "custodian-crashed"
 
 
 def test_fault_span_hooks():
@@ -262,7 +264,7 @@ def test_recorder_never_changes_recorded_metrics():
 # ----------------------------------------------------------------------
 def _tiny_spec():
     return ExperimentSpec(
-        name="tiny_obs", workload="discovery",
+        name="tiny_obs", workload="awareness_schemes",
         scenarios=("line_topology",),
         axes={"count": (3,)}, repeats=2, master_seed=5,
         settings={"settle_s": 40.0})

@@ -496,8 +496,8 @@ def test_reliable_channel_retransmits_over_a_lossy_phy():
 # ----------------------------------------------------------------------
 def test_phy_params_are_registered_on_the_dtn_families():
     for name in ("commuter_corridor", "hostile_corridor",
-                 "island_hopping_ferry", "flash_crowd_broadcast",
-                 "drive_by_kiosk", "crowded_festival", "rural_bus_dtn"):
+                 "island_hopping_ferry", "crowded_festival",
+                 "rural_bus_dtn"):
         params = {p.name: p for p in get_scenario(name).params}
         assert params["shadowing_sigma_db"].default == 0.0, name
         assert params["phy_collisions"].default == 0, name

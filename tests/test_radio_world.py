@@ -269,46 +269,9 @@ def test_world_discoverable_neighbors_excludes_inquirers():
     assert world.neighbors("a", BLUETOOTH) == ["b", "c"]
 
 
-def test_world_remove_node():
-    _, world = make_world()
-    world.add_node("a", StaticPosition(0, 0), [BLUETOOTH])
-    world.add_node("b", StaticPosition(1, 0), [BLUETOOTH])
-    world.mark_inquiring("b", BLUETOOTH, True)
-    world.remove_node("b")
-    assert world.node_ids() == ["a"]
-    assert not world.has_node("b")
-    with pytest.raises(KeyError):
-        world.remove_node("b")
-
-
 # ----------------------------------------------------------------------
-# inquiry-mark pruning (explicit on clock advance and on remove_node)
+# inquiry-mark pruning (explicit on clock advance)
 # ----------------------------------------------------------------------
-def test_stale_marks_never_resurrect_a_removed_node():
-    """Remove a node mid-inquiry, re-add the id: physically fresh."""
-    sim, world = make_world()
-    world.add_node("a", StaticPosition(0, 0), [BLUETOOTH])
-    world.add_node("b", StaticPosition(5, 0), [BLUETOOTH])
-    # b toggles through some scans, then dies while inquiring.
-    for start in (0.0, 30.0, 60.0):
-        sim.run(until=start)
-        world.mark_inquiring("b", BLUETOOTH, True)
-        sim.run(until=start + 10.0)
-        world.mark_inquiring("b", BLUETOOTH, False)
-    sim.run(until=90.0)
-    world.mark_inquiring("b", BLUETOOTH, True)
-    world.remove_node("b")
-    assert world.neighbors("a", BLUETOOTH) == []
-    # Same id powers back on: no stale toggle state may survive.
-    world.add_node("b", StaticPosition(5, 0), [BLUETOOTH])
-    assert not world.is_inquiring("b", BLUETOOTH)
-    # The old log is gone: the whole window counts as discoverable even
-    # though the "old b" was mid-inquiry over part of it.
-    assert world.max_discoverable_gap(
-        "b", BLUETOOTH, 85.0, 95.0) == pytest.approx(10.0)
-    assert world.heard_during_scan("b", BLUETOOTH, 85.0, 95.0)
-
-
 def test_toggle_log_pruned_explicitly_on_clock_advance():
     sim, world = make_world()
     world.add_node("a", StaticPosition(0, 0), [BLUETOOTH])

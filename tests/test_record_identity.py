@@ -44,7 +44,7 @@ DIGESTS = {
     "handover_decay":
         "d65813eaf39040ac3166a8b7d023d7d1fc7e2045ade74bc9037407117f731e35",
     "demo_sweep":
-        "d35d5af84042eca1832bac84bfe1ee76986c94ceab1d33e4f070c14ed7e3d367",
+        "458319ef1e17c98c3f3cbdfc321f8de016de5421a211d9cc5d3e64c43edc5ed2",
 }
 
 
@@ -52,7 +52,7 @@ DIGESTS = {
     "dtn_sweep", "bandwidth_sweep", "fault_sweep",
     pytest.param("phy_sweep", marks=pytest.mark.slow),   # ~7 s
     "contact_sweep", "coverage_sweep", "delay_sweep", "handover_decay",
-    pytest.param("demo_sweep", marks=pytest.mark.slow),  # ~6 s
+    pytest.param("demo_sweep", marks=pytest.mark.slow),  # ~14 s
 ])
 def test_runs_jsonl_matches_pinned_digest(spec, tmp_path, capsys):
     out = tmp_path / spec

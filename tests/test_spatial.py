@@ -4,7 +4,7 @@ import pytest
 
 from repro.mobility import LinearMovement, StaticPosition
 from repro.mobility.base import distance
-from repro.radio import BLUETOOTH, QUALITY_MAX, WLAN, SpatialGrid, World
+from repro.radio import BLUETOOTH, WLAN, SpatialGrid, World
 from repro.sim import Simulator
 
 
@@ -152,54 +152,3 @@ def test_world_grid_refreshes_only_when_clock_advances():
     world.neighbors("base", BLUETOOTH)
     world.neighbors("base", BLUETOOTH)
     assert world.stats.grid_refreshes == 1  # one re-sync per new instant
-
-
-# ----------------------------------------------------------------------
-# remove_node eviction (regression: ISSUE 1 satellite fix)
-# ----------------------------------------------------------------------
-def test_remove_node_evicts_from_spatial_grid():
-    _, world = make_world()
-    world.add_node("a", StaticPosition(0, 0), [BLUETOOTH])
-    world.add_node("b", StaticPosition(3, 0), [BLUETOOTH])
-    assert world.neighbors("a", BLUETOOTH) == ["b"]  # grid now built
-    world.remove_node("b")
-    assert world.neighbors("a", BLUETOOTH) == []
-    assert world.neighbors_brute_force("a", BLUETOOTH) == []
-
-
-def test_remove_node_evicts_quality_overrides_referencing_it():
-    """A re-added device must not resurrect a stale quality override."""
-    _, world = make_world()
-    world.add_node("a", StaticPosition(0, 0), [BLUETOOTH])
-    world.add_node("b", StaticPosition(1, 0), [BLUETOOTH])
-    world.set_quality_override("a", "b", BLUETOOTH, lambda t: 17)
-    assert world.link_quality("a", "b", BLUETOOTH) == 17
-    world.remove_node("b")
-    assert world._overrides == {}
-    # The device comes back (same id, fresh battery): physics applies,
-    # not the override installed against its previous incarnation.
-    world.add_node("b", StaticPosition(1, 0), [BLUETOOTH])
-    assert world.link_quality("a", "b", BLUETOOTH) == QUALITY_MAX
-
-
-def test_remove_node_evicts_inquiry_state():
-    _, world = make_world()
-    world.add_node("a", StaticPosition(0, 0), [BLUETOOTH])
-    world.add_node("b", StaticPosition(1, 0), [BLUETOOTH])
-    world.mark_inquiring("b", BLUETOOTH, True)
-    world.remove_node("b")
-    assert not world.is_inquiring("b", BLUETOOTH)
-    assert ("b", "bluetooth") not in world._inquiry_history
-    world.add_node("b", StaticPosition(1, 0), [BLUETOOTH])
-    # The mark from before the removal would have muted this scan.
-    assert world.heard_during_scan("b", BLUETOOTH, 0.0, 2.0)
-
-
-def test_remove_node_keeps_overrides_of_other_pairs():
-    _, world = make_world()
-    for name in ("a", "b", "c"):
-        world.add_node(name, StaticPosition(0, 0), [BLUETOOTH])
-    world.set_quality_override("a", "b", BLUETOOTH, lambda t: 11)
-    world.set_quality_override("a", "c", BLUETOOTH, lambda t: 22)
-    world.remove_node("c")
-    assert world.link_quality("a", "b", BLUETOOTH) == 11

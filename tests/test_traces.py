@@ -1,32 +1,24 @@
-"""Contact-trace recording and mobility-free replay."""
+"""Contact-trace recording."""
 
 import dataclasses
 
 import pytest
 
 from repro.dtn import DtnOverlay, make_router
-from repro.experiments import (
-    ExperimentSpec,
-    aggregate,
-    get_spec,
-    run_campaign,
-)
+from repro.experiments import aggregate, get_spec, run_campaign
 from repro.radio import bus
 from repro.radio.technologies import WLAN
 from repro.scenarios import (
     ContactTraceRecorder,
-    load_trace,
     record_contact_trace,
-    replay_trace,
     sparse_highway,
     trace_digest,
-    write_trace,
 )
 
 
-def record_highway(count=10, seed=4, until=120.0, path=None):
+def record_highway(count=10, seed=4, until=120.0):
     scenario = sparse_highway(count=count, seed=seed)
-    rows = record_contact_trace(scenario, WLAN, until=until, path=path)
+    rows = record_contact_trace(scenario, WLAN, until=until)
     return scenario, rows
 
 
@@ -92,47 +84,8 @@ def test_recording_costs_no_polling_wakeups():
 
 
 # ----------------------------------------------------------------------
-# replay
+# through the experiments runner
 # ----------------------------------------------------------------------
-def test_replay_reemits_stream_byte_identically(tmp_path):
-    trace_path = tmp_path / "trace.jsonl"
-    _, rows = record_highway(path=trace_path)
-    result = replay_trace(load_trace(trace_path))
-    assert result.rows == rows
-    assert result.digest() == trace_digest(rows)
-    replay_path = tmp_path / "replayed.jsonl"
-    write_trace(result.rows, replay_path)
-    assert replay_path.read_bytes() == trace_path.read_bytes()
-
-
-def test_replay_delivers_events_in_order_at_recorded_times():
-    _, rows = record_highway(count=8)
-    seen = []
-    result = replay_trace(rows, on_event=lambda e: seen.append(e))
-    assert [e.time for e in seen] == [row["t"] for row in rows]
-    assert result.final_time == rows[-1]["t"]
-
-
-# ----------------------------------------------------------------------
-# through the experiments runner (the acceptance assertion)
-# ----------------------------------------------------------------------
-def test_trace_replays_byte_identically_through_runner(tmp_path):
-    trace_path = tmp_path / "recorded.jsonl"
-    replay_path = tmp_path / "replayed.jsonl"
-    _, rows = record_highway(path=trace_path)
-
-    spec = ExperimentSpec(
-        name="replay_gate", workload="trace_replay",
-        scenarios=("replay_arena",),
-        settings={"trace_path": str(trace_path),
-                  "out_path": str(replay_path)})
-    records = run_campaign(spec, tmp_path / "campaign").records
-    metrics = records[0]["metrics"]
-    assert metrics["events"] == len(rows)
-    assert metrics["digest"] == trace_digest(rows)
-    assert replay_path.read_bytes() == trace_path.read_bytes()
-
-
 def test_contact_trace_workload_runs_through_bundled_spec(tmp_path):
     spec = get_spec("contact_sweep")
     small = dataclasses.replace(
