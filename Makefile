@@ -16,6 +16,7 @@
 #   make bandwidth-sweep  run the bandwidth-limited DTN campaign
 #   make resume-smoke interrupt/resume + cache-hit differential smoke
 #   make lint         byte-compile every source tree (syntax/tab check)
+#                     and find unused imports (tools/check_imports.py)
 #   make docs-check   verify intra-repo links in README + docs/*.md
 #   make report       render results/report/REPORT.md (benchmarks/ledger.py)
 #   make gate         regression-gate BENCH_*.json vs committed baselines
@@ -110,10 +111,12 @@ resume-smoke:
 	$(PYTHON) tools/resume_smoke.py
 
 # The container bakes in no external linter (flake8/ruff); compileall +
-# tabnanny catch syntax errors and indentation mixups without new deps.
+# tabnanny catch syntax errors and indentation mixups, and
+# tools/check_imports.py (stdlib ast) unused imports, without new deps.
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples tools perf
 	$(PYTHON) -m tabnanny src tests benchmarks examples tools perf
+	$(PYTHON) tools/check_imports.py
 
 # Intra-repo Markdown link check (README, CHANGES, ROADMAP, docs/*.md);
 # external URLs are ignored so CI never flakes on the network.

@@ -10,10 +10,14 @@ through the experiment runner.
 
 After the grid sweep, a short PeerHood run (100 pedestrians on a plaza
 at the ``plaza_discovery`` perf density, 180 sim-s) counts the
-discovery work: responses folded, ``NeighbourEntry`` rows the storages
-built for them, and entries folded.  Rows follow storage changes, not
-responses, so a lost snapshot cache shows up as a jump in
-``snapshot_rows``.
+discovery work: responses folded, rows in the snapshots the storages
+built for them (``snapshot_rows``), the rows actually rebuilt for those
+snapshots (``rows_built``; an unchanged device reuses its last row),
+entries folded, and the ``RouteMetrics`` the folds built
+(``routes_built``; a losing candidate is ranked from its raw figures
+and never built).  Rows follow storage changes, not responses, so a
+lost snapshot cache shows up as a jump in ``snapshot_rows``, a lost row
+cache as a jump in ``rows_built``.
 
 Besides the asserted table, the run writes ``BENCH_scale_neighbors.json``
 at the repo root — a machine-readable snapshot of distance-check counts
@@ -76,11 +80,13 @@ def run_plaza_discovery(seed=1):
                            counted_fold):
         scenario.start_all()
         scenario.run(until=PLAZA_SECONDS)
+    storages = [node.daemon.storage for node in scenario.nodes.values()]
     return {
         "responses": folds["responses"],
-        "snapshot_rows": sum(node.daemon.storage.snapshot_rows
-                             for node in scenario.nodes.values()),
+        "snapshot_rows": sum(s.snapshot_rows for s in storages),
+        "rows_built": sum(s.rows_built for s in storages),
         "entries_folded": folds["entries_folded"],
+        "routes_built": sum(s.routes_built for s in storages),
     }
 
 
@@ -130,12 +136,18 @@ def test_scale_grid_discovery_beats_pairwise(tmp_path):
         rows)
     print_table(
         f"Discovery work: {PLAZA_COUNT}-node plaza, {PLAZA_SECONDS:g} sim-s",
-        ["responses", "snapshot rows built", "entries folded"],
+        ["responses", "snapshot rows", "rows rebuilt", "entries folded",
+         "routes built"],
         [[discovery["responses"], discovery["snapshot_rows"],
-          discovery["entries_folded"]]])
+          discovery["rows_built"], discovery["entries_folded"],
+          discovery["routes_built"]]])
     # Responses between two storage changes share one snapshot, so
-    # fewer rows are built than entries folded.
+    # fewer snapshot rows are built than entries folded; a snapshot
+    # reuses every unchanged device's row; and a fold builds a route
+    # only for a new device or a changed or winning route.
     assert discovery["snapshot_rows"] < discovery["entries_folded"]
+    assert discovery["rows_built"] < discovery["snapshot_rows"]
+    assert discovery["routes_built"] < discovery["entries_folded"]
     # Acceptance: at N=500 the grid does >= 5x fewer distance
     # computations per discovery round (identical neighbor sets are
     # asserted inside the workload for every node and round).

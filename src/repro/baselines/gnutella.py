@@ -15,7 +15,6 @@ periodic neighbour exchange — is apples to apples.
 from __future__ import annotations
 
 import dataclasses
-import typing
 
 from repro.metrics.counters import TrafficMeter
 from repro.radio.technologies import Technology

@@ -43,9 +43,12 @@ MONITOR_INTERVAL_S = 1.0
 ROUTE_REFRESH_INTERVAL_S = 5.0
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class RoutingPolicy:
     """Route-selection knobs used by ``AnalyzeNeighbourhoodDevices``.
+
+    Frozen: a ``DeviceStorage`` keeps each stored route's rank under its
+    policy, so the policy must not change under it.
 
     Attributes
     ----------

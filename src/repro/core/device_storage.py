@@ -13,6 +13,11 @@ The update rules implement the two activity diagrams:
   folded in: own-device entries are filtered, new devices added with
   incremented jump and the reporter as bridge, and already-stored devices
   keep the *better* route under :func:`repro.core.routing.is_better_route`.
+
+Two memos keep a fold's cost per *changed* row: each stored device keeps
+its route's rank (so a candidate is ranked from its raw figures and
+compared without building its route first) and its last snapshot row
+(so :meth:`DeviceStorage.snapshot` rebuilds only the rows that changed).
 """
 
 from __future__ import annotations
@@ -27,13 +32,13 @@ from repro.core.routing import (
     RouteMetrics,
     check_route_figures,
     direct_route,
-    is_better_route,
-    upstream_route,
+    rank_figures,
+    route_rank,
 )
 from repro.core.service import ServiceRecord
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class StoredDevice:
     """One row of the DeviceStorage (Fig. 3.2 plus the Ch. 3 additions)."""
 
@@ -42,6 +47,9 @@ class StoredDevice:
     prototype: str
     mobility: MobilityClass
     route: RouteMetrics
+    #: ``route_rank(route, policy)`` under the storage's policy, set with
+    #: every new route so a fold compares a candidate's rank against it.
+    rank: tuple
     bridge: str | None
     services: tuple[ServiceRecord, ...] = ()
     timestamp: int = 0
@@ -54,6 +62,10 @@ class StoredDevice:
     #: The §4.0 bottleneck hint received at the last fetch: subsequent
     #: quality refreshes keep scaling by it until the next fetch.
     load_factor: float = 1.0
+    #: This device's row in the last snapshot built, reused by the next
+    #: one; None until built and whenever a field the row shows changes.
+    row: NeighbourEntry | None = dataclasses.field(
+        default=None, repr=False, compare=False)
 
     @property
     def jump(self) -> int:
@@ -105,8 +117,12 @@ class DeviceStorage:
         self._devices: dict[str, StoredDevice] = {}
         #: The last snapshot built; every mutator drops it.
         self._snapshot: Neighbourhood | None = None
-        #: Work counter: ``NeighbourEntry`` rows built by :meth:`snapshot`.
+        #: Work counters (not settings; they enter no record):
+        #: rows in the snapshots :meth:`snapshot` built, the rows it had
+        #: to rebuild for them, and the ``RouteMetrics`` folds built.
         self.snapshot_rows = 0
+        self.rows_built = 0
+        self.routes_built = 0
 
     # ------------------------------------------------------------------
     # queries
@@ -147,14 +163,22 @@ class DeviceStorage:
         An immutable tuple of frozen rows, built once per storage change
         and shared by every response (and every peer's retained
         ``StoredDevice.neighbourhood``) until the next mutation; it is
-        never copied per response.
+        never copied per response.  A device whose row fields did not
+        change since the last snapshot contributes its previous row.
         """
         snapshot = self._snapshot
         if snapshot is None:
-            snapshot = self._snapshot = Neighbourhood(
-                d.to_neighbour_entry() for d in self.devices())
+            snapshot = self._snapshot = Neighbourhood(self._rows())
             self.snapshot_rows += len(snapshot)
         return snapshot
+
+    def _rows(self) -> typing.Iterator[NeighbourEntry]:
+        for device in self.devices():
+            row = device.row
+            if row is None:
+                row = device.row = device.to_neighbour_entry()
+                self.rows_built += 1
+            yield row
 
     # ------------------------------------------------------------------
     # direct-device updates (Fig. 3.12)
@@ -172,12 +196,14 @@ class DeviceStorage:
         is, not copied.
         """
         self._snapshot = None
+        route = direct_route(quality, identity.mobility)
         entry = StoredDevice(
             address=identity.address,
             name=identity.name,
             prototype=prototype,
             mobility=identity.mobility,
-            route=direct_route(quality, identity.mobility),
+            route=route,
+            rank=route_rank(route, self.policy),
             bridge=None,
             services=tuple(services),
             timestamp=0,
@@ -202,7 +228,11 @@ class DeviceStorage:
         entry.timestamp = 0
         entry.loops_since_fetch += 1
         scaled = round(quality * entry.load_factor)
-        entry.route = direct_route(scaled, entry.mobility)
+        # A direct route's only free figure is its quality.
+        if scaled != entry.route.quality_sum:
+            entry.route = direct_route(scaled, entry.mobility)
+            entry.rank = route_rank(entry.route, self.policy)
+            entry.row = None
 
     def make_older(self, responded: typing.Iterable[str]) -> list[str]:
         """Age direct devices that stayed silent this loop (Fig. 3.12).
@@ -259,64 +289,107 @@ class DeviceStorage:
         advertises are dropped — the reporter's snapshot is authoritative
         for its own subtree.
 
-        Every entry past the own-device and reporter filters has its
-        figures validated; one :class:`RouteMetrics` is built per entry
-        that also survives the ``max_jump`` cut and the never-shadow-a-
-        direct-device rule.
+        A :class:`Neighbourhood` was validated when it was built; any
+        other sequence has the figures of every entry past the
+        own-device and reporter filters checked here.  Each candidate is
+        ranked from its raw figures, and a :class:`RouteMetrics` is built
+        only for a new device, a winning route or a changed route through
+        the same bridge; a same-bridge entry with unchanged figures keeps
+        the stored route, and one with unchanged services and identity
+        also keeps the device's snapshot row.
         """
         self._snapshot = None
         if not reporter.is_direct():
             raise ValueError("neighbourhood analysis requires a direct "
                              f"reporter, got jump {reporter.jump}")
+        reporter_address = reporter.address
+        own_address = self.own_address
         link_quality = reporter.route.quality_sum
         bridge_mobility = reporter.mobility
-        max_jump = self.policy.max_jump
+        policy = self.policy
+        max_jump = policy.max_jump
+        devices = self._devices
+        check = not isinstance(entries, Neighbourhood)
         advertised = {e.address for e in entries}
         stale_via_reporter = [
-            address for address, device in self._devices.items()
-            if device.bridge == reporter.address
+            address for address, device in devices.items()
+            if device.bridge == reporter_address
             and address not in advertised]
         for address in stale_via_reporter:
-            del self._devices[address]
+            del devices[address]
 
         changed: list[str] = []
         for entry in entries:
-            if entry.address == self.own_address:
+            address = entry.address
+            if address == own_address:
                 continue  # own-device filter (§3.5)
-            if entry.address == reporter.address:
+            if address == reporter_address:
                 continue  # the reporter is already stored directly
-            check_route_figures(entry.jump, entry.route_quality_sum,
-                                entry.route_min_quality)
-            if entry.jump + 1 > max_jump:
+            if check:
+                check_route_figures(entry.jump, entry.route_quality_sum,
+                                    entry.route_min_quality)
+            jump = entry.jump + 1
+            if jump > max_jump:
                 continue
-            stored = self._devices.get(entry.address)
+            stored = devices.get(address)
             if stored is not None and stored.is_direct():
                 continue  # never shadow a direct observation
-            candidate_route = upstream_route(
-                entry.jump, entry.route_quality_sum, entry.route_min_quality,
-                link_quality, bridge_mobility)
+            quality_sum = entry.route_quality_sum + link_quality
+            min_quality = min(entry.route_min_quality, link_quality)
             if stored is None:
-                self._devices[entry.address] = StoredDevice(
-                    address=entry.address,
+                route, rank = self._fold_route(jump, bridge_mobility,
+                                               quality_sum, min_quality)
+                devices[address] = StoredDevice(
+                    address=address,
                     name=entry.name,
                     prototype=entry.prototype,
                     mobility=entry.mobility,
-                    route=candidate_route,
-                    bridge=reporter.address,
+                    route=route,
+                    rank=rank,
+                    bridge=reporter_address,
                     services=entry.services,
                 )
-                changed.append(entry.address)
+                changed.append(address)
                 continue
-            if stored.bridge == reporter.address or is_better_route(
-                    candidate_route, stored.route, self.policy):
-                stored.route = candidate_route
-                stored.bridge = reporter.address
+            if stored.bridge == reporter_address:
+                old = stored.route
+                if (old.jump != jump or old.quality_sum != quality_sum
+                        or old.min_link_quality != min_quality
+                        or old.first_hop_mobility != bridge_mobility):
+                    stored.route, stored.rank = self._fold_route(
+                        jump, bridge_mobility, quality_sum, min_quality)
+                    stored.row = None
+                changed.append(address)
+            else:
+                rank = rank_figures(jump, bridge_mobility, quality_sum,
+                                    min_quality, policy)
+                if not rank < stored.rank:
+                    continue
+                stored.route, stored.rank = self._fold_route(
+                    jump, bridge_mobility, quality_sum, min_quality)
+                stored.bridge = reporter_address
+                stored.row = None
+                changed.append(address)
+            if (stored.services != entry.services
+                    or stored.name != entry.name
+                    or stored.prototype != entry.prototype
+                    or stored.mobility != entry.mobility):
                 stored.services = entry.services
                 stored.name = entry.name
                 stored.prototype = entry.prototype
                 stored.mobility = entry.mobility
-                changed.append(entry.address)
+                stored.row = None
         return changed
+
+    def _fold_route(self, jump: int, first_hop_mobility: MobilityClass,
+                    quality_sum: int, min_link_quality: int,
+                    ) -> tuple[RouteMetrics, tuple]:
+        """A route a fold stores, with its rank."""
+        self.routes_built += 1
+        return (RouteMetrics(jump, first_hop_mobility, quality_sum,
+                             min_link_quality),
+                rank_figures(jump, first_hop_mobility, quality_sum,
+                             min_link_quality, self.policy))
 
     # ------------------------------------------------------------------
     # handover route search (§5.2.1 state 0)

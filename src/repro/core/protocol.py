@@ -17,6 +17,7 @@ import enum
 import typing
 
 from repro.core.device import DeviceIdentity, MobilityClass
+from repro.core.routing import check_route_figures
 from repro.core.service import ServiceRecord
 
 
@@ -57,6 +58,8 @@ class ClientParams:
 
 class Frame:
     """Base class for everything sent over a link."""
+
+    __slots__ = ()
 
     def wire_size(self) -> int:
         """Approximate serialised size in bytes."""
@@ -176,7 +179,7 @@ class DisconnectFrame(Frame):
 # discovery payloads (Fig. 3.7: device / prototype / service /
 # neighbourhood information fetched during the inquiry)
 # ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class NeighbourEntry(Frame):
     """One row of a DeviceStorage snapshot sent as neighbourhood info.
 
@@ -200,16 +203,24 @@ class NeighbourEntry(Frame):
 
 
 class Neighbourhood(tuple):
-    """An immutable DeviceStorage snapshot that knows its wire size.
+    """An immutable, validated DeviceStorage snapshot that knows its
+    wire size.
 
     A daemon builds one per storage change and shares it with every
     response until the next change, so the rows' bytes are summed once
-    here, not once per response.
+    here, not once per response.  The same walk checks every row's
+    route figures (``ValueError`` for a negative one), so a reader
+    folding a ``Neighbourhood`` need not check them again.
     """
 
     def __new__(cls, entries: typing.Iterable[NeighbourEntry] = ()):
         self = super().__new__(cls, entries)
-        self._wire_size = sum(entry.wire_size() for entry in self)
+        wire_size = 0
+        for entry in self:
+            check_route_figures(entry.jump, entry.route_quality_sum,
+                                entry.route_min_quality)
+            wire_size += entry.wire_size()
+        self._wire_size = wire_size
         return self
 
     def wire_size(self) -> int:

@@ -22,7 +22,7 @@ from repro.core.config import RoutingPolicy
 from repro.core.device import MobilityClass
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class RouteMetrics:
     """The comparable facts about one route to one device.
 
@@ -60,9 +60,12 @@ class RouteMetrics:
         ``link_quality`` stores it with one more jump, the neighbour as
         first hop, and the local link folded into the quality figures.
         """
-        return upstream_route(self.jump, self.quality_sum,
-                              self.min_link_quality, link_quality,
-                              bridge_mobility)
+        return RouteMetrics(
+            jump=self.jump + 1,
+            first_hop_mobility=bridge_mobility,
+            quality_sum=self.quality_sum + link_quality,
+            min_link_quality=min(self.min_link_quality, link_quality),
+        )
 
 
 def check_route_figures(jump: int, quality_sum: int,
@@ -72,23 +75,6 @@ def check_route_figures(jump: int, quality_sum: int,
         raise ValueError(f"negative jump count: {jump}")
     if quality_sum < 0 or min_link_quality < 0:
         raise ValueError("negative quality")
-
-
-def upstream_route(jump: int, quality_sum: int, min_link_quality: int,
-                   link_quality: int,
-                   bridge_mobility: MobilityClass) -> RouteMetrics:
-    """An advertised route's metrics as stored one hop upstream.
-
-    The body of :meth:`RouteMetrics.extend`, taking the advertised
-    figures directly so a neighbourhood fold builds one
-    :class:`RouteMetrics` per candidate, not two.
-    """
-    return RouteMetrics(
-        jump=jump + 1,
-        first_hop_mobility=bridge_mobility,
-        quality_sum=quality_sum + link_quality,
-        min_link_quality=min(min_link_quality, link_quality),
-    )
 
 
 def direct_route(quality: int, mobility: MobilityClass) -> RouteMetrics:
@@ -115,19 +101,31 @@ def route_rank(metrics: RouteMetrics, policy: RoutingPolicy) -> tuple:
     pass instead of pairwise :func:`is_better_route` calls — the DTN
     forwarder (:mod:`repro.dtn.routing`) orders its per-contact
     transmission queue with the same lexicographic-policy pattern.
-    O(1); the tuple is safe to cache per metrics/policy pair.
+    O(1); the tuple is safe to cache per metrics/policy pair (the policy
+    is frozen).
     """
-    jump_key = metrics.jump
-    mobility_key = int(metrics.first_hop_mobility) if policy.use_mobility else 0
-    if policy.use_quality_threshold:
-        threshold_key = 0 if metrics.meets_threshold(
-            policy.quality_threshold) else 1
+    return rank_figures(metrics.jump, metrics.first_hop_mobility,
+                        metrics.quality_sum, metrics.min_link_quality,
+                        policy)
+
+
+def rank_figures(jump: int, first_hop_mobility: MobilityClass,
+                 quality_sum: int, min_link_quality: int,
+                 policy: RoutingPolicy) -> tuple:
+    """:func:`route_rank` of the route with these figures.
+
+    Takes the raw figures so a neighbourhood fold ranks a candidate
+    without building its :class:`RouteMetrics` first.
+    """
+    mobility_key = int(first_hop_mobility) if policy.use_mobility else 0
+    if (policy.use_quality_threshold
+            and min_link_quality < policy.quality_threshold):
+        threshold_key = 1
     else:
         threshold_key = 0
-    quality_key = -metrics.quality_sum
     if policy.quality_first:
-        return (threshold_key, quality_key, jump_key, mobility_key)
-    return (jump_key, mobility_key, threshold_key, quality_key)
+        return (threshold_key, -quality_sum, jump, mobility_key)
+    return (jump, mobility_key, threshold_key, -quality_sum)
 
 
 def best_route(routes: list[RouteMetrics],

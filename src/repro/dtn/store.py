@@ -33,8 +33,6 @@ sim-seconds.
 
 from __future__ import annotations
 
-import typing
-
 from repro.core.buffering import BoundedBuffer
 from repro.dtn.bundle import Bundle
 from repro.metrics.counters import DtnCounters

@@ -40,9 +40,6 @@ from repro.sim.events import Event
 from repro.sim.resources import Store
 from repro.sim.rng import RandomStream
 
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.kernel import Simulator
-
 
 class ChannelClosed(Exception):
     """Receive or send on a link that has been closed or has broken."""

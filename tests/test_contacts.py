@@ -21,7 +21,6 @@ from repro.mobility import (
 from repro.mobility.base import distance
 from repro.radio import BLUETOOTH, GPRS, WLAN, World
 from repro.radio.contacts import (
-    ContactSolver,
     bisect_predicate_flip,
     distance_crossings,
     inside_at,

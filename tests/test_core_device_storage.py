@@ -1,5 +1,7 @@
 """Unit tests for DeviceStorage: Figs. 3.2, 3.12, 3.13 behaviour."""
 
+import dataclasses
+
 import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
@@ -12,7 +14,12 @@ from hypothesis.stateful import (
 from repro.core.config import RoutingPolicy
 from repro.core.device import DeviceIdentity, MobilityClass
 from repro.core.device_storage import DeviceStorage
-from repro.core.protocol import NeighbourEntry
+from repro.core.protocol import (
+    DiscoveryResponse,
+    NeighbourEntry,
+    Neighbourhood,
+)
+from repro.core.routing import route_rank
 from repro.core.service import ServiceRecord
 
 S, H, D = MobilityClass.STATIC, MobilityClass.HYBRID, MobilityClass.DYNAMIC
@@ -327,6 +334,51 @@ def test_analyze_rejects_negative_route_figures(bad, stored_directly):
             now=0.0)
 
 
+@pytest.mark.parametrize("bad", [
+    {"jump": -1}, {"quality": -1}, {"min_quality": -1}])
+def test_hand_built_discovery_response_rejects_negative_figures(bad):
+    """A shared ``Neighbourhood`` is validated once, when it is built,
+    so a response carrying a bad row never reaches a fold."""
+    rows = [entry_for("ok", jump=0), entry_for("bad", **bad)]
+    with pytest.raises(ValueError, match="negative"):
+        DiscoveryResponse(identity=identity("B"), prototype="bluetooth",
+                          services=(), neighbourhood=rows)
+    with pytest.raises(ValueError, match="negative"):
+        Neighbourhood(rows)
+
+
+def test_unchanged_rows_are_reused_and_changed_ones_rebuilt():
+    storage = make_storage()
+    reporter = add_direct(storage, "B", quality=250)
+    adverts = Neighbourhood([entry_for("far", jump=0, quality=240)])
+    storage.analyze_neighbourhood(reporter, adverts, now=0.0)
+    far = storage.get(identity("far").address)
+
+    def rows():
+        snapshot = storage.snapshot()
+        return snapshot, {row.address: row for row in snapshot}
+
+    first, before = rows()
+    assert storage.rows_built == 2 and storage.routes_built == 1
+    route = far.route
+    # The same figures through the same bridge keep route and row.
+    storage.analyze_neighbourhood(reporter, adverts, now=1.0)
+    second, after = rows()
+    assert second is not first and second == first
+    assert far.route is route
+    assert after[far.address] is before[far.address]
+    assert storage.rows_built == 2 and storage.routes_built == 1
+    # A refresh at the same quality keeps the direct row too.
+    storage.mark_responded(reporter.address, 250, now=2.0)
+    assert rows()[1][reporter.address] is before[reporter.address]
+    # New figures rebuild only the rows that show them.
+    storage.mark_responded(reporter.address, 200, now=3.0)
+    after = rows()[1]
+    assert after[reporter.address] is not before[reporter.address]
+    assert after[far.address] is before[far.address]
+    assert storage.rows_built == 3
+
+
 def test_snapshot_is_shared_and_never_copied():
     storage = make_storage()
     add_direct(storage, "pc")
@@ -344,30 +396,39 @@ def test_snapshot_is_shared_and_never_copied():
 NAMES = ("a", "b", "c", "d", "e")
 
 _qualities = st.integers(0, 255)
+_mobilities = st.sampled_from((S, H, D))
+_services = st.sampled_from(((), (ServiceRecord(name="echo", port=7),)))
 _adverts = st.lists(st.builds(
-    lambda name, jump, quality, low: entry_for(
-        name, jump=jump, quality=quality, min_quality=min(low, quality)),
+    lambda name, jump, quality, low, mobility, services: entry_for(
+        name, jump=jump, quality=quality, min_quality=min(low, quality),
+        mobility=mobility, services=services),
     name=st.sampled_from(NAMES + ("own-device",)),
-    jump=st.integers(0, 3), quality=_qualities, low=_qualities),
+    jump=st.integers(0, 3), quality=_qualities, low=_qualities,
+    mobility=_mobilities, services=_services),
     max_size=6)
 
 
 class SnapshotMachine(RuleBasedStateMachine):
     """Random mutator sequences; the cached snapshot must always equal a
-    fresh one, and be the same object until the next mutation."""
+    fresh one, and be the same object until the next mutation.  Every
+    memo a stored device keeps (its route's rank, its last row) must
+    equal its recomputation after every step."""
 
     def __init__(self):
         super().__init__()
         self.storage = make_storage(policy=RoutingPolicy(max_jump=2),
                                     stale_after_loops=1)
+        #: The last entries each reporter advertised, for refolds.
+        self.adverts = {}
 
     def _direct(self):
         return [d.name for d in self.storage.direct_devices()]
 
     @rule(name=st.sampled_from(NAMES), quality=_qualities,
+          mobility=_mobilities,
           neighbourhood=st.one_of(st.just(()), _adverts))
-    def update_direct(self, name, quality, neighbourhood):
-        add_direct(self.storage, name, quality=quality,
+    def update_direct(self, name, quality, mobility, neighbourhood):
+        add_direct(self.storage, name, quality=quality, mobility=mobility,
                    neighbourhood=neighbourhood)
 
     @rule(name=st.sampled_from(NAMES),
@@ -379,10 +440,27 @@ class SnapshotMachine(RuleBasedStateMachine):
         self.storage.mark_responded(identity(name).address, quality, 0.0)
 
     @precondition(lambda self: self._direct())
-    @rule(data=st.data(), entries=_adverts)
-    def analyze_neighbourhood(self, data, entries):
+    @rule(data=st.data(), entries=_adverts, shared=st.booleans())
+    def analyze_neighbourhood(self, data, entries, shared):
         name = data.draw(st.sampled_from(self._direct()))
         reporter = self.storage.get(identity(name).address)
+        if shared:
+            entries = Neighbourhood(entries)
+        self.adverts[name] = entries
+        self.storage.analyze_neighbourhood(reporter, entries, 0.0)
+
+    @precondition(lambda self: set(self.adverts) & set(self._direct()))
+    @rule(data=st.data(), services=st.one_of(st.none(), _services))
+    def refold_same_figures(self, data, services):
+        """The same route figures again, the same snapshot or one with
+        other services: routes are kept, and rows when nothing changed."""
+        name = data.draw(st.sampled_from(
+            sorted(set(self.adverts) & set(self._direct()))))
+        reporter = self.storage.get(identity(name).address)
+        entries = self.adverts[name]
+        if services is not None:
+            entries = [dataclasses.replace(e, services=services)
+                       for e in entries]
         self.storage.analyze_neighbourhood(reporter, entries, 0.0)
 
     @rule(responded=st.sets(st.sampled_from(NAMES)))
@@ -396,6 +474,14 @@ class SnapshotMachine(RuleBasedStateMachine):
     @rule()
     def clear(self):
         self.storage.clear()
+
+    @invariant()
+    def memos_equal_their_recomputation(self):
+        policy = self.storage.policy
+        for device in self.storage.devices():
+            assert device.rank == route_rank(device.route, policy)
+            if device.row is not None:
+                assert device.row == device.to_neighbour_entry()
 
     @invariant()
     def snapshot_is_fresh_and_shared(self):

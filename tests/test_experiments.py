@@ -10,7 +10,6 @@ the same spec produces byte-identical JSONL and aggregate CSV with
 import inspect
 import itertools
 import json
-import pathlib
 
 import pytest
 

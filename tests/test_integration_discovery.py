@@ -1,9 +1,6 @@
 """Integration tests: the full discovery stack on the paper's topologies."""
 
-import pytest
-
 from repro.core.config import DaemonConfig, RoutingPolicy
-from repro.radio.technologies import BLUETOOTH
 from repro.scenarios import (
     Scenario,
     fig_3_3_coverage_exclusion,

@@ -1,7 +1,5 @@
 """Integration tests: the HandoverThread on the paper's Ch. 5 scenarios."""
 
-import pytest
-
 from repro.core.config import HandoverConfig
 from repro.core.errors import ConnectionClosedError
 from repro.core.handover import HandoverState, HandoverThread

@@ -1,12 +1,9 @@
 """Integration tests: §5.3 result routing and the picture-analysis app."""
 
-import pytest
-
 from repro.apps.picture_analysis import (
     PictureAnalysisClient,
     PictureAnalysisServer,
 )
-from repro.core.errors import ConnectionClosedError
 from repro.core.result_routing import (
     ResultDeliveryFailed,
     ResultWaiter,

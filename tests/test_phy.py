@@ -26,9 +26,7 @@ from repro.radio.phy import (
     CAPTURED,
     DELIVERED,
     LOST_COLLISION,
-    LOST_FADING,
     PhyPlane,
-    PhyProfile,
     install_scenario_phy,
 )
 from repro.radio.technologies import get_technology

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import (
-    Event,
     EventAlreadyTriggered,
     SimulationError,
     Simulator,
