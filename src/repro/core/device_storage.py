@@ -30,7 +30,6 @@ from repro.core.device import DeviceIdentity, MobilityClass
 from repro.core.protocol import NeighbourEntry, Neighbourhood
 from repro.core.routing import (
     RouteMetrics,
-    check_route_figures,
     direct_route,
     rank_figures,
     route_rank,
@@ -289,9 +288,8 @@ class DeviceStorage:
         advertises are dropped — the reporter's snapshot is authoritative
         for its own subtree.
 
-        A :class:`Neighbourhood` was validated when it was built; any
-        other sequence has the figures of every entry past the
-        own-device and reporter filters checked here.  Each candidate is
+        Every entry checked its route figures when it was built
+        (:class:`~repro.core.protocol.NeighbourEntry`).  Each candidate is
         ranked from its raw figures, and a :class:`RouteMetrics` is built
         only for a new device, a winning route or a changed route through
         the same bridge; a same-bridge entry with unchanged figures keeps
@@ -309,7 +307,6 @@ class DeviceStorage:
         policy = self.policy
         max_jump = policy.max_jump
         devices = self._devices
-        check = not isinstance(entries, Neighbourhood)
         advertised = {e.address for e in entries}
         stale_via_reporter = [
             address for address, device in devices.items()
@@ -325,9 +322,6 @@ class DeviceStorage:
                 continue  # own-device filter (§3.5)
             if address == reporter_address:
                 continue  # the reporter is already stored directly
-            if check:
-                check_route_figures(entry.jump, entry.route_quality_sum,
-                                    entry.route_min_quality)
             jump = entry.jump + 1
             if jump > max_jump:
                 continue

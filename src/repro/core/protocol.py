@@ -186,6 +186,9 @@ class NeighbourEntry(Frame):
     Carries everything the receiver's ``AnalyzeNeighbourhoodDevices``
     needs: identity, route cost (jump), route quality (sum and per-link
     minimum, §3.4.1), the device's own mobility class, and its services.
+    A row checks its route figures (``ValueError`` for a negative one)
+    and sums its wire size once, when it is built; a storage reuses an
+    unchanged row across snapshots, so neither is paid again.
     """
 
     address: str
@@ -196,10 +199,23 @@ class NeighbourEntry(Frame):
     route_quality_sum: int
     route_min_quality: int
     services: tuple[ServiceRecord, ...] = ()
+    _wire_size: int = dataclasses.field(init=False, repr=False,
+                                        compare=False)
+
+    def __post_init__(self) -> None:
+        # Comparing first spares valid rows, built at every storage
+        # change, the call; check_route_figures raises the error.
+        if (self.jump < 0 or self.route_quality_sum < 0
+                or self.route_min_quality < 0):
+            check_route_figures(self.jump, self.route_quality_sum,
+                                self.route_min_quality)
+        size = 17 + len(self.name) + len(self.prototype) + 4 + 1 + 4 + 4
+        for service in self.services:
+            size += service.wire_size()
+        object.__setattr__(self, "_wire_size", size)
 
     def wire_size(self) -> int:
-        base = 17 + len(self.name) + len(self.prototype) + 4 + 1 + 4 + 4
-        return base + sum(s.wire_size() for s in self.services)
+        return self._wire_size
 
 
 class Neighbourhood(tuple):
@@ -208,19 +224,13 @@ class Neighbourhood(tuple):
 
     A daemon builds one per storage change and shares it with every
     response until the next change, so the rows' bytes are summed once
-    here, not once per response.  The same walk checks every row's
-    route figures (``ValueError`` for a negative one), so a reader
-    folding a ``Neighbourhood`` need not check them again.
+    here, not once per response.  Each row checked its figures and
+    knows its size from when it was built, so the sum only reads them.
     """
 
     def __new__(cls, entries: typing.Iterable[NeighbourEntry] = ()):
         self = super().__new__(cls, entries)
-        wire_size = 0
-        for entry in self:
-            check_route_figures(entry.jump, entry.route_quality_sum,
-                                entry.route_min_quality)
-            wire_size += entry.wire_size()
-        self._wire_size = wire_size
+        self._wire_size = sum(entry._wire_size for entry in self)
         return self
 
     def wire_size(self) -> int:

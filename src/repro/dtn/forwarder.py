@@ -32,16 +32,22 @@ Exchange semantics (both implementations share them):
    bundles (lazy TTL — no timers; a store with nothing due skips the
    sweep in O(1)), trade summary vectors (``dtn-control`` traffic on
    the shared meter) and the router picks what to transmit
-   (``dtn-data``).  A directed pair whose last offer pass came back
-   empty is *settled*: while neither store nor the router's state has
-   changed since (their ``version`` counters), the next pass is
-   skipped without asking the router — it would offer nothing again.
-   The fault gate still runs first, and a byzantine peer is never
+   (``dtn-data``).  The router is asked only when the carrier holds a
+   bundle missing from the peer's vector as the carrier heard it (the
+   empty vector for a blind carrier): no router offers a bundle the
+   peer has seen, so without such news the pass would offer nothing.
+   A directed pair whose last pass offered nothing is *settled*: while
+   neither store nor the router's state has changed since (their
+   ``version`` counters), the next pass returns at once.  The fault
+   gate still runs first, and a byzantine peer is never skipped or
    memoised (its lying vector is counted per advertisement).
 2. Transfers *cascade*: a node whose store grew immediately re-offers
    to its other current contacts, so a connected cluster equilibrates
    within the contact instant (the infinite-contact-bandwidth baseline
-   assumption; documented in docs/ARCHITECTURE.md).
+   assumption; documented in docs/ARCHITECTURE.md).  A cascade from an
+   empty store offers nothing; without a fault plane it only sweeps
+   the contacts with a bundle due to expire, and skips even that while
+   no store of the plane can hold one.
 3. Delivery to the destination releases the transmitting custodian's
    copy and records one :class:`DeliveryRecord` per bundle (first copy
    wins; summary vectors stop later copies).
@@ -53,6 +59,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import math
 import typing
 
 from repro.dtn.bundle import (
@@ -124,9 +131,15 @@ class DtnPlane:
         #: Contact-event callback firings (see class docstrings).
         self.wakeups = 0
         #: Offer passes the exchange actually ran (``Router.offers``
-        #: calls); settled pairs skip theirs.  A work counter, kept out
-        #: of :class:`DtnCounters` so records do not change with it.
+        #: calls); settled pairs and carriers without news for the peer
+        #: skip theirs.  A work counter, kept out of
+        #: :class:`DtnCounters` so records do not change with it.
         self.offer_passes = 0
+        #: No store of the plane holds a bundle that expires before
+        #: this instant: a lower bound, lowered wherever this class
+        #: adds custody and never raised.  Before it, a cascade from an
+        #: empty store has no contact to sweep.
+        self._expiry_floor = math.inf
         self._adjacent: dict[str, set[str]] = {
             name: set() for name in self.stores}
         # Sorted copy of each node's adjacency for the cascade, rebuilt
@@ -197,7 +210,9 @@ class DtnPlane:
         if telemetry is not None:
             telemetry.bundle_injected(bundle.bundle_id, source,
                                       destination, size_bytes)
-        self.stores[source].add(bundle, self.sim.now)
+        store = self.stores[source]
+        store.add(bundle, self.sim.now)
+        self._expiry_floor = min(self._expiry_floor, store.next_expiry)
         self._cascade_from(source)
         return bundle
 
@@ -274,8 +289,7 @@ class DtnPlane:
         control_bytes` — 0 for the stateless baselines, the
         predictability table for PRoPHET).  O(seen).
         """
-        return (SUMMARY_VECTOR_ID_BYTES
-                * len(self.stores[sender].summary_vector())
+        return (SUMMARY_VECTOR_ID_BYTES * self.stores[sender].seen_count()
                 + self.router.control_bytes(sender, receiver))
 
     def _peer_vector(self, peer: str, carrier: str) -> frozenset:
@@ -297,8 +311,9 @@ class DtnPlane:
     def _exchange(self, carrier: str, peer: str) -> bool:
         """One-directional offer pass; True if the peer's store grew.
 
-        O(1) when nothing is due to expire and the pair is settled
-        (see "Exchange semantics" in the module docstring).
+        O(1) when nothing is due to expire and the pair is settled,
+        O(carried) when the peer has seen every carried bundle (see
+        "Exchange semantics" in the module docstring).
         """
         if (self.faults is not None
                 and not self.faults.can_transmit(carrier, peer)):
@@ -313,9 +328,14 @@ class DtnPlane:
         pair = (carrier, peer)
         state = None
         if self.faults is None or not self.faults.is_byzantine(peer):
+            blind = pair in self._blind
             state = (carrier_store.version, peer_store.version,
-                     self.router.version, pair in self._blind)
+                     self.router.version, blind)
             if self._settled.get(pair) == state:
+                return False
+            if not carrier_store.has_news_for(None if blind
+                                              else peer_store):
+                self._settled[pair] = state
                 return False
         self.offer_passes += 1
         offers = self.router.offers(
@@ -352,6 +372,9 @@ class DtnPlane:
                 self._deliver(bundle, carrier, peer)
             elif peer_store.add(peer_copy, now):
                 grew = True
+            self._expiry_floor = min(self._expiry_floor,
+                                     carrier_store.next_expiry,
+                                     peer_store.next_expiry)
         return grew
 
     def _deliver(self, bundle: Bundle, custodian: str,
@@ -376,7 +399,22 @@ class DtnPlane:
         so it terminates.  The cluster-wide equilibrium models contacts
         whose duration dwarfs the transmission time of the buffered
         bundles (the baseline assumption; see module docstring).
+
+        An origin with no news even for a peer that has seen nothing
+        (an empty store) offers nothing, so it exchanges with no one
+        and only sweeps its due contacts, as their exchanges would
+        have.  With a fault plane every exchange still runs: each gate
+        call may count a jammed delivery.
         """
+        if (self.faults is None
+                and not self.stores[origin].has_news_for(None)):
+            now = self.sim.now
+            if now >= self._expiry_floor:
+                for peer in self._sorted_contacts(origin):
+                    store = self.stores[peer]
+                    if now >= store.next_expiry:
+                        store.expire(now)
+            return
         queue: collections.deque[str] = collections.deque([origin])
         while queue:
             node = queue.popleft()

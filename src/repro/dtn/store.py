@@ -19,6 +19,9 @@ adds what custody needs on top:
 * **a version** — :attr:`~MessageStore.version` changes whenever the
   carried bundles or the summary vector may have, so the forwarder can
   recognise a pair it already settled without re-running the router;
+* **news** — :meth:`~MessageStore.has_news_for` tells whether the store
+  carries anything a peer has not seen, so the forwarder skips the
+  router for a peer that has seen everything;
 * **partial fragments** — receiver-side byte counts of transfers the
   bandwidth-limited plane (:mod:`repro.dtn.capacity`) had to truncate
   at a window edge.  The fragment belongs to the *receiver* (reactive
@@ -102,6 +105,23 @@ class MessageStore:
     def summary_vector(self) -> frozenset[str]:
         """The epidemic dedup set: carried ∪ previously-seen ids."""
         return frozenset(self._seen)
+
+    def seen_count(self) -> int:
+        """``len(summary_vector())`` without copying the set.  O(1)."""
+        return len(self._seen)
+
+    def has_news_for(self, peer: "MessageStore | None") -> bool:
+        """True if this store carries a bundle ``peer`` has not seen.
+
+        ``None`` stands for a peer whose summary vector was not heard:
+        then any carried bundle is news, and only an empty store has
+        none.  Since no router offers a bundle the peer has seen, a
+        store without news offers the peer nothing.  O(carried),
+        copying nothing.
+        """
+        if peer is None:
+            return bool(self._buffer)
+        return not self._buffer._entries.keys() <= peer._seen
 
     # ------------------------------------------------------------------
     # partial fragments (bandwidth-limited transfers)

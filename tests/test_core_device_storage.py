@@ -337,14 +337,15 @@ def test_analyze_rejects_negative_route_figures(bad, stored_directly):
 @pytest.mark.parametrize("bad", [
     {"jump": -1}, {"quality": -1}, {"min_quality": -1}])
 def test_hand_built_discovery_response_rejects_negative_figures(bad):
-    """A shared ``Neighbourhood`` is validated once, when it is built,
-    so a response carrying a bad row never reaches a fold."""
-    rows = [entry_for("ok", jump=0), entry_for("bad", **bad)]
+    """A row checks its figures once, when it is built, so neither a
+    ``Neighbourhood`` nor a response can carry a bad one to a fold."""
     with pytest.raises(ValueError, match="negative"):
         DiscoveryResponse(identity=identity("B"), prototype="bluetooth",
-                          services=(), neighbourhood=rows)
+                          services=(), neighbourhood=[
+                              entry_for("ok", jump=0),
+                              entry_for("bad", **bad)])
     with pytest.raises(ValueError, match="negative"):
-        Neighbourhood(rows)
+        Neighbourhood([entry_for("bad", **bad)])
 
 
 def test_unchanged_rows_are_reused_and_changed_ones_rebuilt():

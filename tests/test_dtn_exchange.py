@@ -3,9 +3,12 @@
 An exchange costs O(1) when nothing changed: the shared buffer keeps a
 lower bound on its next expiry instant, stores and routers carry
 ``version`` counters, and the plane memoises directed pairs whose last
-offer pass was empty.  The properties here pin the building blocks
-against brute-force models; the differential test runs whole fault and
-PHY worlds with the memo defeated and demands identical outcomes.
+offer pass was empty.  An exchange whose carrier has no news for the
+peer skips the router, and a cascade from an empty store exchanges
+with no one.  The properties here pin the building blocks against
+brute-force models; the differential test runs whole fault and PHY
+worlds with the memo and both shortcuts defeated and demands identical
+outcomes.
 """
 
 import hypothesis.strategies as st
@@ -193,10 +196,24 @@ def test_a_blinded_pair_is_not_served_from_the_memo():
 
 
 class _NeverSettled(dict):
-    """A memo that forgets every write: each exchange asks the router."""
+    """A memo that forgets every write."""
 
     def __setitem__(self, key, value):
         pass
+
+
+def _ask_the_router_always(monkeypatch):
+    """Defeat the settled memo and both news shortcuts: every exchange
+    asks the router, and every cascade exchanges with every contact."""
+    original = DtnPlane.__init__
+
+    def defeated(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        self._settled = _NeverSettled()
+
+    monkeypatch.setattr(DtnPlane, "__init__", defeated)
+    monkeypatch.setattr(MessageStore, "has_news_for",
+                        lambda self, peer: True)
 
 
 _FAULTS = {"count": 18, "crash_rate": 0.3, "crash_downtime_s": 60.0,
@@ -231,26 +248,53 @@ def _observe(router, params, seed=7):
     ("epidemic", _FAULTS), ("spray", _FAULTS), ("prophet", _FAULTS),
     ("direct", _FAULTS), ("epidemic", _PHY)])
 def test_the_memo_changes_no_outcome(router, params, monkeypatch):
-    """Runs with the memo on and defeated agree on every counter and
-    delivery record, including the fault and PHY planes' counters."""
+    """Runs with the memo and the news shortcuts on and defeated agree
+    on every counter and delivery record, including the fault and PHY
+    planes' counters."""
     memoised, passes = _observe(router, params)
-    original = DtnPlane.__init__
-
-    def defeated(self, *args, **kwargs):
-        original(self, *args, **kwargs)
-        self._settled = _NeverSettled()
-
-    monkeypatch.setattr(DtnPlane, "__init__", defeated)
+    _ask_the_router_always(monkeypatch)
     reference, reference_passes = _observe(router, params)
     assert memoised == reference
     assert memoised["counters"]["delivered"] > 0
-    assert passes < reference_passes      # the memo did skip passes
+    assert passes < reference_passes      # the shortcuts did skip passes
     if params is _FAULTS:
         assert memoised["faults"]["crashes"] > 0
         assert memoised["faults"]["byzantine_beacons"] > 0
         assert memoised["faults"]["jammed_deliveries"] > 0
     else:
         assert memoised["phy"]["offered"] > memoised["phy"]["delivered"]
+
+
+def test_a_cascade_from_an_empty_origin_sweeps_its_due_contacts():
+    """s1 holds a bundle past its TTL; s0, empty, sits between s1 and
+    s2.  Reopening s0–s2 exchanges only s0 and s2, so s1's bundle can
+    expire at that instant only through the cascade from empty s0."""
+    scenario = Scenario(seed=1)
+    for name, x in (("s0", 0.0), ("s1", 6.0), ("s2", -6.0)):
+        scenario.add_node(name, position=(x, 0.0), mobility_class="static")
+    plane = DtnOverlay(scenario.world, make_router("direct"))
+    plane.send("s1", "s2", ttl_s=5.0)     # s2 is out of s1's range
+    scenario.run(until=10.0)
+    assert len(plane.stores["s1"]) == 1
+    assert plane.counters.expired == 0
+    plane.contact_up("s0", "s2")
+    assert len(plane.stores["s1"]) == 0
+    assert plane.counters.expired == 1
+
+
+def test_attach_counts_the_same_jammed_deliveries(monkeypatch):
+    """With a fault plane every cascade still exchanges per contact, so
+    attach over empty stores counts the jammed gate calls that a run
+    with the shortcuts defeated counts."""
+    def attach():
+        scenario = build_scenario("island_hopping_ferry", 6, _FAULTS)
+        DtnOverlay(scenario.world, make_router("epidemic"))
+        return scenario.world.faults.counters.as_dict()
+
+    shortcut = attach()
+    _ask_the_router_always(monkeypatch)
+    assert shortcut == attach()
+    assert shortcut["jammed_deliveries"] > 0
 
 
 def test_is_byzantine_reports_the_lying_beaconers():
