@@ -144,7 +144,8 @@ perf:
 
 # Reach audit: every src/repro function classed by the first set of runs
 # that enters it (production, gates, unit tests, nothing).  Exits 1 when
-# an untagged function is reached by nothing.
+# an untagged function is reached by unit tests alone or by nothing, and
+# 2 when one of its runs fails.
 reach:
 	$(PYTHON) tools/reach_audit.py
 

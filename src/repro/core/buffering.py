@@ -290,11 +290,6 @@ class ReliableChannel:
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
-    @property
-    def unacknowledged(self) -> int:
-        """Payloads buffered awaiting a cumulative ack."""
-        return len(self._window)
-
     def send(self, payload: object, size_bytes: int) -> int:
         """Buffer and transmit one payload; returns its sequence number."""
         envelope = _Sequenced(sequence=self._next_sequence, payload=payload,
@@ -389,16 +384,7 @@ class ReliableChannel:
         self.connection.write(_CumulativeAck(self._expected - 1),
                               _ACK_SIZE)
 
-    # ------------------------------------------------------------------
-    # teardown
-    # ------------------------------------------------------------------
-    def close(self, reason: str = "") -> None:
-        """Flush a final ack and close the underlying connection."""
-        if self.connection.is_open:
-            self._maybe_ack(force=True)
-            self.connection.close(reason)
-
     def __repr__(self) -> str:
         return (f"<ReliableChannel conn#{self.connection.connection_id} "
-                f"unacked={self.unacknowledged} "
+                f"unacked={len(self._window)} "
                 f"expected={self._expected}>")

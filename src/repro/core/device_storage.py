@@ -144,10 +144,6 @@ class DeviceStorage:
         """Devices inside our own coverage (jump 0)."""
         return [d for d in self.devices() if d.is_direct()]
 
-    def remote_devices(self) -> list[StoredDevice]:
-        """Devices reachable only through bridges (jump > 0)."""
-        return [d for d in self.devices() if not d.is_direct()]
-
     def find_service(self, service_name: str) -> list[StoredDevice]:
         """Devices advertising the named service, best route first."""
         matches = [d for d in self.devices()
@@ -430,16 +426,3 @@ class DeviceStorage:
 
         candidates.sort(key=sort_key)
         return candidates
-
-    # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
-    def erase(self, address: str) -> None:
-        """Remove a device and every route bridged through it."""
-        if address in self._devices:
-            self._evict_with_routes(address)
-
-    def clear(self) -> None:
-        """Drop everything (daemon restart)."""
-        self._snapshot = None
-        self._devices.clear()

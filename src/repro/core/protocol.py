@@ -136,10 +136,6 @@ class Ack(Frame):
     port: int = 0
     reason: str = ""
 
-    @property
-    def command(self) -> Command:
-        return Command.PH_OK if self.ok else Command.PH_ERROR
-
     def wire_size(self) -> int:
         return 4 + 4 + len(self.reason)
 

@@ -48,25 +48,6 @@ class RouteMetrics:
         check_route_figures(self.jump, self.quality_sum,
                             self.min_link_quality)
 
-    def meets_threshold(self, threshold: int) -> bool:
-        """Fig. 3.9: every link on the route is at least ``threshold``."""
-        return self.min_link_quality >= threshold
-
-    def extend(self, link_quality: int,
-               bridge_mobility: MobilityClass) -> "RouteMetrics":
-        """Derive the metrics seen one hop upstream.
-
-        A receiver that learns this route from a neighbour at
-        ``link_quality`` stores it with one more jump, the neighbour as
-        first hop, and the local link folded into the quality figures.
-        """
-        return RouteMetrics(
-            jump=self.jump + 1,
-            first_hop_mobility=bridge_mobility,
-            quality_sum=self.quality_sum + link_quality,
-            min_link_quality=min(self.min_link_quality, link_quality),
-        )
-
 
 def check_route_figures(jump: int, quality_sum: int,
                         min_link_quality: int) -> None:
@@ -126,15 +107,3 @@ def rank_figures(jump: int, first_hop_mobility: MobilityClass,
     if policy.quality_first:
         return (threshold_key, -quality_sum, jump, mobility_key)
     return (jump, mobility_key, threshold_key, -quality_sum)
-
-
-def best_route(routes: list[RouteMetrics],
-               policy: RoutingPolicy) -> RouteMetrics | None:
-    """Pick the best of several candidate routes (first wins ties)."""
-    if not routes:
-        return None
-    winner = routes[0]
-    for candidate in routes[1:]:
-        if is_better_route(candidate, winner, policy):
-            winner = candidate
-    return winner

@@ -57,12 +57,6 @@ class ServiceRegistry:
         self._services[record.name] = record
         return record
 
-    def unregister(self, name: str) -> None:
-        """Remove a service by name."""
-        if name not in self._services:
-            raise KeyError(f"service not registered: {name!r}")
-        del self._services[name]
-
     def lookup(self, name: str) -> typing.Optional[ServiceRecord]:
         """Find a service by name, hidden ones included."""
         return self._services.get(name)
@@ -71,10 +65,6 @@ class ServiceRegistry:
         """Services advertised to discovery inquiries (hidden excluded)."""
         return [record for record in self._services.values()
                 if not record.hidden]
-
-    def all_services(self) -> list[ServiceRecord]:
-        """Every registered service, hidden included."""
-        return list(self._services.values())
 
     def __len__(self) -> int:
         return len(self._services)

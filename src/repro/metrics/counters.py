@@ -231,20 +231,3 @@ class TrafficMeter:
                    for (n, c), bucket in self._buckets.items()
                    if (node is None or n == node)
                    and (category is None or c == category))
-
-    def nodes(self) -> list[str]:
-        """Every node that has sent anything, sorted."""
-        return sorted({n for n, _ in self._buckets})
-
-    def categories(self) -> list[str]:
-        """Every category seen, sorted."""
-        return sorted({c for _, c in self._buckets})
-
-    def per_node(self, category: str | None = None) -> dict[str, int]:
-        """Message counts keyed by node."""
-        return {node: self.messages(node=node, category=category)
-                for node in self.nodes()}
-
-    def reset(self) -> None:
-        """Zero all counters (between benchmark repetitions)."""
-        self._buckets.clear()

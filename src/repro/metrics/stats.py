@@ -72,22 +72,3 @@ def summarize(values: typing.Sequence[float]) -> Summary:
         stdev=stdev,
         ci95=ci95,
     )
-
-
-def percentile(values: typing.Sequence[float], fraction: float) -> float:
-    """Linear-interpolated percentile, ``fraction`` in [0, 1]."""
-    if not values:
-        raise ValueError("cannot take a percentile of an empty sample")
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction out of [0,1]: {fraction}")
-    ordered = sorted(float(v) for v in values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = fraction * (len(ordered) - 1)
-    low = math.floor(rank)
-    high = math.ceil(rank)
-    if low == high:
-        return ordered[low]
-    weight = rank - low
-    # a + w*(b - a) is exact when a == b, unlike a*(1-w) + b*w.
-    return ordered[low] + weight * (ordered[high] - ordered[low])

@@ -75,23 +75,6 @@ class EventTrace:
         matching = self.events(kind=kind, node=node)
         return matching[0] if matching else None
 
-    def last(self, kind: str, node: str | None = None) -> TraceEvent | None:
-        """Latest matching event, or None."""
-        matching = self.events(kind=kind, node=node)
-        return matching[-1] if matching else None
-
     def count(self, kind: str, node: str | None = None) -> int:
         """Number of matching events."""
         return len(self.events(kind=kind, node=node))
-
-    def times(self, kind: str, node: str | None = None) -> list[float]:
-        """Timestamps of matching events."""
-        return [event.time for event in self.events(kind=kind, node=node)]
-
-    def kinds(self) -> list[str]:
-        """Every distinct event kind recorded, sorted."""
-        return sorted({event.kind for event in self._events})
-
-    def clear(self) -> None:
-        """Drop all events."""
-        self._events.clear()

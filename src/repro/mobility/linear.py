@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.mobility.base import MobilityModel, Point, distance
+from repro.mobility.base import MobilityModel, Point
 
 
 class LinearMovement(MobilityModel):
@@ -24,9 +24,6 @@ class LinearMovement(MobilityModel):
         elapsed = max(0.0, t - self.start_time)
         return (self.start[0] + self.velocity[0] * elapsed,
                 self.start[1] + self.velocity[1] * elapsed)
-
-    def is_mobile(self) -> bool:
-        return self.velocity != (0.0, 0.0)
 
     def linear_segments(self, t0: float, t1: float):
         if t1 <= t0:
@@ -109,8 +106,3 @@ class PathMovement(MobilityModel):
 
     def settled_after(self) -> float:
         return self.waypoints[-1][0]
-
-    def total_distance(self) -> float:
-        """Length of the scripted path in metres."""
-        legs = zip(self.waypoints, self.waypoints[1:])
-        return sum(distance(p0, p1) for (_, p0), (_, p1) in legs)

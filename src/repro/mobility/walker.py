@@ -83,11 +83,3 @@ class CorridorWalk(MobilityModel):
         if self.stop_distance is None:
             return None
         return self.depart_time + self.stop_distance / self.speed
-
-    def time_to_distance(self, distance_m: float) -> float:
-        """Virtual time at which the walker is ``distance_m`` from origin."""
-        if distance_m < 0:
-            raise ValueError(f"negative distance: {distance_m}")
-        if self.stop_distance is not None:
-            distance_m = min(distance_m, self.stop_distance)
-        return self.depart_time + distance_m / self.speed

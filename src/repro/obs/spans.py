@@ -72,6 +72,3 @@ class SpanLog:
 
     def __iter__(self) -> typing.Iterator[Span]:
         return iter(self._spans)
-
-    def by_kind(self, kind: str) -> list[Span]:
-        return [span for span in self._spans if span.kind == kind]

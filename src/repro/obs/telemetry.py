@@ -322,7 +322,3 @@ class Telemetry:
             rows.append({"type": "profile", "leg": self.label,
                          "event_counts": self.profiler.count_rows()})
         return rows
-
-    def timeline_rows(self) -> list[dict[str, object]]:
-        """Just the sample rows (the ``timeline.csv`` payload)."""
-        return list(self._samples)

@@ -69,7 +69,7 @@ class Plugin:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Spawn the inquiry thread (idempotent while running)."""
-        if self._process is not None and self._process.is_alive:
+        if self._process is not None and not self._process.triggered:
             return
         self._process = self.sim.spawn(
             self._run(), name=f"inquiry:{self.node_id}:{self.tech.name}")

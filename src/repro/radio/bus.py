@@ -108,11 +108,6 @@ class Watch:
         self.last_fired: ConnectivityEvent | None = None
         self._handle: "ScheduledCall | None" = None
 
-    @property
-    def armed(self) -> bool:
-        """True while a kernel event is scheduled for this watch."""
-        return self._handle is not None
-
     def cancel(self) -> None:
         """Convenience for :meth:`ConnectivityBus.cancel`."""
         self.bus.cancel(self)
@@ -522,10 +517,6 @@ class ConnectivityBus:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def active_watches(self) -> int:
-        """Number of live watches (armed or parked)."""
-        return len(self._watches)
-
 
 class ContactStream:
     """The LinkUp/LinkDown stream of every pair of a node set.

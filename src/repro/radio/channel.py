@@ -180,10 +180,6 @@ class Link:
             return failed
         return inbox.get()
 
-    def pending(self, receiver: str) -> int:
-        """Frames buffered for ``receiver``."""
-        return len(self._inboxes[receiver])
-
     # ------------------------------------------------------------------
     # teardown
     # ------------------------------------------------------------------

@@ -161,11 +161,6 @@ class PhyTransmission:
         self.resolved = False
         self.fate: str | None = None
 
-    @property
-    def delivered(self) -> bool:
-        """True once resolved with a surviving fate."""
-        return self.fate in (DELIVERED, CAPTURED)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<PhyTransmission {self.sender}->{self.receiver} "
                 f"{self.kind} [{self.started_at:.3f},{self.ends_at:.3f}] "
@@ -239,10 +234,6 @@ class PhyPlane:
     # ------------------------------------------------------------------
     # profiles and the analytic curve
     # ------------------------------------------------------------------
-    def profile(self, tech: Technology | str | None = None) -> PhyProfile:
-        """The (cached) profile for ``tech`` (default Bluetooth)."""
-        return self._profile_of(self._tech(tech))
-
     def _profile_of(self, tech: Technology) -> PhyProfile:
         profile = self._profiles.get(tech.name)
         if profile is None:
@@ -266,7 +257,7 @@ class PhyPlane:
         ``sigma = 0`` this is the exact binary threshold.  Collisions
         are not modelled here (they depend on traffic, not geometry).
         """
-        profile = self.profile(tech)
+        profile = self._profile_of(self._tech(tech))
         mu = profile.path_loss.rssi_dbm(distance_m)
         threshold = profile.sensitivity_dbm
         if jammed:
@@ -320,7 +311,7 @@ class PhyPlane:
         the delivery instant.
         """
         if tx.resolved:
-            return tx.delivered
+            return tx.fate in (DELIVERED, CAPTURED)
         tx.resolved = True
         counters = self.counters
         if tx.rssi_dbm < self._threshold_dbm(tx) - _BOUNDARY_EPSILON_DB:

@@ -490,10 +490,6 @@ class World:
         self._last_history_prune = self.sim.now
         return dropped
 
-    def is_inquiring(self, node_id: str, tech: Technology) -> bool:
-        """True while the node is scanning on ``tech``.  O(1)."""
-        return (node_id, tech.name) in self._inquiring
-
     def max_discoverable_gap(self, node_id: str, tech: Technology,
                              window_start: float,
                              window_end: float) -> float:

@@ -48,11 +48,6 @@ class Process(Event):
         bootstrap._add_callback(self._resume)
         bootstrap.succeed()
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self._triggered
-
     def _resume(self, event: Event) -> None:
         if event.exception is not None:
             self._step(event.exception, throw=True)

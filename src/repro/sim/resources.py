@@ -54,7 +54,3 @@ class Store:
         else:
             self._getters.append(request)
         return request
-
-    def clear(self) -> None:
-        """Drop all buffered items (used when a connection is torn down)."""
-        self._items.clear()

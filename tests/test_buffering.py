@@ -147,9 +147,10 @@ def test_in_order_delivery_and_ack_trimming():
 
     channel = scenario.run_process(run(scenario.sim))
     assert received == list(range(10))
-    # Cumulative acks trimmed the window (at most ack_every-1 linger
-    # until the next ack batch; the final resend loop clears the rest).
-    assert channel.unacknowledged <= 4
+    # Cumulative acks (every 4th delivery at the sink) trimmed the
+    # window: the resend loop re-sent only the two payloads past the
+    # last ack batch, whose duplicates forced the final ack.
+    assert channel.retransmissions == 2
 
 
 def test_sequence_numbers_are_monotone():
@@ -247,20 +248,3 @@ def test_duplicates_are_dropped():
 
     scenario.run_process(run(scenario.sim))
     assert received == list(range(8))
-
-
-def test_close_flushes_final_ack():
-    scenario, client, server, received = settled_pair(seed=74)
-
-    def run(sim):
-        connection = yield from client.library.connect(
-            server.address, "reliable.sink", retries=6)
-        channel = ReliableChannel(connection)
-        channel.send("only", 64)
-        yield sim.timeout(3.0)
-        channel.close("done")
-        yield sim.timeout(2.0)
-        return channel
-
-    scenario.run_process(run(scenario.sim))
-    assert received == ["only"]

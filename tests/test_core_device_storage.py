@@ -67,7 +67,8 @@ def test_direct_devices_and_remote_devices_partition():
     reporter = add_direct(storage, "pc")
     storage.analyze_neighbourhood(reporter, [entry_for("far")], now=0.0)
     assert len(storage.direct_devices()) == 1
-    assert len(storage.remote_devices()) == 1
+    assert [d.name for d in storage.devices()
+            if not d.is_direct()] == ["far"]
     assert len(storage) == 2
 
 
@@ -300,18 +301,6 @@ def test_find_handover_routes_ignores_multihop_adjacency():
     assert storage.find_handover_routes(identity("server").address) == []
 
 
-def test_erase_and_clear():
-    storage = make_storage()
-    reporter = add_direct(storage, "bridge")
-    storage.analyze_neighbourhood(
-        reporter, [entry_for("behind", jump=0)], now=0.0)
-    storage.erase(reporter.address)
-    assert len(storage) == 0
-    add_direct(storage, "pc")
-    storage.clear()
-    assert len(storage) == 0
-
-
 def test_stale_after_validation():
     with pytest.raises(ValueError):
         make_storage(stale_after_loops=0)
@@ -467,14 +456,6 @@ class SnapshotMachine(RuleBasedStateMachine):
     @rule(responded=st.sets(st.sampled_from(NAMES)))
     def make_older(self, responded):
         self.storage.make_older(identity(n).address for n in responded)
-
-    @rule(name=st.sampled_from(NAMES))
-    def erase(self, name):
-        self.storage.erase(identity(name).address)
-
-    @rule()
-    def clear(self):
-        self.storage.clear()
 
     @invariant()
     def memos_equal_their_recomputation(self):

@@ -6,7 +6,6 @@ from repro.core.config import RoutingPolicy
 from repro.core.device import MobilityClass
 from repro.core.routing import (
     RouteMetrics,
-    best_route,
     direct_route,
     is_better_route,
 )
@@ -37,15 +36,6 @@ def test_route_metrics_validation():
                      min_link_quality=0)
 
 
-def test_extend_adds_jump_and_folds_quality():
-    base = direct_route(quality=250, mobility=S)  # B's view of E
-    extended = base.extend(link_quality=200, bridge_mobility=H)  # A via B
-    assert extended.jump == 1
-    assert extended.quality_sum == 450
-    assert extended.min_link_quality == 200
-    assert extended.first_hop_mobility is H
-
-
 def test_fewer_jumps_always_wins_default_policy():
     policy = RoutingPolicy()
     shorter = route(1, D, 300, min_quality=150)
@@ -74,8 +64,6 @@ def test_fig_3_9_equity_threshold_breaks_tie():
     policy = RoutingPolicy()  # threshold 230
     route_abd = route(1, S, 460, min_quality=230)
     route_acd = route(1, S, 460, min_quality=210)
-    assert route_abd.meets_threshold(policy.quality_threshold)
-    assert not route_acd.meets_threshold(policy.quality_threshold)
     assert is_better_route(route_abd, route_acd, policy)
     assert not is_better_route(route_acd, route_abd, policy)
 
@@ -118,18 +106,6 @@ def test_equal_routes_do_not_replace():
     twin = route(1, S, 400, min_quality=240)
     assert not is_better_route(first, twin, policy)
     assert not is_better_route(twin, first, policy)
-
-
-def test_best_route_picks_winner_and_handles_empty():
-    policy = RoutingPolicy()
-    routes = [
-        route(2, S, 700, min_quality=235),
-        route(1, D, 300, min_quality=150),
-        route(1, S, 450, min_quality=231),
-    ]
-    winner = best_route(routes, policy)
-    assert winner is routes[2]
-    assert best_route([], policy) is None
 
 
 def test_policy_validation():

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.device import DeviceIdentity, MobilityClass
 from repro.core.protocol import (
-    Ack,
     BridgeRequest,
     ClientParams,
     Command,
@@ -56,15 +55,6 @@ def test_registry_rejects_duplicates():
         registry.register(ServiceRecord(name="echo"))
 
 
-def test_registry_unregister():
-    registry = ServiceRegistry()
-    registry.register(ServiceRecord(name="echo"))
-    registry.unregister("echo")
-    assert registry.lookup("echo") is None
-    with pytest.raises(KeyError):
-        registry.unregister("echo")
-
-
 def test_registry_hidden_services_not_visible():
     """The bridge service is registered but not advertised (§4.0)."""
     registry = ServiceRegistry()
@@ -73,8 +63,8 @@ def test_registry_hidden_services_not_visible():
     registry.register(ServiceRecord(name="public"))
     visible_names = [s.name for s in registry.visible_services()]
     assert visible_names == ["public"]
-    all_names = sorted(s.name for s in registry.all_services())
-    assert all_names == sorted([BRIDGE_SERVICE_NAME, "public"])
+    assert registry.lookup(BRIDGE_SERVICE_NAME).hidden   # still registered
+    assert len(registry) == 2
 
 
 # ----------------------------------------------------------------------
@@ -105,11 +95,6 @@ def test_bridge_request_defaults():
 def test_reconnect_request_command():
     request = ReconnectRequest(connection_id=9, client_params=make_params())
     assert request.command is Command.PH_RECONNECT
-
-
-def test_ack_command_follows_ok_flag():
-    assert Ack(ok=True).command is Command.PH_OK
-    assert Ack(ok=False, reason="nope").command is Command.PH_ERROR
 
 
 def test_data_frame_wire_size_tracks_declared_size():

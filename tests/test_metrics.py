@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.metrics import EventTrace, TrafficMeter, summarize
-from repro.metrics.stats import percentile, t_critical_95
+from repro.metrics.stats import t_critical_95
 from repro.metrics.tables import format_table, render_csv
 
 
@@ -37,22 +37,6 @@ def test_meter_rejects_negative_bytes():
         meter.count("a", "data", -1)
 
 
-def test_meter_nodes_categories_and_per_node():
-    meter = TrafficMeter()
-    meter.count("b", "data", 10)
-    meter.count("a", "control", 5)
-    assert meter.nodes() == ["a", "b"]
-    assert meter.categories() == ["control", "data"]
-    assert meter.per_node() == {"a": 1, "b": 1}
-
-
-def test_meter_reset():
-    meter = TrafficMeter()
-    meter.count("a", "data", 10)
-    meter.reset()
-    assert meter.messages() == 0
-
-
 # ----------------------------------------------------------------------
 # EventTrace
 # ----------------------------------------------------------------------
@@ -72,25 +56,16 @@ def test_trace_first_last_count_times():
     for t in (1.0, 5.0, 9.0):
         trace.record(t, "x", "tick")
     assert trace.first("tick").time == 1.0
-    assert trace.last("tick").time == 9.0
+    assert trace.events(kind="tick")[-1].time == 9.0
     assert trace.count("tick") == 3
-    assert trace.times("tick") == [1.0, 5.0, 9.0]
+    assert [e.time for e in trace.events(kind="tick")] == [1.0, 5.0, 9.0]
     assert trace.first("missing") is None
-    assert trace.last("missing") is None
 
 
 def test_trace_detail_is_captured():
     trace = EventTrace()
     event = trace.record(1.0, "n", "kind", value=42)
     assert event.detail == {"value": 42}
-
-
-def test_trace_clear_and_iter():
-    trace = EventTrace()
-    trace.record(1.0, "a", "x")
-    assert len(list(trace)) == 1
-    trace.clear()
-    assert len(trace) == 0
 
 
 # ----------------------------------------------------------------------
@@ -119,24 +94,6 @@ def test_summarize_empty_rejected():
 def test_summary_str_is_readable():
     text = str(summarize([1.0, 2.0]))
     assert "mean=" in text and "n=2" in text
-
-
-def test_percentile_interpolates():
-    values = [0.0, 10.0]
-    assert percentile(values, 0.0) == 0.0
-    assert percentile(values, 1.0) == 10.0
-    assert percentile(values, 0.5) == 5.0
-
-
-def test_percentile_median_of_odd_sample():
-    assert percentile([3.0, 1.0, 2.0], 0.5) == 2.0
-
-
-def test_percentile_validation():
-    with pytest.raises(ValueError):
-        percentile([], 0.5)
-    with pytest.raises(ValueError):
-        percentile([1.0], 1.5)
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The trace is the oldest metrics module and, until the telemetry plane
 started tapping it, the least tested: these tests pin the query-helper
-contracts (filtering, ordering, first/last/count/times/kinds) and the
+contracts (filtering, ordering, first/count) and the
 tap mechanism the :class:`repro.obs.Telemetry` recorder rides.
 """
 
@@ -42,25 +42,11 @@ def test_events_filters_by_kind_and_node(trace):
 
 def test_first_last_count_times(trace):
     assert trace.first("signal-low").time == 1.0
-    assert trace.last("signal-low").time == 3.0
+    assert trace.events(kind="signal-low")[-1].time == 3.0
     assert trace.first("nope") is None
-    assert trace.last("nope") is None
     assert trace.count("signal-low") == 2
     assert trace.count("signal-low", node="b") == 0
-    assert trace.times("signal-low") == [1.0, 3.0]
-    assert trace.times("nope") == []
-
-
-def test_kinds_sorted_and_deduplicated(trace):
-    assert trace.kinds() == ["link-up", "routing-handover", "signal-low"]
-    assert EventTrace().kinds() == []
-
-
-def test_clear_empties_the_trace(trace):
-    trace.clear()
-    assert len(trace) == 0
-    assert trace.events() == []
-    assert trace.kinds() == []
+    assert [e.time for e in trace.events(kind="signal-low")] == [1.0, 3.0]
 
 
 def test_trace_event_repr_is_human_readable():
@@ -88,7 +74,7 @@ def test_tap_sees_each_event_after_it_is_appended():
 
     def tap(event):
         # The event must already be queryable when the tap runs.
-        assert trace.last(event.kind) is event
+        assert trace.events()[-1] is event
         seen.append(event)
 
     trace.add_tap(tap)

@@ -40,11 +40,6 @@ def test_linear_movement_waits_until_start_time():
     assert model.position(12.0) == (7.0, 5.0)
 
 
-def test_linear_movement_zero_velocity_not_mobile():
-    assert not LinearMovement((0, 0), (0.0, 0.0)).is_mobile()
-    assert LinearMovement((0, 0), (0.1, 0.0)).is_mobile()
-
-
 def test_path_movement_interpolates():
     model = PathMovement([(0.0, (0.0, 0.0)), (10.0, (10.0, 0.0))])
     assert model.position(-1.0) == (0.0, 0.0)
@@ -60,6 +55,9 @@ def test_path_movement_holds_between_identical_waypoints():
     ])
     assert model.position(3.0) == (0.0, 0.0)
     assert model.position(7.5) == (2.5, 0.0)
+    assert model.is_mobile()
+    assert not PathMovement([(0.0, (1.0, 1.0)),
+                             (5.0, (1.0, 1.0))]).is_mobile()
 
 
 def test_path_movement_requires_sorted_times():
@@ -70,13 +68,6 @@ def test_path_movement_requires_sorted_times():
 def test_path_movement_requires_waypoints():
     with pytest.raises(ValueError):
         PathMovement([])
-
-
-def test_path_movement_total_distance():
-    model = PathMovement([
-        (0.0, (0.0, 0.0)), (1.0, (3.0, 4.0)), (2.0, (3.0, 4.0))])
-    assert model.total_distance() == 5.0
-    assert model.is_mobile()
 
 
 def test_corridor_walk_holds_then_departs():
@@ -92,11 +83,6 @@ def test_corridor_walk_stop_distance():
     walk = CorridorWalk((0.0, 0.0), speed=1.0, stop_distance=4.0)
     x, _ = walk.position(100.0)
     assert x == pytest.approx(4.0)
-
-
-def test_corridor_walk_time_to_distance():
-    walk = CorridorWalk((0.0, 0.0), speed=2.0, depart_time=3.0)
-    assert walk.time_to_distance(10.0) == pytest.approx(8.0)
 
 
 def test_corridor_walk_heading():

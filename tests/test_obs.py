@@ -59,6 +59,10 @@ def _run_relay(telemetry=None, seed=4):
     return scenario, plane
 
 
+def spans_of(telemetry, kind):
+    return [span for span in telemetry.spans if span.kind == kind]
+
+
 # ----------------------------------------------------------------------
 # subsystem labels + profiler
 # ----------------------------------------------------------------------
@@ -141,7 +145,8 @@ def test_sample_rows_have_the_fixed_timeline_schema():
     telemetry = Telemetry(label="leg0")
     _run_relay(telemetry)
     telemetry.finalize()
-    samples = telemetry.timeline_rows()
+    samples = [row for row in telemetry.records()
+               if row["type"] == "sample"]
     assert len(samples) >= 3                   # attach + periodic + final
     times = [row["t"] for row in samples]
     assert times == sorted(times)
@@ -180,13 +185,13 @@ def test_records_order_samples_then_spans_then_profile():
 def test_contact_and_bundle_spans_from_a_relay_run():
     telemetry = Telemetry()
     _run_relay(telemetry)
-    contacts = telemetry.spans.by_kind("contact")
+    contacts = spans_of(telemetry, "contact")
     # src|mule are in range at t=0 — no crossing, no span.  The mule's
     # drive past dst is a genuine link-up/link-down window.
     [window] = [span for span in contacts if span.status == "closed"]
     assert window.key == "dst|mule|bluetooth"
     assert window.closed_at > window.opened_at
-    bundles = telemetry.spans.by_kind("bundle")
+    bundles = spans_of(telemetry, "bundle")
     assert len(bundles) == 1
     journey = bundles[0]
     assert journey.status == "delivered"
@@ -207,7 +212,7 @@ def test_bundle_drop_span_closes_only_on_terminal_loss():
     plane.send("src", "dst", ttl_s=500.0)
     scenario.run(until=20.0)      # mule has the copy, src still does too
     faults.crash_now("mule")      # one copy lost, src's copy survives
-    [journey] = telemetry.spans.by_kind("bundle")
+    [journey] = spans_of(telemetry, "bundle")
     assert journey.status == "open"
     faults.crash_now("src")       # last living copy gone
     assert journey.status == "dropped"
@@ -222,7 +227,7 @@ def test_fault_span_hooks():
     telemetry.fault_down("src", "crash")      # duplicate down: one span
     telemetry.fault_up("src")
     telemetry.fault_up("src")                 # duplicate up: no-op
-    [outage] = telemetry.spans.by_kind("fault")
+    [outage] = spans_of(telemetry, "fault")
     assert outage.status == "recovered"
     assert outage.detail["fault_kind"] == "crash"
 

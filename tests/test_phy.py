@@ -27,6 +27,7 @@ from repro.radio.phy import (
     DELIVERED,
     LOST_COLLISION,
     PhyPlane,
+    PhyProfile,
     install_scenario_phy,
 )
 from repro.radio.technologies import get_technology
@@ -54,7 +55,7 @@ def test_profile_is_calibrated_to_nominal_range():
     plane = PhyPlane(world)
     for name in ("bluetooth", "wlan", "gprs"):
         tech = get_technology(name)
-        profile = plane.profile(tech)
+        profile = PhyProfile.for_technology(tech)
         assert profile.tech_name == name
         assert profile.sensitivity_dbm == pytest.approx(
             profile.path_loss.rssi_dbm(tech.range_m))
@@ -65,7 +66,6 @@ def test_profile_is_calibrated_to_nominal_range():
                                       tech=tech) == 0.0
         assert plane.loss_probability(tech.range_m * 1.01,
                                       tech=tech) == 1.0
-    assert plane.profile() is plane.profile("bluetooth")   # cached
 
 
 def test_loss_probability_is_monotone_and_jamming_raises_it():
@@ -220,8 +220,10 @@ def test_capture_needs_the_margin_over_the_strongest_rival():
     weak = plane.begin("b", "r", 1000, started_at=0.2, ends_at=1.2)
     assert plane.resolve(strong)
     assert not plane.resolve(weak)
-    assert strong.fate == CAPTURED and strong.delivered
+    assert strong.fate == CAPTURED
     assert weak.fate == LOST_COLLISION
+    # A second resolve repeats the verdict and counts nothing.
+    assert plane.resolve(strong) and not plane.resolve(weak)
     counters = plane.counters
     assert (counters.offered, counters.delivered, counters.captured,
             counters.lost_collision) == (2, 1, 1, 1)

@@ -12,8 +12,8 @@ from repro.core.device import (
 )
 from repro.core.device_storage import DeviceStorage
 from repro.core.protocol import NeighbourEntry
-from repro.core.routing import RouteMetrics, best_route, is_better_route
-from repro.metrics.stats import percentile, summarize
+from repro.core.routing import RouteMetrics, is_better_route
+from repro.metrics.stats import summarize
 from repro.mobility import PathMovement, RandomWaypoint, StaticPosition
 from repro.radio import BLUETOOTH, WLAN, World
 from repro.radio.quality import (
@@ -61,24 +61,6 @@ def test_route_preference_is_asymmetric(a, b, policy):
 def test_route_preference_is_transitive(a, b, c, policy):
     if is_better_route(a, b, policy) and is_better_route(b, c, policy):
         assert is_better_route(a, c, policy)
-
-
-@given(st.lists(routes, min_size=1, max_size=8), policies)
-def test_best_route_is_undominated(candidates, policy):
-    winner = best_route(candidates, policy)
-    assert winner in candidates
-    for other in candidates:
-        assert not is_better_route(other, winner, policy)
-
-
-@given(routes, st.integers(min_value=0, max_value=255), mobility_classes)
-def test_extend_monotone_in_jump_and_quality(route, link_quality, mobility):
-    extended = route.extend(link_quality, mobility)
-    assert extended.jump == route.jump + 1
-    assert extended.quality_sum == route.quality_sum + link_quality
-    assert extended.min_link_quality <= route.min_link_quality
-    assert extended.min_link_quality <= link_quality
-    assert extended.first_hop_mobility is mobility
 
 
 # ----------------------------------------------------------------------
@@ -258,23 +240,6 @@ def test_summary_bounds(values):
         summary.maximum + slack)
     assert summary.minimum <= summary.median <= summary.maximum
     assert summary.count == len(values)
-
-
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
-                          allow_nan=False), min_size=1, max_size=50),
-       st.floats(min_value=0.0, max_value=1.0))
-def test_percentile_within_range(values, fraction):
-    result = percentile(values, fraction)
-    assert min(values) <= result <= max(values)
-
-
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
-                          allow_nan=False), min_size=2, max_size=30),
-       st.floats(min_value=0.0, max_value=0.5))
-def test_percentile_monotone_in_fraction(values, fraction):
-    low = percentile(values, fraction)
-    high = percentile(values, 1.0 - fraction)
-    assert low <= high
 
 
 # ----------------------------------------------------------------------

@@ -225,4 +225,5 @@ def test_link_counts_frames():
     sim.run()
     assert link.frames_sent == 5
     assert link.frames_delivered == 5
-    assert link.pending("b") == 5
+    # Delivered frames wait in b's inbox, in send order.
+    assert [link.receive("b").value for _ in range(5)] == list(range(5))

@@ -34,11 +34,11 @@ def test_process_is_alive_until_done():
         yield sim.timeout(5.0)
 
     proc = sim.spawn(worker(sim))
-    assert proc.is_alive
+    assert not proc.triggered
     sim.run(until=2.0)
-    assert proc.is_alive
+    assert not proc.triggered
     sim.run()
-    assert not proc.is_alive
+    assert proc.triggered
 
 
 def test_process_exception_propagates_to_waiter():

@@ -66,13 +66,3 @@ def test_store_multiple_getters_served_fifo():
     store.put("b")
     sim.run()
     assert out == [("first", "a"), ("second", "b")]
-
-
-def test_store_len_and_clear():
-    sim = Simulator()
-    store = Store(sim)
-    store.put(1)
-    store.put(2)
-    assert len(store) == 2
-    store.clear()
-    assert len(store) == 0

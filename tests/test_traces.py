@@ -62,12 +62,13 @@ def test_recorder_requires_pair_budget(attach, monkeypatch):
     """Every contact-stream consumer is held by the one pair budget."""
     scenario = sparse_highway(count=10, seed=1)   # 45 pairs
     monkeypatch.setattr(bus, "MAX_PAIRS", 44)
+    stats = scenario.world.stats.bus
     with pytest.raises(ValueError, match="MAX_PAIRS=44"):
         attach(scenario)
-    assert scenario.world.bus.active_watches() == 0
+    assert stats.scheduled == stats.rescheduled == 0   # nothing armed
     monkeypatch.setattr(bus, "MAX_PAIRS", 45)
-    attach(scenario)
-    assert scenario.world.bus.active_watches() == 45
+    attach(scenario).detach()
+    assert stats.cancelled == 45                       # one per pair
 
 
 def test_recording_costs_no_polling_wakeups():

@@ -4,11 +4,13 @@ Each target runs in its own interpreter under a ``sys.settrace`` hook
 recording every ``src/repro`` code object entered (campaigns run
 serially, in that interpreter).  Every function under ``src/repro`` is
 classed by the first set reaching it: production (bundled specs, some
-with ``--telemetry``; perf workloads; examples), gates (benches at CI
-size, ``tests/paper``), unit (tier-1) or nothing.  Exits 1 when an
-untagged function is reached by nothing.  ``python tools/reach_audit.py
-[TARGET]`` (about 6 min; a script, ``-m module args`` or ``-c code``
-TARGET forms the one set ``given``).
+with ``--telemetry``; the CLI's ``list`` and ``report``; the ledger
+report; perf workloads; examples), gates (benches at CI size,
+``tests/paper``), unit (tier-1) or nothing.  Exits 1 when an untagged
+function is reached by unit tests alone or by nothing, and 2 when a
+target fails, since a failed run reaches too little to class anything.
+``python tools/reach_audit.py [TARGET]`` (about 6 min; a script, ``-m
+module args`` or ``-c code`` TARGET forms the one set ``given``).
 """
 
 import ast
@@ -32,15 +34,28 @@ WORKLOADS = ("from perf.workloads import WORKLOADS\n"
              "for w in WORKLOADS.values(): w.check(w.run(1).outputs)")
 CI_SIZES = {"BENCH_EVENT_N": "60", "BENCH_DTN_N": "60", "BENCH_CAP_N": "24",
             "BENCH_FAULT_REPEATS": "1", "BENCH_PHY_REPEATS": "1"}
-#: Name prefixes kept though no bundled run or gate reaches them.
-KEEP = {"experiments/cli.py:": "the CLI",
+#: Name prefixes kept though no bundled run or gate reaches them, each
+#: with its reason: an oracle, or a production path no bundled run takes.
+DAEMON_EXIT = "daemon exit: failure tests kill a server or relay (§5.2)"
+KEEP = {"experiments/cli.py:_worker_count": "--workers (cells run serially)",
         "dtn/forwarder.py:PollingDtnOverlay": "oracle",
         "radio/world.py:World.neighbors_brute_force": "oracle",
         "radio/contacts.py:distance_crossings": "oracle",
         "radio/phy.py:PhyPlane.loss_probability": "oracle",
         "radio/bus.py:ConnectivityBus.watch_links_batch": "perf tracer",
         "dtn/capacity.py:BandwidthDtnOverlay.on_crash": "crash_rate > 0",
-        "radio/spatial.py:SpatialGrid.remove": "crash on a grid world"}
+        "radio/spatial.py:SpatialGrid.remove": "crash on a grid world",
+        "core/node.py:PeerHoodNode.stop": DAEMON_EXIT,
+        "core/daemon.py:Daemon.stop": DAEMON_EXIT,
+        "core/bridge.py:BridgeService.close_all": DAEMON_EXIT,
+        "core/engine.py:Engine.close_all": DAEMON_EXIT,
+        "core/bridge.py:BridgeService.load_factor":
+            "advertise_load_in_quality (§4.0 load hint)",
+        "core/buffering.py:BoundedBuffer._victim":
+            "eviction when a store overflows its byte budget",
+        "core/protocol.py:NeighbourEntry.wire_size":
+            "Frame interface (size summed once, when built)",
+        "experiments/spec.py:RunPoint.label": "a failed cell's record"}
 
 
 def record(out: str, argv: list[str]) -> None:
@@ -61,8 +76,9 @@ def record(out: str, argv: list[str]) -> None:
         else:
             sys.argv = argv
             runpy.run_path(argv[0], run_name="__main__")
-    except SystemExit:
-        pass
+    except SystemExit as stop:
+        if stop.code not in (None, 0):
+            raise
     finally:
         sys.settrace(None)
         pathlib.Path(out).write_text(json.dumps(sorted(seen)))
@@ -102,8 +118,14 @@ def reach(targets: list[list[str]], work: pathlib.Path) -> set:
     reached = set()
     for index, argv in enumerate(targets):
         out = work / f"reach-{index}.json"
-        subprocess.run([sys.executable, __file__, "--record", str(out), *argv],
-                       cwd=ROOT, env=env, stdout=subprocess.DEVNULL)
+        done = subprocess.run(
+            [sys.executable, __file__, "--record", str(out), *argv],
+            cwd=ROOT, env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT, text=True)
+        if done.returncode:
+            print(done.stdout, f"reach_audit: target {' '.join(argv)!r} "
+                  f"exited {done.returncode}", sep="", file=sys.stderr)
+            raise SystemExit(2)
         reached |= {tuple(key) for key in json.loads(out.read_text())}
     return reached
 
@@ -113,14 +135,21 @@ def main(argv: list[str]) -> int:
         record(argv[1], argv[2:])
         return 0
     work = pathlib.Path(tempfile.mkdtemp(prefix="reach-"))
-    run = ["-m", "repro.experiments", "run"]
+    cli = ["-m", "repro.experiments"]
+    run = [*cli, "run"]
     pytest = ["-m", "pytest", "-q", "-p", "no:cacheprovider"]
     # The benches write BENCH_*.json beside their directory: run a copy.
     benches = shutil.copytree(ROOT / "benchmarks", work / "benchmarks")
     sets = {"given": [argv]} if argv else {
-        "production": [run + [s, "--out", str(work / s)] for s in SPECS]
+        "production": [run + [s, "--verbose", "--progress", "--out",
+                              str(work / s)] for s in SPECS]
         + [run + [s, "--telemetry", "--out", str(work / f"{s}-t")]
-           for s in TELEMETRY] + [["-c", WORKLOADS]]
+           for s in TELEMETRY]
+        + [[*cli, "list"],
+           [*cli, "report", SPECS[0], "--out", str(work / SPECS[0])],
+           [str(ROOT / "benchmarks" / "ledger.py"), "report",
+            "--out", str(work / "report")],
+           ["-c", WORKLOADS]]
         + [[str(p)] for p in sorted((ROOT / "examples").glob("*.py"))],
         "gates": [pytest + sorted(map(str, benches.glob("bench_*.py"))),
                   pytest + ["tests/paper"]],
@@ -137,7 +166,7 @@ def main(argv: list[str]) -> int:
               f"{sum(row[1] for row in rows)} lines")
         for qual, lines, tag in rows:
             print(f"  {qual}  {lines}" + (f"  [{tag}]" if tag else ""))
-            untagged += name == "nothing" and not tag and not argv
+            untagged += name in ("unit", "nothing") and not tag and not argv
     return 1 if untagged else 0
 
 
