@@ -69,14 +69,6 @@ class BridgeService:
         """Currently relayed pairs."""
         return len(self._pairs)
 
-    def load_factor(self) -> float:
-        """Remaining-capacity fraction for the §4.0 bottleneck hint."""
-        maximum = self.node.config.bridge_max_connections
-        if maximum <= 0:
-            return 1.0
-        remaining = max(0, maximum - self.active_connections)
-        return remaining / maximum
-
     # ------------------------------------------------------------------
     # request handling (BridgeConnection in Fig. 4.4)
     # ------------------------------------------------------------------

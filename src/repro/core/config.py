@@ -147,9 +147,6 @@ class DaemonConfig:
     bridge_max_connections:
         Maximum simultaneous relayed pairs (§4.0's owner-adjusted cap);
         0 means unlimited.
-    advertise_load_in_quality:
-        §4.0's idea: reduce the advertised link quality proportionally to
-        bridge occupancy to steer routes away from bottlenecks.
     connect_retries:
         Library-level establishment retries for outgoing connections.
     """
@@ -157,7 +154,6 @@ class DaemonConfig:
     stale_after_loops: int = 3
     bridge_enabled: bool = True
     bridge_max_connections: int = 8
-    advertise_load_in_quality: bool = False
     connect_retries: int = 1
     routing: RoutingPolicy = dataclasses.field(default_factory=RoutingPolicy)
     handover: HandoverConfig = dataclasses.field(

@@ -115,14 +115,9 @@ class Daemon:
         """
         if not self._running:
             return None
-        if self.node.config.advertise_load_in_quality:
-            load_factor = self.bridge_service.load_factor()
-        else:
-            load_factor = 1.0
         return DiscoveryResponse(
             identity=self.node.identity,
             prototype=tech.name,
             services=tuple(self.registry.visible_services()),
             neighbourhood=self.storage.snapshot(),
-            load_factor=load_factor,
         )

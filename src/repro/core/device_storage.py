@@ -58,9 +58,6 @@ class StoredDevice:
     #: HandoverThread state 0 "searches for the actual connection address
     #: in each device's neighbourlist" here (§5.2.1).
     neighbourhood: tuple[NeighbourEntry, ...] = ()
-    #: The §4.0 bottleneck hint received at the last fetch: subsequent
-    #: quality refreshes keep scaling by it until the next fetch.
-    load_factor: float = 1.0
     #: This device's row in the last snapshot built, reused by the next
     #: one; None until built and whenever a field the row shows changes.
     row: NeighbourEntry | None = dataclasses.field(
@@ -181,8 +178,8 @@ class DeviceStorage:
     def update_direct(self, identity: DeviceIdentity, prototype: str,
                       quality: int, services: typing.Sequence[ServiceRecord],
                       now: float,
-                      neighbourhood: typing.Sequence[NeighbourEntry] = (),
-                      load_factor: float = 1.0) -> StoredDevice:
+                      neighbourhood: typing.Sequence[NeighbourEntry] = ()
+                      ) -> StoredDevice:
         """Record a device answered our inquiry and we fetched its info.
 
         A direct observation always replaces any stored multi-hop route —
@@ -205,7 +202,6 @@ class DeviceStorage:
             loops_since_fetch=0,
             neighbourhood=(neighbourhood if isinstance(neighbourhood, tuple)
                            else tuple(neighbourhood)),
-            load_factor=load_factor,
         )
         self._devices[identity.address] = entry
         return entry
@@ -222,10 +218,9 @@ class DeviceStorage:
             return
         entry.timestamp = 0
         entry.loops_since_fetch += 1
-        scaled = round(quality * entry.load_factor)
         # A direct route's only free figure is its quality.
-        if scaled != entry.route.quality_sum:
-            entry.route = direct_route(scaled, entry.mobility)
+        if quality != entry.route.quality_sum:
+            entry.route = direct_route(quality, entry.mobility)
             entry.rank = route_rank(entry.route, self.policy)
             entry.row = None
 

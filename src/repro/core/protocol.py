@@ -248,10 +248,6 @@ class DiscoveryResponse(Frame):
     services: tuple[ServiceRecord, ...]
     #: Any sequence of entries; kept as a :class:`Neighbourhood`.
     neighbourhood: Neighbourhood
-    #: §4.0's bottleneck hint: fraction of remaining bridge capacity; the
-    #: inquirer scales the measured link quality by it when the responder
-    #: has ``advertise_load_in_quality`` enabled.
-    load_factor: float = 1.0
 
     def __post_init__(self) -> None:
         if not isinstance(self.neighbourhood, Neighbourhood):

@@ -20,8 +20,10 @@ replaces the instantaneous cascade with a **transfer schedule**:
   by destined-first/oldest-first).  Each session keeps one queue per
   direction, rebuilt only when an input of ``offers`` may have changed
   (either store's ``version``, the router's ``version``, the sender's
-  control blindness); a byzantine receiver's queue is rebuilt at every
-  read.  The link is serialised, one bundle in flight per contact,
+  control blindness — a byzantine receiver's lie included).  The fault
+  gate is asked only for a direction's first startable bundle, so a
+  jammed leg is counted per suppressed start of a real bundle.  The
+  link is serialised, one bundle in flight per contact,
   each leg costing ``base_latency + bytes / rate`` sim-seconds and
   completing via one scheduled kernel event (``Simulator.call_at`` —
   no polling);
@@ -158,8 +160,6 @@ class BandwidthDtnOverlay(DtnOverlay):
 
     def __init__(self, world: "World", router: Router,
                  tech: Technology | str = "bluetooth",
-                 nodes: typing.Sequence[str] | None = None,
-                 capacity_bytes: int | None = None,
                  meter: TrafficMeter | None = None,
                  data_rate_Bps: float | None = None):
         tech_obj = get_technology(tech) if isinstance(tech, str) else tech
@@ -178,8 +178,7 @@ class BandwidthDtnOverlay(DtnOverlay):
         self.pump_passes = 0
         # super().__init__ seeds contact_up for pairs already in range,
         # so every attribute above must exist first.
-        super().__init__(world, router, tech=tech_obj, nodes=nodes,
-                         capacity_bytes=capacity_bytes, meter=meter)
+        super().__init__(world, router, tech=tech_obj, meter=meter)
 
     # ------------------------------------------------------------------
     # capacity model
@@ -338,25 +337,25 @@ class BandwidthDtnOverlay(DtnOverlay):
         a→b).  The list is rebuilt (one ``Router.offers`` call, counted
         in ``offer_passes``) only when an input may have changed since
         the last build: either store's ``version``, the router's
-        ``version``, or whether the sender offers blind; otherwise the
-        memoised list is returned — callers must not mutate it.  A
-        byzantine receiver's queue is never memoised: each read
-        re-hears (and counts) its lying advertisement.  O(1) on a hit,
-        O(n log n) in the sender's store on a build.
+        ``version``, or whether the sender offers blind (against the
+        empty vector, after a PHY-lost or byzantine contact-open
+        vector); otherwise the memoised list is returned — callers must
+        not mutate it.  O(1) on a hit, O(n log n) in the sender's store
+        on a build.
         """
         sender_store = self.stores[sender]
-        state = None
-        if self.faults is None or not self.faults.is_byzantine(receiver):
-            state = (sender_store.version, self.stores[receiver].version,
-                     self.router.version, (sender, receiver) in self._blind)
-            memo = session.queues[slot]
-            if memo is not None and memo[0] == state:
-                return memo[1]
+        receiver_store = self.stores[receiver]
+        blind = (sender, receiver) in self._blind
+        state = (sender_store.version, receiver_store.version,
+                 self.router.version, blind)
+        memo = session.queues[slot]
+        if memo is not None and memo[0] == state:
+            return memo[1]
         self.offer_passes += 1
-        offers = self.router.offers(sender_store, receiver,
-                                    self._peer_vector(receiver, sender))
-        if state is not None:
-            session.queues[slot] = (state, offers)
+        offers = self.router.offers(
+            sender_store, receiver,
+            frozenset() if blind else receiver_store.summary_vector())
+        session.queues[slot] = (state, offers)
         return offers
 
     def _offered_bytes(self, session: ContactSession) -> int:
@@ -379,24 +378,24 @@ class BandwidthDtnOverlay(DtnOverlay):
         Per direction the first bundle of its ranked queue
         (:meth:`_queue`) not already in flight to that receiver;
         directions tie-break on (queue rank, sender).  The fault gate
-        runs before the queue is read.  O(r) for the r leading offers
-        already in flight, plus a queue rebuild (O(n log n) in the
-        sender's store) only after a store, router or blindness change.
+        runs once that bundle is found: a deaf, mute or jammed direction
+        starts no leg.  O(r) for the r leading offers already in
+        flight, plus a queue rebuild (O(n log n) in the sender's store)
+        only after a store, router or blindness change.
         """
         best: tuple[tuple[int, str, str], str, str, Bundle] | None = None
         for slot, (sender, receiver) in enumerate((
                 (session.node_a, session.node_b),
                 (session.node_b, session.node_a))):
-            if (self.faults is not None
-                    and not self.faults.can_transmit(sender, receiver)):
-                continue  # deaf/mute/jammed direction: no leg starts
             inbound = self._inbound.get(receiver, ())
             for rank, bundle in enumerate(
                     self._queue(session, slot, sender, receiver)):
                 if bundle.bundle_id in inbound:
                     continue
                 key = (rank, sender, bundle.bundle_id)
-                if best is None or key < best[0]:
+                if ((best is None or key < best[0])
+                        and (self.faults is None
+                             or self.faults.can_transmit(sender, receiver))):
                     best = (key, sender, receiver, bundle)
                 break   # only each direction's best matters
         if best is None:

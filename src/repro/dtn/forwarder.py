@@ -38,16 +38,18 @@ Exchange semantics (both implementations share them):
    peer has seen, so without such news the pass would offer nothing.
    A directed pair whose last pass offered nothing is *settled*: while
    neither store nor the router's state has changed since (their
-   ``version`` counters), the next pass returns at once.  The fault
-   gate still runs first, and a byzantine peer is never skipped or
-   memoised (its lying vector is counted per advertisement).
+   ``version`` counters), the next pass returns at once.  Faults act
+   on bundles, not on passes: the fault gate runs only once the
+   router offered something (a gated pass moves nothing and is not
+   settled), and a byzantine speaker's empty-vector lie is heard once,
+   at contact-open, as blindness for the rest of the contact.
 2. Transfers *cascade*: a node whose store grew immediately re-offers
    to its other current contacts, so a connected cluster equilibrates
    within the contact instant (the infinite-contact-bandwidth baseline
    assumption; documented in docs/ARCHITECTURE.md).  A cascade from an
-   empty store offers nothing; without a fault plane it only sweeps
-   the contacts with a bundle due to expire, and skips even that while
-   no store of the plane can hold one.
+   empty store offers nothing: it only sweeps the contacts with a
+   bundle due to expire, and skips even that while no store of the
+   plane can hold one.
 3. Delivery to the destination releases the transmitting custodian's
    copy and records one :class:`DeliveryRecord` per bundle (first copy
    wins; summary vectors stop later copies).
@@ -103,30 +105,26 @@ class DeliveryRecord:
 class DtnPlane:
     """Stores + exchange mechanics over a set of world nodes.
 
-    ``nodes`` defaults to every world node carrying ``tech``, sorted.
-    One :class:`~repro.metrics.counters.DtnCounters` instance is shared
-    by all stores; byte volume rides ``meter`` (``dtn-data`` /
-    ``dtn-control`` categories) when one is supplied.
+    The plane manages every world node carrying ``tech``, sorted, each
+    in an unbounded store.  One :class:`~repro.metrics.counters.
+    DtnCounters` instance is shared by all stores; byte volume rides
+    ``meter`` (``dtn-data`` / ``dtn-control`` categories) when one is
+    supplied.
     """
 
     def __init__(self, world: "World", router: Router,
                  tech: Technology | str = "bluetooth",
-                 nodes: typing.Sequence[str] | None = None,
-                 capacity_bytes: int | None = None,
                  meter: TrafficMeter | None = None):
         self.world = world
         self.sim = world.sim
         self.router = router
         self.tech = get_technology(tech) if isinstance(tech, str) else tech
-        if nodes is None:
-            nodes = [n for n in world.node_ids()
-                     if self.tech.name in world.node(n).technologies]
         self.counters = DtnCounters()
         self.meter = meter
         self.stores: dict[str, MessageStore] = {
-            name: MessageStore(name, capacity_bytes=capacity_bytes,
-                               counters=self.counters)
-            for name in sorted(nodes)}
+            name: MessageStore(name, counters=self.counters)
+            for name in sorted(world.node_ids())
+            if self.tech.name in world.node(name).technologies}
         self.delivered: dict[str, DeliveryRecord] = {}
         #: Contact-event callback firings (see class docstrings).
         self.wakeups = 0
@@ -158,10 +156,10 @@ class DtnPlane:
         #: ``None`` keeps every hook below on the literal pre-PHY path.
         self.phy = getattr(world, "phy", None)
         #: Directed pairs ``(listener, speaker)`` whose contact-open
-        #: control exchange was PHY-lost: the listener never heard the
-        #: speaker's summary vector and offers blind (sees the empty
-        #: vector) for the rest of the contact.  Cleared at
-        #: :meth:`contact_down`.
+        #: control exchange was PHY-lost or came from a byzantine
+        #: speaker: the listener never heard the speaker's true summary
+        #: vector and offers blind (against the empty vector) for the
+        #: rest of the contact.  Cleared at :meth:`contact_down`.
         self._blind: set[tuple[str, str]] = set()
         telemetry = self.telemetry
         if telemetry is not None:
@@ -259,9 +257,14 @@ class DtnPlane:
         peer already holds (duplicates cost transmissions and bytes,
         exactly the control-loss failure mode binary links could never
         show).  The bytes were metered either way: the speaker spent
-        the airtime.  ``airtime_s(size)`` gives a vector's air window
-        (``None``: the technology's transmit time).  Returns the total
-        control bytes.  O(seen).
+        the airtime.  A heard vector from a byzantine speaker is its
+        empty-vector lie (:meth:`~repro.faults.plane.FaultPlane.
+        advertised_vector`, counted once here) and blinds the receiver
+        the same way.  Ground truth — ``has_seen``, delivery, custody
+        settlement — never depends on blindness: the distortions are
+        about advertisement, not about reception.  ``airtime_s(size)``
+        gives a vector's air window (``None``: the technology's
+        transmit time).  Returns the total control bytes.  O(seen).
         """
         self._adjacent[a].add(b)
         self._adjacent[b].add(a)
@@ -279,6 +282,11 @@ class DtnPlane:
                     duration_s=None if airtime_s is None
                     else airtime_s(size)):
                 self._blind.add((receiver, sender))
+            elif (self.faults is not None
+                  and self.faults.is_byzantine(sender)):
+                self.faults.advertised_vector(
+                    sender, self.stores[sender].summary_vector())
+                self._blind.add((receiver, sender))
         return total
 
     def contact_control_bytes(self, sender: str, receiver: str) -> int:
@@ -292,32 +300,15 @@ class DtnPlane:
         return (SUMMARY_VECTOR_ID_BYTES * self.stores[sender].seen_count()
                 + self.router.control_bytes(sender, receiver))
 
-    def _peer_vector(self, peer: str, carrier: str) -> frozenset:
-        """The peer's summary vector *as the carrier heard it*.
-
-        Byzantine hook plus PHY control blindness: a carrier whose
-        contact-open control reception was PHY-lost heard nothing and
-        offers against the empty vector.  Ground truth — ``has_seen``,
-        delivery, custody settlement — never goes through here: the
-        distortions are about advertisement, not about reception.
-        """
-        if (carrier, peer) in self._blind:
-            return frozenset()
-        vector = self.stores[peer].summary_vector()
-        if self.faults is not None:
-            return self.faults.advertised_vector(peer, vector)
-        return vector
-
     def _exchange(self, carrier: str, peer: str) -> bool:
         """One-directional offer pass; True if the peer's store grew.
 
         O(1) when nothing is due to expire and the pair is settled,
         O(carried) when the peer has seen every carried bundle (see
-        "Exchange semantics" in the module docstring).
+        "Exchange semantics" in the module docstring).  The peer's
+        vector is the one the carrier heard: the empty vector while
+        the carrier is blind about the peer.
         """
-        if (self.faults is not None
-                and not self.faults.can_transmit(carrier, peer)):
-            return False
         now = self.sim.now
         carrier_store = self.stores[carrier]
         peer_store = self.stores[peer]
@@ -326,23 +317,23 @@ class DtnPlane:
         if now >= peer_store.next_expiry:
             peer_store.expire(now)
         pair = (carrier, peer)
-        state = None
-        if self.faults is None or not self.faults.is_byzantine(peer):
-            blind = pair in self._blind
-            state = (carrier_store.version, peer_store.version,
-                     self.router.version, blind)
-            if self._settled.get(pair) == state:
-                return False
-            if not carrier_store.has_news_for(None if blind
-                                              else peer_store):
-                self._settled[pair] = state
-                return False
+        blind = pair in self._blind
+        state = (carrier_store.version, peer_store.version,
+                 self.router.version, blind)
+        if self._settled.get(pair) == state:
+            return False
+        if not carrier_store.has_news_for(None if blind else peer_store):
+            self._settled[pair] = state
+            return False
         self.offer_passes += 1
         offers = self.router.offers(
-            carrier_store, peer, self._peer_vector(peer, carrier))
+            carrier_store, peer,
+            frozenset() if blind else peer_store.summary_vector())
         if not offers:
-            if state is not None:
-                self._settled[pair] = state
+            self._settled[pair] = state
+            return False
+        if (self.faults is not None
+                and not self.faults.can_transmit(carrier, peer)):
             return False
         grew = False
         for bundle in offers:
@@ -403,11 +394,9 @@ class DtnPlane:
         An origin with no news even for a peer that has seen nothing
         (an empty store) offers nothing, so it exchanges with no one
         and only sweeps its due contacts, as their exchanges would
-        have.  With a fault plane every exchange still runs: each gate
-        call may count a jammed delivery.
+        have.
         """
-        if (self.faults is None
-                and not self.stores[origin].has_news_for(None)):
+        if not self.stores[origin].has_news_for(None):
             now = self.sim.now
             if now >= self._expiry_floor:
                 for peer in self._sorted_contacts(origin):
@@ -467,12 +456,6 @@ class DtnPlane:
         for peer in list(self._adjacent.get(node_id, ())):
             self.contact_down(node_id, peer)
 
-    def on_reboot(self, node_id: str) -> None:
-        """A crash-reboot outage ended.  Nothing to restore — the state
-        loss already happened at crash; the bus's synthetic LinkUps
-        (``World.resume_node``) reopen whatever contacts are in range.
-        """
-
     def _telemetry_losses(self, victims: list[Bundle],
                           reason: str) -> None:
         """Close bundle spans whose *last* living copy just vanished.
@@ -523,11 +506,8 @@ class DtnOverlay(DtnPlane):
 
     def __init__(self, world: "World", router: Router,
                  tech: Technology | str = "bluetooth",
-                 nodes: typing.Sequence[str] | None = None,
-                 capacity_bytes: int | None = None,
                  meter: TrafficMeter | None = None):
-        super().__init__(world, router, tech=tech, nodes=nodes,
-                         capacity_bytes=capacity_bytes, meter=meter)
+        super().__init__(world, router, tech=tech, meter=meter)
         self.stream = ContactStream(world, self.tech, self.stores,
                                     callback=self._on_event)
         for event in self.stream.initial:
@@ -559,11 +539,8 @@ class PollingDtnOverlay(DtnPlane):
 
     def __init__(self, world: "World", router: Router,
                  tech: Technology | str = "bluetooth",
-                 nodes: typing.Sequence[str] | None = None,
-                 capacity_bytes: int | None = None,
                  meter: TrafficMeter | None = None):
-        super().__init__(world, router, tech=tech, nodes=nodes,
-                         capacity_bytes=capacity_bytes, meter=meter)
+        super().__init__(world, router, tech=tech, meter=meter)
         self._stopped = False
         for first, second in self._pairs_in_range():
             self.contact_up(first, second)

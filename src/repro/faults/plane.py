@@ -7,14 +7,15 @@ connectivity bus, the world's query surface — ask the plane three
 questions:
 
 * :meth:`is_crashed` — is this node dark right now?
-* :meth:`can_transmit` — may a copy move from sender to receiver at
-  this instant (crash / deaf / mute / jammer gates, in that order)?
+* :meth:`can_transmit` — may a picked bundle move from sender to
+  receiver at this instant (crash / deaf / mute / jammer gates, in that
+  order)?  The DTN planes ask only once they have a bundle to send.
 * :meth:`advertised_vector` — what does this node *claim* to carry
-  (the byzantine-beacon lie)?
+  (the byzantine-beacon lie)?  Asked once per contact-open direction.
 
 Everything is event-driven: timed faults are kernel events armed once
 at install (``call_at``), the jammer is a pure function of time via its
-mobility model, and byzantine behaviour is a per-exchange predicate.
+mobility model, and byzantine behaviour is a per-node predicate.
 No component polls the plane on a timer.
 """
 
@@ -92,7 +93,7 @@ class FaultPlane:
     # installation surface (used by repro.faults.models)
     # ------------------------------------------------------------------
     def add_listener(self, listener) -> None:
-        """Register an ``on_crash(node)`` / ``on_reboot(node)`` consumer.
+        """Register an ``on_crash(node)`` consumer.
 
         DTN planes register themselves so custody state dies *before*
         the world suspends the node (ordering documented in
@@ -177,9 +178,10 @@ class FaultPlane:
     def reboot_now(self, node_id: str) -> None:
         """End a crash outage: the node returns, empty-handed.
 
-        The state loss already happened at crash time; here the world
-        resumes the node (grid re-index, held watches re-arm, synthetic
-        LinkUps for in-range pairs) and listeners get ``on_reboot``.
+        The state loss already happened at crash time, so listeners
+        have nothing to restore; the world resumes the node (grid
+        re-index, held watches re-arm, synthetic LinkUps for in-range
+        pairs reopen its contacts).
         """
         if node_id not in self._crashed:
             return
@@ -188,8 +190,6 @@ class FaultPlane:
         telemetry = getattr(self.world, "telemetry", None)
         if telemetry is not None:
             telemetry.fault_up(node_id)
-        for listener in self._listeners:
-            listener.on_reboot(node_id)
         self.world.resume_node(node_id)
 
     # ------------------------------------------------------------------
@@ -219,6 +219,8 @@ class FaultPlane:
     def can_transmit(self, sender: str, receiver: str) -> bool:
         """May a bundle copy move sender → receiver at this instant?
 
+        Callers ask only for a real transfer — once they have picked a
+        bundle to send — so each refusal is one suppressed transfer.
         Gate order: crash (either endpoint dark), mute sender / deaf
         receiver, then jammer coverage.  Only jammer suppressions are
         counted (``jammed_deliveries``) — crash and deaf/mute losses
@@ -249,8 +251,12 @@ class FaultPlane:
         A byzantine beaconer lies by omission: it advertises the empty
         vector ("I have seen nothing"), so honest peers waste
         transmissions and contact bytes re-offering everything it
-        already holds.  Ground-truth checks (``has_seen``, delivery,
-        custody settlement) never go through here — the lie is about
+        already holds.  The DTN planes ask once per contact-open
+        direction, and a lie stands for the rest of that contact, so
+        ``byzantine_beacons`` counts advertisements, not the offer
+        passes that later read them (an empty vector is no lie).
+        Ground-truth checks (``has_seen``, delivery, custody
+        settlement) never go through here — the lie is about
         advertisement, not about reception.
         """
         if node_id in self._byzantine and vector:

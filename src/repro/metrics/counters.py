@@ -141,11 +141,16 @@ class FaultCounters(Counters):
         Outages ended: the node returned at its mobility position,
         rediscoverable and empty-handed.  At most ``crashes``.
     jammed_deliveries:
-        Transfer attempts suppressed because an endpoint sat inside a
-        mobile jammer's coverage disk at the attempt instant.
+        Transfers of a real bundle suppressed because an endpoint sat
+        inside a mobile jammer's coverage disk at that instant: one per
+        gated offer pass that had bundles to send (instant plane) or
+        per suppressed leg start (bandwidth plane).  A pass with
+        nothing to send counts nothing.
     byzantine_beacons:
-        Summary-vector advertisements falsified by a byzantine node —
-        it claimed to have seen nothing, attracting duplicate copies
+        Summary-vector advertisements falsified by a byzantine node,
+        one per contact-open direction in which it spoke a non-empty
+        vector — it claimed to have seen nothing, so the listener offers
+        blind for the rest of the contact, sending duplicate copies
         that waste transmissions and contact bytes.
     """
 

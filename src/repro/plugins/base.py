@@ -112,9 +112,7 @@ class Plugin:
                 if response is not None:
                     measured = self.world.link_quality(
                         self.node_id, other_id, self.tech)
-                    measured = round(measured * response.load_factor)
-                    fetched.append((address, response, measured,
-                                    response.load_factor))
+                    fetched.append((address, response, measured))
                 # A failed fetch still counts as a response: the device is
                 # there, we just could not talk to it this loop.
             else:
@@ -178,13 +176,13 @@ class Plugin:
 
     def _update_storage(
             self,
-            fetched: list[tuple[str, DiscoveryResponse, int, float]],
+            fetched: list[tuple[str, DiscoveryResponse, int]],
             refreshed: list[tuple[str, int]],
             responded_addresses: list[str],
     ) -> None:
         """Atomic update phase (§3.5's recommended design)."""
         now = self.sim.now
-        for address, response, quality, load_factor in fetched:
+        for address, response, quality in fetched:
             reporter = self.storage.update_direct(
                 identity=response.identity,
                 prototype=response.prototype,
@@ -192,7 +190,6 @@ class Plugin:
                 services=response.services,
                 now=now,
                 neighbourhood=response.neighbourhood,
-                load_factor=load_factor,
             )
             self.storage.analyze_neighbourhood(
                 reporter, response.neighbourhood, now)

@@ -4,7 +4,11 @@ are built on."""
 
 import pytest
 
-from repro.core.buffering import BoundedBuffer, ReliableChannel
+from repro.core.buffering import (
+    DEFAULT_ACK_EVERY,
+    BoundedBuffer,
+    ReliableChannel,
+)
 from repro.core.errors import ConnectionClosedError
 from repro.core.handover import HandoverThread
 from repro.radio.technologies import BLUETOOTH
@@ -101,11 +105,12 @@ def test_bounded_buffer_deliberate_removal_not_counted():
     assert len(buffer) == 0 and buffer.used_bytes == 0
 
 
-def reliable_sink(node, received):
-    """Register a service that reads through a ReliableChannel."""
+def reliable_sink(node, received, ack_every=DEFAULT_ACK_EVERY):
+    """Register a service that reads through a ReliableChannel acking
+    every ``ack_every`` deliveries."""
 
     def handler(connection):
-        channel = ReliableChannel(connection)
+        channel = ReliableChannel(connection, ack_every=ack_every)
 
         def serve():
             while True:
@@ -119,13 +124,13 @@ def reliable_sink(node, received):
     node.library.register_service("reliable.sink", handler)
 
 
-def settled_pair(seed):
+def settled_pair(seed, ack_every=DEFAULT_ACK_EVERY):
     scenario = Scenario(seed=seed)
     client = scenario.add_node("client", position=(0, 0))
     server = scenario.add_node("server", position=(5, 0),
                                mobility_class="static")
     received = []
-    reliable_sink(server, received)
+    reliable_sink(server, received, ack_every=ack_every)
     scenario.start_all()
     scenario.run(until=SETTLE_S)
     assert scenario.wait_for_route("client", "server")
@@ -133,24 +138,27 @@ def settled_pair(seed):
 
 
 def test_in_order_delivery_and_ack_trimming():
-    scenario, client, server, received = settled_pair(seed=71)
+    """The sink paces the cumulative acks.  Acking every delivery
+    trims the window before the resend loop wakes; acking every 4th
+    leaves the two payloads past the last ack batch to be re-sent,
+    and their duplicates force the final ack."""
+    for ack_every, retransmissions in ((1, 0), (4, 2)):
+        scenario, client, server, received = settled_pair(
+            seed=71, ack_every=ack_every)
 
-    def run(sim):
-        connection = yield from client.library.connect(
-            server.address, "reliable.sink", retries=6)
-        channel = ReliableChannel(connection, ack_every=4)
-        for index in range(10):
-            channel.send(index, 64)
-            yield sim.timeout(0.5)
-        yield sim.timeout(10.0)
-        return channel
+        def run(sim):
+            connection = yield from client.library.connect(
+                server.address, "reliable.sink", retries=6)
+            channel = ReliableChannel(connection)
+            for index in range(10):
+                channel.send(index, 64)
+                yield sim.timeout(0.5)
+            yield sim.timeout(10.0)
+            return channel
 
-    channel = scenario.run_process(run(scenario.sim))
-    assert received == list(range(10))
-    # Cumulative acks (every 4th delivery at the sink) trimmed the
-    # window: the resend loop re-sent only the two payloads past the
-    # last ack batch, whose duplicates forced the final ack.
-    assert channel.retransmissions == 2
+        channel = scenario.run_process(run(scenario.sim))
+        assert received == list(range(10))
+        assert channel.retransmissions == retransmissions, ack_every
 
 
 def test_sequence_numbers_are_monotone():

@@ -102,8 +102,7 @@ def reference_mark_responded(self, address, quality, now):
         return
     entry.timestamp = 0
     entry.loops_since_fetch += 1
-    entry.route = direct_route(round(quality * entry.load_factor),
-                               entry.mobility)
+    entry.route = direct_route(quality, entry.mobility)
     entry.rank = route_rank(entry.route, self.policy)
 
 

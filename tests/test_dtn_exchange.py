@@ -7,8 +7,10 @@ offer pass was empty.  An exchange whose carrier has no news for the
 peer skips the router, and a cascade from an empty store exchanges
 with no one.  The properties here pin the building blocks against
 brute-force models; the differential test runs whole fault and PHY
-worlds with the memo and both shortcuts defeated and demands identical
-outcomes.
+worlds on both DTN planes with the memos and both shortcuts defeated
+and demands identical outcomes.  Faults act on bundles, not on offer
+passes: the jammer counts only transfers of a real bundle, and a
+byzantine lie counts once per contact-open advertisement.
 """
 
 import hypothesis.strategies as st
@@ -16,10 +18,18 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.buffering import BoundedBuffer
-from repro.dtn import Bundle, DtnOverlay, MessageStore, make_router
+from repro.dtn import (
+    BandwidthDtnOverlay,
+    Bundle,
+    DtnOverlay,
+    MessageStore,
+    make_router,
+)
+from repro.dtn.capacity import ContactSession
 from repro.dtn.forwarder import DtnPlane
 from repro.dtn.traffic import generate_traffic, schedule_traffic
 from repro.experiments.registry import build_scenario
+from repro.faults import BYZANTINE, FaultEvent, FaultPlane
 from repro.scenarios import Scenario
 
 # ----------------------------------------------------------------------
@@ -202,16 +212,30 @@ class _NeverSettled(dict):
         pass
 
 
+class _NeverQueued(list):
+    """A session's queue slots, forgetting every write."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 def _ask_the_router_always(monkeypatch):
-    """Defeat the settled memo and both news shortcuts: every exchange
-    asks the router, and every cascade exchanges with every contact."""
+    """Defeat the settled memo, the session queue memo and both news
+    shortcuts: every exchange and every queue read asks the router, and
+    every cascade exchanges with every contact."""
     original = DtnPlane.__init__
+    original_session = ContactSession.__init__
 
     def defeated(self, *args, **kwargs):
         original(self, *args, **kwargs)
         self._settled = _NeverSettled()
 
+    def unqueued(self, *args, **kwargs):
+        original_session(self, *args, **kwargs)
+        self.queues = _NeverQueued([None, None])
+
     monkeypatch.setattr(DtnPlane, "__init__", defeated)
+    monkeypatch.setattr(ContactSession, "__init__", unqueued)
     monkeypatch.setattr(MessageStore, "has_news_for",
                         lambda self, peer: True)
 
@@ -222,14 +246,20 @@ _FAULTS = {"count": 18, "crash_rate": 0.3, "crash_downtime_s": 60.0,
 _PHY = {"count": 18, "shadowing_sigma_db": 6.0, "phy_collisions": 1}
 
 
-def _observe(router, params, seed=7):
+#: How long each plane runs.  The bandwidth plane schedules every leg
+#: as a kernel event and, with its memos defeated, rebuilds a queue at
+#: every read, so it stops once every router has met the jammer.
+_HORIZON_S = {DtnOverlay: 480.0, BandwidthDtnOverlay: 360.0}
+
+
+def _observe(overlay, router, params, seed=7):
     scenario = build_scenario("island_hopping_ferry", seed, params)
-    plane = DtnOverlay(scenario.world, make_router(router),
-                       meter=scenario.meter)
+    plane = overlay(scenario.world, make_router(router),
+                    meter=scenario.meter)
     schedule_traffic(plane, generate_traffic(
         scenario.sim.rng("dtn/traffic"), plane.live_nodes(), "uniform",
         30, window=(5.0, 300.0), ttl_s=200.0))
-    scenario.run(until=480.0)
+    scenario.run(until=_HORIZON_S[overlay])
     world = scenario.world
     faults = getattr(world, "faults", None)
     phy = getattr(world, "phy", None)
@@ -248,21 +278,29 @@ def _observe(router, params, seed=7):
     ("epidemic", _FAULTS), ("spray", _FAULTS), ("prophet", _FAULTS),
     ("direct", _FAULTS), ("epidemic", _PHY)])
 def test_the_memo_changes_no_outcome(router, params, monkeypatch):
-    """Runs with the memo and the news shortcuts on and defeated agree
-    on every counter and delivery record, including the fault and PHY
-    planes' counters."""
-    memoised, passes = _observe(router, params)
+    """On both DTN planes, runs with the memos and the news shortcuts on
+    and defeated agree on every counter and delivery record, including
+    the fault and PHY planes' counters: a fault counts what it did to a
+    bundle, not how often the plane asked.  (The bandwidth plane's
+    queue memo under a lossy PHY is pinned read by read in
+    ``test_dtn_capacity.py::test_memoised_queue_is_never_stale``.)"""
+    overlays = ((DtnOverlay, BandwidthDtnOverlay) if params is _FAULTS
+                else (DtnOverlay,))
+    memoised = {overlay: _observe(overlay, router, params)
+                for overlay in overlays}
     _ask_the_router_always(monkeypatch)
-    reference, reference_passes = _observe(router, params)
-    assert memoised == reference
-    assert memoised["counters"]["delivered"] > 0
-    assert passes < reference_passes      # the shortcuts did skip passes
-    if params is _FAULTS:
-        assert memoised["faults"]["crashes"] > 0
-        assert memoised["faults"]["byzantine_beacons"] > 0
-        assert memoised["faults"]["jammed_deliveries"] > 0
-    else:
-        assert memoised["phy"]["offered"] > memoised["phy"]["delivered"]
+    for overlay in overlays:
+        observed, passes = memoised[overlay]
+        reference, reference_passes = _observe(overlay, router, params)
+        assert observed == reference, overlay.__name__
+        assert observed["counters"]["delivered"] > 0
+        assert passes < reference_passes  # the shortcuts did skip passes
+        if params is _FAULTS:
+            assert observed["faults"]["crashes"] > 0
+            assert observed["faults"]["byzantine_beacons"] > 0
+            assert observed["faults"]["jammed_deliveries"] > 0
+        else:
+            assert observed["phy"]["offered"] > observed["phy"]["delivered"]
 
 
 def test_a_cascade_from_an_empty_origin_sweeps_its_due_contacts():
@@ -282,19 +320,41 @@ def test_a_cascade_from_an_empty_origin_sweeps_its_due_contacts():
     assert plane.counters.expired == 1
 
 
-def test_attach_counts_the_same_jammed_deliveries(monkeypatch):
-    """With a fault plane every cascade still exchanges per contact, so
-    attach over empty stores counts the jammed gate calls that a run
-    with the shortcuts defeated counts."""
-    def attach():
-        scenario = build_scenario("island_hopping_ferry", 6, _FAULTS)
-        DtnOverlay(scenario.world, make_router("epidemic"))
-        return scenario.world.faults.counters.as_dict()
+def test_attach_over_empty_stores_counts_no_jammed_delivery():
+    """Attach opens every contact in range, some of them inside the
+    jammer's disk, but with every store empty no pass has a bundle to
+    send: the gate is never asked and nothing counts as jammed."""
+    scenario = build_scenario("island_hopping_ferry", 6, _FAULTS)
+    faults = scenario.world.faults
+    plane = DtnOverlay(scenario.world, make_router("epidemic"))
+    assert any(faults.jammed(node) and plane._adjacent[node]
+               for node in plane.stores)
+    assert faults.counters.jammed_deliveries == 0
 
-    shortcut = attach()
-    _ask_the_router_always(monkeypatch)
-    assert shortcut == attach()
-    assert shortcut["jammed_deliveries"] > 0
+
+def test_a_byzantine_peer_counts_one_beacon_per_contact_open():
+    """s1 lies once per contact it opens: its listener offers blind for
+    the rest of the contact, and the passes that offer to s1 against
+    the lie count no further beacon."""
+    scenario = _chain(3)
+    faults = FaultPlane(scenario.world)
+    faults.arm([FaultEvent(0.0, BYZANTINE, "s1")])
+    plane = DtnOverlay(scenario.world, make_router("epidemic"))
+    assert faults.counters.byzantine_beacons == 0  # s1 had seen nothing
+    plane.send("s1", "s0", ttl_s=100.0)
+    assert plane.delivered                         # now s1 has seen one
+    plane.contact_down("s0", "s1")
+    plane.contact_up("s0", "s1")
+    assert faults.counters.byzantine_beacons == 1
+    passes = plane.offer_passes
+    for _ in range(3):
+        plane.send("s0", "s2", ttl_s=100.0)        # relayed through s1
+    assert plane.offer_passes >= passes + 3
+    assert len(plane.delivered) == 4
+    assert faults.counters.byzantine_beacons == 1
+    plane.contact_down("s0", "s1")
+    plane.contact_up("s0", "s1")
+    assert faults.counters.byzantine_beacons == 2
 
 
 def test_is_byzantine_reports_the_lying_beaconers():

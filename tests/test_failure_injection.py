@@ -1,8 +1,5 @@
 """Failure-injection tests: daemons dying, nodes crashing, load limits."""
 
-import pytest
-
-from repro.core.config import DaemonConfig
 from repro.core.errors import ConnectionClosedError
 from repro.mobility import StaticPosition
 from repro.radio.technologies import BLUETOOTH
@@ -125,54 +122,6 @@ def test_bridge_node_death_tears_down_relayed_connection():
 
     connection = scenario.run_process(run(scenario.sim))
     assert received == ["one"]
-
-
-def test_load_factor_scales_advertised_quality():
-    """§4.0: a loaded bridge advertises reduced quality."""
-    config = DaemonConfig(advertise_load_in_quality=True,
-                          bridge_max_connections=4)
-    scenario = Scenario(seed=85)
-    node = scenario.add_node("advertiser", position=(0, 0), config=config)
-    node.start()
-    response = node.daemon.handle_discovery_fetch(BLUETOOTH)
-    assert response.load_factor == 1.0  # idle bridge
-    # Simulate occupancy: two of four slots taken.
-    from repro.core.bridge import _RelayPair
-    from repro.radio.channel import Link
-    link_a = Link(scenario.world, "advertiser", "advertiser", BLUETOOTH)
-    node.daemon.bridge_service._pairs.extend(
-        [_RelayPair(link_a, link_a), _RelayPair(link_a, link_a)])
-    response = node.daemon.handle_discovery_fetch(BLUETOOTH)
-    assert response.load_factor == pytest.approx(0.5)
-
-
-def test_load_factor_not_advertised_by_default():
-    scenario = Scenario(seed=86)
-    node = scenario.add_node("plain", position=(0, 0))
-    node.start()
-    response = node.daemon.handle_discovery_fetch(BLUETOOTH)
-    assert response.load_factor == 1.0
-
-
-def test_inquirer_scales_measured_quality_by_load_factor():
-    """The §4.0 bottleneck hint flows into the stored route quality."""
-    config = DaemonConfig(advertise_load_in_quality=True,
-                          bridge_max_connections=2)
-    scenario = Scenario(seed=87)
-    observer = scenario.add_node("observer", position=(0, 0))
-    busy = scenario.add_node("busy", position=(2, 0), config=config)
-    # Fill the busy node's bridge completely before discovery begins.
-    from repro.core.bridge import _RelayPair
-    from repro.radio.channel import Link
-    link = Link(scenario.world, "busy", "busy", BLUETOOTH)
-    busy.daemon.bridge_service._pairs.extend(
-        [_RelayPair(link, link), _RelayPair(link, link)])
-    scenario.start_all()
-    scenario.run(until=SETTLE_S)
-    entry = observer.daemon.storage.get(busy.address)
-    assert entry is not None
-    # Physical quality at 2 m would be 255; the full bridge zeroes it.
-    assert entry.route.quality_sum == 0
 
 
 def test_daemon_start_stop_idempotent():

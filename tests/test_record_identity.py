@@ -32,7 +32,7 @@ DIGESTS = {
     "bandwidth_sweep":
         "d795b4193cd9905926a41c1e76ee0abfb3e0d06b905840ea062a527e9d4868a4",
     "fault_sweep":
-        "dc89953ad00d2241b06d4d38976581f4380b495a5ab3354d385f78b9dd844435",
+        "626b3b5a816fcb0cb75a532e7f0f7118e8b9ed3a8316ac6ce4a4d136d0102874",
     "phy_sweep":
         "e012cbd0fe44a60f50dda79149cb74a6c35461d5005443b7137557128654a932",
     "contact_sweep":
