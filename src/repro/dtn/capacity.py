@@ -51,13 +51,16 @@ callbacks only.  Transfer completions are self-scheduled kernel events
 fully settled world still shows ``wakeups == 0`` while bundles stream
 over the seeded adjacency — asserted in ``tests/test_dtn_capacity.py``.
 
-Modelling notes: links are pair-local (no shared-medium contention —
-parallel contacts of one node each run at full rate, as with
-per-pair-channel radios), and queues re-rank at contact and transfer
-instants only (a predictability change elsewhere does not wake an idle
-session).  The per-contact byte-budget invariant — *no contact ever
-moves more than its window × rate* — is property-tested across all
-technologies.
+Modelling notes: byte budgets and airtime are pair-local — parallel
+contacts of one node each run at full rate, as with per-pair-channel
+radios.  Without a PHY plane nothing contends for the medium; with a
+collision-modelling one (:mod:`repro.radio.phy`), legs whose air
+windows overlap at a shared receiver collide there, and only a leg
+that beats every rival by the capture margin survives.  Queues re-rank
+at contact and transfer instants only (a predictability change
+elsewhere does not wake an idle session).  The per-contact byte-budget
+invariant — *no contact ever moves more than its window × rate* — is
+property-tested across all technologies.
 
 Units: metres / sim-seconds / bytes throughout.
 """
@@ -488,6 +491,9 @@ class BandwidthDtnOverlay(DtnOverlay):
             return False
         receiver_store.clear_partial(bundle.bundle_id)
         self.counters.transmissions += 1
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.bundle_forwarded(bundle.bundle_id, sender, receiver)
         peer_copy = self.router.after_transmit(
             self.stores[sender], current, receiver, now)
         if current.destination == receiver:

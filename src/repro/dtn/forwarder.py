@@ -258,11 +258,11 @@ class DtnPlane:
         exactly the control-loss failure mode binary links could never
         show).  The bytes were metered either way: the speaker spent
         the airtime.  A heard vector from a byzantine speaker is its
-        empty-vector lie (:meth:`~repro.faults.plane.FaultPlane.
-        advertised_vector`, counted once here) and blinds the receiver
-        the same way.  Ground truth — ``has_seen``, delivery, custody
-        settlement — never depends on blindness: the distortions are
-        about advertisement, not about reception.  ``airtime_s(size)``
+        empty-vector lie (:meth:`~repro.faults.plane.FaultPlane.lies`,
+        counted once here) and blinds the receiver the same way.
+        Ground truth — ``has_seen``, delivery, custody settlement —
+        never depends on blindness: the distortions are about
+        advertisement, not about reception.  ``airtime_s(size)``
         gives a vector's air window (``None``: the technology's
         transmit time).  Returns the total control bytes.  O(seen).
         """
@@ -278,14 +278,12 @@ class DtnPlane:
             if self.meter is not None:
                 self.meter.count(sender, "dtn-control", size)
             if self.phy is not None and not self.phy.transmit(
-                    sender, receiver, size, kind="control", tech=self.tech,
+                    sender, receiver, size, tech=self.tech,
                     duration_s=None if airtime_s is None
                     else airtime_s(size)):
                 self._blind.add((receiver, sender))
-            elif (self.faults is not None
-                  and self.faults.is_byzantine(sender)):
-                self.faults.advertised_vector(
-                    sender, self.stores[sender].summary_vector())
+            elif self.faults is not None and self.faults.lies(
+                    sender, self.stores[sender].seen_count()):
                 self._blind.add((receiver, sender))
         return total
 

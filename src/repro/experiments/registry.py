@@ -26,7 +26,7 @@ import dataclasses
 import typing
 
 from repro.faults import install_scenario_faults
-from repro.radio.phy import install_scenario_phy
+from repro.radio.phy import DEFAULT_CAPTURE_MARGIN_DB, install_scenario_phy
 from repro.scenarios import (
     Scenario,
     city_day,
@@ -209,8 +209,8 @@ def _fault_params(crash_rate: float = 0.0, crash_downtime_s: float = 45.0,
     )
 
 
-def _phy_params(shadowing_sigma_db: float = 0.0, phy_collisions: int = 0,
-                capture_margin_db: float = 6.0) -> tuple[Param, ...]:
+def _phy_params(shadowing_sigma_db: float = 0.0,
+                phy_collisions: int = 0) -> tuple[Param, ...]:
     """The shared lossy-PHY schema (:mod:`repro.radio.phy`).
 
     Appended to every DTN/bandwidth scenario registration with all-zero
@@ -226,7 +226,7 @@ def _phy_params(shadowing_sigma_db: float = 0.0, phy_collisions: int = 0,
               "log-normal shadowing sigma, dB (0 = no fading loss)"),
         Param("phy_collisions", int, phy_collisions,
               "1 = collision/capture under overlapping transmissions"),
-        Param("capture_margin_db", float, capture_margin_db,
+        Param("capture_margin_db", float, DEFAULT_CAPTURE_MARGIN_DB,
               "dB advantage needed to capture over overlap rivals"),
     )
 

@@ -1,34 +1,27 @@
-"""Composable fault injection: crash-reboot, deaf/mute radios,
-byzantine beaconers, mobile jammers.
+"""Fault injection: crash-reboot, deaf/mute radios, byzantine
+beaconers, mobile jammers.
 
-See :mod:`repro.faults.plane` for the live state machine and
-:mod:`repro.faults.models` for the schedule samplers; the determinism
-contract and taxonomy live in ``docs/FAULTS.md``.
+See :mod:`repro.faults.plane` for the live state machine and its
+installer; the determinism contract and taxonomy live in
+``docs/FAULTS.md``.
 """
 
-from repro.faults.models import (SPARE_TERMINALS, ByzantineBeacons,
-                                 CrashReboot, FaultModel, MobileJammer,
-                                 RadioFault, install_scenario_faults)
 from repro.faults.plane import (BYZANTINE, CRASH, DEAF, DEAF_END, JAMMER,
-                                MUTE, MUTE_END, REBOOT, FaultEvent,
-                                FaultPlane)
+                                MUTE, MUTE_END, REBOOT, SPARE_TERMINALS,
+                                FaultEvent, FaultPlane,
+                                install_scenario_faults)
 
 __all__ = [
     "BYZANTINE",
-    "ByzantineBeacons",
     "CRASH",
-    "CrashReboot",
     "DEAF",
     "DEAF_END",
     "FaultEvent",
-    "FaultModel",
     "FaultPlane",
     "JAMMER",
     "MUTE",
     "MUTE_END",
-    "MobileJammer",
     "REBOOT",
-    "RadioFault",
     "SPARE_TERMINALS",
     "install_scenario_faults",
 ]

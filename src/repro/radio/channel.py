@@ -138,9 +138,8 @@ class Link:
         phy = getattr(self.world, "phy", None)
         phy_tx = None
         if phy is not None:
-            phy_tx = phy.begin(sender, receiver, size_bytes, kind="frame",
-                               tech=self.tech, started_at=start,
-                               ends_at=delivery_time)
+            phy_tx = phy.begin(sender, receiver, size_bytes, tech=self.tech,
+                               started_at=start, ends_at=delivery_time)
         delay = delivery_time - self.sim.now
         timer = self.sim.timeout(delay)
         timer._add_callback(

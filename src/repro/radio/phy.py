@@ -29,8 +29,8 @@ delivery time** (event-driven, never polled) from three ingredients:
 Jammers (:mod:`repro.faults`) couple in as *noise*, not as a binary
 gate: with a PHY plane installed, :meth:`~repro.faults.plane.
 FaultPlane.can_transmit` skips its jammer check and the plane instead
-raises the effective receive threshold by ``jammer_noise_db`` while an
-endpoint sits in a jammer disk — a strong nearby signal still punches
+raises the effective receive threshold by :data:`JAMMER_NOISE_DB` while
+an endpoint sits in a jammer disk — a strong nearby signal still punches
 through, a marginal one drowns.
 
 The analytic loss curve is closed-form: a packet at distance *d* is
@@ -74,15 +74,13 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: technologies fall back to the Bluetooth figure.
 _TX_POWER_DBM = {"bluetooth": 4.0, "wlan": 16.0, "gprs": 33.0}
 
-#: Default SNR a technology needs above its noise floor to decode.
-DEFAULT_REQUIRED_SNR_DB = 10.0
-
 #: Default advantage (dB) a packet needs over every overlapping rival
 #: to be captured instead of collided (classic capture-effect figure).
 DEFAULT_CAPTURE_MARGIN_DB = 6.0
 
-#: Default noise a jammer adds to the floor at an affected endpoint.
-DEFAULT_JAMMER_NOISE_DB = 20.0
+#: Noise a jammer adds at an affected endpoint: the decode threshold
+#: rises by this much while the sender or receiver sits in a jammer disk.
+JAMMER_NOISE_DB = 20.0
 
 #: Threshold comparison slack.  Contact events fire with the pair at
 #: *exactly* the nominal range, where the calibrated ``rssi ==
@@ -106,32 +104,23 @@ class PhyProfile:
     from the path-loss law at the technology's nominal range, so the
     zero-shadowing plane is *exactly* the binary in-range model: every
     geometric contact clears the threshold, nothing outside it does.
-    ``noise_floor_dbm`` sits ``required_snr_db`` below sensitivity;
-    jammer noise raises the floor (and with it the effective
-    threshold) at query time.
+    Jammer noise raises the effective threshold at query time.
     """
 
-    __slots__ = ("tech_name", "path_loss", "sensitivity_dbm",
-                 "required_snr_db", "noise_floor_dbm")
+    __slots__ = ("tech_name", "path_loss", "sensitivity_dbm")
 
     def __init__(self, tech_name: str, path_loss: LogDistancePathLoss,
-                 sensitivity_dbm: float,
-                 required_snr_db: float = DEFAULT_REQUIRED_SNR_DB):
+                 sensitivity_dbm: float):
         self.tech_name = tech_name
         self.path_loss = path_loss
         self.sensitivity_dbm = sensitivity_dbm
-        self.required_snr_db = required_snr_db
-        self.noise_floor_dbm = sensitivity_dbm - required_snr_db
 
     @classmethod
-    def for_technology(cls, tech: Technology,
-                       required_snr_db: float = DEFAULT_REQUIRED_SNR_DB
-                       ) -> "PhyProfile":
+    def for_technology(cls, tech: Technology) -> "PhyProfile":
         """Calibrated profile: sensitivity = rssi at nominal range."""
         path_loss = LogDistancePathLoss(
             tx_power_dbm=_TX_POWER_DBM.get(tech.name, 4.0))
-        return cls(tech.name, path_loss,
-                   path_loss.rssi_dbm(tech.range_m), required_snr_db)
+        return cls(tech.name, path_loss, path_loss.rssi_dbm(tech.range_m))
 
 
 class PhyTransmission:
@@ -141,17 +130,16 @@ class PhyTransmission:
     (its ``tech_name`` names the technology).
     """
 
-    __slots__ = ("sender", "receiver", "profile", "kind", "size_bytes",
+    __slots__ = ("sender", "receiver", "profile", "size_bytes",
                  "started_at", "ends_at", "rssi_dbm", "contenders",
                  "resolved", "fate")
 
     def __init__(self, sender: str, receiver: str, profile: PhyProfile,
-                 kind: str, size_bytes: int, started_at: float,
-                 ends_at: float, rssi_dbm: float):
+                 size_bytes: int, started_at: float, ends_at: float,
+                 rssi_dbm: float):
         self.sender = sender
         self.receiver = receiver
         self.profile = profile
-        self.kind = kind
         self.size_bytes = size_bytes
         self.started_at = started_at
         self.ends_at = ends_at
@@ -163,7 +151,7 @@ class PhyTransmission:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<PhyTransmission {self.sender}->{self.receiver} "
-                f"{self.kind} [{self.started_at:.3f},{self.ends_at:.3f}] "
+                f"[{self.started_at:.3f},{self.ends_at:.3f}] "
                 f"{self.rssi_dbm:.1f}dBm {self.fate or 'in-flight'}>")
 
 
@@ -184,19 +172,15 @@ class PhyPlane:
         Enable the per-receiver overlap/capture model.
     capture_margin_db:
         Advantage over the strongest rival needed to survive overlap.
-    jammer_noise_db:
-        Threshold raise while an endpoint is inside a jammer disk.
-    profiles:
-        Optional ``{tech_name: PhyProfile}`` overrides; unknown
-        technologies get a calibrated default on first use.
+
+    Each technology gets its calibrated :class:`PhyProfile` on first
+    use.
     """
 
     def __init__(self, world: "World", *,
                  shadowing_sigma_db: float = 0.0,
                  collisions: bool = True,
-                 capture_margin_db: float = DEFAULT_CAPTURE_MARGIN_DB,
-                 jammer_noise_db: float = DEFAULT_JAMMER_NOISE_DB,
-                 profiles: dict[str, PhyProfile] | None = None):
+                 capture_margin_db: float = DEFAULT_CAPTURE_MARGIN_DB):
         if getattr(world, "phy", None) is not None:
             raise ValueError("a PhyPlane is already installed on this "
                              "world; configure the existing plane "
@@ -207,16 +191,13 @@ class PhyPlane:
         if capture_margin_db < 0:
             raise ValueError(
                 f"negative capture margin: {capture_margin_db}")
-        if jammer_noise_db < 0:
-            raise ValueError(f"negative jammer noise: {jammer_noise_db}")
         self.world = world
         self.sim = world.sim
         self.shadowing_sigma_db = float(shadowing_sigma_db)
         self.collisions = bool(collisions)
         self.capture_margin_db = float(capture_margin_db)
-        self.jammer_noise_db = float(jammer_noise_db)
         self.counters = PhyCounters()
-        self._profiles: dict[str, PhyProfile] = dict(profiles or {})
+        self._profiles: dict[str, PhyProfile] = {}
         # Per-directed-pair shadowing streams, created lazily; the
         # labels are stable, so a pair's draw sequence depends only on
         # its own transmission history.
@@ -261,7 +242,7 @@ class PhyPlane:
         mu = profile.path_loss.rssi_dbm(distance_m)
         threshold = profile.sensitivity_dbm
         if jammed:
-            threshold += self.jammer_noise_db
+            threshold += JAMMER_NOISE_DB
         sigma = self.shadowing_sigma_db
         if sigma <= 0:
             return 0.0 if mu >= threshold - _BOUNDARY_EPSILON_DB else 1.0
@@ -272,7 +253,6 @@ class PhyPlane:
     # the transmission registry
     # ------------------------------------------------------------------
     def begin(self, sender: str, receiver: str, size_bytes: int, *,
-              kind: str = "data",
               tech: Technology | str | None = None,
               started_at: float | None = None,
               ends_at: float | None = None) -> PhyTransmission:
@@ -294,8 +274,8 @@ class PhyPlane:
             ends_at = started_at + tech_obj.transmit_time(size_bytes)
         profile = self._profile_of(tech_obj)
         rssi = self._draw_rssi(sender, receiver, profile)
-        tx = PhyTransmission(sender, receiver, profile, kind,
-                             size_bytes, started_at, ends_at, rssi)
+        tx = PhyTransmission(sender, receiver, profile, size_bytes,
+                             started_at, ends_at, rssi)
         self.counters.offered += 1
         if self.collisions:
             self._register(tx, now)
@@ -333,7 +313,6 @@ class PhyPlane:
         return True
 
     def transmit(self, sender: str, receiver: str, size_bytes: int, *,
-                 kind: str = "data",
                  tech: Technology | str | None = None,
                  duration_s: float | None = None) -> bool:
         """Instantaneous-plane convenience: begin + resolve now.
@@ -351,8 +330,8 @@ class PhyPlane:
         start = max(self.sim.now, self._sender_busy.get(sender, 0.0))
         end = start + duration_s
         self._sender_busy[sender] = end
-        tx = self.begin(sender, receiver, size_bytes, kind=kind,
-                        tech=tech_obj, started_at=start, ends_at=end)
+        tx = self.begin(sender, receiver, size_bytes, tech=tech_obj,
+                        started_at=start, ends_at=end)
         return self.resolve(tx)
 
     # ------------------------------------------------------------------
@@ -379,7 +358,7 @@ class PhyPlane:
     def _threshold_dbm(self, tx: PhyTransmission) -> float:
         """Effective decode threshold at this resolution instant.
 
-        The clean-air sensitivity, raised by ``jammer_noise_db`` while
+        The clean-air sensitivity, raised by :data:`JAMMER_NOISE_DB` while
         either endpoint sits inside a jammer disk (the noise-floor
         coupling that replaces the fault plane's binary jammer gate).
         """
@@ -387,7 +366,7 @@ class PhyPlane:
         faults = getattr(self.world, "faults", None)
         if faults is not None and (faults.jammed(tx.sender)
                                    or faults.jammed(tx.receiver)):
-            threshold += self.jammer_noise_db
+            threshold += JAMMER_NOISE_DB
         return threshold
 
     def _register(self, tx: PhyTransmission, now: float) -> None:
@@ -416,9 +395,7 @@ def install_scenario_phy(scenario: "Scenario", *,
                          shadowing_sigma_db: float = 0.0,
                          phy_collisions: int = 0,
                          capture_margin_db: float =
-                         DEFAULT_CAPTURE_MARGIN_DB,
-                         jammer_noise_db: float =
-                         DEFAULT_JAMMER_NOISE_DB) -> PhyPlane | None:
+                         DEFAULT_CAPTURE_MARGIN_DB) -> PhyPlane | None:
     """Install a PHY plane on a freshly built scenario, knob-driven.
 
     The scenario-registry entry point, mirroring
@@ -442,5 +419,4 @@ def install_scenario_phy(scenario: "Scenario", *,
     return PhyPlane(scenario.world,
                     shadowing_sigma_db=shadowing_sigma_db,
                     collisions=bool(phy_collisions),
-                    capture_margin_db=capture_margin_db,
-                    jammer_noise_db=jammer_noise_db)
+                    capture_margin_db=capture_margin_db)

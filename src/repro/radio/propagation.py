@@ -12,32 +12,29 @@ from __future__ import annotations
 import math
 
 
+#: Loss at the reference distance (dB), the reference distance (m) and
+#: the path-loss exponent: an indoor office with obstructions.
+PL0_DB = 40.0
+REFERENCE_DISTANCE_M = 1.0
+EXPONENT = 2.8
+
+
 class LogDistancePathLoss:
     """Log-distance path loss with a reference-distance intercept.
 
-    ``PL(d) = pl0_db + 10 * exponent * log10(d / d0)`` and
-    ``rssi = tx_power_dbm - PL(d)``.
-
-    Defaults model an indoor Bluetooth class-2 radio: +4 dBm transmit,
-    40 dB loss at 1 m, exponent 2.8 (office with obstructions).
+    ``PL(d) = PL0_DB + 10 * EXPONENT * log10(d / REFERENCE_DISTANCE_M)``
+    and ``rssi = tx_power_dbm - PL(d)``.  The default transmit power
+    models a Bluetooth class-2 radio (+4 dBm).
     """
 
-    def __init__(self, tx_power_dbm: float = 4.0, pl0_db: float = 40.0,
-                 reference_distance_m: float = 1.0, exponent: float = 2.8):
-        if reference_distance_m <= 0:
-            raise ValueError("reference distance must be positive")
-        if exponent <= 0:
-            raise ValueError("path-loss exponent must be positive")
+    def __init__(self, tx_power_dbm: float = 4.0):
         self.tx_power_dbm = tx_power_dbm
-        self.pl0_db = pl0_db
-        self.reference_distance_m = reference_distance_m
-        self.exponent = exponent
 
     def rssi_dbm(self, distance_m: float) -> float:
         """Received power; clamps below the reference distance."""
         if distance_m < 0:
             raise ValueError(f"negative distance: {distance_m}")
-        effective = max(distance_m, self.reference_distance_m)
-        loss = self.pl0_db + 10.0 * self.exponent * math.log10(
-            effective / self.reference_distance_m)
+        effective = max(distance_m, REFERENCE_DISTANCE_M)
+        loss = PL0_DB + 10.0 * EXPONENT * math.log10(
+            effective / REFERENCE_DISTANCE_M)
         return self.tx_power_dbm - loss

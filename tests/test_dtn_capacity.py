@@ -26,7 +26,7 @@ from repro.dtn import (
 )
 from repro.dtn.traffic import generate_traffic, schedule_traffic
 from repro.experiments import ExperimentSpec, build_scenario, run_campaign
-from repro.faults import FaultPlane
+from repro.faults import BYZANTINE, FaultPlane
 from repro.mobility import StaticPosition
 from repro.mobility.linear import LinearMovement, PathMovement
 from repro.radio.technologies import TECHNOLOGIES, get_technology
@@ -245,11 +245,13 @@ def test_memoised_queue_is_never_stale(monkeypatch, router_name):
         "count": 12, "crash_rate": 0.5, "crash_downtime_s": 30.0,
         "byzantine_rate": 0.5, "fault_window_s": 200.0})
     faults = scenario.world.faults
+    liars = {event.node for event in faults.schedule
+             if event.kind == BYZANTINE}
     seen = collections.Counter()
     build_queue = BandwidthDtnOverlay._queue
 
     def checked(self, session, slot, sender, receiver):
-        byzantine = faults.is_byzantine(receiver)
+        byzantine = receiver in liars
         blind = (sender, receiver) in self._blind
         assert blind or not byzantine, (sender, receiver)
         truth = self.stores[receiver].summary_vector()

@@ -357,16 +357,17 @@ def test_a_byzantine_peer_counts_one_beacon_per_contact_open():
     assert faults.counters.byzantine_beacons == 2
 
 
-def test_is_byzantine_reports_the_lying_beaconers():
+def test_lies_reports_the_lying_beaconers():
     scenario = build_scenario("hostile_corridor", 5, {
         "crash_rate": 0.0, "radio_fault_rate": 0.0,
         "byzantine_rate": 1.0})
     plane = scenario.world.faults
     liars = {event.node for event in plane.schedule
-             if event.kind == "byzantine"}
+             if event.kind == BYZANTINE}
     assert liars
-    assert all(plane.is_byzantine(node) for node in liars)
-    assert not plane.is_byzantine("home")
+    assert all(plane.lies(node, 0) for node in liars)
+    assert not plane.lies("home", 1)
+    assert plane.counters.byzantine_beacons == 0   # no vector was hidden
 
 
 # ----------------------------------------------------------------------

@@ -146,11 +146,10 @@ def test_byzantine_beaconer_advertises_the_empty_vector():
     static_pair(world)
     plane = FaultPlane(world)
     plane.arm([FaultEvent(0.0, BYZANTINE, "b")])  # applies immediately
-    carried = frozenset({"x#1", "y#2"})
-    assert plane.advertised_vector("b", carried) == frozenset()
-    assert plane.advertised_vector("a", carried) == carried
-    assert plane.advertised_vector("b", frozenset()) == frozenset()
-    assert plane.counters.byzantine_beacons == 1  # empty lie uncounted
+    assert plane.lies("b", 2)                     # two seen ids hidden
+    assert not plane.lies("a", 2)                 # honest
+    assert plane.lies("b", 0)                     # still a liar…
+    assert plane.counters.byzantine_beacons == 1  # …but an empty lie
 
 
 def test_jammer_disk_suppresses_and_counts():
@@ -187,6 +186,19 @@ def test_install_rejects_out_of_range_rates():
         install_scenario_faults(Scenario(seed=1), crash_rate=1.5)
     with pytest.raises(ValueError, match="jammer_count"):
         install_scenario_faults(Scenario(seed=1), jammer_count=-1)
+    for knobs in ({"crash_rate": 0.5}, {"radio_fault_rate": 0.5}):
+        for bad in ({"crash_downtime_s": 0.0}, {"fault_window_s": -1.0}):
+            [name] = bad
+            scenario = Scenario(seed=1)
+            with pytest.raises(ValueError, match=name):
+                install_scenario_faults(scenario, **knobs, **bad)
+            assert scenario.world.faults is None   # refused before install
+    # Outage scales are read only by crash and radio faults.
+    zero = {"crash_downtime_s": 0.0, "fault_window_s": 0.0}
+    assert install_scenario_faults(Scenario(seed=1), **zero) is None
+    plane = install_scenario_faults(Scenario(seed=1), byzantine_rate=0.5,
+                                    jammer_count=1, **zero)
+    assert plane is not None
 
 
 def test_terminals_are_never_faulted():

@@ -17,7 +17,7 @@ import json
 
 import pytest
 
-from repro.dtn import DtnOverlay, make_router
+from repro.dtn import BandwidthDtnOverlay, DtnOverlay, make_router
 from repro.experiments import ExperimentSpec, run_campaign
 from repro.experiments.runner import execute_point_outcome, write_telemetry
 from repro.faults import FaultPlane
@@ -48,12 +48,12 @@ def _relay_world(seed=4):
     return scenario
 
 
-def _run_relay(telemetry=None, seed=4):
+def _run_relay(telemetry=None, seed=4, overlay=DtnOverlay):
     scenario = _relay_world(seed=seed)
     if telemetry is not None:
         telemetry.attach(scenario.world, trace=scenario.trace,
                          meter=scenario.meter)
-    plane = DtnOverlay(scenario.world, make_router("epidemic"))
+    plane = overlay(scenario.world, make_router("epidemic"))
     plane.send("src", "dst", ttl_s=500.0)
     scenario.run(until=200.0)
     return scenario, plane
@@ -182,9 +182,13 @@ def test_records_order_samples_then_spans_then_profile():
 # ----------------------------------------------------------------------
 # spans
 # ----------------------------------------------------------------------
-def test_contact_and_bundle_spans_from_a_relay_run():
+@pytest.mark.parametrize("overlay", [DtnOverlay, BandwidthDtnOverlay],
+                         ids=lambda overlay: overlay.__name__)
+def test_contact_and_bundle_spans_from_a_relay_run(overlay):
+    """Both DTN planes record the same journey: one hop where custody
+    moves (the bandwidth plane's at the end of each leg)."""
     telemetry = Telemetry()
-    _run_relay(telemetry)
+    _, plane = _run_relay(telemetry, overlay=overlay)
     contacts = spans_of(telemetry, "contact")
     # src|mule are in range at t=0 — no crossing, no span.  The mule's
     # drive past dst is a genuine link-up/link-down window.
@@ -200,6 +204,7 @@ def test_contact_and_bundle_spans_from_a_relay_run():
     hops = journey.detail["hops"]
     assert [(h[1], h[2]) for h in hops] == [("src", "mule"),
                                             ("mule", "dst")]
+    assert len(hops) == plane.counters.transmissions
     assert journey.detail["final_custodian"] == "mule"   # delivering hop
 
 

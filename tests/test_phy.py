@@ -59,8 +59,6 @@ def test_profile_is_calibrated_to_nominal_range():
         assert profile.tech_name == name
         assert profile.sensitivity_dbm == pytest.approx(
             profile.path_loss.rssi_dbm(tech.range_m))
-        assert profile.noise_floor_dbm == pytest.approx(
-            profile.sensitivity_dbm - profile.required_snr_db)
         # Calibration makes the analytic curve a step at the range.
         assert plane.loss_probability(tech.range_m * 0.99,
                                       tech=tech) == 0.0
@@ -115,8 +113,6 @@ def test_stacking_and_negative_knobs_are_refused():
         PhyPlane(world2, shadowing_sigma_db=-1.0)
     with pytest.raises(ValueError, match="capture"):
         PhyPlane(world2, capture_margin_db=-0.1)
-    with pytest.raises(ValueError, match="jammer noise"):
-        PhyPlane(world2, jammer_noise_db=-5.0)
     scenario = Scenario(seed=4)
     with pytest.raises(ValueError, match="sigma"):
         install_scenario_phy(scenario, shadowing_sigma_db=-2.0)

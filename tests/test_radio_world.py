@@ -72,7 +72,7 @@ def test_path_loss_monotonically_decreasing():
 
 
 def test_path_loss_clamps_below_reference_distance():
-    model = LogDistancePathLoss(reference_distance_m=1.0)
+    model = LogDistancePathLoss()
     assert model.rssi_dbm(0.0) == model.rssi_dbm(1.0)
 
 

@@ -24,7 +24,7 @@ import sys
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: Trees checked, relative to the repo root.
-TREES = ("src", "tests", "benchmarks", "examples", "tools")
+TREES = ("src", "tests", "benchmarks", "examples", "tools", "perf")
 
 
 def imported_names(tree: ast.Module) -> list[tuple[str, int]]:
