@@ -23,9 +23,8 @@ gates, both written into ``BENCH_dtn_delivery.json`` at the repo root:
 
 Both modes also record ``offer_passes``, the router offer passes the
 exchange actually ran.  The router is asked only when the carrier holds
-a bundle the peer has not seen, and settled pairs skip even that check,
-so the regression gate holds this work counter against the committed
-baseline.
+a bundle the peer has not seen, and the regression gate holds this
+work counter against the committed baseline.
 """
 
 import os

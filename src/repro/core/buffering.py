@@ -273,16 +273,15 @@ class ReliableChannel:
         self._ready: Store = Store(
             self.sim, f"reliable-rx:{connection.connection_id}")
         self._rx_closed = object()
-        self.duplicates_dropped = 0
         connection.on_connection_changed(self._on_transport_changed)
-        self._resend_process = self.sim.spawn(
+        self.sim.spawn(
             self._resend_loop(),
             name=f"reliable-resend:{connection.local_node_id}:"
                  f"{connection.connection_id}")
         # The channel owns the raw read side: acks must be processed even
         # while the application is not receiving (the sender-only client
         # case), so a dedicated pump drains the connection.
-        self._reader_process = self.sim.spawn(
+        self.sim.spawn(
             self._reader_loop(),
             name=f"reliable-rx:{connection.local_node_id}:"
                  f"{connection.connection_id}")
@@ -359,8 +358,8 @@ class ReliableChannel:
             self._ready.put(raw)
             return
         if raw.sequence < self._expected:
-            self.duplicates_dropped += 1
-            self._maybe_ack(force=True)  # re-ack so the sender trims
+            # A duplicate: drop it, but re-ack so the sender trims.
+            self._maybe_ack(force=True)
             return
         if raw.sequence > self._expected:
             self._out_of_order[raw.sequence] = raw

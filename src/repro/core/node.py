@@ -34,8 +34,7 @@ class PeerHoodNode:
         self.node_id = name
         self.config = config or DaemonConfig()
         self.technologies: list[Technology] = [
-            get_technology(tech) if isinstance(tech, str) else tech
-            for tech in technologies]
+            get_technology(tech) for tech in technologies]
         fabric.world.add_node(name, mobility, self.technologies)
         self.identity = DeviceIdentity.create(
             name, MobilityClass.parse(mobility_class))

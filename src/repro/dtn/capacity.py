@@ -93,17 +93,16 @@ class Transfer:
     """
 
     __slots__ = ("sender", "receiver", "bundle", "send_bytes",
-                 "started_at", "done_at", "handle", "phy_tx")
+                 "started_at", "handle", "phy_tx")
 
     def __init__(self, sender: str, receiver: str, bundle: Bundle,
-                 send_bytes: int, started_at: float, done_at: float,
+                 send_bytes: int, started_at: float,
                  handle: "ScheduledCall"):
         self.sender = sender
         self.receiver = receiver
         self.bundle = bundle
         self.send_bytes = send_bytes
         self.started_at = started_at
-        self.done_at = done_at
         self.handle = handle
         self.phy_tx = None
 
@@ -111,28 +110,25 @@ class Transfer:
 class ContactSession:
     """One open contact's budget and serialised transfer state.
 
-    ``closes_at`` is the predicted LinkDown instant (``inf`` for
-    settled pairs); ``budget_bytes is None`` means unbounded.
-    ``next_free`` is the link-serialisation cursor: the instant the
-    air is free again (control vectors and every transfer leg advance
-    it).  ``queues`` holds, per direction (a→b, then b→a), the last
-    ranked ``offers`` list with the state it was built in (see
+    ``budget_bytes is None`` means unbounded (a settled in-range
+    pair); ``used_bytes`` starts at the contact-open control bytes.
+    ``next_free`` is the link-serialisation cursor: the instant
+    the air is free again (control vectors and every transfer leg
+    advance it).  ``queues`` holds, per direction (a→b, then b→a), the
+    last ranked ``offers`` list with the state it was built in (see
     :meth:`BandwidthDtnOverlay._queue`).
     """
 
-    __slots__ = ("node_a", "node_b", "opened_at", "closes_at",
-                 "budget_bytes", "used_bytes", "next_free", "transfer",
-                 "queues")
+    __slots__ = ("node_a", "node_b", "budget_bytes", "used_bytes",
+                 "next_free", "transfer", "queues")
 
-    def __init__(self, node_a: str, node_b: str, opened_at: float,
-                 closes_at: float, budget_bytes: int | None):
+    def __init__(self, node_a: str, node_b: str, budget_bytes: int | None,
+                 used_bytes: int, next_free: float):
         self.node_a = node_a
         self.node_b = node_b
-        self.opened_at = opened_at
-        self.closes_at = closes_at
         self.budget_bytes = budget_bytes
-        self.used_bytes = 0
-        self.next_free = opened_at
+        self.used_bytes = used_bytes
+        self.next_free = next_free
         self.transfer: Transfer | None = None
         self.queues: list[tuple[tuple, list[Bundle]] | None] = [None, None]
 
@@ -165,7 +161,7 @@ class BandwidthDtnOverlay(DtnOverlay):
                  tech: Technology | str = "bluetooth",
                  meter: TrafficMeter | None = None,
                  data_rate_Bps: float | None = None):
-        tech_obj = get_technology(tech) if isinstance(tech, str) else tech
+        tech_obj = get_technology(tech)
         if data_rate_Bps is None:
             data_rate_Bps = tech_obj.data_rate_Bps
         if data_rate_Bps <= 0:
@@ -209,9 +205,8 @@ class BandwidthDtnOverlay(DtnOverlay):
         budget = (None if closes_at == math.inf
                   else self.tech.contact_capacity_bytes(
                       closes_at - now, self.data_rate_Bps))
-        session = ContactSession(pair[0], pair[1], now, closes_at, budget)
-        session.used_bytes = control
-        session.next_free = now + self.airtime_s(control)
+        session = ContactSession(pair[0], pair[1], budget, control,
+                                 now + self.airtime_s(control))
         self._sessions[pair] = session
         for node in pair:
             bisect.insort(self._node_sessions.setdefault(node, []), pair)
@@ -337,8 +332,9 @@ class BandwidthDtnOverlay(DtnOverlay):
         """``sender``'s ranked offers to ``receiver`` over ``session``.
 
         ``slot`` is the direction's index in ``session.queues`` (0 for
-        a→b).  The list is rebuilt (one ``Router.offers`` call, counted
-        in ``offer_passes``) only when an input may have changed since
+        a→b).  The list is rebuilt (one offer pass,
+        :meth:`~repro.dtn.forwarder.DtnPlane._offer_pass`) only when an
+        input of ``Router.offers`` may have changed since
         the last build: either store's ``version``, the router's
         ``version``, or whether the sender offers blind (against the
         empty vector, after a PHY-lost or byzantine contact-open
@@ -346,18 +342,12 @@ class BandwidthDtnOverlay(DtnOverlay):
         not mutate it.  O(1) on a hit, O(n log n) in the sender's store
         on a build.
         """
-        sender_store = self.stores[sender]
-        receiver_store = self.stores[receiver]
-        blind = (sender, receiver) in self._blind
-        state = (sender_store.version, receiver_store.version,
-                 self.router.version, blind)
+        state = (self.stores[sender].version, self.stores[receiver].version,
+                 self.router.version, (sender, receiver) in self._blind)
         memo = session.queues[slot]
         if memo is not None and memo[0] == state:
             return memo[1]
-        self.offer_passes += 1
-        offers = self.router.offers(
-            sender_store, receiver,
-            frozenset() if blind else receiver_store.summary_vector())
+        offers = self._offer_pass(sender, receiver)
         session.queues[slot] = (state, offers)
         return offers
 
@@ -441,7 +431,7 @@ class BandwidthDtnOverlay(DtnOverlay):
                 done_at, lambda p=pair: self._complete(p),
                 name=f"dtn-xfer:{sender}->{receiver}")
             transfer = Transfer(sender, receiver, bundle,
-                                send_bytes, start, done_at, handle)
+                                send_bytes, start, handle)
             if self.phy is not None:
                 transfer.phy_tx = self.phy.begin(
                     sender, receiver, send_bytes, tech=self.tech,
@@ -461,10 +451,11 @@ class BandwidthDtnOverlay(DtnOverlay):
         stale snapshot would mint tokens) and re-checks the router
         still offers it (a concurrent leg may have spent the last
         spare spray token), then releases the receiver's fragment and
-        applies the router's custody rules.  Returns False when the
-        handoff cannot happen — sender no longer carries the bundle
-        (TTL sweep or capacity eviction mid-flight) or the current
-        copy is no longer eligible: the fragment then stays for a
+        hands custody over (:meth:`~repro.dtn.forwarder.DtnPlane.
+        _hand_over`, the one handoff both planes share).  Returns False
+        when the handoff cannot happen — sender no longer carries the
+        bundle (TTL sweep or capacity eviction mid-flight) or the
+        current copy is no longer eligible: the fragment then stays for a
         future resume from another custodian.  An *expired* current
         copy is removed from the sender (counted ``expired``) so a
         dead bundle can never be re-offered forever.  O(n log n) in
@@ -490,16 +481,7 @@ class BandwidthDtnOverlay(DtnOverlay):
                        receiver_store.summary_vector())):
             return False
         receiver_store.clear_partial(bundle.bundle_id)
-        self.counters.transmissions += 1
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.bundle_forwarded(bundle.bundle_id, sender, receiver)
-        peer_copy = self.router.after_transmit(
-            self.stores[sender], current, receiver, now)
-        if current.destination == receiver:
-            self._deliver(current, sender, receiver)
-        else:
-            receiver_store.add(peer_copy, now)
+        self._hand_over(sender, current, receiver)
         return True
 
     def _complete(self, pair: tuple[str, str]) -> None:

@@ -36,13 +36,12 @@ Exchange semantics (both implementations share them):
    bundle missing from the peer's vector as the carrier heard it (the
    empty vector for a blind carrier): no router offers a bundle the
    peer has seen, so without such news the pass would offer nothing.
-   A directed pair whose last pass offered nothing is *settled*: while
-   neither store nor the router's state has changed since (their
-   ``version`` counters), the next pass returns at once.  Faults act
-   on bundles, not on passes: the fault gate runs only once the
-   router offered something (a gated pass moves nothing and is not
-   settled), and a byzantine speaker's empty-vector lie is heard once,
-   at contact-open, as blindness for the rest of the contact.
+   Faults act on bundles, not on passes: the fault gate runs only once
+   the router offered something, and a byzantine speaker's
+   empty-vector lie is heard once, at contact-open, as blindness for
+   the rest of the contact.  Both planes ask the router through one
+   offer pass (:meth:`DtnPlane._offer_pass`) and move custody through
+   one handoff (:meth:`DtnPlane._hand_over`).
 2. Transfers *cascade*: a node whose store grew immediately re-offers
    to its other current contacts, so a connected cluster equilibrates
    within the contact instant (the infinite-contact-bandwidth baseline
@@ -118,7 +117,7 @@ class DtnPlane:
         self.world = world
         self.sim = world.sim
         self.router = router
-        self.tech = get_technology(tech) if isinstance(tech, str) else tech
+        self.tech = get_technology(tech)
         self.counters = DtnCounters()
         self.meter = meter
         self.stores: dict[str, MessageStore] = {
@@ -129,9 +128,9 @@ class DtnPlane:
         #: Contact-event callback firings (see class docstrings).
         self.wakeups = 0
         #: Offer passes the exchange actually ran (``Router.offers``
-        #: calls); settled pairs and carriers without news for the peer
-        #: skip theirs.  A work counter, kept out of
-        #: :class:`DtnCounters` so records do not change with it.
+        #: calls); carriers without news for the peer skip theirs.  A
+        #: work counter, kept out of :class:`DtnCounters` so records do
+        #: not change with it.
         self.offer_passes = 0
         #: No store of the plane holds a bundle that expires before
         #: this instant: a lower bound, lowered wherever this class
@@ -143,9 +142,6 @@ class DtnPlane:
         # Sorted copy of each node's adjacency for the cascade, rebuilt
         # only after the adjacency changed (never mutated in place).
         self._adjacent_sorted: dict[str, list[str]] = {}
-        #: Directed pair → (carrier version, peer version, router
-        #: version, blind) at its last empty offer pass.
-        self._settled: dict[tuple[str, str], tuple] = {}
         self._sequences: dict[str, int] = {}
         #: Installed fault plane, if the world carries one (crash /
         #: deaf-mute / jammer / byzantine injection — :mod:`repro.faults`).
@@ -237,8 +233,6 @@ class DtnPlane:
         self._adjacent.get(b, set()).discard(a)
         self._adjacent_sorted.pop(a, None)
         self._adjacent_sorted.pop(b, None)
-        self._settled.pop((a, b), None)
-        self._settled.pop((b, a), None)
         if self._blind:
             self._blind.discard((a, b))
             self._blind.discard((b, a))
@@ -301,11 +295,10 @@ class DtnPlane:
     def _exchange(self, carrier: str, peer: str) -> bool:
         """One-directional offer pass; True if the peer's store grew.
 
-        O(1) when nothing is due to expire and the pair is settled,
-        O(carried) when the peer has seen every carried bundle (see
-        "Exchange semantics" in the module docstring).  The peer's
-        vector is the one the carrier heard: the empty vector while
-        the carrier is blind about the peer.
+        O(carried) when nothing is due to expire and the peer has seen
+        every carried bundle (see "Exchange semantics" in the module
+        docstring).  The peer's vector is the one the carrier heard:
+        the empty vector while the carrier is blind about the peer.
         """
         now = self.sim.now
         carrier_store = self.stores[carrier]
@@ -314,30 +307,20 @@ class DtnPlane:
             carrier_store.expire(now)
         if now >= peer_store.next_expiry:
             peer_store.expire(now)
-        pair = (carrier, peer)
-        blind = pair in self._blind
-        state = (carrier_store.version, peer_store.version,
-                 self.router.version, blind)
-        if self._settled.get(pair) == state:
+        if not carrier_store.has_news_for(
+                None if (carrier, peer) in self._blind else peer_store):
             return False
-        if not carrier_store.has_news_for(None if blind else peer_store):
-            self._settled[pair] = state
-            return False
-        self.offer_passes += 1
-        offers = self.router.offers(
-            carrier_store, peer,
-            frozenset() if blind else peer_store.summary_vector())
-        if not offers:
-            self._settled[pair] = state
-            return False
-        if (self.faults is not None
-                and not self.faults.can_transmit(carrier, peer)):
+        offers = self._offer_pass(carrier, peer)
+        if not offers or (self.faults is not None
+                          and not self.faults.can_transmit(carrier, peer)):
             return False
         grew = False
         for bundle in offers:
             if peer_store.has_seen(bundle.bundle_id):
                 self.counters.duplicates += 1
                 continue
+            if self.meter is not None:
+                self.meter.count(carrier, "dtn-data", bundle.size_bytes)
             if (self.phy is not None
                     and not self.phy.transmit(carrier, peer,
                                               bundle.size_bytes,
@@ -345,25 +328,49 @@ class DtnPlane:
                 # Copy lost on the air: the bytes were spent, custody
                 # did not move, no spray token was burnt.  The bundle
                 # is re-offered at the pair's next exchange event.
-                if self.meter is not None:
-                    self.meter.count(carrier, "dtn-data",
-                                     bundle.size_bytes)
                 continue
-            self.counters.transmissions += 1
-            if self.meter is not None:
-                self.meter.count(carrier, "dtn-data", bundle.size_bytes)
-            telemetry = self.telemetry
-            if telemetry is not None:
-                telemetry.bundle_forwarded(bundle.bundle_id, carrier, peer)
-            peer_copy = self.router.after_transmit(
-                carrier_store, bundle, peer, now)
-            if bundle.destination == peer:
-                self._deliver(bundle, carrier, peer)
-            elif peer_store.add(peer_copy, now):
+            if self._hand_over(carrier, bundle, peer):
                 grew = True
-            self._expiry_floor = min(self._expiry_floor,
-                                     carrier_store.next_expiry,
-                                     peer_store.next_expiry)
+        return grew
+
+    def _offer_pass(self, carrier: str, peer: str) -> list[Bundle]:
+        """The router's ranked offers from ``carrier`` to ``peer``,
+        against the peer's vector as the carrier heard it (the empty
+        vector while the carrier is blind).  Counted in
+        ``offer_passes``.  O(n log n) in the carrier's store."""
+        self.offer_passes += 1
+        return self.router.offers(
+            self.stores[carrier], peer,
+            frozenset() if (carrier, peer) in self._blind
+            else self.stores[peer].summary_vector())
+
+    def _hand_over(self, carrier: str, bundle: Bundle, peer: str) -> bool:
+        """Custody of ``bundle`` moves from ``carrier`` to ``peer``.
+
+        Counts the transmission, records the telemetry hop and applies
+        the router's custody rules (``after_transmit``); the peer's copy
+        is delivered if the peer is the destination, else added to its
+        store.  The one handoff of both planes: the caller has already
+        checked that the peer has not seen the bundle.  Returns True if
+        the peer's store grew.
+        """
+        now = self.sim.now
+        carrier_store = self.stores[carrier]
+        peer_store = self.stores[peer]
+        self.counters.transmissions += 1
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.bundle_forwarded(bundle.bundle_id, carrier, peer)
+        peer_copy = self.router.after_transmit(carrier_store, bundle, peer,
+                                               now)
+        grew = False
+        if bundle.destination == peer:
+            self._deliver(bundle, carrier, peer)
+        else:
+            grew = peer_store.add(peer_copy, now)
+        self._expiry_floor = min(self._expiry_floor,
+                                 carrier_store.next_expiry,
+                                 peer_store.next_expiry)
         return grew
 
     def _deliver(self, bundle: Bundle, custodian: str,

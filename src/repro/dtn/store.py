@@ -17,8 +17,9 @@ adds what custody needs on top:
   onward, or delivered as destination), so a contact never re-sends
   what the peer already processed;
 * **a version** — :attr:`~MessageStore.version` changes whenever the
-  carried bundles or the summary vector may have, so the forwarder can
-  recognise a pair it already settled without re-running the router;
+  carried bundles or the summary vector may have, so the bandwidth
+  plane's session queue (:meth:`~repro.dtn.capacity.
+  BandwidthDtnOverlay._queue`) knows when to re-rank;
 * **news** — :meth:`~MessageStore.has_news_for` tells whether the store
   carries anything a peer has not seen, so the forwarder skips the
   router for a peer that has seen everything;
@@ -64,7 +65,8 @@ class MessageStore:
         self._partials: dict[str, int] = {}
         #: Bumped by every mutation that may change :meth:`bundles` or
         #: :meth:`summary_vector` (fragments do not count).  Equal
-        #: versions mean both are unchanged.
+        #: versions mean both are unchanged; only the bandwidth plane's
+        #: session queue reads it.
         self.version = 0
 
     def __len__(self) -> int:

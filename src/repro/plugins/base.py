@@ -51,9 +51,6 @@ class Plugin:
         self.world = node.fabric.world
         self.fabric = node.fabric
         self.rng = node.sim.rng(f"plugin/{node.node_id}/{tech.name}")
-        self.loops_completed = 0
-        self.fetches_attempted = 0
-        self.fetches_failed = 0
         self._process = None
 
     @property
@@ -80,7 +77,6 @@ class Plugin:
             self.rng.uniform(0.0, self.tech.search_cycle_s))
         while self.node.daemon.running:
             yield from self._one_loop()
-            self.loops_completed += 1
             # Jittered idle: real inquiry timing is randomised, which keeps
             # two devices' scan windows from colliding forever (§3.4.2's
             # random misses stay random instead of becoming systematic).
@@ -153,21 +149,16 @@ class Plugin:
         Returns the :class:`DiscoveryResponse` or None on failure (fault,
         peer out of range, or peer daemon down).
         """
-        self.fetches_attempted += 1
         yield self.sim.timeout(self.tech.fetch_time_s)
         if not self.world.in_range(self.node_id, other_id, self.tech):
-            self.fetches_failed += 1
             return None
         if self.rng.bernoulli(self.tech.connect_fault_probability):
-            self.fetches_failed += 1
             return None
         other_node = self.fabric.node(other_id)
         if other_node is None:
-            self.fetches_failed += 1
             return None
         response = other_node.daemon.handle_discovery_fetch(self.tech)
         if response is None:
-            self.fetches_failed += 1
             return None
         self.fabric.meter.count(self.node_id, "discovery",
                                 _FETCH_REQUEST_BYTES)

@@ -514,9 +514,6 @@ class ConnectivityBus:
         except ValueError:
             pass
 
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
 
 class ContactStream:
     """The LinkUp/LinkDown stream of every pair of a node set.

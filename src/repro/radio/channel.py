@@ -67,7 +67,6 @@ class Link:
         self.node_a = node_a
         self.node_b = node_b
         self.tech = tech
-        self.established_at = world.sim.now
         self._open = True
         self._inboxes: dict[str, Store] = {
             node_a: Store(world.sim, f"link{self.link_id}:to:{node_a}"),

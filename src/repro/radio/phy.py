@@ -224,9 +224,7 @@ class PhyPlane:
 
     @staticmethod
     def _tech(tech: Technology | str | None) -> Technology:
-        if tech is None:
-            return get_technology("bluetooth")
-        return get_technology(tech) if isinstance(tech, str) else tech
+        return get_technology("bluetooth" if tech is None else tech)
 
     def loss_probability(self, distance_m: float, *,
                          tech: Technology | str | None = None,

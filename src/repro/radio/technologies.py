@@ -195,10 +195,13 @@ TECHNOLOGIES: dict[str, Technology] = {
 }
 
 
-def get_technology(name: str) -> Technology:
-    """Look up a technology by name, with a helpful error."""
+def get_technology(tech: "str | Technology") -> Technology:
+    """Look up a technology by name, with a helpful error; a
+    :class:`Technology` is returned unchanged."""
+    if isinstance(tech, Technology):
+        return tech
     try:
-        return TECHNOLOGIES[name]
+        return TECHNOLOGIES[tech]
     except KeyError:
         known = ", ".join(sorted(TECHNOLOGIES))
-        raise KeyError(f"unknown technology {name!r}; known: {known}") from None
+        raise KeyError(f"unknown technology {tech!r}; known: {known}") from None

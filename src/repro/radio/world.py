@@ -112,17 +112,15 @@ class World:
 
         O(G) for G already-built grids (the node is indexed into each
         grid whose technology it carries).  Raises ``ValueError`` on a
-        duplicate id or an empty technology set.
+        duplicate id or an empty technology set and ``KeyError`` on an
+        unknown technology name.
         """
         if node_id in self._nodes:
             raise ValueError(f"duplicate node id: {node_id!r}")
-        names = frozenset(
-            tech if isinstance(tech, str) else tech.name
-            for tech in technologies)
+        names = frozenset(get_technology(tech).name
+                          for tech in technologies)
         if not names:
             raise ValueError(f"node {node_id!r} needs at least one technology")
-        for name in names:
-            get_technology(name)  # validate early
         node = WorldNode(node_id, mobility, names)
         self._nodes[node_id] = node
         for tech_name, grid in self._grids.items():

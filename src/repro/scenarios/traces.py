@@ -85,7 +85,7 @@ class ContactTraceRecorder:
     def __init__(self, scenario: Scenario, tech: Technology | str,
                  nodes: typing.Sequence[str] | None = None):
         self.scenario = scenario
-        self.tech = get_technology(tech) if isinstance(tech, str) else tech
+        self.tech = get_technology(tech)
         world = scenario.world
         eligible = [name
                     for name in (nodes if nodes is not None

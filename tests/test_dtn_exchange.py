@@ -1,14 +1,14 @@
 """Tests for the change-driven DTN exchange (repro.dtn.forwarder).
 
-An exchange costs O(1) when nothing changed: the shared buffer keeps a
-lower bound on its next expiry instant, stores and routers carry
-``version`` counters, and the plane memoises directed pairs whose last
-offer pass was empty.  An exchange whose carrier has no news for the
-peer skips the router, and a cascade from an empty store exchanges
-with no one.  The properties here pin the building blocks against
-brute-force models; the differential test runs whole fault and PHY
-worlds on both DTN planes with the memos and both shortcuts defeated
-and demands identical outcomes.  Faults act on bundles, not on offer
+An exchange skips work when nothing changed: the shared buffer keeps a
+lower bound on its next expiry instant, and an exchange whose carrier
+has no news for the peer skips the router.  A cascade from an empty
+store exchanges with no one, and the bandwidth plane's session queues
+re-rank only after a store or router ``version`` changed.  The
+properties here pin the building blocks against brute-force models;
+the differential test runs whole fault and PHY worlds on both DTN
+planes with the queue memo and both shortcuts defeated and demands
+identical outcomes.  Faults act on bundles, not on offer
 passes: the jammer counts only transfers of a real bundle, and a
 byzantine lie counts once per contact-open advertisement.
 """
@@ -26,7 +26,6 @@ from repro.dtn import (
     make_router,
 )
 from repro.dtn.capacity import ContactSession
-from repro.dtn.forwarder import DtnPlane
 from repro.dtn.traffic import generate_traffic, schedule_traffic
 from repro.experiments.registry import build_scenario
 from repro.faults import BYZANTINE, FaultEvent, FaultPlane
@@ -166,7 +165,7 @@ def test_prophet_version_tracks_its_tables():
 
 
 # ----------------------------------------------------------------------
-# the settled-pair memo
+# the news check
 # ----------------------------------------------------------------------
 def _chain(count=4):
     scenario = Scenario(seed=1)
@@ -176,25 +175,29 @@ def _chain(count=4):
     return scenario
 
 
-def test_a_settled_pair_skips_its_offer_pass():
+def test_a_carrier_without_news_runs_no_offer_pass():
+    """s1 still carries the bundle it relayed, but s2 has seen it: s1
+    has no news for s2, so neither the exchange nor the cascades of a
+    reopened s1–s2 contact ask the router."""
     scenario = _chain()
     plane = DtnOverlay(scenario.world, make_router("epidemic"))
     plane.send("s0", "s3", ttl_s=100.0)
     assert plane.delivered
-    plane.contact_up("s1", "s2")          # settles every s1, s2 pair
+    assert len(plane.stores["s1"]) == 1
+    assert plane.stores["s2"].has_seen("s0#1")
     passes = plane.offer_passes
-    plane.contact_up("s1", "s2")          # nothing changed since
+    assert not plane._exchange("s1", "s2")
+    plane.contact_up("s1", "s2")
     assert plane.offer_passes == passes
-    plane.send("s3", "s0", ttl_s=100.0)   # s3's store changed
+    plane.send("s3", "s0", ttl_s=100.0)   # s3 has news for s2
     assert plane.offer_passes > passes
-    plane.contact_down("s1", "s2")
-    assert not any("s1" in pair and "s2" in pair
-                   for pair in plane._settled)
 
 
 def test_a_blinded_pair_is_not_served_from_the_memo():
     """Losing the peer's summary vector changes what the carrier would
-    offer, so a pair settled while sighted must run its pass again."""
+    offer, so no shortcut may skip the pass of a blinded pair: a carrier
+    without news for its sighted peer has news for the blind one, so its
+    pass runs again and re-sends what the peer has."""
     scenario = _chain(3)
     plane = DtnOverlay(scenario.world, make_router("epidemic"))
     plane.send("s0", "s2", ttl_s=100.0)
@@ -205,13 +208,6 @@ def test_a_blinded_pair_is_not_served_from_the_memo():
     assert plane.counters.duplicates > 0
 
 
-class _NeverSettled(dict):
-    """A memo that forgets every write."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
 class _NeverQueued(list):
     """A session's queue slots, forgetting every write."""
 
@@ -220,21 +216,15 @@ class _NeverQueued(list):
 
 
 def _ask_the_router_always(monkeypatch):
-    """Defeat the settled memo, the session queue memo and both news
-    shortcuts: every exchange and every queue read asks the router, and
-    every cascade exchanges with every contact."""
-    original = DtnPlane.__init__
+    """Defeat the session queue memo and both news shortcuts: every
+    exchange and every queue read asks the router, and every cascade
+    exchanges with every contact."""
     original_session = ContactSession.__init__
-
-    def defeated(self, *args, **kwargs):
-        original(self, *args, **kwargs)
-        self._settled = _NeverSettled()
 
     def unqueued(self, *args, **kwargs):
         original_session(self, *args, **kwargs)
         self.queues = _NeverQueued([None, None])
 
-    monkeypatch.setattr(DtnPlane, "__init__", defeated)
     monkeypatch.setattr(ContactSession, "__init__", unqueued)
     monkeypatch.setattr(MessageStore, "has_news_for",
                         lambda self, peer: True)

@@ -24,6 +24,7 @@ def test_builtin_technology_registry():
     assert get_technology("bluetooth") is BLUETOOTH
     assert get_technology("wlan") is WLAN
     assert get_technology("gprs") is GPRS
+    assert get_technology(WLAN) is WLAN     # an object passes through
 
 
 def test_unknown_technology_raises_with_known_list():

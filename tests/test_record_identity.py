@@ -13,6 +13,8 @@ The ``fault_sweep`` digest is also that of the committed
 ``--telemetry`` run of it must also reproduce the committed
 ``telemetry.jsonl`` and ``timeline.csv`` byte for byte, so a change to
 the recorder or the subsystem profiler cannot move them unnoticed.
+The two DTN benchmark workloads (``perf/workloads.py``) are pinned the
+same way, by the digest ``perf/run.py`` takes of one seed's outputs.
 """
 
 import hashlib
@@ -23,8 +25,8 @@ import pytest
 
 from repro.experiments.cli import main as cli_main
 
-FAULT_SWEEP_RESULTS = (pathlib.Path(__file__).resolve().parents[1]
-                       / "results" / "fault_sweep")
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+FAULT_SWEEP_RESULTS = REPO_ROOT / "results" / "fault_sweep"
 
 DIGESTS = {
     "dtn_sweep":
@@ -71,3 +73,23 @@ def test_fault_sweep_telemetry_matches_committed_results(tmp_path, capsys):
                  "timeline.csv"):
         fresh = (out / name).read_bytes()
         assert fresh == (FAULT_SWEEP_RESULTS / name).read_bytes(), name
+
+
+#: ``perf.run.digest`` of ``perf.workloads.WORKLOADS[name].run(1).outputs``.
+WORKLOAD_DIGESTS = {
+    "ferry_epidemic":
+        "c554bf54d1ebba547083867c59d983473ba62ddbfa2119d408d995fd3d4bfff5",
+    "festival_lossy":
+        "df15a7b3c69ee6b3200a85624050e6e3bf84130292845f46dee5fa919bf406ea",
+}
+
+
+@pytest.mark.parametrize("name", [
+    "ferry_epidemic",                                          # ~0.6 s
+    pytest.param("festival_lossy", marks=pytest.mark.slow),    # ~5 s
+])
+def test_workload_outputs_match_pinned_digest(name, monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO_ROOT))
+    from perf.run import digest
+    from perf.workloads import WORKLOADS
+    assert digest(WORKLOADS[name].run(1).outputs) == WORKLOAD_DIGESTS[name]
