@@ -14,6 +14,9 @@ from repro.core.errors import PeerHoodError
 from repro.core.node import PeerHoodNode
 from repro.radio.channel import ConnectFault, OutOfRange
 
+#: Declared size of each streamed message, bytes.
+MESSAGE_SIZE_BYTES = 64
+
 
 @dataclasses.dataclass
 class PlainRunOutcome:
@@ -31,7 +34,6 @@ def run_plain_connection(client: PeerHoodNode, server_address: str,
                          service_name: str, message_count: int,
                          interval_s: float,
                          delivered_counter: typing.Callable[[], int],
-                         message_size: int = 64,
                          retries: int = 0) -> typing.Generator:
     """Process generator: stream without handover; returns the outcome.
 
@@ -54,7 +56,7 @@ def run_plain_connection(client: PeerHoodNode, server_address: str,
             failure_time = sim.now
             break
         try:
-            connection.write({"seq": index}, message_size)
+            connection.write({"seq": index}, MESSAGE_SIZE_BYTES)
         except PeerHoodError:
             failure_time = sim.now
             break

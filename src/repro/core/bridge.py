@@ -230,23 +230,17 @@ class BridgeService:
                 self._close_pair(pair)
                 return
 
-    def _close_pair(self, pair: _RelayPair, notify: Link | None = None,
+    def _close_pair(self, pair: _RelayPair,
                     spare: Link | None = None) -> None:
         """Tear a pair down.
 
-        ``notify`` gets a DisconnectFrame first and is then spared from
-        the local close so the frame can still reach the peer (who closes
-        the link on processing it).  ``spare`` is spared without a new
-        notification — used when a disconnect was already forwarded.
+        ``spare`` is left open — used when a disconnect was already
+        forwarded over it, so the frame can still reach the peer (who
+        closes the link on processing it).
         """
         if pair.closed:
             return
         pair.closed = True
-        if notify is not None and notify.is_open:
-            self.fabric.transmit(notify, self.node_id,
-                                 DisconnectFrame(reason="bridge peer lost"),
-                                 "control")
-            spare = notify
         for link in (pair.even, pair.odd):
             if link is not spare:
                 link.close()

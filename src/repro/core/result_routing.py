@@ -29,6 +29,10 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.library import PeerHoodLibrary
 
 
+#: Pause between attempts to reach the client again, sim-seconds.
+RETRY_INTERVAL_S = 5.0
+
+
 class ResultDeliveryFailed(PeerHoodError):
     """The server could not reach the client within the deadline."""
 
@@ -36,14 +40,14 @@ class ResultDeliveryFailed(PeerHoodError):
 def deliver_result(library: "PeerHoodLibrary",
                    connection: PeerHoodConnection,
                    payload: object, size_bytes: int,
-                   deadline_s: float = 120.0,
-                   retry_interval_s: float = 5.0) -> typing.Generator:
+                   deadline_s: float = 120.0) -> typing.Generator:
     """Process generator: get ``payload`` back to the client.
 
     Returns ``"direct"`` if the original connection still carried it, or
     ``"reconnect"`` if a new connection (Fig. 5.10's "Reconnect to
     client" branch) was needed.  Raises :class:`ResultDeliveryFailed`
-    after ``deadline_s`` of failed attempts.
+    after ``deadline_s`` of failed attempts, retried every
+    :data:`RETRY_INTERVAL_S`.
     """
     if connection.transport_alive():
         connection.write(payload, size_bytes)
@@ -57,7 +61,7 @@ def deliver_result(library: "PeerHoodLibrary",
             "connection broken and the client sent no reply-service "
             "parameters (§5.3 method 2 not in use)")
     reply_connection = yield from _connect_back(
-        library, params, deadline_s, retry_interval_s)
+        library, params, deadline_s)
     reply_connection.write(payload, size_bytes)
     library.fabric.trace.record(
         library.sim.now, library.node_id, "result-delivered",
@@ -67,8 +71,7 @@ def deliver_result(library: "PeerHoodLibrary",
 
 
 def _connect_back(library: "PeerHoodLibrary", params: ClientParams,
-                  deadline_s: float,
-                  retry_interval_s: float) -> typing.Generator:
+                  deadline_s: float) -> typing.Generator:
     """Find the client in the routing table and connect, with retries."""
     sim = library.sim
     give_up_at = sim.now + deadline_s
@@ -78,7 +81,7 @@ def _connect_back(library: "PeerHoodLibrary", params: ClientParams,
         if entry is None:
             # "server looks for the device in its neighborhood routing
             # table" — not there yet; wait for discovery to catch up.
-            yield sim.timeout(retry_interval_s)
+            yield sim.timeout(RETRY_INTERVAL_S)
             continue
         try:
             reply_connection = yield from library.connect(
@@ -88,7 +91,7 @@ def _connect_back(library: "PeerHoodLibrary", params: ClientParams,
         except (ConnectFault, OutOfRange, NoRouteError,
                 PeerHoodError) as error:
             last_error = error
-            yield sim.timeout(retry_interval_s)
+            yield sim.timeout(RETRY_INTERVAL_S)
     raise ResultDeliveryFailed(
         f"could not reach client {params.address!r} within "
         f"{deadline_s:.0f} s: {last_error}")

@@ -10,9 +10,8 @@ delivery survives the link instead of dying with it.
 Modules (mechanics / policy split):
 
 * :mod:`~repro.dtn.bundle` — the immutable message unit;
-* :mod:`~repro.dtn.store` — per-node custody over the repo's shared
-  :class:`~repro.core.buffering.BoundedBuffer` (TTL + capacity
-  eviction, summary vectors);
+* :mod:`~repro.dtn.store` — per-node custody (lazy TTL expiry,
+  summary vectors);
 * :mod:`~repro.dtn.routing` — the routers: direct-delivery, epidemic
   (summary-vector dedup), binary spray-and-wait, and PRoPHET
   (encounter-history delivery predictability with aging and

@@ -454,7 +454,7 @@ class BandwidthDtnOverlay(DtnOverlay):
         hands custody over (:meth:`~repro.dtn.forwarder.DtnPlane.
         _hand_over`, the one handoff both planes share).  Returns False
         when the handoff cannot happen — sender no longer carries the
-        bundle (TTL sweep or capacity eviction mid-flight) or the
+        bundle (a TTL sweep or another leg released it mid-flight) or the
         current copy is no longer eligible: the fragment then stays for a
         future resume from another custodian.  An *expired* current
         copy is removed from the sender (counted ``expired``) so a

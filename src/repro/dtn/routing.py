@@ -203,7 +203,7 @@ class SprayAndWait(Router):
             return bundle
         given = bundle.copies // 2
         kept = bundle.copies - given
-        store.replace(bundle.with_copies(kept), now)
+        store.replace(bundle.with_copies(kept))
         return bundle.with_copies(given)
 
 

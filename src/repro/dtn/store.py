@@ -1,17 +1,12 @@
-"""Per-node message stores: bounded custody over the shared buffer.
+"""Per-node message stores: the bundles a node holds in custody.
 
-Each DTN node owns a :class:`MessageStore` — a thin, bundle-aware facade
-over the repo's single buffering implementation
-(:class:`repro.core.buffering.BoundedBuffer`, the same class that backs
-the PeerHood service plane's §6.1 retransmission window).  The store
-adds what custody needs on top:
+Each DTN node owns a :class:`MessageStore`, which keeps:
 
-* **TTL eviction** — every bundle enters with its own lifetime and is
-  dropped by *lazy* sweeps (:meth:`expire`) at contact/send instants,
-  so expiry costs no timer wakeups; before
+* **custody** — the carried bundles, keyed by id in custody order;
+* **TTL expiry** — every bundle carries its own lifetime and is dropped
+  by *lazy* sweeps (:meth:`~MessageStore.expire`) at contact/send
+  instants, so expiry costs no timer wakeups; before
   :attr:`~MessageStore.next_expiry` a sweep is one comparison;
-* **capacity eviction** — a byte budget under the shared buffer's
-  drop-oldest rule;
 * **summary vectors** — the epidemic-routing dedup set: ids this node
   currently carries *plus* ids it has already seen (received, relayed
   onward, or delivered as destination), so a contact never re-sends
@@ -30,33 +25,32 @@ adds what custody needs on top:
   bundle can resume from the recorded offset, including after the
   original sender died.
 
-All counts feed the plane-wide
-:class:`~repro.metrics.counters.DtnCounters`.  Units: bytes,
-sim-seconds.
+Custody has no byte budget: a store never evicts, so the plane-wide
+:class:`~repro.metrics.counters.DtnCounters` ``evicted`` stays 0.  All
+other counts feed those counters.  Units: bytes, sim-seconds.
 """
 
 from __future__ import annotations
 
-from repro.core.buffering import BoundedBuffer
+import math
+
 from repro.dtn.bundle import Bundle
 from repro.metrics.counters import DtnCounters
 
 
 class MessageStore:
-    """One node's bundle custody: a keyed, bounded, TTL-aware buffer.
+    """One node's bundle custody: a keyed, TTL-aware, unbounded store.
 
-    ``capacity_bytes=None`` means unbounded.  Insertion order is
-    preserved (offers iterate oldest-first).  All operations are O(1)
-    amortised except the sweeps/scans inherited from the shared buffer
-    (O(n) in stored bundles; an :meth:`expire` with nothing due is
-    O(1)).
+    Custody order is preserved (offers iterate oldest-first).  All
+    operations are O(1) amortised except the sweeps and scans, which are
+    O(n) in stored bundles; an :meth:`expire` with nothing due is O(1).
     """
 
-    def __init__(self, node_id: str, capacity_bytes: int | None = None,
-                 counters: DtnCounters | None = None):
+    def __init__(self, node_id: str, counters: DtnCounters | None = None):
         self.node_id = node_id
         self.counters = counters if counters is not None else DtnCounters()
-        self._buffer = BoundedBuffer(capacity_bytes=capacity_bytes)
+        #: bundle id → carried bundle, in custody order.
+        self._bundles: dict[str, Bundle] = {}
         #: Every bundle id this node has ever held or delivered — the
         #: summary-vector memory that prevents epidemic re-infection.
         self._seen: set[str] = set()
@@ -68,27 +62,27 @@ class MessageStore:
         #: versions mean both are unchanged; only the bandwidth plane's
         #: session queue reads it.
         self.version = 0
+        #: No carried bundle expires before this instant (``inf``: none
+        #: can), so :meth:`expire` is a no-op until then.  Read-only for
+        #: callers.  A conservative bound: add() and replace() lower it,
+        #: a sweep that runs makes it exact, remove() and drop_all() may
+        #: leave it stale (too low, which only costs a sweep that finds
+        #: nothing).
+        self.next_expiry = math.inf
 
     def __len__(self) -> int:
-        return len(self._buffer)
+        return len(self._bundles)
 
     def __contains__(self, bundle_id: str) -> bool:
-        return bundle_id in self._buffer
-
-    @property
-    def next_expiry(self) -> float:
-        """No bundle expires before this instant, so :meth:`expire`
-        is a no-op until then (``inf``: the store is empty).  O(1)."""
-        return self._buffer.next_expiry
+        return bundle_id in self._bundles
 
     def bundles(self) -> list[Bundle]:
-        """Buffered bundles in insertion (custody) order."""
-        return [entry.item for entry in self._buffer.entries()]
+        """Carried bundles in custody order."""
+        return list(self._bundles.values())
 
     def get(self, bundle_id: str) -> Bundle | None:
-        """The buffered bundle under ``bundle_id``, or None.  O(1)."""
-        entry = self._buffer.get(bundle_id)
-        return None if entry is None else entry.item
+        """The carried bundle under ``bundle_id``, or None.  O(1)."""
+        return self._bundles.get(bundle_id)
 
     def has_seen(self, bundle_id: str) -> bool:
         """True if this node ever held or delivered the bundle.  O(1)."""
@@ -122,8 +116,8 @@ class MessageStore:
         copying nothing.
         """
         if peer is None:
-            return bool(self._buffer)
-        return not self._buffer._entries.keys() <= peer._seen
+            return bool(self._bundles)
+        return not self._bundles.keys() <= peer._seen
 
     # ------------------------------------------------------------------
     # partial fragments (bandwidth-limited transfers)
@@ -152,50 +146,62 @@ class MessageStore:
 
     # ------------------------------------------------------------------
     def add(self, bundle: Bundle, now: float) -> bool:
-        """Take custody of ``bundle``; True if it is buffered afterwards.
+        """Take custody of ``bundle``; True if it is carried afterwards.
 
         An already-expired bundle is refused (counted ``expired``).
-        Capacity pressure evicts oldest first (counted ``evicted``);
-        the incoming bundle itself may be the reject when it can never
-        fit.  Re-adding a carried id replaces the stored value (spray
-        token updates) without touching the counters.
+        Re-adding a carried id replaces the stored value in place, like
+        :meth:`replace`.
         """
         if bundle.expired(now):
             self.counters.expired += 1
             return False
         self.version += 1
         self._seen.add(bundle.bundle_id)
-        evicted = self._buffer.add(
-            bundle.bundle_id, bundle, bundle.size_bytes, now=now,
-            ttl_s=bundle.expires_at - now)
-        self.counters.evicted += len(evicted)
-        return bundle.bundle_id in self._buffer
+        self._bundles[bundle.bundle_id] = bundle
+        if bundle.expires_at < self.next_expiry:
+            self.next_expiry = bundle.expires_at
+        return True
 
-    def replace(self, bundle: Bundle, now: float) -> None:
-        """Update a carried bundle in place (spray-token bookkeeping)."""
-        if bundle.bundle_id not in self._buffer:
+    def replace(self, bundle: Bundle) -> None:
+        """Update a carried bundle in place (spray-token bookkeeping).
+
+        The bundle keeps its place in custody order, so a token update
+        never rejuvenates it.
+        """
+        if bundle.bundle_id not in self._bundles:
             raise KeyError(f"{self.node_id} does not carry "
                            f"{bundle.bundle_id!r}")
         self.version += 1
-        self._buffer.add(bundle.bundle_id, bundle, bundle.size_bytes,
-                         now=now, ttl_s=max(bundle.expires_at - now,
-                                            1e-9))
+        self._bundles[bundle.bundle_id] = bundle
+        if bundle.expires_at < self.next_expiry:
+            self.next_expiry = bundle.expires_at
 
     def remove(self, bundle_id: str) -> Bundle | None:
         """Release custody deliberately (delivered/acked).  O(1)."""
-        entry = self._buffer.remove(bundle_id)
-        if entry is None:
-            return None
-        self.version += 1
-        return entry.item
+        bundle = self._bundles.pop(bundle_id, None)
+        if bundle is not None:
+            self.version += 1
+        return bundle
 
     def expire(self, now: float) -> list[Bundle]:
         """Drop every bundle whose TTL has passed (lazy sweep).
 
-        O(1) before :attr:`next_expiry`, else O(n).
+        Returns the dropped bundles in custody order, counted
+        ``expired``.  O(1) before :attr:`next_expiry`; otherwise one
+        O(n) pass that also makes the bound exact again.
         """
-        dropped = [entry.item
-                   for entry in self._buffer.drop_expired(now)]
+        if now < self.next_expiry:
+            return []
+        dropped: list[Bundle] = []
+        soonest = math.inf
+        for bundle in self._bundles.values():
+            if bundle.expired(now):
+                dropped.append(bundle)
+            elif bundle.expires_at < soonest:
+                soonest = bundle.expires_at
+        for bundle in dropped:
+            del self._bundles[bundle.bundle_id]
+        self.next_expiry = soonest
         if dropped:
             self.counters.expired += len(dropped)
             self.version += 1
@@ -208,11 +214,12 @@ class MessageStore:
         bundle whose custodian crashed is never delivered from its lost
         copy) is observable through this counter.
         """
-        victims = self._buffer.drop_matching(lambda entry: True)
+        victims = list(self._bundles.values())
+        self._bundles.clear()
         self.counters.dropped_dead += len(victims)
         self._partials.clear()   # fragments die with the node
         self.version += 1
-        return [entry.item for entry in victims]
+        return victims
 
     def wipe(self) -> list[Bundle]:
         """Crash-reboot state loss: custody *and* memory are gone.
@@ -229,7 +236,5 @@ class MessageStore:
         return victims
 
     def __repr__(self) -> str:
-        cap = ("∞" if self._buffer.capacity_bytes is None
-               else self._buffer.capacity_bytes)
         return (f"<MessageStore {self.node_id} bundles={len(self)} "
-                f"bytes={self._buffer.used_bytes}/{cap}>")
+                f"seen={len(self._seen)}>")

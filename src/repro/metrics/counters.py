@@ -89,7 +89,9 @@ class DtnCounters(Counters):
         Copies dropped because their TTL ran out (lazy sweeps at
         contact/send instants — expiry costs no timer wakeups).
     evicted:
-        Copies dropped by capacity eviction (oldest first) making room.
+        Always 0: a store has no byte budget, so it never evicts.  The
+        field stays so records, ``summary.csv`` and the telemetry
+        timeline keep their schema.
     dropped_dead:
         Copies lost because their custodian crashed mid-carry (never
         delivered from the lost copy).

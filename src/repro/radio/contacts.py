@@ -245,27 +245,26 @@ def distance_crossings(
 
 def bisect_predicate_flip(
         predicate: typing.Callable[[float], bool], t0: float, t1: float,
-        step: float = BISECT_STEP_S,
-        tolerance: float = BISECT_TOL_S) -> Crossing | None:
+        ) -> Crossing | None:
     """Guarded bisection: first flip of ``predicate`` in ``(t0, t1]``.
 
-    Samples every ``step`` seconds, then bisects the first flipped
-    bracket down to ``tolerance``.  Returns the *earliest sampled time at
-    which the predicate has already flipped* (so re-arming from the
-    returned time sees the new state and makes progress).  Flips narrower
-    than ``step`` can be missed — hence "guarded": callers reserve this
-    for monotone-ish signals such as the Fig. 5.8 linear quality decay.
-    All times in sim-seconds; O((t1 − t0)/step + log₂(step/tolerance))
-    predicate evaluations.
+    Samples every :data:`BISECT_STEP_S`, then bisects the first flipped
+    bracket down to :data:`BISECT_TOL_S`.  Returns the *earliest sampled
+    time at which the predicate has already flipped* (so re-arming from
+    the returned time sees the new state and makes progress).  Flips
+    narrower than the step can be missed — hence "guarded": callers
+    reserve this for monotone-ish signals such as the Fig. 5.8 linear
+    quality decay.  All times in sim-seconds; O((t1 − t0)/step +
+    log₂(step/tolerance)) predicate evaluations.
     """
     if t1 <= t0:
         return None
     initial = predicate(t0)
     lo = t0
     while lo < t1:
-        hi = min(lo + step, t1)
+        hi = min(lo + BISECT_STEP_S, t1)
         if predicate(hi) != initial:
-            while hi - lo > tolerance:
+            while hi - lo > BISECT_TOL_S:
                 mid = (lo + hi) / 2.0
                 if predicate(mid) != initial:
                     hi = mid

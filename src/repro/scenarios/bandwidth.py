@@ -66,10 +66,16 @@ def crowded_festival(count: int = 18, area: float = 40.0,
     return scenario
 
 
+#: Radius of the ring each village's villagers stand on, metres.
+VILLAGE_RADIUS_M = 5.0
+
+#: The bus's speed between villages, m/s.
+BUS_SPEED_MPS = 8.0
+
+
 def rural_bus_dtn(count: int = 9, villages: int = 3,
-                  village_radius_m: float = 5.0,
                   village_spacing_m: float = 80.0,
-                  bus_speed_mps: float = 8.0, dwell_s: float = 25.0,
+                  dwell_s: float = 25.0,
                   cycles: int = 4,
                   seed: int = 0,
                   technologies: typing.Sequence[str] = ("bluetooth",),
@@ -79,8 +85,9 @@ def rural_bus_dtn(count: int = 9, villages: int = 3,
     Village ``i``'s centre sits at ``(i × village_spacing_m, 0)`` —
     far beyond radio range of its neighbours.  Villagers
     (``v{village}n{slot}``, static) stand on a deterministic ring of
-    ``village_radius_m`` around their centre.  The bus (``bus``) runs
-    the fixed route village 0 → 1 → … → last → 0, dwelling ``dwell_s``
+    :data:`VILLAGE_RADIUS_M` around their centre.  The bus (``bus``)
+    runs the fixed route village 0 → 1 → … → last → 0 at
+    :data:`BUS_SPEED_MPS`, dwelling ``dwell_s``
     at each stop, ``cycles`` times, then parks at village 0.  Each
     dwell prices the village's uplink: a villager-bus contact is worth
     about ``dwell × data_rate`` bytes per visit, which is what the
@@ -92,12 +99,12 @@ def rural_bus_dtn(count: int = 9, villages: int = 3,
         raise ValueError(f"need at least two villages, got {villages}")
     if cycles < 1:
         raise ValueError(f"need at least one bus cycle, got {cycles}")
-    if bus_speed_mps <= 0 or dwell_s < 0:
-        raise ValueError("bus needs positive speed, non-negative dwell")
+    if dwell_s < 0:
+        raise ValueError(f"bus dwell must be non-negative: {dwell_s}")
     scenario = Scenario(seed=seed)
     _clustered_shuttle(
         scenario, count=count, clusters=villages, prefix="v",
-        radius_m=village_radius_m, spacing_m=village_spacing_m,
-        shuttle="bus", speed_mps=bus_speed_mps, dwell_s=dwell_s,
+        radius_m=VILLAGE_RADIUS_M, spacing_m=village_spacing_m,
+        shuttle="bus", speed_mps=BUS_SPEED_MPS, dwell_s=dwell_s,
         cycles=cycles, technologies=technologies)
     return scenario

@@ -28,6 +28,13 @@ from repro.obs import runtime as obs_runtime
 from repro.radio.world import World
 from repro.sim.kernel import Simulator
 
+#: How long :meth:`Scenario.wait_for_route` waits for a route,
+#: sim-seconds.
+ROUTE_TIMEOUT_S = 600.0
+
+#: How often :meth:`Scenario.wait_for_route` checks, sim-seconds.
+ROUTE_POLL_S = 5.0
+
 
 class Scenario:
     """A complete simulation environment with named PeerHood nodes."""
@@ -106,23 +113,21 @@ class Scenario:
         discovery to converge (several Bluetooth inquiry cycles)."""
         self.sim.run(until=self.sim.now + duration)
 
-    def wait_for_route(self, from_name: str, to_name: str,
-                       timeout_s: float = 600.0,
-                       poll_s: float = 5.0) -> bool:
+    def wait_for_route(self, from_name: str, to_name: str) -> bool:
         """Advance the simulation until ``from_name`` has a route to
         ``to_name`` in its DeviceStorage (what a real application does by
-        polling GetDeviceList before connecting).  ``timeout_s`` and
-        ``poll_s`` are sim-seconds.  Returns False if the route never
-        appeared within the timeout."""
+        polling GetDeviceList before connecting), polling every
+        :data:`ROUTE_POLL_S`.  Returns False if the route never appeared
+        within :data:`ROUTE_TIMEOUT_S`."""
         source = self.nodes[from_name]
         target_address = self.nodes[to_name].address
 
         def waiter(sim):
-            deadline = sim.now + timeout_s
+            deadline = sim.now + ROUTE_TIMEOUT_S
             while sim.now < deadline:
                 if source.daemon.storage.get(target_address) is not None:
                     return True
-                yield sim.timeout(poll_s)
+                yield sim.timeout(ROUTE_POLL_S)
             return False
 
         process = self.sim.spawn(waiter(self.sim), name="wait-for-route")

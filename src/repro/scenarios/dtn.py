@@ -72,10 +72,15 @@ def commuter_corridor(count: int = 10, length_m: float = 120.0,
     return scenario
 
 
+#: Radius of the ring each island's islanders stand on, metres.
+ISLAND_RADIUS_M = 5.0
+
+#: The ferry's speed between islands, m/s.
+FERRY_SPEED_MPS = 5.0
+
+
 def island_hopping_ferry(count: int = 9, islands: int = 3,
-                         island_radius_m: float = 5.0,
                          island_spacing_m: float = 60.0,
-                         ferry_speed_mps: float = 5.0,
                          dwell_s: float = 20.0, cycles: int = 4,
                          seed: int = 0,
                          technologies: typing.Sequence[str] = (
@@ -86,8 +91,9 @@ def island_hopping_ferry(count: int = 9, islands: int = 3,
     Island ``i``'s centre is at ``(i * island_spacing_m, 0)`` —
     ``island_spacing_m`` should comfortably exceed the radio range so
     islands are mutually unreachable.  Islanders (``i{island}n{slot}``,
-    static) sit on a deterministic ring of ``island_radius_m`` around
-    their centre.  The ferry (``ferry``) runs a scripted shuttle:
+    static) sit on a deterministic ring of :data:`ISLAND_RADIUS_M`
+    around their centre.  The ferry (``ferry``) runs a scripted shuttle
+    at :data:`FERRY_SPEED_MPS`:
     island 0 → 1 → … → last → 0, dwelling ``dwell_s`` at each stop,
     ``cycles`` times, then parks at island 0 (its mobility settles, so
     the connectivity bus parks every ferry watch afterwards — zero
@@ -99,13 +105,13 @@ def island_hopping_ferry(count: int = 9, islands: int = 3,
         raise ValueError(f"need at least two islands, got {islands}")
     if cycles < 1:
         raise ValueError(f"need at least one ferry cycle, got {cycles}")
-    if ferry_speed_mps <= 0 or dwell_s < 0:
-        raise ValueError("ferry needs positive speed, non-negative dwell")
+    if dwell_s < 0:
+        raise ValueError(f"ferry dwell must be non-negative: {dwell_s}")
     scenario = Scenario(seed=seed)
     _clustered_shuttle(
         scenario, count=count, clusters=islands, prefix="i",
-        radius_m=island_radius_m, spacing_m=island_spacing_m,
-        shuttle="ferry", speed_mps=ferry_speed_mps, dwell_s=dwell_s,
+        radius_m=ISLAND_RADIUS_M, spacing_m=island_spacing_m,
+        shuttle="ferry", speed_mps=FERRY_SPEED_MPS, dwell_s=dwell_s,
         cycles=cycles, technologies=technologies)
     return scenario
 

@@ -61,8 +61,11 @@ def dense_plaza(count: int, area: float = 60.0, seed: int = 0,
     return scenario
 
 
+#: Distance between neighbouring highway lanes, metres.
+LANE_SPACING_M = 4.0
+
+
 def sparse_highway(count: int, length_m: float = 2000.0, lanes: int = 2,
-                   lane_spacing_m: float = 4.0,
                    speed_range: tuple[float, float] = (22.0, 33.0),
                    seed: int = 0,
                    technologies: typing.Sequence[str] = ("wlan",),
@@ -70,7 +73,7 @@ def sparse_highway(count: int, length_m: float = 2000.0, lanes: int = 2,
     """``count`` vehicles (``v0`` …) on a straight ``length_m``-metre road.
 
     Vehicles are scattered uniformly along the road in ``lanes`` lanes
-    ``lane_spacing_m`` apart; even lanes drive +x, odd lanes −x, each at
+    :data:`LANE_SPACING_M` apart; even lanes drive +x, odd lanes −x, each at
     a constant speed drawn from ``speed_range`` (m/s — the default is
     motorway pace, ~80–120 km/h).  Density is low (tens of metres
     between WLAN-range encounters) and relative speeds are high, so
@@ -86,7 +89,7 @@ def sparse_highway(count: int, length_m: float = 2000.0, lanes: int = 2,
     for index in range(count):
         lane = index % lanes
         heading = 1.0 if lane % 2 == 0 else -1.0
-        start = (rng.uniform(0.0, length_m), lane * lane_spacing_m)
+        start = (rng.uniform(0.0, length_m), lane * LANE_SPACING_M)
         speed = rng.uniform(*speed_range)
         scenario.add_node(
             f"v{index}",

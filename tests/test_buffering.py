@@ -1,108 +1,14 @@
-"""Tests for the §6.1 Data Buffering extension (ReliableChannel) and
-the shared BoundedBuffer both planes (reliable channel, DTN stores)
-are built on."""
+"""Tests for the §6.1 Data Buffering extension (ReliableChannel)."""
 
 import pytest
 
-from repro.core.buffering import (
-    DEFAULT_ACK_EVERY,
-    BoundedBuffer,
-    ReliableChannel,
-)
+from repro.core.buffering import DEFAULT_ACK_EVERY, ReliableChannel
 from repro.core.errors import ConnectionClosedError
 from repro.core.handover import HandoverThread
 from repro.radio.technologies import BLUETOOTH
 from repro.scenarios import Scenario, fig_5_8_handover
 
 SETTLE_S = 180.0
-
-
-# ----------------------------------------------------------------------
-# the shared BoundedBuffer
-# ----------------------------------------------------------------------
-def test_bounded_buffer_validation():
-    with pytest.raises(ValueError, match="capacity"):
-        BoundedBuffer(capacity_bytes=0)
-    buffer = BoundedBuffer()
-    with pytest.raises(ValueError, match="size"):
-        buffer.add("k", "item", -1, now=0.0)
-    with pytest.raises(ValueError, match="ttl"):
-        buffer.add("k", "item", 1, now=0.0, ttl_s=0.0)
-
-
-def test_bounded_buffer_unbounded_keeps_insertion_order():
-    buffer = BoundedBuffer()
-    for index in range(5):
-        assert buffer.add(index, f"item{index}", 10, now=float(index)) == []
-    assert [entry.key for entry in buffer.entries()] == [0, 1, 2, 3, 4]
-    assert buffer.used_bytes == 50
-    assert buffer.get(3).item == "item3"
-
-
-def test_bounded_buffer_evicts_oldest_first():
-    buffer = BoundedBuffer(capacity_bytes=30)
-    buffer.add("a", 1, 10, now=0.0)
-    buffer.add("b", 2, 10, now=1.0)
-    buffer.add("c", 3, 10, now=2.0)
-    evicted = buffer.add("d", 4, 10, now=3.0)
-    assert [entry.key for entry in evicted] == ["a"]
-    assert [entry.key for entry in buffer.entries()] == ["b", "c", "d"]
-    assert buffer.evicted == 1
-
-
-def test_bounded_buffer_rejects_entry_larger_than_capacity():
-    buffer = BoundedBuffer(capacity_bytes=10)
-    rejected = buffer.add("huge", 1, 11, now=0.0)
-    assert [entry.key for entry in rejected] == ["huge"]
-    assert len(buffer) == 0 and buffer.evicted == 1
-
-
-def test_bounded_buffer_replacing_a_key_is_not_an_eviction():
-    buffer = BoundedBuffer(capacity_bytes=20)
-    buffer.add("k", "old", 10, now=0.0)
-    assert buffer.add("k", "new", 15, now=1.0) == []
-    assert buffer.get("k").item == "new"
-    assert buffer.used_bytes == 15
-    assert buffer.evicted == 0
-
-
-def test_bounded_buffer_replacement_keeps_queue_position_and_age():
-    """Spray token updates must not rejuvenate a bundle: the re-stored
-    key still counts as the oldest."""
-    buffer = BoundedBuffer(capacity_bytes=30)
-    buffer.add("a", 1, 10, now=0.0)
-    buffer.add("b", 2, 10, now=50.0)
-    buffer.add("a", "updated", 10, now=100.0)   # in-place replacement
-    # position preserved
-    assert [entry.key for entry in buffer.entries()] == ["a", "b"]
-    assert buffer.get("a").stored_at == 0.0     # custody age preserved
-    evicted = buffer.add("c", 3, 20, now=200.0)
-    assert [entry.key for entry in evicted] == ["a"]  # still the oldest
-
-
-def test_bounded_buffer_ttl_expiry_is_lazy_and_counted():
-    buffer = BoundedBuffer()
-    buffer.add("a", 1, 10, now=0.0, ttl_s=5.0)
-    buffer.add("b", 2, 10, now=0.0, ttl_s=50.0)
-    buffer.add("c", 3, 10, now=0.0)          # immortal
-    assert buffer.drop_expired(4.9) == []
-    dropped = buffer.drop_expired(5.0)       # expiry instant inclusive
-    assert [entry.key for entry in dropped] == ["a"]
-    assert buffer.expired == 1
-    assert buffer.drop_expired(1000.0)[0].key == "b"
-    assert [entry.key for entry in buffer.entries()] == ["c"]
-
-
-def test_bounded_buffer_deliberate_removal_not_counted():
-    buffer = BoundedBuffer(capacity_bytes=100)
-    buffer.add("a", 1, 10, now=0.0)
-    buffer.add("b", 2, 10, now=0.0)
-    assert buffer.remove("a").item == 1
-    assert buffer.remove("missing") is None
-    dropped = buffer.drop_matching(lambda entry: entry.key == "b")
-    assert [entry.key for entry in dropped] == ["b"]
-    assert buffer.evicted == 0 and buffer.expired == 0
-    assert len(buffer) == 0 and buffer.used_bytes == 0
 
 
 def reliable_sink(node, received, ack_every=DEFAULT_ACK_EVERY):
@@ -189,6 +95,14 @@ def test_validation():
         ReliableChannel(connection, ack_every=0)
     with pytest.raises(ValueError):
         ReliableChannel(connection, resend_interval_s=0)
+    # A negative size is refused before anything is buffered or written
+    # (the envelope overhead would hide a small negative from write()).
+    channel = ReliableChannel(connection)
+    writes = connection._sequence
+    with pytest.raises(ValueError, match="negative size"):
+        channel.send("bad", -1)
+    assert not channel._window and connection._sequence == writes
+    assert channel.send("good", 0) == 1
 
 
 def test_handover_with_buffering_loses_nothing():

@@ -128,7 +128,7 @@ def test_window_clamps_prediction():
 # ----------------------------------------------------------------------
 def test_bisect_predicate_flip_refines_to_tolerance():
     crossing = bisect_predicate_flip(
-        lambda t: t < math.pi, 0.0, 10.0, step=0.5)
+        lambda t: t < math.pi, 0.0, 10.0)
     assert crossing is not None
     assert crossing.time == pytest.approx(math.pi, abs=1e-6)
     assert crossing.time >= math.pi  # flipped side, so re-arms progress

@@ -60,16 +60,6 @@ def test_store_refuses_expired_and_sweeps_lazily():
     assert len(store) == 0
 
 
-def test_store_capacity_eviction_counts():
-    store = MessageStore("n", capacity_bytes=1024)
-    first = Bundle("one", "a", "b", created_at=0.0, size_bytes=600)
-    second = Bundle("two", "a", "b", created_at=1.0, size_bytes=600)
-    assert store.add(first, now=0.0)
-    assert store.add(second, now=1.0)        # evicts "one" (oldest)
-    assert store.counters.evicted == 1
-    assert [b.bundle_id for b in store.bundles()] == ["two"]
-
-
 def test_summary_vector_remembers_released_custody():
     store = MessageStore("n")
     bundle = Bundle("x", "a", "b", created_at=0.0)

@@ -1,6 +1,6 @@
 """Tests for the change-driven DTN exchange (repro.dtn.forwarder).
 
-An exchange skips work when nothing changed: the shared buffer keeps a
+An exchange skips work when nothing changed: each store keeps a
 lower bound on its next expiry instant, and an exchange whose carrier
 has no news for the peer skips the router.  A cascade from an empty
 store exchanges with no one, and the bandwidth plane's session queues
@@ -17,7 +17,6 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.core.buffering import BoundedBuffer
 from repro.dtn import (
     BandwidthDtnOverlay,
     Bundle,
@@ -32,78 +31,115 @@ from repro.faults import BYZANTINE, FaultEvent, FaultPlane
 from repro.scenarios import Scenario
 
 # ----------------------------------------------------------------------
-# O(1) expiry checks: the bound never hides a due entry
+# the message store against a brute-force model; O(1) expiry checks
 # ----------------------------------------------------------------------
-_keys = st.sampled_from("abcdef")
-_ttls = st.one_of(st.none(), st.sampled_from([0.5, 1.0, 2.0, 3.0, 7.5]))
-_buffer_ops = st.lists(st.one_of(
-    st.tuples(st.just("add"), _keys, _ttls,
-              st.sampled_from([5, 10, 20])),
-    st.tuples(st.just("remove"), _keys),
-    st.tuples(st.just("drop_matching"), st.frozensets(_keys)),
-    st.tuples(st.just("drop_expired")),
+_ids = st.sampled_from(["x#1", "x#2", "x#3", "x#4"])
+_model_ops = st.lists(st.one_of(
+    st.tuples(st.just("add"), _ids, st.sampled_from([0.0, 1.0, 3.0]),
+              st.sampled_from([0.5, 1.0, 2.0, 3.0, 7.5]),
+              st.integers(1, 4)),
+    st.tuples(st.just("replace"), _ids, st.integers(1, 4)),
+    st.tuples(st.just("remove"), _ids),
+    st.tuples(st.just("expire")),
+    st.tuples(st.just("drop_all")),
+    st.tuples(st.just("wipe")),
     st.tuples(st.just("tick"), st.sampled_from([0.0, 0.5, 1.0, 2.5])),
 ), max_size=60)
 
 
 @settings(max_examples=200, deadline=None)
-@given(ops=_buffer_ops, capacity=st.sampled_from([None, 40]))
-def test_drop_expired_matches_a_brute_force_scan(ops, capacity):
-    """Every sweep drops exactly the entries an O(n) scan finds due, in
-    insertion order — across replacements that shorten or lengthen a
-    TTL, immortal entries, evictions and equal timestamps."""
-    buffer = BoundedBuffer(capacity_bytes=capacity)
-    model: dict[str, float | None] = {}   # key → expires_at, in order
+@given(ops=_model_ops)
+def test_drop_expired_matches_a_brute_force_scan(ops):
+    """Custody order, the summary vector and the counters follow a dict
+    model, and every sweep drops exactly the bundles an O(n) scan finds
+    due, in custody order — across replacements, bundles refused as
+    already expired and equal timestamps.  The expiry bound never hides
+    a due bundle.  Every example starts from four carried bundles with
+    staggered expiries, so custody order is always at stake."""
+    ops = [("add", f"x#{index}", 0.0, ttl, 2)
+           for index, ttl in enumerate((7.5, 1.0, 3.0, 2.0), 1)] + ops
+    store = MessageStore("x")
+    model: dict[str, Bundle] = {}   # id → carried bundle, in order
+    seen: set[str] = set()
+    expired = dropped_dead = 0
     now = 0.0
     for op in ops:
         if op[0] == "add":
-            _, key, ttl, size = op
-            evicted = buffer.add(key, None, size, now=now, ttl_s=ttl)
-            model[key] = None if ttl is None else now + ttl
-            for entry in evicted:
-                del model[entry.key]
+            _, bundle_id, age, ttl, copies = op
+            bundle = Bundle(bundle_id, "x", "y", created_at=now - age,
+                            ttl_s=ttl, copies=copies)
+            carried = not bundle.expired(now)
+            assert store.add(bundle, now) is carried
+            if carried:
+                model[bundle_id] = bundle
+                seen.add(bundle_id)
+            else:
+                expired += 1
+        elif op[0] == "replace":
+            current = model.get(op[1])
+            if current is None:
+                with pytest.raises(KeyError):
+                    store.replace(Bundle(op[1], "x", "y", created_at=now,
+                                         copies=op[2]))
+            else:
+                model[op[1]] = current.with_copies(op[2])
+                store.replace(model[op[1]])
         elif op[0] == "remove":
-            buffer.remove(op[1])
-            model.pop(op[1], None)
-        elif op[0] == "drop_matching":
-            victims = buffer.drop_matching(lambda e: e.key in op[1])
-            expected = [k for k in model if k in op[1]]
-            assert [e.key for e in victims] == expected
-            for key in expected:
-                del model[key]
-        elif op[0] == "drop_expired":
-            victims = buffer.drop_expired(now)
-            expected = [k for k, at in model.items()
-                        if at is not None and now >= at]
-            assert [e.key for e in victims] == expected
-            for key in expected:
-                del model[key]
+            assert store.remove(op[1]) == model.pop(op[1], None)
+        elif op[0] == "expire":
+            due = [b for b in model.values() if b.expired(now)]
+            assert store.expire(now) == due
+            for bundle in due:
+                del model[bundle.bundle_id]
+            expired += len(due)
+        elif op[0] in ("drop_all", "wipe"):
+            assert getattr(store, op[0])() == list(model.values())
+            dropped_dead += len(model)
+            model.clear()
+            if op[0] == "wipe":
+                seen.clear()
         else:
             now += op[1]
-        assert [entry.key for entry in buffer.entries()] == list(model)
-        live = [at for at in model.values() if at is not None]
-        assert buffer.next_expiry <= min(live, default=float("inf"))
+        assert store.bundles() == list(model.values())
+        assert len(store) == len(model)
+        assert store.summary_vector() == seen
+        assert store.has_news_for(None) is bool(model)
+        assert (store.counters.expired, store.counters.dropped_dead,
+                store.counters.evicted) == (expired, dropped_dead, 0)
+        assert store.next_expiry <= min(
+            (b.expires_at for b in model.values()), default=float("inf"))
 
 
 def test_drop_expired_skips_until_the_bound_and_then_tightens_it():
-    buffer = BoundedBuffer()
-    assert buffer.next_expiry == float("inf")
-    buffer.add("a", 1, 10, now=0.0, ttl_s=5.0)
-    buffer.add("b", 2, 10, now=0.0, ttl_s=9.0)
-    assert buffer.next_expiry == 5.0
-    buffer.remove("a")
-    assert buffer.next_expiry == 5.0      # stale but conservative
-    assert buffer.drop_expired(4.0) == []
-    assert buffer.drop_expired(5.0) == []  # the sweep ran: nothing due
-    assert buffer.next_expiry == 9.0
-    assert [e.key for e in buffer.drop_expired(9.0)] == ["b"]
-    assert buffer.next_expiry == float("inf")
+    store = MessageStore("x")
+    assert store.next_expiry == float("inf")
+    store.add(Bundle("a", "x", "y", created_at=0.0, ttl_s=5.0), 0.0)
+    store.add(Bundle("b", "x", "y", created_at=0.0, ttl_s=9.0), 0.0)
+    assert store.next_expiry == 5.0
+    store.remove("a")
+    assert store.next_expiry == 5.0      # stale but conservative
+    assert store.expire(4.0) == []
+    assert store.expire(5.0) == []       # the sweep ran: nothing due
+    assert store.next_expiry == 9.0
+    assert [b.bundle_id for b in store.expire(9.0)] == ["b"]
+    assert store.next_expiry == float("inf")
+
+
+def test_replace_keeps_a_bundles_place():
+    """A spray-token update must not rejuvenate a bundle: the replaced
+    copy keeps its place in custody order."""
+    store = MessageStore("x")
+    for bundle_id in ("a", "b", "c"):
+        store.add(Bundle(bundle_id, "x", "y", created_at=0.0, copies=4),
+                  0.0)
+    store.replace(store.get("a").with_copies(2))
+    assert [(b.bundle_id, b.copies) for b in store.bundles()] == [
+        ("a", 2), ("b", 4), ("c", 4)]
 
 
 # ----------------------------------------------------------------------
 # store versions
 # ----------------------------------------------------------------------
-_ids = st.sampled_from(["x#1", "x#2", "x#3", "x#4"])
 _store_ops = st.lists(st.one_of(
     st.tuples(st.just("add"), _ids, st.sampled_from([1.0, 5.0, 20.0]),
               st.integers(1, 4)),
@@ -119,9 +155,9 @@ _store_ops = st.lists(st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(ops=_store_ops, capacity=st.sampled_from([None, 1200]))
-def test_store_version_changes_whenever_its_view_does(ops, capacity):
-    store = MessageStore("x", capacity_bytes=capacity)
+@given(ops=_store_ops)
+def test_store_version_changes_whenever_its_view_does(ops):
+    store = MessageStore("x")
     now = 0.0
     for op in ops:
         before = (store.bundles(), store.summary_vector())
@@ -133,7 +169,7 @@ def test_store_version_changes_whenever_its_view_does(ops, capacity):
         elif op[0] == "replace":
             current = store.get(op[1])
             if current is not None and not current.expired(now):
-                store.replace(current.with_copies(op[2]), now)
+                store.replace(current.with_copies(op[2]))
         elif op[0] == "remove":
             store.remove(op[1])
         elif op[0] == "mark_seen":

@@ -49,8 +49,6 @@ KEEP = {"experiments/cli.py:_worker_count": "--workers (cells run serially)",
         "core/daemon.py:Daemon.stop": DAEMON_EXIT,
         "core/bridge.py:BridgeService.close_all": DAEMON_EXIT,
         "core/engine.py:Engine.close_all": DAEMON_EXIT,
-        "core/buffering.py:BoundedBuffer._victim":
-            "eviction when a store overflows its byte budget",
         "core/protocol.py:NeighbourEntry.wire_size":
             "Frame interface (size summed once, when built)",
         "experiments/spec.py:RunPoint.label": "a failed cell's record"}
