@@ -21,10 +21,12 @@ gates, both written into ``BENCH_dtn_delivery.json`` at the repo root:
    the polling oracle delivered (polling can only *miss* contacts
    shorter than its interval, never see extra ones).
 
-Both modes also record ``offer_passes``, the router offer passes the
-exchange actually ran.  The router is asked only when the carrier holds
-a bundle the peer has not seen, and the regression gate holds this
-work counter against the committed baseline.
+Both modes also record two work counters the regression gate holds
+against the committed baseline: ``offer_passes``, the router offer
+passes the exchange actually ran (the router is asked only when the
+carrier holds a bundle the peer has not seen), and ``cascade_visits``,
+the exchanges tried (a cascade visits no contact of a node whose news
+ledger says no contact lacks one of its bundles).
 """
 
 import os
@@ -88,6 +90,7 @@ def run_farm(event_driven: bool, n_nodes: int):
         "mode": "event" if event_driven else "polling",
         "wakeups": plane.wakeups,
         "offer_passes": plane.offer_passes,
+        "cascade_visits": plane.cascade_visits,
         "kernel_events": scenario.sim.events_processed,
         "delivered_ids": sorted(plane.delivered),
         "delivery_ratio": round(plane.delivery_ratio(), 4),

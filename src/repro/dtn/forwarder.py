@@ -45,10 +45,13 @@ Exchange semantics (both implementations share them):
 2. Transfers *cascade*: a node whose store grew immediately re-offers
    to its other current contacts, so a connected cluster equilibrates
    within the contact instant (the infinite-contact-bandwidth baseline
-   assumption; documented in docs/ARCHITECTURE.md).  A cascade from an
-   empty store offers nothing: it only sweeps the contacts with a
-   bundle due to expire, and skips even that while no store of the
-   plane can hold one.
+   assumption; documented in docs/ARCHITECTURE.md).  A per-node news
+   ledger (:class:`~repro.dtn.store.NewsLedger`) says in O(1) whether
+   any contact still lacks one of a node's bundles; neither the
+   contact-open exchange nor the cascade visits a contact of a node
+   without such news (each visit would offer nothing): they only sweep
+   the contacts with a bundle due to expire, skipping even that while
+   no store of the plane can hold one.
 3. Delivery to the destination releases the transmitting custodian's
    copy and records one :class:`DeliveryRecord` per bundle (first copy
    wins; summary vectors stop later copies).
@@ -69,7 +72,7 @@ from repro.dtn.bundle import (
     Bundle,
 )
 from repro.dtn.routing import Router
-from repro.dtn.store import MessageStore
+from repro.dtn.store import MessageStore, NewsLedger
 from repro.metrics.counters import DtnCounters, TrafficMeter
 from repro.radio.bus import LINK_UP, ConnectivityEvent, ContactStream
 from repro.radio.technologies import Technology, get_technology
@@ -132,10 +135,14 @@ class DtnPlane:
         #: work counter, kept out of :class:`DtnCounters` so records do
         #: not change with it.
         self.offer_passes = 0
+        #: ``_exchange`` calls, at contact-open and in cascades; a node
+        #: whose news ledger reads 0 makes none.  A work counter, like
+        #: ``offer_passes``.
+        self.cascade_visits = 0
         #: No store of the plane holds a bundle that expires before
         #: this instant: a lower bound, lowered wherever this class
-        #: adds custody and never raised.  Before it, a cascade from an
-        #: empty store has no contact to sweep.
+        #: adds custody and never raised.  Before it, a cascade from a
+        #: node without news has no contact to sweep.
         self._expiry_floor = math.inf
         self._adjacent: dict[str, set[str]] = {
             name: set() for name in self.stores}
@@ -157,6 +164,7 @@ class DtnPlane:
         #: vector and offers blind (against the empty vector) for the
         #: rest of the contact.  Cleared at :meth:`contact_down`.
         self._blind: set[tuple[str, str]] = set()
+        self._news = NewsLedger(self.stores, self._blind)
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.register_dtn(self)
@@ -216,21 +224,31 @@ class DtnPlane:
     def contact_up(self, a: str, b: str) -> None:
         """A contact opened: record adjacency and equilibrate.
 
-        :meth:`_open_contact` runs first, then the exchange cascade.
-        O(cluster) through the cascade.
+        :meth:`_open_contact` runs first, then the exchange cascade:
+        a→b, b→a, then outward from a and from b.  A side whose news
+        ledger reads 0 skips its direct exchange; its due stores are
+        swept by whichever exchange or cascade runs next.  O(cluster)
+        through the cascade.
         """
         if a not in self.stores or b not in self.stores:
             return
         self._open_contact(a, b)
-        self._exchange(a, b)
-        self._exchange(b, a)
+        lack = self._news.lack
+        if lack[a]:
+            self._exchange(a, b)
+        if lack[b]:
+            self._exchange(b, a)
         self._cascade_from(a)
         self._cascade_from(b)
 
     def contact_down(self, a: str, b: str) -> None:
-        """A contact closed: forget the adjacency.  O(1)."""
-        self._adjacent.get(a, set()).discard(b)
-        self._adjacent.get(b, set()).discard(a)
+        """A contact closed: forget the adjacency.  O(carried) to count
+        the pair out of the news ledger."""
+        if b not in self._adjacent.get(a, ()):
+            return
+        self._news.pair(self.stores[a], self.stores[b], -1)
+        self._adjacent[a].discard(b)
+        self._adjacent[b].discard(a)
         self._adjacent_sorted.pop(a, None)
         self._adjacent_sorted.pop(b, None)
         if self._blind:
@@ -258,8 +276,12 @@ class DtnPlane:
         never depends on blindness: the distortions are about
         advertisement, not about reception.  ``airtime_s(size)``
         gives a vector's air window (``None``: the technology's
-        transmit time).  Returns the total control bytes.  O(seen).
+        transmit time).  The pair is counted into the news ledger once
+        its blind pairs are known.  Returns the total control bytes.
+        O(seen).
         """
+        if b in self._adjacent[a]:   # re-opened while open
+            self._news.pair(self.stores[a], self.stores[b], -1)
         self._adjacent[a].add(b)
         self._adjacent[b].add(a)
         self._adjacent_sorted.pop(a, None)
@@ -279,6 +301,7 @@ class DtnPlane:
             elif self.faults is not None and self.faults.lies(
                     sender, self.stores[sender].seen_count()):
                 self._blind.add((receiver, sender))
+        self._news.pair(self.stores[a], self.stores[b], 1)
         return total
 
     def contact_control_bytes(self, sender: str, receiver: str) -> int:
@@ -299,7 +322,9 @@ class DtnPlane:
         every carried bundle (see "Exchange semantics" in the module
         docstring).  The peer's vector is the one the carrier heard:
         the empty vector while the carrier is blind about the peer.
+        Counted in ``cascade_visits``.
         """
+        self.cascade_visits += 1
         now = self.sim.now
         carrier_store = self.stores[carrier]
         peer_store = self.stores[peer]
@@ -396,25 +421,32 @@ class DtnPlane:
         whose duration dwarfs the transmission time of the buffered
         bundles (the baseline assumption; see module docstring).
 
-        An origin with no news even for a peer that has seen nothing
-        (an empty store) offers nothing, so it exchanges with no one
-        and only sweeps its due contacts, as their exchanges would
-        have.
+        A node whose news ledger reads 0 offers nothing to any contact,
+        and its ledger cannot grow while it is the carrier, so its
+        remaining visits are skipped: they only sweep the contacts with
+        a bundle due, as their exchanges would have, and not even that
+        while no store of the plane can hold one.
         """
-        if not self.stores[origin].has_news_for(None):
-            now = self.sim.now
-            if now >= self._expiry_floor:
-                for peer in self._sorted_contacts(origin):
-                    store = self.stores[peer]
-                    if now >= store.next_expiry:
-                        store.expire(now)
+        lack = self._news.lack
+        now = self.sim.now
+        if not lack[origin] and now < self._expiry_floor:
             return
         queue: collections.deque[str] = collections.deque([origin])
         while queue:
             node = queue.popleft()
+            if not lack[node] and now < self._expiry_floor:
+                continue
             for peer in self._sorted_contacts(node):
-                if self._exchange(node, peer):
-                    queue.append(peer)
+                if lack[node]:
+                    if self._exchange(node, peer):
+                        queue.append(peer)
+                    continue
+                if now < self._expiry_floor:
+                    break
+                # The sweeps the skipped exchange would have made.
+                for store in (self.stores[node], self.stores[peer]):
+                    if now >= store.next_expiry:
+                        store.expire(now)
 
     def _sorted_contacts(self, node: str) -> list[str]:
         """``node``'s contacts, sorted; cached until they change."""

@@ -18,6 +18,9 @@ Each DTN node owns a :class:`MessageStore`, which keeps:
 * **news** — :meth:`~MessageStore.has_news_for` tells whether the store
   carries anything a peer has not seen, so the forwarder skips the
   router for a peer that has seen everything;
+* **a listener** — told of every change to the carried ids and to the
+  summary vector, so the plane's news ledger (:class:`NewsLedger`,
+  below) stays exact whoever changed the store;
 * **partial fragments** — receiver-side byte counts of transfers the
   bandwidth-limited plane (:mod:`repro.dtn.capacity`) had to truncate
   at a window edge.  The fragment belongs to the *receiver* (reactive
@@ -33,6 +36,7 @@ other counts feed those counters.  Units: bytes, sim-seconds.
 from __future__ import annotations
 
 import math
+import typing
 
 from repro.dtn.bundle import Bundle
 from repro.metrics.counters import DtnCounters
@@ -69,6 +73,11 @@ class MessageStore:
         #: leave it stale (too low, which only costs a sweep that finds
         #: nothing).
         self.next_expiry = math.inf
+        #: Told of every change to the carried ids
+        #: (``listener.custody(node_id, bundle_id, +1 | -1)``) and to
+        #: the summary vector (``listener.seen(...)``), after the
+        #: store changed; ``None`` for a standalone store.
+        self.listener = None
 
     def __len__(self) -> int:
         return len(self._bundles)
@@ -97,6 +106,8 @@ class MessageStore:
         if bundle_id not in self._seen:
             self._seen.add(bundle_id)
             self.version += 1
+            if self.listener is not None:
+                self.listener.seen(self.node_id, bundle_id, 1)
 
     def summary_vector(self) -> frozenset[str]:
         """The epidemic dedup set: carried ∪ previously-seen ids."""
@@ -156,10 +167,19 @@ class MessageStore:
             self.counters.expired += 1
             return False
         self.version += 1
-        self._seen.add(bundle.bundle_id)
-        self._bundles[bundle.bundle_id] = bundle
+        bundle_id = bundle.bundle_id
+        gained = bundle_id not in self._bundles
+        unseen = bundle_id not in self._seen
+        self._seen.add(bundle_id)
+        self._bundles[bundle_id] = bundle
         if bundle.expires_at < self.next_expiry:
             self.next_expiry = bundle.expires_at
+        listener = self.listener
+        if listener is not None:
+            if gained:
+                listener.custody(self.node_id, bundle_id, 1)
+            if unseen:
+                listener.seen(self.node_id, bundle_id, 1)
         return True
 
     def replace(self, bundle: Bundle) -> None:
@@ -181,6 +201,8 @@ class MessageStore:
         bundle = self._bundles.pop(bundle_id, None)
         if bundle is not None:
             self.version += 1
+            if self.listener is not None:
+                self.listener.custody(self.node_id, bundle_id, -1)
         return bundle
 
     def expire(self, now: float) -> list[Bundle]:
@@ -205,6 +227,7 @@ class MessageStore:
         if dropped:
             self.counters.expired += len(dropped)
             self.version += 1
+            self._released(dropped)
         return dropped
 
     def drop_all(self) -> list[Bundle]:
@@ -219,7 +242,14 @@ class MessageStore:
         self.counters.dropped_dead += len(victims)
         self._partials.clear()   # fragments die with the node
         self.version += 1
+        self._released(victims)
         return victims
+
+    def _released(self, bundles: list[Bundle]) -> None:
+        """Tell the listener custody of ``bundles`` ended.  O(n)."""
+        if self.listener is not None:
+            for bundle in bundles:
+                self.listener.custody(self.node_id, bundle.bundle_id, -1)
 
     def wipe(self) -> list[Bundle]:
         """Crash-reboot state loss: custody *and* memory are gone.
@@ -232,9 +262,113 @@ class MessageStore:
         Counted ``dropped_dead`` like any custodian death.  O(n).
         """
         victims = self.drop_all()   # bumps the version
-        self._seen.clear()
+        forgotten = self._seen
+        self._seen = set()
+        if self.listener is not None:
+            for bundle_id in forgotten:
+                self.listener.seen(self.node_id, bundle_id, -1)
         return victims
 
     def __repr__(self) -> str:
         return (f"<MessageStore {self.node_id} bundles={len(self)} "
                 f"seen={len(self._seen)}>")
+
+
+class NewsLedger:
+    """Per node, the (contact, carried bundle) pairs that still lack news.
+
+    ``lack[X]`` counts the pairs (P, b) where P is a current contact of
+    X and b a bundle X carries that is missing from the summary vector
+    X heard from P — every carried bundle while X is blind about P.  So
+    ``lack[X] == 0`` means :meth:`MessageStore.has_news_for` is False
+    for every contact of X, and an exchange from X would offer nothing.
+    A sweep only removes carried ids, so that stays true until X gains
+    custody or a contact opens.
+
+    The plane's stores report every change to their carried ids and
+    summary vectors (:attr:`MessageStore.listener`); the plane itself
+    counts a contact in at open, once its blind pairs are known, and
+    out at close, before they are discarded (:meth:`pair`).  Upkeep
+    walks no contact list.  Node sets are bit masks over the plane's
+    node order: per node its ``contacts``, per bundle its ``holders``
+    (carriers) and ``seers`` (nodes whose vector holds it).  A custody
+    change is then two popcounts, and a seen change visits only the
+    contacts that carry the bundle.
+    """
+
+    def __init__(self, stores: dict[str, MessageStore],
+                 blind: set[tuple[str, str]]):
+        self.blind = blind
+        self.names = list(stores)
+        self.bit = {name: 1 << index for index, name in enumerate(stores)}
+        self.lack: dict[str, int] = dict.fromkeys(stores, 0)
+        self.contacts: dict[str, int] = dict.fromkeys(stores, 0)
+        self.holders: dict[str, int] = {}
+        self.seers: dict[str, int] = {}
+        for store in stores.values():
+            store.listener = self
+
+    def custody(self, node: str, bundle_id: str, sign: int) -> None:
+        """``node`` took (``sign`` +1) or released (−1) custody of
+        ``bundle_id``.  Two popcounts while no pair of the plane is
+        blind; else also O(contacts that have seen the bundle)."""
+        self.holders[bundle_id] = (self.holders.get(bundle_id, 0)
+                                   ^ self.bit[node])
+        contacts = self.contacts[node]
+        if not contacts:
+            return
+        heard = contacts & self.seers.get(bundle_id, 0)
+        lacking = contacts.bit_count() - heard.bit_count()
+        if heard and self.blind:
+            lacking += sum(1 for peer in self._named(heard)
+                           if (node, peer) in self.blind)
+        if lacking:
+            self.lack[node] += sign * lacking
+
+    def seen(self, node: str, bundle_id: str, sign: int) -> None:
+        """``node``'s summary vector gained (+1) or lost (−1)
+        ``bundle_id``.  O(contacts carrying the bundle)."""
+        self.seers[bundle_id] = (self.seers.get(bundle_id, 0)
+                                 ^ self.bit[node])
+        carriers = self.contacts[node] & self.holders.get(bundle_id, 0)
+        lack, blind, names = self.lack, self.blind, self.names
+        while carriers:   # _named, inlined on this hot path
+            low = carriers & -carriers
+            carriers ^= low
+            carrier = names[low.bit_length() - 1]
+            if not blind or (carrier, node) not in blind:
+                lack[carrier] -= sign
+
+    def _named(self, mask: int) -> typing.Iterator[str]:
+        """The nodes of ``mask``, in plane order.  O(bits set)."""
+        names = self.names
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            yield names[low.bit_length() - 1]
+
+    def pair(self, a: MessageStore, b: MessageStore, sign: int) -> None:
+        """Count the contact between the nodes of stores ``a`` and ``b``
+        in (+1, at open) or out (−1, at close), both ways, against the
+        vectors each side heard.  O(carried).  The ledger holds no
+        store: a store → ledger → store cycle would keep a finished
+        world's bundles alive until a full garbage collection."""
+        blind, lack, contacts, bit = (self.blind, self.lack, self.contacts,
+                                      self.bit)
+        a_id, b_id = a.node_id, b.node_id
+        contacts[a_id] ^= bit[b_id]
+        contacts[b_id] ^= bit[a_id]
+        # Both directions written out: this runs at every contact open
+        # and close, and a loop over the two costs a third more.
+        carried = a._bundles
+        if carried:
+            lacking = len(carried if (a_id, b_id) in blind
+                          else carried.keys() - b._seen)
+            if lacking:
+                lack[a_id] += sign * lacking
+        carried = b._bundles
+        if carried:
+            lacking = len(carried if (b_id, a_id) in blind
+                          else carried.keys() - a._seen)
+            if lacking:
+                lack[b_id] += sign * lacking

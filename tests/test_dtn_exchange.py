@@ -2,15 +2,16 @@
 
 An exchange skips work when nothing changed: each store keeps a
 lower bound on its next expiry instant, and an exchange whose carrier
-has no news for the peer skips the router.  A cascade from an empty
-store exchanges with no one, and the bandwidth plane's session queues
-re-rank only after a store or router ``version`` changed.  The
-properties here pin the building blocks against brute-force models;
-the differential test runs whole fault and PHY worlds on both DTN
-planes with the queue memo and both shortcuts defeated and demands
-identical outcomes.  Faults act on bundles, not on offer
-passes: the jammer counts only transfers of a real bundle, and a
-byzantine lie counts once per contact-open advertisement.
+has no news for the peer skips the router.  A cascade visits no
+contact of a node whose news ledger reads 0, and the bandwidth plane's
+session queues re-rank only after a store or router ``version``
+changed.  The properties here pin the building blocks against
+brute-force models; the differential test runs whole fault and PHY
+worlds on both DTN planes with the queue memo, the news check and the
+ledger gate defeated and demands identical outcomes.  Faults act on
+bundles, not on offer passes: the jammer counts only transfers of a
+real bundle, and a byzantine lie counts once per contact-open
+advertisement.
 """
 
 import hypothesis.strategies as st
@@ -25,6 +26,7 @@ from repro.dtn import (
     make_router,
 )
 from repro.dtn.capacity import ContactSession
+from repro.dtn.store import NewsLedger
 from repro.dtn.traffic import generate_traffic, schedule_traffic
 from repro.experiments.registry import build_scenario
 from repro.faults import BYZANTINE, FaultEvent, FaultPlane
@@ -154,14 +156,41 @@ _store_ops = st.lists(st.one_of(
 ), max_size=40)
 
 
+class _Heard:
+    """A store listener that writes down what it hears."""
+
+    def __init__(self):
+        self.heard = []
+
+    def custody(self, node, bundle_id, sign):
+        self.heard.append(("custody", node, bundle_id, sign))
+
+    def seen(self, node, bundle_id, sign):
+        self.heard.append(("seen", node, bundle_id, sign))
+
+
+def _diff(kind, before, after):
+    return ([(kind, "x", bundle_id, 1) for bundle_id in after - before]
+            + [(kind, "x", bundle_id, -1) for bundle_id in before - after])
+
+
 @settings(max_examples=200, deadline=None)
 @given(ops=_store_ops)
 def test_store_version_changes_whenever_its_view_does(ops):
+    """The version moves whenever the carried bundles or the summary
+    vector do, and the listener hears exactly the carried-id and
+    seen-id changes a before/after diff shows.  Every example starts
+    from four carried bundles with staggered expiries, so most ops act
+    on a store holding several."""
+    ops = [("add", f"x#{index}", ttl, 2)
+           for index, ttl in enumerate((20.0, 1.0, 5.0, 20.0), 1)] + ops
     store = MessageStore("x")
+    listener = store.listener = _Heard()
     now = 0.0
     for op in ops:
         before = (store.bundles(), store.summary_vector())
         version = store.version
+        listener.heard.clear()
         if op[0] == "add":
             _, bundle_id, ttl, copies = op
             store.add(Bundle(bundle_id, "x", "y", created_at=now,
@@ -187,6 +216,11 @@ def test_store_version_changes_whenever_its_view_does(ops):
         assert store.version >= version
         if (store.bundles(), store.summary_vector()) != before:
             assert store.version != version, op
+        carried = {bundle.bundle_id for bundle in before[0]}
+        expected = (_diff("custody", carried,
+                          {bundle.bundle_id for bundle in store.bundles()})
+                    + _diff("seen", before[1], store.summary_vector()))
+        assert sorted(listener.heard) == sorted(expected), op
 
 
 def test_prophet_version_tracks_its_tables():
@@ -239,6 +273,7 @@ def test_a_blinded_pair_is_not_served_from_the_memo():
     plane.send("s0", "s2", ttl_s=100.0)
     plane.contact_up("s0", "s1")
     assert plane.counters.duplicates == 0
+    plane.contact_down("s0", "s1")
     plane._blind.add(("s0", "s1"))        # s0 never heard s1's vector
     plane.contact_up("s0", "s1")
     assert plane.counters.duplicates > 0
@@ -251,17 +286,30 @@ class _NeverQueued(list):
         pass
 
 
+class _AlwaysNews(dict):
+    """A news ledger's counts, every node reading as having news."""
+
+    def __getitem__(self, node):
+        return 1
+
+
 def _ask_the_router_always(monkeypatch):
-    """Defeat the session queue memo and both news shortcuts: every
-    exchange and every queue read asks the router, and every cascade
-    exchanges with every contact."""
+    """Defeat the session queue memo, the news check and the ledger
+    gate: every exchange and every queue read asks the router, and
+    every cascade exchanges with every contact."""
     original_session = ContactSession.__init__
+    original_ledger = NewsLedger.__init__
 
     def unqueued(self, *args, **kwargs):
         original_session(self, *args, **kwargs)
         self.queues = _NeverQueued([None, None])
 
+    def newsy(self, *args, **kwargs):
+        original_ledger(self, *args, **kwargs)
+        self.lack = _AlwaysNews(self.lack)
+
     monkeypatch.setattr(ContactSession, "__init__", unqueued)
+    monkeypatch.setattr(NewsLedger, "__init__", newsy)
     monkeypatch.setattr(MessageStore, "has_news_for",
                         lambda self, peer: True)
 
@@ -297,18 +345,21 @@ def _observe(overlay, router, params, seed=7):
         "bytes": {category: scenario.meter.bytes(category=category)
                   for category in ("dtn-data", "dtn-control")},
     }
-    return observed, plane.offer_passes
+    return observed, (plane.offer_passes, plane.cascade_visits)
 
 
 @pytest.mark.parametrize("router, params", [
     ("epidemic", _FAULTS), ("spray", _FAULTS), ("prophet", _FAULTS),
-    ("direct", _FAULTS), ("epidemic", _PHY)])
+    ("direct", _FAULTS), ("epidemic", _PHY), ("spray", _PHY),
+    ("prophet", _PHY), ("direct", _PHY)])
 def test_the_memo_changes_no_outcome(router, params, monkeypatch):
     """On both DTN planes, runs with the memos and the news shortcuts on
     and defeated agree on every counter and delivery record, including
     the fault and PHY planes' counters: a fault counts what it did to a
-    bundle, not how often the plane asked.  (The bandwidth plane's
-    queue memo under a lossy PHY is pinned read by read in
+    bundle, not how often the plane asked.  The ledger gate is checked
+    under crash wipes with contacts open (``_FAULTS``) and under blind
+    pairs (``_PHY``).  (The bandwidth plane's queue memo under a lossy
+    PHY is pinned read by read in
     ``test_dtn_capacity.py::test_memoised_queue_is_never_stale``.)"""
     overlays = ((DtnOverlay, BandwidthDtnOverlay) if params is _FAULTS
                 else (DtnOverlay,))
@@ -316,11 +367,14 @@ def test_the_memo_changes_no_outcome(router, params, monkeypatch):
                 for overlay in overlays}
     _ask_the_router_always(monkeypatch)
     for overlay in overlays:
-        observed, passes = memoised[overlay]
-        reference, reference_passes = _observe(overlay, router, params)
+        observed, (passes, visits) = memoised[overlay]
+        reference, (reference_passes, reference_visits) = _observe(
+            overlay, router, params)
         assert observed == reference, overlay.__name__
         assert observed["counters"]["delivered"] > 0
         assert passes < reference_passes  # the shortcuts did skip passes
+        if overlay is DtnOverlay:       # and the gate skipped visits
+            assert visits < reference_visits
         if params is _FAULTS:
             assert observed["faults"]["crashes"] > 0
             assert observed["faults"]["byzantine_beacons"] > 0
@@ -344,6 +398,98 @@ def test_a_cascade_from_an_empty_origin_sweeps_its_due_contacts():
     plane.contact_up("s0", "s2")
     assert len(plane.stores["s1"]) == 0
     assert plane.counters.expired == 1
+
+
+def test_a_cascade_from_a_node_without_news_sweeps_its_due_contacts():
+    """As above, but s0 carries a bundle every contact has seen: its
+    ledger reads 0 (and empty s2's too), so reopening s0–s2 makes no
+    exchange at all, yet the cascade from s0 still sweeps s1's due
+    bundle and counts it expired."""
+    scenario = Scenario(seed=1)
+    for name, x in (("s0", 0.0), ("s1", 6.0), ("s2", -6.0),
+                    ("s3", 100.0)):
+        scenario.add_node(name, position=(x, 0.0), mobility_class="static")
+    plane = DtnOverlay(scenario.world, make_router("direct"))
+    plane.send("s1", "s2", ttl_s=5.0)     # s2 is out of s1's range
+    held = plane.send("s0", "s3", ttl_s=100.0)
+    for peer in ("s1", "s2"):
+        plane.stores[peer].mark_seen(held.bundle_id)
+    scenario.run(until=10.0)
+    assert len(plane.stores["s0"]) == 1
+    assert plane._news.lack["s0"] == 0
+    assert plane.counters.expired == 0
+    visits = plane.cascade_visits
+    plane.contact_up("s0", "s2")
+    assert plane.cascade_visits == visits
+    assert len(plane.stores["s1"]) == 0
+    assert plane.counters.expired == 1
+
+
+def test_the_ferry_cascade_visits_at_most_ten_contacts_per_offer_pass(
+        monkeypatch):
+    """The work bound of the ledger gate on the seed-1 benchmark ferry
+    (``perf.workloads.ferry_epidemic``): ``_exchange`` calls, the
+    contact-open pairs included, stay within 10 × the offer passes.
+    Without the gate island cliques re-ask every contact: 202,968
+    calls for 2,786 passes."""
+    from perf import workloads
+
+    planes = []
+
+    class Recorded(DtnOverlay):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            planes.append(self)
+
+    monkeypatch.setattr(workloads.dtn, "DtnOverlay", Recorded)
+    workloads.ferry_epidemic(1)
+    plane, = planes
+    assert plane.offer_passes > 0
+    assert plane.cascade_visits <= 10 * plane.offer_passes, (
+        plane.cascade_visits, plane.offer_passes)
+
+
+def _brute_lack(plane, node):
+    carried = {bundle.bundle_id for bundle in plane.stores[node].bundles()}
+    return sum(len(carried - (set() if (node, peer) in plane._blind
+                              else plane.stores[peer].summary_vector()))
+               for peer in plane._adjacent[node])
+
+
+@pytest.mark.parametrize("overlay, router, params", [
+    (DtnOverlay, "epidemic", _FAULTS), (DtnOverlay, "spray", _FAULTS),
+    (DtnOverlay, "prophet", _PHY), (DtnOverlay, "epidemic", _PHY),
+    (BandwidthDtnOverlay, "epidemic", _FAULTS)])
+def test_the_news_ledger_matches_a_brute_force_count(overlay, router, params,
+                                                     monkeypatch):
+    """After every contact event, send and crash, each node's ledger
+    equals the sum over its contacts of its carried ids missing from
+    the vector it heard — through crash wipes with contacts open,
+    blind pairs and (on the bandwidth plane) custody settled between
+    contact events."""
+    checks = []
+
+    def checked(name):
+        original = getattr(overlay, name)
+
+        def method(self, *args, **kwargs):
+            result = original(self, *args, **kwargs)
+            for node in self.stores:
+                assert self._news.lack[node] == _brute_lack(self, node), (
+                    name, args, node)
+            checks.append(name)
+            return result
+        monkeypatch.setattr(overlay, name, method)
+
+    for name in ("contact_up", "contact_down", "send", "on_crash"):
+        checked(name)
+    observed, _ = _observe(overlay, router, params)
+    assert observed["counters"]["delivered"] > 0
+    assert {"contact_up", "contact_down", "send"} <= set(checks)
+    if params is _FAULTS:
+        assert "on_crash" in checks
+    else:
+        assert observed["phy"]["offered"] > observed["phy"]["delivered"]
 
 
 def test_attach_over_empty_stores_counts_no_jammed_delivery():
