@@ -48,7 +48,6 @@ from repro.dtn.routing import (
     Router,
     SprayAndWait,
     make_router,
-    transmission_order,
 )
 from repro.dtn.store import MessageStore
 from repro.dtn.traffic import Injection, generate_traffic, schedule_traffic
@@ -71,5 +70,4 @@ __all__ = [
     "generate_traffic",
     "make_router",
     "schedule_traffic",
-    "transmission_order",
 ]

@@ -237,6 +237,9 @@ class BandwidthDtnOverlay(DtnOverlay):
         super().detach()
 
     def _close_session(self, pair: tuple[str, str], mode: str) -> None:
+        """Drop ``pair``'s session, if open, and cancel its leg in
+        flight: counted cancelled on a crash, its airtime credited on
+        link-down, silent on detach.  The window is reported once."""
         session = self._sessions.pop(pair, None)
         if session is None:
             return
@@ -247,28 +250,26 @@ class BandwidthDtnOverlay(DtnOverlay):
                 del self._node_sessions[node]
         transfer = session.transfer
         session.transfer = None
-        if transfer is None:
-            self._report_contact(session)
-            return
-        transfer.handle.cancel()
-        self._release_inbound(transfer)
-        if mode == _CLOSE_DETACH:
-            self._report_contact(session)
-            return
-        if mode == _CLOSE_CRASH:
-            self.counters.transfers_cancelled += 1
-            self._report_contact(session)
-            return
-        # Link-down truncation: credit the airtime actually used.  A
-        # leg still queued behind the control exchange (start in the
-        # future) or cut inside the framing latency moved nothing —
-        # that is not a truncated transfer, it simply never happened.
+        if transfer is not None:
+            transfer.handle.cancel()
+            self._release_inbound(transfer)
+            if mode == _CLOSE_CRASH:
+                self.counters.transfers_cancelled += 1
+            elif mode == _CLOSE_DOWN:
+                self._credit_truncated(session, transfer)
+        self._report_contact(session)
+
+    def _credit_truncated(self, session: ContactSession,
+                          transfer: Transfer) -> None:
+        """Link-down truncation: credit the airtime actually used.  A
+        leg still queued behind the control exchange (start in the
+        future) or cut inside the framing latency moved nothing — that
+        is not a truncated transfer, it simply never happened."""
         elapsed = self.sim.now - transfer.started_at
         payload_s = elapsed - self.tech.base_latency_s
         credited = min(transfer.send_bytes,
                        max(0, int(payload_s * self.data_rate_Bps)))
         if credited <= 0:
-            self._report_contact(session)
             return
         session.used_bytes += credited
         self.counters.bytes_transferred += credited
@@ -282,7 +283,6 @@ class BandwidthDtnOverlay(DtnOverlay):
             receiver_store.record_partial(transfer.bundle.bundle_id,
                                           credited)
         self.counters.transfers_truncated += 1
-        self._report_contact(session)
 
     def _report_contact(self, session: ContactSession) -> None:
         """Telemetry hook: one window's bytes-used vs budget.
@@ -405,9 +405,6 @@ class BandwidthDtnOverlay(DtnOverlay):
         while True:
             if session.transfer is not None:
                 return
-            if self._sessions.get((session.node_a, session.node_b)) \
-                    is not session:
-                return   # closed (or replaced) while queued for a pump
             pick = self._next_candidate(session)
             if pick is None:
                 return
@@ -448,9 +445,10 @@ class BandwidthDtnOverlay(DtnOverlay):
 
         Re-fetches the sender's *current* copy (spray token counts may
         have changed while this leg was in flight — settling from a
-        stale snapshot would mint tokens) and re-checks the router
-        still offers it (a concurrent leg may have spent the last
-        spare spray token), then releases the receiver's fragment and
+        stale snapshot would mint tokens) and re-checks that the router
+        still finds it eligible (a concurrent leg may have spent the
+        last spare spray token; the receiver has not seen it, checked
+        just before), then releases the receiver's fragment and
         hands custody over (:meth:`~repro.dtn.forwarder.DtnPlane.
         _hand_over`, the one handoff both planes share).  Returns False
         when the handoff cannot happen — sender no longer carries the
@@ -458,8 +456,7 @@ class BandwidthDtnOverlay(DtnOverlay):
         current copy is no longer eligible: the fragment then stays for a
         future resume from another custodian.  An *expired* current
         copy is removed from the sender (counted ``expired``) so a
-        dead bundle can never be re-offered forever.  O(n log n) in
-        the sender's store for the eligibility re-check.
+        dead bundle can never be re-offered forever.  O(1).
         """
         now = self.sim.now
         current = self.stores[sender].get(bundle.bundle_id)
@@ -475,10 +472,7 @@ class BandwidthDtnOverlay(DtnOverlay):
             receiver_store.clear_partial(bundle.bundle_id)
             self.counters.duplicates += 1
             return True
-        if not any(offer.bundle_id == bundle.bundle_id
-                   for offer in self.router.offers(
-                       self.stores[sender], receiver,
-                       receiver_store.summary_vector())):
+        if not self.router.eligible(sender, current, receiver):
             return False
         receiver_store.clear_partial(bundle.bundle_id)
         self._hand_over(sender, current, receiver)
@@ -486,9 +480,7 @@ class BandwidthDtnOverlay(DtnOverlay):
 
     def _complete(self, pair: tuple[str, str]) -> None:
         """One leg finished: credit bytes, settle custody, pump on."""
-        session = self._sessions.get(pair)
-        if session is None or session.transfer is None:
-            return   # cancelled race; handles are cancelled with sessions
+        session = self._sessions[pair]
         transfer = session.transfer
         session.transfer = None
         sender, receiver = transfer.sender, transfer.receiver

@@ -144,11 +144,6 @@ class DtnPlane:
         #: adds custody and never raised.  Before it, a cascade from a
         #: node without news has no contact to sweep.
         self._expiry_floor = math.inf
-        self._adjacent: dict[str, set[str]] = {
-            name: set() for name in self.stores}
-        # Sorted copy of each node's adjacency for the cascade, rebuilt
-        # only after the adjacency changed (never mutated in place).
-        self._adjacent_sorted: dict[str, list[str]] = {}
         self._sequences: dict[str, int] = {}
         #: Installed fault plane, if the world carries one (crash /
         #: deaf-mute / jammer / byzantine injection — :mod:`repro.faults`).
@@ -164,6 +159,8 @@ class DtnPlane:
         #: vector and offers blind (against the empty vector) for the
         #: rest of the contact.  Cleared at :meth:`contact_down`.
         self._blind: set[tuple[str, str]] = set()
+        #: The news ledger; its contact masks are the plane's one record
+        #: of which contacts are open.
         self._news = NewsLedger(self.stores, self._blind)
         telemetry = self.telemetry
         if telemetry is not None:
@@ -242,15 +239,12 @@ class DtnPlane:
         self._cascade_from(b)
 
     def contact_down(self, a: str, b: str) -> None:
-        """A contact closed: forget the adjacency.  O(carried) to count
-        the pair out of the news ledger."""
-        if b not in self._adjacent.get(a, ()):
+        """A contact closed: count the pair out of the news ledger,
+        which forgets the adjacency.  A no-op for a pair not in contact
+        (unknown nodes included).  O(carried)."""
+        if not self._news.linked(a, b):
             return
         self._news.pair(self.stores[a], self.stores[b], -1)
-        self._adjacent[a].discard(b)
-        self._adjacent[b].discard(a)
-        self._adjacent_sorted.pop(a, None)
-        self._adjacent_sorted.pop(b, None)
         if self._blind:
             self._blind.discard((a, b))
             self._blind.discard((b, a))
@@ -280,12 +274,8 @@ class DtnPlane:
         its blind pairs are known.  Returns the total control bytes.
         O(seen).
         """
-        if b in self._adjacent[a]:   # re-opened while open
+        if self._news.linked(a, b):   # re-opened while open
             self._news.pair(self.stores[a], self.stores[b], -1)
-        self._adjacent[a].add(b)
-        self._adjacent[b].add(a)
-        self._adjacent_sorted.pop(a, None)
-        self._adjacent_sorted.pop(b, None)
         self.router.on_contact(a, b, self.sim.now)
         total = 0
         for sender, receiver in ((a, b), (b, a)):
@@ -427,7 +417,8 @@ class DtnPlane:
         a bundle due, as their exchanges would have, and not even that
         while no store of the plane can hold one.
         """
-        lack = self._news.lack
+        news = self._news
+        lack = news.lack
         now = self.sim.now
         if not lack[origin] and now < self._expiry_floor:
             return
@@ -436,7 +427,7 @@ class DtnPlane:
             node = queue.popleft()
             if not lack[node] and now < self._expiry_floor:
                 continue
-            for peer in self._sorted_contacts(node):
+            for peer in news.contacts_of(node):
                 if lack[node]:
                     if self._exchange(node, peer):
                         queue.append(peer)
@@ -447,14 +438,6 @@ class DtnPlane:
                 for store in (self.stores[node], self.stores[peer]):
                     if now >= store.next_expiry:
                         store.expire(now)
-
-    def _sorted_contacts(self, node: str) -> list[str]:
-        """``node``'s contacts, sorted; cached until they change."""
-        view = self._adjacent_sorted.get(node)
-        if view is None:
-            view = sorted(self._adjacent.get(node, ()))
-            self._adjacent_sorted[node] = view
-        return view
 
     # ------------------------------------------------------------------
     # crashes
@@ -490,7 +473,7 @@ class DtnPlane:
         victims = self.stores[node_id].wipe()
         self._telemetry_losses(victims, "custodian-crashed")
         self.router.on_crash(node_id)
-        for peer in list(self._adjacent.get(node_id, ())):
+        for peer in self._news.contacts_of(node_id):
             self.contact_down(node_id, peer)
 
     def _telemetry_losses(self, victims: list[Bundle],
@@ -608,7 +591,7 @@ class PollingDtnOverlay(DtnPlane):
             found = world.neighbors(name, self.tech)
             fresh[name] = {peer for peer in found if peer in self.stores}
         for name in live:
-            before = self._adjacent[name]
+            before = set(self._news.contacts_of(name))
             now = fresh[name]
             for peer in sorted(before - now):
                 self.contact_down(name, peer)

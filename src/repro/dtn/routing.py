@@ -42,11 +42,14 @@ The baselines, in increasing overhead:
                           measures against PRoPHET.
 ========================  ==========================================
 
-Transmission order within one contact is deterministic.  The classics
-share :func:`transmission_order` (bundles destined to the peer first,
-then oldest — the same lexicographic-policy pattern as the service
-plane's :func:`repro.core.routing.route_rank`); PRoPHET keeps the
-destined-first rule but ranks relay traffic by *descending* peer
+A router is two rules: :meth:`Router.eligible` filters (may this
+bundle go from this carrier to this peer?) and :meth:`Router.rank`
+orders; :meth:`Router.offers`, the one offer pass, applies both to the
+bundles the peer has not seen.  Transmission order within one contact
+is deterministic.  The base rank sends bundles destined to the peer
+first, then oldest — the same lexicographic-policy pattern as the
+service plane's :func:`repro.core.routing.route_rank`; PRoPHET keeps
+the destined-first rule but ranks relay traffic by *descending* peer
 predictability, so the most deliverable copies cross the window first.
 """
 
@@ -63,55 +66,59 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 DEFAULT_SPRAY_COPIES = 8
 
 
-def transmission_order(bundles: typing.Iterable[Bundle],
-                       peer_id: str) -> list[Bundle]:
-    """Deterministic per-contact send order (shared by every router).
-
-    Lexicographic, smaller first: destined-to-peer before relay traffic,
-    then older creation instants, then bundle id — mirroring the route
-    ranking's "most valuable first" shape (see
-    :func:`repro.core.routing.route_rank`).  O(n log n).
-    """
-    return sorted(bundles, key=lambda b: (
-        0 if b.destination == peer_id else 1, b.created_at, b.bundle_id))
-
-
 class Router:
     """Base router: subclasses override the policy decisions.
 
-    ``offers`` / ``eligible`` / ``after_transmit`` decide what moves
-    and what custody becomes; ``on_contact`` / ``control_bytes`` let
-    stateful routers (PRoPHET) observe encounters and charge their
-    control traffic — the bandwidth-limited plane deducts those bytes
-    from the contact's budget before any data flows.
+    ``eligible`` / ``rank`` decide what moves and in what order (the
+    one offer pass, ``offers``, applies both), ``after_transmit`` what
+    custody becomes; ``on_contact`` / ``control_bytes`` let stateful
+    routers (PRoPHET) observe encounters and charge their control
+    traffic — the bandwidth-limited plane deducts those bytes from the
+    contact's budget before any data flows.
     """
 
     #: Registry key (``settings["routers"]`` values in specs).
     name = "base"
 
-    #: Changes whenever router state that ``offers`` reads may have
-    #: changed.  Stateless routers keep 0: their offers depend only on
-    #: the carrier's store and the peer's vector.
+    #: Changes whenever router state that ``eligible`` or ``rank`` read
+    #: may have changed.  Stateless routers keep 0: their offers depend
+    #: only on the carrier's store and the peer's vector.
     version = 0
 
     def offers(self, store: "MessageStore", peer_id: str,
                peer_seen: frozenset[str]) -> list[Bundle]:
         """The carrier's bundles to transmit to ``peer_id``, in order.
 
-        ``peer_seen`` is the peer's summary vector; no router ever
-        offers a bundle the peer has already seen (the dedup that keeps
-        ``DtnCounters.duplicates`` at zero).  The returned order is the
-        ranked transmission queue a bandwidth-limited contact drains
-        front-first.  O(n log n) in stored bundles.
+        The bundles missing from ``peer_seen`` (the peer's summary
+        vector — no router ever offers a bundle the peer has already
+        seen, the dedup that keeps ``DtnCounters.duplicates`` at zero)
+        that pass :meth:`eligible`, sorted by :meth:`rank`.  The order
+        is the ranked transmission queue a bandwidth-limited contact
+        drains front-first.  The one offer pass of every router.
+        O(n log n) in stored bundles.
         """
-        eligible = [bundle for bundle in store.bundles()
-                    if bundle.bundle_id not in peer_seen
-                    and self.eligible(bundle, peer_id)]
-        return transmission_order(eligible, peer_id)
+        carrier, eligible, rank = store.node_id, self.eligible, self.rank
+        offered = [bundle for bundle in store.bundles()
+                   if bundle.bundle_id not in peer_seen
+                   and eligible(carrier, bundle, peer_id)]
+        offered.sort(key=lambda bundle: rank(bundle, peer_id))
+        return offered
 
-    def eligible(self, bundle: Bundle, peer_id: str) -> bool:
-        """May ``bundle`` be transmitted to ``peer_id``?  Policy hook."""
+    def eligible(self, carrier: str, bundle: Bundle, peer_id: str) -> bool:
+        """May ``carrier`` transmit ``bundle`` to ``peer_id``?  Policy
+        hook."""
         raise NotImplementedError
+
+    def rank(self, bundle: Bundle, peer_id: str) -> tuple:
+        """Send-order key of an eligible bundle, smaller first.
+
+        Destined-to-peer before relay traffic, then older creation
+        instants, then bundle id — mirroring the route ranking's "most
+        valuable first" shape (see :func:`repro.core.routing.
+        route_rank`).
+        """
+        return (0 if bundle.destination == peer_id else 1,
+                bundle.created_at, bundle.bundle_id)
 
     def after_transmit(self, store: "MessageStore", bundle: Bundle,
                        peer_id: str, now: float) -> Bundle:
@@ -162,7 +169,7 @@ class DirectDelivery(Router):
 
     name = "direct"
 
-    def eligible(self, bundle: Bundle, peer_id: str) -> bool:
+    def eligible(self, carrier: str, bundle: Bundle, peer_id: str) -> bool:
         return bundle.destination == peer_id
 
 
@@ -171,7 +178,7 @@ class Epidemic(Router):
 
     name = "epidemic"
 
-    def eligible(self, bundle: Bundle, peer_id: str) -> bool:
+    def eligible(self, carrier: str, bundle: Bundle, peer_id: str) -> bool:
         return True   # the summary vector already filtered seen ids
 
 
@@ -191,7 +198,7 @@ class SprayAndWait(Router):
             raise ValueError(f"spray copies must be >= 1: {copies}")
         self.initial_copies = copies
 
-    def eligible(self, bundle: Bundle, peer_id: str) -> bool:
+    def eligible(self, carrier: str, bundle: Bundle, peer_id: str) -> bool:
         # Delivery is always allowed; relaying needs spare tokens
         # (one-token custodians are in the wait phase).
         return bundle.destination == peer_id or bundle.copies > 1
@@ -216,11 +223,11 @@ class Prophet(Router):
     event-driven — nothing ages on a timer):
 
     * **encounter** — meeting ``b`` directly:
-      ``P(a,b) ← P(a,b) + (1 − P(a,b)) · p_encounter``;
+      ``P(a,b) ← P(a,b) + (1 − P(a,b)) · P_ENCOUNTER``;
     * **aging** — before any read/update at time ``t``:
-      ``P ← P · γ^(t − last_update)`` (lazy, per node);
+      ``P ← P · GAMMA^(t − last_update)`` (lazy, per node);
     * **transitivity** — having just met ``b``:
-      ``P(a,c) ← max(P(a,c), P(a,b) · P(b,c) · β)`` for every ``c`` in
+      ``P(a,c) ← max(P(a,c), P(a,b) · P(b,c) · BETA)`` for every ``c`` in
       ``b``'s table (both directions — the tables were just exchanged).
 
     Forwarding is GRTR: relay a bundle to a peer only when the peer's
@@ -245,18 +252,13 @@ class Prophet(Router):
     #: Bytes per (destination id, predictability) control-vector entry.
     CONTROL_ENTRY_BYTES = 12
 
-    def __init__(self, p_encounter: float = 0.75, beta: float = 0.25,
-                 gamma: float = 0.98):
-        if not 0.0 < p_encounter < 1.0:
-            raise ValueError(
-                f"p_encounter must be in (0,1): {p_encounter}")
-        if not 0.0 <= beta <= 1.0:
-            raise ValueError(f"beta must be in [0,1]: {beta}")
-        if not 0.0 < gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0,1]: {gamma}")
-        self.p_encounter = p_encounter
-        self.beta = beta
-        self.gamma = gamma
+    #: Encounter boost, transitivity scaling and aging base per second:
+    #: the values of Lindgren et al.'s evaluation.
+    P_ENCOUNTER = 0.75
+    BETA = 0.25
+    GAMMA = 0.98
+
+    def __init__(self):
         self._tables: dict[str, dict[str, float]] = {}
         self._aged_at: dict[str, float] = {}
         self.version = 0
@@ -271,7 +273,7 @@ class Prophet(Router):
         self._aged_at[node_id] = now
         if last is None or now <= last:
             return
-        factor = self.gamma ** (now - last)
+        factor = self.GAMMA ** (now - last)
         table = self._table(node_id)
         for dest in table:
             table[dest] *= factor
@@ -297,7 +299,7 @@ class Prophet(Router):
         table_a, table_b = self._table(node_a), self._table(node_b)
         for table, peer in ((table_a, node_b), (table_b, node_a)):
             old = table.get(peer, 0.0)
-            table[peer] = old + (1.0 - old) * self.p_encounter
+            table[peer] = old + (1.0 - old) * self.P_ENCOUNTER
         # Transitivity over the *post-encounter* tables, both ways.
         p_ab, p_ba = table_a[node_b], table_b[node_a]
         for mine, theirs, p_link, me, other in (
@@ -306,7 +308,7 @@ class Prophet(Router):
             for dest, p_remote in list(theirs.items()):
                 if dest == me:
                     continue
-                relayed = p_link * p_remote * self.beta
+                relayed = p_link * p_remote * self.BETA
                 if relayed > mine.get(dest, 0.0):
                     mine[dest] = relayed
 
@@ -319,37 +321,29 @@ class Prophet(Router):
 
         Peers keep *their* predictabilities toward the crashed node —
         they have no way to know it rebooted amnesiac; those entries
-        age out by γ as usual.  O(1).
+        age out by ``GAMMA`` as usual.  O(1).
         """
         self.version += 1
         self._tables.pop(node_id, None)
         self._aged_at.pop(node_id, None)
 
     # -- forwarding policy --------------------------------------------
-    def offers(self, store: "MessageStore", peer_id: str,
-               peer_seen: frozenset[str]) -> list[Bundle]:
-        """GRTR-eligible bundles, ranked most-deliverable-first.
+    def eligible(self, carrier: str, bundle: Bundle, peer_id: str) -> bool:
+        """GRTR: the peer is the destination, or its predictability for
+        the destination strictly beats the carrier's.  O(1)."""
+        destination = bundle.destination
+        return (destination == peer_id
+                or self.predictability(peer_id, destination)
+                > self.predictability(carrier, destination))
 
-        Destined-to-peer bundles lead (oldest first); relays follow by
-        descending ``P(peer, destination)``, ties broken by creation
-        instant then bundle id.  O(n log n).
-        """
-        carrier = store.node_id
-        ranked = []
-        for bundle in store.bundles():
-            if bundle.bundle_id in peer_seen:
-                continue
-            if bundle.destination == peer_id:
-                ranked.append(((0, 0.0, bundle.created_at,
-                                bundle.bundle_id), bundle))
-                continue
-            p_peer = self.predictability(peer_id, bundle.destination)
-            if p_peer <= self.predictability(carrier, bundle.destination):
-                continue
-            ranked.append(((1, -p_peer, bundle.created_at,
-                            bundle.bundle_id), bundle))
-        ranked.sort(key=lambda pair: pair[0])
-        return [bundle for _key, bundle in ranked]
+    def rank(self, bundle: Bundle, peer_id: str) -> tuple:
+        """Destined-to-peer bundles lead (oldest first); relays follow
+        by descending ``P(peer, destination)``, ties broken by creation
+        instant then bundle id.  O(1)."""
+        if bundle.destination == peer_id:
+            return (0, 0.0, bundle.created_at, bundle.bundle_id)
+        return (1, -self.predictability(peer_id, bundle.destination),
+                bundle.created_at, bundle.bundle_id)
 
 
 def make_router(name: str, spray_copies: int = DEFAULT_SPRAY_COPIES

@@ -36,7 +36,6 @@ other counts feed those counters.  Units: bytes, sim-seconds.
 from __future__ import annotations
 
 import math
-import typing
 
 from repro.dtn.bundle import Bundle
 from repro.metrics.counters import DtnCounters
@@ -293,7 +292,9 @@ class NewsLedger:
     node order: per node its ``contacts``, per bundle its ``holders``
     (carriers) and ``seers`` (nodes whose vector holds it).  A custody
     change is then two popcounts, and a seen change visits only the
-    contacts that carry the bundle.
+    contacts that carry the bundle.  The ``contacts`` masks are also the
+    plane's one record of which contacts are open (:meth:`linked`,
+    :meth:`contacts_of`).
     """
 
     def __init__(self, stores: dict[str, MessageStore],
@@ -339,13 +340,25 @@ class NewsLedger:
             if not blind or (carrier, node) not in blind:
                 lack[carrier] -= sign
 
-    def _named(self, mask: int) -> typing.Iterator[str]:
+    def linked(self, a: str, b: str) -> bool:
+        """True while ``a`` and ``b`` are in contact (False for a node
+        off the plane).  O(1)."""
+        return bool(self.contacts.get(a, 0) & self.bit.get(b, 0))
+
+    def contacts_of(self, node: str) -> list[str]:
+        """``node``'s contacts in plane order, which is sorted order
+        (the plane builds its stores from sorted node ids).  O(bits
+        set)."""
+        return self._named(self.contacts[node])
+
+    def _named(self, mask: int) -> list[str]:
         """The nodes of ``mask``, in plane order.  O(bits set)."""
-        names = self.names
+        names, found = self.names, []
         while mask:
             low = mask & -mask
             mask ^= low
-            yield names[low.bit_length() - 1]
+            found.append(names[low.bit_length() - 1])
+        return found
 
     def pair(self, a: MessageStore, b: MessageStore, sign: int) -> None:
         """Count the contact between the nodes of stores ``a`` and ``b``

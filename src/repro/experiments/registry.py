@@ -26,7 +26,7 @@ import dataclasses
 import typing
 
 from repro.faults import install_scenario_faults
-from repro.radio.phy import DEFAULT_CAPTURE_MARGIN_DB, install_scenario_phy
+from repro.radio.phy import install_scenario_phy
 from repro.scenarios import (
     Scenario,
     city_day,
@@ -226,8 +226,6 @@ def _phy_params(shadowing_sigma_db: float = 0.0,
               "log-normal shadowing sigma, dB (0 = no fading loss)"),
         Param("phy_collisions", int, phy_collisions,
               "1 = collision/capture under overlapping transmissions"),
-        Param("capture_margin_db", float, DEFAULT_CAPTURE_MARGIN_DB,
-              "dB advantage needed to capture over overlap rivals"),
     )
 
 

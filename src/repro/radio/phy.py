@@ -74,9 +74,9 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: technologies fall back to the Bluetooth figure.
 _TX_POWER_DBM = {"bluetooth": 4.0, "wlan": 16.0, "gprs": 33.0}
 
-#: Default advantage (dB) a packet needs over every overlapping rival
-#: to be captured instead of collided (classic capture-effect figure).
-DEFAULT_CAPTURE_MARGIN_DB = 6.0
+#: Advantage (dB) a packet needs over every overlapping rival to be
+#: captured instead of collided (classic capture-effect figure).
+CAPTURE_MARGIN_DB = 6.0
 
 #: Noise a jammer adds at an affected endpoint: the decode threshold
 #: rises by this much while the sender or receiver sits in a jammer disk.
@@ -169,9 +169,9 @@ class PhyPlane:
         fading loss entirely (no RNG draw is made, so a
         collisions-only plane is fully deterministic).
     collisions:
-        Enable the per-receiver overlap/capture model.
-    capture_margin_db:
-        Advantage over the strongest rival needed to survive overlap.
+        Enable the per-receiver overlap/capture model; a packet survives
+        overlap only by beating the strongest rival by
+        :data:`CAPTURE_MARGIN_DB`.
 
     Each technology gets its calibrated :class:`PhyProfile` on first
     use.
@@ -179,8 +179,7 @@ class PhyPlane:
 
     def __init__(self, world: "World", *,
                  shadowing_sigma_db: float = 0.0,
-                 collisions: bool = True,
-                 capture_margin_db: float = DEFAULT_CAPTURE_MARGIN_DB):
+                 collisions: bool = True):
         if getattr(world, "phy", None) is not None:
             raise ValueError("a PhyPlane is already installed on this "
                              "world; configure the existing plane "
@@ -188,14 +187,10 @@ class PhyPlane:
         if shadowing_sigma_db < 0:
             raise ValueError(
                 f"negative shadowing sigma: {shadowing_sigma_db}")
-        if capture_margin_db < 0:
-            raise ValueError(
-                f"negative capture margin: {capture_margin_db}")
         self.world = world
         self.sim = world.sim
         self.shadowing_sigma_db = float(shadowing_sigma_db)
         self.collisions = bool(collisions)
-        self.capture_margin_db = float(capture_margin_db)
         self.counters = PhyCounters()
         self._profiles: dict[str, PhyProfile] = {}
         # Per-directed-pair shadowing streams, created lazily; the
@@ -298,7 +293,7 @@ class PhyPlane:
             return False
         if tx.contenders:
             strongest = max(rival.rssi_dbm for rival in tx.contenders)
-            if tx.rssi_dbm >= strongest + self.capture_margin_db:
+            if tx.rssi_dbm >= strongest + CAPTURE_MARGIN_DB:
                 tx.fate = CAPTURED
                 counters.captured += 1
                 counters.delivered += 1
@@ -391,9 +386,7 @@ class PhyPlane:
 
 def install_scenario_phy(scenario: "Scenario", *,
                          shadowing_sigma_db: float = 0.0,
-                         phy_collisions: int = 0,
-                         capture_margin_db: float =
-                         DEFAULT_CAPTURE_MARGIN_DB) -> PhyPlane | None:
+                         phy_collisions: int = 0) -> PhyPlane | None:
     """Install a PHY plane on a freshly built scenario, knob-driven.
 
     The scenario-registry entry point, mirroring
@@ -416,5 +409,4 @@ def install_scenario_phy(scenario: "Scenario", *,
         return None
     return PhyPlane(scenario.world,
                     shadowing_sigma_db=shadowing_sigma_db,
-                    collisions=bool(phy_collisions),
-                    capture_margin_db=capture_margin_db)
+                    collisions=bool(phy_collisions))

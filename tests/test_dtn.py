@@ -13,11 +13,11 @@ import pytest
 from repro.dtn import (
     Bundle,
     DtnOverlay,
+    Epidemic,
     MessageStore,
     PollingDtnOverlay,
     SprayAndWait,
     make_router,
-    transmission_order,
 )
 from repro.dtn.traffic import generate_traffic, schedule_traffic
 from repro.experiments import ExperimentSpec, run_campaign
@@ -75,10 +75,13 @@ def test_summary_vector_remembers_released_custody():
 # routers
 # ----------------------------------------------------------------------
 def test_transmission_order_is_destined_first_then_oldest():
-    young = Bundle("young", "s", "peer", created_at=9.0)
-    old_relay = Bundle("old", "s", "other", created_at=1.0)
-    older_relay = Bundle("older", "s", "other2", created_at=0.5)
-    ordered = transmission_order([old_relay, young, older_relay], "peer")
+    store = MessageStore("s")
+    for bundle in (Bundle("old", "s", "other", created_at=1.0),
+                   Bundle("young", "s", "peer", created_at=9.0),
+                   Bundle("older", "s", "other2", created_at=0.5),
+                   Bundle("seen", "s", "peer", created_at=0.0)):
+        store.add(bundle, now=9.0)
+    ordered = Epidemic().offers(store, "peer", frozenset({"seen"}))
     assert [b.bundle_id for b in ordered] == ["young", "older", "old"]
 
 

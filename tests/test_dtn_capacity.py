@@ -430,7 +430,7 @@ def test_matches_instantaneous_plane_at_huge_rate():
 # PRoPHET predictability algebra
 # ----------------------------------------------------------------------
 def test_prophet_encounter_and_aging():
-    router = Prophet(p_encounter=0.75, gamma=0.98)
+    router = Prophet()
     router.on_contact("a", "b", 0.0)
     assert router.predictability("a", "b") == pytest.approx(0.75)
     assert router.predictability("b", "a") == pytest.approx(0.75)
@@ -445,7 +445,7 @@ def test_prophet_encounter_and_aging():
 
 
 def test_prophet_transitivity():
-    router = Prophet(beta=0.25)
+    router = Prophet()
     router.on_contact("b", "c", 0.0)
     router.on_contact("a", "b", 0.0)
     # a learned of c through b: P(a,c) = P(a,b)·P(b,c)·β > 0.
@@ -485,13 +485,51 @@ def test_prophet_offers_rank_by_peer_predictability():
     assert [b.bundle_id for b in offers] == ["x3", "x1", "x2"]
 
 
-def test_prophet_validation_and_registry():
-    with pytest.raises(ValueError, match="p_encounter"):
-        Prophet(p_encounter=1.0)
-    with pytest.raises(ValueError, match="gamma"):
-        Prophet(gamma=0.0)
-    with pytest.raises(NotImplementedError):
-        Prophet().eligible(Bundle("x", "a", "b", created_at=0.0), "b")
+_PREDICTABILITY = st.sampled_from((0.0, 0.25, 0.5, 0.75))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables=st.fixed_dictionaries({
+           node: st.dictionaries(st.sampled_from(("d1", "d2", "d3", "peer")),
+                                 _PREDICTABILITY)
+           for node in ("carrier", "peer")}),
+       carried=st.lists(st.tuples(
+           st.sampled_from(("d1", "d2", "d3", "peer")),
+           st.sampled_from((0.0, 1.0, 2.0)), st.booleans()), max_size=8))
+def test_prophet_offers_are_the_grtr_rule(tables, carried):
+    """Over random tables (ties included) and stores, ``offers`` is
+    PRoPHET's forwarding rule written out: unseen destined bundles
+    first, oldest first; then the relays whose destination the peer
+    strictly beats the carrier on, by descending P(peer, d), then
+    creation instant, then id."""
+    router = Prophet()
+    router._tables.update(tables)
+    store = MessageStore("carrier")
+    seen = set()
+    for index, (destination, created_at, was_seen) in enumerate(carried):
+        bundle = Bundle(f"b{index}", "src", destination,
+                        created_at=created_at, ttl_s=1e6)
+        store.add(bundle, now=2.0)
+        if was_seen:
+            seen.add(bundle.bundle_id)
+
+    def p(node, destination):
+        return tables[node].get(destination, 0.0)
+
+    unseen = [b for b in store.bundles() if b.bundle_id not in seen]
+    destined = sorted((b for b in unseen if b.destination == "peer"),
+                      key=lambda b: (b.created_at, b.bundle_id))
+    relays = sorted((b for b in unseen if b.destination != "peer"
+                     and p("peer", b.destination)
+                     > p("carrier", b.destination)),
+                    key=lambda b: (-p("peer", b.destination),
+                                   b.created_at, b.bundle_id))
+    offers = router.offers(store, "peer", frozenset(seen))
+    assert [b.bundle_id for b in offers] == \
+        [b.bundle_id for b in destined + relays]
+
+
+def test_prophet_registry():
     assert make_router("prophet").name == "prophet"
     with pytest.raises(KeyError, match="prophet"):
         make_router("flooding")

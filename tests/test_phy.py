@@ -111,8 +111,6 @@ def test_stacking_and_negative_knobs_are_refused():
     sim2, world2 = make_world()
     with pytest.raises(ValueError, match="sigma"):
         PhyPlane(world2, shadowing_sigma_db=-1.0)
-    with pytest.raises(ValueError, match="capture"):
-        PhyPlane(world2, capture_margin_db=-0.1)
     scenario = Scenario(seed=4)
     with pytest.raises(ValueError, match="sigma"):
         install_scenario_phy(scenario, shadowing_sigma_db=-2.0)
@@ -497,7 +495,6 @@ def test_phy_params_are_registered_on_the_dtn_families():
         params = {p.name: p for p in get_scenario(name).params}
         assert params["shadowing_sigma_db"].default == 0.0, name
         assert params["phy_collisions"].default == 0, name
-        assert "capture_margin_db" in params, name
     lossy = {p.name: p for p in get_scenario("lossy_festival").params}
     assert lossy["shadowing_sigma_db"].default == 6.0
     assert lossy["phy_collisions"].default == 1

@@ -81,11 +81,17 @@ WORKLOAD_DIGESTS = {
         "c554bf54d1ebba547083867c59d983473ba62ddbfa2119d408d995fd3d4bfff5",
     "festival_lossy":
         "df15a7b3c69ee6b3200a85624050e6e3bf84130292845f46dee5fa919bf406ea",
+    "plaza_discovery":
+        "2f5df22dadbda2ccba0b407e3347e88903ba77fad61c86639e4c0bb5fd776942",
+    "campaign_sweeps":
+        "8b7dc17b7b8185c605c27cb9ddac22c3d1d829268aa49adb09fdd0a605e61752",
 }
 
 
 @pytest.mark.parametrize("name", [
     "ferry_epidemic",                                          # ~0.6 s
+    "plaza_discovery",                                         # ~1.0 s
+    "campaign_sweeps",                                         # ~1.8 s
     pytest.param("festival_lossy", marks=pytest.mark.slow),    # ~5 s
 ])
 def test_workload_outputs_match_pinned_digest(name, monkeypatch):
