@@ -129,7 +129,8 @@ report:
 	$(PYTHON) benchmarks/ledger.py report
 
 # Compare the root BENCH_*.json against the committed CI-size baselines
-# (results/bench_baseline/): fails on >±10% relative drift.  Run the
+# (results/bench_baseline/): fails when any non-wall metric differs
+# from its baseline (the benches are deterministic per seed).  Run the
 # benches at the CI sizes first (BENCH_EVENT_N=60 BENCH_DTN_N=60
 # BENCH_CAP_N=24 BENCH_FAULT_REPEATS=1 BENCH_PHY_REPEATS=1): a snapshot
 # measured at another N or repeat count than its baseline exits 2.

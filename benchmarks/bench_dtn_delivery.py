@@ -22,11 +22,10 @@ gates, both written into ``BENCH_dtn_delivery.json`` at the repo root:
    shorter than its interval, never see extra ones).
 
 Both modes also record two work counters the regression gate holds
-against the committed baseline: ``offer_passes``, the router offer
-passes the exchange actually ran (the router is asked only when the
-carrier holds a bundle the peer has not seen), and ``cascade_visits``,
-the exchanges tried (a cascade visits no contact of a node whose news
-ledger says no contact lacks one of its bundles).
+against the committed baseline: ``cascade_visits``, the exchanges run
+(a cascade visits no contact of a node whose news ledger says no
+contact lacks one of its bundles), and ``offer_passes``, the router
+offer passes they made, one per exchange.
 """
 
 import os

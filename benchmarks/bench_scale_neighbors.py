@@ -35,13 +35,13 @@ from repro.core.device_storage import DeviceStorage
 from repro.experiments import get_spec, run_campaign
 from repro.metrics.tables import print_table
 from repro.scenarios import dense_plaza
+from repro.scenarios.large_scale import CITY_DENSITY_PER_M2
 
 SNAPSHOT_PATH = (pathlib.Path(__file__).resolve().parent.parent
                  / "BENCH_scale_neighbors.json")
 
-#: The ``plaza_discovery`` perf workload's crowd: city_day's density
-#: (people per square metre), 100 pedestrians, 180 simulated seconds.
-PLAZA_DENSITY = 500.0 / (120.0 * 120.0)
+#: The ``plaza_discovery`` perf workload's crowd: 100 pedestrians at
+#: city_day's density, 180 simulated seconds.
 PLAZA_COUNT = 100
 PLAZA_SECONDS = 180.0
 
@@ -66,7 +66,7 @@ def run_scale_sweep(out_dir):
 def run_plaza_discovery(seed=1):
     """Discovery work counters of one plaza run, summed over daemons."""
     scenario = dense_plaza(
-        count=PLAZA_COUNT, area=math.sqrt(PLAZA_COUNT / PLAZA_DENSITY),
+        count=PLAZA_COUNT, area=math.sqrt(PLAZA_COUNT / CITY_DENSITY_PER_M2),
         seed=seed)
     folds = {"responses": 0, "entries_folded": 0}
     fold = DeviceStorage.analyze_neighbourhood

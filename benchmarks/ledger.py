@@ -35,11 +35,11 @@ Two commands, both read-only over the simulator::
     python benchmarks/ledger.py gate --baseline results/bench_baseline
     python benchmarks/ledger.py report     # -> results/report/REPORT.md
 
-The gate compares every benchmark present in both directories.  Drift
-in either direction beyond ±10% fails (exit 1): the simulations are
-deterministic per seed, so at equal size every metric should match
-exactly, and the band only absorbs float rounding across platforms.
-Wall-clock leaves (keys containing ``wall``, ``_ms``, ``ms_``) and the
+The gate compares every benchmark present in both directories.  Any
+drift fails (exit 1): the simulations are deterministic per seed, so
+at equal size every metric matches its baseline exactly, and a band
+would only hide moves.  A change that moves a metric on purpose
+re-baselines it and names the cause.  Wall-clock leaves (keys containing ``wall``, ``_ms``, ``ms_``) and the
 envelope are skipped; metrics new in the fresh snapshot are fine, but a
 vanished metric fails.  Snapshots measured at another ``n`` or
 ``repeats`` than their baseline, or an empty intersection, exit 2.
@@ -57,9 +57,6 @@ import sys
 import typing
 
 ENVELOPE_SCHEMA = 1
-
-#: Relative tolerance band of the gate (fraction of the baseline value).
-TOLERANCE = 0.1
 
 #: Key substrings whose subtrees/leaves are excluded from comparison.
 SKIP_KEY_SUBSTRINGS = ("wall", "_ms", "ms_")
@@ -233,7 +230,7 @@ def numeric_leaves(obj: object, prefix: str = "") -> dict[str, float]:
 # ----------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
 class GateFailure:
-    """One metric outside its tolerance band (or missing)."""
+    """One metric that differs from its baseline (or is missing)."""
 
     benchmark: str
     metric: str
@@ -257,12 +254,11 @@ class SizeMismatch(ValueError):
 
 def compare_snapshots(benchmark: str, baseline: dict,
                       fresh: dict) -> list[GateFailure]:
-    """Gate one fresh snapshot against its baseline (±:data:`TOLERANCE`).
+    """Gate one fresh snapshot against its baseline: every shared
+    metric must equal it.
 
-    Relative delta is ``(fresh - baseline) / max(|baseline|, 1e-9)``;
-    a zero baseline therefore tolerates only an (almost) exactly zero
-    fresh value — correct for counters like ``duplicates`` whose whole
-    point is staying at 0.
+    A failure reports the relative delta
+    ``(fresh - baseline) / max(|baseline|, 1e-9)``.
     """
     fresh_leaves = numeric_leaves(fresh)
     failures: list[GateFailure] = []
@@ -272,8 +268,8 @@ def compare_snapshots(benchmark: str, baseline: dict,
                                         None, None))
             continue
         fresh_value = fresh_leaves[metric]
-        rel = (fresh_value - base_value) / max(abs(base_value), 1e-9)
-        if abs(rel) > TOLERANCE:
+        if fresh_value != base_value:
+            rel = (fresh_value - base_value) / max(abs(base_value), 1e-9)
             failures.append(GateFailure(benchmark, metric, base_value,
                                         fresh_value, rel))
     return failures
@@ -331,15 +327,15 @@ def gate(baseline_dir: str, fresh_dir: str) -> int:
         print(f"gate compared nothing: no benchmark present in both "
               f"{baseline_dir} and {fresh_dir}", file=sys.stderr)
         return 2
-    print(f"gated {len(compared)} benchmark(s) at "
-          f"±{TOLERANCE:.0%}: " + ", ".join(compared))
+    print(f"gated {len(compared)} benchmark(s) at equality: "
+          + ", ".join(compared))
     if failures:
-        print(f"\n{len(failures)} metric(s) outside the tolerance band:\n"
+        print(f"\n{len(failures)} metric(s) differ from the baseline:\n"
               + format_failures(failures) + "\n\nIf the drift is "
               "intended, regenerate the baseline snapshots and commit "
               "them with the change.", file=sys.stderr)
         return 1
-    print("all shared metrics within tolerance")
+    print("all shared metrics equal their baselines")
     return 0
 
 
@@ -545,7 +541,8 @@ def main(argv: list[str] | None = None) -> int:
                                     "runs.jsonl (repeatable; default: "
                                     "every results/* directory)")
     gate_parser = commands.add_parser(
-        "gate", help="fail when fresh snapshots drift beyond ±10%%")
+        "gate", help="fail when a fresh snapshot's metric differs from "
+                     "its baseline")
     gate_parser.add_argument("--baseline", required=True,
                              help="directory of committed baseline "
                                   "BENCH_*.json snapshots")

@@ -32,11 +32,9 @@ Exchange semantics (both implementations share them):
    bundles (lazy TTL — no timers; a store with nothing due skips the
    sweep in O(1)), trade summary vectors (``dtn-control`` traffic on
    the shared meter) and the router picks what to transmit
-   (``dtn-data``).  The router is asked only when the carrier holds a
-   bundle missing from the peer's vector as the carrier heard it (the
-   empty vector for a blind carrier): no router offers a bundle the
-   peer has seen, so without such news the pass would offer nothing.
-   Faults act on bundles, not on passes: the fault gate runs only once
+   (``dtn-data``), against the peer's vector as the carrier heard it
+   (the empty vector for a blind carrier).  No router offers a bundle
+   the peer has seen.  Faults act on bundles, not on passes: the fault gate runs only once
    the router offered something, and a byzantine speaker's
    empty-vector lie is heard once, at contact-open, as blindness for
    the rest of the contact.  Both planes ask the router through one
@@ -130,10 +128,10 @@ class DtnPlane:
         self.delivered: dict[str, DeliveryRecord] = {}
         #: Contact-event callback firings (see class docstrings).
         self.wakeups = 0
-        #: Offer passes the exchange actually ran (``Router.offers``
-        #: calls); carriers without news for the peer skip theirs.  A
-        #: work counter, kept out of :class:`DtnCounters` so records do
-        #: not change with it.
+        #: Offer passes (``Router.offers`` calls); on this plane one per
+        #: ``_exchange``, so it equals ``cascade_visits``.  A work
+        #: counter, kept out of :class:`DtnCounters` so records do not
+        #: change with it.
         self.offer_passes = 0
         #: ``_exchange`` calls, at contact-open and in cascades; a node
         #: whose news ledger reads 0 makes none.  A work counter, like
@@ -308,9 +306,8 @@ class DtnPlane:
     def _exchange(self, carrier: str, peer: str) -> bool:
         """One-directional offer pass; True if the peer's store grew.
 
-        O(carried) when nothing is due to expire and the peer has seen
-        every carried bundle (see "Exchange semantics" in the module
-        docstring).  The peer's vector is the one the carrier heard:
+        One offer pass, O(n log n) in the carrier's store (see
+        "Exchange semantics" in the module docstring).  The peer's vector is the one the carrier heard:
         the empty vector while the carrier is blind about the peer.
         Counted in ``cascade_visits``.
         """
@@ -322,9 +319,6 @@ class DtnPlane:
             carrier_store.expire(now)
         if now >= peer_store.next_expiry:
             peer_store.expire(now)
-        if not carrier_store.has_news_for(
-                None if (carrier, peer) in self._blind else peer_store):
-            return False
         offers = self._offer_pass(carrier, peer)
         if not offers or (self.faults is not None
                           and not self.faults.can_transmit(carrier, peer)):

@@ -15,12 +15,10 @@ Each DTN node owns a :class:`MessageStore`, which keeps:
   carried bundles or the summary vector may have, so the bandwidth
   plane's session queue (:meth:`~repro.dtn.capacity.
   BandwidthDtnOverlay._queue`) knows when to re-rank;
-* **news** — :meth:`~MessageStore.has_news_for` tells whether the store
-  carries anything a peer has not seen, so the forwarder skips the
-  router for a peer that has seen everything;
 * **a listener** — told of every change to the carried ids and to the
   summary vector, so the plane's news ledger (:class:`NewsLedger`,
-  below) stays exact whoever changed the store;
+  below) stays exact whoever changed the store — the ledger says
+  whether a node carries anything one of its contacts has not seen;
 * **partial fragments** — receiver-side byte counts of transfers the
   bandwidth-limited plane (:mod:`repro.dtn.capacity`) had to truncate
   at a window edge.  The fragment belongs to the *receiver* (reactive
@@ -115,19 +113,6 @@ class MessageStore:
     def seen_count(self) -> int:
         """``len(summary_vector())`` without copying the set.  O(1)."""
         return len(self._seen)
-
-    def has_news_for(self, peer: "MessageStore | None") -> bool:
-        """True if this store carries a bundle ``peer`` has not seen.
-
-        ``None`` stands for a peer whose summary vector was not heard:
-        then any carried bundle is news, and only an empty store has
-        none.  Since no router offers a bundle the peer has seen, a
-        store without news offers the peer nothing.  O(carried),
-        copying nothing.
-        """
-        if peer is None:
-            return bool(self._bundles)
-        return not self._bundles.keys() <= peer._seen
 
     # ------------------------------------------------------------------
     # partial fragments (bandwidth-limited transfers)
@@ -279,8 +264,9 @@ class NewsLedger:
     ``lack[X]`` counts the pairs (P, b) where P is a current contact of
     X and b a bundle X carries that is missing from the summary vector
     X heard from P — every carried bundle while X is blind about P.  So
-    ``lack[X] == 0`` means :meth:`MessageStore.has_news_for` is False
-    for every contact of X, and an exchange from X would offer nothing.
+    ``lack[X] == 0`` means every contact of X has seen every bundle X
+    carries, and an exchange from X would offer nothing (no router
+    offers a seen bundle): the plane's one "nothing to offer" rule.
     A sweep only removes carried ids, so that stays true until X gains
     custody or a contact opens.
 

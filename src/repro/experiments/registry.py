@@ -18,6 +18,12 @@ and ``crowded_festival`` that differ only in their knob defaults.
 
 Every schema parameter has a default, so each scenario is constructible
 with no arguments beyond a seed — the registry test relies on this.
+Beyond ``count`` and the plane knobs, a factory argument becomes a
+schema parameter only when something sets it through the registry: an
+axis of a bundled spec on that scenario, or a named caller of
+:func:`build_scenario` (``dense_plaza``'s ``area``, which the plaza
+perf workload and ``scale_neighbors`` derive from a density).  Every
+other knob is a module constant of its factory.
 """
 
 from __future__ import annotations
@@ -235,23 +241,17 @@ PHY_KNOBS = tuple(param.name for param in _phy_params())
 
 register_scenario(
     "line_topology", line_topology,
-    params=(
-        Param("count", int, 5, "nodes on the line"),
-        Param("spacing", float, 8.0, "metres between neighbours"),
-        _TECHS,
-        Param("mobility_class", str, "static", "advertised mobility class"),
-    ),
+    params=(Param("count", int, 5, "nodes on the line"),),
     summary="maximal-diameter chain: each node reaches only its neighbours")
 
 register_scenario(
     "random_disc", random_disc,
     params=(
         Param("count", int, 10, "nodes in the square"),
-        Param("area", float, 40.0, "side of the square, metres"),
         _TECHS,
         Param("mobility_class", str, "dynamic", "advertised mobility class"),
     ),
-    summary="uniform random placement in an area × area square")
+    summary="uniform random placement in a 40 m square")
 
 register_scenario(
     "fig_3_3_coverage_exclusion", fig_3_3_coverage_exclusion,
@@ -275,10 +275,6 @@ register_scenario(
 
 register_scenario(
     "tunnel_topology", tunnel_topology,
-    params=(
-        Param("bridge_count", int, 3, "relays lining the tunnel"),
-        Param("spacing", float, 8.0, "metres between relays"),
-    ),
     summary="Fig. 6.1: GPRS gateway + relay chain + far-end phone")
 
 register_scenario(
@@ -294,8 +290,6 @@ register_scenario(
     "sparse_highway", sparse_highway,
     params=(
         Param("count", int, 50, "vehicles on the road"),
-        Param("length_m", float, 2000.0, "road length, metres"),
-        Param("lanes", int, 2, "lane count"),
         Param("technologies", tuple, ("wlan",), "radio mix", element=str),
     ),
     summary="fast vehicles strung along kilometres of road")
@@ -307,12 +301,6 @@ register_scenario(
         # builds every scenario at its defaults); the factory's own
         # default is the 10 000-node flagship size.
         Param("count", int, 2000, "devices in the city"),
-        Param("density_per_m2", float, 500.0 / (120.0 * 120.0),
-              "devices per square metre (sets the area from count)"),
-        Param("pedestrian_fraction", float, 0.7,
-              "fraction roaming as random-waypoint pedestrians"),
-        Param("vehicle_fraction", float, 0.2,
-              "fraction shuttling scripted lane runs"),
         _TECHS,
     ),
     summary=("city-scale mixed population (pedestrians, vehicles, "
@@ -322,9 +310,6 @@ register_scenario(
     "commuter_corridor", commuter_corridor,
     params=(
         Param("count", int, 10, "commuters in the corridor"),
-        Param("length_m", float, 120.0, "corridor length, metres"),
-        Param("width_m", float, 8.0, "corridor width, metres"),
-        _TECHS,
         *_fault_params(),
         *_phy_params(),
     ),
@@ -335,9 +320,6 @@ register_scenario(
     "hostile_corridor", commuter_corridor,
     params=(
         Param("count", int, 10, "commuters in the corridor"),
-        Param("length_m", float, 120.0, "corridor length, metres"),
-        Param("width_m", float, 8.0, "corridor width, metres"),
-        _TECHS,
         *_fault_params(crash_rate=0.2, crash_downtime_s=120.0,
                        radio_fault_rate=0.1, byzantine_rate=0.1,
                        jammer_count=1, fault_window_s=360.0),
@@ -350,12 +332,6 @@ register_scenario(
     "island_hopping_ferry", island_hopping_ferry,
     params=(
         Param("count", int, 9, "islanders across all islands"),
-        Param("islands", int, 3, "static population clusters"),
-        Param("island_spacing_m", float, 60.0,
-              "metres between island centres"),
-        Param("dwell_s", float, 20.0, "ferry dwell per stop, seconds"),
-        Param("cycles", int, 4, "ferry shuttle cycles before parking"),
-        _TECHS,
         *_fault_params(),
         *_phy_params(),
     ),
@@ -365,8 +341,6 @@ register_scenario(
     "crowded_festival", crowded_festival,
     params=(
         Param("count", int, 18, "roaming attendees"),
-        Param("area", float, 40.0, "side of the square, metres"),
-        _TECHS,
         *_fault_params(),
         *_phy_params(),
     ),
@@ -377,8 +351,6 @@ register_scenario(
     "lossy_festival", crowded_festival,
     params=(
         Param("count", int, 18, "roaming attendees"),
-        Param("area", float, 40.0, "side of the square, metres"),
-        _TECHS,
         *_fault_params(),
         *_phy_params(shadowing_sigma_db=6.0, phy_collisions=1),
     ),
@@ -389,12 +361,7 @@ register_scenario(
     "rural_bus_dtn", rural_bus_dtn,
     params=(
         Param("count", int, 9, "villagers across all villages"),
-        Param("villages", int, 3, "static population clusters"),
-        Param("village_spacing_m", float, 80.0,
-              "metres between village centres"),
         Param("dwell_s", float, 25.0, "bus dwell per stop, seconds"),
-        Param("cycles", int, 4, "bus route cycles before parking"),
-        _TECHS,
         *_fault_params(),
         *_phy_params(),
     ),

@@ -37,11 +37,13 @@ from repro.dtn import (
     make_router,
     schedule_traffic,
 )
-from repro.experiments.registry import build_scenario, get_scenario
+from repro.experiments.registry import build_scenario
 from repro.experiments.spec import RunPoint
 from repro.metrics.counters import FaultCounters, PhyCounters
 from repro.radio.channel import OutOfRange
 from repro.radio.technologies import BLUETOOTH
+from repro.scenarios.large_scale import CITY_DENSITY_PER_M2
+from repro.scenarios.topologies import LINE_SPACING_M
 from repro.scenarios.traces import record_contact_trace, trace_digest
 
 Metrics = typing.Dict[str, object]
@@ -177,13 +179,11 @@ def discovery_handover(point: RunPoint) -> Metrics:
 def line_delay(point: RunPoint) -> Metrics:
     """Fig. 3.10 cell: when does n0 learn of a far-end newcomer?"""
     settle_s = float(point.settings.get("settle_s", 240.0))
-    entry = get_scenario(point.scenario)
-    spacing = float(point.params.get(
-        "spacing", entry.param("spacing").default))
     scenario = build_scenario(point.scenario, point.seed, point.params)
     chain_length = len(scenario.nodes)
     newcomer = scenario.add_node(
-        "newcomer", position=((chain_length - 1) * spacing + 6.0, 4.0))
+        "newcomer",
+        position=((chain_length - 1) * LINE_SPACING_M + 6.0, 4.0))
     for name, node in scenario.nodes.items():
         if name != "newcomer":
             node.start()
@@ -342,7 +342,9 @@ class DtnPreset:
     """What one registered alias of :func:`paired_dtn` runs and reports.
 
     ``defaults`` fill every setting a run point leaves out.
-    ``overlay`` is the data plane each router leg attaches; the
+    ``inject_start_s`` opens the traffic window, which closes at half
+    the run's duration.  ``overlay`` is the data plane each router leg
+    attaches, on Bluetooth; the
     bandwidth-limited :class:`~repro.dtn.capacity.BandwidthDtnOverlay`
     also reads ``rate_Bps`` and reports it plus ``*_control_bytes``.
     ``counters`` names the per-router
@@ -353,6 +355,7 @@ class DtnPreset:
     """
 
     defaults: typing.Mapping[str, object]
+    inject_start_s: float
     overlay: type
     counters: tuple[str, ...]
     plane: str | None = None
@@ -361,14 +364,12 @@ class DtnPreset:
 _DTN_DEFAULTS = {
     "duration_s": 480.0, "messages": 16, "ttl_s": 300.0,
     "size_bytes": 512, "routers": ("direct", "epidemic", "spray"),
-    "spray_copies": 6, "pattern": "auto", "tech": "bluetooth",
-    "inject_start_s": 10.0,
+    "spray_copies": 6, "pattern": "auto",
 }
 _BANDWIDTH_DEFAULTS = {
     **_DTN_DEFAULTS, "duration_s": 600.0, "messages": 24,
     "ttl_s": 480.0, "size_bytes": 200_000,
-    "routers": ("epidemic", "spray", "prophet"),
-    "inject_start_s": 120.0, "rate_Bps": 0.0,
+    "routers": ("epidemic", "spray", "prophet"), "rate_Bps": 0.0,
 }
 _TRANSFER_COUNTERS = ("bytes_offered", "bytes_transferred",
                       "transfers_truncated", "transfers_cancelled")
@@ -376,7 +377,7 @@ _TRANSFER_COUNTERS = ("bytes_offered", "bytes_transferred",
 #: The registered paired-DTN workloads: one function, four presets.
 DTN_PRESETS: dict[str, DtnPreset] = {
     # The routing-baseline comparison (``dtn_sweep``).
-    "dtn": DtnPreset(_DTN_DEFAULTS, DtnOverlay,
+    "dtn": DtnPreset(_DTN_DEFAULTS, 10.0, DtnOverlay,
                      ("duplicates", "expired", "evicted")),
     # Robustness under repro.faults (``fault_sweep``): the multi-copy
     # and predictive routers are the ones faults should separate, and
@@ -384,15 +385,16 @@ DTN_PRESETS: dict[str, DtnPreset] = {
     "dtn_faults": DtnPreset(
         {**_DTN_DEFAULTS, "routers": ("direct", "spray", "prophet"),
          "pattern": "uniform"},
-        DtnOverlay, ("duplicates", "expired", "dropped_dead"), "faults"),
+        10.0, DtnOverlay, ("duplicates", "expired", "dropped_dead"),
+        "faults"),
     # Finite contact byte budgets (``bandwidth_sweep``).
-    "dtn_bandwidth": DtnPreset(_BANDWIDTH_DEFAULTS, BandwidthDtnOverlay,
-                               _TRANSFER_COUNTERS),
+    "dtn_bandwidth": DtnPreset(_BANDWIDTH_DEFAULTS, 120.0,
+                               BandwidthDtnOverlay, _TRANSFER_COUNTERS),
     # The lossy PHY (``phy_sweep``): the pair whose gap contention
     # erodes.
     "dtn_phy": DtnPreset(
         {**_BANDWIDTH_DEFAULTS, "routers": ("epidemic", "spray")},
-        BandwidthDtnOverlay, _TRANSFER_COUNTERS, "phy"),
+        120.0, BandwidthDtnOverlay, _TRANSFER_COUNTERS, "phy"),
 }
 
 #: Optional plane -> (its counters when absent, metric -> counter field).
@@ -423,10 +425,8 @@ def paired_dtn(point: RunPoint, preset: DtnPreset) -> Metrics:
     ``messages`` (for the broadcast pattern this is *rounds*),
     ``ttl_s``, ``size_bytes``, ``routers``, ``spray_copies``,
     ``pattern`` (``auto``: endpoints if a terminal pair exists,
-    broadcast if ``source`` exists, else uniform), ``tech``,
-    ``inject_start_s`` / ``inject_end_s`` (half the duration unless
-    set) and, on the bandwidth overlay, ``rate_Bps`` (0 = the
-    technology's own rate).
+    broadcast if ``source`` exists, else uniform) and, on the bandwidth
+    overlay, ``rate_Bps`` (0 = the technology's own rate).
     """
     settings = {**preset.defaults, **point.settings}
     duration_s = float(settings["duration_s"])
@@ -435,9 +435,8 @@ def paired_dtn(point: RunPoint, preset: DtnPreset) -> Metrics:
     size_bytes = int(settings["size_bytes"])
     spray_copies = int(settings["spray_copies"])
     pattern = str(settings["pattern"])
-    inject_start = float(settings["inject_start_s"])
-    inject_end = float(settings.get("inject_end_s", duration_s / 2.0))
-    overlay_kwargs: dict[str, object] = {"tech": str(settings["tech"])}
+    window = (preset.inject_start_s, duration_s / 2.0)
+    overlay_kwargs: dict[str, object] = {}
     bandwidth = issubclass(preset.overlay, BandwidthDtnOverlay)
     if bandwidth:
         overlay_kwargs["data_rate_Bps"] = (
@@ -453,7 +452,7 @@ def paired_dtn(point: RunPoint, preset: DtnPreset) -> Metrics:
         resolved = _resolve_pattern(pattern, nodes)
         injections = generate_traffic(
             scenario.sim.rng("dtn/traffic"), nodes, resolved, messages,
-            window=(inject_start, inject_end), size_bytes=size_bytes,
+            window=window, size_bytes=size_bytes,
             ttl_s=ttl_s, source="source" if "source" in nodes else None,
             endpoints=_ENDPOINTS if resolved == "endpoints" else None)
         schedule_traffic(plane, injections)
@@ -496,30 +495,28 @@ def paired_dtn(point: RunPoint, preset: DtnPreset) -> Metrics:
 
 
 for _name, _preset in DTN_PRESETS.items():
-    register_workload(_name, settings=(*_preset.defaults, "inject_end_s"))(
+    register_workload(_name, settings=_preset.defaults)(
         functools.partial(paired_dtn, preset=_preset))
 
 
 # ----------------------------------------------------------------------
 # scale_neighbors: grid vs pairwise discovery rounds at constant density
 # ----------------------------------------------------------------------
-@register_workload("scale_neighbors",
-                   settings=("rounds", "step_s", "density_per_m2"))
+@register_workload("scale_neighbors", settings=("rounds", "step_s"))
 def scale_neighbors(point: RunPoint) -> Metrics:
     """Full discovery rounds, spatial grid vs the O(N²) baseline.
 
-    The plaza's area is derived from ``density_per_m2`` so each node's
-    true neighbour count stays flat while N grows.  Distance-check
+    The plaza's area is derived from
+    :data:`~repro.scenarios.large_scale.CITY_DENSITY_PER_M2` so each
+    node's true neighbour count stays flat while N grows.  Distance-check
     counts are deterministic metrics; per-implementation wall-clock
     goes in ``"timings"`` (stripped from result records).
     """
     rounds = int(point.settings.get("rounds", 3))
     step_s = float(point.settings.get("step_s", 15.0))
-    density = float(point.settings.get("density_per_m2",
-                                       500 / (120.0 * 120.0)))
     count = int(point.params["count"])
     params = dict(point.params)
-    params["area"] = (count / density) ** 0.5
+    params["area"] = (count / CITY_DENSITY_PER_M2) ** 0.5
     scenario = build_scenario(point.scenario, point.seed, params)
     world = scenario.world
     grid_checks = brute_checks = 0

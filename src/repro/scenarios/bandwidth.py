@@ -25,43 +25,38 @@ sim-seconds.
 
 from __future__ import annotations
 
-import typing
-
 from repro.mobility.waypoint import RandomWaypoint
 from repro.scenarios.builder import Scenario
 from repro.scenarios.dtn import _clustered_shuttle
 
 
-def crowded_festival(count: int = 18, area: float = 40.0,
-                     speed_range: tuple[float, float] = (0.4, 1.5),
-                     pause_range: tuple[float, float] = (0.0, 15.0),
-                     seed: int = 0,
-                     technologies: typing.Sequence[str] = ("bluetooth",),
-                     ) -> Scenario:
+#: Side of the festival square, metres.
+FESTIVAL_SIDE_M = 40.0
+
+
+def crowded_festival(count: int = 18, seed: int = 0) -> Scenario:
     """A static announcer amid a dense, slowly roaming crowd.
 
-    Packed tight (default 18 attendees on a 40 m square): most pairs
-    are in range most of the time, so under
-    the bandwidth-limited plane the constraint is *contention for
-    window bytes* under a heavy broadcast load, not reachability.
-    ``source`` stands at the centre; attendees are ``a0`` ….  The
-    registry's ``lossy_festival`` is this world under a default lossy
-    PHY profile.
+    Packed tight (default 18 attendees on a :data:`FESTIVAL_SIDE_M`
+    square, roaming at 0.4–1.5 m/s with pauses up to 15 s): most pairs
+    are in range most of the time, so under the bandwidth-limited plane
+    the constraint is *contention for window bytes* under a heavy
+    broadcast load, not reachability.  ``source`` stands at the centre;
+    attendees are ``a0`` ….  The registry's ``lossy_festival`` is this
+    world under a default lossy PHY profile.
     """
     if count < 1:
         raise ValueError(f"need at least one attendee, got {count}")
-    if area <= 0:
-        raise ValueError(f"area must be positive: {area}")
     scenario = Scenario(seed=seed)
-    scenario.area = (area, area)
-    scenario.add_node("source", position=(area / 2.0, area / 2.0),
-                      technologies=technologies, mobility_class="static")
+    scenario.area = (FESTIVAL_SIDE_M, FESTIVAL_SIDE_M)
+    centre = FESTIVAL_SIDE_M / 2.0
+    scenario.add_node("source", position=(centre, centre),
+                      mobility_class="static")
     for index in range(count):
         mobility = RandomWaypoint(
-            scenario.sim.rng(f"festival/{index}"), area=(area, area),
-            speed_range=speed_range, pause_range=pause_range)
+            scenario.sim.rng(f"festival/{index}"), area=scenario.area,
+            speed_range=(0.4, 1.5), pause_range=(0.0, 15.0))
         scenario.add_node(f"a{index}", mobility=mobility,
-                          technologies=technologies,
                           mobility_class="dynamic")
     return scenario
 
@@ -72,39 +67,34 @@ VILLAGE_RADIUS_M = 5.0
 #: The bus's speed between villages, m/s.
 BUS_SPEED_MPS = 8.0
 
+#: Villages, and metres between village centres (far beyond radio
+#: range).
+VILLAGES = 3
+VILLAGE_SPACING_M = 80.0
 
-def rural_bus_dtn(count: int = 9, villages: int = 3,
-                  village_spacing_m: float = 80.0,
-                  dwell_s: float = 25.0,
-                  cycles: int = 4,
-                  seed: int = 0,
-                  technologies: typing.Sequence[str] = ("bluetooth",),
-                  ) -> Scenario:
-    """``count`` villagers over ``villages`` clusters plus one bus.
 
-    Village ``i``'s centre sits at ``(i × village_spacing_m, 0)`` —
+def rural_bus_dtn(count: int = 9, dwell_s: float = 25.0,
+                  seed: int = 0) -> Scenario:
+    """``count`` villagers over :data:`VILLAGES` clusters plus one bus.
+
+    Village ``i``'s centre sits at ``(i × VILLAGE_SPACING_M, 0)`` —
     far beyond radio range of its neighbours.  Villagers
     (``v{village}n{slot}``, static) stand on a deterministic ring of
     :data:`VILLAGE_RADIUS_M` around their centre.  The bus (``bus``)
     runs the fixed route village 0 → 1 → … → last → 0 at
-    :data:`BUS_SPEED_MPS`, dwelling ``dwell_s``
-    at each stop, ``cycles`` times, then parks at village 0.  Each
-    dwell prices the village's uplink: a villager-bus contact is worth
-    about ``dwell × data_rate`` bytes per visit, which is what the
-    ``bandwidth_sweep`` campaign constrains.
+    :data:`BUS_SPEED_MPS`, dwelling ``dwell_s`` at each stop,
+    :data:`~repro.scenarios.dtn.SHUTTLE_CYCLES` times, then parks at
+    village 0.  Each dwell prices the village's uplink: a villager-bus
+    contact is worth about ``dwell × data_rate`` bytes per visit, which
+    is what the ``bandwidth_sweep`` campaign constrains.
     """
     if count < 1:
         raise ValueError(f"need at least one villager, got {count}")
-    if villages < 2:
-        raise ValueError(f"need at least two villages, got {villages}")
-    if cycles < 1:
-        raise ValueError(f"need at least one bus cycle, got {cycles}")
     if dwell_s < 0:
         raise ValueError(f"bus dwell must be non-negative: {dwell_s}")
     scenario = Scenario(seed=seed)
     _clustered_shuttle(
-        scenario, count=count, clusters=villages, prefix="v",
-        radius_m=VILLAGE_RADIUS_M, spacing_m=village_spacing_m,
-        shuttle="bus", speed_mps=BUS_SPEED_MPS, dwell_s=dwell_s,
-        cycles=cycles, technologies=technologies)
+        scenario, count=count, clusters=VILLAGES, prefix="v",
+        radius_m=VILLAGE_RADIUS_M, spacing_m=VILLAGE_SPACING_M,
+        shuttle="bus", speed_mps=BUS_SPEED_MPS, dwell_s=dwell_s)
     return scenario

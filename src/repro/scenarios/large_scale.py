@@ -33,13 +33,17 @@ from repro.mobility.waypoint import RandomWaypoint
 from repro.scenarios.builder import Scenario
 
 
+#: Device density of the city and of a plaza at city occupancy, per
+#: square metre: about 500 devices per 120 m square.
+CITY_DENSITY_PER_M2 = 500.0 / (120.0 * 120.0)
+
+
 def dense_plaza(count: int, area: float = 60.0, seed: int = 0,
                 technologies: typing.Sequence[str] = ("bluetooth",),
-                speed_range: tuple[float, float] = (0.3, 1.5),
-                pause_range: tuple[float, float] = (0.0, 30.0),
                 config: DaemonConfig | None = None) -> Scenario:
     """``count`` pedestrians random-waypointing in an ``area`` × ``area``
-    metre square (nodes ``p0`` … ``p{count-1}``).
+    metre square (nodes ``p0`` … ``p{count-1}``) at 0.3–1.5 m/s,
+    pausing up to 30 s.
 
     With the defaults and Bluetooth's 10 m radius, 300 pedestrians on a
     60 m square average ~26 neighbors each — dense enough that discovery
@@ -54,7 +58,7 @@ def dense_plaza(count: int, area: float = 60.0, seed: int = 0,
     for index in range(count):
         mobility = RandomWaypoint(
             scenario.sim.rng(f"plaza/{index}"), area=(area, area),
-            speed_range=speed_range, pause_range=pause_range)
+            speed_range=(0.3, 1.5), pause_range=(0.0, 30.0))
         scenario.add_node(f"p{index}", mobility=mobility,
                           technologies=technologies,
                           mobility_class="dynamic", config=config)
@@ -65,32 +69,34 @@ def dense_plaza(count: int, area: float = 60.0, seed: int = 0,
 LANE_SPACING_M = 4.0
 
 
-def sparse_highway(count: int, length_m: float = 2000.0, lanes: int = 2,
-                   speed_range: tuple[float, float] = (22.0, 33.0),
-                   seed: int = 0,
+#: Lanes of :func:`sparse_highway`; lane 0 drives +x, lane 1 −x.
+HIGHWAY_LANES = 2
+
+
+def sparse_highway(count: int, length_m: float = 2000.0, seed: int = 0,
                    technologies: typing.Sequence[str] = ("wlan",),
                    config: DaemonConfig | None = None) -> Scenario:
     """``count`` vehicles (``v0`` …) on a straight ``length_m``-metre road.
 
-    Vehicles are scattered uniformly along the road in ``lanes`` lanes
-    :data:`LANE_SPACING_M` apart; even lanes drive +x, odd lanes −x, each at
-    a constant speed drawn from ``speed_range`` (m/s — the default is
-    motorway pace, ~80–120 km/h).  Density is low (tens of metres
+    Vehicles are scattered uniformly along the road in
+    :data:`HIGHWAY_LANES` lanes :data:`LANE_SPACING_M` apart; even lanes
+    drive +x, odd lanes −x, each at a constant speed drawn from
+    22–33 m/s (motorway pace, ~80–120 km/h).  Density is low (tens of metres
     between WLAN-range encounters) and relative speeds are high, so
     neighbor sets are short-lived and the spatial grid re-buckets
     constantly — the opposite stress from :func:`dense_plaza`.
     """
     if count < 1:
         raise ValueError(f"need at least one vehicle, got {count}")
-    if length_m <= 0 or lanes < 1:
-        raise ValueError("highway needs positive length and >= 1 lane")
+    if length_m <= 0:
+        raise ValueError(f"highway needs a positive length: {length_m}")
     scenario = Scenario(seed=seed)
     rng = scenario.sim.rng("highway/layout")
     for index in range(count):
-        lane = index % lanes
+        lane = index % HIGHWAY_LANES
         heading = 1.0 if lane % 2 == 0 else -1.0
         start = (rng.uniform(0.0, length_m), lane * LANE_SPACING_M)
-        speed = rng.uniform(*speed_range)
+        speed = rng.uniform(22.0, 33.0)
         scenario.add_node(
             f"v{index}",
             mobility=LinearMovement(start, (heading * speed, 0.0)),
@@ -99,23 +105,18 @@ def sparse_highway(count: int, length_m: float = 2000.0, lanes: int = 2,
     return scenario
 
 
-def city_day(count: int = 10000,
-             density_per_m2: float = 500.0 / (120.0 * 120.0),
-             seed: int = 0,
+def city_day(count: int = 10000, seed: int = 0,
              technologies: typing.Sequence[str] = ("bluetooth",),
-             pedestrian_fraction: float = 0.7,
-             vehicle_fraction: float = 0.2,
              config: DaemonConfig | None = None) -> Scenario:
     """A city-scale mixed population at constant density.
 
-    ``count`` devices on a square sized so the area density matches
-    ``density_per_m2`` (the default keeps dense-plaza-like occupancy —
-    ~500 devices per 120 m square — regardless of ``count``, so the
-    *neighbor* structure stays realistic as N grows):
+    ``count`` devices on a square sized so the area density is
+    :data:`CITY_DENSITY_PER_M2` (dense-plaza-like occupancy regardless
+    of ``count``, so the *neighbor* structure stays realistic as N
+    grows):
 
-    * ``pedestrian_fraction`` random-waypoint pedestrians (``p0`` …) at
-      walking pace;
-    * ``vehicle_fraction`` vehicles (``v0`` …) shuttling scripted
+    * 70% random-waypoint pedestrians (``p0`` …) at walking pace;
+    * 20% vehicles (``v0`` …) shuttling scripted
       east–west lane runs at 8–14 m/s — two round trips, then parked
       (their :class:`~repro.mobility.linear.PathMovement` settles, so
       the contact plane can park their watches);
@@ -127,18 +128,10 @@ def city_day(count: int = 10000,
     """
     if count < 3:
         raise ValueError(f"city_day needs at least 3 devices, got {count}")
-    if density_per_m2 <= 0:
-        raise ValueError(f"density must be positive: {density_per_m2}")
-    if not (0.0 <= pedestrian_fraction <= 1.0
-            and 0.0 <= vehicle_fraction <= 1.0
-            and pedestrian_fraction + vehicle_fraction <= 1.0):
-        raise ValueError(
-            f"fractions must be in [0, 1] and sum <= 1: "
-            f"{pedestrian_fraction}, {vehicle_fraction}")
-    area = math.sqrt(count / density_per_m2)
+    area = math.sqrt(count / CITY_DENSITY_PER_M2)
     scenario = Scenario(seed=seed)
-    pedestrians = int(count * pedestrian_fraction)
-    vehicles = int(count * vehicle_fraction)
+    pedestrians = int(count * 0.7)
+    vehicles = int(count * 0.2)
     kiosks = count - pedestrians - vehicles
     for index in range(pedestrians):
         mobility = RandomWaypoint(

@@ -11,24 +11,27 @@ from repro.radio.technologies import BLUETOOTH
 from repro.scenarios.builder import Scenario
 
 
-def line_topology(count: int, spacing: float = 8.0, seed: int = 0,
-                  technologies=("bluetooth",),
-                  mobility_class: str = "static",
-                  config=None) -> Scenario:
-    """``count`` nodes on a line, ``spacing`` metres apart (n0, n1, ...).
+#: Metres between neighbouring nodes of :func:`line_topology` and
+#: relays of :func:`tunnel_topology`: inside Bluetooth's 10 m radius,
+#: beyond half of it, so each node reaches only its neighbours.
+LINE_SPACING_M = 8.0
 
-    With the default 8 m spacing and Bluetooth's 10 m radius each node
-    reaches only its immediate neighbours — the maximal-diameter chain
-    used by the delay (Fig. 3.10) and coverage sweeps.
+
+def line_topology(count: int, seed: int = 0, config=None) -> Scenario:
+    """``count`` static nodes on a line, :data:`LINE_SPACING_M` apart
+    (n0, n1, ...).
+
+    With Bluetooth's 10 m radius each node reaches only its immediate
+    neighbours — the maximal-diameter chain used by the delay
+    (Fig. 3.10) and coverage sweeps.
     """
     if count < 1:
         raise ValueError(f"need at least one node, got {count}")
     scenario = Scenario(seed=seed)
     for index in range(count):
-        scenario.add_node(f"n{index}", position=(index * spacing, 0.0),
-                          technologies=technologies,
-                          mobility_class=mobility_class,
-                          config=config)
+        scenario.add_node(f"n{index}",
+                          position=(index * LINE_SPACING_M, 0.0),
+                          mobility_class="static", config=config)
     return scenario
 
 
@@ -159,13 +162,14 @@ def fig_5_8_handover(seed: int = 0, config=None) -> Scenario:
     return scenario
 
 
-def tunnel_topology(bridge_count: int = 3, spacing: float = 8.0,
-                    seed: int = 0, config=None) -> Scenario:
+def tunnel_topology(bridge_count: int = 3, seed: int = 0,
+                    config=None) -> Scenario:
     """Fig. 6.1: coverage amplification through a tunnel.
 
     A GPRS-equipped ``gateway`` stands at the tunnel mouth; ``bridge_count``
-    Bluetooth relays line the tunnel; a ``phone`` sits at the far end,
-    beyond any direct radio reach of the gateway.
+    Bluetooth relays line the tunnel :data:`LINE_SPACING_M` apart; a
+    ``phone`` sits at the far end, beyond any direct radio reach of the
+    gateway.
     """
     if bridge_count < 1:
         raise ValueError("the tunnel needs at least one bridge")
@@ -175,9 +179,9 @@ def tunnel_topology(bridge_count: int = 3, spacing: float = 8.0,
                       mobility_class="static", config=config)
     for index in range(bridge_count):
         scenario.add_node(f"relay{index}",
-                          position=((index + 1) * spacing, 0.0),
+                          position=((index + 1) * LINE_SPACING_M, 0.0),
                           mobility_class="static", config=config)
     scenario.add_node("phone",
-                      position=((bridge_count + 1) * spacing, 0.0),
+                      position=((bridge_count + 1) * LINE_SPACING_M, 0.0),
                       mobility_class="dynamic", config=config)
     return scenario

@@ -85,8 +85,8 @@ def test_unedited_copy_is_served_all_hits(filled, tmp_path):
 def test_edited_scenario_factory_executes_every_cell(filled, tmp_path):
     code = _copy(tmp_path)
     _edit(code / "repro" / "scenarios" / "topologies.py",
-          "position=(index * spacing, 0.0)",
-          "position=(index * spacing * 2, 0.0)")
+          "position=(index * LINE_SPACING_M, 0.0)",
+          "position=(index * LINE_SPACING_M * 2, 0.0)")
     stats = _run(code, tmp_path / "out", filled / "cache")
     assert stats["cache_hits"] == 0
     assert stats["executed"] == stats["total"] > 0

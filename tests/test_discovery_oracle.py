@@ -26,9 +26,8 @@ from repro.core.routing import (
 )
 from repro.plugins.base import Plugin
 from repro.scenarios import dense_plaza
+from repro.scenarios.large_scale import CITY_DENSITY_PER_M2
 
-#: The ``plaza_discovery`` perf workload's crowd density (people per m²).
-PLAZA_DENSITY = 500.0 / (120.0 * 120.0)
 COUNT = 30
 SECONDS = 60.0
 
@@ -144,7 +143,7 @@ def run_plaza(monkeypatch, policy: RoutingPolicy,
 
         patch.setattr(Plugin, "_update_storage", dumped_update)
         scenario = dense_plaza(
-            count=COUNT, area=math.sqrt(COUNT / PLAZA_DENSITY), seed=3,
+            count=COUNT, area=math.sqrt(COUNT / CITY_DENSITY_PER_M2), seed=3,
             config=DaemonConfig(routing=policy))
         scenario.start_all()
         scenario.run(until=SECONDS)

@@ -1,14 +1,13 @@
 """Tests for the change-driven DTN exchange (repro.dtn.forwarder).
 
 An exchange skips work when nothing changed: each store keeps a
-lower bound on its next expiry instant, and an exchange whose carrier
-has no news for the peer skips the router.  A cascade visits no
-contact of a node whose news ledger reads 0, and the bandwidth plane's
-session queues re-rank only after a store or router ``version``
-changed.  The properties here pin the building blocks against
-brute-force models; the differential test runs whole fault and PHY
-worlds on both DTN planes with the queue memo, the news check and the
-ledger gate defeated and demands identical outcomes.  Faults act on
+lower bound on its next expiry instant, neither a contact-open nor a
+cascade visits a contact of a node whose news ledger reads 0, and the
+bandwidth plane's session queues re-rank only after a store or router
+``version`` changed.  The properties here pin the building blocks
+against brute-force models; the differential test runs whole fault and
+PHY worlds on both DTN planes with the queue memo and the ledger gate
+defeated and demands identical outcomes.  Faults act on
 bundles, not on offer passes: the jammer counts only transfers of a
 real bundle, and a byzantine lie counts once per contact-open
 advertisement.
@@ -105,7 +104,6 @@ def test_drop_expired_matches_a_brute_force_scan(ops):
         assert store.bundles() == list(model.values())
         assert len(store) == len(model)
         assert store.summary_vector() == seen
-        assert store.has_news_for(None) is bool(model)
         assert (store.counters.expired, store.counters.dropped_dead,
                 store.counters.evicted) == (expired, dropped_dead, 0)
         assert store.next_expiry <= min(
@@ -235,7 +233,7 @@ def test_prophet_version_tracks_its_tables():
 
 
 # ----------------------------------------------------------------------
-# the news check
+# the news ledger gate
 # ----------------------------------------------------------------------
 def _chain(count=4):
     scenario = Scenario(seed=1)
@@ -246,9 +244,9 @@ def _chain(count=4):
 
 
 def test_a_carrier_without_news_runs_no_offer_pass():
-    """s1 still carries the bundle it relayed, but s2 has seen it: s1
-    has no news for s2, so neither the exchange nor the cascades of a
-    reopened s1–s2 contact ask the router."""
+    """s1 still carries the bundle it relayed, but s2 has seen it: s1's
+    news ledger reads 0, so neither the contact-open exchange nor the
+    cascades of a reopened s1–s2 contact ask the router."""
     scenario = _chain()
     plane = DtnOverlay(scenario.world, make_router("epidemic"))
     plane.send("s0", "s3", ttl_s=100.0)
@@ -256,7 +254,6 @@ def test_a_carrier_without_news_runs_no_offer_pass():
     assert len(plane.stores["s1"]) == 1
     assert plane.stores["s2"].has_seen("s0#1")
     passes = plane.offer_passes
-    assert not plane._exchange("s1", "s2")
     plane.contact_up("s1", "s2")
     assert plane.offer_passes == passes
     plane.send("s3", "s0", ttl_s=100.0)   # s3 has news for s2
@@ -266,8 +263,8 @@ def test_a_carrier_without_news_runs_no_offer_pass():
 def test_a_blinded_pair_is_not_served_from_the_memo():
     """Losing the peer's summary vector changes what the carrier would
     offer, so no shortcut may skip the pass of a blinded pair: a carrier
-    without news for its sighted peer has news for the blind one, so its
-    pass runs again and re-sends what the peer has."""
+    whose ledger reads 0 against its sighted peer has news for the blind
+    one, so its pass runs again and re-sends what the peer has."""
     scenario = _chain(3)
     plane = DtnOverlay(scenario.world, make_router("epidemic"))
     plane.send("s0", "s2", ttl_s=100.0)
@@ -294,9 +291,9 @@ class _AlwaysNews(dict):
 
 
 def _ask_the_router_always(monkeypatch):
-    """Defeat the session queue memo, the news check and the ledger
-    gate: every exchange and every queue read asks the router, and
-    every cascade exchanges with every contact."""
+    """Defeat the session queue memo and the ledger gate: every queue
+    read asks the router, and every contact-open and cascade exchanges
+    with every contact."""
     original_session = ContactSession.__init__
     original_ledger = NewsLedger.__init__
 
@@ -310,8 +307,6 @@ def _ask_the_router_always(monkeypatch):
 
     monkeypatch.setattr(ContactSession, "__init__", unqueued)
     monkeypatch.setattr(NewsLedger, "__init__", newsy)
-    monkeypatch.setattr(MessageStore, "has_news_for",
-                        lambda self, peer: True)
 
 
 _FAULTS = {"count": 18, "crash_rate": 0.3, "crash_downtime_s": 60.0,
@@ -353,7 +348,7 @@ def _observe(overlay, router, params, seed=7):
     ("direct", _FAULTS), ("epidemic", _PHY), ("spray", _PHY),
     ("prophet", _PHY), ("direct", _PHY)])
 def test_the_memo_changes_no_outcome(router, params, monkeypatch):
-    """On both DTN planes, runs with the memos and the news shortcuts on
+    """On both DTN planes, runs with the memos and the ledger gate on
     and defeated agree on every counter and delivery record, including
     the fault and PHY planes' counters: a fault counts what it did to a
     bundle, not how often the plane asked.  The ledger gate is checked

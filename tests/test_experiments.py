@@ -52,6 +52,28 @@ def test_factories_take_no_plane_knobs():
         assert not set(accepted) & set(FAULT_KNOBS + PHY_KNOBS), name
 
 
+#: Schema params that no bundled spec sweeps, each with the callers
+#: that set it through ``build_scenario``.
+_PARAM_CALLERS = {
+    ("dense_plaza", "area"): ("perf.workloads.plaza_discovery",
+                              "the scale_neighbors workload"),
+}
+
+
+def test_every_scenario_param_has_a_caller():
+    """A schema param other than ``count`` and the plane knobs stays
+    only if a bundled spec sweeps it on that scenario or a named caller
+    sets it; any other knob is a module constant of its factory."""
+    swept = {(scenario, axis) for spec in map(get_spec, spec_names())
+             for scenario in spec.scenarios for axis in spec.axes}
+    plane = set(FAULT_KNOBS + PHY_KNOBS)
+    knobs = {(name, param.name) for name in scenario_names()
+             for param in get_scenario(name).params
+             if param.name != "count" and param.name not in plane}
+    assert sorted(knobs - swept - set(_PARAM_CALLERS)) == []
+    assert set(_PARAM_CALLERS) <= knobs - swept
+
+
 @pytest.mark.parametrize("name", scenario_names())
 def test_registered_scenarios_constructible_with_defaults(name):
     scenario = build_scenario(name, seed=3)
@@ -149,7 +171,7 @@ def test_spec_rejects_settings_its_workload_never_reads():
                        settings={"capcity_bytes": 5, "ttl_s": 60.0})
     message = str(excinfo.value)
     assert "['capcity_bytes']" in message
-    assert "'inject_end_s'" in message and "'ttl_s'" in message
+    assert "'spray_copies'" in message and "'ttl_s'" in message
     with pytest.raises(KeyError, match="'settle_s'"):
         _tiny_spec(workload="contact_trace")
 

@@ -1,7 +1,7 @@
 """Tests for the benchmark ledger (``benchmarks/ledger.py``).
 
 Covers the shared bench-snapshot envelope, the perf-trajectory log, the
-numeric-leaf flattener and tolerance-band regression gate (including
+numeric-leaf flattener and exact regression gate (including
 its refusal to compare snapshots measured at different sizes), and
 ``build_report`` on the real repo root rendering every committed
 ``BENCH_*.json`` plus the bundled ``results/fault_sweep`` campaign.
@@ -22,7 +22,6 @@ ledger = importlib.util.module_from_spec(_spec)
 sys.modules.setdefault("ledger", ledger)   # dataclasses resolve it
 _spec.loader.exec_module(ledger)
 
-TOLERANCE = ledger.TOLERANCE
 bench_envelope = ledger.bench_envelope
 build_report = ledger.build_report
 compare_snapshots = ledger.compare_snapshots
@@ -116,18 +115,20 @@ def test_numeric_leaves_flattens_and_skips_ungated_keys():
                       "rows.0.c": 3.0, "rows.1.c": 4.0}
 
 
-def test_compare_snapshots_tolerance_band():
+def test_compare_snapshots_holds_every_metric_at_equality():
     baseline = {"ratio": 0.80, "count": 100}
-    assert compare_snapshots("b", baseline, {"ratio": 0.80, "count": 105}) \
+    assert compare_snapshots("b", baseline, {"ratio": 0.80, "count": 100}) \
         == []
-    # 12% drift on count: outside the 10% band, either direction.
-    for fresh_count in (88, 112):
+    # Any drift fails, in either direction, however small.
+    for fresh_count in (99, 101, 100.001):
         [failure] = compare_snapshots(
             "b", baseline, {"ratio": 0.80, "count": fresh_count})
         assert failure.metric == "count"
-        assert abs(failure.rel_delta) == pytest.approx(0.12)
+        assert failure.rel_delta == pytest.approx((fresh_count - 100) / 100)
         assert "b" in failure.describe() and "count" in failure.describe()
-    assert TOLERANCE == 0.1
+    [failure] = compare_snapshots("b", baseline,
+                                  {"ratio": 0.8000001, "count": 100})
+    assert failure.metric == "ratio"
 
 
 def test_compare_snapshots_vanished_vs_new_metrics():
@@ -149,7 +150,7 @@ def _snapshot_dir(tmp_path, name, score, n=None):
 
 def test_gate_directories_passes_and_fails(tmp_path):
     baseline = _snapshot_dir(tmp_path, "baseline", score=10.0)
-    matching = _snapshot_dir(tmp_path, "same", score=10.5)
+    matching = _snapshot_dir(tmp_path, "same", score=10.0)
     drifted = _snapshot_dir(tmp_path, "drift", score=13.0)
 
     failures, compared = gate_directories(baseline, matching)
@@ -168,8 +169,8 @@ def test_gate_directories_passes_and_fails(tmp_path):
 
 def test_gate_cli_exit_codes(tmp_path, capsys):
     baseline = _snapshot_dir(tmp_path, "b", score=10.0)
-    good = _snapshot_dir(tmp_path, "g", score=10.2)
-    bad = _snapshot_dir(tmp_path, "x", score=20.0)
+    good = _snapshot_dir(tmp_path, "g", score=10.0)
+    bad = _snapshot_dir(tmp_path, "x", score=10.2)
     empty = tmp_path / "e"
     empty.mkdir()
 
