@@ -426,7 +426,7 @@ class BandwidthDtnOverlay(DtnOverlay):
             pair = (session.node_a, session.node_b)
             handle = self.sim.call_at(
                 done_at, lambda p=pair: self._complete(p),
-                name=f"dtn-xfer:{sender}->{receiver}")
+                name="dtn-xfer")
             transfer = Transfer(sender, receiver, bundle,
                                 send_bytes, start, handle)
             if self.phy is not None:

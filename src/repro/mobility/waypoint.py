@@ -7,14 +7,17 @@ import bisect
 from repro.mobility.base import MobilityModel, Point, distance
 from repro.sim.rng import RandomStream
 
-#: One leg: ``(start_time, end_time, from_point, to_point)``.
-Leg = tuple[float, float, Point, Point]
+#: One leg: ``(start_time, end_time, from_point, to_point, velocity)``.
+#: The velocity is computed once, when the leg is generated, so pulling
+#: a segment does not divide; a zero-length leg (never walked) has
+#: ``(0.0, 0.0)``.
+Leg = tuple[float, float, Point, Point, Point]
 
 
 def _point_on(leg: Leg, t: float) -> Point:
     """Position at ``t`` given ``leg``, the last leg departing at or
     before ``t``: on the leg while it lasts, then at its destination."""
-    leg_start, leg_end, origin, target = leg
+    leg_start, leg_end, origin, target, _velocity = leg
     if t > leg_end or leg_end == leg_start:
         return target  # pausing at this leg's destination
     fraction = (t - leg_start) / (leg_end - leg_start)
@@ -57,9 +60,9 @@ class RandomWaypoint(MobilityModel):
         self.pause_range = pause_range
         if start is None:
             start = (rng.uniform(0.0, area[0]), rng.uniform(0.0, area[1]))
-        # Each leg: (start_time, end_time, from_point, to_point) followed by
-        # a pause until the next leg's start_time.  ``_leg_starts`` mirrors
-        # the start times so ``position`` can bisect instead of scanning —
+        # Each leg (a :data:`Leg`) is followed by a pause until the next
+        # leg's start_time.  ``_leg_starts`` mirrors the start times so
+        # ``position`` can bisect instead of scanning —
         # the spatial-grid refresh evaluates every mobile node per
         # timestep, so lookups must not degrade with elapsed sim time.
         # The cache itself cannot be pruned: queries may legally arrive
@@ -78,7 +81,10 @@ class RandomWaypoint(MobilityModel):
             travel = distance(origin, target) / speed
             leg_start = self._next_leg_start
             leg_end = leg_start + travel
-            self._legs.append((leg_start, leg_end, origin, target))
+            span = leg_end - leg_start
+            velocity = ((target[0] - origin[0]) / span,
+                        (target[1] - origin[1]) / span) if span else (0.0, 0.0)
+            self._legs.append((leg_start, leg_end, origin, target, velocity))
             self._leg_starts.append(leg_start)
             pause = self._rng.uniform(*self.pause_range)
             self._next_leg_start = leg_end + pause
@@ -117,7 +123,7 @@ class RandomWaypoint(MobilityModel):
                 self._extend_until(self._next_leg_start)
             leg = legs[index]
             index += 1
-            leg_start, leg_end, origin, target = leg
+            leg_start, leg_end, _origin, _target, velocity = leg
             if leg_start > cursor:  # pause before this leg departs
                 end = min(leg_start, t1)
                 yield (cursor, end, _point_on(departed, cursor), still)
@@ -127,9 +133,6 @@ class RandomWaypoint(MobilityModel):
             departed = leg
             if leg_end <= cursor or leg_end == leg_start:
                 continue
-            travel = leg_end - leg_start
-            velocity = ((target[0] - origin[0]) / travel,
-                        (target[1] - origin[1]) / travel)
             end = min(leg_end, t1)
             yield (cursor, end, _point_on(leg, cursor), velocity)
             cursor = end

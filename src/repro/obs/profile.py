@@ -1,11 +1,14 @@
 """Per-subsystem kernel-event counts.
 
-The kernel names every event it schedules ("bus#12:link-up",
-"dtn-contact#3", "timeout(5.0)", "call-at", ...).  When a
-:class:`SubsystemProfiler` is attached to ``Simulator.profiler``,
-``step()`` counts each event it runs under a *subsystem label* — the
-event name stripped of its per-instance suffixes (everything after the
-first ``#``, ``:`` or ``(``).
+The kernel names every event and bare call it runs: the bus's
+predicted crossings and horizon re-checks arrive as "bus" and
+"bus-rearm", the bandwidth plane's transfer legs as "dtn-xfer", and
+others carry per-instance suffixes ("dtn-inject:a->b",
+"fault:crash:n3", "timeout(5.0)", ...; a bare call defaults to
+"call-at").  When a :class:`SubsystemProfiler` is attached to
+``Simulator.profiler``, ``step()`` counts each one under a *subsystem
+label* — the name stripped of its per-instance suffixes (everything
+after the first ``#``, ``:`` or ``(``).
 
 The counts are a pure function of the simulated schedule —
 deterministic per seed, so they go into recorded telemetry.  Where the

@@ -39,7 +39,7 @@ import dataclasses
 import math
 import typing
 
-from repro.mobility.base import MobilityModel, Point
+from repro.mobility.base import MobilityModel
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.radio.technologies import Technology
@@ -77,44 +77,6 @@ class Crossing:
     inside: bool
 
 
-def _dot(a: Point, b: Point) -> float:
-    return a[0] * b[0] + a[1] * b[1]
-
-
-def _relative_pieces(segs_a, segs_b, pulled):
-    """Merge two contiguous segment streams into relative-motion pieces.
-
-    Yields ``(u, v, D, V)``: over ``[u, v]`` the offset a−b is
-    ``D + V·(t − u)``.  Both inputs cover the same window, so the merge
-    is a two-pointer walk that pulls a segment only when the consumer
-    asks for a piece needing it; ``pulled[0]`` counts the pulls.
-    """
-    next_a = iter(segs_a).__next__
-    next_b = iter(segs_b).__next__
-    try:
-        a_start, a_end, a_pos, a_vel = next_a()
-        b_start, b_end, b_pos, b_vel = next_b()
-        pulled[0] += 2
-        while True:
-            u = max(a_start, b_start)
-            v = min(a_end, b_end)
-            if v > u:
-                ax = a_pos[0] + a_vel[0] * (u - a_start)
-                ay = a_pos[1] + a_vel[1] * (u - a_start)
-                bx = b_pos[0] + b_vel[0] * (u - b_start)
-                by = b_pos[1] + b_vel[1] * (u - b_start)
-                yield (u, v, (ax - bx, ay - by),
-                       (a_vel[0] - b_vel[0], a_vel[1] - b_vel[1]))
-            if a_end <= v:
-                a_start, a_end, a_pos, a_vel = next_a()
-                pulled[0] += 1
-            if b_end <= v:
-                b_start, b_end, b_pos, b_vel = next_b()
-                pulled[0] += 1
-    except StopIteration:
-        return
-
-
 def _state_at_piece_start(c0: float, b: float, a: float,
                           eps: float) -> bool:
     """Inside/outside at a piece start, derivative tie-break on the ring.
@@ -148,16 +110,21 @@ def inside_at(mobility_a: MobilityModel, mobility_b: MobilityModel,
     r_squared = threshold_m * threshold_m
     on_ring_eps = _ON_RING_REL * max(1.0, r_squared)
     pos_a, pos_b = mobility_a.position(t), mobility_b.position(t)
-    offset = (pos_a[0] - pos_b[0], pos_a[1] - pos_b[1])
-    c0 = _dot(offset, offset) - r_squared
+    dx, dy = pos_a[0] - pos_b[0], pos_a[1] - pos_b[1]
+    c0 = (dx * dx + dy * dy) - r_squared
     if abs(c0) > on_ring_eps:
         return c0 < 0.0
-    _u, _v, start, velocity = next(_relative_pieces(
-        mobility_a.linear_segments(t, t + HORIZON_S),
-        mobility_b.linear_segments(t, t + HORIZON_S), [0]))
+    # Both streams' first segments start at t (the segment contract),
+    # so they are the first relative piece.
+    _sa, _ea, start_a, vel_a = next(iter(
+        mobility_a.linear_segments(t, t + HORIZON_S)))
+    _sb, _eb, start_b, vel_b = next(iter(
+        mobility_b.linear_segments(t, t + HORIZON_S)))
+    dx, dy = start_a[0] - start_b[0], start_a[1] - start_b[1]
+    vx, vy = vel_a[0] - vel_b[0], vel_a[1] - vel_b[1]
     return _state_at_piece_start(
-        _dot(start, start) - r_squared, 2.0 * _dot(start, velocity),
-        _dot(velocity, velocity), on_ring_eps)
+        (dx * dx + dy * dy) - r_squared, 2.0 * (dx * vx + dy * vy),
+        vx * vx + vy * vy, on_ring_eps)
 
 
 def next_distance_crossing(
@@ -180,44 +147,67 @@ def next_distance_crossing(
         raise ValueError(f"threshold must be positive: {threshold_m}")
     if t1 <= t0:
         return None
-    segs_a = mobility_a.linear_segments(t0, t1)
-    segs_b = mobility_b.linear_segments(t0, t1)
+    if pulled is None:
+        pulled = [0]
+    next_a = iter(mobility_a.linear_segments(t0, t1)).__next__
+    next_b = iter(mobility_b.linear_segments(t0, t1)).__next__
     r_squared = threshold_m * threshold_m
     on_ring_eps = _ON_RING_REL * max(1.0, r_squared)
     initial: bool | None = None
-    for u, v, offset, velocity in _relative_pieces(
-            segs_a, segs_b, [0] if pulled is None else pulled):
-        a = _dot(velocity, velocity)
-        b = 2.0 * _dot(offset, velocity)
-        c0 = _dot(offset, offset) - r_squared
-        state = _state_at_piece_start(c0, b, a, on_ring_eps)
-        if initial is None:
-            initial = state
-        elif state != initial:
-            # The flip fell exactly on a segment boundary (tangential
-            # grazes and on-ring starts land here).
-            return Crossing(u, state)
-        if a == 0.0:
-            continue  # no relative motion on this piece
-        disc = b * b - 4.0 * a * c0
-        if disc <= 0.0:
-            continue  # no crossing, or a tangential touch (no flip)
-        sqrt_disc = math.sqrt(disc)
-        span = v - u
-        for s in ((-b - sqrt_disc) / (2.0 * a),
-                  (-b + sqrt_disc) / (2.0 * a)):
-            if 0.0 < s <= span and u + s > t0:
-                # State after a simple root follows c's slope there:
-                # falling c means the pair is diving inside the ring.
-                # A root whose after-state equals ``initial`` is not a
-                # flip — it is the ring point a re-solve starts on.
-                slope = 2.0 * a * s + b
-                if slope == 0.0:
-                    continue
-                new_state = slope < 0.0
-                if new_state != initial:
-                    return Crossing(u + s, new_state)
-    return None
+    # One two-pointer walk over both streams: over the relative piece
+    # [u, v] the offset a−b is (dx, dy) + (vx, vy)·(t − u), and
+    # c(s) = a s² + b s + c0 is distance² − R² at t = u + s.  A segment
+    # is pulled only once the walk has passed the previous one.
+    try:
+        a_start, a_end, a_pos, a_vel = next_a()
+        b_start, b_end, b_pos, b_vel = next_b()
+        pulled[0] += 2
+        while True:
+            u = b_start if b_start > a_start else a_start  # max()
+            v = b_end if b_end < a_end else a_end          # min()
+            if v > u:
+                ax = a_pos[0] + a_vel[0] * (u - a_start)
+                ay = a_pos[1] + a_vel[1] * (u - a_start)
+                bx = b_pos[0] + b_vel[0] * (u - b_start)
+                by = b_pos[1] + b_vel[1] * (u - b_start)
+                dx, dy = ax - bx, ay - by
+                vx, vy = a_vel[0] - b_vel[0], a_vel[1] - b_vel[1]
+                a = vx * vx + vy * vy
+                b = 2.0 * (dx * vx + dy * vy)
+                c0 = (dx * dx + dy * dy) - r_squared
+                state = _state_at_piece_start(c0, b, a, on_ring_eps)
+                if initial is None:
+                    initial = state
+                elif state != initial:
+                    # The flip fell exactly on a segment boundary
+                    # (tangential grazes and on-ring starts land here).
+                    return Crossing(u, state)
+                # No relative motion (a == 0), or no crossing or only a
+                # tangential touch (disc <= 0): no flip inside the piece.
+                disc = b * b - 4.0 * a * c0
+                if a != 0.0 and disc > 0.0:
+                    sqrt_disc = math.sqrt(disc)
+                    span = v - u
+                    for s in ((-b - sqrt_disc) / (2.0 * a),
+                              (-b + sqrt_disc) / (2.0 * a)):
+                        if 0.0 < s <= span and u + s > t0:
+                            # State after a simple root follows c's
+                            # slope there: falling c means the pair is
+                            # diving inside the ring.  A root whose
+                            # after-state equals ``initial`` is not a
+                            # flip — it is the ring point a re-solve
+                            # starts on.
+                            slope = 2.0 * a * s + b
+                            if slope != 0.0 and (slope < 0.0) != initial:
+                                return Crossing(u + s, slope < 0.0)
+            if a_end <= v:
+                a_start, a_end, a_pos, a_vel = next_a()
+                pulled[0] += 1
+            if b_end <= v:
+                b_start, b_end, b_pos, b_vel = next_b()
+                pulled[0] += 1
+    except StopIteration:
+        return None
 
 
 def distance_crossings(
@@ -309,10 +299,14 @@ class ContactSolver:
     # ------------------------------------------------------------------
     def _mobilities(self, a: str,
                     b: str) -> tuple[MobilityModel, MobilityModel] | None:
-        world = self.world
-        if not (world.has_node(a) and world.has_node(b)):
+        # The world owns this solver: one read of its node table per
+        # endpoint, since every arm and every re-arm asks.
+        nodes = self.world._nodes
+        node_a = nodes.get(a)
+        node_b = nodes.get(b)
+        if node_a is None or node_b is None:
             return None
-        return world.node(a).mobility, world.node(b).mobility
+        return node_a.mobility, node_b.mobility
 
     def pair_settled(self, a: str, b: str, after: float) -> bool:
         """True when neither node will ever move again after ``after``.

@@ -34,12 +34,6 @@ class Event:
         Optional label used in tracebacks and traces.
     """
 
-    #: Observer events belong to the telemetry plane: they ride the heap
-    #: like any other event but are excluded from ``events_processed`` so
-    #: attaching a recorder never changes the wakeup figures the benches
-    #: compare.  Set per-instance by ``Simulator.call_at(observer=True)``.
-    observer = False
-
     def __init__(self, sim: "Simulator", name: str = ""):
         self.sim = sim
         self.name = name

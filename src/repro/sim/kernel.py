@@ -1,9 +1,10 @@
 """The simulator: an event heap and a virtual clock.
 
 The kernel is deliberately small: it schedules :class:`~repro.sim.events.Event`
-objects at absolute virtual times, pops them in (time, sequence) order and
-runs their callbacks.  Everything else — processes, resources, the radio
-world, the PeerHood daemons — is built from events.
+objects and bare :class:`ScheduledCall` callbacks at absolute virtual
+times, pops them in (time, sequence) order and runs them.  Everything
+else — processes, resources, the radio world, the PeerHood daemons — is
+built from these two.
 """
 
 from __future__ import annotations
@@ -19,27 +20,27 @@ from repro.sim.rng import RandomStream
 class ScheduledCall:
     """Cancellable handle returned by :meth:`Simulator.call_at`.
 
-    The underlying heap entry cannot be removed (binary heaps have no
-    efficient delete), so cancellation nulls the callback and the event
-    fires as a no-op.  ``cancel()`` is idempotent.
+    The handle is itself the heap entry: :meth:`Simulator.step` runs its
+    callback directly, without an :class:`~repro.sim.events.Event`.
+    The entry cannot be removed (binary heaps have no efficient delete),
+    so cancellation nulls the callback and the entry pops as a no-op.
+    ``cancel()`` is idempotent.  ``name`` is the profiler's event name;
+    ``observer`` marks a telemetry-plane call.
     """
 
-    __slots__ = ("when", "_callback")
+    __slots__ = ("when", "_callback", "name", "observer")
 
     def __init__(self, when: float,
-                 callback: typing.Callable[[], None]):
+                 callback: typing.Callable[[], None], name: str,
+                 observer: bool):
         self.when = when
         self._callback = callback
+        self.name = name
+        self.observer = observer
 
     def cancel(self) -> None:
         """Prevent the callback from running (idempotent)."""
         self._callback = None
-
-    def _fire(self, _event: Event) -> None:
-        callback = self._callback
-        if callback is not None:
-            self._callback = None
-            callback()
 
 
 class Simulator:
@@ -57,15 +58,15 @@ class Simulator:
 
     def __init__(self, seed: int = 0, start_time: float = 0.0):
         self._now = float(start_time)
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, Event | ScheduledCall]] = []
         self._sequence = 0
         self._seed = seed
         self._streams: dict[str, RandomStream] = {}
         #: Events popped and run by :meth:`step` — the kernel-wakeup
         #: figure the event-driven connectivity benchmarks compare.
-        #: Observer events (telemetry sampling) are excluded.
+        #: Observer calls (telemetry sampling) are excluded.
         self.events_processed = 0
-        #: Observer events still sitting on the heap; maintained so
+        #: Observer calls still sitting on the heap; maintained so
         #: :meth:`pending_real_events` stays O(1).
         self._observer_pending = 0
         #: Optional :class:`repro.obs.profile.SubsystemProfiler`.  When
@@ -106,28 +107,29 @@ class Simulator:
         """Schedule a bare callback at absolute virtual time ``when``.
 
         The connectivity bus uses this to turn predicted link/quality
-        crossings into kernel events.  Returns a :class:`ScheduledCall`
-        whose ``cancel()`` voids the callback (the heap entry stays and
-        fires as a no-op — O(1) cancellation).  ``when`` may equal the
-        current time; scheduling in the past raises.
+        crossings into kernel events.  The returned :class:`ScheduledCall`
+        goes on the heap as it is — no :class:`Event` is built — and its
+        ``cancel()`` voids the callback (the heap entry stays and pops
+        as a no-op — O(1) cancellation).  ``when`` may equal the current
+        time; scheduling in the past raises.  A call and an event due at
+        the same instant run in scheduling order.
 
-        ``observer=True`` marks the event as belonging to the telemetry
+        ``observer=True`` marks the call as belonging to the telemetry
         plane: it is excluded from :attr:`events_processed` and from
         :meth:`pending_real_events`, so recorders can sample on the heap
         without perturbing the wakeup counts the benchmarks gate on.
         """
-        if when < self._now:
+        now = self._now
+        if when < now:
             raise SimulationError(
-                f"call_at({when}) is in the past (now={self._now})")
-        handle = ScheduledCall(when, callback)
-        event = Event(self, name)
-        event.callbacks.append(handle._fire)
-        event._triggered = True
+                f"call_at({when}) is in the past (now={now})")
+        call = ScheduledCall(when, callback, name, observer)
         if observer:
-            event.observer = True
             self._observer_pending += 1
-        self._schedule(event, delay=when - self._now)
-        return handle
+        # The key is _schedule's ``now + delay``, bit for bit.
+        heapq.heappush(self._heap, (now + (when - now), self._sequence, call))
+        self._sequence += 1
+        return call
 
     def spawn(self, generator: typing.Generator, name: str = "") -> Process:
         """Start a new process running ``generator``."""
@@ -153,31 +155,40 @@ class Simulator:
     # execution
     # ------------------------------------------------------------------
     def step(self) -> None:
-        """Process the next event on the heap."""
+        """Process the next heap entry: a bare call or an event."""
         if not self._heap:
             raise SimulationError("step() on an empty event heap")
-        when, _seq, event = heapq.heappop(self._heap)
+        when, _seq, entry = heapq.heappop(self._heap)
         if when < self._now:
             raise SimulationError(
                 f"time went backwards: {when} < {self._now}")
         self._now = when
-        if event.observer:
-            self._observer_pending -= 1
-        else:
-            self.events_processed += 1
-        callbacks = event.callbacks
-        event.callbacks = None
+        if type(entry) is ScheduledCall:
+            if entry.observer:
+                self._observer_pending -= 1
+            else:
+                self.events_processed += 1
+            if self.profiler is not None:
+                self.profiler.count(entry.name, entry.observer)
+            callback = entry._callback
+            if callback is not None:
+                entry._callback = None
+                callback()
+            return
+        self.events_processed += 1
+        callbacks = entry.callbacks
+        entry.callbacks = None
         assert callbacks is not None
         if self.profiler is not None:
-            self.profiler.count(event.name, event.observer)
-        for callback in callbacks:
-            callback(event)
+            self.profiler.count(entry.name)
+        for event_callback in callbacks:
+            event_callback(entry)
 
     def pending_real_events(self) -> int:
-        """Heap entries that are *not* telemetry observer events.
+        """Heap entries that are *not* telemetry observer calls.
 
         Periodic samplers use this to decide whether to re-arm: once only
-        observer events remain, the simulated workload has drained and a
+        observer calls remain, the simulated workload has drained and a
         self-rescheduling sampler must stop or ``run(until=None)`` would
         never terminate.
         """

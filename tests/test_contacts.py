@@ -27,6 +27,7 @@ from repro.radio.contacts import (
     next_distance_crossing,
 )
 from repro.radio.quality import PiecewiseLinearQuality
+from repro.scenarios import commuter_corridor, island_hopping_ferry
 from repro.sim import Simulator
 from repro.sim.rng import RandomStream
 
@@ -206,6 +207,107 @@ def test_repeated_link_question_is_answered_once_and_never_stale():
     assert solver.next_link_crossing("a", "c", WLAN).time == pytest.approx(
         46.0)
     assert solver.predictions == 3
+
+
+# ----------------------------------------------------------------------
+# bit-exact roots
+# ----------------------------------------------------------------------
+def _pinned_pair(name):
+    """The pair behind a :data:`_PINNED_ROOTS` key: ``(a, b, radius)``."""
+    kind, _, arg = name.partition("-")
+    if kind == "corridor":  # two random-waypoint commuters
+        world = commuter_corridor(count=2, seed=int(arg)).world
+        return world.node("m0").mobility, world.node("m1").mobility, 10.0
+    if kind == "rwp":  # a random-waypoint node and a static one
+        return (RandomWaypoint(
+            RandomStream(int(arg.rpartition("-")[2]), "pin"),
+            area=(80.0, 80.0), speed_range=(0.5, 3.0),
+            pause_range=(0.0, 8.0)), StaticPosition(40.0, 40.0), 30.0)
+    if kind == "ferry":  # the ferry's scripted path and an islander
+        world = island_hopping_ferry(count=9, seed=6).world
+        return (world.node("ferry").mobility, world.node(arg).mobility,
+                10.0)
+    return (LinearMovement((0.0, 0.0), (1.5, 0.25)),
+            LinearMovement((60.0, 5.0), (-1.25, 0.5), start_time=3.0),
+            10.0)
+
+
+#: ``float.hex`` of every crossing time in (0, 480] s, with the state
+#: after it (True = LinkUp).  The oracle property below compares with a
+#: step tolerance and cannot see a reordered float expression; these
+#: name the pair whose roots moved.
+_PINNED_ROOTS = {
+    'corridor-1': [
+        ('0x1.7287c6eeba70cp+3', True), ('0x1.271d8a5361d6bp+5', False),
+        ('0x1.94753d60e699ap+6', True), ('0x1.0d9aec2e58667p+7', False),
+        ('0x1.5b3a7233eb13cp+7', True), ('0x1.7d67df0cf6fe4p+7', False),
+        ('0x1.8d4556d4549ebp+7', True), ('0x1.a10e082b78cc0p+7', False),
+        ('0x1.26f59327dd68ep+8', True), ('0x1.4edc952e55bb8p+8', False),
+        ('0x1.6cbd9bc99af1cp+8', True), ('0x1.737ddd0f75556p+8', False),
+        ('0x1.bf0634c54b117p+8', True), ('0x1.c64c18be1916bp+8', False),
+        ('0x1.dbf04b41e4832p+8', True),
+    ],
+    'corridor-2': [
+        ('0x1.230c51a77efbfp+2', False), ('0x1.b9d34763696d2p+5', True),
+        ('0x1.98bb1d9ac215bp+6', False), ('0x1.b0bdd3c28be71p+6', True),
+        ('0x1.0342ae2fecf18p+7', False), ('0x1.03fa52927cea6p+7', True),
+        ('0x1.46dfcf2b0e21dp+7', False), ('0x1.ab9c0ae3dc67bp+7', True),
+        ('0x1.bdcdb537e773fp+7', False), ('0x1.4be030f949e10p+8', True),
+        ('0x1.5e58bf6282f2cp+8', False), ('0x1.74abc46b96e57p+8', True),
+        ('0x1.93c307db365bap+8', False), ('0x1.ca07b128cff34p+8', True),
+        ('0x1.d925d7cdee55dp+8', False),
+    ],
+    'corridor-3': [
+        ('0x1.c73c547f46a6cp+3', True), ('0x1.b75119c54fd7ap+4', False),
+        ('0x1.4c747f471a75dp+7', True), ('0x1.5bd5c8ad62dbbp+7', False),
+        ('0x1.d0c7acfbf6499p+7', True), ('0x1.fda33b494eb9ap+7', False),
+        ('0x1.14e5702944d38p+8', True), ('0x1.43a113946c812p+8', False),
+        ('0x1.4eade659f5481p+8', True), ('0x1.63ad9e6f569aap+8', False),
+        ('0x1.ad984bb3995fep+8', True), ('0x1.b5080048098d3p+8', False),
+    ],
+    'rwp-static-4': [
+        ('0x1.e910eb91f6025p+1', True), ('0x1.bf055ffa844eap+5', False),
+        ('0x1.095d5ef825533p+6', True), ('0x1.f62fb045c2695p+7', False),
+        ('0x1.34bbaa14873dbp+8', True), ('0x1.74cf2e6b0a6fep+8', False),
+        ('0x1.8af5a218d793dp+8', True), ('0x1.b83e1d8268bcbp+8', False),
+        ('0x1.df6de7dd52b6dp+8', True),
+    ],
+    'rwp-static-5': [
+        ('0x1.773aa63c448f3p+4', False), ('0x1.2e2fe470e56a5p+5', True),
+        ('0x1.0c7e96d15b8dap+6', False), ('0x1.65ea5171d6afbp+6', True),
+        ('0x1.d3e768359e3efp+6', False), ('0x1.34e169531f33cp+7', True),
+        ('0x1.6635c68049949p+7', False), ('0x1.7916168196970p+7', True),
+        ('0x1.a051ce883e227p+7', False), ('0x1.bf787b9315bd5p+7', True),
+        ('0x1.001b1eb4bf06cp+8', False), ('0x1.2c722819b4fdep+8', True),
+        ('0x1.5686d27222e03p+8', False), ('0x1.91be58be85db2p+8', True),
+        ('0x1.a448c47b9199dp+8', False), ('0x1.ae4363882c7bap+8', True),
+        ('0x1.d1436903b5988p+8', False),
+    ],
+    'ferry-i0n1': [
+        ('0x1.54d82b446159fp+4', False), ('0x1.aac9f52ee7a98p+6', True),
+        ('0x1.2a9b05688c2b4p+7', False), ('0x1.d564fa9773d4cp+7', True),
+        ('0x1.154d82b44615ap+8', False), ('0x1.6ab27d4bb9ea6p+8', True),
+        ('0x1.954d82b44615ap+8', False),
+    ],
+    'ferry-i2n2': [
+        ('0x1.ed93ea5dcf530p+5', True), ('0x1.59360ad118568p+6', False),
+        ('0x1.7b64fa9773d4cp+7', True), ('0x1.ac9b05688c2b4p+7', False),
+        ('0x1.3db27d4bb9ea6p+8', True), ('0x1.564d82b44615ap+8', False),
+        ('0x1.bdb27d4bb9ea6p+8', True), ('0x1.d64d82b44615ap+8', False),
+    ],
+    'linear': [
+        ('0x1.581e8f18d8ff6p+4', True), ('0x1.83f23a5876bd8p+4', False),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_ROOTS))
+def test_crossing_roots_are_pinned_bit_for_bit(name):
+    mobility_a, mobility_b, radius = _pinned_pair(name)
+    roots = [(crossing.time.hex(), crossing.inside)
+             for crossing in distance_crossings(
+                 mobility_a, mobility_b, radius, 0.0, 480.0)]
+    assert roots == _PINNED_ROOTS[name]
 
 
 # ----------------------------------------------------------------------

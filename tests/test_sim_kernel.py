@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.profile import SubsystemProfiler
 from repro.sim import (
     EventAlreadyTriggered,
     SimulationError,
@@ -217,3 +218,74 @@ def test_rng_streams_differ_by_label():
 def test_rng_stream_is_cached_per_label():
     sim = Simulator(seed=9)
     assert sim.rng("x") is sim.rng("x")
+
+
+# ----------------------------------------------------------------------
+# bare calls: call_at's handle is the heap entry itself
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("call_first", [True, False])
+def test_call_and_timeout_at_one_instant_run_in_scheduling_order(
+        call_first):
+    sim = Simulator()
+    order = []
+
+    def waiter(timeout):
+        yield timeout
+        order.append("timeout")
+
+    # A Timeout takes its heap slot when it is created.
+    if call_first:
+        sim.call_at(2.0, lambda: order.append("call"))
+        sim.spawn(waiter(sim.timeout(2.0)))
+    else:
+        sim.spawn(waiter(sim.timeout(2.0)))
+        sim.call_at(2.0, lambda: order.append("call"))
+    sim.run()
+    assert order == (["call", "timeout"] if call_first
+                     else ["timeout", "call"])
+
+
+def test_cancelled_call_counts_as_processed_and_runs_nothing():
+    sim = Simulator()
+    sim.profiler = SubsystemProfiler()
+    fired = []
+    handle = sim.call_at(1.0, lambda: fired.append(True), name="bus")
+    handle.cancel()
+    handle.cancel()  # idempotent
+    assert sim.pending_real_events() == 1
+    sim.run()
+    assert fired == []
+    assert sim.events_processed == 1
+    assert sim.now == 1.0
+    assert sim.profiler.count_rows() == {"bus": 1}
+
+
+def test_observer_call_is_kept_out_of_the_real_counts():
+    sim = Simulator()
+    sim.profiler = SubsystemProfiler()
+    fired = []
+    sim.call_at(1.0, lambda: fired.append("obs"), name="telemetry-sample",
+                observer=True)
+    sim.call_at(2.0, lambda: fired.append("real"), name="dtn-xfer")
+    assert sim.pending_real_events() == 1
+    sim.step()
+    assert fired == ["obs"]
+    assert sim.events_processed == 0
+    assert sim.pending_real_events() == 1
+    sim.run()
+    assert fired == ["obs", "real"]
+    assert sim.events_processed == 1
+    assert sim.pending_real_events() == 0
+    assert sim.profiler.count_rows() == {"dtn-xfer": 1, "telemetry": 1}
+
+
+def test_run_until_event_returns_past_bare_calls():
+    sim = Simulator()
+    fired = []
+    for when in (1.0, 3.0, 5.0, 9.0):
+        sim.call_at(when, lambda when=when: fired.append(when))
+    target = sim.timeout(4.0, value="done")
+    assert sim.run(until=target) == "done"
+    assert sim.now == 4.0
+    assert fired == [1.0, 3.0]
+    assert sim.pending_real_events() == 2  # the calls at 5 and 9 wait
