@@ -15,8 +15,9 @@
 #   make dtn-sweep    run the DTN routing-baseline campaign (4 workers)
 #   make bandwidth-sweep  run the bandwidth-limited DTN campaign
 #   make resume-smoke interrupt/resume + cache-hit differential smoke
-#   make lint         byte-compile every source tree (syntax/tab check)
-#                     and find unused imports (tools/check_imports.py)
+#   make lint         byte-compile every source tree (syntax/tab check,
+#                     bytecode kept out of the checkout) and find unused
+#                     imports (tools/check_imports.py)
 #   make docs-check   verify intra-repo links in README + docs/*.md
 #   make report       render results/report/REPORT.md (benchmarks/ledger.py)
 #   make gate         regression-gate BENCH_*.json vs committed baselines
@@ -113,8 +114,14 @@ resume-smoke:
 # The container bakes in no external linter (flake8/ruff); compileall +
 # tabnanny catch syntax errors and indentation mixups, and
 # tools/check_imports.py (stdlib ast) unused imports, without new deps.
+# compileall writes its bytecode under a throwaway PYTHONPYCACHEPREFIX,
+# so linting leaves no __pycache__ in the checkout (a byte-compiled tree
+# times differently under perf/run.py than a fresh one).
 lint:
-	$(PYTHON) -m compileall -q src tests benchmarks examples tools perf
+	pycache=$$(mktemp -d) && \
+	  PYTHONPYCACHEPREFIX=$$pycache $(PYTHON) -m compileall -q \
+	    src tests benchmarks examples tools perf; \
+	  status=$$?; rm -rf $$pycache; exit $$status
 	$(PYTHON) -m tabnanny src tests benchmarks examples tools perf
 	$(PYTHON) tools/check_imports.py
 

@@ -168,9 +168,11 @@ class BandwidthDtnOverlay(DtnOverlay):
             raise ValueError(f"data rate must be positive: {data_rate_Bps}")
         self.data_rate_Bps = float(data_rate_Bps)
         self._sessions: dict[tuple[str, str], ContactSession] = {}
-        # node -> its open session pairs, kept sorted
-        # (contact_up/_close_session).
-        self._node_sessions: dict[str, list[tuple[str, str]]] = {}
+        # node -> the pairs of its idle open sessions (no leg in
+        # flight), kept sorted: a session joins at contact_up and at a
+        # leg's completion, and leaves when _pump starts a leg or the
+        # session closes idle.  No entry is ever empty.
+        self._idle: dict[str, list[tuple[str, str]]] = {}
         self._inbound: dict[str, set[str]] = {}
         #: ``_pump`` entries (a work counter the capacity bench gates,
         #: beside the inherited ``offer_passes``: queue builds).
@@ -208,8 +210,7 @@ class BandwidthDtnOverlay(DtnOverlay):
         session = ContactSession(pair[0], pair[1], budget, control,
                                  now + self.airtime_s(control))
         self._sessions[pair] = session
-        for node in pair:
-            bisect.insort(self._node_sessions.setdefault(node, []), pair)
+        self._enter_idle(pair)
         self.counters.bytes_offered += self._offered_bytes(session)
         self._pump(session)
 
@@ -226,7 +227,7 @@ class BandwidthDtnOverlay(DtnOverlay):
         receiver never got the bytes) before the base state loss."""
         if node_id not in self.stores:
             return
-        for pair in tuple(self._node_sessions.get(node_id, ())):
+        for pair in sorted(p for p in self._sessions if node_id in p):
             self._close_session(pair, _CLOSE_CRASH)
         super().on_crash(node_id)
 
@@ -243,14 +244,11 @@ class BandwidthDtnOverlay(DtnOverlay):
         session = self._sessions.pop(pair, None)
         if session is None:
             return
-        for node in pair:
-            pairs = self._node_sessions[node]
-            pairs.remove(pair)
-            if not pairs:
-                del self._node_sessions[node]
         transfer = session.transfer
-        session.transfer = None
-        if transfer is not None:
+        if transfer is None:
+            self._leave_idle(pair)
+        else:
+            session.transfer = None
             transfer.handle.cancel()
             self._release_inbound(transfer)
             if mode == _CLOSE_CRASH:
@@ -258,6 +256,27 @@ class BandwidthDtnOverlay(DtnOverlay):
             elif mode == _CLOSE_DOWN:
                 self._credit_truncated(session, transfer)
         self._report_contact(session)
+
+    def _enter_idle(self, pair: tuple[str, str]) -> None:
+        """Enter ``pair`` in both endpoints' idle index.  O(k)."""
+        idle = self._idle
+        for node in pair:
+            pairs = idle.get(node)
+            if pairs is None:
+                idle[node] = [pair]
+            else:
+                bisect.insort(pairs, pair)
+
+    def _leave_idle(self, pair: tuple[str, str]) -> None:
+        """Drop ``pair`` from both endpoints' idle index, and any entry
+        it leaves empty.  O(k)."""
+        idle = self._idle
+        for node in pair:
+            pairs = idle[node]
+            if len(pairs) == 1:
+                del idle[node]
+            else:
+                pairs.remove(pair)
 
     def _credit_truncated(self, session: ContactSession,
                           transfer: Transfer) -> None:
@@ -306,11 +325,12 @@ class BandwidthDtnOverlay(DtnOverlay):
 
     def _pump_node(self, node_id: str) -> None:
         """Re-evaluate every idle session touching ``node_id``, in pair
-        order: O(k) for the node's k sessions, which the index keeps
-        sorted (iterated as a copy — a pump may close sessions).  A
-        session with a leg in flight is skipped (``_pump`` would return
-        on it at once)."""
-        pairs = self._node_sessions.get(node_id)
+        order: O(k) for the node's k idle sessions, which the index
+        keeps sorted (iterated as a copy — a pump may start legs on, or
+        close, later sessions, which are then skipped).  A busy session
+        turns idle only in :meth:`_complete`, a kernel event that never
+        runs inside a pump, so the copy misses no session."""
+        pairs = self._idle.get(node_id)
         if not pairs:
             return
         for pair in tuple(pairs):
@@ -434,6 +454,7 @@ class BandwidthDtnOverlay(DtnOverlay):
                     sender, receiver, send_bytes, tech=self.tech,
                     started_at=start, ends_at=done_at)
             session.transfer = transfer
+            self._leave_idle(pair)
             session.next_free = done_at
             self._inbound.setdefault(receiver, set()).add(
                 bundle.bundle_id)
@@ -483,6 +504,7 @@ class BandwidthDtnOverlay(DtnOverlay):
         session = self._sessions[pair]
         transfer = session.transfer
         session.transfer = None
+        self._enter_idle(pair)
         sender, receiver = transfer.sender, transfer.receiver
         bundle = transfer.bundle
         self._release_inbound(transfer)

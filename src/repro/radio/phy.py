@@ -131,8 +131,8 @@ class PhyTransmission:
     """
 
     __slots__ = ("sender", "receiver", "profile", "size_bytes",
-                 "started_at", "ends_at", "rssi_dbm", "contenders",
-                 "resolved", "fate")
+                 "started_at", "ends_at", "rssi_dbm",
+                 "strongest_rival_dbm", "resolved", "fate")
 
     def __init__(self, sender: str, receiver: str, profile: PhyProfile,
                  size_bytes: int, started_at: float, ends_at: float,
@@ -144,8 +144,11 @@ class PhyTransmission:
         self.started_at = started_at
         self.ends_at = ends_at
         self.rssi_dbm = rssi_dbm
-        #: Overlapping transmissions to the same receiver (mutual).
-        self.contenders: list["PhyTransmission"] = []
+        #: Received power of the strongest overlapping transmission to
+        #: the same receiver so far; ``-inf`` while nothing overlaps.  A
+        #: number, not the rivals themselves, so overlapping legs never
+        #: keep each other alive.
+        self.strongest_rival_dbm = -math.inf
         self.resolved = False
         self.fate: str | None = None
 
@@ -291,8 +294,8 @@ class PhyPlane:
             tx.fate = LOST_FADING
             counters.lost_fading += 1
             return False
-        if tx.contenders:
-            strongest = max(rival.rssi_dbm for rival in tx.contenders)
+        strongest = tx.strongest_rival_dbm
+        if strongest > -math.inf:
             if tx.rssi_dbm >= strongest + CAPTURE_MARGIN_DB:
                 tx.fate = CAPTURED
                 counters.captured += 1
@@ -363,7 +366,8 @@ class PhyPlane:
         return threshold
 
     def _register(self, tx: PhyTransmission, now: float) -> None:
-        """Track ``tx`` per receiver and cross-link genuine overlaps.
+        """Track ``tx`` per receiver and raise both sides'
+        ``strongest_rival_dbm`` on each genuine overlap.
 
         Entries whose window ended by ``now`` are pruned first — safe
         because every later registration starts at or after its own
@@ -379,8 +383,10 @@ class PhyPlane:
             for other in in_flight:
                 if (other.ends_at > tx.started_at
                         and tx.ends_at > other.started_at):
-                    other.contenders.append(tx)
-                    tx.contenders.append(other)
+                    if tx.rssi_dbm > other.strongest_rival_dbm:
+                        other.strongest_rival_dbm = tx.rssi_dbm
+                    if other.rssi_dbm > tx.strongest_rival_dbm:
+                        tx.strongest_rival_dbm = other.rssi_dbm
         in_flight.append(tx)
 
 

@@ -195,19 +195,20 @@ def test_detach_cancels_sessions_silently():
 
 
 def _assert_session_index_fresh(plane):
-    """The per-node session index equals a sorted scan of the open
-    sessions, and neither it nor the inbound ledger keeps an empty
-    entry."""
-    nodes = set(plane.stores) | set(plane._node_sessions)
+    """The per-node idle index equals a sorted scan of the open
+    sessions with no leg in flight, and neither it nor the inbound
+    ledger keeps an empty entry."""
+    nodes = set(plane.stores) | set(plane._idle)
     for node in nodes:
-        expected = {pair for pair in plane._sessions if node in pair}
-        assert plane._node_sessions.get(node, []) == sorted(expected), node
-    assert all(plane._node_sessions.values())
+        expected = {pair for pair, session in plane._sessions.items()
+                    if node in pair and session.transfer is None}
+        assert plane._idle.get(node, []) == sorted(expected), node
+    assert all(plane._idle.values())
     assert all(plane._inbound.values())
 
 
 def test_session_index_never_goes_stale():
-    """Crash faults and detach: after every kernel step the index
+    """Crash faults and detach: after every kernel step the idle index
     matches the sessions."""
     scenario = build_scenario("crowded_festival", seed=4, params={
         "count": 12, "crash_rate": 0.5, "crash_downtime_s": 30.0,
@@ -228,7 +229,7 @@ def test_session_index_never_goes_stale():
     assert plane.pump_passes > 0
     plane.detach()
     _assert_session_index_fresh(plane)
-    assert plane._sessions == {} and plane._node_sessions == {}
+    assert plane._sessions == {} and plane._idle == {}
     assert plane._inbound == {}
 
 

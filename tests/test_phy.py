@@ -7,9 +7,14 @@ any worker count) is pinned by ``tests/test_phy_property.py`` and
 ``benchmarks/bench_phy.py``.
 """
 
+import collections
+import gc
 import json
+import math
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core.buffering import ReliableChannel
 from repro.core.errors import ConnectionClosedError
@@ -23,11 +28,15 @@ from repro.mobility import StaticPosition
 from repro.radio import BLUETOOTH, World
 from repro.radio.channel import ChannelClosed, Link
 from repro.radio.phy import (
+    _BOUNDARY_EPSILON_DB,
+    CAPTURE_MARGIN_DB,
     CAPTURED,
     DELIVERED,
     LOST_COLLISION,
+    LOST_FADING,
     PhyPlane,
     PhyProfile,
+    PhyTransmission,
     install_scenario_phy,
 )
 from repro.radio.technologies import get_technology
@@ -194,7 +203,8 @@ def test_overlap_without_margin_loses_both():
     plane = PhyPlane(world)
     first = plane.begin("a", "r", 1000, started_at=0.0, ends_at=1.0)
     second = plane.begin("b", "r", 1000, started_at=0.5, ends_at=1.5)
-    assert second in first.contenders and first in second.contenders
+    assert first.strongest_rival_dbm == second.rssi_dbm
+    assert second.strongest_rival_dbm == first.rssi_dbm
     assert not plane.resolve(first)
     assert not plane.resolve(second)
     assert first.fate == LOST_COLLISION
@@ -233,9 +243,142 @@ def test_touching_windows_do_not_collide():
     plane = PhyPlane(world)
     first = plane.begin("a", "r", 1000, started_at=0.0, ends_at=1.0)
     second = plane.begin("b", "r", 1000, started_at=1.0, ends_at=2.0)
-    assert first.contenders == [] and second.contenders == []
+    assert first.strongest_rival_dbm == -math.inf
+    assert second.strongest_rival_dbm == -math.inf
     assert plane.resolve(first) and plane.resolve(second)
     assert first.fate == DELIVERED and second.fate == DELIVERED
+
+
+class _ScriptedPowerPlane(PhyPlane):
+    """A collisions-only plane whose next leg arrives at ``next_rssi``."""
+
+    next_rssi = 0.0
+
+    def _draw_rssi(self, sender, receiver, profile):
+        return self.next_rssi
+
+
+class _ListRuleOracle:
+    """The capture rule as a list of rivals: every leg keeps the legs
+    that overlapped it at its receiver (both ways, pruned as the plane
+    prunes), and a resolve takes the strongest of their powers."""
+
+    def __init__(self, sensitivity_dbm):
+        self.sensitivity_dbm = sensitivity_dbm
+        self.in_flight = {}
+        self.fates = collections.Counter()
+
+    def begin(self, receiver, start, end, rssi, now):
+        leg = {"start": start, "end": end, "rssi": rssi, "rivals": [],
+               "fate": None}
+        alive = [other for other in self.in_flight.get(receiver, [])
+                 if other["end"] > now]
+        for other in alive:
+            if other["end"] > start and end > other["start"]:
+                other["rivals"].append(leg)
+                leg["rivals"].append(other)
+        self.in_flight[receiver] = alive + [leg]
+        return leg
+
+    def resolve(self, leg):
+        if leg["fate"] is None:
+            if leg["rssi"] < self.sensitivity_dbm - _BOUNDARY_EPSILON_DB:
+                fate = LOST_FADING
+            elif leg["rivals"]:
+                strongest = max(rival["rssi"] for rival in leg["rivals"])
+                fate = (CAPTURED
+                        if leg["rssi"] >= strongest + CAPTURE_MARGIN_DB
+                        else LOST_COLLISION)
+            else:
+                fate = DELIVERED
+            leg["fate"] = fate
+            self.fates[fate] += 1
+        return leg["fate"] in (DELIVERED, CAPTURED)
+
+
+# Binary-fraction grids, so touching windows and exact 6 dB margins occur
+# often; -64 dBm is the Bluetooth sensitivity (fading below it).
+_powers = st.one_of(
+    st.sampled_from([-70.0, -64.0, -60.0, -58.0, -54.0, -52.0, -48.0]),
+    st.floats(min_value=-80.0, max_value=-30.0))
+_steps = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])
+_phy_ops = st.lists(st.one_of(
+    st.tuples(st.just("begin"), st.sampled_from(["r0", "r1"]), _steps,
+              st.sampled_from([0.25, 0.5, 1.0, 1.5]), _powers),
+    st.tuples(st.just("resolve"), st.integers(min_value=0, max_value=63)),
+    st.tuples(st.just("advance"), _steps)), max_size=60)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_phy_ops)
+def test_strongest_rival_matches_the_list_rule(ops):
+    """Random windows, powers, receivers and interleaved resolves: every
+    fate, return value and counter equals the list-of-rivals rule's,
+    each leg's ``strongest_rival_dbm`` is its rivals' max power, and
+    ``offered == delivered + lost_fading + lost_collision +
+    unresolved`` holds after every step."""
+    sim, world = make_world()
+    plane = _ScriptedPowerPlane(world)
+    oracle = _ListRuleOracle(
+        PhyProfile.for_technology(get_technology("bluetooth"))
+        .sensitivity_dbm)
+    legs = []
+    for op in ops:
+        now = sim.now
+        if op[0] == "begin":
+            _, receiver, offset, duration, rssi = op
+            plane.next_rssi = rssi
+            start = now + offset
+            tx = plane.begin("s", receiver, 100, started_at=start,
+                             ends_at=start + duration)
+            legs.append((tx, oracle.begin(receiver, start,
+                                          start + duration, rssi, now)))
+        elif op[0] == "resolve" and legs:
+            tx, leg = legs[op[1] % len(legs)]
+            assert plane.resolve(tx) == oracle.resolve(leg)
+            assert tx.fate == leg["fate"]
+        elif op[0] == "advance":
+            sim.run(until=now + op[1])
+        counters = plane.counters
+        unresolved = sum(not tx.resolved for tx, _ in legs)
+        assert counters.offered == len(legs)
+        assert (counters.offered == counters.delivered
+                + counters.lost_fading + counters.lost_collision
+                + unresolved)
+        assert counters.captured == oracle.fates[CAPTURED]
+        assert counters.delivered == (oracle.fates[DELIVERED]
+                                      + oracle.fates[CAPTURED])
+        assert counters.lost_fading == oracle.fates[LOST_FADING]
+        assert counters.lost_collision == oracle.fates[LOST_COLLISION]
+    for tx, leg in legs:
+        assert tx.strongest_rival_dbm == max(
+            (rival["rssi"] for rival in leg["rivals"]), default=-math.inf)
+
+
+def test_resolved_legs_are_freed_once_off_the_air():
+    """A long chain of overlapping legs to one receiver, each resolved
+    and dropped: only the legs still on the air stay alive, so memory
+    is O(legs in flight), not O(legs ever)."""
+    sim, world = make_world()
+    world.add_node("r", StaticPosition(0, 0), [BLUETOOTH])
+    world.add_node("a", StaticPosition(3.0, 0), [BLUETOOTH])
+    world.add_node("b", StaticPosition(0, 3.0), [BLUETOOTH])
+    plane = PhyPlane(world)
+    previous = None
+    for index in range(200):
+        sim.run(until=float(index))
+        tx = plane.begin("ab"[index % 2], "r", 1000,
+                         started_at=float(index), ends_at=index + 1.5)
+        if previous is not None:
+            plane.resolve(previous)
+        previous = tx
+    del tx, previous
+    assert plane.counters.lost_collision == 199
+    gc.collect()
+    profile = plane._profiles["bluetooth"]
+    live = sum(1 for obj in gc.get_objects()
+               if isinstance(obj, PhyTransmission) and obj.profile is profile)
+    assert live <= sum(len(legs) for legs in plane._in_flight.values())
 
 
 def test_transmit_serialises_per_sender_no_self_collision():
