@@ -417,9 +417,14 @@ def paired_dtn(point: RunPoint, preset: DtnPreset) -> Metrics:
     ``preset.overlay``, so router metrics differ only by routing policy
     (a paired comparison, which is what lets the DTN benches gate e.g.
     "epidemic beats direct on delivery ratio" per run rather than
-    statistically).  The point's scenario params switch the optional
-    fault and PHY planes on; at zero knobs no plane is installed and
-    the metrics two presets share are byte-identical.
+    statistically).  Identical paths mean identical contact geometry,
+    so the cell's legs share one
+    :attr:`~repro.radio.contacts.ContactSolver.crossings` table, made
+    here and dropped when the cell returns: a later leg solves only the
+    link crossings no earlier leg asked for.  The point's scenario
+    params switch the optional fault and PHY planes on; at zero knobs
+    no plane is installed and the metrics two presets share are
+    byte-identical.
 
     ``settings`` (defaults from the preset): ``duration_s``,
     ``messages`` (for the broadcast pattern this is *rounds*),
@@ -442,8 +447,10 @@ def paired_dtn(point: RunPoint, preset: DtnPreset) -> Metrics:
         overlay_kwargs["data_rate_Bps"] = (
             float(settings["rate_Bps"]) or None)
     metrics: Metrics = {}
+    crossings: dict = {}
     for router_name in list(settings["routers"]):
         scenario = build_scenario(point.scenario, point.seed, point.params)
+        scenario.world.contacts.crossings = crossings
         plane = preset.overlay(
             scenario.world,
             make_router(router_name, spray_copies=spray_copies),

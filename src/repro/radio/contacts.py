@@ -64,7 +64,7 @@ BISECT_STEP_S = 0.25
 BISECT_TOL_S = 1e-9
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Crossing:
     """One predicted predicate flip.
 
@@ -280,6 +280,15 @@ class ContactSolver:
     window solve and the bus's re-arm straight after it ask the same
     question, and the second is answered without solving.  The key
     cannot go stale — a node's mobility is fixed when it is added.
+
+    After the slot, :attr:`crossings` — a crossing table, ``None``
+    unless a caller hands one in — answers from earlier solves keyed on
+    ``(a, b, range_m, start)``, node *names* not models, and records
+    every miss.  Names stand for paths only across worlds built from
+    the same scenario, seed and params: the legs of one paired DTN
+    cell share one table (:func:`repro.experiments.workloads.paired_dtn`),
+    so a later leg re-solves only the questions an earlier leg never
+    asked.  ``predictions`` and ``segments`` count real solves only.
     """
 
     def __init__(self, world: "World"):
@@ -288,6 +297,9 @@ class ContactSolver:
         self.bisections = 0
         self._pulled = [0]
         self._last_link: tuple | None = None
+        #: Link crossings shared by worlds replaying the same node paths
+        #: (see the class docstring); ``None`` solves every question.
+        self.crossings: dict[tuple, Crossing | None] | None = None
 
     @property
     def segments(self) -> int:
@@ -339,9 +351,9 @@ class ContactSolver:
         horizon", which callers must treat as *re-check at the
         horizon*, not "never" (unless :meth:`pair_settled`).  Cost: one
         closed-form solve, O(pieces walked to the first flip); O(1)
-        when it repeats the previous call's question (see the class
-        docstring); a pair with an unknown endpoint answers ``None``
-        without solving.
+        when it repeats the previous call's question or one the crossing
+        table holds (see the class docstring); a pair with an unknown
+        endpoint answers ``None`` without solving.
         """
         start = self.world.sim.now if t0 is None else t0
         pair = self._mobilities(a, b)
@@ -351,10 +363,17 @@ class ContactSolver:
         if (last is not None and last[0] is pair[0] and last[1] is pair[1]
                 and last[2] == tech.range_m and last[3] == start):
             return last[4]
-        self.predictions += 1
-        crossing = next_distance_crossing(
-            pair[0], pair[1], tech.range_m, start, start + HORIZON_S,
-            self._pulled)
+        table = self.crossings
+        key = (a, b, tech.range_m, start)
+        if table is not None and key in table:
+            crossing = table[key]
+        else:
+            self.predictions += 1
+            crossing = next_distance_crossing(
+                pair[0], pair[1], tech.range_m, start, start + HORIZON_S,
+                self._pulled)
+            if table is not None:
+                table[key] = crossing
         self._last_link = (pair[0], pair[1], tech.range_m, start, crossing)
         return crossing
 

@@ -4,7 +4,8 @@ Covers the registry (every public scenario factory registered and
 constructible with defaults), spec validation and expansion (including
 the seed-derivation invariants), the runner's determinism property —
 the same spec produces byte-identical JSONL and aggregate CSV with
-``workers=1`` and ``workers=4`` — and the aggregation/report layer.
+``workers=1`` and ``workers=4`` — the aggregation/report layer, and the
+crossing table the legs of a paired DTN cell share.
 """
 
 import inspect
@@ -29,9 +30,11 @@ from repro.experiments import (
     workload_names,
     write_jsonl,
 )
+from repro.experiments import workloads
 from repro.experiments.cli import main as cli_main
 from repro.experiments.registry import FAULT_KNOBS, PHY_KNOBS
 from repro.experiments.spec import RunPoint
+from repro.radio.contacts import ContactSolver
 from repro.scenarios import Scenario
 from repro.sim.rng import derive_seed
 
@@ -418,3 +421,84 @@ def test_cli_run_rejects_zero_workers_before_running(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--workers: must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ----------------------------------------------------------------------
+# paired DTN legs share one crossing table per cell
+# ----------------------------------------------------------------------
+#: The bundled spec of each paired-DTN preset.
+_PAIRED_SPECS = ("dtn_sweep", "fault_sweep", "bandwidth_sweep", "phy_sweep")
+
+
+class _NeverHit(dict):
+    """A crossing table that records every answer and serves none."""
+
+    def __contains__(self, key):
+        return False
+
+
+def _defeat_the_crossing_table(monkeypatch):
+    """Every leg solves every question: the table a cell hands its legs
+    is swapped for one that never hits."""
+    def handed(self, table):
+        self.__dict__["_table"] = None if table is None else _NeverHit()
+
+    monkeypatch.setattr(ContactSolver, "crossings", property(
+        lambda self: self.__dict__["_table"], handed), raising=False)
+
+
+def _run_legs(monkeypatch, point):
+    """The point's metrics, and the solves each leg's world made."""
+    worlds = []
+
+    def spy(*args, **kwargs):
+        scenario = build_scenario(*args, **kwargs)
+        worlds.append(scenario.world)
+        return scenario
+
+    with monkeypatch.context() as patch:
+        patch.setattr(workloads, "build_scenario", spy)
+        metrics = workloads.get_workload(point.workload)(point)
+    return metrics, [world.contacts.predictions for world in worlds]
+
+
+@pytest.mark.parametrize("name", _PAIRED_SPECS)
+def test_the_crossing_table_changes_no_paired_metric(name, monkeypatch):
+    point = get_spec(name).expand()[0]
+    shared, solves = _run_legs(monkeypatch, point)
+    assert solves[0] > 0 and solves[1:] == [0] * (len(solves) - 1)
+    _defeat_the_crossing_table(monkeypatch)
+    alone, defeated = _run_legs(monkeypatch, point)
+    assert json.dumps(shared, sort_keys=True) == json.dumps(
+        alone, sort_keys=True)
+    # The table also answers a leg's own repeats the one-slot memo
+    # misses, so even the first leg may solve less with it.
+    assert defeated[0] >= solves[0]
+    assert all(count > 0 for count in defeated[1:])  # non-vacuous
+
+
+@pytest.mark.parametrize("name", [
+    "dtn_sweep", "fault_sweep", "bandwidth_sweep",
+    pytest.param("phy_sweep", marks=pytest.mark.slow),   # ~2.5 s
+])
+def test_legs_after_the_first_solve_nothing(name, monkeypatch):
+    """In every cell of a bundled paired spec, the first leg asks every
+    contact question the later legs ask."""
+    for point in get_spec(name).expand():
+        _metrics, solves = _run_legs(monkeypatch, point)
+        assert solves[0] > 0
+        assert solves[1:] == [0] * (len(solves) - 1), point.index
+
+
+def test_no_crossing_table_outlives_its_cell(monkeypatch):
+    """Two repeats of one cell share node names, not paths: a table
+    that leaked from one into the other would serve it wrong answers
+    (every pair's first question is asked at t = 0)."""
+    first, other = get_spec("fault_sweep").expand()[:2]
+    assert first.scenario == other.scenario and first.seed != other.seed
+    back_to_back = [_run_legs(monkeypatch, point) for point in (first, other)]
+    assert all(solves[0] > 0 for _metrics, solves in back_to_back)
+    _defeat_the_crossing_table(monkeypatch)
+    standalone = [_run_legs(monkeypatch, point)[0] for point in (first, other)]
+    assert [metrics for metrics, _solves in back_to_back] == standalone
+    assert Scenario(seed=1).world.contacts.crossings is None

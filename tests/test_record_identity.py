@@ -13,7 +13,7 @@ The ``fault_sweep`` digest is also that of the committed
 ``--telemetry`` run of it must also reproduce the committed
 ``telemetry.jsonl`` and ``timeline.csv`` byte for byte, so a change to
 the recorder or the subsystem profiler cannot move them unnoticed.
-The two DTN benchmark workloads (``perf/workloads.py``) are pinned the
+All four benchmark workloads (``perf/workloads.py``) are pinned the
 same way, by the digest ``perf/run.py`` takes of one seed's outputs.
 """
 
